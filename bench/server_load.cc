@@ -4,8 +4,9 @@
 // rejections, deadline misses) into BENCH_server.json.
 //
 // Three throughput phases:
-//   serial     — v1 clients, one request at a time (the PR6 baseline shape);
-//   pipelined  — v2 sessions with --pipeline-depth requests in flight while
+//   serial     — depth-1 sessions, one request at a time (the baseline
+//                shape of the thread-per-connection daemon);
+//   pipelined  — sessions with --pipeline-depth requests in flight while
 //                --idle-conns parked connections sit on the reactor;
 //   cache_hit  — a fresh daemon with the result cache on, so every request
 //                after the first is served from the shared mining cache.
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <future>
 #include <memory>
@@ -70,8 +72,9 @@ struct PhaseResult {
   }
 };
 
-// Serial v1 clients: one request at a time per session, util::Retry
-// absorbing admission rejections — the PR6 baseline workload shape.
+// Serial depth-1 sessions: one request at a time per session, util::Retry
+// absorbing admission rejections — the thread-per-connection baseline
+// workload shape.
 PhaseResult RunSerialPhase(int port, const std::string& cmv, int clients,
                            int per_client) {
   std::vector<std::vector<double>> latencies(static_cast<size_t>(clients));
@@ -83,8 +86,8 @@ PhaseResult RunSerialPhase(int port, const std::string& cmv, int clients,
       server::SessionHello hello;
       hello.user = "load" + std::to_string(c);
       hello.clearance = 3;
-      util::StatusOr<server::Client> client =
-          server::Client::Connect("127.0.0.1", port, hello);
+      util::StatusOr<std::unique_ptr<server::PipelinedClient>> client =
+          server::PipelinedClient::Connect("127.0.0.1", port, hello);
       if (!client.ok()) {
         ++failures;
         return;
@@ -98,8 +101,8 @@ PhaseResult RunSerialPhase(int port, const std::string& cmv, int clients,
         bench::WallTimer timer;
         util::StatusOr<std::string> report = util::RetryOr<std::string>(
             retry, [&]() -> util::StatusOr<std::string> {
-              return client->CallForReport(server::RequestKind::kMine,
-                                           {cmv, "--fast"});
+              return (*client)->CallForReport(server::RequestKind::kMine,
+                                              {cmv, "--fast"});
             });
         if (report.ok()) {
           latencies[static_cast<size_t>(c)].push_back(timer.Seconds() *
@@ -121,7 +124,7 @@ PhaseResult RunSerialPhase(int port, const std::string& cmv, int clients,
   return result;
 }
 
-// Pipelined v2 sessions: `depth` requests in flight per session, responses
+// Pipelined sessions: `depth` requests in flight per session, responses
 // completing out of order. An admission rejection (kUnavailable inside the
 // response) is re-offered with backoff; the latency of a request spans its
 // first issue to its accepted response, retries included.
@@ -282,11 +285,11 @@ int main(int argc, char** argv) {
     server::SessionHello hello;
     hello.user = "deadline";
     hello.clearance = 3;
-    util::StatusOr<server::Client> client =
-        server::Client::Connect("127.0.0.1", daemon.port(), hello);
+    util::StatusOr<std::unique_ptr<server::PipelinedClient>> client =
+        server::PipelinedClient::Connect("127.0.0.1", daemon.port(), hello);
     if (client.ok()) {
       for (int i = 0; i < 8; ++i) {
-        util::StatusOr<std::string> report = client->CallForReport(
+        util::StatusOr<std::string> report = (*client)->CallForReport(
             server::RequestKind::kMine, {cmv, "--fast"}, /*deadline_ms=*/1);
         if (report.status().code() ==
             util::StatusCode::kDeadlineExceeded) {
@@ -347,8 +350,8 @@ int main(int argc, char** argv) {
       out,
       "  \"description\": \"In-process epoll-reactor classminerd serving "
       "%d concurrent sessions, %d compressed-domain mine requests each "
-      "(queue bound %d over %d workers). serial: v1 clients, one request "
-      "at a time, result cache off. pipelined: v2 sessions with %d "
+      "(queue bound %d over %d workers). serial: depth-1 v2 sessions, one "
+      "request at a time, result cache off. pipelined: v2 sessions with %d "
       "requests in flight while %d idle connections sit on the reactor, "
       "cache off. cache_hit: fresh daemon with the shared result cache "
       "on. deadline: 8 requests carrying an impossible 1 ms deadline. "
@@ -357,15 +360,19 @@ int main(int argc, char** argv) {
       pipeline_depth, idle_conns);
   std::fprintf(out, "  \"command\": \"./build/bench/server_load\",\n");
   std::fprintf(out, "  \"environment\": {\n");
-  std::fprintf(out, "    \"date\": \"2026-08-08\",\n");
+  char date[16] = "unknown";
+  const std::time_t now = std::time(nullptr);
+  std::strftime(date, sizeof(date), "%Y-%m-%d", std::gmtime(&now));
+  std::fprintf(out, "    \"date\": \"%s\",\n", date);
   std::fprintf(out, "    \"cpus\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(out, "    \"build_type\": \"Release\",\n");
+  std::fprintf(out, "    \"build_type\": \"%s\",\n", CLASSMINER_BUILD_TYPE);
   std::fprintf(out,
                "    \"note\": \"Loopback TCP, synthetic 17-scene container, "
-               "mine --fast (compressed-domain). PR6 thread-per-connection "
-               "baseline for the serial shape: p50 7620.05 ms, p99 7855.96 "
-               "ms, 1.05 q/s over 64 requests. reader_threads is the "
+               "mine --fast (compressed-domain). Thread-per-connection "
+               "baseline for the serial shape (1-CPU container): p50 "
+               "7620.05 ms, p99 7855.96 ms, 1.05 q/s over 64 requests. "
+               "reader_threads is the "
                "daemon's per-connection read threads (always 0 for the "
                "reactor).\"\n");
   std::fprintf(out, "  },\n");

@@ -8,7 +8,7 @@
 //                     <mine|browse|skim|verify|repair|health> [args...]
 //
 // --repeat N issues the same request N times. With --pipeline D up to D
-// requests ride one protocol-v2 session at once (responses reassembled
+// requests ride one pipelined session at once (responses reassembled
 // from streamed chunks, printed in issue order); without it the repeats go
 // out one at a time over the same session.
 //

@@ -1,5 +1,5 @@
 // classminerd — the ClassMiner daemon. Serves mine/browse/skim/verify/
-// repair over the CMRQ/CMRS wire protocol (see DESIGN.md) so many clients
+// repair over the CMQ2/CMS2 wire protocol (see DESIGN.md) so many clients
 // can share one mining service:
 //
 //   classminerd [--host H] [--port N] [--threads N] [--queue N]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Server smoke: start classminerd, drive it from concurrent serial (v1)
-# clients, verify the responses are byte-identical to the CLI, then park 64
-# idle connections on the reactor while 8 pipelined (v2) clients stream
+# Server smoke: start classminerd, drive it from concurrent clients with one
+# request in flight each (depth-1 sessions), verify the responses are
+# byte-identical to the CLI, then park 64
+# idle connections on the reactor while 8 pipelined clients stream
 # repeated requests — asserting the daemon's thread count never moves
 # (readiness-driven, zero reader threads) — and finally stop the daemon
 # with SIGTERM and assert a graceful drain (exit 0, zero leaked
@@ -81,7 +82,7 @@ for i in $(seq 1 "$CLIENTS"); do
 done
 echo "all $CLIENTS responses byte-identical to the CLI"
 
-echo "== server smoke: pipelined v2 leg (64 idle + 8 active sessions) =="
+echo "== server smoke: pipelined leg (64 idle + 8 active sessions) =="
 # Park 64 connections that never speak: the reactor just watches their
 # fds. A thread-per-connection server would spawn 64 readers; the epoll
 # reactor must not change its thread count at all.

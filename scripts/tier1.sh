@@ -32,6 +32,20 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
     --benchmark_min_time=0.01 >/dev/null
 fi
 
+echo "== tier-1: benchmark of record (perfbench build + serve_cold) =="
+# perfbench/ is a standalone CMake project over src/; building and briefly
+# running it here makes a library API change that breaks the benchmark of
+# record fail tier-1. serve_cold must answer every request correctly.
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "$(nproc)" \
+  --target perfbench perfbench_trace_test >/dev/null
+./build-perfbench/perfbench_trace_test
+./build-perfbench/perfbench --workload serve_cold --seed 1 --seconds 3 \
+  --trace 0 > build-perfbench/serve_cold.out
+awk '$1 == "named" && $2 == "failed_frac" {
+       seen = 1; print; if ($3 + 0 != 0) bad = 1 }
+     END { exit !(seen && !bad) }' build-perfbench/serve_cold.out
+
 echo "== tier-1: server smoke (daemon + concurrent clients, plain) =="
 scripts/server_smoke.sh build
 

@@ -25,9 +25,10 @@ util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);
 
 // Compressed-domain fast path: shot spans come from DC-image differences
-// without a full decode; only the representative frames are then decoded
-// (here: full decode once, feature extraction on rep frames only) before
-// structure/cue/event mining. Returns the same MiningResult shape.
+// without a full decode. A codec::FrameSource then decodes selectively:
+// only the GOPs holding each shot's representative frame, behind a bounded
+// GOP cache that the cue stage re-reads, before structure/cue/event mining.
+// Returns the same MiningResult shape.
 util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
                                              const MiningOptions& options);
 

@@ -15,53 +15,6 @@
 
 namespace classminer::server {
 
-util::StatusOr<Client> Client::Connect(const std::string& host, int port,
-                                       const SessionHello& hello,
-                                       size_t max_frame_bytes) {
-  util::StatusOr<int> fd = ConnectTo(host, port);
-  if (!fd.ok()) return fd.status();
-  Client client(*fd, max_frame_bytes);
-
-  util::StatusOr<std::string> credential = hello.Serialize();
-  if (!credential.ok()) return credential.status();
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args.push_back(std::move(*credential));
-  util::StatusOr<Response> response = client.Call(handshake);
-  if (!response.ok()) return response.status();
-  if (!response->ok()) return response->ToStatus();
-  return client;
-}
-
-util::StatusOr<Response> Client::Call(const Request& request) {
-  if (fd_ < 0) return util::Status::FailedPrecondition("client closed");
-  util::StatusOr<std::vector<uint8_t>> bytes = request.Serialize();
-  if (!bytes.ok()) return bytes.status();
-  CLASSMINER_RETURN_IF_ERROR(
-      WriteFrame(fd_, kRequestMagic, *bytes, max_frame_));
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(fd_, kResponseMagic, max_frame_);
-  if (!frame.ok()) return frame.status();
-  return Response::Parse(*frame);
-}
-
-util::StatusOr<std::string> Client::CallForReport(
-    RequestKind kind, std::vector<std::string> args, uint32_t deadline_ms) {
-  Request request;
-  request.kind = kind;
-  request.deadline_ms = deadline_ms;
-  request.args = std::move(args);
-  util::StatusOr<Response> response = Call(request);
-  if (!response.ok()) return response.status();
-  if (!response->ok()) return response->ToStatus();
-  return std::move(response->body);
-}
-
-void Client::Close() {
-  CloseFd(fd_);
-  fd_ = -1;
-}
-
 // ---------------------------------------------------------------------------
 // PipelinedClient
 
@@ -95,9 +48,8 @@ struct PipelinedClient::State {
 void PipelinedClient::State::ReaderLoop(
     const std::shared_ptr<State>& state) {
   for (;;) {
-    uint32_t magic = 0;
-    util::StatusOr<std::vector<uint8_t>> frame = ReadFrameAny(
-        state->fd, {kResponseMagicV2}, state->max_frame, &magic);
+    util::StatusOr<std::vector<uint8_t>> frame =
+        ReadFrame(state->fd, kResponseMagicV2, state->max_frame);
     util::Status dead = util::Status::Ok();
     if (!frame.ok()) {
       dead = frame.status();
@@ -134,8 +86,7 @@ util::StatusOr<std::unique_ptr<PipelinedClient>> PipelinedClient::Connect(
   if (!fd.ok()) return fd.status();
 
   // Handshake synchronously, before the reader exists: one tagged hello,
-  // one final chunk back. A capacity rejection arrives as a v1 frame (the
-  // server answers before it knows the session's version), so accept both.
+  // one final chunk back (a capacity rejection is such a chunk too).
   util::StatusOr<std::string> credential = hello.Serialize();
   if (!credential.ok()) {
     CloseFd(*fd);
@@ -153,16 +104,13 @@ util::StatusOr<std::unique_ptr<PipelinedClient>> PipelinedClient::Connect(
     CloseFd(*fd);
     return sent;
   }
-  uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame = ReadFrameAny(
-      *fd, {kResponseMagicV2, kResponseMagic}, max_frame_bytes, &magic);
+  util::StatusOr<std::vector<uint8_t>> frame =
+      ReadFrame(*fd, kResponseMagicV2, max_frame_bytes);
   if (!frame.ok()) {
     CloseFd(*fd);
     return frame.status();
   }
-  util::StatusOr<Response> response = magic == kResponseMagicV2
-                                          ? Response::ParseChunk(*frame)
-                                          : Response::Parse(*frame);
+  util::StatusOr<Response> response = Response::ParseChunk(*frame);
   if (!response.ok()) {
     CloseFd(*fd);
     return response.status();

@@ -16,67 +16,21 @@
 
 namespace classminer::server {
 
-// Client side of the classminerd protocol: one TCP session, requests
-// answered in order. Connect() performs the hello handshake, so a
-// constructed client is always an authenticated session.
-class Client {
- public:
-  // Connects and binds the session credential. Fails with the server's
-  // status when the handshake is refused (e.g. kUnavailable at connection
-  // capacity).
-  static util::StatusOr<Client> Connect(const std::string& host, int port,
-                                        const SessionHello& hello,
-                                        size_t max_frame_bytes =
-                                            kMaxFrameBytes);
-
-  Client(Client&& other) noexcept : fd_(other.fd_), max_frame_(other.max_frame_) {
-    other.fd_ = -1;
-  }
-  Client& operator=(Client&& other) noexcept {
-    if (this != &other) {
-      Close();
-      fd_ = other.fd_;
-      max_frame_ = other.max_frame_;
-      other.fd_ = -1;
-    }
-    return *this;
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-  ~Client() { Close(); }
-
-  // Sends one request and waits for its response. A transport failure (the
-  // daemon vanished, a torn frame) is the returned status; an operation
-  // failure arrives inside the Response, whose body may still carry a
-  // report (verify/repair on a dirty database).
-  util::StatusOr<Response> Call(const Request& request);
-
-  // Convenience: Call() collapsing operation failures into the status —
-  // the response body is returned only when the operation succeeded.
-  util::StatusOr<std::string> CallForReport(RequestKind kind,
-                                            std::vector<std::string> args,
-                                            uint32_t deadline_ms = 0);
-
-  void Close();
-  bool connected() const { return fd_ >= 0; }
-
- private:
-  Client(int fd, size_t max_frame) : fd_(fd), max_frame_(max_frame) {}
-
-  int fd_ = -1;
-  size_t max_frame_ = kMaxFrameBytes;
-};
-
-// Pipelined (protocol v2) session: every request carries a client-assigned
-// tag, many requests ride the wire at once, and responses complete out of
-// order. A dedicated reader thread reassembles each response from its
-// tagged chunk frames — streamed report fragments concatenate back into
-// the exact bytes a v1 response would have carried — and resolves the
-// matching future. One AsyncCall is cheap: the transport cost of an idle
-// pipelined session is a blocked read, not a thread per request.
+// Client side of the classminerd protocol: one TCP session whose requests
+// carry client-assigned tags, so many can ride the wire at once and
+// responses complete out of order. Connect() performs the hello handshake,
+// so a constructed client is always an authenticated session. A dedicated
+// reader thread reassembles each response from its tagged chunk frames —
+// streamed report fragments concatenate back into the whole report — and
+// resolves the matching future. One AsyncCall is cheap: the transport cost
+// of an idle session is a blocked read, not a thread per request. Call() is
+// the synchronous form: one request in flight at a time is a serial
+// session.
 class PipelinedClient {
  public:
-  // Connects, performs the (tagged) hello handshake, and starts the reader.
+  // Connects, performs the hello handshake, and starts the reader. Fails
+  // with the server's status when the handshake is refused (e.g.
+  // kUnavailable at connection capacity).
   static util::StatusOr<std::unique_ptr<PipelinedClient>> Connect(
       const std::string& host, int port, const SessionHello& hello,
       size_t max_frame_bytes = kMaxFrameBytes);
@@ -91,8 +45,13 @@ class PipelinedClient {
   // the server finishes them.
   std::future<util::StatusOr<Response>> AsyncCall(Request request);
 
-  // Synchronous conveniences matching Client.
+  // Sends one request and waits for its response. A transport failure (the
+  // daemon vanished, a torn frame) is the returned status; an operation
+  // failure arrives inside the Response, whose body may still carry a
+  // report (verify/repair on a dirty database).
   util::StatusOr<Response> Call(const Request& request);
+  // Call() collapsing operation failures into the status — the response
+  // body is returned only when the operation succeeded.
   util::StatusOr<std::string> CallForReport(RequestKind kind,
                                             std::vector<std::string> args,
                                             uint32_t deadline_ms = 0);
@@ -163,7 +122,7 @@ class ResilientClient {
   // outcomes — op errors, permission denials — return after one attempt.
   util::StatusOr<Response> Call(Request request);
 
-  // Convenience matching Client/PipelinedClient.
+  // Convenience matching PipelinedClient.
   util::StatusOr<std::string> CallForReport(RequestKind kind,
                                             std::vector<std::string> args,
                                             uint32_t deadline_ms = 0);

@@ -29,7 +29,7 @@ namespace classminer::server {
 // report through one of these; the full text is always accumulated (it is
 // what the CLI prints and what the result cache stores), and when a sink is
 // attached, completed fragments of at least `chunk_bytes` are forwarded as
-// they close — the daemon ships them as non-final v2 response chunks while
+// they close — the daemon ships them as non-final response chunks while
 // the op is still running. The concatenation of the forwarded fragments
 // plus the unsent tail is the accumulated report, byte for byte, so
 // streaming can never change what a client reassembles.

@@ -55,73 +55,20 @@ util::StatusOr<RequestKind> ParseRequestKind(const std::string& name) {
   return util::Status::InvalidArgument("unknown request kind '" + name + "'");
 }
 
-namespace {
-
-// Shared tail of both request layouts: kind, deadline, args.
-util::Status PutRequestCommon(util::ByteWriter* w, const Request& request) {
-  CLASSMINER_RETURN_IF_ERROR(
-      util::CheckU32Count(request.args.size(), "request arg"));
-  w->PutU8(static_cast<uint8_t>(request.kind));
-  w->PutU32(request.deadline_ms);
-  w->PutU32(static_cast<uint32_t>(request.args.size()));
-  for (const std::string& arg : request.args) {
-    CLASSMINER_RETURN_IF_ERROR(
-        util::CheckU32Count(arg.size(), "request arg byte"));
-    w->PutString(arg);
-  }
-  return util::Status::Ok();
-}
-
-util::StatusOr<Request> GetRequestCommon(util::ByteReader* r) {
-  Request request;
-  util::StatusOr<uint8_t> kind = r->GetU8();
-  if (!kind.ok()) return kind.status();
-  CLASSMINER_RETURN_IF_ERROR(CheckKind(*kind));
-  request.kind = static_cast<RequestKind>(*kind);
-  util::StatusOr<uint32_t> deadline = r->GetU32();
-  if (!deadline.ok()) return deadline.status();
-  request.deadline_ms = *deadline;
-  util::StatusOr<uint32_t> arg_count = r->GetU32();
-  if (!arg_count.ok()) return arg_count.status();
-  // Each argument occupies at least its 4-byte length prefix.
-  if (*arg_count > r->remaining() / 4) {
-    return r->Corrupt("request arg count exceeds frame");
-  }
-  request.args.reserve(*arg_count);
-  for (uint32_t i = 0; i < *arg_count; ++i) {
-    util::StatusOr<std::string> arg = r->GetString();
-    if (!arg.ok()) return arg.status();
-    request.args.push_back(std::move(*arg));
-  }
-  return request;
-}
-
-}  // namespace
-
-util::StatusOr<std::vector<uint8_t>> Request::Serialize() const {
-  util::ByteWriter w;
-  CLASSMINER_RETURN_IF_ERROR(PutRequestCommon(&w, *this));
-  if (w.size() > kMaxFrameBytes) {
-    return util::Status::InvalidArgument("request exceeds frame size limit");
-  }
-  return w.Release();
-}
-
-util::StatusOr<Request> Request::Parse(const std::vector<uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  r.set_section("request");
-  util::StatusOr<Request> request = GetRequestCommon(&r);
-  if (!request.ok()) return request.status();
-  if (r.remaining() > 0) return r.Corrupt("trailing bytes after request");
-  return request;
-}
-
 util::StatusOr<std::vector<uint8_t>> Request::SerializeTagged() const {
+  CLASSMINER_RETURN_IF_ERROR(util::CheckU32Count(args.size(), "request arg"));
   CLASSMINER_RETURN_IF_ERROR(
       util::CheckU32Count(idempotency_key.size(), "idempotency key byte"));
   util::ByteWriter w;
   w.PutU32(request_id);
-  CLASSMINER_RETURN_IF_ERROR(PutRequestCommon(&w, *this));
+  w.PutU8(static_cast<uint8_t>(kind));
+  w.PutU32(deadline_ms);
+  w.PutU32(static_cast<uint32_t>(args.size()));
+  for (const std::string& arg : args) {
+    CLASSMINER_RETURN_IF_ERROR(
+        util::CheckU32Count(arg.size(), "request arg byte"));
+    w.PutString(arg);
+  }
   w.PutString(idempotency_key);
   if (w.size() > kMaxFrameBytes) {
     return util::Status::InvalidArgument("request exceeds frame size limit");
@@ -132,15 +79,33 @@ util::StatusOr<std::vector<uint8_t>> Request::SerializeTagged() const {
 util::StatusOr<Request> Request::ParseTagged(
     const std::vector<uint8_t>& bytes) {
   util::ByteReader r(bytes);
-  r.set_section("request.v2");
+  r.set_section("request");
+  Request request;
   util::StatusOr<uint32_t> id = r.GetU32();
   if (!id.ok()) return id.status();
-  util::StatusOr<Request> request = GetRequestCommon(&r);
-  if (!request.ok()) return request.status();
-  request->request_id = *id;
+  request.request_id = *id;
+  util::StatusOr<uint8_t> kind = r.GetU8();
+  if (!kind.ok()) return kind.status();
+  CLASSMINER_RETURN_IF_ERROR(CheckKind(*kind));
+  request.kind = static_cast<RequestKind>(*kind);
+  util::StatusOr<uint32_t> deadline = r.GetU32();
+  if (!deadline.ok()) return deadline.status();
+  request.deadline_ms = *deadline;
+  util::StatusOr<uint32_t> arg_count = r.GetU32();
+  if (!arg_count.ok()) return arg_count.status();
+  // Each argument occupies at least its 4-byte length prefix.
+  if (*arg_count > r.remaining() / 4) {
+    return r.Corrupt("request arg count exceeds frame");
+  }
+  request.args.reserve(*arg_count);
+  for (uint32_t i = 0; i < *arg_count; ++i) {
+    util::StatusOr<std::string> arg = r.GetString();
+    if (!arg.ok()) return arg.status();
+    request.args.push_back(std::move(*arg));
+  }
   util::StatusOr<std::string> key = r.GetString();
   if (!key.ok()) return key.status();
-  request->idempotency_key = std::move(*key);
+  request.idempotency_key = std::move(*key);
   if (r.remaining() > 0) return r.Corrupt("trailing bytes after request");
   return request;
 }
@@ -200,39 +165,6 @@ index::UserCredential SessionHello::ToCredential() const {
   return credential;
 }
 
-util::StatusOr<std::vector<uint8_t>> Response::Serialize() const {
-  CLASSMINER_RETURN_IF_ERROR(
-      util::CheckU32Count(message.size(), "response message byte"));
-  CLASSMINER_RETURN_IF_ERROR(
-      util::CheckU32Count(body.size(), "response body byte"));
-  util::ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(code));
-  w.PutString(message);
-  w.PutString(body);
-  if (w.size() > kMaxFrameBytes) {
-    return util::Status::InvalidArgument("response exceeds frame size limit");
-  }
-  return w.Release();
-}
-
-util::StatusOr<Response> Response::Parse(const std::vector<uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  r.set_section("response");
-  Response response;
-  util::StatusOr<uint32_t> code = r.GetU32();
-  if (!code.ok()) return code.status();
-  CLASSMINER_RETURN_IF_ERROR(CheckCode(*code));
-  response.code = static_cast<util::StatusCode>(*code);
-  util::StatusOr<std::string> message = r.GetString();
-  if (!message.ok()) return message.status();
-  response.message = std::move(*message);
-  util::StatusOr<std::string> body = r.GetString();
-  if (!body.ok()) return body.status();
-  response.body = std::move(*body);
-  if (r.remaining() > 0) return r.Corrupt("trailing bytes after response");
-  return response;
-}
-
 util::StatusOr<std::vector<uint8_t>> Response::SerializeChunk() const {
   CLASSMINER_RETURN_IF_ERROR(
       util::CheckU32Count(message.size(), "response message byte"));
@@ -253,7 +185,7 @@ util::StatusOr<std::vector<uint8_t>> Response::SerializeChunk() const {
 util::StatusOr<Response> Response::ParseChunk(
     const std::vector<uint8_t>& bytes) {
   util::ByteReader r(bytes);
-  r.set_section("response.v2");
+  r.set_section("response");
   Response response;
   util::StatusOr<uint32_t> id = r.GetU32();
   if (!id.ok()) return id.status();

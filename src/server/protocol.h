@@ -15,32 +15,20 @@ namespace classminer::server {
 // on-disk formats (DESIGN.md documents the full layout).
 //
 // Every frame is
-//   u32 magic      "CMRQ" (request) or "CMRS" (response)
+//   u32 magic      "CMQ2" (request) or "CMS2" (response)
 //   u32 body size
 //   u32 CRC-32 over the body bytes
 //   body
 // so a torn or bit-flipped frame is detected before its body is parsed,
 // exactly like a CMVE database entry.
 //
-// Two protocol minor versions share the frame layout and differ only in
-// magic and body prefix:
-//
-//   v1 ("CMRQ"/"CMRS"): one request frame yields exactly one response
-//   frame; requests on one connection are processed serially, in order.
-//
-//   v2 ("CMQ2"/"CMS2"): every request carries a client-chosen request_id
-//   tag, a session may have many requests in flight (pipelining), and
-//   responses carry the tag back and may complete out of order. A v2
-//   response may arrive as a *sequence* of chunk frames sharing the tag:
-//   zero or more non-final chunks carrying body fragments, then exactly one
-//   final chunk carrying the status and the body tail. The concatenation of
-//   the fragments is byte-identical to the single v1 response body for the
-//   same request.
-//
-// A server accepts both versions on one listener (and even interleaved on
-// one connection): the frame magic selects the parse.
-inline constexpr uint32_t kRequestMagic = 0x51524d43;     // "CMRQ" (v1)
-inline constexpr uint32_t kResponseMagic = 0x53524d43;    // "CMRS" (v1)
+// Every request carries a client-chosen request_id tag, a session may have
+// many requests in flight (pipelining), and responses carry the tag back
+// and may complete out of order. A response arrives as a *sequence* of
+// chunk frames sharing the tag: zero or more non-final chunks carrying body
+// fragments, then exactly one final chunk carrying the status and the body
+// tail. A client that keeps one request in flight at a time sees a strictly
+// serial session (pipeline depth 1).
 inline constexpr uint32_t kRequestMagicV2 = 0x32514d43;   // "CMQ2"
 inline constexpr uint32_t kResponseMagicV2 = 0x32534d43;  // "CMS2"
 
@@ -85,30 +73,24 @@ struct Request {
   RequestKind kind = RequestKind::kHello;
   uint32_t deadline_ms = 0;
   std::vector<std::string> args;
-  // v2 only: the pipelining tag echoed by every response chunk. Client-
-  // chosen, unique among the session's in-flight requests. Not serialized
-  // by the v1 layout.
+  // The pipelining tag echoed by every response chunk. Client-chosen,
+  // unique among the session's in-flight requests.
   uint32_t request_id = 0;
-  // v2 only: opaque retry token. A client that loses its connection mid-
-  // call reconnects and resends the request with the same key; the server
+  // Opaque retry token. A client that loses its connection mid-call
+  // reconnects and resends the request with the same key; the server
   // remembers the outcome of every keyed request it executed (and joins
   // keyed requests still in flight), so the retry observes the original
   // execution instead of running the work again. Empty = not idempotent.
-  // Not serialized by the v1 layout.
   std::string idempotency_key;
 
-  // v1 body: kind u8 · deadline_ms u32 · arg_count u32 · args.
-  util::StatusOr<std::vector<uint8_t>> Serialize() const;
-  static util::StatusOr<Request> Parse(const std::vector<uint8_t>& bytes);
-
-  // v2 body: request_id u32 · kind u8 · deadline_ms u32 · arg_count u32 ·
+  // Body: request_id u32 · kind u8 · deadline_ms u32 · arg_count u32 ·
   // args · idempotency_key string.
   util::StatusOr<std::vector<uint8_t>> SerializeTagged() const;
   static util::StatusOr<Request> ParseTagged(
       const std::vector<uint8_t>& bytes);
 };
 
-// Best-effort request_id of a (possibly malformed) v2 request body, so an
+// Best-effort request_id of a (possibly malformed) request body, so an
 // error response can still carry the tag the client is waiting on. 0 when
 // the body is too short to hold one.
 uint32_t PeekRequestId(const std::vector<uint8_t>& bytes);
@@ -137,10 +119,10 @@ struct Response {
   util::StatusCode code = util::StatusCode::kOk;
   std::string message;
   std::string body;
-  // v2 only: the request tag this chunk answers, and whether it is the
-  // final chunk of that response. Non-final chunks carry a body fragment
-  // with code kOk and an empty message; the final chunk carries the real
-  // status plus the body tail. v1 responses are always final.
+  // The request tag this chunk answers, and whether it is the final chunk
+  // of that response. Non-final chunks carry a body fragment with code kOk
+  // and an empty message; the final chunk carries the real status plus the
+  // body tail.
   uint32_t request_id = 0;
   bool final_chunk = true;
 
@@ -148,11 +130,7 @@ struct Response {
   // Convenience: the response's status view (message included).
   util::Status ToStatus() const { return {code, message}; }
 
-  // v1 body: code u32 · message string · body string.
-  util::StatusOr<std::vector<uint8_t>> Serialize() const;
-  static util::StatusOr<Response> Parse(const std::vector<uint8_t>& bytes);
-
-  // v2 body: request_id u32 · flags u8 (bit0 = final, others reserved 0) ·
+  // Body: request_id u32 · flags u8 (bit0 = final, others reserved 0) ·
   // code u32 · message string · body string.
   util::StatusOr<std::vector<uint8_t>> SerializeChunk() const;
   static util::StatusOr<Response> ParseChunk(

@@ -1,12 +1,8 @@
 #include "server/server.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cerrno>
 #include <cstdlib>
@@ -40,14 +36,6 @@ int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// The magic of an already-encoded frame (first four little-endian bytes).
-uint32_t FrameMagicOf(const std::vector<uint8_t>& frame) {
-  if (frame.size() < 4) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(frame[i]) << (8 * i);
-  return v;
 }
 
 // Derives the cache identity of a request, when it has one. Only mine and
@@ -119,12 +107,11 @@ struct ClassMinerServer::Connection {
   bool authenticated = false;
   index::UserCredential user;
 
-  // Requests read off the wire but not yet dispatched (pipeline depth or
-  // v1 serialization holding them back). Parse errors ride along as
-  // inline_error entries so v1 responses keep arrival order.
+  // Requests read off the wire but not yet dispatched (pipeline depth
+  // holding them back). Parse errors ride along as inline_error entries in
+  // arrival order.
   std::deque<PendingRequest> pending;
-  int executing = 0;             // responses still owed by workers/leaders
-  bool serial_inflight = false;  // a v1 request is in flight: stay serial
+  int executing = 0;  // responses still owed by workers/leaders
 
   // Write side: fully encoded frames; the front one is sent up to
   // write_offset. write_queue_bytes counts unsent bytes across the queue.
@@ -132,7 +119,7 @@ struct ClassMinerServer::Connection {
   size_t write_queue_bytes = 0;
   size_t write_offset = 0;
 
-  // Finished v2 responses whose bodies still chunk out as the queue
+  // Finished responses whose bodies still chunk out as the queue
   // drains (bounded memory: at most ~one chunk past the bound is encoded).
   struct Streaming {
     uint32_t request_id = 0;
@@ -146,22 +133,21 @@ struct ClassMinerServer::Connection {
   bool want_write = false;   // current poller write-interest registration
   std::shared_ptr<ConnShared> shared;
 
-  // v2 request_ids currently in flight on this session (registered at
-  // parse, released when the final response is enqueued). A second request
-  // reusing a live id is rejected — chunk reassembly would be ambiguous.
-  std::unordered_set<uint32_t> live_v2_ids;
+  // request_ids currently in flight on this session (registered at parse,
+  // released when the final response is enqueued). A second request reusing
+  // a live id is rejected — chunk reassembly would be ambiguous.
+  std::unordered_set<uint32_t> live_ids;
   // Inline protocol-error answers charged against max_session_errors.
   int inline_errors = 0;
 
-  Connection(std::vector<uint32_t> magics, size_t max_frame)
-      : assembler(std::move(magics), max_frame) {}
+  explicit Connection(size_t max_frame)
+      : assembler(kRequestMagicV2, max_frame) {}
 };
 
 // Everything a pool task needs, detached from the Connection so the
 // session can die while the op still runs.
 struct ClassMinerServer::TaskCtx {
   uint64_t conn_id = 0;
-  bool v2 = false;
   Request request;
   index::UserCredential user;
   bool has_deadline = false;
@@ -172,53 +158,45 @@ struct ClassMinerServer::TaskCtx {
   std::shared_ptr<ConnShared> shared;
 };
 
-// Readiness multiplexer: epoll on Linux, poll(2) everywhere else (and as a
-// runtime fallback when epoll_create1 fails). Watches are tagged with the
-// connection id (0 = listener, 1 = wake pipe).
+// Readiness multiplexer over epoll (level-triggered). Watches are tagged
+// with the connection id (0 = listener, 1 = wake pipe).
 class ClassMinerServer::Poller {
  public:
   struct Ready {
     uint64_t tag = 0;
     bool readable = false;
     bool writable = false;
-    bool hangup = false;  // peer fully closed (POLLHUP)
+    bool hangup = false;  // peer fully closed (EPOLLHUP)
     bool error = false;
   };
 
-  Poller() {
-#ifdef __linux__
-    epfd_ = epoll_create1(EPOLL_CLOEXEC);
-#endif
-  }
-  ~Poller() {
-    if (epfd_ >= 0) CloseFd(epfd_);
-  }
+  Poller() = default;
+  ~Poller() { CloseFd(epfd_); }
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
+  // Creates the epoll instance; its failure is the server's Start() error.
+  util::Status Open() {
+    epfd_ = epoll_create1(EPOLL_CLOEXEC);
+    if (epfd_ < 0) {
+      return util::Status::Unavailable(std::string("epoll_create1: ") +
+                                       std::strerror(errno));
+    }
+    return util::Status::Ok();
+  }
+
   util::Status Add(int fd, uint64_t tag, bool read, bool write) {
-    watched_[fd] = Watch{tag, read, write};
-    return Ctl(fd, tag, read, write, /*add=*/true);
+    return Ctl(EPOLL_CTL_ADD, fd, tag, read, write);
   }
 
   util::Status Mod(int fd, uint64_t tag, bool read, bool write) {
-    auto it = watched_.find(fd);
-    if (it == watched_.end()) {
-      return util::Status::Internal("poller: fd not watched");
-    }
-    it->second = Watch{tag, read, write};
-    return Ctl(fd, tag, read, write, /*add=*/false);
+    return Ctl(EPOLL_CTL_MOD, fd, tag, read, write);
   }
 
   void Del(int fd) {
-    watched_.erase(fd);
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-    }
-#endif
+    epoll_event ev{};
+    (void)epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   }
 
   // Blocks until at least one watched fd is ready or `timeout_ms` elapses
@@ -227,93 +205,40 @@ class ClassMinerServer::Poller {
   // of stranding them.
   util::Status Wait(std::vector<Ready>* out, int timeout_ms) {
     out->clear();
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event events[128];
-      int n;
-      do {
-        n = epoll_wait(epfd_, events, 128, timeout_ms);
-      } while (n < 0 && errno == EINTR);
-      if (n < 0) {
-        return util::Status::Internal(std::string("epoll_wait: ") +
-                                      std::strerror(errno));
-      }
-      for (int i = 0; i < n; ++i) {
-        Ready r;
-        r.tag = events[i].data.u64;
-        r.readable = (events[i].events & EPOLLIN) != 0;
-        r.writable = (events[i].events & EPOLLOUT) != 0;
-        r.hangup = (events[i].events & EPOLLHUP) != 0;
-        r.error = (events[i].events & EPOLLERR) != 0;
-        out->push_back(r);
-      }
-      return util::Status::Ok();
-    }
-#endif
-    std::vector<pollfd> fds;
-    std::vector<uint64_t> tags;
-    fds.reserve(watched_.size());
-    tags.reserve(watched_.size());
-    for (const auto& [fd, watch] : watched_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>((watch.read ? POLLIN : 0) |
-                                    (watch.write ? POLLOUT : 0));
-      fds.push_back(p);
-      tags.push_back(watch.tag);
-    }
+    epoll_event events[128];
     int n;
     do {
-      n = poll(fds.data(), fds.size(), timeout_ms);
+      n = epoll_wait(epfd_, events, 128, timeout_ms);
     } while (n < 0 && errno == EINTR);
     if (n < 0) {
-      return util::Status::Internal(std::string("poll: ") +
+      return util::Status::Internal(std::string("epoll_wait: ") +
                                     std::strerror(errno));
     }
-    for (size_t i = 0; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
       Ready r;
-      r.tag = tags[i];
-      r.readable = (fds[i].revents & POLLIN) != 0;
-      r.writable = (fds[i].revents & POLLOUT) != 0;
-      r.hangup = (fds[i].revents & POLLHUP) != 0;
-      r.error = (fds[i].revents & (POLLERR | POLLNVAL)) != 0;
+      r.tag = events[i].data.u64;
+      r.readable = (events[i].events & EPOLLIN) != 0;
+      r.writable = (events[i].events & EPOLLOUT) != 0;
+      r.hangup = (events[i].events & EPOLLHUP) != 0;
+      r.error = (events[i].events & EPOLLERR) != 0;
       out->push_back(r);
     }
     return util::Status::Ok();
   }
 
  private:
-  struct Watch {
-    uint64_t tag = 0;
-    bool read = false;
-    bool write = false;
-  };
-
-  util::Status Ctl(int fd, uint64_t tag, bool read, bool write, bool add) {
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
-      ev.data.u64 = tag;
-      if (epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev) !=
-          0) {
-        return util::Status::Internal(std::string("epoll_ctl: ") +
-                                      std::strerror(errno));
-      }
+  util::Status Ctl(int op, int fd, uint64_t tag, bool read, bool write) {
+    epoll_event ev{};
+    ev.events = (read ? EPOLLIN : 0u) | (write ? EPOLLOUT : 0u);
+    ev.data.u64 = tag;
+    if (epoll_ctl(epfd_, op, fd, &ev) != 0) {
+      return util::Status::Internal(std::string("epoll_ctl: ") +
+                                    std::strerror(errno));
     }
-#else
-    (void)fd;
-    (void)tag;
-    (void)read;
-    (void)write;
-    (void)add;
-#endif
     return util::Status::Ok();
   }
 
   int epfd_ = -1;
-  std::unordered_map<int, Watch> watched_;  // authoritative for poll()
 };
 
 ClassMinerServer::ClassMinerServer(ServerOptions options)
@@ -353,10 +278,11 @@ util::Status ClassMinerServer::Start() {
     return util::Status::Unavailable(std::string("pipe: ") +
                                      std::strerror(errno));
   }
-  util::Status setup = SetNonBlocking(*fd, true);
+  auto poller = std::make_unique<Poller>();
+  util::Status setup = poller->Open();
+  if (setup.ok()) setup = SetNonBlocking(*fd, true);
   if (setup.ok()) setup = SetNonBlocking(wake_fds_[0], true);
   if (setup.ok()) setup = SetNonBlocking(wake_fds_[1], true);
-  auto poller = std::make_unique<Poller>();
   if (setup.ok()) setup = poller->Add(*fd, 0, /*read=*/true, /*write=*/false);
   if (setup.ok()) {
     setup = poller->Add(wake_fds_[0], 1, /*read=*/true, /*write=*/false);
@@ -486,7 +412,7 @@ std::string ClassMinerServer::BuildHealthReport() const {
 void ClassMinerServer::Wake() {
   if (wake_fds_[1] < 0) return;
   // Chaos site: the wake byte is lost. Worker events then ride the
-  // reactor's heartbeat poll timeout instead of a prompt wake-up — slower,
+  // reactor's heartbeat wait timeout instead of a prompt wake-up — slower,
   // never stranded.
   if (!util::FailPoint::Check("server.wake.drop").ok()) return;
   const uint8_t byte = 1;
@@ -601,13 +527,14 @@ void ClassMinerServer::HandleAccept() {
       continue;
     }
     if (static_cast<int>(conns_.size()) >= options_.max_connections) {
-      // The peer's first read (its hello response) reports the rejection.
-      // The fresh fd is still blocking, so one synchronous frame is fine.
+      // The peer's first read (its hello response) reports the rejection
+      // as a final chunk. The fresh fd is still blocking, so one synchronous
+      // frame is fine.
       const Response busy = MakeResponse(
           util::Status::Unavailable("server at connection capacity"));
-      util::StatusOr<std::vector<uint8_t>> bytes = busy.Serialize();
+      util::StatusOr<std::vector<uint8_t>> bytes = busy.SerializeChunk();
       if (bytes.ok()) {
-        (void)WriteFrame(*fd, kResponseMagic, *bytes,
+        (void)WriteFrame(*fd, kResponseMagicV2, *bytes,
                          options_.max_frame_bytes);
       }
       CloseFd(*fd);
@@ -620,9 +547,7 @@ void ClassMinerServer::HandleAccept() {
       continue;
     }
     const uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Connection>(
-        std::vector<uint32_t>{kRequestMagic, kRequestMagicV2},
-        options_.max_frame_bytes);
+    auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->id = id;
     conn->fd = *fd;
     conn->shared = std::make_shared<ConnShared>();
@@ -648,8 +573,8 @@ void ClassMinerServer::HandleReadable(Connection* conn) {
     util::StatusOr<size_t> n = TryRecv(conn->fd, buf, sizeof(buf));
     if (!n.ok()) {
       if (n.status().code() == util::StatusCode::kUnavailable) {
-        // Clean hangup. A torn frame at EOF matches the blocking daemon's
-        // "closed mid-frame" answer before the goodbye.
+        // Clean hangup. A torn frame at EOF still gets a "closed
+        // mid-frame" answer before the goodbye.
         if (conn->assembler.partial_bytes() > 0) {
           PendingRequest p;
           p.inline_error = true;
@@ -669,48 +594,34 @@ void ClassMinerServer::HandleReadable(Connection* conn) {
     if (*n == 0) break;  // would block; the poller re-arms us
     conn->shared->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
     const util::Status fed = conn->assembler.Feed(buf, *n);
-    FrameAssembler::Frame frame;
+    std::vector<uint8_t> frame;
     while (conn->assembler.PopFrame(&frame)) {
       PendingRequest p;
-      if (frame.magic == kRequestMagic) {
-        util::StatusOr<Request> request = Request::Parse(frame.body);
-        if (request.ok()) {
-          p.request = std::move(*request);
+      util::StatusOr<Request> request = Request::ParseTagged(frame);
+      if (request.ok() && !conn->live_ids.insert(request->request_id).second) {
+        // The tag is still answering an earlier request: a second stream
+        // of chunks under the same id would reassemble ambiguously on the
+        // client. Reject the newcomer; the original keeps its id.
+        {
           std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.requests_received;
-        } else {
-          // The frame boundary held (CRC passed), so the stream stays
-          // usable; the error answer keeps its place in line.
-          p.inline_error = true;
-          p.error = MakeResponse(request.status());
+          ++stats_.duplicate_request_ids;
         }
+        p.inline_error = true;
+        p.error = MakeResponse(util::Status::InvalidArgument(
+            "duplicate request_id " + std::to_string(request->request_id) +
+            " already in flight on this session"));
+        p.error.request_id = request->request_id;
+      } else if (request.ok()) {
+        p.owns_id = true;
+        p.request = std::move(*request);
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.requests_received;
       } else {
-        p.v2 = true;
-        util::StatusOr<Request> request = Request::ParseTagged(frame.body);
-        if (request.ok() &&
-            !conn->live_v2_ids.insert(request->request_id).second) {
-          // The tag is still answering an earlier request: a second stream
-          // of chunks under the same id would reassemble ambiguously on the
-          // client. Reject the newcomer; the original keeps its id.
-          {
-            std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++stats_.duplicate_request_ids;
-          }
-          p.inline_error = true;
-          p.error = MakeResponse(util::Status::InvalidArgument(
-              "duplicate request_id " + std::to_string(request->request_id) +
-              " already in flight on this session"));
-          p.error.request_id = request->request_id;
-        } else if (request.ok()) {
-          p.owns_id = true;
-          p.request = std::move(*request);
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.requests_received;
-        } else {
-          p.inline_error = true;
-          p.error = MakeResponse(request.status());
-          p.error.request_id = PeekRequestId(frame.body);
-        }
+        // The frame boundary held (CRC passed), so the stream stays usable;
+        // the error answer carries whatever tag the body still shows.
+        p.inline_error = true;
+        p.error = MakeResponse(request.status());
+        p.error.request_id = PeekRequestId(frame);
       }
       if (p.inline_error) {
         PushInlineError(conn, std::move(p));
@@ -761,13 +672,10 @@ void ClassMinerServer::PushInlineError(Connection* conn,
 
 void ClassMinerServer::TryDispatch(Connection* conn) {
   while (!conn->pending.empty()) {
-    const PendingRequest& front = conn->pending.front();
-    // v1 semantics: one request at a time, in order. A v1 request neither
-    // starts while anything is in flight nor lets later requests pass it.
-    if (conn->serial_inflight) break;
-    if (!front.inline_error) {
-      if (!front.v2 && conn->executing > 0) break;
-      if (front.v2 && conn->executing >= options_.max_pipeline) break;
+    // Inline errors cost no execution slot, so they never wait for one.
+    if (!conn->pending.front().inline_error &&
+        conn->executing >= options_.max_pipeline) {
+      break;
     }
     PendingRequest pending = std::move(conn->pending.front());
     conn->pending.pop_front();
@@ -780,11 +688,9 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   if (pending.inline_error) {
     // Inline errors never registered a live id (a duplicate-id rejection
     // must not free the original's), so nothing is released here.
-    EnqueueFinal(conn, pending.v2, std::move(pending.error), 0,
-                 /*release_id=*/false);
+    EnqueueFinal(conn, std::move(pending.error), 0, /*release_id=*/false);
     return;
   }
-  const bool v2 = pending.v2;
   const bool owns_id = pending.owns_id;
   Request& request = pending.request;
 
@@ -794,7 +700,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
     // can still tell a load balancer how it is doing.
     Response response = MakeResponse(util::Status::Ok(), BuildHealthReport());
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
@@ -817,14 +723,14 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       }
     }
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
   if (!conn->authenticated) {
     Response response = MakeResponse(util::Status::FailedPrecondition(
         "session not established; send hello first"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
@@ -845,17 +751,17 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         std::to_string(required) + "; session '" + conn->user.name +
         "' has " + std::to_string(conn->user.clearance)));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
 
-  // Idempotent resume (v2 sessions): a keyed request whose connection died
+  // Idempotent resume: a keyed request whose connection died
   // mid-call is resent with the same key after a reconnect. Recorded
   // outcomes replay byte-for-byte; a key still executing is joined — either
   // way the work runs at most once per key. A key is scoped to the user so
   // sessions cannot replay each other's outcomes.
   std::string idem_lead = std::move(pending.idem_lead);
-  if (v2 && idem_lead.empty() && !request.idempotency_key.empty()) {
+  if (idem_lead.empty() && !request.idempotency_key.empty()) {
     std::string key = std::string("idem\x1f") + conn->user.name + "\x1f" +
                       request.idempotency_key;
     CachedResult recorded;
@@ -863,11 +769,9 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
     const Request request_copy = request;
     const ResultCache::Admission admission = idem_cache_.JoinOrLead(
         key, &recorded,
-        [this, conn_id, v2, owns_id,
-         request_copy](const CachedResult* result) {
+        [this, conn_id, owns_id, request_copy](const CachedResult* result) {
           WorkerEvent event;
           event.conn_id = conn_id;
-          event.v2 = v2;
           event.owns_id = owns_id;
           event.request_id = request_copy.request_id;
           if (result != nullptr) {
@@ -896,7 +800,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       response.body = std::move(recorded.body);
       response.request_id = request.request_id;
       CountOutcome(response);
-      EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+      EnqueueFinal(conn, std::move(response), 0, owns_id);
       return;
     }
     if (admission == ResultCache::Admission::kJoined) {
@@ -925,7 +829,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         const Request request_copy = request;
         const ResultCache::Admission admission = cache_.JoinOrLead(
             *key, &cached,
-            [this, conn_id, v2, owns_id, idem_lead,
+            [this, conn_id, owns_id, idem_lead,
              request_copy](const CachedResult* result) {
               // Runs on the leader's worker thread when it completes.
               if (result != nullptr && !idem_lead.empty()) {
@@ -936,7 +840,6 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
               }
               WorkerEvent event;
               event.conn_id = conn_id;
-              event.v2 = v2;
               event.owns_id = owns_id;
               event.request_id = request_copy.request_id;
               if (result != nullptr) {
@@ -965,12 +868,11 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
           response.body = std::move(cached.body);
           response.request_id = request.request_id;
           CountOutcome(response);
-          EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+          EnqueueFinal(conn, std::move(response), 0, owns_id);
           return;
         }
         if (admission == ResultCache::Admission::kJoined) {
           ++conn->executing;
-          if (!v2) conn->serial_inflight = true;
           return;
         }
         lead_key = std::move(*key);
@@ -1008,7 +910,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         "server queue full (" + std::to_string(queued) +
         " requests waiting); retry"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, v2, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), 0, owns_id);
     return;
   }
   {
@@ -1019,7 +921,6 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
 
   auto ctx = std::make_shared<TaskCtx>();
   ctx->conn_id = conn->id;
-  ctx->v2 = v2;
   ctx->user = conn->user;
   ctx->has_deadline = request.deadline_ms > 0;
   ctx->deadline = std::chrono::steady_clock::now() +
@@ -1031,28 +932,17 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   ctx->request = std::move(request);
 
   ++conn->executing;
-  if (!v2) conn->serial_inflight = true;
   pool_->Schedule([this, ctx] { WorkerRun(ctx); });
 }
 
-void ClassMinerServer::EnqueueFinal(Connection* conn, bool v2,
-                                    Response response, size_t streamed_bytes,
-                                    bool release_id) {
-  if (v2 && release_id) {
+void ClassMinerServer::EnqueueFinal(Connection* conn, Response response,
+                                    size_t streamed_bytes, bool release_id) {
+  if (release_id) {
     // The tagged id's lifetime ends with its final answer; the client may
     // legitimately reuse it for a fresh request after this frame.
-    conn->live_v2_ids.erase(response.request_id);
+    conn->live_ids.erase(response.request_id);
   }
-  if (!v2) {
-    util::StatusOr<std::vector<uint8_t>> bytes = response.Serialize();
-    if (!bytes.ok()) bytes = MakeResponse(bytes.status()).Serialize();
-    if (!bytes.ok()) return;  // cannot even say what went wrong
-    util::StatusOr<std::vector<uint8_t>> frame =
-        EncodeFrame(kResponseMagic, *bytes, options_.max_frame_bytes);
-    if (frame.ok()) EnqueueFrameBytes(conn, std::move(*frame));
-    return;
-  }
-  // v2: the body past what the op already streamed ships as chunk frames,
+  // The body past what the op already streamed ships as chunk frames,
   // paced by FillStreaming so a huge report never sits encoded in memory
   // ahead of a slow reader.
   if (streamed_bytes > 0 && streamed_bytes <= response.body.size()) {
@@ -1107,14 +997,13 @@ void ClassMinerServer::FillStreaming(Connection* conn) {
 
 void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
                                          std::vector<uint8_t> frame) {
-  // Fault injection: duplicate a final v2 chunk on the wire, modelling a
+  // Fault injection: duplicate a final chunk on the wire, modelling a
   // retransmit-after-ack. Only FINAL chunks are duplicated — the client
   // forgets the tag once the final frame lands, so the copy exercises the
   // unknown-tag drop path; duplicating a middle chunk would instead corrupt
   // reassembly, which no real transport does under TCP.
   bool dup = false;
-  if (frame.size() >= 17 && FrameMagicOf(frame) == kResponseMagicV2 &&
-      (frame[16] & 1) != 0) {
+  if (frame.size() >= 17 && (frame[16] & 1) != 0) {  // flags: final bit
     dup = !util::FailPoint::Check("server.wire.frame.dup").ok();
   }
   for (int copies = dup ? 2 : 1; copies > 0; --copies) {
@@ -1235,16 +1124,14 @@ void ClassMinerServer::ProcessEvents() {
       }
       case WorkerEvent::Kind::kFinal: {
         --conn->executing;
-        if (!event.v2) conn->serial_inflight = false;
         event.response.request_id = event.request_id;
-        EnqueueFinal(conn, event.v2, std::move(event.response),
-                     event.streamed_bytes, event.owns_id);
+        EnqueueFinal(conn, std::move(event.response), event.streamed_bytes,
+                     event.owns_id);
         TryDispatch(conn);
         break;
       }
       case WorkerEvent::Kind::kRedispatch: {
         --conn->executing;
-        if (!event.v2) conn->serial_inflight = false;
         if (draining_) {
           // The run this request had joined evaporated during shutdown.
           if (!event.idem_lead.empty()) {
@@ -1254,11 +1141,9 @@ void ClassMinerServer::ProcessEvents() {
           Response response =
               MakeResponse(util::Status::Unavailable("server stopping"));
           response.request_id = event.request_id;
-          EnqueueFinal(conn, event.v2, std::move(response), 0,
-                       event.owns_id);
+          EnqueueFinal(conn, std::move(response), 0, event.owns_id);
         } else {
           PendingRequest pending;
-          pending.v2 = event.v2;
           pending.owns_id = event.owns_id;
           pending.idem_lead = std::move(event.idem_lead);
           pending.request = std::move(event.request);
@@ -1318,15 +1203,14 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
     env.mining = options_.mining;
     env.mining.cancel = &cancel;
     env.media_dir = options_.media_dir;
-    if (ctx->v2 && (ctx->request.kind == RequestKind::kMine ||
-                    ctx->request.kind == RequestKind::kBrowse ||
-                    ctx->request.kind == RequestKind::kSkim)) {
+    if (ctx->request.kind == RequestKind::kMine ||
+        ctx->request.kind == RequestKind::kBrowse ||
+        ctx->request.kind == RequestKind::kSkim) {
       env.chunk_bytes = options_.stream_chunk_bytes;
       env.chunk_sink = [this, ctx](const std::string& fragment) {
         WorkerEvent event;
         event.kind = WorkerEvent::Kind::kChunk;
         event.conn_id = ctx->conn_id;
-        event.v2 = true;
         event.request_id = ctx->request.request_id;
         event.response.body = fragment;
         PostEvent(std::move(event));
@@ -1385,7 +1269,6 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
   WorkerEvent event;
   event.kind = WorkerEvent::Kind::kFinal;
   event.conn_id = ctx->conn_id;
-  event.v2 = ctx->v2;
   event.owns_id = ctx->owns_id;
   event.request_id = ctx->request.request_id;
   event.response = std::move(response);

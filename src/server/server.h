@@ -30,24 +30,23 @@ namespace classminer::server {
 // classminerd — the mining daemon, built as a readiness-driven reactor.
 //
 // One reactor thread owns every socket: it accepts, assembles request
-// frames from partial reads on non-blocking fds (epoll when available,
-// poll otherwise), and drains per-connection write queues when sockets
-// become writable. Operations execute on a shared util::ThreadPool; workers
-// never touch a socket — they hand responses (and streamed report chunks)
-// back to the reactor through an event queue. The thread footprint is fixed
-// regardless of connection count: reactor + worker pool + deadline monitor,
-// zero per-connection threads — thousands of idle sessions cost file
-// descriptors, not stacks.
+// frames from partial reads on non-blocking fds (level-triggered epoll,
+// so the daemon builds on Linux only), and drains per-connection write
+// queues when sockets become writable. Operations execute on a shared
+// util::ThreadPool; workers never touch a socket — they hand responses (and
+// streamed report chunks) back to the reactor through an event queue. The
+// thread footprint is fixed regardless of connection count: reactor +
+// worker pool + deadline monitor, zero per-connection threads — thousands
+// of idle sessions cost file descriptors, not stacks.
 //
-// Sessions speak either protocol version (server/protocol.h): v1 requests
-// are answered serially in arrival order, exactly as the thread-per-
-// connection daemon did; v2 requests carry a request_id tag, pipeline up to
-// max_pipeline deep per session, complete out of order, and large reports
-// stream back as tagged chunks while the op is still running. Per-
-// connection write-queue memory is bounded: the worker's next chunk waits
-// until the peer drains the socket (slow readers stall only their own op),
-// and reactor-side chunking of large finished bodies defers until the
-// queue has room.
+// Every request carries a request_id tag (server/protocol.h); requests
+// pipeline up to max_pipeline deep per session, complete out of order, and
+// large reports stream back as tagged chunks while the op is still
+// running. A client with one request in flight at a time sees a strictly
+// serial session. Per-connection write-queue memory is bounded: the
+// worker's next chunk waits until the peer drains the socket (slow readers
+// stall only their own op), and reactor-side chunking of large finished
+// bodies defers until the queue has room.
 //
 // Mining-backed requests (mine, skim) share a single-flight result cache
 // keyed by (container identity, canonical options): N sessions asking for
@@ -76,11 +75,11 @@ struct ServerOptions {
   int max_connections = 1024;  // concurrent sessions (idle ones are cheap)
   size_t max_frame_bytes = kMaxFrameBytes;
 
-  // v2 pipelining depth per session: requests in flight beyond this stay
-  // buffered until one completes (v1 sessions are always depth 1).
+  // Pipelining depth per session: requests in flight beyond this stay
+  // buffered until one completes.
   int max_pipeline = 32;
-  // Streamed-response fragment size: v2 report bodies ship in chunks of
-  // this many bytes.
+  // Streamed-response fragment size: report bodies ship in chunks of this
+  // many bytes.
   size_t stream_chunk_bytes = 64u << 10;
   // Per-connection write-queue bound. Past it, ops streaming to that
   // session block (backpressure) and reactor-side body chunking defers
@@ -106,11 +105,11 @@ struct ServerOptions {
   // A peer that keeps sending damage gets a clean goodbye, not a wedge.
   int max_session_errors = 8;
 
-  // Idempotent-retry record (v2 sessions): keyed request outcomes are
-  // remembered so a client that reconnects after a dropped connection and
-  // resends the same key observes the original execution instead of
-  // running the work again (at-most-once for repair). Bounded LRU; an
-  // evicted record simply lets the retry re-execute.
+  // Idempotent-retry record: keyed request outcomes are remembered so a
+  // client that reconnects after a dropped connection and resends the same
+  // key observes the original execution instead of running the work again
+  // (at-most-once for repair). Bounded LRU; an evicted record simply lets
+  // the retry re-execute.
   size_t idem_cache_max_bytes = 16u << 20;
   size_t idem_cache_max_entries = 1024;
 
@@ -173,7 +172,7 @@ struct ServerStats {
   uint64_t idle_closed = 0;        // sessions reaped by the idle timeout
   uint64_t protocol_errors = 0;    // inline protocol-error answers
   uint64_t error_budget_closed = 0;  // sessions closed for repeat damage
-  uint64_t duplicate_request_ids = 0;  // v2 request_id collisions rejected
+  uint64_t duplicate_request_ids = 0;  // request_id collisions rejected
   uint64_t idempotent_hits = 0;    // keyed retries answered from the record
   uint64_t idempotent_joined = 0;  // keyed retries joined to the original
   // Scrubber mirror (see server/scrubber.h).
@@ -194,7 +193,8 @@ class ClassMinerServer {
   ClassMinerServer& operator=(const ClassMinerServer&) = delete;
 
   // Binds, listens and spawns the reactor. Fails without side effects
-  // (no thread runs) when the socket cannot be bound.
+  // (no thread runs) when the socket cannot be bound or the epoll instance
+  // cannot be created.
   util::Status Start();
 
   // Graceful shutdown: stops accepting, stops reading, finishes in-flight
@@ -211,19 +211,18 @@ class ClassMinerServer {
   struct Connection;   // reactor-owned per-session state machine
   struct ConnShared;   // the slice workers may touch (backpressure)
   struct TaskCtx;      // everything a pool task needs, detached from conn
-  class Poller;        // epoll with poll fallback
+  class Poller;        // epoll readiness multiplexer
 
   // One parsed-but-not-dispatched request (or a pre-answered parse error
-  // held in line so v1 ordering survives pipelined arrival).
+  // held in arrival order).
   struct PendingRequest {
-    bool v2 = false;
     Request request;
     bool inline_error = false;
     Response error;  // when inline_error: answered without dispatch
     // This pending entry registered request.request_id in the session's
-    // live-id set; its final response releases the id. False for v1,
-    // inline errors, and duplicate-id rejections (the duplicate must not
-    // free the original's id).
+    // live-id set; its final response releases the id. False for inline
+    // errors and duplicate-id rejections (the duplicate must not free the
+    // original's id).
     bool owns_id = false;
     // Idempotency entry this request already leads (carried through a
     // cache redispatch so the request never re-joins its own entry).
@@ -233,14 +232,13 @@ class ClassMinerServer {
   // Worker -> reactor handoff.
   struct WorkerEvent {
     enum class Kind {
-      kChunk,       // a streamed report fragment (v2, non-final)
+      kChunk,       // a streamed report fragment (non-final)
       kFinal,       // the op's response; body is the full report
       kRedispatch,  // single-flight leader failed; run this request anew
       kCloseIdle,   // deadline monitor: conn_id exceeded the idle timeout
     };
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
-    bool v2 = false;
     uint32_t request_id = 0;
     Response response;          // kFinal / kChunk (fragment in body)
     size_t streamed_bytes = 0;  // kFinal: prefix already sent as chunks
@@ -266,8 +264,8 @@ class ClassMinerServer {
   // budget (read side closes once the budget is spent).
   void PushInlineError(Connection* conn, PendingRequest error);
   std::string BuildHealthReport() const;
-  void EnqueueFinal(Connection* conn, bool v2, Response response,
-                    size_t streamed_bytes, bool release_id = false);
+  void EnqueueFinal(Connection* conn, Response response,
+                    size_t streamed_bytes, bool release_id);
   void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame);
   void FillStreaming(Connection* conn);
   void FlushConn(Connection* conn);
@@ -300,7 +298,7 @@ class ClassMinerServer {
 
   int listen_fd_ = -1;
   int port_ = -1;
-  int wake_fds_[2] = {-1, -1};  // [0] read end polled by the reactor
+  int wake_fds_[2] = {-1, -1};  // [0] read end watched by the reactor
   std::atomic<bool> stopping_{false};
   std::thread reactor_thread_;
   std::unique_ptr<Poller> poller_;

@@ -246,13 +246,11 @@ util::Status WriteFrame(int fd, uint32_t magic,
   return SendAll(fd, frame->data(), frame->size());
 }
 
-util::StatusOr<std::vector<uint8_t>> ReadFrameAny(
-    int fd, const std::vector<uint32_t>& magics, size_t max_frame_bytes,
-    uint32_t* magic_out) {
+util::StatusOr<std::vector<uint8_t>> ReadFrame(int fd, uint32_t magic,
+                                               size_t max_frame_bytes) {
   uint8_t header[12];
   CLASSMINER_RETURN_IF_ERROR(RecvAll(fd, header, sizeof(header)));
-  const uint32_t magic = ReadU32LE(header);
-  if (std::find(magics.begin(), magics.end(), magic) == magics.end()) {
+  if (ReadU32LE(header) != magic) {
     return util::Status::DataLoss("bad frame magic");
   }
   const uint32_t size = ReadU32LE(header + 4);
@@ -268,19 +266,11 @@ util::StatusOr<std::vector<uint8_t>> ReadFrameAny(
   if (util::Crc32(body) != ReadU32LE(header + 8)) {
     return util::Status::DataLoss("frame checksum mismatch");
   }
-  if (magic_out != nullptr) *magic_out = magic;
   return body;
 }
 
-util::StatusOr<std::vector<uint8_t>> ReadFrame(int fd, uint32_t magic,
-                                               size_t max_frame_bytes) {
-  return ReadFrameAny(fd, {magic}, max_frame_bytes, nullptr);
-}
-
-FrameAssembler::FrameAssembler(std::vector<uint32_t> accepted_magics,
-                               size_t max_frame_bytes)
-    : accepted_(std::move(accepted_magics)),
-      max_frame_bytes_(max_frame_bytes) {}
+FrameAssembler::FrameAssembler(uint32_t magic, size_t max_frame_bytes)
+    : magic_(magic), max_frame_bytes_(max_frame_bytes) {}
 
 util::Status FrameAssembler::Corrupt(const std::string& what) {
   error_ = util::Status::DataLoss(what);
@@ -294,13 +284,9 @@ util::Status FrameAssembler::Feed(const uint8_t* data, size_t size) {
     const size_t have = buffer_.size() - consumed_;
     if (have < 12) break;
     const uint8_t* header = buffer_.data() + consumed_;
-    const uint32_t magic = ReadU32LE(header);
     // Header checks run the moment the header closes, before the body
     // arrives: a hostile size is rejected without reserving it.
-    if (std::find(accepted_.begin(), accepted_.end(), magic) ==
-        accepted_.end()) {
-      return Corrupt("bad frame magic");
-    }
+    if (ReadU32LE(header) != magic_) return Corrupt("bad frame magic");
     const uint32_t body_size = ReadU32LE(header + 4);
     if (body_size > max_frame_bytes_) {
       return Corrupt("frame body of " + std::to_string(body_size) +
@@ -308,14 +294,12 @@ util::Status FrameAssembler::Feed(const uint8_t* data, size_t size) {
                      std::to_string(max_frame_bytes_) + "-byte limit");
     }
     if (have < 12 + static_cast<size_t>(body_size)) break;
-    Frame frame;
-    frame.magic = magic;
-    frame.body.assign(header + 12, header + 12 + body_size);
-    if (util::Crc32(frame.body) != ReadU32LE(header + 8)) {
+    std::vector<uint8_t> body(header + 12, header + 12 + body_size);
+    if (util::Crc32(body) != ReadU32LE(header + 8)) {
       return Corrupt("frame checksum mismatch");
     }
     consumed_ += 12 + static_cast<size_t>(body_size);
-    ready_.push_back(std::move(frame));
+    ready_.push_back(std::move(body));
   }
   // Compact once the parsed prefix dominates, keeping Feed amortised O(n).
   if (consumed_ > 4096 && consumed_ * 2 >= buffer_.size()) {
@@ -326,9 +310,9 @@ util::Status FrameAssembler::Feed(const uint8_t* data, size_t size) {
   return util::Status::Ok();
 }
 
-bool FrameAssembler::PopFrame(Frame* out) {
+bool FrameAssembler::PopFrame(std::vector<uint8_t>* body) {
   if (ready_.empty()) return false;
-  *out = std::move(ready_.front());
+  *body = std::move(ready_.front());
   ready_.pop_front();
   return true;
 }

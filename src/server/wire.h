@@ -73,38 +73,27 @@ util::Status WriteFrame(int fd, uint32_t magic,
 // Receives one frame and returns its body after verifying the magic, the
 // size bound and the CRC-32. A peer hangup before the first header byte is
 // kUnavailable("connection closed"); a checksum or framing violation is
-// kDataLoss. `magic_out`, when non-null, receives the frame's magic and the
-// frame is accepted if its magic is any of `magics`; the single-magic
-// overload keeps the original contract.
+// kDataLoss.
 util::StatusOr<std::vector<uint8_t>> ReadFrame(int fd, uint32_t magic,
                                                size_t max_frame_bytes);
-util::StatusOr<std::vector<uint8_t>> ReadFrameAny(
-    int fd, const std::vector<uint32_t>& magics, size_t max_frame_bytes,
-    uint32_t* magic_out);
 
 // Incremental frame assembly for non-blocking readers: feed whatever bytes
-// recv produced, pop complete frames. The assembler validates the magic
-// (against the accepted set) and the size bound as soon as the 12-byte
-// header is complete — a hostile size never allocates past the bound — and
-// the CRC once the body is in. Any violation is a sticky kDataLoss: the
-// byte stream cannot be trusted afterwards, so the connection must close.
+// recv produced, pop complete frame bodies. The assembler validates the
+// magic and the size bound as soon as the 12-byte header is complete — a
+// hostile size never allocates past the bound — and the CRC once the body
+// is in. Any violation is a sticky kDataLoss: the byte stream cannot be
+// trusted afterwards, so the connection must close.
 class FrameAssembler {
  public:
-  struct Frame {
-    uint32_t magic = 0;
-    std::vector<uint8_t> body;
-  };
-
-  FrameAssembler(std::vector<uint32_t> accepted_magics,
-                 size_t max_frame_bytes);
+  FrameAssembler(uint32_t magic, size_t max_frame_bytes);
 
   // Appends raw socket bytes and extracts every complete frame they close.
   // Returns the sticky kDataLoss on framing damage.
   util::Status Feed(const uint8_t* data, size_t size);
 
-  // Pops the next complete frame in arrival order; false when none is
+  // Pops the next complete frame body in arrival order; false when none is
   // ready.
-  bool PopFrame(Frame* out);
+  bool PopFrame(std::vector<uint8_t>* body);
 
   // Bytes of a partially assembled frame still waiting for their tail
   // (0 at a frame boundary).
@@ -113,11 +102,11 @@ class FrameAssembler {
  private:
   util::Status Corrupt(const std::string& what);
 
-  const std::vector<uint32_t> accepted_;
+  const uint32_t magic_;
   const size_t max_frame_bytes_;
   std::vector<uint8_t> buffer_;
   size_t consumed_ = 0;  // parsed prefix of buffer_
-  std::deque<Frame> ready_;
+  std::deque<std::vector<uint8_t>> ready_;
   util::Status error_;  // sticky framing damage
 };
 

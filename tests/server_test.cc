@@ -5,6 +5,7 @@
 
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -37,6 +38,7 @@ namespace {
 
 using util::Status;
 using util::StatusCode;
+using ClientOr = util::StatusOr<std::unique_ptr<PipelinedClient>>;
 
 std::string TestContainer(const std::string& name, uint64_t seed) {
   const std::string path = ::testing::TempDir() + "/" + name;
@@ -53,6 +55,54 @@ SessionHello MakeHello(const std::string& user, int clearance) {
   return hello;
 }
 
+// Raw-session helpers: one tagged request frame out, one chunk frame in.
+Status SendRequest(int fd, const Request& request) {
+  util::StatusOr<std::vector<uint8_t>> body = request.SerializeTagged();
+  if (!body.ok()) return body.status();
+  return WriteFrame(fd, kRequestMagicV2, *body, kMaxFrameBytes);
+}
+
+util::StatusOr<Response> ReadChunk(int fd) {
+  util::StatusOr<std::vector<uint8_t>> frame =
+      ReadFrame(fd, kResponseMagicV2, kMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  return Response::ParseChunk(*frame);
+}
+
+// Opens a raw session and completes the hello handshake under tag 1.
+util::StatusOr<int> RawSession(int port, const SessionHello& hello) {
+  util::StatusOr<int> fd = ConnectTo("127.0.0.1", port);
+  if (!fd.ok()) return fd.status();
+  Request handshake;
+  handshake.kind = RequestKind::kHello;
+  handshake.args = {*hello.Serialize()};
+  handshake.request_id = 1;
+  const Status sent = SendRequest(*fd, handshake);
+  if (!sent.ok()) {
+    CloseFd(*fd);
+    return sent;
+  }
+  util::StatusOr<Response> response = ReadChunk(*fd);
+  if (!response.ok() || !response->ok()) {
+    CloseFd(*fd);
+    return response.ok() ? response->ToStatus() : response.status();
+  }
+  return fd;
+}
+
+// Waits for the server to hang up. False when it sends more bytes or
+// neither answers nor closes within 10 s (a wedged session).
+bool ServerHangsUp(int fd) {
+  const timeval timeout{10, 0};
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  uint8_t byte;
+  ssize_t n;
+  do {
+    n = recv(fd, &byte, 1, 0);
+  } while (n < 0 && errno == EINTR);
+  return n == 0;
+}
+
 // ---------------------------------------------------------------------------
 // Protocol serialization
 
@@ -61,10 +111,12 @@ TEST(ProtocolTest, RequestRoundTrip) {
   request.kind = RequestKind::kMine;
   request.deadline_ms = 1500;
   request.args = {"clip.cmv", "--fast"};
-  util::StatusOr<std::vector<uint8_t>> bytes = request.Serialize();
+  request.request_id = 9;
+  util::StatusOr<std::vector<uint8_t>> bytes = request.SerializeTagged();
   ASSERT_TRUE(bytes.ok());
-  util::StatusOr<Request> parsed = Request::Parse(*bytes);
+  util::StatusOr<Request> parsed = Request::ParseTagged(*bytes);
   ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->request_id, 9u);
   EXPECT_EQ(parsed->kind, RequestKind::kMine);
   EXPECT_EQ(parsed->deadline_ms, 1500u);
   EXPECT_EQ(parsed->args, request.args);
@@ -75,10 +127,11 @@ TEST(ProtocolTest, ResponseRoundTripIncludingNewCode) {
   response.code = StatusCode::kDeadlineExceeded;
   response.message = "too slow";
   response.body = "partial report\n";
-  util::StatusOr<std::vector<uint8_t>> bytes = response.Serialize();
+  util::StatusOr<std::vector<uint8_t>> bytes = response.SerializeChunk();
   ASSERT_TRUE(bytes.ok());
-  util::StatusOr<Response> parsed = Response::Parse(*bytes);
+  util::StatusOr<Response> parsed = Response::ParseChunk(*bytes);
   ASSERT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed->final_chunk);
   EXPECT_EQ(parsed->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(parsed->message, "too slow");
   EXPECT_EQ(parsed->body, "partial report\n");
@@ -104,26 +157,29 @@ TEST(ProtocolTest, ParseRejectsDamage) {
   Request request;
   request.kind = RequestKind::kSkim;
   request.args = {"a.cmv"};
-  std::vector<uint8_t> bytes = *request.Serialize();
-  // Unknown kind byte.
+  std::vector<uint8_t> bytes = *request.SerializeTagged();
+  ASSERT_TRUE(Request::ParseTagged(bytes).ok());
+  // Unknown kind byte (offset: request_id 4).
   std::vector<uint8_t> bad_kind = bytes;
-  bad_kind[0] = 0x7f;
-  EXPECT_FALSE(Request::Parse(bad_kind).ok());
-  // Truncation inside the argument list.
-  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 2);
-  EXPECT_FALSE(Request::Parse(truncated).ok());
+  bad_kind[4] = 0x7f;
+  EXPECT_FALSE(Request::ParseTagged(bad_kind).ok());
+  // Truncation inside the argument list (past the 4-byte empty key).
+  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 6);
+  EXPECT_FALSE(Request::ParseTagged(truncated).ok());
   // Trailing junk after a well-formed request.
   std::vector<uint8_t> trailing = bytes;
   trailing.push_back(0);
-  EXPECT_FALSE(Request::Parse(trailing).ok());
+  EXPECT_FALSE(Request::ParseTagged(trailing).ok());
   // An arg count claiming more entries than the frame could hold.
   std::vector<uint8_t> lying = bytes;
-  lying[5] = 0xff;  // arg count low byte (offset: kind 1 + deadline 4)
-  EXPECT_FALSE(Request::Parse(lying).ok());
+  lying[9] = 0xff;  // arg count low byte (id 4 + kind 1 + deadline 4)
+  EXPECT_FALSE(Request::ParseTagged(lying).ok());
 
-  std::vector<uint8_t> resp_bytes = *MakeResponse(Status::Ok()).Serialize();
-  resp_bytes[0] = 0xee;  // out-of-range status code
-  EXPECT_FALSE(Response::Parse(resp_bytes).ok());
+  std::vector<uint8_t> resp_bytes =
+      *MakeResponse(Status::Ok()).SerializeChunk();
+  ASSERT_TRUE(Response::ParseChunk(resp_bytes).ok());
+  resp_bytes[5] = 0xee;  // out-of-range status code (id 4 + flags 1)
+  EXPECT_FALSE(Response::ParseChunk(resp_bytes).ok());
 }
 
 TEST(ProtocolTest, RequestKindNamesRoundTrip) {
@@ -147,7 +203,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
   Request request;
   request.kind = RequestKind::kBrowse;
   request.args = {std::string(10000, 'x'), "--strict"};
-  std::vector<uint8_t> body = *request.Serialize();
+  std::vector<uint8_t> body = *request.SerializeTagged();
 
   // Frame bytes trickled a few at a time across many send() calls: the
   // reader's RecvAll must resume across every short read.
@@ -156,7 +212,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
     const uint32_t size = static_cast<uint32_t>(body.size());
     const uint32_t crc = util::Crc32(body);
     for (int i = 0; i < 4; ++i) {
-      header[i] = static_cast<uint8_t>((kRequestMagic >> (8 * i)) & 0xff);
+      header[i] = static_cast<uint8_t>((kRequestMagicV2 >> (8 * i)) & 0xff);
       header[4 + i] = static_cast<uint8_t>((size >> (8 * i)) & 0xff);
       header[8 + i] = static_cast<uint8_t>((crc >> (8 * i)) & 0xff);
     }
@@ -170,7 +226,7 @@ TEST(WireTest, FrameSurvivesDribbledDelivery) {
   });
 
   util::StatusOr<std::vector<uint8_t>> got =
-      ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+      ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   writer.join();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, body);
@@ -181,10 +237,10 @@ TEST(WireTest, CorruptFrameIsDataLossAndHangupIsUnavailable) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<uint8_t> body = {1, 2, 3, 4};
-  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagic, body, kMaxFrameBytes).ok());
+  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagicV2, body, kMaxFrameBytes).ok());
   // Wrong expected magic -> kDataLoss.
   util::StatusOr<std::vector<uint8_t>> got =
-      ReadFrame(fds[0], kResponseMagic, kMaxFrameBytes);
+      ReadFrame(fds[0], kResponseMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   close(fds[0]);
   close(fds[1]);
@@ -193,15 +249,15 @@ TEST(WireTest, CorruptFrameIsDataLossAndHangupIsUnavailable) {
   // mid-frame -> kDataLoss (a torn frame is damage, not a clean goodbye).
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   close(fds[1]);
-  got = ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+  got = ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
   close(fds[0]);
 
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  const uint8_t partial[3] = {0x43, 0x4d, 0x52};  // first bytes of "CMRQ"
+  const uint8_t partial[3] = {0x43, 0x4d, 0x51};  // first bytes of "CMQ2"
   ASSERT_TRUE(SendAll(fds[1], partial, sizeof(partial)).ok());
   close(fds[1]);
-  got = ReadFrame(fds[0], kRequestMagic, kMaxFrameBytes);
+  got = ReadFrame(fds[0], kRequestMagicV2, kMaxFrameBytes);
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
   close(fds[0]);
 }
@@ -210,10 +266,10 @@ TEST(WireTest, OversizedFrameRefusedBothSides) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::vector<uint8_t> big(1024);
-  EXPECT_EQ(WriteFrame(fds[1], kRequestMagic, big, 512).code(),
+  EXPECT_EQ(WriteFrame(fds[1], kRequestMagicV2, big, 512).code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagic, big, 4096).ok());
-  EXPECT_EQ(ReadFrame(fds[0], kRequestMagic, 512).status().code(),
+  ASSERT_TRUE(WriteFrame(fds[1], kRequestMagicV2, big, 4096).ok());
+  EXPECT_EQ(ReadFrame(fds[0], kRequestMagicV2, 512).status().code(),
             StatusCode::kDataLoss);
   close(fds[0]);
   close(fds[1]);
@@ -232,8 +288,8 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start().ok());
   }
 
-  util::StatusOr<Client> Connect(const SessionHello& hello) {
-    return Client::Connect("127.0.0.1", server_->port(), hello);
+  ClientOr Connect(const SessionHello& hello) {
+    return PipelinedClient::Connect("127.0.0.1", server_->port(), hello);
   }
 
   std::unique_ptr<ClassMinerServer> server_;
@@ -246,14 +302,11 @@ TEST_F(ServerTest, HelloRequiredBeforeAnyRequest) {
   Request request;
   request.kind = RequestKind::kVerify;
   request.args = {"whatever.cmdb"};
-  ASSERT_TRUE(
-      WriteFrame(*fd, kRequestMagic, *request.Serialize(), kMaxFrameBytes)
-          .ok());
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> response = Response::Parse(*frame);
-  ASSERT_TRUE(response.ok());
+  request.request_id = 5;
+  ASSERT_TRUE(SendRequest(*fd, request).ok());
+  util::StatusOr<Response> response = ReadChunk(*fd);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->request_id, 5u);
   EXPECT_EQ(response->code, StatusCode::kFailedPrecondition);
   CloseFd(*fd);
 }
@@ -275,14 +328,14 @@ TEST_F(ServerTest, PermissionMatrixOverAllRequestKinds) {
       {RequestKind::kRepair, 3, {"absent.cmdb"}},
   };
   for (int clearance = 0; clearance <= 3; ++clearance) {
-    util::StatusOr<Client> client =
+    ClientOr client =
         Connect(MakeHello("matrix", clearance));
     ASSERT_TRUE(client.ok());
     for (const auto& c : kCases) {
       Request request;
       request.kind = c.kind;
       request.args = c.args;
-      util::StatusOr<Response> response = client->Call(request);
+      util::StatusOr<Response> response = (*client)->Call(request);
       ASSERT_TRUE(response.ok()) << RequestKindName(c.kind);
       if (clearance < c.required) {
         EXPECT_EQ(response->code, StatusCode::kPermissionDenied)
@@ -304,10 +357,10 @@ TEST_F(ServerTest, RootDenialDisablesTheAccount) {
   StartServer();
   SessionHello hello = MakeHello("blocked", 3);
   hello.denied_nodes = {0};  // denied the concept root
-  util::StatusOr<Client> client = Connect(hello);
+  ClientOr client = Connect(hello);
   ASSERT_TRUE(client.ok());
   util::StatusOr<std::string> report =
-      client->CallForReport(RequestKind::kBrowse, {cmv});
+      (*client)->CallForReport(RequestKind::kBrowse, {cmv});
   EXPECT_EQ(report.status().code(), StatusCode::kPermissionDenied);
 }
 
@@ -334,7 +387,7 @@ TEST_F(ServerTest, ResponsesByteIdenticalToOpsLayerAcross8Clients) {
   std::atomic<int> mismatches{0};
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      util::StatusOr<Client> client = Connect(MakeHello("reader", 3));
+      ClientOr client = Connect(MakeHello("reader", 3));
       if (!client.ok()) {
         ++mismatches;
         return;
@@ -353,7 +406,7 @@ TEST_F(ServerTest, ResponsesByteIdenticalToOpsLayerAcross8Clients) {
       for (int j = 0; j < 3; ++j) {
         const auto& call = kCalls[(i + j) % 3];
         util::StatusOr<std::string> got =
-            client->CallForReport(call.kind, call.args);
+            (*client)->CallForReport(call.kind, call.args);
         if (!got.ok() || *got != *call.want) ++mismatches;
       }
     });
@@ -388,18 +441,18 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   StartServer(std::move(options));
 
   // Request A occupies the worker.
-  util::StatusOr<Client> a = Connect(MakeHello("a", 3));
+  ClientOr a = Connect(MakeHello("a", 3));
   ASSERT_TRUE(a.ok());
   std::thread blocked([&] {
-    (void)a->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv});
   });
   first_started.get_future().wait();
 
   // Request B fills the queue slot of 1.
-  util::StatusOr<Client> b = Connect(MakeHello("b", 3));
+  ClientOr b = Connect(MakeHello("b", 3));
   ASSERT_TRUE(b.ok());
   std::thread queued([&] {
-    (void)b->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*b)->CallForReport(RequestKind::kSkim, {cmv});
   });
   // B must be admitted (queued) before C can be rejected deterministically.
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -407,10 +460,10 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   }
 
   // Request C finds the queue full -> kUnavailable, immediately.
-  util::StatusOr<Client> c = Connect(MakeHello("c", 3));
+  ClientOr c = Connect(MakeHello("c", 3));
   ASSERT_TRUE(c.ok());
   util::StatusOr<std::string> rejected =
-      c->CallForReport(RequestKind::kSkim, {cmv});
+      (*c)->CallForReport(RequestKind::kSkim, {cmv});
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
   // kUnavailable is exactly what util::Retry retries: once the worker is
@@ -422,7 +475,7 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   retry.max_backoff_ms = 50.0;
   util::StatusOr<std::string> report = util::RetryOr<std::string>(
       retry, [&]() -> util::StatusOr<std::string> {
-        return c->CallForReport(RequestKind::kSkim, {cmv});
+        return (*c)->CallForReport(RequestKind::kSkim, {cmv});
       });
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
@@ -453,20 +506,20 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<Client> a = Connect(MakeHello("a", 3));
+  ClientOr a = Connect(MakeHello("a", 3));
   ASSERT_TRUE(a.ok());
   std::thread blocked([&] {
-    (void)a->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv});
   });
   first_started.get_future().wait();
 
   // Queued behind the blocked worker with a 1 ms deadline: by the time the
   // worker frees, the deadline has long passed.
-  util::StatusOr<Client> b = Connect(MakeHello("b", 3));
+  ClientOr b = Connect(MakeHello("b", 3));
   ASSERT_TRUE(b.ok());
   std::thread waiter([&] {
     util::StatusOr<std::string> report =
-        b->CallForReport(RequestKind::kSkim, {cmv}, /*deadline_ms=*/1);
+        (*b)->CallForReport(RequestKind::kSkim, {cmv}, /*deadline_ms=*/1);
     EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
   });
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -497,11 +550,11 @@ TEST_F(ServerTest, GracefulStopDrainsInFlightRequests) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<Client> client = Connect(MakeHello("drain", 3));
+  ClientOr client = Connect(MakeHello("drain", 3));
   ASSERT_TRUE(client.ok());
   util::StatusOr<std::string> report = Status::Internal("never ran");
   std::thread in_flight([&] {
-    report = client->CallForReport(RequestKind::kSkim, {cmv});
+    report = (*client)->CallForReport(RequestKind::kSkim, {cmv});
   });
   started_promise.get_future().wait();
 
@@ -524,21 +577,21 @@ TEST_F(ServerTest, ConnectionCapacityRefusesTheExtraSession) {
   options.max_connections = 1;
   StartServer(std::move(options));
 
-  util::StatusOr<Client> first = Connect(MakeHello("one", 1));
+  ClientOr first = Connect(MakeHello("one", 1));
   ASSERT_TRUE(first.ok());
-  util::StatusOr<Client> second = Connect(MakeHello("two", 1));
+  ClientOr second = Connect(MakeHello("two", 1));
   EXPECT_EQ(second.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(server_->StatsSnapshot().connections_rejected, 1u);
 }
 
 TEST_F(ServerTest, VerifyCarriesItsReportEvenWhenDirty) {
   StartServer();
-  util::StatusOr<Client> client = Connect(MakeHello("admin", 3));
+  ClientOr client = Connect(MakeHello("admin", 3));
   ASSERT_TRUE(client.ok());
   Request request;
   request.kind = RequestKind::kVerify;
   request.args = {::testing::TempDir() + "/no_such.cmdb"};
-  util::StatusOr<Response> response = client->Call(request);
+  util::StatusOr<Response> response = (*client)->Call(request);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kDataLoss);
   // The body is the same report the CLI prints before exiting non-zero.
@@ -548,7 +601,7 @@ TEST_F(ServerTest, VerifyCarriesItsReportEvenWhenDirty) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v2: pipelining, streaming, the shared result cache.
+// Pipelining, streaming, the shared result cache.
 
 TEST(ProtocolTest, TaggedRequestAndChunkRoundTrip) {
   Request request;
@@ -564,8 +617,6 @@ TEST(ProtocolTest, TaggedRequestAndChunkRoundTrip) {
   EXPECT_EQ(parsed->request_id, 0xdeadbeefu);
   EXPECT_EQ(parsed->kind, RequestKind::kSkim);
   EXPECT_EQ(parsed->args, request.args);
-  // A v1 parse of a v2 body must fail (the tag is not silently eaten).
-  EXPECT_FALSE(Request::Parse(*bytes).ok());
 
   Response chunk;
   chunk.request_id = 7;
@@ -599,9 +650,7 @@ TEST_F(ServerTest, PipelinedResponsesCompleteOutOfOrder) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<std::unique_ptr<PipelinedClient>> client =
-      PipelinedClient::Connect("127.0.0.1", server_->port(),
-                               MakeHello("pipeline", 3));
+  ClientOr client = Connect(MakeHello("pipeline", 3));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   // A enters the worker first and blocks there; B, sent after, overtakes it.
@@ -648,9 +697,7 @@ TEST_F(ServerTest, StreamedPipelinedResponsesReassembleByteIdentical) {
   ASSERT_TRUE(want_a.ok());
   ASSERT_TRUE(want_b.ok());
 
-  util::StatusOr<std::unique_ptr<PipelinedClient>> client =
-      PipelinedClient::Connect("127.0.0.1", server_->port(),
-                               MakeHello("streams", 3));
+  ClientOr client = Connect(MakeHello("streams", 3));
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
   Request a;
@@ -668,47 +715,11 @@ TEST_F(ServerTest, StreamedPipelinedResponsesReassembleByteIdentical) {
   ASSERT_TRUE(ra->ok()) << ra->message;
   ASSERT_TRUE(rb->ok()) << rb->message;
   // Chunked delivery, interleaved across two in-flight requests on one
-  // session, reassembles to exactly the v1 / ops-layer bytes.
+  // session, reassembles to exactly the ops-layer bytes.
   EXPECT_EQ(ra->body, want_a.report);
   EXPECT_EQ(rb->body, want_b.report);
   const ServerStats stats = server_->StatsSnapshot();
   EXPECT_GE(stats.responses_streamed, 2u);
-}
-
-TEST_F(ServerTest, V1ClientIsServedSeriallyInOrder) {
-  StartServer();
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok());
-
-  // Hello plus two requests, all on the wire before reading anything: a v1
-  // session must see its responses one per request, in request order.
-  SessionHello hello = MakeHello("serial", 3);
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args = {*hello.Serialize()};
-  Request first;
-  first.kind = RequestKind::kVerify;
-  first.args = {::testing::TempDir() + "/serial_one.cmdb"};
-  Request second;
-  second.kind = RequestKind::kVerify;
-  second.args = {::testing::TempDir() + "/serial_two.cmdb"};
-  for (const Request* r : {&handshake, &first, &second}) {
-    ASSERT_TRUE(
-        WriteFrame(*fd, kRequestMagic, *r->Serialize(), kMaxFrameBytes).ok());
-  }
-  std::vector<Response> responses;
-  for (int i = 0; i < 3; ++i) {
-    util::StatusOr<std::vector<uint8_t>> frame =
-        ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    util::StatusOr<Response> response = Response::Parse(*frame);
-    ASSERT_TRUE(response.ok());
-    responses.push_back(std::move(*response));
-  }
-  EXPECT_NE(responses[0].body.find("session serial"), std::string::npos);
-  EXPECT_NE(responses[1].body.find("serial_one.cmdb"), std::string::npos);
-  EXPECT_NE(responses[2].body.find("serial_two.cmdb"), std::string::npos);
-  CloseFd(*fd);
 }
 
 TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
@@ -738,14 +749,14 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   std::atomic<int> mismatches{0};
   for (int i = 0; i < kSessions; ++i) {
     threads.emplace_back([&, i] {
-      util::StatusOr<Client> client =
+      ClientOr client =
           Connect(MakeHello("joiner" + std::to_string(i), 3));
       if (!client.ok()) {
         ++mismatches;
         return;
       }
       util::StatusOr<std::string> got =
-          client->CallForReport(RequestKind::kMine, {cmv, "--fast"});
+          (*client)->CallForReport(RequestKind::kMine, {cmv, "--fast"});
       if (!got.ok() || *got != want.report) ++mismatches;
     });
   }
@@ -760,10 +771,10 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   EXPECT_EQ(mismatches.load(), 0);
 
   // A later identical request answers from the stored entry.
-  util::StatusOr<Client> late = Connect(MakeHello("late", 3));
+  ClientOr late = Connect(MakeHello("late", 3));
   ASSERT_TRUE(late.ok());
   util::StatusOr<std::string> cached =
-      late->CallForReport(RequestKind::kMine, {cmv, "--fast"});
+      (*late)->CallForReport(RequestKind::kMine, {cmv, "--fast"});
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*cached, want.report);
 
@@ -789,28 +800,14 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   ASSERT_TRUE(want.ok());
   ASSERT_GT(want.report.size(), 128u);  // big enough to trip the bound
 
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok());
-  SessionHello hello = MakeHello("slow", 3);
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args = {*hello.Serialize()};
-  handshake.request_id = 1;
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *handshake.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
-  uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
+  util::StatusOr<int> fd = RawSession(server_->port(), MakeHello("slow", 3));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
 
   Request skim;
   skim.kind = RequestKind::kSkim;
   skim.args = {cmv};
   skim.request_id = 2;
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *skim.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
+  ASSERT_TRUE(SendRequest(*fd, skim).ok());
 
   // Do not read. The op fills the socket + write queue to the bound, then
   // its next chunk blocks on backpressure: the response cannot finish.
@@ -828,10 +825,8 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   // Now drain like a healthy reader: the stream completes byte-identical.
   std::string body;
   for (;;) {
-    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
-    ASSERT_TRUE(chunk.ok());
+    util::StatusOr<Response> chunk = ReadChunk(*fd);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
     ASSERT_EQ(chunk->request_id, 2u);
     body.append(chunk->body);
     if (chunk->final_chunk) {
@@ -879,13 +874,18 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
 
   // The daemon still serves, and holding 1024 open sockets cost zero
   // additional threads — idle connections are file descriptors, not stacks.
-  util::StatusOr<Client> active = Connect(MakeHello("worker", 3));
+  // The active session is raw, so the count holds only the daemon's
+  // threads and this test's (a PipelinedClient would add its reader).
+  util::StatusOr<int> active =
+      RawSession(server_->port(), MakeHello("worker", 3));
   ASSERT_TRUE(active.ok()) << active.status().ToString();
   Request request;
   request.kind = RequestKind::kVerify;
   request.args = {::testing::TempDir() + "/idle_probe.cmdb"};
-  util::StatusOr<Response> response = active->Call(request);
-  ASSERT_TRUE(response.ok());
+  request.request_id = 2;
+  ASSERT_TRUE(SendRequest(*active, request).ok());
+  util::StatusOr<Response> response = ReadChunk(*active);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
 
   const int threads_after = thread_count();
   ASSERT_GT(threads_before, 0);
@@ -895,21 +895,70 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
   EXPECT_EQ(stats.connections_active, static_cast<uint64_t>(kIdle + 1));
 
   for (int fd : idle) CloseFd(fd);
+  CloseFd(*active);
 }
 
 TEST_F(ServerTest, MalformedRequestFrameGetsAnErrorResponse) {
   StartServer();
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
-  // A CRC-valid frame whose body is not a parseable request.
-  std::vector<uint8_t> junk = {0x7f, 0x00};
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagic, junk, kMaxFrameBytes).ok());
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> response = Response::Parse(*frame);
-  ASSERT_TRUE(response.ok());
+  // A CRC-valid frame whose body is not a parseable request: its tag is
+  // readable, its kind byte is not.
+  const std::vector<uint8_t> junk = {0x05, 0x00, 0x00, 0x00, 0x7f};
+  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, junk, kMaxFrameBytes).ok());
+  util::StatusOr<Response> response = ReadChunk(*fd);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(response->final_chunk);
+  EXPECT_EQ(response->request_id, 5u);
   EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
+  CloseFd(*fd);
+}
+
+// Framing damage ends the session with one final CMS2 chunk carrying
+// kDataLoss (tag 0: the damaged frame's tag cannot be trusted), then EOF.
+TEST_F(ServerTest, CorruptFrameGetsATaggedGoodbyeThenEof) {
+  StartServer();
+  util::StatusOr<int> fd = RawSession(server_->port(), MakeHello("crc", 3));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  Request verify;
+  verify.kind = RequestKind::kVerify;
+  verify.args = {"whatever.cmdb"};
+  verify.request_id = 2;
+  util::StatusOr<std::vector<uint8_t>> frame = EncodeFrame(
+      kRequestMagicV2, *verify.SerializeTagged(), kMaxFrameBytes);
+  ASSERT_TRUE(frame.ok());
+  (*frame)[8] ^= 0xff;  // CRC field
+  ASSERT_TRUE(SendAll(*fd, frame->data(), frame->size()).ok());
+
+  util::StatusOr<Response> goodbye = ReadChunk(*fd);
+  ASSERT_TRUE(goodbye.ok()) << goodbye.status().ToString();
+  EXPECT_TRUE(goodbye->final_chunk);
+  EXPECT_EQ(goodbye->code, StatusCode::kDataLoss);
+  EXPECT_TRUE(ServerHangsUp(*fd));
+  EXPECT_EQ(server_->StatsSnapshot().protocol_errors, 1u);
+  CloseFd(*fd);
+}
+
+// A client still speaking the retired CMRQ framing gets the same goodbye,
+// not a hang and not a reply in a framing nobody reads any more.
+TEST_F(ServerTest, LegacyCmrqFrameGetsTheSameGoodbye) {
+  StartServer();
+  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
+  ASSERT_TRUE(fd.ok());
+  constexpr uint32_t kLegacyRequestMagic = 0x51524d43;  // "CMRQ"
+  // A legacy hello body: kind 0 · deadline 0 · no args.
+  const std::vector<uint8_t> body(9, 0);
+  ASSERT_TRUE(
+      WriteFrame(*fd, kLegacyRequestMagic, body, kMaxFrameBytes).ok());
+
+  util::StatusOr<Response> goodbye = ReadChunk(*fd);
+  ASSERT_TRUE(goodbye.ok()) << goodbye.status().ToString();
+  EXPECT_TRUE(goodbye->final_chunk);
+  EXPECT_EQ(goodbye->code, StatusCode::kDataLoss);
+  EXPECT_TRUE(ServerHangsUp(*fd));
+  const ServerStats stats = server_->StatsSnapshot();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.requests_received, 0u);
   CloseFd(*fd);
 }
 
@@ -961,40 +1010,22 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   };
   StartServer(std::move(options));
 
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
-  ASSERT_TRUE(fd.ok());
-  SessionHello hello = MakeHello("dup", 3);
-  Request handshake;
-  handshake.kind = RequestKind::kHello;
-  handshake.args = {*hello.Serialize()};
-  handshake.request_id = 1;
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *handshake.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
-  uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
+  util::StatusOr<int> fd = RawSession(server_->port(), MakeHello("dup", 3));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
 
   // Original request under tag 2 is held in the worker...
   Request verify;
   verify.kind = RequestKind::kVerify;
   verify.args = {::testing::TempDir() + "/dup_orig.cmdb"};
   verify.request_id = 2;
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *verify.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
+  ASSERT_TRUE(SendRequest(*fd, verify).ok());
   first_started.get_future().wait();
 
   // ...so a second request reusing tag 2 is a protocol error, answered
   // immediately without touching the original.
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *verify.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
-  frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> rejected = Response::ParseChunk(*frame);
-  ASSERT_TRUE(rejected.ok());
+  ASSERT_TRUE(SendRequest(*fd, verify).ok());
+  util::StatusOr<Response> rejected = ReadChunk(*fd);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
   EXPECT_EQ(rejected->request_id, 2u);
   EXPECT_EQ(rejected->code, StatusCode::kInvalidArgument);
   EXPECT_NE(rejected->message.find("duplicate request_id"),
@@ -1005,10 +1036,8 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
   release_first.set_value();
   std::string body;
   for (;;) {
-    frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-    ASSERT_TRUE(frame.ok());
-    util::StatusOr<Response> chunk = Response::ParseChunk(*frame);
-    ASSERT_TRUE(chunk.ok());
+    util::StatusOr<Response> chunk = ReadChunk(*fd);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
     EXPECT_EQ(chunk->request_id, 2u);
     body.append(chunk->body);
     if (chunk->final_chunk) break;
@@ -1017,13 +1046,9 @@ TEST_F(ServerTest, DuplicateInFlightRequestIdIsRejected) {
 
   // Tag 2's lifetime ended with its final answer: reuse is legal now.
   verify.args = {::testing::TempDir() + "/dup_reuse.cmdb"};
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *verify.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
-  frame = ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> reused = Response::ParseChunk(*frame);
-  ASSERT_TRUE(reused.ok());
+  ASSERT_TRUE(SendRequest(*fd, verify).ok());
+  util::StatusOr<Response> reused = ReadChunk(*fd);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
   EXPECT_NE(reused->code, StatusCode::kInvalidArgument);
 
   EXPECT_EQ(server_->StatsSnapshot().duplicate_request_ids, 1u);
@@ -1048,11 +1073,11 @@ TEST_F(ServerTest, IdleTimeoutReapsSlowLorisButNotBusySessions) {
 
   // A session with an executing request is busy, not idle — it must
   // survive the reaper even though no bytes move while the worker is held.
-  util::StatusOr<Client> busy = Connect(MakeHello("busy", 3));
+  ClientOr busy = Connect(MakeHello("busy", 3));
   ASSERT_TRUE(busy.ok());
   util::StatusOr<std::string> report = Status::Internal("never ran");
   std::thread in_flight([&] {
-    report = busy->CallForReport(
+    report = (*busy)->CallForReport(
         RequestKind::kVerify, {::testing::TempDir() + "/not_idle.cmdb"});
   });
   started_promise.get_future().wait();
@@ -1063,12 +1088,7 @@ TEST_F(ServerTest, IdleTimeoutReapsSlowLorisButNotBusySessions) {
   ASSERT_TRUE(loris.ok());
   const uint8_t partial[3] = {0x43, 0x4d, 0x51};
   ASSERT_TRUE(SendAll(*loris, partial, sizeof(partial)).ok());
-  uint8_t byte;
-  ssize_t n;
-  do {
-    n = recv(*loris, &byte, 1, 0);  // blocks until the server closes
-  } while (n < 0 && errno == EINTR);
-  EXPECT_EQ(n, 0);  // EOF: reaped, not answered
+  EXPECT_TRUE(ServerHangsUp(*loris));  // EOF: reaped, not answered
   CloseFd(*loris);
 
   // The held request was never reaped; it completes normally.
@@ -1087,29 +1107,21 @@ TEST_F(ServerTest, ErrorBudgetClosesSessionsThatKeepSendingGarbage) {
 
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
   ASSERT_TRUE(fd.ok());
-  // Each junk frame is CRC-valid but unparseable: an inline error answer,
-  // charged against the session's budget.
-  const std::vector<uint8_t> junk = {0x7f, 0x00};
+  // Each junk frame is CRC-valid but unparseable (tag 1, kind 0x7f): an
+  // inline error answer, charged against the session's budget.
+  const std::vector<uint8_t> junk = {0x01, 0x00, 0x00, 0x00, 0x7f};
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(WriteFrame(*fd, kRequestMagic, junk, kMaxFrameBytes).ok());
+    ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, junk, kMaxFrameBytes).ok());
   }
   // All three owed error responses still flush before the close.
   for (int i = 0; i < 3; ++i) {
-    util::StatusOr<std::vector<uint8_t>> frame =
-        ReadFrame(*fd, kResponseMagic, kMaxFrameBytes);
-    ASSERT_TRUE(frame.ok()) << "error " << i << ": "
-                            << frame.status().ToString();
-    util::StatusOr<Response> response = Response::Parse(*frame);
-    ASSERT_TRUE(response.ok());
+    util::StatusOr<Response> response = ReadChunk(*fd);
+    ASSERT_TRUE(response.ok()) << "error " << i << ": "
+                               << response.status().ToString();
     EXPECT_EQ(response->code, StatusCode::kInvalidArgument);
   }
   // Past the budget the server hangs up instead of absorbing more abuse.
-  uint8_t byte;
-  ssize_t n;
-  do {
-    n = recv(*fd, &byte, 1, 0);
-  } while (n < 0 && errno == EINTR);
-  EXPECT_EQ(n, 0);
+  EXPECT_TRUE(ServerHangsUp(*fd));
   const ServerStats stats = server_->StatsSnapshot();
   EXPECT_EQ(stats.protocol_errors, 3u);
   EXPECT_EQ(stats.error_budget_closed, 1u);
@@ -1119,7 +1131,7 @@ TEST_F(ServerTest, ErrorBudgetClosesSessionsThatKeepSendingGarbage) {
 TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   StartServer();
 
-  // Health needs no hello and no clearance: it must work on a raw v2
+  // Health needs no hello and no clearance: it must work on a raw
   // session as the very first frame (that is what a load balancer probe
   // looks like).
   util::StatusOr<int> fd = ConnectTo("127.0.0.1", server_->port());
@@ -1127,15 +1139,9 @@ TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   Request probe;
   probe.kind = RequestKind::kHealth;
   probe.request_id = 1;
-  ASSERT_TRUE(WriteFrame(*fd, kRequestMagicV2, *probe.SerializeTagged(),
-                         kMaxFrameBytes)
-                  .ok());
-  uint32_t magic = 0;
-  util::StatusOr<std::vector<uint8_t>> frame =
-      ReadFrameAny(*fd, {kResponseMagicV2}, kMaxFrameBytes, &magic);
-  ASSERT_TRUE(frame.ok());
-  util::StatusOr<Response> response = Response::ParseChunk(*frame);
-  ASSERT_TRUE(response.ok());
+  ASSERT_TRUE(SendRequest(*fd, probe).ok());
+  util::StatusOr<Response> response = ReadChunk(*fd);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->code, StatusCode::kOk) << response->message;
   EXPECT_NE(response->body.find("classminerd health"), std::string::npos);
   EXPECT_NE(response->body.find("status: serving"), std::string::npos);
@@ -1143,10 +1149,10 @@ TEST_F(ServerTest, HealthAnswersBeforeHelloAtClearanceZero) {
   CloseFd(*fd);
 
   // And through an authenticated clearance-0 session, for completeness.
-  util::StatusOr<Client> probe_client = Connect(MakeHello("probe", 0));
+  ClientOr probe_client = Connect(MakeHello("probe", 0));
   ASSERT_TRUE(probe_client.ok());
   util::StatusOr<std::string> body =
-      probe_client->CallForReport(RequestKind::kHealth, {});
+      (*probe_client)->CallForReport(RequestKind::kHealth, {});
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   EXPECT_NE(body->find("status: serving"), std::string::npos);
 }
@@ -1317,12 +1323,12 @@ TEST_F(ServerTest, BackgroundScrubberHealsWhileServingAndReportsInHealth) {
   StartServer(std::move(options));
 
   // Client traffic in parallel with the scrub: the daemon keeps serving.
-  util::StatusOr<Client> client = Connect(MakeHello("reader", 3));
+  ClientOr client = Connect(MakeHello("reader", 3));
   ASSERT_TRUE(client.ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (server_->StatsSnapshot().scrub_repairs < 1) {
-    util::StatusOr<Response> poke = client->Call([] {
+    util::StatusOr<Response> poke = (*client)->Call([] {
       Request r;
       r.kind = RequestKind::kHealth;
       return r;
@@ -1341,7 +1347,7 @@ TEST_F(ServerTest, BackgroundScrubberHealsWhileServingAndReportsInHealth) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   util::StatusOr<std::string> body =
-      client->CallForReport(RequestKind::kHealth, {});
+      (*client)->CallForReport(RequestKind::kHealth, {});
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body->find("scrub: enabled"), std::string::npos);
   EXPECT_NE(body->find("last scrub: clean"), std::string::npos);
