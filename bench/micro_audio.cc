@@ -1,13 +1,18 @@
-// Micro-benchmarks for the audio substrate: clip features, MFCC, GMM
-// scoring and the BIC speaker-change test.
+// Micro-benchmarks for the audio substrate: clip features, the pitch
+// autocorrelation kernel, MFCC, GMM scoring and the BIC speaker-change test.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <vector>
 
 #include "audio/bic.h"
 #include "audio/features.h"
 #include "audio/gmm.h"
 #include "audio/mfcc.h"
 #include "synth/audio_generator.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace classminer {
@@ -27,6 +32,40 @@ void BM_ClipFeatures(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClipFeatures)->Unit(benchmark::kMillisecond);
+
+// The pitch autocorrelation over every 30 ms / 10 ms frame of one 2 s clip,
+// pinned to the dispatch level given as the argument.
+void BM_FramePitch(benchmark::State& state) {
+  const auto level = static_cast<util::DispatchLevel>(state.range(0));
+  if (!util::SetDispatchLevelForTest(level)) {
+    state.SkipWithError("dispatch level not supported on this host");
+    return;
+  }
+  const audio::AudioBuffer clip = SpeechClip(1, 2.0);
+  const int sr = clip.sample_rate();
+  const size_t frame_len = static_cast<size_t>(0.030 * sr);
+  const size_t hop = static_cast<size_t>(0.010 * sr);
+  const int min_lag = sr / 500;
+  const int max_lag = sr / 60;
+  std::vector<double> x(frame_len + audio::internal::kAutocorrPadding, 0.0);
+  std::vector<double> r(audio::internal::AutocorrOutputSize(min_lag, max_lag));
+  const std::vector<float>& s = clip.samples();
+  for (auto _ : state) {
+    for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
+      std::copy(s.begin() + static_cast<std::ptrdiff_t>(start),
+                s.begin() + static_cast<std::ptrdiff_t>(start + frame_len),
+                x.begin());
+      audio::internal::Autocorrelation(x, frame_len, min_lag, max_lag, r);
+      benchmark::DoNotOptimize(r.data());
+    }
+  }
+  util::ClearDispatchLevelForTest();
+}
+BENCHMARK(BM_FramePitch)
+    ->ArgName("level")
+    ->Arg(static_cast<int>(util::DispatchLevel::kScalar))
+    ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Mfcc(benchmark::State& state) {
   const audio::AudioBuffer clip = SpeechClip(2, 2.0);
@@ -71,4 +110,13 @@ BENCHMARK(BM_SpeechSynthesis)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace classminer
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::printf("dispatch level: %s\n",
+              classminer::util::DispatchLevelName(
+                  classminer::util::ActiveDispatchLevel()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

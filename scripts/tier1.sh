@@ -24,11 +24,14 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   # that outputs don't depend on the dispatch level. Benches must also
   # compile at both levels (same binaries; dispatch is runtime).
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/kernels_test
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/audio_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/codec_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
-  cmake --build build -j --target micro_kernels >/dev/null
+  cmake --build build -j --target micro_kernels micro_audio >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
+    --benchmark_min_time=0.01 >/dev/null
+  CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_audio \
     --benchmark_min_time=0.01 >/dev/null
 fi
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <numbers>
 
 #include "util/fft.h"
@@ -14,10 +15,19 @@ double MelToHz(double mel) {
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
 }
 
+// One triangular mel filter, stored over its nonzero support only: weight
+// k applies to FFT bin `first + k`. Bins outside the support have weight
+// zero, and a zero-weight term adds +0.0 to the filter's sum, which is
+// exact, so skipping them changes no bit.
+struct MelFilter {
+  size_t first = 0;
+  std::vector<double> weights;
+};
+
 // Triangular mel filterbank over FFT bins [0, n_bins).
-std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
-                                                 double bin_hz, double low_hz,
-                                                 double high_hz) {
+std::vector<MelFilter> BuildFilterbank(int n_filters, int n_bins,
+                                       double bin_hz, double low_hz,
+                                       double high_hz) {
   const double low_mel = HzToMel(low_hz);
   const double high_mel = HzToMel(high_hz);
   std::vector<double> centers(static_cast<size_t>(n_filters) + 2);
@@ -26,9 +36,8 @@ std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
         low_mel + (high_mel - low_mel) * i / (n_filters + 1.0);
     centers[static_cast<size_t>(i)] = MelToHz(mel);
   }
-  std::vector<std::vector<double>> bank(
-      static_cast<size_t>(n_filters),
-      std::vector<double>(static_cast<size_t>(n_bins), 0.0));
+  std::vector<MelFilter> bank(static_cast<size_t>(n_filters));
+  std::vector<double> dense(static_cast<size_t>(n_bins));
   for (int m = 0; m < n_filters; ++m) {
     const double lo = centers[static_cast<size_t>(m)];
     const double mid = centers[static_cast<size_t>(m) + 1];
@@ -41,7 +50,15 @@ std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
       } else if (hz > mid && hz <= hi && hi > mid) {
         w = (hi - hz) / (hi - mid);
       }
-      bank[static_cast<size_t>(m)][static_cast<size_t>(b)] = w;
+      dense[static_cast<size_t>(b)] = w;
+    }
+    const auto nonzero = [](double w) { return w != 0.0; };
+    const auto first = std::find_if(dense.begin(), dense.end(), nonzero);
+    const auto last = std::find_if(dense.rbegin(), dense.rend(), nonzero).base();
+    MelFilter& filter = bank[static_cast<size_t>(m)];
+    if (first < last) {
+      filter.first = static_cast<size_t>(first - dense.begin());
+      filter.weights.assign(first, last);
     }
   }
   return bank;
@@ -58,13 +75,14 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   const std::vector<float>& s = clip.samples();
   if (s.size() < win) return util::Matrix(0, kMfccDims);
 
-  const size_t fft_size = util::NextPowerOfTwo(win);
+  const util::FftPlan plan(util::NextPowerOfTwo(win));
+  const size_t fft_size = plan.size();
   const int n_bins = static_cast<int>(fft_size / 2 + 1);
   const double bin_hz = static_cast<double>(sr) / static_cast<double>(fft_size);
   const double high_hz = options.high_hz > 0.0
                              ? std::min(options.high_hz, sr / 2.0)
                              : sr / 2.0;
-  const std::vector<std::vector<double>> bank = BuildFilterbank(
+  const std::vector<MelFilter> bank = BuildFilterbank(
       options.mel_filters, n_bins, bin_hz, options.low_hz, high_hz);
 
   // Hamming window.
@@ -74,43 +92,54 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
                                         (static_cast<double>(win) - 1.0));
   }
 
+  // DCT-II basis, cosine[k][m], from the expression the per-frame loop
+  // used to evaluate.
+  const size_t n_mel = static_cast<size_t>(options.mel_filters);
+  std::vector<double> cosine(kMfccDims * n_mel);
+  for (int k = 0; k < kMfccDims; ++k) {
+    for (int m = 0; m < options.mel_filters; ++m) {
+      cosine[static_cast<size_t>(k) * n_mel + static_cast<size_t>(m)] =
+          std::cos(std::numbers::pi * k * (m + 0.5) / options.mel_filters);
+    }
+  }
+
   const size_t n_windows = (s.size() - win) / hop + 1;
   util::Matrix mfcc(n_windows, kMfccDims);
 
-  std::vector<std::complex<double>> buf(fft_size);
-  std::vector<double> mel_log(static_cast<size_t>(options.mel_filters));
+  std::vector<double> re(fft_size), im(fft_size);
+  std::vector<double> mag(static_cast<size_t>(n_bins));
+  std::vector<double> mel_log(n_mel);
   for (size_t w = 0; w < n_windows; ++w) {
     const size_t start = w * hop;
     // Pre-emphasis + window.
-    for (size_t i = 0; i < fft_size; ++i) {
-      if (i < win) {
-        const double cur = s[start + i];
-        const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
-        buf[i] = {(cur - options.pre_emphasis * prev) * hamming[i], 0.0};
-      } else {
-        buf[i] = {0.0, 0.0};
-      }
+    for (size_t i = 0; i < win; ++i) {
+      const double cur = s[start + i];
+      const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
+      re[i] = (cur - options.pre_emphasis * prev) * hamming[i];
     }
-    util::Fft(&buf);
+    std::fill(re.begin() + static_cast<std::ptrdiff_t>(win), re.end(), 0.0);
+    std::fill(im.begin(), im.end(), 0.0);
+    plan.Transform(re, im);
 
-    for (int m = 0; m < options.mel_filters; ++m) {
+    for (size_t b = 0; b < mag.size(); ++b) {
+      mag[b] = std::abs(std::complex<double>(re[b], im[b]));
+    }
+    for (size_t m = 0; m < n_mel; ++m) {
+      const MelFilter& filter = bank[m];
+      const double* mb = mag.data() + filter.first;
       double acc = 0.0;
-      for (int b = 0; b < n_bins; ++b) {
-        const double mag = std::abs(buf[static_cast<size_t>(b)]);
-        acc += bank[static_cast<size_t>(m)][static_cast<size_t>(b)] * mag * mag;
+      for (size_t j = 0; j < filter.weights.size(); ++j) {
+        acc += filter.weights[j] * mb[j] * mb[j];
       }
-      mel_log[static_cast<size_t>(m)] = std::log(std::max(acc, 1e-12));
+      mel_log[m] = std::log(std::max(acc, 1e-12));
     }
 
     // DCT-II of the log mel energies -> cepstral coefficients 0..13.
-    for (int k = 0; k < kMfccDims; ++k) {
+    for (size_t k = 0; k < kMfccDims; ++k) {
+      const double* c = cosine.data() + k * n_mel;
       double acc = 0.0;
-      for (int m = 0; m < options.mel_filters; ++m) {
-        acc += mel_log[static_cast<size_t>(m)] *
-               std::cos(std::numbers::pi * k * (m + 0.5) /
-                        options.mel_filters);
-      }
-      mfcc.at(w, static_cast<size_t>(k)) = acc;
+      for (size_t m = 0; m < n_mel; ++m) acc += mel_log[m] * c[m];
+      mfcc.at(w, k) = acc;
     }
   }
   return mfcc;

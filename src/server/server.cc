@@ -527,6 +527,12 @@ void ClassMinerServer::HandleAccept() {
       continue;
     }
     if (static_cast<int>(conns_.size()) >= options_.max_connections) {
+      // Counted before the peer can observe the refusal, so a caller that
+      // has seen it also sees the counter.
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stats_.connections_rejected;
+      }
       // The peer's first read (its hello response) reports the rejection
       // as a final chunk. The fresh fd is still blocking, so one synchronous
       // frame is fine.
@@ -538,8 +544,6 @@ void ClassMinerServer::HandleAccept() {
                          options_.max_frame_bytes);
       }
       CloseFd(*fd);
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections_rejected;
       continue;
     }
     if (!SetNonBlocking(*fd, true).ok()) {

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <numbers>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "audio/audio_buffer.h"
 #include "audio/bic.h"
@@ -9,6 +17,10 @@
 #include "audio/mfcc.h"
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
+#include "util/cpu.h"
+#include "util/fft.h"
+#include "util/logging.h"
+#include "util/mathutil.h"
 #include "util/rng.h"
 
 namespace classminer::audio {
@@ -336,6 +348,485 @@ TEST(SpeechClassifierTest, TrainedGmmClassifierSeparatesSpeechFromNoise) {
     row.at(0, static_cast<size_t>(d)) = fn[static_cast<size_t>(d)];
   }
   EXPECT_EQ(clf->Classify(row), 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Oracles: verbatim copies of the audio loops as they stood before the
+// lag-blocked pitch kernel, the planned FFT and the sparse filterbank. The
+// production code must reproduce them bit for bit at every dispatch level.
+
+namespace oracle {
+
+void Fft(std::vector<std::complex<double>>* data, bool inverse) {
+  const size_t n = data->size();
+  CM_CHECK(n > 0 && (n & (n - 1)) == 0) << "FFT size must be a power of two";
+  auto& a = *data;
+
+  // Bit-reversal permutation.
+  for (size_t i = 1, j = 0; i < n; ++i) {
+    size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+
+  for (size_t len = 2; len <= n; len <<= 1) {
+    const double angle =
+        2.0 * std::numbers::pi / static_cast<double>(len) *
+        (inverse ? 1.0 : -1.0);
+    const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+    for (size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (size_t k = 0; k < len / 2; ++k) {
+        const std::complex<double> u = a[i + k];
+        const std::complex<double> v = a[i + k + len / 2] * w;
+        a[i + k] = u + v;
+        a[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+
+  if (inverse) {
+    for (auto& x : a) x /= static_cast<double>(n);
+  }
+}
+
+std::vector<double> MagnitudeSpectrum(std::span<const double> signal) {
+  const size_t n = util::NextPowerOfTwo(std::max<size_t>(signal.size(), 2));
+  std::vector<std::complex<double>> buf(n, {0.0, 0.0});
+  for (size_t i = 0; i < signal.size(); ++i) buf[i] = {signal[i], 0.0};
+  Fft(&buf, false);
+  std::vector<double> mags(n / 2 + 1);
+  for (size_t i = 0; i <= n / 2; ++i) mags[i] = std::abs(buf[i]);
+  return mags;
+}
+
+double FrameRms(std::span<const float> frame) {
+  if (frame.empty()) return 0.0;
+  double acc = 0.0;
+  for (float s : frame) acc += static_cast<double>(s) * s;
+  return std::sqrt(acc / static_cast<double>(frame.size()));
+}
+
+double FrameZcr(std::span<const float> frame) {
+  if (frame.size() < 2) return 0.0;
+  int crossings = 0;
+  for (size_t i = 1; i < frame.size(); ++i) {
+    if ((frame[i - 1] >= 0.0f) != (frame[i] >= 0.0f)) ++crossings;
+  }
+  return static_cast<double>(crossings) /
+         static_cast<double>(frame.size() - 1);
+}
+
+double FramePitch(std::span<const float> frame, int sample_rate) {
+  const int min_lag = sample_rate / 500;
+  const int max_lag = sample_rate / 60;
+  if (static_cast<int>(frame.size()) <= max_lag || min_lag < 1) return 0.0;
+  double energy = 0.0;
+  for (float s : frame) energy += static_cast<double>(s) * s;
+  if (energy < 1e-9) return 0.0;
+
+  double best = 0.0;
+  int best_lag = 0;
+  for (int lag = min_lag; lag <= max_lag; ++lag) {
+    double acc = 0.0;
+    for (size_t i = 0; i + static_cast<size_t>(lag) < frame.size(); ++i) {
+      acc += static_cast<double>(frame[i]) * frame[i + static_cast<size_t>(lag)];
+    }
+    if (acc > best) {
+      best = acc;
+      best_lag = lag;
+    }
+  }
+  if (best_lag == 0 || best < 0.25 * energy) return 0.0;
+  return static_cast<double>(sample_rate) / best_lag;
+}
+
+struct SpectralStats {
+  double centroid = 0.0;
+  double bandwidth = 0.0;
+  std::array<double, 4> subband{};
+};
+
+SpectralStats FrameSpectral(std::span<const float> frame, int sample_rate) {
+  SpectralStats stats;
+  if (frame.size() < 8) return stats;
+  std::vector<double> buf(frame.begin(), frame.end());
+  const std::vector<double> mags = MagnitudeSpectrum(buf);
+  const double nyquist = sample_rate / 2.0;
+  const double bin_hz = nyquist / (static_cast<double>(mags.size()) - 1.0);
+
+  double total = 0.0, weighted = 0.0;
+  for (size_t i = 0; i < mags.size(); ++i) {
+    const double e = mags[i] * mags[i];
+    total += e;
+    weighted += e * (static_cast<double>(i) * bin_hz);
+  }
+  if (total < 1e-12) return stats;
+  const double centroid_hz = weighted / total;
+  stats.centroid = centroid_hz / nyquist;
+
+  double spread = 0.0;
+  for (size_t i = 0; i < mags.size(); ++i) {
+    const double e = mags[i] * mags[i];
+    const double d = static_cast<double>(i) * bin_hz - centroid_hz;
+    spread += e * d * d;
+  }
+  stats.bandwidth = std::sqrt(spread / total) / nyquist;
+
+  constexpr double kEdges[5] = {0.0, 630.0, 1720.0, 4400.0, 1e9};
+  for (size_t i = 0; i < mags.size(); ++i) {
+    const double hz = static_cast<double>(i) * bin_hz;
+    const double e = mags[i] * mags[i];
+    for (int b = 0; b < 4; ++b) {
+      if (hz >= kEdges[b] && hz < std::min(kEdges[b + 1], nyquist + 1.0)) {
+        stats.subband[static_cast<size_t>(b)] += e;
+        break;
+      }
+    }
+  }
+  for (double& s : stats.subband) s /= total;
+  return stats;
+}
+
+ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
+                                 const ClipFeatureOptions& options) {
+  ClipFeatures f{};
+  const int sr = clip.sample_rate();
+  const size_t frame_len =
+      static_cast<size_t>(std::max(1.0, options.frame_seconds * sr));
+  const size_t hop = static_cast<size_t>(std::max(1.0, options.hop_seconds * sr));
+  if (clip.sample_count() < frame_len) return f;
+
+  std::vector<double> volumes, zcrs, pitches, centroids, bandwidths;
+  std::array<double, 4> subband_acc{};
+  size_t spectral_frames = 0;
+
+  const std::vector<float>& s = clip.samples();
+  for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
+    std::span<const float> frame(s.data() + start, frame_len);
+    volumes.push_back(FrameRms(frame));
+    zcrs.push_back(FrameZcr(frame));
+    const double pitch = FramePitch(frame, sr);
+    if (pitch > 0.0) pitches.push_back(pitch);
+    const SpectralStats st = FrameSpectral(frame, sr);
+    centroids.push_back(st.centroid);
+    bandwidths.push_back(st.bandwidth);
+    for (size_t b = 0; b < 4; ++b) subband_acc[b] += st.subband[b];
+    ++spectral_frames;
+  }
+  if (volumes.empty()) return f;
+
+  const double vol_mean = util::Mean(volumes);
+  double vol_max = 0.0, vol_min = 1e9;
+  for (double v : volumes) {
+    vol_max = std::max(vol_max, v);
+    vol_min = std::min(vol_min, v);
+  }
+  size_t silent = 0;
+  for (double v : volumes) {
+    if (v < 0.1 * std::max(vol_mean, 1e-6)) ++silent;
+  }
+
+  f[0] = vol_mean;
+  f[1] = util::StdDev(volumes);
+  f[2] = vol_max > 1e-9 ? (vol_max - vol_min) / vol_max : 0.0;
+  f[3] = static_cast<double>(silent) / static_cast<double>(volumes.size());
+  f[4] = util::Mean(zcrs);
+  f[5] = util::StdDev(zcrs);
+  f[6] = util::Mean(pitches) / 1000.0;
+  f[7] = util::StdDev(pitches) / 1000.0;
+  f[8] = util::Mean(centroids);
+  f[9] = util::Mean(bandwidths);
+  for (size_t b = 0; b < 4; ++b) {
+    f[10 + b] = spectral_frames > 0
+                    ? subband_acc[b] / static_cast<double>(spectral_frames)
+                    : 0.0;
+  }
+  return f;
+}
+
+double HzToMel(double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); }
+double MelToHz(double mel) {
+  return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
+}
+
+std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
+                                                 double bin_hz, double low_hz,
+                                                 double high_hz) {
+  const double low_mel = HzToMel(low_hz);
+  const double high_mel = HzToMel(high_hz);
+  std::vector<double> centers(static_cast<size_t>(n_filters) + 2);
+  for (int i = 0; i < n_filters + 2; ++i) {
+    const double mel =
+        low_mel + (high_mel - low_mel) * i / (n_filters + 1.0);
+    centers[static_cast<size_t>(i)] = MelToHz(mel);
+  }
+  std::vector<std::vector<double>> bank(
+      static_cast<size_t>(n_filters),
+      std::vector<double>(static_cast<size_t>(n_bins), 0.0));
+  for (int m = 0; m < n_filters; ++m) {
+    const double lo = centers[static_cast<size_t>(m)];
+    const double mid = centers[static_cast<size_t>(m) + 1];
+    const double hi = centers[static_cast<size_t>(m) + 2];
+    for (int b = 0; b < n_bins; ++b) {
+      const double hz = b * bin_hz;
+      double w = 0.0;
+      if (hz >= lo && hz <= mid && mid > lo) {
+        w = (hz - lo) / (mid - lo);
+      } else if (hz > mid && hz <= hi && hi > mid) {
+        w = (hi - hz) / (hi - mid);
+      }
+      bank[static_cast<size_t>(m)][static_cast<size_t>(b)] = w;
+    }
+  }
+  return bank;
+}
+
+util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
+  const int sr = clip.sample_rate();
+  const size_t win =
+      static_cast<size_t>(std::max(2.0, options.window_seconds * sr));
+  const size_t hop =
+      static_cast<size_t>(std::max(1.0, options.hop_seconds * sr));
+  const std::vector<float>& s = clip.samples();
+  if (s.size() < win) return util::Matrix(0, kMfccDims);
+
+  const size_t fft_size = util::NextPowerOfTwo(win);
+  const int n_bins = static_cast<int>(fft_size / 2 + 1);
+  const double bin_hz = static_cast<double>(sr) / static_cast<double>(fft_size);
+  const double high_hz = options.high_hz > 0.0
+                             ? std::min(options.high_hz, sr / 2.0)
+                             : sr / 2.0;
+  const std::vector<std::vector<double>> bank = BuildFilterbank(
+      options.mel_filters, n_bins, bin_hz, options.low_hz, high_hz);
+
+  std::vector<double> hamming(win);
+  for (size_t i = 0; i < win; ++i) {
+    hamming[i] = 0.54 - 0.46 * std::cos(2.0 * std::numbers::pi * i /
+                                        (static_cast<double>(win) - 1.0));
+  }
+
+  const size_t n_windows = (s.size() - win) / hop + 1;
+  util::Matrix mfcc(n_windows, kMfccDims);
+
+  std::vector<std::complex<double>> buf(fft_size);
+  std::vector<double> mel_log(static_cast<size_t>(options.mel_filters));
+  for (size_t w = 0; w < n_windows; ++w) {
+    const size_t start = w * hop;
+    for (size_t i = 0; i < fft_size; ++i) {
+      if (i < win) {
+        const double cur = s[start + i];
+        const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
+        buf[i] = {(cur - options.pre_emphasis * prev) * hamming[i], 0.0};
+      } else {
+        buf[i] = {0.0, 0.0};
+      }
+    }
+    Fft(&buf, false);
+
+    for (int m = 0; m < options.mel_filters; ++m) {
+      double acc = 0.0;
+      for (int b = 0; b < n_bins; ++b) {
+        const double mag = std::abs(buf[static_cast<size_t>(b)]);
+        acc += bank[static_cast<size_t>(m)][static_cast<size_t>(b)] * mag * mag;
+      }
+      mel_log[static_cast<size_t>(m)] = std::log(std::max(acc, 1e-12));
+    }
+
+    for (int k = 0; k < kMfccDims; ++k) {
+      double acc = 0.0;
+      for (int m = 0; m < options.mel_filters; ++m) {
+        acc += mel_log[static_cast<size_t>(m)] *
+               std::cos(std::numbers::pi * k * (m + 0.5) /
+                        options.mel_filters);
+      }
+      mfcc.at(w, static_cast<size_t>(k)) = acc;
+    }
+  }
+  return mfcc;
+}
+
+}  // namespace oracle
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+class ScopedDispatchLevel {
+ public:
+  explicit ScopedDispatchLevel(util::DispatchLevel level) {
+    EXPECT_TRUE(util::SetDispatchLevelForTest(level));
+  }
+  ~ScopedDispatchLevel() { util::ClearDispatchLevelForTest(); }
+  ScopedDispatchLevel(const ScopedDispatchLevel&) = delete;
+  ScopedDispatchLevel& operator=(const ScopedDispatchLevel&) = delete;
+};
+
+struct OracleSignal {
+  std::string name;
+  AudioBuffer clip;
+};
+
+// Speech, procedure noise, synthetic and digital silence, a pure tone and a
+// full-scale +-1 square wave at `sample_rate`.
+std::vector<OracleSignal> OracleSignals(int sample_rate, double seconds) {
+  std::vector<OracleSignal> out;
+  util::Rng rng(static_cast<uint64_t>(sample_rate));
+  AudioBuffer speech(sample_rate);
+  synth::AppendSpeech(&speech, synth::MakeSpeakerVoice(3), seconds, &rng);
+  out.push_back({"speech", std::move(speech)});
+  AudioBuffer noise(sample_rate);
+  synth::AppendProcedureNoise(&noise, seconds, &rng);
+  out.push_back({"noise", std::move(noise)});
+  AudioBuffer silence(sample_rate);
+  synth::AppendSilence(&silence, seconds, &rng);
+  out.push_back({"silence", std::move(silence)});
+  AudioBuffer zeros(sample_rate);
+  zeros.Append(std::vector<float>(
+      static_cast<size_t>(seconds * sample_rate), 0.0f));
+  out.push_back({"zeros", std::move(zeros)});
+  out.push_back({"tone", Tone(187.0, seconds, sample_rate)});
+  AudioBuffer square(sample_rate);
+  std::vector<float> sq(static_cast<size_t>(seconds * sample_rate));
+  for (size_t i = 0; i < sq.size(); ++i) {
+    sq[i] = std::fmod(210.0 * static_cast<double>(i) / sample_rate, 1.0) < 0.5
+                ? 1.0f
+                : -1.0f;
+  }
+  square.Append(sq);
+  out.push_back({"square", std::move(square)});
+  return out;
+}
+
+void ExpectClipFeaturesMatchOracle(const AudioBuffer& clip,
+                                   const ClipFeatureOptions& options,
+                                   const std::string& what) {
+  const ClipFeatures want = oracle::ComputeClipFeatures(clip, options);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    const ClipFeatures got = ComputeClipFeatures(clip, options);
+    for (size_t d = 0; d < got.size(); ++d) {
+      EXPECT_EQ(Bits(got[d]), Bits(want[d]))
+          << what << " dim " << d << " level "
+          << util::DispatchLevelName(level) << ": " << got[d] << " vs "
+          << want[d];
+    }
+  }
+}
+
+void ExpectMfccMatchesOracle(const AudioBuffer& clip,
+                             const MfccOptions& options,
+                             const std::string& what) {
+  const util::Matrix want = oracle::ComputeMfcc(clip, options);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    const util::Matrix got = ComputeMfcc(clip, options);
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (size_t r = 0; r < got.rows(); ++r) {
+      for (size_t c = 0; c < got.cols(); ++c) {
+        ASSERT_EQ(Bits(got.at(r, c)), Bits(want.at(r, c)))
+            << what << " window " << r << " coeff " << c << " level "
+            << util::DispatchLevelName(level);
+      }
+    }
+  }
+}
+
+TEST(AudioOracleTest, ClipFeaturesAreBitIdenticalToReference) {
+  for (int sr : {8000, 16000, 22050, 44100}) {
+    for (const OracleSignal& sig : OracleSignals(sr, 1.0)) {
+      ExpectClipFeaturesMatchOracle(sig.clip, {},
+                                    sig.name + " @" + std::to_string(sr));
+    }
+  }
+}
+
+TEST(AudioOracleTest, MfccIsBitIdenticalToReference) {
+  for (int sr : {8000, 16000, 22050, 44100}) {
+    for (const OracleSignal& sig : OracleSignals(sr, 1.0)) {
+      ExpectMfccMatchesOracle(sig.clip, {},
+                              sig.name + " @" + std::to_string(sr));
+    }
+  }
+}
+
+// 50 ms frames at 44.1 kHz are 2205 samples: longer than 2048 (a 4096-point
+// FFT) and not a multiple of any lag block, so scratch must be sized from
+// the frame and the last lag block is ragged.
+TEST(AudioOracleTest, LongRaggedFramesAreBitIdenticalToReference) {
+  ClipFeatureOptions clip_options;
+  clip_options.frame_seconds = 0.05;
+  clip_options.hop_seconds = 0.02;
+  MfccOptions mfcc_options;
+  mfcc_options.window_seconds = 0.05;
+  mfcc_options.hop_seconds = 0.02;
+  for (const OracleSignal& sig : OracleSignals(44100, 0.6)) {
+    ASSERT_GT(static_cast<size_t>(clip_options.frame_seconds * 44100), 2048u);
+    ExpectClipFeaturesMatchOracle(sig.clip, clip_options, sig.name);
+    ExpectMfccMatchesOracle(sig.clip, mfcc_options, sig.name);
+  }
+}
+
+TEST(AudioOracleTest, AutocorrelationKernelsMatchNaiveSums) {
+  util::Rng rng(91);
+  for (size_t n : {2u, 9u, 33u, 480u, 1323u, 2205u}) {
+    std::vector<double> x(n + internal::kAutocorrPadding, 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = static_cast<float>(rng.Gaussian());
+    }
+    for (int min_lag : {1, 5, 32}) {
+      for (int max_lag : {min_lag, min_lag + 31, min_lag + 32,
+                          static_cast<int>(n) - 1}) {
+        if (max_lag < min_lag || static_cast<size_t>(max_lag) >= n) continue;
+        std::vector<double> want(static_cast<size_t>(max_lag - min_lag + 1));
+        for (int lag = min_lag; lag <= max_lag; ++lag) {
+          double acc = 0.0;
+          for (size_t i = 0; i + static_cast<size_t>(lag) < n; ++i) {
+            acc += x[i] * x[i + static_cast<size_t>(lag)];
+          }
+          want[static_cast<size_t>(lag - min_lag)] = acc;
+        }
+        for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+          ScopedDispatchLevel pin(level);
+          std::vector<double> r(internal::AutocorrOutputSize(min_lag, max_lag));
+          internal::Autocorrelation(x, n, min_lag, max_lag, r);
+          for (size_t k = 0; k < want.size(); ++k) {
+            ASSERT_EQ(Bits(r[k]), Bits(want[k]))
+                << "n " << n << " lags [" << min_lag << ", " << max_lag
+                << "] lag " << min_lag + static_cast<int>(k) << " level "
+                << util::DispatchLevelName(level);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AudioOracleTest, PlannedFftIsBitIdenticalToReference) {
+  util::Rng rng(5);
+  for (size_t n = 1; n <= 4096; n <<= 1) {
+    std::vector<std::complex<double>> data(n);
+    for (auto& v : data) v = {rng.Gaussian(), rng.Gaussian()};
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      ScopedDispatchLevel pin(level);
+      for (bool inverse : {false, true}) {
+        std::vector<std::complex<double>> want = data;
+        std::vector<std::complex<double>> got = data;
+        oracle::Fft(&want, inverse);
+        util::Fft(&got, inverse);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(got[i].real()), Bits(want[i].real()))
+              << "n " << n << " inverse " << inverse << " bin " << i
+              << " level " << util::DispatchLevelName(level);
+          ASSERT_EQ(Bits(got[i].imag()), Bits(want[i].imag()))
+              << "n " << n << " inverse " << inverse << " bin " << i
+              << " level " << util::DispatchLevelName(level);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "audio/speaker_segmenter.h"
 #include "codec/dct.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
@@ -455,6 +457,11 @@ TEST(KernelEndToEndTest, MiningOutputIsBitIdenticalAcrossDispatchLevels) {
   for (int threads : {1, 2}) {
     const core::MiningResult want =
         MineAtLevel(file, util::DispatchLevel::kScalar, threads);
+    size_t with_mfcc = 0;
+    for (const audio::ShotAudioAnalysis& a : want.shot_audio) {
+      if (a.analyzable && a.mfcc.rows() > 0) ++with_mfcc;
+    }
+    ASSERT_GT(with_mfcc, 0u) << "the clip must exercise the audio kernels";
     for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
       const core::MiningResult got = MineAtLevel(file, level, threads);
       // The frame-difference trace is the rawest double-valued output the
@@ -477,6 +484,33 @@ TEST(KernelEndToEndTest, MiningOutputIsBitIdenticalAcrossDispatchLevels) {
       }
       EXPECT_EQ(got.structure.scenes.size(), want.structure.scenes.size());
       EXPECT_EQ(got.events.size(), want.events.size());
+      // The audio features and MFCC feed speech and speaker decisions;
+      // compare them by bits so a drifting audio kernel cannot hide
+      // behind unchanged counts.
+      ASSERT_EQ(got.shot_audio.size(), want.shot_audio.size());
+      for (size_t i = 0; i < want.shot_audio.size(); ++i) {
+        const audio::ShotAudioAnalysis& g = got.shot_audio[i];
+        const audio::ShotAudioAnalysis& w = want.shot_audio[i];
+        const std::string where = "shot_audio " + std::to_string(i) +
+                                  " level " + util::DispatchLevelName(level) +
+                                  " threads " + std::to_string(threads);
+        EXPECT_EQ(g.shot_index, w.shot_index) << where;
+        EXPECT_EQ(g.analyzable, w.analyzable) << where;
+        EXPECT_EQ(g.has_speech, w.has_speech) << where;
+        EXPECT_EQ(Bits(g.speech_margin), Bits(w.speech_margin)) << where;
+        for (size_t d = 0; d < w.rep_features.size(); ++d) {
+          EXPECT_EQ(Bits(g.rep_features[d]), Bits(w.rep_features[d]))
+              << where << " feature " << d;
+        }
+        ASSERT_EQ(g.mfcc.rows(), w.mfcc.rows()) << where;
+        ASSERT_EQ(g.mfcc.cols(), w.mfcc.cols()) << where;
+        for (size_t r = 0; r < w.mfcc.rows(); ++r) {
+          for (size_t c = 0; c < w.mfcc.cols(); ++c) {
+            ASSERT_EQ(Bits(g.mfcc.at(r, c)), Bits(w.mfcc.at(r, c)))
+                << where << " mfcc " << r << "," << c;
+          }
+        }
+      }
     }
   }
 }
