@@ -1,8 +1,8 @@
 // Micro-benchmarks for the checksummed persistence layer: CRC-32
 // throughput, CMV serialisation with and without per-record checksums
 // (CMV1 vs CMV2), CMDB v3 framed serialise/parse, the salvage scanner on
-// pristine input, the full atomic two-generation save, and the sharded
-// append-log upsert against the monolithic whole-file rewrite.
+// pristine input, and the sharded append-log upsert against a full rewrite
+// of a 1-shard library.
 
 #include <benchmark/benchmark.h>
 
@@ -135,28 +135,12 @@ void BM_SalvageParsePristine(benchmark::State& state) {
 }
 BENCHMARK(BM_SalvageParsePristine)->Unit(benchmark::kMicrosecond);
 
-// Full two-generation atomic save: serialise, tmp write, fsync, rotate,
-// rename, manifest. Disk-bound; the figure to watch is the overhead on
-// top of BM_ChecksumedPersist's pure-CPU round-trip.
-void BM_AtomicSaveDatabase(benchmark::State& state) {
-  const index::VideoDatabase db = BenchDatabase(8);
-  const std::string path = "bench_persist.cmdb";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index::SaveDatabase(db, path));
-  }
-  std::remove(path.c_str());
-  std::remove(index::DatabaseBackupPath(path).c_str());
-  std::remove(index::DatabaseManifestPath(path).c_str());
-}
-BENCHMARK(BM_AtomicSaveDatabase)->Unit(benchmark::kMicrosecond);
-
-
 // ---------------------------------------------------------------------------
-// Sharded append-log tier: the headline scaling claim. A monolithic upsert
-// rewrites the whole library (O(library)); a sharded upsert appends one
-// framed entry to one shard log and fsyncs it (O(entry)). The arg is the
-// number of entries already in the library — the sharded per-upsert cost
-// must stay flat from 1k to 100k while the monolithic one grows linearly.
+// Sharded append-log tier: the headline scaling claim. Updating an entry by
+// a full save rewrites the whole library (O(library)); an upsert appends
+// one framed entry to one shard log and fsyncs it (O(entry)). The arg is
+// the number of entries already in the library — the per-upsert cost must
+// stay flat from 1k to 100k while the full rewrite grows linearly.
 
 index::VideoDatabase TinyDatabase(int videos) {
   index::VideoDatabase db;
@@ -175,6 +159,7 @@ index::VideoDatabase TinyDatabase(int videos) {
 
 void RemoveShardedFiles(const std::string& path) {
   std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
   for (int k = 0; k < 8; ++k) {
     const std::string log = index::ShardPath(path, k);
     std::remove(log.c_str());
@@ -187,7 +172,7 @@ void BM_ShardedUpsert(benchmark::State& state) {
   const int videos = static_cast<int>(state.range(0));
   const std::string path = "bench_sharded.cmdb";
   RemoveShardedFiles(path);
-  if (!index::SaveShardedDatabase(TinyDatabase(videos), path, 8).ok()) {
+  if (!index::SaveDatabase(TinyDatabase(videos), path, 8).ok()) {
     state.SkipWithError("sharded save failed");
     return;
   }
@@ -219,25 +204,24 @@ BENCHMARK(BM_ShardedUpsert)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_MonolithicUpsert(benchmark::State& state) {
+void BM_OneShardFullRewrite(benchmark::State& state) {
   const int videos = static_cast<int>(state.range(0));
-  const std::string path = "bench_mono.cmdb";
-  index::VideoDatabase db = TinyDatabase(videos);
+  const std::string path = "bench_full_rewrite.cmdb";
+  RemoveShardedFiles(path);
+  const index::VideoDatabase db = TinyDatabase(videos);
   for (auto _ : state) {
-    // Updating any entry in the monolithic format means re-serialising and
-    // atomically rewriting every entry.
-    const util::Status st = index::SaveDatabase(db, path);
+    // Updating an entry by a full save re-serialises every entry into a new
+    // shard generation (tmp, fsync, rotate, rename, manifest).
+    const util::Status st = index::SaveDatabase(db, path, 1);
     if (!st.ok()) {
       state.SkipWithError("save failed");
       break;
     }
   }
   state.SetItemsProcessed(state.iterations());
-  std::remove(path.c_str());
-  std::remove(index::DatabaseBackupPath(path).c_str());
-  std::remove(index::DatabaseManifestPath(path).c_str());
+  RemoveShardedFiles(path);
 }
-BENCHMARK(BM_MonolithicUpsert)
+BENCHMARK(BM_OneShardFullRewrite)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)

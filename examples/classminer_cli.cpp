@@ -22,23 +22,28 @@
 // degraded failure policy, so a truncated or bit-flipped archive still
 // yields a (flagged) result; --strict restores all-or-nothing semantics.
 //
-// `index` persists the mined results as an atomic-generation CMDB (the
-// previous file survives at <db>.cmdb.prev, an advisory manifest at
-// <db>.cmdb.manifest); `verify` audits one database file (strict parse,
-// per-entry checksums, degraded count, manifest) and exits non-zero unless
-// it is pristine; `repair` re-mines every degraded entry from its source
-// container <DIR>/<name>.cmv and rewrites the database when it healed
-// anything (or when the open itself needed the backup generation or a
-// salvage parse).
+// `index` persists the mined results as a CMSL shard library: a CMSM root
+// manifest at <db> plus one append log per shard at <db>.shard<k>. A fresh
+// path gets one shard unless --shards N says otherwise; an existing library
+// keeps its shard count; --append upserts into it entry by entry. `verify`
+// audits a library (strict per-shard parse, per-entry checksums, degraded
+// count, manifest generations) and exits non-zero unless it is pristine;
+// `repair` re-mines every degraded entry from its source container
+// <DIR>/<name>.cmv and rewrites the library when it healed anything (or
+// when the open itself needed a backup generation or a salvage parse).
+// A legacy CMDB file is read only by `repair`, which migrates it to a
+// 1-shard library; every other command refuses it with that hint.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "codec/decoder.h"
 #include "core/cmv_pipeline.h"
-#include "index/persist.h"
 #include "index/shard.h"
 #include "server/ops.h"
 #include "skim/storyboard.h"
@@ -70,6 +75,15 @@ int Usage() {
       "  classminer compact <db.cmdb> [--shard K] [--force]\n"
       "  classminer failpoints\n");
   return 2;
+}
+
+// Parses a whole decimal flag value into `out`; false on junk, trailing
+// characters or a value `T` cannot hold.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 // Loads and mines one container. The default is the resilient path —
@@ -151,7 +165,7 @@ int CmdGenerate(const std::vector<std::string>& args) {
     if (args[i] == "--title" && i + 1 < args.size()) {
       title = args[++i];
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::stoull(args[++i]);
+      if (!ParseNumber(args[++i], &seed)) return Usage();
     } else if (args[i] == "--degraded") {
       degraded = true;
     } else {
@@ -206,7 +220,7 @@ int CmdMine(const std::vector<std::string>& args) {
   bool fast = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--fast") {
@@ -264,7 +278,7 @@ int CmdSkim(const std::vector<std::string>& args) {
   std::string html_path, storyboard_path;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--level" && i + 1 < args.size()) {
-      level = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &level)) return Usage();
     } else if (args[i] == "--html" && i + 1 < args.size()) {
       html_path = args[++i];
     } else if (args[i] == "--storyboard" && i + 1 < args.size()) {
@@ -322,7 +336,7 @@ int CmdBrowse(const std::vector<std::string>& args) {
   std::vector<std::string> paths;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--clearance" && i + 1 < args.size()) {
-      clearance = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &clearance)) return Usage();
     } else if (args[i] == "--strict") {
       strict = true;
     } else {
@@ -345,22 +359,24 @@ int CmdIndex(const std::vector<std::string>& args) {
   core::MiningOptions options;
   bool strict = false;
   bool append = false;
-  int shards = 0;
+  std::optional<int> shards;
   std::vector<std::string> paths;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
-      shards = std::stoi(args[++i]);
+      int n = 0;
+      if (!ParseNumber(args[++i], &n) || n < 1) return Usage();
+      shards = n;
     } else if (args[i] == "--append") {
       append = true;
     } else {
       paths.push_back(args[i]);
     }
   }
-  if (paths.empty() || shards < 0) return Usage();
+  if (paths.empty()) return Usage();
 
   index::VideoDatabase db;
   for (const std::string& path : paths) {
@@ -373,9 +389,9 @@ int CmdIndex(const std::vector<std::string>& args) {
   }
 
   if (append) {
-    // Incremental indexing into an existing sharded library: each mined
-    // video is one O(entry) append (re-indexed names supersede their old
-    // record), never a whole-library rewrite.
+    // Incremental indexing into an existing library: each mined video is
+    // one O(entry) append (re-indexed names supersede their old record),
+    // never a whole-library rewrite.
     util::StatusOr<std::unique_ptr<index::ShardedDatabase>> sdb =
         index::ShardedDatabase::Open(db_path);
     if (!sdb.ok()) {
@@ -401,12 +417,10 @@ int CmdIndex(const std::vector<std::string>& args) {
     return 0;
   }
 
-  // --shards N writes the hash-partitioned append-log layout; without it
-  // the save keeps whatever layout the path already has (sharded paths stay
-  // sharded, fresh paths get the monolithic format).
-  const util::Status saved =
-      shards > 0 ? index::SaveShardedDatabase(db, db_path, shards)
-                 : index::SaveDatabase(db, db_path);
+  // A full rewrite: --shards N fixes the shard count; without it the
+  // library keeps its count (one shard for a fresh path).
+  const util::Status saved = shards ? index::SaveDatabase(db, db_path, *shards)
+                                    : index::SaveDatabase(db, db_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s: %s\n", db_path.c_str(),
                  saved.ToString().c_str());
@@ -434,7 +448,7 @@ int CmdRepair(const std::vector<std::string>& args) {
     if (args[i] == "--media" && i + 1 < args.size()) {
       media_dir = args[++i];
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      options.thread_count = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
     } else {
       return Usage();
     }
@@ -463,7 +477,7 @@ int CmdCompact(const std::vector<std::string>& args) {
   bool force = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--shard" && i + 1 < args.size()) {
-      shard = std::stoi(args[++i]);
+      if (!ParseNumber(args[++i], &shard)) return Usage();
     } else if (args[i] == "--force") {
       force = true;
     } else {

@@ -1,7 +1,7 @@
 // Video archive workflow: encode a video into the CMV container (the
 // database's at-rest format), mine it straight from the compressed file,
-// persist the mined database, reload it, and export representative frames
-// as PPM images — the complete ingest-to-browse loop.
+// persist the mined database as a shard library, reload it, and export
+// representative frames as PPM images — the complete ingest-to-browse loop.
 //
 //   ./example_video_archive [output_dir]
 
@@ -10,7 +10,7 @@
 
 #include "codec/decoder.h"
 #include "core/cmv_pipeline.h"
-#include "index/persist.h"
+#include "index/shard.h"
 #include "media/ppm.h"
 #include "synth/corpus.h"
 
@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
               mined->structure.shots.size(),
               mined->structure.ActiveSceneCount(), mined->events.size());
 
-  // 3. Persist the mined database and reload it.
+  // 3. Persist the mined database (a 1-shard library on a fresh path) and
+  // reload it.
   index::VideoDatabase db;
   db.AddVideo(source.video.name(), mined->structure, mined->events);
   const std::string db_path = out_dir + "/archive.cmdb";

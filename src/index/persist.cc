@@ -1,23 +1,19 @@
 #include "index/persist.h"
 
-#include <cstdio>
 #include <string>
 #include <utility>
 
-#include "index/shard.h"
 #include "util/crc32.h"
-#include "util/failpoint.h"
 #include "util/serial.h"
 
 namespace classminer::index {
 namespace {
 
-constexpr uint32_t kMagic = 0x42444d43;  // "CMDB"
+constexpr uint32_t kMagic = internal::kLegacyDatabaseMagic;
 // v1: no per-video degraded flag. v2: one u8 degraded flag per video.
 // v3: every video entry framed as (kEntryMagic, body size, CRC-32, body).
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kEntryMagic = 0x45564d43;     // "CMVE"
-constexpr uint32_t kManifestMagic = 0x4d474d43;  // "CMGM"
+constexpr uint32_t kEntryMagic = internal::kEntryFrameMagic;
 
 uint32_t ReadU32LE(const uint8_t* p) {
   uint32_t v = 0;
@@ -482,209 +478,6 @@ util::StatusOr<VideoDatabase> ParseDatabaseSalvage(
   }
   report->items_recovered += db.video_count();
   return db;
-}
-
-std::string DatabaseBackupPath(const std::string& path) {
-  return path + ".prev";
-}
-
-std::string DatabaseManifestPath(const std::string& path) {
-  return path + ".manifest";
-}
-
-std::vector<uint8_t> SerializeManifest(const DatabaseManifest& manifest) {
-  util::ByteWriter w;
-  w.PutU32(kManifestMagic);
-  w.PutU64(manifest.generation);
-  w.PutU64(manifest.size);
-  w.PutU32(manifest.crc);
-  return w.Release();
-}
-
-util::StatusOr<DatabaseManifest> ParseManifest(
-    const std::vector<uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  r.set_section("manifest");
-  util::StatusOr<uint32_t> magic = r.GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kManifestMagic) return r.Corrupt("bad CMGM magic");
-  DatabaseManifest m;
-  util::StatusOr<uint64_t> generation = r.GetU64();
-  if (!generation.ok()) return generation.status();
-  m.generation = *generation;
-  util::StatusOr<uint64_t> size = r.GetU64();
-  if (!size.ok()) return size.status();
-  m.size = *size;
-  util::StatusOr<uint32_t> crc = r.GetU32();
-  if (!crc.ok()) return crc.status();
-  m.crc = *crc;
-  return m;
-}
-
-util::StatusOr<DatabaseManifest> LoadManifest(const std::string& path) {
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseManifest(*bytes);
-}
-
-util::Status SaveDatabase(const VideoDatabase& db, const std::string& path) {
-  CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.save"));
-  if (IsShardedDatabasePath(path)) {
-    // A sharded library stays sharded across full rewrites (repair relies
-    // on this): partition the entries over the existing shard count.
-    util::StatusOr<int> shards = ShardedDatabaseShardCount(path);
-    if (!shards.ok()) return shards.status();
-    return SaveShardedDatabase(db, path, *shards);
-  }
-  CLASSMINER_RETURN_IF_ERROR(ValidateForSerialize(db));
-  const std::vector<uint8_t> bytes = SerializeDatabase(db);
-
-  DatabaseManifest manifest;
-  util::StatusOr<DatabaseManifest> previous =
-      LoadManifest(DatabaseManifestPath(path));
-  manifest.generation = previous.ok() ? previous->generation + 1 : 1;
-  manifest.size = bytes.size();
-  manifest.crc = util::Crc32(bytes);
-
-  util::AtomicWriteOptions options;
-  options.backup_path = DatabaseBackupPath(path);
-  CLASSMINER_RETURN_IF_ERROR(util::AtomicWriteFile(path, bytes, options));
-  // The manifest is written after the data: a crash between the two leaves
-  // a manifest describing the previous generation, which loads treat as
-  // "save was interrupted" (advisory), never as corruption of the data.
-  return util::AtomicWriteFile(DatabaseManifestPath(path),
-                               SerializeManifest(manifest));
-}
-
-util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path) {
-  CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.load"));
-  if (IsShardedDatabasePath(path)) return LoadShardedDatabase(path);
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseDatabase(*bytes);
-}
-
-util::StatusOr<VideoDatabase> LoadDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report) {
-  CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("index.persist.load"));
-  if (IsShardedDatabasePath(path)) {
-    return LoadShardedDatabaseSalvage(path, report, nullptr, nullptr);
-  }
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) return bytes.status();
-  return ParseDatabaseSalvage(*bytes, report);
-}
-
-util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
-    const std::string& path, util::SalvageReport* report) {
-  util::SalvageReport local;
-  if (report == nullptr) report = &local;
-  if (IsShardedDatabasePath(path)) {
-    // Sharded tier: shards fall back / salvage individually inside Open
-    // (read-write, so torn tails are truncated back to the last confirmed
-    // frame); the flags aggregate "any shard fell back / was salvaged".
-    ShardedDatabase::OpenReport shards;
-    util::StatusOr<std::unique_ptr<ShardedDatabase>> sdb =
-        ShardedDatabase::Open(path, report, &shards, /*read_only=*/false);
-    if (!sdb.ok()) return sdb.status();
-    return OpenResult{(*sdb)->Snapshot(), path, shards.any_backup(),
-                      shards.any_salvaged() || shards.any_lost()};
-  }
-  const std::string backup = DatabaseBackupPath(path);
-
-  util::StatusOr<VideoDatabase> current = LoadDatabase(path);
-  if (current.ok()) {
-    return OpenResult{std::move(current).value(), path, false, false};
-  }
-  report->AddNote("open: " + current.status().message());
-
-  util::StatusOr<VideoDatabase> previous = LoadDatabase(backup);
-  if (previous.ok()) {
-    report->AddNote("open: fell back to previous generation " + backup);
-    return OpenResult{std::move(previous).value(), backup, true, false};
-  }
-  if (previous.status().code() != util::StatusCode::kNotFound) {
-    report->AddNote("open: " + previous.status().message());
-  }
-
-  util::StatusOr<VideoDatabase> salvaged = LoadDatabaseSalvage(path, report);
-  if (salvaged.ok()) {
-    report->AddNote("open: salvaged current generation " + path);
-    return OpenResult{std::move(salvaged).value(), path, false, true};
-  }
-
-  util::StatusOr<VideoDatabase> salvaged_prev =
-      LoadDatabaseSalvage(backup, report);
-  if (salvaged_prev.ok()) {
-    report->AddNote("open: salvaged previous generation " + backup);
-    return OpenResult{std::move(salvaged_prev).value(), backup, true, true};
-  }
-
-  return util::Status::DataLoss("no loadable generation of " + path +
-                                " (tried strict and salvage on current and "
-                                "previous)");
-}
-
-std::string VerifyReport::ToString() const {
-  std::string s = loadable ? "loadable" : "unloadable";
-  if (sharded) s += " sharded shards=" + std::to_string(shards);
-  s += " videos=" + std::to_string(videos);
-  s += " degraded=" + std::to_string(degraded_videos);
-  if (manifest_present) {
-    s += " generation=" + std::to_string(generation);
-    if (manifest_matches) {
-      s += " manifest=ok";
-    } else {
-      s += " manifest=stale";
-      if (!stale_detail.empty()) s += "(" + stale_detail + ")";
-    }
-  } else {
-    s += " manifest=absent";
-  }
-  if (!error.empty()) s += " error=\"" + error + "\"";
-  return s;
-}
-
-VerifyReport VerifyDatabaseFile(const std::string& path) {
-  VerifyReport report;
-  if (IsShardedDatabasePath(path)) {
-    VerifyShardedDatabaseFile(path, &report);
-    return report;
-  }
-  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
-  if (!bytes.ok()) {
-    report.error = bytes.status().message();
-    return report;
-  }
-  util::StatusOr<VideoDatabase> db = ParseDatabase(*bytes);
-  if (!db.ok()) {
-    report.error = db.status().message();
-  } else {
-    report.loadable = true;
-    report.videos = db->video_count();
-    report.degraded_videos = db->DegradedCount();
-  }
-  util::StatusOr<DatabaseManifest> manifest =
-      LoadManifest(DatabaseManifestPath(path));
-  if (manifest.ok()) {
-    report.manifest_present = true;
-    report.generation = manifest->generation;
-    const uint32_t file_crc = util::Crc32(*bytes);
-    report.manifest_matches =
-        manifest->size == bytes->size() && manifest->crc == file_crc;
-    if (!report.manifest_matches) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "manifest generation %llu records size=%llu crc=%08x; "
-                    "file has size=%llu crc=%08x",
-                    static_cast<unsigned long long>(manifest->generation),
-                    static_cast<unsigned long long>(manifest->size),
-                    manifest->crc,
-                    static_cast<unsigned long long>(bytes->size()), file_crc);
-      report.stale_detail = buf;
-    }
-  }
-  return report;
 }
 
 }  // namespace classminer::index

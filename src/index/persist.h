@@ -12,39 +12,29 @@
 
 namespace classminer::index {
 
-// Binary persistence of the mined database (features + structure + events;
-// raw media stays in CMV containers). Format "CMDB":
+// Entry codec of the mined database (features + structure + events; raw
+// media stays in CMV containers), plus the legacy whole-file "CMDB" codec.
+//
+// The on-disk library is the CMSL shard tier (index/shard.h); its upsert
+// records are the framed entries below. CMDB is the older monolithic
+// format, kept only as a read-only import:
 //   v1  bodies written back to back, no per-video degraded flag
 //   v2  appends a per-video degraded flag to each body
 //   v3  frames every video entry as (entry magic "CMVE", body size u32,
 //       CRC-32 u32, body) so a bit-flip is detected at the entry that took
 //       it and a salvage parse can resynchronise onto the next
 //       checksum-confirmed entry after a tear
-// Writers always emit v3; v1/v2 files still load.
-//
-// On disk a database is up to three files managed as atomic generations:
-//   <path>        the current generation (written via util::AtomicWriteFile)
-//   <path>.prev   the previous generation, rotated aside durably before the
-//                 current one is renamed into place
-//   <path>.manifest  advisory "CMGM" record of the current generation
-//                 (counter, size, CRC-32); written after the data, so a
-//                 mismatch means "a save was interrupted", not corruption
-// A crash at any point of SaveDatabase leaves at least one loadable
-// generation; OpenDatabaseAnyGeneration finds it.
-//
-// A database may instead live as a sharded append-log tier (root file
-// carries the "CMSM" shard-manifest magic; entries hash-partitioned across
-// `<path>.shard<k>` logs — see index/shard.h). SaveDatabase, LoadDatabase,
-// LoadDatabaseSalvage, OpenDatabaseAnyGeneration and VerifyDatabaseFile all
-// dispatch on the root magic, so callers (repair, server ops, the scrubber)
-// work unchanged against either layout.
+// OpenDatabaseAnyGeneration (index/shard.h) is the one place that parses a
+// CMDB root; the next rewrite of that path migrates it to a 1-shard CMSL
+// library. SerializeDatabase emits v3 bytes, which no library path writes
+// to disk: it measures entry sizes and builds legacy fixtures.
 
 // Serializability guard: every count SerializeDatabase writes behind a u32
 // length prefix (video count, per-entry shot/group/scene/cluster/event
 // counts, string lengths) and every framed entry body size must fit 32
 // bits, or the narrowing cast would silently truncate it into a
 // corrupt-but-checksum-valid file. Returns kInvalidArgument naming the
-// offending entry and field; SaveDatabase checks it before serializing.
+// offending entry and field; SaveDatabase checks it before writing.
 util::Status ValidateForSerialize(const VideoDatabase& db);
 
 std::vector<uint8_t> SerializeDatabase(const VideoDatabase& db);
@@ -61,81 +51,13 @@ util::StatusOr<VideoDatabase> ParseDatabase(const std::vector<uint8_t>& bytes);
 util::StatusOr<VideoDatabase> ParseDatabaseSalvage(
     const std::vector<uint8_t>& bytes, util::SalvageReport* report);
 
-// Derived on-disk companions of a database at `path`.
-std::string DatabaseBackupPath(const std::string& path);    // <path>.prev
-std::string DatabaseManifestPath(const std::string& path);  // <path>.manifest
-
-// Advisory description of the current generation, stored next to the
-// database ("CMGM": generation counter, byte size, CRC-32 of the file).
-struct DatabaseManifest {
-  uint64_t generation = 0;
-  uint64_t size = 0;
-  uint32_t crc = 0;
-};
-
-std::vector<uint8_t> SerializeManifest(const DatabaseManifest& manifest);
-util::StatusOr<DatabaseManifest> ParseManifest(
-    const std::vector<uint8_t>& bytes);
-util::StatusOr<DatabaseManifest> LoadManifest(const std::string& path);
-
-// SaveDatabase writes the new generation crash-consistently: the previous
-// file survives at DatabaseBackupPath(path) and the bytes go through
-// util::AtomicWriteFile (sites "serial.atomic_write.*"), then the manifest
-// is refreshed. Honours fail point "index.persist.save" (before the write)
-// and retries transient file-system failures.
-util::Status SaveDatabase(const VideoDatabase& db, const std::string& path);
-// LoadDatabase honours fail point "index.persist.load" (before the read).
-util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path);
-util::StatusOr<VideoDatabase> LoadDatabaseSalvage(const std::string& path,
-                                                  util::SalvageReport* report);
-
-// How OpenDatabaseAnyGeneration satisfied the open.
-struct OpenResult {
-  VideoDatabase db;
-  std::string source_path;   // the file that actually loaded
-  bool used_backup = false;  // came from the .prev generation
-  bool salvaged = false;     // needed a best-effort parse
-};
-
-// Opens whichever generation of `path` is loadable, preferring completeness
-// over recency: strict current → strict previous → salvage current →
-// salvage previous. Fails only when no generation yields a database.
-// Fallback steps taken are noted in `report` (nullptr to discard).
-util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
-    const std::string& path, util::SalvageReport* report);
-
-// Integrity audit of one database file (strict parse + manifest check).
-struct VerifyReport {
-  bool loadable = false;          // strict parse succeeded
-  int videos = 0;
-  int degraded_videos = 0;        // entries still flagged degraded
-  bool manifest_present = false;
-  bool manifest_matches = false;  // size + CRC match the file bytes
-  uint64_t generation = 0;        // from the manifest, when present
-  bool sharded = false;           // root file is a CMSM shard manifest
-  int shards = 0;                 // shard count, when sharded
-  // When the manifest is stale, names exactly which generation it still
-  // describes versus what is on disk (monolithic: recorded size/CRC against
-  // the file's; sharded: each shard whose log generation disagrees with the
-  // manifest) — so "manifest=stale" is actionable, not just clean()==false.
-  std::string stale_detail;
-  std::string error;              // first integrity failure, empty if none
-
-  // True when the file is pristine: strictly loadable, no degraded
-  // entries, and the manifest (if present) describes exactly these bytes.
-  bool clean() const {
-    return loadable && degraded_videos == 0 &&
-           (!manifest_present || manifest_matches);
-  }
-  std::string ToString() const;
-};
-
-VerifyReport VerifyDatabaseFile(const std::string& path);
-
 namespace internal {
 
-// The v3 entry-frame magic "CMVE". The sharded append-log tier reuses the
-// exact monolithic frame layout for its upsert records.
+// The magic that opens a legacy CMDB file, "CMDB".
+inline constexpr uint32_t kLegacyDatabaseMagic = 0x42444d43;
+
+// The entry-frame magic "CMVE": a shard log's upsert record, and the
+// framing of every entry in a CMDB v3 file.
 inline constexpr uint32_t kEntryFrameMagic = 0x45564d43;
 
 // Serializes one framed v3 entry (magic, body size u32, CRC-32 u32, body).

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "index/shard.h"
+
 namespace classminer::index {
 
 std::string RepairReport::ToString() const {
@@ -50,9 +52,10 @@ util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
 
   RepairReport report = RepairDatabase(&opened->db, remine);
   // Rewrite when an entry was healed, and also when the open itself had to
-  // recover (backup generation or salvage): saving then promotes the
-  // recovered state to a pristine current generation + manifest.
-  if (report.repaired > 0 || opened->used_backup || opened->salvaged) {
+  // recover (backup generation, salvage, or a legacy CMDB root): saving
+  // then promotes the recovered state to a pristine library.
+  if (report.repaired > 0 || opened->used_backup || opened->salvaged ||
+      opened->legacy) {
     CLASSMINER_RETURN_IF_ERROR(SaveDatabase(opened->db, path));
     report.rewritten = true;
   }

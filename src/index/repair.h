@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "index/database.h"
-#include "index/persist.h"
 #include "util/salvage.h"
 #include "util/status.h"
 
@@ -44,12 +43,12 @@ struct RepairReport {
 // report's notes; healthy entries are untouched.
 RepairReport RepairDatabase(VideoDatabase* db, const RemineFn& remine);
 
-// File-level repair: opens whichever generation of `path` loads (see
+// File-level repair: opens whatever of `path` loads (see
 // OpenDatabaseAnyGeneration), runs the in-memory pass, and saves a fresh
 // generation when anything changed — an entry repaired, or the open needed
-// the backup / a salvage parse (rewriting then restores a pristine,
-// fully-checksummed current generation). Fallback and salvage details land
-// in *salvage (nullptr to discard).
+// a backup, a salvage parse or the legacy CMDB reader (rewriting then
+// restores a pristine library; a CMDB root becomes a 1-shard CMSL library).
+// Fallback and salvage details land in *salvage (nullptr to discard).
 util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
                                                 const RemineFn& remine,
                                                 util::SalvageReport* salvage);

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "index/persist.h"
 #include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/serial.h"
@@ -22,7 +23,6 @@ namespace {
 constexpr uint32_t kShardManifestMagic = 0x4d534d43;  // "CMSM"
 constexpr uint32_t kShardLogMagic = 0x4c534d43;       // "CMSL"
 constexpr uint32_t kTombstoneMagic = 0x54564d43;      // "CMVT"
-constexpr uint32_t kCmdbMagic = 0x42444d43;           // "CMDB"
 constexpr uint32_t kManifestVersion = 1;
 constexpr uint32_t kLogVersion = 1;
 constexpr int kMaxShards = 4096;
@@ -210,7 +210,7 @@ util::StatusOr<ShardLogContents> ParseShardLog(
 
 // True when a complete, checksum-confirmed record frame (entry or
 // tombstone) starts at `pos` — the salvage scanner's resynchronisation
-// probe, same 2^-32 false-positive bound as the monolithic entry scan.
+// probe, same 2^-32 false-positive bound as the CMDB v3 entry scan.
 bool ConfirmedFrameAt(const uint8_t* data, size_t size, size_t pos) {
   if (pos + 12 > size) return false;
   const uint32_t magic = ReadU32LE(data + pos);
@@ -323,16 +323,16 @@ struct Replay {
 // ("index.shard.compact.{write,fsync,rename}"). A crash at any step leaves
 // the old generation reachable (directly or at .prev) or the new one
 // complete — never a torn log.
-util::Status WriteShardGenerationFile(const std::string& root, int shard,
-                                      int shard_count, uint64_t generation,
-                                      const std::vector<VideoEntry>& entries) {
+util::Status WriteShardGenerationFile(
+    const std::string& root, int shard, int shard_count, uint64_t generation,
+    const std::vector<const VideoEntry*>& entries) {
   CLASSMINER_RETURN_IF_ERROR(
       util::FailPoint::Check("index.shard.compact.write"));
   util::ByteWriter w;
   PutLogHeader(&w, static_cast<uint32_t>(shard),
                static_cast<uint32_t>(shard_count), generation);
-  for (const VideoEntry& entry : entries) {
-    internal::PutFramedEntry(&w, entry);
+  for (const VideoEntry* entry : entries) {
+    internal::PutFramedEntry(&w, *entry);
   }
 
   const std::string cur = ShardPath(root, shard);
@@ -487,26 +487,11 @@ util::StatusOr<ShardManifest> ParseShardManifest(
   return m;
 }
 
-bool IsShardedDatabasePath(const std::string& path) {
-  FILE* f = fopen(path.c_str(), "rb");
-  if (f != nullptr) {
-    uint8_t buf[4];
-    const size_t n = fread(buf, 1, sizeof(buf), f);
-    fclose(f);
-    if (n == sizeof(buf)) {
-      const uint32_t magic = ReadU32LE(buf);
-      if (magic == kShardManifestMagic) return true;
-      if (magic == kCmdbMagic) return false;
-    }
-  }
-  // Damaged or missing root: a shard-0 log next to it still identifies the
-  // layout, so a corrupt manifest degrades into reconstruction instead of
-  // being misread as a broken monolithic file.
-  return FileExists(ShardPath(path, 0)) ||
-         FileExists(ShardBackupPath(path, 0));
-}
+namespace {
 
-util::StatusOr<int> ShardedDatabaseShardCount(const std::string& path) {
+// Shard count of an existing library, from the manifest or (when the
+// manifest is unreadable) from a shard-0 log header.
+util::StatusOr<int> ShardCountOf(const std::string& path) {
   util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
   if (bytes.ok()) {
     util::StatusOr<ShardManifest> m = ParseShardManifest(*bytes);
@@ -520,6 +505,20 @@ util::StatusOr<int> ShardedDatabaseShardCount(const std::string& path) {
   return util::Status::DataLoss("cannot determine shard count of " + path +
                                 " (no loadable manifest or shard log header)");
 }
+
+// A legacy CMDB file at the root is a read-only import, not a library.
+bool IsLegacyRoot(const std::vector<uint8_t>& root) {
+  return root.size() >= 4 &&
+         ReadU32LE(root.data()) == internal::kLegacyDatabaseMagic;
+}
+
+util::Status LegacyRootError(const std::string& path) {
+  return util::Status::FailedPrecondition(
+      path + " is a legacy CMDB file, not a CMSL library; run "
+             "`classminer repair " + path + "` to migrate it");
+}
+
+}  // namespace
 
 // -------------------------------------------------------------------------
 // ShardedDatabase.
@@ -619,8 +618,11 @@ VideoDatabase ShardedDatabase::Snapshot() const {
 }
 
 util::Status ShardedDatabase::SelfHealLocked(ShardState& s, int shard) {
+  std::vector<const VideoEntry*> live;
+  live.reserve(s.view.live.size());
+  for (const VideoEntry& entry : s.view.live) live.push_back(&entry);
   CLASSMINER_RETURN_IF_ERROR(WriteShardGenerationFile(
-      path_, shard, shard_count_, s.generation + 1, s.view.live));
+      path_, shard, shard_count_, s.generation + 1, live));
   s.generation += 1;
   s.records = s.view.live.size();
   s.view.tombstones = 0;
@@ -825,9 +827,8 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Create(
         "refusing to overwrite existing file at " + path +
         " (delete it or pick a new path)");
   }
-  VideoDatabase empty;
   CLASSMINER_RETURN_IF_ERROR(
-      SaveShardedDatabase(empty, path, options.shard_count));
+      SaveDatabase(VideoDatabase(), path, options.shard_count));
   util::StatusOr<std::unique_ptr<ShardedDatabase>> db = Open(path);
   if (db.ok()) (*db)->sync_appends_ = options.sync_appends;
   return db;
@@ -844,6 +845,7 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   {
     util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
     if (bytes.ok()) {
+      if (IsLegacyRoot(*bytes)) return LegacyRootError(path);
       util::StatusOr<ShardManifest> m = ParseShardManifest(*bytes);
       if (m.ok()) {
         manifest = *m;
@@ -858,7 +860,7 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   if (!manifest_ok) {
     // The manifest is advisory: shard count lives redundantly in every log
     // header, so a damaged root reconstructs instead of failing the open.
-    util::StatusOr<int> count = ShardedDatabaseShardCount(path);
+    util::StatusOr<int> count = ShardCountOf(path);
     if (!count.ok()) {
       return util::Status::DataLoss(
           "no loadable shard manifest or shard logs at " + path);
@@ -1035,8 +1037,8 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
 // -------------------------------------------------------------------------
 // File-level helpers.
 
-util::Status SaveShardedDatabase(const VideoDatabase& db,
-                                 const std::string& path, int shard_count) {
+util::Status SaveDatabase(const VideoDatabase& db, const std::string& path,
+                          int shard_count) {
   if (shard_count < 1 || shard_count > kMaxShards) {
     return util::Status::InvalidArgument(
         "shard count must be in [1, " + std::to_string(kMaxShards) +
@@ -1044,11 +1046,11 @@ util::Status SaveShardedDatabase(const VideoDatabase& db,
   }
   CLASSMINER_RETURN_IF_ERROR(ValidateForSerialize(db));
 
-  std::vector<std::vector<VideoEntry>> parts(
+  std::vector<std::vector<const VideoEntry*>> parts(
       static_cast<size_t>(shard_count));
   for (int i = 0; i < db.video_count(); ++i) {
     const VideoEntry& v = db.video(i);
-    parts[static_cast<size_t>(ShardOfName(v.name, shard_count))].push_back(v);
+    parts[static_cast<size_t>(ShardOfName(v.name, shard_count))].push_back(&v);
   }
 
   // Advance every shard one generation past whatever the old manifest
@@ -1084,7 +1086,12 @@ util::Status SaveShardedDatabase(const VideoDatabase& db,
   return util::AtomicWriteFile(path, SerializeShardManifest(manifest));
 }
 
-util::StatusOr<VideoDatabase> LoadShardedDatabase(const std::string& path) {
+util::Status SaveDatabase(const VideoDatabase& db, const std::string& path) {
+  const util::StatusOr<int> shards = ShardCountOf(path);
+  return SaveDatabase(db, path, shards.ok() ? *shards : 1);
+}
+
+util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path) {
   util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
   if (!bytes.ok()) return bytes.status();
   util::StatusOr<ShardManifest> manifest = ParseShardManifest(*bytes);
@@ -1128,26 +1135,45 @@ util::StatusOr<VideoDatabase> LoadShardedDatabase(const std::string& path) {
   return db;
 }
 
-util::StatusOr<VideoDatabase> LoadShardedDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report, bool* used_backup,
-    bool* salvaged) {
-  ShardedDatabase::OpenReport open_report;
-  util::StatusOr<std::unique_ptr<ShardedDatabase>> db =
-      ShardedDatabase::Open(path, report, &open_report, /*read_only=*/true);
-  if (!db.ok()) return db.status();
-  if (used_backup != nullptr) *used_backup = open_report.any_backup();
-  if (salvaged != nullptr) {
-    *salvaged = open_report.any_salvaged() || open_report.any_lost();
+util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
+    const std::string& path, util::SalvageReport* report) {
+  util::SalvageReport local;
+  if (report == nullptr) report = &local;
+  util::StatusOr<std::vector<uint8_t>> root = util::ReadFile(path);
+  if (root.ok() && IsLegacyRoot(*root)) {
+    // The one reader of the legacy format. The result is flagged, so the
+    // caller's rewrite (repair) migrates the path; the CMSM root replaces
+    // the CMDB file only after the shard logs are durable.
+    OpenResult out;
+    out.legacy = true;
+    util::StatusOr<VideoDatabase> db = ParseDatabase(*root);
+    if (!db.ok()) {
+      report->AddNote("legacy CMDB: " + db.status().message());
+      db = ParseDatabaseSalvage(*root, report);
+      if (!db.ok()) return db.status();
+      out.salvaged = true;
+    }
+    report->AddNote("open: read legacy CMDB root " + path +
+                    "; a rewrite migrates it to a 1-shard library");
+    out.db = std::move(*db);
+    return out;
   }
-  return (*db)->Snapshot();
+  // Shards fall back / salvage individually inside Open (read-write, so
+  // torn tails are truncated back to the last confirmed frame); the flags
+  // aggregate "any shard fell back / was salvaged".
+  ShardedDatabase::OpenReport shards;
+  util::StatusOr<std::unique_ptr<ShardedDatabase>> sdb =
+      ShardedDatabase::Open(path, report, &shards, /*read_only=*/false);
+  if (!sdb.ok()) return sdb.status();
+  OpenResult out;
+  out.db = (*sdb)->Snapshot();
+  out.used_backup = shards.any_backup();
+  out.salvaged = shards.any_salvaged() || shards.any_lost();
+  return out;
 }
 
 util::StatusOr<std::vector<ShardedDatabase::CompactionReport>>
 CompactDatabaseFile(const std::string& path, int shard, bool force) {
-  if (!IsShardedDatabasePath(path)) {
-    return util::Status::InvalidArgument(
-        path + " is not a sharded database (nothing to compact)");
-  }
   util::SalvageReport report;
   util::StatusOr<std::unique_ptr<ShardedDatabase>> db =
       ShardedDatabase::Open(path, &report);
@@ -1161,23 +1187,44 @@ CompactDatabaseFile(const std::string& path, int shard, bool force) {
   return (*db)->CompactAll(force);
 }
 
-void VerifyShardedDatabaseFile(const std::string& path, VerifyReport* report) {
-  report->sharded = true;
+std::string VerifyReport::ToString() const {
+  std::string s = loadable ? "loadable" : "unloadable";
+  if (shards > 0) s += " shards=" + std::to_string(shards);
+  s += " videos=" + std::to_string(videos);
+  s += " degraded=" + std::to_string(degraded_videos);
+  if (shards > 0) {
+    s += " generation=" + std::to_string(generation);
+    if (manifest_matches) {
+      s += " manifest=ok";
+    } else {
+      s += " manifest=stale";
+      if (!stale_detail.empty()) s += "(" + stale_detail + ")";
+    }
+  }
+  if (!error.empty()) s += " error=\"" + error + "\"";
+  return s;
+}
+
+VerifyReport VerifyDatabaseFile(const std::string& path) {
+  VerifyReport report;
   util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
   if (!bytes.ok()) {
-    report->error = bytes.status().message();
-    return;
+    report.error = bytes.status().message();
+    return report;
+  }
+  if (IsLegacyRoot(*bytes)) {
+    report.error = LegacyRootError(path).message();
+    return report;
   }
   util::StatusOr<ShardManifest> manifest = ParseShardManifest(*bytes);
   if (!manifest.ok()) {
-    report->error = manifest.status().message();
-    return;
+    report.error = manifest.status().message();
+    return report;
   }
-  report->manifest_present = true;
-  report->manifest_matches = true;
-  report->generation = manifest->epoch;
-  report->shards = static_cast<int>(manifest->shard_count);
-  const int count = report->shards;
+  report.manifest_matches = true;
+  report.generation = manifest->epoch;
+  report.shards = static_cast<int>(manifest->shard_count);
+  const int count = report.shards;
 
   struct ShardCheck {
     util::Status status = util::Status::Ok();
@@ -1215,30 +1262,31 @@ void VerifyShardedDatabaseFile(const std::string& path, VerifyReport* report) {
     }
   });
 
-  report->loadable = true;
+  report.loadable = true;
   for (int k = 0; k < count; ++k) {
     const ShardCheck& check = checks[static_cast<size_t>(k)];
     if (!check.status.ok()) {
-      report->loadable = false;
-      if (report->error.empty()) {
-        report->error =
+      report.loadable = false;
+      if (report.error.empty()) {
+        report.error =
             "shard " + std::to_string(k) + ": " + check.status.message();
       }
       continue;
     }
-    report->videos += check.live;
-    report->degraded_videos += check.degraded;
+    report.videos += check.live;
+    report.degraded_videos += check.degraded;
     const uint64_t expected =
         manifest->shards[static_cast<size_t>(k)].generation;
     if (check.generation != expected) {
-      report->manifest_matches = false;
-      if (!report->stale_detail.empty()) report->stale_detail += "; ";
-      report->stale_detail += "shard " + std::to_string(k) +
-                              " log generation " +
-                              std::to_string(check.generation) +
-                              ", manifest records " + std::to_string(expected);
+      report.manifest_matches = false;
+      if (!report.stale_detail.empty()) report.stale_detail += "; ";
+      report.stale_detail += "shard " + std::to_string(k) +
+                             " log generation " +
+                             std::to_string(check.generation) +
+                             ", manifest records " + std::to_string(expected);
     }
   }
+  return report;
 }
 
 }  // namespace classminer::index

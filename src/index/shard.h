@@ -9,19 +9,19 @@
 #include <vector>
 
 #include "index/database.h"
-#include "index/persist.h"
 #include "util/salvage.h"
 #include "util/status.h"
 
 namespace classminer::index {
 
 // ---------------------------------------------------------------------------
-// Sharded append-log database tier.
+// The library: a sharded append-log database, the one on-disk format the
+// code writes.
 //
-// A monolithic CMDB rewrites the whole file per save, so one upsert into a
-// 100k-video library costs O(library). This tier hash-partitions entries
-// across N shard logs (the paper's leaf hash-table indexing, Fig. 2) so an
-// upsert appends O(entry) to exactly one log.
+// Entries are hash-partitioned across N shard logs (the paper's leaf
+// hash-table indexing, Fig. 2), so an upsert appends O(entry) to exactly
+// one log instead of rewriting the library. N is fixed when the library is
+// written; `classminer index` defaults to N = 1.
 //
 // On disk:
 //   <path>              shard manifest "CMSM": version u32, shard count u32,
@@ -33,13 +33,12 @@ namespace classminer::index {
 //   <path>.shard<k>     append-only log: header "CMSL" (version u32, shard
 //                       index u32, shard count u32, generation u64)
 //                       followed by self-delimiting CRC'd records — an
-//                       upsert is exactly a monolithic v3 "CMVE" entry
-//                       frame; a delete is a "CMVT" tombstone frame whose
-//                       body is the entry name. Later records supersede
-//                       earlier ones.
+//                       upsert is exactly a v3 "CMVE" entry frame (see
+//                       index/persist.h); a delete is a "CMVT" tombstone
+//                       frame whose body is the entry name. Later records
+//                       supersede earlier ones.
 //   <path>.shard<k>.prev  the previous generation of that shard, rotated
-//                       aside by compaction exactly like the monolithic
-//                       two-generation machinery.
+//                       aside when a new generation is written.
 //
 // Replay: a shard's live state is the last record per name, tombstones
 // erasing. Superseded records + tombstones are "dead" bytes; compaction
@@ -47,9 +46,12 @@ namespace classminer::index {
 // entry) with the crash ordering: stage tmp → fsync → rotate current to
 // .prev → rename tmp into place → rewrite the manifest. A crash at any
 // point (fail-point sites "index.shard.compact.{write,fsync,rename,
-// manifest}") leaves either the old generation (directly or via .prev
-// fallback) or the new one — the manifest is refreshed last, so at worst it
-// is stale, which verify reports as advisory staleness naming the shard.
+// manifest}", then "serial.atomic_write.*" inside the manifest write)
+// leaves either the old generation (directly or via .prev fallback) or the
+// new one — the manifest is refreshed last, so at worst it is stale, which
+// verify reports as advisory staleness naming the shard. A full save
+// (SaveDatabase) writes every shard this way, so a 1-shard library is
+// replaced whole: old or new, never torn.
 //
 // Appends run under "index.shard.append.{write,fsync}": a frame is written
 // and fsync'ed in one shot; on failure the log is truncated back to the
@@ -61,6 +63,10 @@ namespace classminer::index {
 // Opens parse shards in parallel and degrade per shard: strict current →
 // strict previous → salvage current → salvage previous → (both dead) an
 // empty shard flagged lost. One corrupt shard never takes down the library.
+//
+// A root that holds a legacy CMDB file is not a library: Open refuses it
+// with kFailedPrecondition, verify reports it unclean, and only
+// OpenDatabaseAnyGeneration reads it — so `repair` migrates it.
 // ---------------------------------------------------------------------------
 
 // Derived per-shard file names: "<path>.shard<k>" and its ".prev".
@@ -87,19 +93,10 @@ std::vector<uint8_t> SerializeShardManifest(const ShardManifest& manifest);
 util::StatusOr<ShardManifest> ParseShardManifest(
     const std::vector<uint8_t>& bytes);
 
-// True when `path` names a sharded database: the root file carries the CMSM
-// magic, or (root damaged or missing) a shard-0 log sits next to it. The
-// persist entry points dispatch on this.
-bool IsShardedDatabasePath(const std::string& path);
-
-// Shard count of an existing sharded database, from the manifest or (when
-// the manifest is unreadable) from a shard-0 log header.
-util::StatusOr<int> ShardedDatabaseShardCount(const std::string& path);
-
 class ShardedDatabase {
  public:
   struct Options {
-    int shard_count = 8;       // used by Create / full saves
+    int shard_count = 8;       // used by Create
     bool sync_appends = true;  // fsync the shard log after every append
   };
 
@@ -132,7 +129,8 @@ class ShardedDatabase {
       const std::string& path, const Options& options);
 
   // Opens an existing sharded database, parsing shards in parallel with
-  // per-shard fallback (see file comment). Fallbacks and salvage decisions
+  // per-shard fallback (see file comment). A legacy CMDB root fails with
+  // kFailedPrecondition (run `classminer repair` to migrate it). Fallbacks and salvage decisions
   // land in `report`; per-shard outcomes in `open_report` (both optional).
   // Read-write opens (`read_only == false`) truncate torn shard tails back
   // to the last checksum-confirmed frame so subsequent appends extend a
@@ -191,23 +189,35 @@ class ShardedDatabase {
   std::unique_ptr<std::atomic<uint64_t>> epoch_;
 };
 
-// Full rewrite of a sharded database from `db` (every shard advances one
-// generation through the staged compaction path, then the manifest). Used
-// by SaveDatabase dispatch, repair promotion, and bulk loads; `shard_count`
-// must be >= 1.
-util::Status SaveShardedDatabase(const VideoDatabase& db,
-                                 const std::string& path, int shard_count);
+// Full rewrite of the library at `path` from `db`: every shard advances
+// one generation through the staged compaction path, then the manifest is
+// rewritten last. `shard_count` must be in [1, 4096]; the two-argument form
+// keeps the existing library's shard count (1 for a fresh path or a legacy
+// CMDB root). Used by `classminer index`, repair promotion and Create.
+util::Status SaveDatabase(const VideoDatabase& db, const std::string& path,
+                          int shard_count);
+util::Status SaveDatabase(const VideoDatabase& db, const std::string& path);
 
 // Strict load: the manifest and every shard log must parse cleanly
 // (generation staleness stays advisory). Parses shards in parallel.
-util::StatusOr<VideoDatabase> LoadShardedDatabase(const std::string& path);
+util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path);
 
-// Best-effort load via a read-only ShardedDatabase::Open (no file is
-// modified). `used_backup` / `salvaged` (optional) report whether any shard
-// fell back or needed salvage.
-util::StatusOr<VideoDatabase> LoadShardedDatabaseSalvage(
-    const std::string& path, util::SalvageReport* report, bool* used_backup,
-    bool* salvaged);
+// How OpenDatabaseAnyGeneration satisfied the open.
+struct OpenResult {
+  VideoDatabase db;
+  bool used_backup = false;  // some shard came from its .prev generation
+  bool salvaged = false;     // some shard (or the CMDB file) needed salvage,
+                             // or a shard was lost
+  bool legacy = false;       // read from a legacy CMDB root
+};
+
+// Opens whatever of `path` loads. A library opens read-write through
+// ShardedDatabase::Open (torn tails truncated, per-shard fallback and
+// salvage). A legacy CMDB root is parsed strictly, then by salvage, and
+// flagged `legacy`. Fallback steps taken are noted in `report` (nullptr to
+// discard).
+util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
+    const std::string& path, util::SalvageReport* report);
 
 // Open-compact-close convenience for the scrubber, server ops and the CLI:
 // compacts shard `shard` (-1 = every shard with dead records). Returns the
@@ -216,10 +226,32 @@ util::StatusOr<std::vector<ShardedDatabase::CompactionReport>>
 CompactDatabaseFile(const std::string& path, int shard = -1,
                     bool force = false);
 
-// Fills `report` for a sharded database: strict per-shard parse (aggregate
-// live/degraded counts), manifest presence, and generation staleness with
-// per-shard diagnostics in report->stale_detail. Never modifies any file.
-void VerifyShardedDatabaseFile(const std::string& path, VerifyReport* report);
+// Integrity audit of one library.
+struct VerifyReport {
+  bool loadable = false;          // manifest and every shard parse strictly
+  int videos = 0;
+  int degraded_videos = 0;        // entries still flagged degraded
+  int shards = 0;                 // shard count, once the manifest parses
+  bool manifest_matches = false;  // every shard's generation is recorded
+  uint64_t generation = 0;        // manifest epoch
+  // When the manifest is stale, names each shard whose log generation
+  // disagrees with it — so "manifest=stale" is actionable, not just
+  // clean()==false.
+  std::string stale_detail;
+  std::string error;              // first integrity failure, empty if none
+
+  // True when the library is pristine: strictly loadable, no degraded
+  // entries, and the manifest describes exactly the logs on disk.
+  bool clean() const {
+    return loadable && degraded_videos == 0 && manifest_matches;
+  }
+  std::string ToString() const;
+};
+
+// Strict per-shard parse (aggregate live/degraded counts) plus generation
+// staleness. A legacy CMDB root is reported unloadable, with an error that
+// names `repair`. Never modifies any file.
+VerifyReport VerifyDatabaseFile(const std::string& path);
 
 }  // namespace classminer::index
 

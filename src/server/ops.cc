@@ -12,7 +12,6 @@
 #include "index/concept.h"
 #include "index/database.h"
 #include "index/hier_index.h"
-#include "index/persist.h"
 #include "index/repair.h"
 #include "index/shard.h"
 #include "skim/playback.h"

@@ -125,12 +125,11 @@ OpResult VerifyOp(const std::string& db_path);
 OpResult RepairOp(const std::string& db_path, const OpEnv& env,
                   OpDiagnostics* diag);
 
-// compact <db> [--shard K] [--force]: folds a sharded database's append
-// logs into pristine generations, dropping superseded records and
-// tombstones (shard < 0 = every shard; force folds even shards with no
-// dead records). The report lists each shard's verdict. Monolithic files
-// are refused with kInvalidArgument — compaction is a sharded-tier
-// operation, never a silent whole-file rewrite.
+// compact <db> [--shard K] [--force]: folds the library's append logs into
+// pristine generations, dropping superseded records and tombstones
+// (shard < 0 = every shard; force folds even shards with no dead records).
+// The report lists each shard's verdict. A legacy CMDB file is refused
+// with kFailedPrecondition — `repair` migrates it first.
 OpResult CompactOp(const std::string& db_path, int shard, bool force);
 
 }  // namespace classminer::server

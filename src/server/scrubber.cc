@@ -3,7 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "index/persist.h"
 #include "index/shard.h"
 
 namespace classminer::server {
@@ -95,14 +94,12 @@ void IntegrityScrubber::RunOnce() {
                                          : "database not clean");
   }
 
-  // With the library clean, fold any dead records out of a sharded
-  // database's append logs. Non-forced compaction skips pristine shards, so
-  // a quiet daemon settles into all-skip passes that cost one parallel log
-  // parse each.
+  // With the library clean, fold any dead records out of its append logs.
+  // Non-forced compaction skips pristine shards, so a quiet daemon settles
+  // into all-skip passes that cost one parallel log parse each.
   bool compacted = false, compact_failed = false;
   uint64_t dropped = 0;
-  if (options_.compact_logs && clean &&
-      index::IsShardedDatabasePath(options_.db_path)) {
+  if (options_.compact_logs && clean) {
     const util::StatusOr<
         std::vector<index::ShardedDatabase::CompactionReport>>
         folds = index::CompactDatabaseFile(options_.db_path);

@@ -38,11 +38,11 @@ struct ScrubberOptions {
   // Load probe: true while client work is queued or executing. Polled
   // between yields; null = never busy.
   std::function<bool()> busy;
-  // Also fold a sharded database's append logs after each pass that left
-  // the file clean: dead records (superseded upserts, tombstones) are the
-  // normal exhaust of the append-only tier, and the scrubber is the
+  // Also fold the library's append logs after each pass that left it
+  // clean: dead records (superseded upserts, tombstones) are the normal
+  // exhaust of the append-only tier, and the scrubber is the
   // daemon-resident janitor that keeps them from accumulating. Shards with
-  // nothing dead are skipped; monolithic databases ignore this flag.
+  // nothing dead are skipped.
   bool compact_logs = false;
   // Environment for the repair re-mine (mining options + media dir).
   OpEnv env;

@@ -119,7 +119,7 @@ struct ServerOptions {
   std::string scrub_db_path;
   int scrub_interval_ms = 0;
   int scrub_max_yield_ms = 2000;
-  // Fold dead records out of a sharded scrub database after clean passes
+  // Fold dead records out of the scrub library's logs after clean passes
   // (ScrubberOptions::compact_logs).
   bool scrub_compact = false;
 

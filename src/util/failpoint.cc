@@ -41,8 +41,6 @@ constexpr const char* kKnownSites[] = {
     "core.stage.audio",
     "core.stage.cues",
     "core.stage.events",
-    "index.persist.load",
-    "index.persist.save",
     "index.shard.append.fsync",
     "index.shard.append.write",
     "index.shard.compact.fsync",

@@ -26,7 +26,7 @@ namespace classminer::util {
 //
 // Site naming convention: "<layer>.<component>[.<operation>]", e.g.
 // "serial.read_file", "codec.container.parse", "codec.gop_reader.decode",
-// "index.persist.save", "core.stage.audio". See DESIGN.md ("Failure
+// "index.shard.append.write", "core.stage.audio". See DESIGN.md ("Failure
 // taxonomy & degraded mode") for the catalogue of instrumented sites.
 class FailPoint {
  public:

@@ -177,24 +177,14 @@ int FsyncRetry(int fd) {
   return rc;
 }
 
-// True when a file exists at `path` (stat-free, fopen-based: good enough
-// for deciding whether a previous generation needs rotating aside).
-bool FileExists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-
 // One staged attempt of the atomic write sequence:
-//   stage bytes in `path + ".tmp"` → flush + fsync → [rotate the old file
-//   to options.backup_path] → rename the temp over `path`.
+//   stage bytes in `path + ".tmp"` → flush + fsync → rename the temp over
+//   `path`.
 // Each step is preceded by its fail-point site so crash tests can tear the
 // sequence at any point; any failure unlinks the temp file, leaving the
-// destination (and the rotated backup) exactly as the crash would.
+// destination exactly as the crash would.
 Status AtomicWriteFileOnce(const std::string& path,
-                           const std::vector<uint8_t>& bytes,
-                           const AtomicWriteOptions& options) {
+                           const std::vector<uint8_t>& bytes) {
   const std::string tmp = path + ".tmp";
   Status status = [&]() -> Status {
     CLASSMINER_RETURN_IF_ERROR(
@@ -212,11 +202,6 @@ Status AtomicWriteFileOnce(const std::string& path,
     std::fclose(f);
     CLASSMINER_RETURN_IF_ERROR(synced);
     CLASSMINER_RETURN_IF_ERROR(FailPoint::Check("serial.atomic_write.rename"));
-    if (!options.backup_path.empty() && FileExists(path) &&
-        std::rename(path.c_str(), options.backup_path.c_str()) != 0) {
-      return Status::Unavailable("cannot rotate " + path + " to " +
-                                 options.backup_path);
-    }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
       return Status::Unavailable("cannot rename " + tmp + " to " + path);
     }
@@ -229,7 +214,7 @@ Status AtomicWriteFileOnce(const std::string& path,
 Status WriteFileOnce(const std::string& path,
                      const std::vector<uint8_t>& bytes) {
   CLASSMINER_RETURN_IF_ERROR(FailPoint::Check("serial.write_file"));
-  return AtomicWriteFileOnce(path, bytes, AtomicWriteOptions());
+  return AtomicWriteFileOnce(path, bytes);
 }
 
 StatusOr<std::vector<uint8_t>> ReadFileOnce(const std::string& path) {
@@ -266,10 +251,9 @@ Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 Status AtomicWriteFile(const std::string& path,
-                       const std::vector<uint8_t>& bytes,
-                       const AtomicWriteOptions& options) {
-  return Retry(FileRetryOptions(), [&path, &bytes, &options] {
-    return AtomicWriteFileOnce(path, bytes, options);
+                       const std::vector<uint8_t>& bytes) {
+  return Retry(FileRetryOptions(), [&path, &bytes] {
+    return AtomicWriteFileOnce(path, bytes);
   });
 }
 

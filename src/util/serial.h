@@ -99,15 +99,6 @@ Status CheckU32Count(size_t count, const std::string& what);
 Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes);
 StatusOr<std::vector<uint8_t>> ReadFile(const std::string& path);
 
-struct AtomicWriteOptions {
-  // When non-empty and `path` already exists, the old file is renamed to
-  // this path after the new bytes are durably staged and immediately before
-  // the final rename — the previous generation survives a crash at any
-  // step of the sequence (index persistence uses this for its
-  // `.cmdb.prev` generation).
-  std::string backup_path;
-};
-
 // Crash-consistent whole-file write: the bytes are staged in
 // `path + ".tmp"`, flushed and fsync'ed, then renamed over `path` in one
 // atomic step. A crash (or injected failure) at any point leaves either
@@ -116,8 +107,7 @@ struct AtomicWriteOptions {
 // sites "serial.atomic_write.{tmp_write,fsync,rename}" (one per step) and
 // retries transient failures like WriteFile.
 Status AtomicWriteFile(const std::string& path,
-                       const std::vector<uint8_t>& bytes,
-                       const AtomicWriteOptions& options = {});
+                       const std::vector<uint8_t>& bytes);
 
 }  // namespace classminer::util
 

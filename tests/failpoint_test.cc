@@ -53,7 +53,7 @@ TEST_F(FailPointTest, KnownSitesCatalogueIsSortedUniqueAndComplete) {
   // Spot-check the long-standing sites and the sharded-database tier's
   // append/compaction/open sites.
   for (const char* expected :
-       {"serial.read_file", "serial.atomic_write.rename", "index.persist.save",
+       {"serial.read_file", "serial.atomic_write.rename",
         "index.shard.append.write", "index.shard.append.fsync",
         "index.shard.compact.write", "index.shard.compact.fsync",
         "index.shard.compact.rename", "index.shard.compact.manifest",
@@ -350,13 +350,11 @@ TEST_F(FileRetryTest, DeterministicFaultIsNotRetried) {
 class AtomicWriteTest : public FailPointTest {
  protected:
   // TempDir contents persist across test-binary runs; a stale destination
-  // or backup from a previous run would break "file does not exist yet"
-  // assertions.
+  // from a previous run would break "file does not exist yet" assertions.
   std::string FreshPath(const std::string& stem) {
     const std::string path = ::testing::TempDir() + "/" + stem;
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
-    std::remove((path + ".prev").c_str());
     return path;
   }
 };
@@ -393,35 +391,6 @@ TEST_F(AtomicWriteTest, TransientFaultAtEverySiteIsAbsorbed) {
     EXPECT_TRUE(util::AtomicWriteFile(path, {7}).ok()) << site;
     FailPoint::DisarmAll();
   }
-}
-
-TEST_F(AtomicWriteTest, BackupRotationKeepsThePreviousGeneration) {
-  const std::string path = FreshPath("atomic_gen.bin");
-  util::AtomicWriteOptions options;
-  options.backup_path = path + ".prev";
-  ASSERT_TRUE(util::AtomicWriteFile(path, {1}, options).ok());
-  // First write: nothing to rotate yet.
-  EXPECT_EQ(util::ReadFile(options.backup_path).status().code(),
-            StatusCode::kNotFound);
-  ASSERT_TRUE(util::AtomicWriteFile(path, {2}, options).ok());
-  EXPECT_EQ(*util::ReadFile(path), std::vector<uint8_t>({2}));
-  EXPECT_EQ(*util::ReadFile(options.backup_path), std::vector<uint8_t>({1}));
-}
-
-TEST_F(AtomicWriteTest, CrashBeforeRenameDoesNotRotateTheBackup) {
-  const std::string path = FreshPath("atomic_norotate.bin");
-  util::AtomicWriteOptions options;
-  options.backup_path = path + ".prev";
-  ASSERT_TRUE(util::AtomicWriteFile(path, {1}, options).ok());
-  ASSERT_TRUE(util::AtomicWriteFile(path, {2}, options).ok());
-  FailPoint::Arm("serial.atomic_write.rename",
-                 FailPoint::Spec::Once(StatusCode::kDataLoss));
-  EXPECT_FALSE(util::AtomicWriteFile(path, {3}, options).ok());
-  FailPoint::DisarmAll();
-  // Both generations survive untouched: the rotation happens after the
-  // injected crash point.
-  EXPECT_EQ(*util::ReadFile(path), std::vector<uint8_t>({2}));
-  EXPECT_EQ(*util::ReadFile(options.backup_path), std::vector<uint8_t>({1}));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 #include "index/classifier.h"
 #include "index/hier_index.h"
 #include "index/linear_index.h"
-#include "index/persist.h"
+#include "index/shard.h"
 #include "media/ppm.h"
 #include "skim/storyboard.h"
 #include "synth/corpus.h"

@@ -2,6 +2,7 @@
 
 #include "index/classifier.h"
 #include "index/persist.h"
+#include "index/shard.h"
 #include "media/color.h"
 #include "media/draw.h"
 #include "util/rng.h"

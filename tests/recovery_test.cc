@@ -1,8 +1,9 @@
-// Crash-consistent persistence and self-healing recovery: a crash injected
-// at any step of the atomic save sequence must leave a loadable database
-// generation (old or new, never a torn mixture); OpenDatabaseAnyGeneration
-// must find it; and the repair pass must re-mine degraded entries back to
-// pristine so a subsequent verify reports zero integrity failures.
+// Crash-consistent persistence and self-healing recovery on a 1-shard
+// library (the default layout of `classminer index`): a crash injected at
+// any step of a full save must leave the whole library old or new, never a
+// torn mixture; OpenDatabaseAnyGeneration must find it; and the repair pass
+// must re-mine degraded entries back to pristine so a subsequent verify
+// reports zero integrity failures.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,8 @@
 #include "core/cmv_pipeline.h"
 #include "core/repair.h"
 #include "index/database.h"
-#include "index/persist.h"
 #include "index/repair.h"
+#include "index/shard.h"
 #include "shot/detector.h"
 #include "structure/content_structure.h"
 #include "synth/video_generator.h"
@@ -38,13 +39,16 @@ class RecoveryTest : public ::testing::Test {
   }
   void TearDown() override { FailPoint::DisarmAll(); }
 
-  // A unique database path per test; stale generations from earlier runs
-  // are cleared so fallback assertions see only this test's files.
+  // A unique library path per test; stale files from earlier runs are
+  // cleared so fallback assertions see only this test's files.
   std::string FreshDbPath(const std::string& stem) {
     const std::string path = dir_ + "/" + stem + ".cmdb";
     std::remove(path.c_str());
-    std::remove(index::DatabaseBackupPath(path).c_str());
-    std::remove(index::DatabaseManifestPath(path).c_str());
+    std::remove((path + ".tmp").c_str());
+    const std::string log = index::ShardPath(path, 0);
+    std::remove(log.c_str());
+    std::remove((log + ".tmp").c_str());
+    std::remove(index::ShardBackupPath(path, 0).c_str());
     return path;
   }
 
@@ -67,56 +71,81 @@ index::VideoDatabase MakeDatabase(int videos, bool degrade_first = false) {
   return db;
 }
 
-const char* const kAtomicSites[] = {"serial.atomic_write.tmp_write",
-                                    "serial.atomic_write.fsync",
-                                    "serial.atomic_write.rename"};
+// Every site a full save passes, in order: the shard log is staged,
+// synced and renamed into place, then the root manifest goes through the
+// atomic-write sequence.
+struct SaveSite {
+  const char* name;
+  bool log_landed;  // the new shard log is in place when this site fires
+};
+const SaveSite kSaveSites[] = {
+    {"index.shard.compact.write", false},
+    {"index.shard.compact.fsync", false},
+    {"index.shard.compact.rename", false},
+    {"index.shard.compact.manifest", true},
+    {"serial.atomic_write.tmp_write", true},
+    {"serial.atomic_write.fsync", true},
+    {"serial.atomic_write.rename", true},
+};
 
 // ---------------------------------------------------------------------------
-// Crash matrix: every atomic-write site x {prior generation, fresh path}.
+// Crash matrix: every save site x {prior generation, fresh path}.
 
 TEST_F(RecoveryTest, CrashAtEverySiteWithPriorGenerationKeepsADatabase) {
-  for (const char* site : kAtomicSites) {
-    const std::string path = FreshDbPath(std::string("crash_prior_") + site);
-    ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok()) << site;
+  for (const SaveSite& site : kSaveSites) {
+    const std::string path =
+        FreshDbPath(std::string("crash_prior_") + site.name);
+    ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok()) << site.name;
 
-    FailPoint::Arm(site, FailPoint::Spec::Once(StatusCode::kDataLoss));
+    FailPoint::Arm(site.name, FailPoint::Spec::Once(StatusCode::kDataLoss));
     const util::Status crashed = index::SaveDatabase(MakeDatabase(2), path);
     FailPoint::DisarmAll();
-    EXPECT_FALSE(crashed.ok()) << site;
+    EXPECT_FALSE(crashed.ok()) << site.name;
 
-    // Whatever the crash point, a complete generation is reopenable: the
-    // one-video database survives (the two-video save never became
-    // current before the injected crash).
+    // Whatever the crash point, a complete library is reopenable: the
+    // one-video generation until the new shard log is renamed into place,
+    // the whole two-video one from then on (only the manifest lags, which
+    // is advisory). Never a mixture, never a salvage.
     util::SalvageReport report;
     const util::StatusOr<index::OpenResult> opened =
         index::OpenDatabaseAnyGeneration(path, &report);
-    ASSERT_TRUE(opened.ok()) << site;
-    EXPECT_FALSE(opened->salvaged) << site;
-    EXPECT_EQ(opened->db.video_count(), 1) << site;
-    EXPECT_EQ(opened->db.video(0).name, "video0") << site;
+    ASSERT_TRUE(opened.ok()) << site.name;
+    EXPECT_FALSE(opened->salvaged) << site.name;
+    EXPECT_EQ(opened->db.video_count(), site.log_landed ? 2 : 1) << site.name;
+    EXPECT_EQ(opened->db.video(0).name, "video0") << site.name;
   }
 }
 
 TEST_F(RecoveryTest, CrashAtEverySiteOnFreshPathLeavesNoTornFile) {
-  for (const char* site : kAtomicSites) {
-    const std::string path = FreshDbPath(std::string("crash_fresh_") + site);
-    FailPoint::Arm(site, FailPoint::Spec::Once(StatusCode::kDataLoss));
-    EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok()) << site;
+  for (const SaveSite& site : kSaveSites) {
+    const std::string path =
+        FreshDbPath(std::string("crash_fresh_") + site.name);
+    FailPoint::Arm(site.name, FailPoint::Spec::Once(StatusCode::kDataLoss));
+    EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok()) << site.name;
     FailPoint::DisarmAll();
-    // No torn bytes appear at the destination; the open fails cleanly
-    // instead of loading garbage.
+    // No torn bytes appear at the root: the manifest lands last, whole.
     EXPECT_EQ(util::ReadFile(path).status().code(), StatusCode::kNotFound)
-        << site;
-    EXPECT_FALSE(index::OpenDatabaseAnyGeneration(path, nullptr).ok()) << site;
+        << site.name;
+    // Before the shard log lands the open fails cleanly instead of loading
+    // garbage; after, the shard-0 log header identifies the library and
+    // the open reconstructs the complete new generation.
+    const util::StatusOr<index::OpenResult> opened =
+        index::OpenDatabaseAnyGeneration(path, nullptr);
+    if (site.log_landed) {
+      ASSERT_TRUE(opened.ok()) << site.name;
+      EXPECT_EQ(opened->db.video_count(), 2) << site.name;
+    } else {
+      EXPECT_FALSE(opened.ok()) << site.name;
+    }
   }
 }
 
 TEST_F(RecoveryTest, CompletedSaveAfterCrashesWinsCleanly) {
   const std::string path = FreshDbPath("crash_then_win");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok());
-  for (const char* site : kAtomicSites) {
-    FailPoint::Arm(site, FailPoint::Spec::Once(StatusCode::kDataLoss));
-    EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok());
+  for (const SaveSite& site : kSaveSites) {
+    FailPoint::Arm(site.name, FailPoint::Spec::Once(StatusCode::kDataLoss));
+    EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok()) << site.name;
     FailPoint::DisarmAll();
   }
   // After the outage clears, a full save lands and verifies pristine.
@@ -124,6 +153,7 @@ TEST_F(RecoveryTest, CompletedSaveAfterCrashesWinsCleanly) {
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_TRUE(verify.clean()) << verify.ToString();
   EXPECT_EQ(verify.videos, 3);
+  EXPECT_EQ(verify.shards, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -138,42 +168,21 @@ TEST_F(RecoveryTest, SecondSaveRotatesThePreviousGeneration) {
       index::LoadDatabase(path);
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current->video_count(), 2);
-  const util::StatusOr<index::VideoDatabase> previous =
-      index::LoadDatabase(index::DatabaseBackupPath(path));
-  ASSERT_TRUE(previous.ok());
-  EXPECT_EQ(previous->video_count(), 1);
+  // The first generation's log was rotated aside, not overwritten.
+  EXPECT_TRUE(util::ReadFile(index::ShardBackupPath(path, 0)).ok());
 
-  const util::StatusOr<index::DatabaseManifest> manifest =
-      index::LoadManifest(index::DatabaseManifestPath(path));
-  ASSERT_TRUE(manifest.ok());
-  EXPECT_EQ(manifest->generation, 2u);
-  EXPECT_TRUE(index::VerifyDatabaseFile(path).clean());
-}
-
-TEST_F(RecoveryTest, ManifestRoundTripsAndRejectsBadMagic) {
-  index::DatabaseManifest m;
-  m.generation = 41;
-  m.size = 1234;
-  m.crc = 0xDEADBEEF;
-  std::vector<uint8_t> bytes = index::SerializeManifest(m);
-  const util::StatusOr<index::DatabaseManifest> parsed =
-      index::ParseManifest(bytes);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->generation, 41u);
-  EXPECT_EQ(parsed->size, 1234u);
-  EXPECT_EQ(parsed->crc, 0xDEADBEEFu);
-  bytes[0] ^= 0xFF;
-  EXPECT_FALSE(index::ParseManifest(bytes).ok());
+  const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+  EXPECT_TRUE(verify.clean()) << verify.ToString();
+  EXPECT_EQ(verify.generation, 2u);
 }
 
 TEST_F(RecoveryTest, InterruptedManifestWriteIsAdvisoryNotFatal) {
   const std::string path = FreshDbPath("stale_manifest");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok());
-  // The data file and the manifest are written by consecutive atomic
-  // writes; firing the tmp_write site on the second one models a crash
-  // between them: new data, stale manifest.
+  // The shard log lands before the manifest's atomic write; failing that
+  // write models a crash between them: new data, stale manifest.
   FailPoint::Arm("serial.atomic_write.tmp_write",
-                 FailPoint::Spec::EveryN(2, StatusCode::kDataLoss));
+                 FailPoint::Spec::Once(StatusCode::kDataLoss));
   EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok());
   FailPoint::DisarmAll();
 
@@ -184,7 +193,6 @@ TEST_F(RecoveryTest, InterruptedManifestWriteIsAdvisoryNotFatal) {
   EXPECT_EQ(loaded->video_count(), 2);
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_TRUE(verify.loadable);
-  EXPECT_TRUE(verify.manifest_present);
   EXPECT_FALSE(verify.manifest_matches);
   EXPECT_FALSE(verify.clean());
   // Any-generation open treats the stale manifest as advisory.
@@ -198,20 +206,20 @@ TEST_F(RecoveryTest, StaleManifestDiagnosticsNameTheRecordedGeneration) {
   const std::string path = FreshDbPath("stale_manifest_detail");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok());
   FailPoint::Arm("serial.atomic_write.tmp_write",
-                 FailPoint::Spec::EveryN(2, StatusCode::kDataLoss));
+                 FailPoint::Spec::Once(StatusCode::kDataLoss));
   EXPECT_FALSE(index::SaveDatabase(MakeDatabase(2), path).ok());
   FailPoint::DisarmAll();
 
-  // The report says more than "stale": it names the generation the manifest
-  // still describes and the size/CRC actually on disk, so an operator can
-  // tell a harmless lagging manifest from a truncated data file.
+  // The report says more than "stale": it names the generation the log is
+  // at and the one the manifest still records, so an operator can tell a
+  // harmless lagging manifest from a lost log.
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_FALSE(verify.manifest_matches);
   ASSERT_FALSE(verify.stale_detail.empty());
-  EXPECT_NE(verify.stale_detail.find("manifest generation"),
+  EXPECT_NE(verify.stale_detail.find("shard 0 log generation 2"),
             std::string::npos)
       << verify.stale_detail;
-  EXPECT_NE(verify.stale_detail.find("file has"), std::string::npos)
+  EXPECT_NE(verify.stale_detail.find("manifest records 1"), std::string::npos)
       << verify.stale_detail;
   EXPECT_NE(verify.ToString().find("manifest=stale(" + verify.stale_detail),
             std::string::npos)
@@ -231,11 +239,12 @@ TEST_F(RecoveryTest, UnsalvageableCurrentFallsBackToPreviousGeneration) {
   const std::string path = FreshDbPath("fallback_prev");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok());
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(2), path).ok());
-  // Destroy the current generation's header: strict and salvage parses
-  // both refuse it, so the previous generation answers.
-  std::vector<uint8_t> bytes = *util::ReadFile(path);
+  // Destroy the current shard log's header: strict and salvage parses both
+  // refuse it, so the previous generation answers.
+  const std::string log = index::ShardPath(path, 0);
+  std::vector<uint8_t> bytes = *util::ReadFile(log);
   bytes[0] ^= 0xFF;
-  ASSERT_TRUE(util::WriteFile(path, bytes).ok());
+  ASSERT_TRUE(util::WriteFile(log, bytes).ok());
 
   util::SalvageReport report;
   const util::StatusOr<index::OpenResult> opened =
@@ -250,11 +259,12 @@ TEST_F(RecoveryTest, UnsalvageableCurrentFallsBackToPreviousGeneration) {
 TEST_F(RecoveryTest, BitFlippedCurrentIsSalvagedWithResync) {
   const std::string path = FreshDbPath("fallback_salvage");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(3), path).ok());
-  // Flip one byte mid-file (inside the second entry's body): strict load
+  // Flip one byte mid-log (inside the second entry's body): strict load
   // fails on its checksum, salvage resynchronises onto the third entry.
-  std::vector<uint8_t> bytes = *util::ReadFile(path);
+  const std::string log = index::ShardPath(path, 0);
+  std::vector<uint8_t> bytes = *util::ReadFile(log);
   bytes[bytes.size() * 2 / 5] ^= 0xFF;
-  ASSERT_TRUE(util::WriteFile(path, bytes).ok());
+  ASSERT_TRUE(util::WriteFile(log, bytes).ok());
 
   util::SalvageReport report;
   const util::StatusOr<index::OpenResult> opened =
@@ -264,19 +274,6 @@ TEST_F(RecoveryTest, BitFlippedCurrentIsSalvagedWithResync) {
   EXPECT_TRUE(opened->salvaged);
   EXPECT_EQ(opened->db.video_count(), 2);
   EXPECT_EQ(report.resync_points, 1);
-}
-
-TEST_F(RecoveryTest, LoadSiteInjectsAndOpenReportsTheOutage) {
-  const std::string path = FreshDbPath("load_site");
-  ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), path).ok());
-  FailPoint::Arm("index.persist.load",
-                 FailPoint::Spec::Always(StatusCode::kDataLoss));
-  EXPECT_EQ(index::LoadDatabase(path).status().code(), StatusCode::kDataLoss);
-  // Every rung of the fallback chain goes through the same site, so the
-  // open fails cleanly instead of crashing or spinning.
-  EXPECT_FALSE(index::OpenDatabaseAnyGeneration(path, nullptr).ok());
-  FailPoint::DisarmAll();
-  EXPECT_TRUE(index::OpenDatabaseAnyGeneration(path, nullptr).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -362,9 +359,10 @@ TEST_F(RecoveryTest, RepairLeavesEntryDegradedWhenSourceIsMissing) {
 TEST_F(RecoveryTest, RepairPromotesASalvagedOpenToAPristineGeneration) {
   const std::string db_path = FreshDbPath("repair_promote");
   ASSERT_TRUE(index::SaveDatabase(MakeDatabase(3), db_path).ok());
-  std::vector<uint8_t> bytes = *util::ReadFile(db_path);
+  const std::string log = index::ShardPath(db_path, 0);
+  std::vector<uint8_t> bytes = *util::ReadFile(log);
   bytes[bytes.size() * 2 / 5] ^= 0xFF;  // tear the middle entry
-  ASSERT_TRUE(util::WriteFile(db_path, bytes).ok());
+  ASSERT_TRUE(util::WriteFile(log, bytes).ok());
 
   // No entry is flagged degraded, but the open itself needed salvage, so
   // repair rewrites a pristine current generation from what survived.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,8 @@
 #include "core/classminer.h"
 #include "core/cmv_pipeline.h"
 #include "index/persist.h"
+#include "index/repair.h"
+#include "index/shard.h"
 #include "media/draw.h"
 #include "media/ppm.h"
 #include "shot/detector.h"
@@ -753,6 +756,159 @@ TEST(DatabaseVersionTest, FutureVersionIsRejectedWithClearMessage) {
   EXPECT_NE(status.message().find("unsupported CMDB version 9"),
             std::string::npos)
       << status.message();
+}
+
+// ---------------------------------------------------------------------------
+// Legacy CMDB migration: OpenDatabaseAnyGeneration is the only reader of a
+// CMDB root, and repair rewrites what it read as a 1-shard CMSL library.
+
+class LegacyMigrationTest : public ::testing::Test {
+ protected:
+  void SetUp() override { util::FailPoint::DisarmAll(); }
+  void TearDown() override { util::FailPoint::DisarmAll(); }
+
+  // Writes `bytes` as a legacy root at a path cleared of shard files from
+  // earlier runs.
+  static std::string WriteLegacy(const std::string& stem,
+                                 const std::vector<uint8_t>& bytes) {
+    const std::string path = ::testing::TempDir() + "/" + stem + ".cmdb";
+    std::remove((path + ".tmp").c_str());
+    const std::string log = index::ShardPath(path, 0);
+    std::remove(log.c_str());
+    std::remove((log + ".tmp").c_str());
+    std::remove(index::ShardBackupPath(path, 0).c_str());
+    EXPECT_TRUE(util::WriteFile(path, bytes).ok());
+    return path;
+  }
+};
+
+struct LegacyFixture {
+  std::string name;
+  std::vector<uint8_t> bytes;
+};
+
+// v1, v2 and v3 images of ThreeVideoDatabase, plus a v3 file torn inside
+// its third entry.
+std::vector<LegacyFixture> LegacyFixtures() {
+  const std::vector<uint8_t> v3 =
+      index::SerializeDatabase(ThreeVideoDatabase());
+  const std::vector<uint8_t> torn(
+      v3.begin(), v3.begin() + static_cast<ptrdiff_t>(v3.size() * 3 / 4));
+  return {{"v1", StripToLegacy(v3, 1)},
+          {"v2", StripToLegacy(v3, 2)},
+          {"v3", v3},
+          {"torn_v3", torn}};
+}
+
+// What a legacy file holds: the strict parse, else what salvage recovers.
+index::VideoDatabase ParseLegacy(const std::vector<uint8_t>& bytes) {
+  util::StatusOr<index::VideoDatabase> db = index::ParseDatabase(bytes);
+  if (db.ok()) return *db;
+  util::SalvageReport report;
+  db = index::ParseDatabaseSalvage(bytes, &report);
+  EXPECT_TRUE(db.ok()) << db.status().message();
+  return db.ok() ? *db : index::VideoDatabase();
+}
+
+const char* const kMigrationCrashSites[] = {
+    "index.shard.compact.write",     "index.shard.compact.fsync",
+    "index.shard.compact.rename",    "index.shard.compact.manifest",
+    "serial.atomic_write.tmp_write", "serial.atomic_write.fsync",
+    "serial.atomic_write.rename"};
+
+TEST_F(LegacyMigrationTest, EveryCmdbVersionMigratesToAOneShardLibrary) {
+  for (const LegacyFixture& f : LegacyFixtures()) {
+    const std::string path = WriteLegacy("migrate_" + f.name, f.bytes);
+    const index::VideoDatabase want = ParseLegacy(f.bytes);
+    ASSERT_GT(want.video_count(), 0) << f.name;
+
+    const util::StatusOr<index::RepairReport> report =
+        index::RepairDatabaseFile(path, index::RemineFn(), nullptr);
+    ASSERT_TRUE(report.ok()) << f.name << ": " << report.status().message();
+    EXPECT_TRUE(report->rewritten) << f.name;
+
+    const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+    EXPECT_TRUE(verify.loadable) << f.name << ": " << verify.ToString();
+    EXPECT_TRUE(verify.manifest_matches) << f.name;
+    EXPECT_EQ(verify.shards, 1) << f.name;
+    EXPECT_EQ(verify.videos, want.video_count()) << f.name;
+
+    // Entry for entry — every field the entry codec carries — the library
+    // holds exactly what the legacy reader parsed.
+    const util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
+        index::ShardedDatabase::Open(path);
+    ASSERT_TRUE(db.ok()) << f.name << ": " << db.status().message();
+    const index::VideoDatabase got = (*db)->Snapshot();
+    ASSERT_EQ(got.video_count(), want.video_count()) << f.name;
+    for (int i = 0; i < want.video_count(); ++i) {
+      EXPECT_EQ(got.video(i).name, want.video(i).name) << f.name;
+      EXPECT_EQ(got.video(i).degraded, want.video(i).degraded) << f.name;
+    }
+    EXPECT_EQ(index::SerializeDatabase(got), index::SerializeDatabase(want))
+        << f.name;
+  }
+}
+
+TEST_F(LegacyMigrationTest, VerifyOnALegacyRootIsNotCleanAndNamesRepair) {
+  const std::string path = WriteLegacy(
+      "verify_legacy", index::SerializeDatabase(ThreeVideoDatabase()));
+  const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+  EXPECT_FALSE(verify.clean());
+  EXPECT_FALSE(verify.loadable);
+  EXPECT_NE(verify.error.find("legacy CMDB"), std::string::npos)
+      << verify.ToString();
+  EXPECT_NE(verify.error.find("repair"), std::string::npos)
+      << verify.ToString();
+}
+
+TEST_F(LegacyMigrationTest, ShardedOpenRefusesALegacyRoot) {
+  const std::vector<uint8_t> bytes =
+      index::SerializeDatabase(ThreeVideoDatabase());
+  const std::string path = WriteLegacy("open_legacy", bytes);
+  const util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
+      index::ShardedDatabase::Open(path);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(db.status().message().find("repair"), std::string::npos)
+      << db.status().message();
+  // The refusal touches nothing.
+  EXPECT_EQ(*util::ReadFile(path), bytes);
+}
+
+TEST_F(LegacyMigrationTest, CrashAtEverySiteLeavesALegacyOrMigratedRoot) {
+  const std::vector<uint8_t> bytes =
+      index::SerializeDatabase(ThreeVideoDatabase());
+  for (const char* site : kMigrationCrashSites) {
+    const std::string path =
+        WriteLegacy(std::string("migrate_crash_") + site, bytes);
+    util::FailPoint::Arm(
+        site, util::FailPoint::Spec::Once(util::StatusCode::kDataLoss));
+    EXPECT_FALSE(
+        index::RepairDatabaseFile(path, index::RemineFn(), nullptr).ok())
+        << site;
+    util::FailPoint::DisarmAll();
+
+    // The root opens as one whole database: the untouched legacy file, or
+    // the complete migrated library — never a mixture.
+    const util::StatusOr<index::OpenResult> opened =
+        index::OpenDatabaseAnyGeneration(path, nullptr);
+    ASSERT_TRUE(opened.ok()) << site << ": " << opened.status().message();
+    EXPECT_EQ(index::SerializeDatabase(opened->db), bytes) << site;
+    if (opened->legacy) {
+      EXPECT_EQ(*util::ReadFile(path), bytes) << site;
+    } else {
+      EXPECT_EQ(index::VerifyDatabaseFile(path).shards, 1) << site;
+    }
+
+    // Once the fault clears, repair finishes the migration.
+    ASSERT_TRUE(
+        index::RepairDatabaseFile(path, index::RemineFn(), nullptr).ok())
+        << site;
+    const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+    EXPECT_TRUE(verify.loadable) << site << ": " << verify.ToString();
+    EXPECT_EQ(verify.shards, 1) << site;
+    EXPECT_EQ(verify.videos, 3) << site;
+  }
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include "core/cmv_pipeline.h"
 #include "gtest/gtest.h"
 #include "index/database.h"
-#include "index/persist.h"
+#include "index/shard.h"
 #include "server/client.h"
 #include "server/ops.h"
 #include "server/protocol.h"

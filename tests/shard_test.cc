@@ -55,7 +55,7 @@ class ShardTest : public ::testing::Test {
   std::string dir_;
 };
 
-// One single-shot entry, the same shape the monolithic recovery tests use.
+// One single-shot entry, the same shape the recovery tests use.
 index::VideoEntry MakeEntry(const std::string& name, bool degraded = false) {
   index::VideoEntry entry;
   entry.name = name;
@@ -129,15 +129,14 @@ TEST_F(ShardTest, CreateUpsertReopenRoundTrips) {
   EXPECT_FALSE(open_report.any_salvaged());
   EXPECT_FALSE(open_report.any_lost());
 
-  // The persist entry points dispatch on the root magic.
-  EXPECT_TRUE(index::IsShardedDatabasePath(path));
+  // The file-level entry points read the same library.
   const util::StatusOr<index::VideoDatabase> loaded =
       index::LoadDatabase(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(Names(*loaded), expected);
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_TRUE(verify.clean()) << verify.ToString();
-  EXPECT_TRUE(verify.sharded);
+  EXPECT_EQ(verify.shards, 4);
   EXPECT_EQ(verify.shards, 4);
   EXPECT_EQ(verify.videos, 12);
 }
@@ -316,7 +315,6 @@ TEST_F(ShardTest, ManifestIsReconstructedFromShardHeaders) {
   db->reset();
 
   ASSERT_EQ(std::remove(path.c_str()), 0);
-  EXPECT_TRUE(index::IsShardedDatabasePath(path));  // shard logs identify it
   util::SalvageReport report;
   util::StatusOr<std::unique_ptr<ShardedDatabase>> reopened =
       ShardedDatabase::Open(path, &report);
@@ -544,7 +542,7 @@ TEST_F(ShardTest, CompactionRacesConcurrentUpsertsWithoutLosingWrites) {
 }
 
 // ---------------------------------------------------------------------------
-// Repair and full-save dispatch over shards.
+// Repair and full saves over shards.
 
 TEST_F(ShardTest, SaveDatabaseDispatchKeepsTheShardedLayout) {
   const std::string path = FreshDbPath("save_dispatch");
@@ -557,13 +555,15 @@ TEST_F(ShardTest, SaveDatabaseDispatchKeepsTheShardedLayout) {
     index::VideoEntry entry = MakeEntry("video" + std::to_string(i));
     db.AddVideo(entry.name, std::move(entry.structure), {}, false);
   }
+  // A full save without a shard count keeps the library's count.
   ASSERT_TRUE(index::SaveDatabase(db, path).ok());
-  EXPECT_TRUE(index::IsShardedDatabasePath(path));
   const util::StatusOr<index::VideoDatabase> loaded =
       index::LoadDatabase(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->video_count(), 6);
-  EXPECT_TRUE(index::VerifyDatabaseFile(path).clean());
+  const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+  EXPECT_TRUE(verify.clean()) << verify.ToString();
+  EXPECT_EQ(verify.shards, 2);
 }
 
 TEST_F(ShardTest, RepairPromotesASalvagedShardAndStaysSharded) {
@@ -589,13 +589,12 @@ TEST_F(ShardTest, RepairPromotesASalvagedShardAndStaysSharded) {
   ASSERT_TRUE(util::WriteFile(log, bytes).ok());
   EXPECT_FALSE(index::VerifyDatabaseFile(path).clean());
 
-  // Repair opens any generation (salvaging shard 0), rewrites through the
-  // SaveDatabase dispatch, and the library must still be sharded after.
+  // Repair opens any generation (salvaging shard 0), rewrites keeping the
+  // shard count, and the library must still have both shards after.
   const util::StatusOr<index::RepairReport> report =
       index::RepairDatabaseFile(path, index::RemineFn(), nullptr);
   ASSERT_TRUE(report.ok()) << report.status().message();
   EXPECT_TRUE(report->rewritten);
-  EXPECT_TRUE(index::IsShardedDatabasePath(path));
   const index::VerifyReport verify = index::VerifyDatabaseFile(path);
   EXPECT_TRUE(verify.clean()) << verify.ToString();
   EXPECT_EQ(verify.videos, 2);  // the bit-flipped entry was dropped
@@ -627,14 +626,15 @@ TEST_F(ShardTest, CompactDatabaseFileFoldsOnlyDirtyShards) {
   EXPECT_EQ((*reports)[0].dead_dropped, 1u);
   EXPECT_TRUE((*reports)[1].skipped);  // nothing dead in shard 1
 
-  // Monolithic files are refused, not silently rewritten.
-  const std::string mono = FreshDbPath("compact_mono");
-  index::VideoDatabase monodb;
+  // A legacy CMDB file is refused, not silently rewritten.
+  const std::string legacy = FreshDbPath("compact_legacy");
+  index::VideoDatabase legacydb;
   index::VideoEntry entry = MakeEntry("only");
-  monodb.AddVideo(entry.name, std::move(entry.structure), {}, false);
-  ASSERT_TRUE(index::SaveDatabase(monodb, mono).ok());
-  EXPECT_EQ(index::CompactDatabaseFile(mono).status().code(),
-            StatusCode::kInvalidArgument);
+  legacydb.AddVideo(entry.name, std::move(entry.structure), {}, false);
+  ASSERT_TRUE(
+      util::WriteFile(legacy, index::SerializeDatabase(legacydb)).ok());
+  EXPECT_EQ(index::CompactDatabaseFile(legacy).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
