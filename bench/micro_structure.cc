@@ -100,7 +100,7 @@ void BM_MineVideoThreads(benchmark::State& state) {
       synth::GenerateVideo(synth::QuickScript(17));
   core::MiningOptions options;
   options.thread_count = static_cast<int>(state.range(0));
-  core::PipelineMetrics accumulated;
+  util::PipelineMetrics accumulated;
   int64_t runs = 0;
   for (auto _ : state) {
     util::StatusOr<core::MiningResult> mined =
@@ -108,9 +108,9 @@ void BM_MineVideoThreads(benchmark::State& state) {
     if (!mined.ok()) std::abort();
     core::MiningResult& result = *mined;
     benchmark::DoNotOptimize(result);
-    for (const core::StageMetrics& s : result.metrics.stages) {
+    for (const util::StageMetrics& s : result.metrics.stages) {
       bool found = false;
-      for (core::StageMetrics& a : accumulated.stages) {
+      for (util::StageMetrics& a : accumulated.stages) {
         if (a.name == s.name) {
           a.wall_ms += s.wall_ms;
           found = true;
@@ -121,7 +121,7 @@ void BM_MineVideoThreads(benchmark::State& state) {
     }
     ++runs;
   }
-  for (const core::StageMetrics& s : accumulated.stages) {
+  for (const util::StageMetrics& s : accumulated.stages) {
     state.counters[s.name + "_ms"] =
         benchmark::Counter(s.wall_ms / static_cast<double>(runs));
   }

@@ -10,6 +10,7 @@
 #include "codec/quant.h"
 #include "util/arena.h"
 #include "util/failpoint.h"
+#include "util/threadpool.h"
 
 namespace classminer::codec {
 namespace {
@@ -238,42 +239,72 @@ util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
   return out;
 }
 
+util::StatusOr<std::vector<media::Image>> DecodeGopFrames(
+    const CmvFile& file, const GopIndexEntry& gop,
+    const util::CancellationToken* cancel) {
+  std::vector<media::Image> frames;
+  frames.reserve(static_cast<size_t>(gop.frame_count));
+  // Double-buffered bump arenas: frame i decodes into arena i % 2 while the
+  // previous reconstruction (the P-frame reference) stays live in the other
+  // one. Resetting an arena only discards the frame from two steps back,
+  // which nothing references any more. The decoded pixels escape as
+  // heap-backed Images, never as arena memory.
+  util::Arena arenas[2];
+  std::optional<Picture> slots[2];
+  const Picture* recon = nullptr;
+  for (int i = 0; i < gop.frame_count; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status::Cancelled("GOP decode cancelled");
+    }
+    const FrameRecord& rec =
+        file.frames[static_cast<size_t>(gop.start_frame + i)];
+    util::Arena& frame_arena = arenas[i % 2];
+    slots[i % 2].reset();
+    frame_arena.Reset();
+    util::StatusOr<Picture> next = DecodePicture(
+        rec, file.width, file.height, file.quality,
+        i == 0 ? nullptr : recon, &frame_arena);
+    CLASSMINER_RETURN_IF_ERROR(next.status());
+    recon = &slots[i % 2].emplace(std::move(*next));
+    frames.push_back(ToImage(*recon, file.width, file.height));
+  }
+  return frames;
+}
+
 }  // namespace internal
 
-util::StatusOr<media::Video> DecodeVideo(
-    const CmvFile& file, const util::CancellationToken* cancel) {
+util::StatusOr<media::Video> DecodeVideo(const CmvFile& file,
+                                         const util::ExecutionContext& ctx) {
   CLASSMINER_RETURN_IF_ERROR(util::FailPoint::Check("codec.decode_video"));
   if (file.width <= 0 || file.height <= 0) {
     return util::Status::InvalidArgument("CMV file has empty dimensions");
   }
+  util::StatusOr<std::vector<GopIndexEntry>> gops =
+      CmvFile::DeriveGopIndex(file.frames);
+  if (!gops.ok()) return gops.status();
+
+  // Each GOP writes only its own slots. A status slot starts non-OK so a
+  // GOP whose task died with an exception on a pool worker can never pass
+  // for an empty, successful one.
+  const size_t count = gops->size();
+  std::vector<std::vector<media::Image>> frames(count);
+  std::vector<util::Status> statuses(
+      count, util::Status::Internal("GOP decode did not complete"));
+  util::ParallelFor(ctx.pool(), static_cast<int>(count), [&](int g) {
+    const size_t slot = static_cast<size_t>(g);
+    util::StatusOr<std::vector<media::Image>> decoded =
+        internal::DecodeGopFrames(file, (*gops)[slot], ctx.cancellation());
+    statuses[slot] = decoded.status();
+    if (decoded.ok()) frames[slot] = std::move(decoded).value();
+  });
+  for (const util::Status& status : statuses) {
+    CLASSMINER_RETURN_IF_ERROR(status);
+  }
+
   media::Video video(file.name, file.fps);
   video.Reserve(file.frames.size());
-
-  // Double-buffered bump arenas: frame i decodes into arena i % 2 while the
-  // previous reconstruction (the P-frame reference) stays live in the other
-  // one. Resetting an arena only discards the frame from two steps back,
-  // which nothing references any more. The decoded pixels escape into the
-  // video as heap-backed Images, never as arena memory.
-  util::Arena arenas[2];
-  std::optional<Picture> slots[2];
-  const Picture* recon = nullptr;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("video decode cancelled");
-    }
-    const FrameRecord& rec = file.frames[i];
-    if (rec.type != FrameType::kIntra && i == 0) {
-      return util::Status::DataLoss("stream starts with P-frame");
-    }
-    util::Arena& frame_arena = arenas[i % 2];
-    slots[i % 2].reset();
-    frame_arena.Reset();
-    util::StatusOr<Picture> next = internal::DecodePicture(
-        rec, file.width, file.height, file.quality,
-        rec.type == FrameType::kIntra ? nullptr : recon, &frame_arena);
-    CLASSMINER_RETURN_IF_ERROR(next.status());
-    recon = &slots[i % 2].emplace(std::move(*next));
-    video.AppendFrame(ToImage(*recon, file.width, file.height));
+  for (std::vector<media::Image>& gop : frames) {
+    for (media::Image& frame : gop) video.AppendFrame(std::move(frame));
   }
   return video;
 }

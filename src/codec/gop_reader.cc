@@ -1,12 +1,9 @@
 #include "codec/gop_reader.h"
 
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "codec/decoder.h"
-#include "codec/dct.h"
-#include "util/arena.h"
 #include "util/failpoint.h"
 
 namespace classminer::codec {
@@ -57,32 +54,8 @@ util::StatusOr<std::vector<media::Image>> GopReader::DecodeGop(
                                     " outside [0, " +
                                     std::to_string(gop_count()) + ")");
   }
-  const GopIndexEntry& entry = index_[static_cast<size_t>(g)];
-  std::vector<media::Image> frames;
-  frames.reserve(static_cast<size_t>(entry.frame_count));
-  // Same double-buffered arena scheme as DecodeVideo: the frame being
-  // decoded and its reference live in alternating arenas; the arena being
-  // reset only holds the frame from two steps back.
-  util::Arena arenas[2];
-  std::optional<Picture> slots[2];
-  const Picture* recon = nullptr;
-  for (int i = 0; i < entry.frame_count; ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("GOP decode cancelled");
-    }
-    const FrameRecord& rec =
-        file_->frames[static_cast<size_t>(entry.start_frame + i)];
-    util::Arena& frame_arena = arenas[i % 2];
-    slots[i % 2].reset();
-    frame_arena.Reset();
-    util::StatusOr<Picture> next = internal::DecodePicture(
-        rec, file_->width, file_->height, file_->quality,
-        i == 0 ? nullptr : recon, &frame_arena);
-    CLASSMINER_RETURN_IF_ERROR(next.status());
-    recon = &slots[i % 2].emplace(std::move(*next));
-    frames.push_back(ToImage(*recon, file_->width, file_->height));
-  }
-  return frames;
+  return internal::DecodeGopFrames(*file_, index_[static_cast<size_t>(g)],
+                                   cancel);
 }
 
 }  // namespace classminer::codec

@@ -12,8 +12,8 @@ namespace classminer::codec {
 
 // Random-access GOP decoder over a CMV container. Each GOP opens with an
 // I-frame, so decoding it needs no state from earlier GOPs: the reader
-// seeks straight to the GOP's frame records and runs the shared per-frame
-// decode core (internal::DecodePicture) over them. Output is therefore
+// seeks straight to the GOP's frame records and runs the shared per-GOP
+// decode loop (internal::DecodeGopFrames) over them. Output is therefore
 // bit-identical to the corresponding slice of a full DecodeVideo pass.
 //
 // The reader borrows the file; it must outlive the reader. The reader

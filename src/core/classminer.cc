@@ -13,13 +13,6 @@
 namespace classminer::core {
 namespace {
 
-// One pool shared by the stage DAG and every intra-stage loop of a
-// MineVideo call (or none for serial runs).
-std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count) {
-  if (thread_count <= 1) return nullptr;
-  return std::make_unique<util::ThreadPool>(thread_count);
-}
-
 using internal::OptionalStageStatus;
 using internal::RunOptionalStage;
 
@@ -142,6 +135,11 @@ util::Status BuildMiningDag(const media::Video& video,
 
 namespace internal {
 
+std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count) {
+  if (thread_count <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(thread_count);
+}
+
 void RunOptionalStage(
     const MiningOptions& options, const util::ExecutionContext& ctx,
     const char* site, util::StageMetrics* row, util::Status* slot,
@@ -234,7 +232,7 @@ util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const MiningOptions& options) {
   MiningResult result;
   const std::unique_ptr<util::ThreadPool> pool =
-      MakePipelinePool(options.thread_count);
+      internal::MakePipelinePool(options.thread_count);
   util::StatusSink sink;
   const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
                                    &sink);

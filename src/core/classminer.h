@@ -2,6 +2,7 @@
 #define CLASSMINER_CORE_CLASSMINER_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "shot/detector.h"
 #include "structure/content_structure.h"
 #include "util/exec_context.h"
+#include "util/pipeline_metrics.h"
 #include "util/salvage.h"
 #include "util/status.h"
 #include "util/threadpool.h"
@@ -98,7 +100,7 @@ struct MiningResult {
   std::vector<audio::ShotAudioAnalysis> shot_audio;   // per shot
   std::vector<events::EventRecord> events;            // per active scene
   shot::ShotDetectionTrace shot_trace;                // Fig. 5 diagnostics
-  PipelineMetrics metrics;                            // per-stage wall time
+  util::PipelineMetrics metrics;                      // per-stage wall time
 
   // True when the run completed under FailurePolicy::kDegraded with at
   // least one optional stage lost, or when the source container needed
@@ -115,7 +117,7 @@ struct MiningResult {
 // extraction and event mining end to end. `audio` may be empty (event rules
 // then see every shot as speech-free). Fails with kCancelled when
 // options.cancel fires, or kInternal when a stage throws or a pool task
-// escapes with an exception (see PipelineMetrics::pool_exceptions) — a
+// escapes with an exception (see util::PipelineMetrics::pool_exceptions) — a
 // partial result is never returned as OK.
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio,
@@ -178,6 +180,11 @@ util::StatusOr<std::vector<MiningResult>> MineVideosParallel(
     int threads = 0);
 
 namespace internal {
+
+// The one pool a mining call shares across its stage DAG, every intra-stage
+// loop and (on the CMV paths) its decode; null for serial runs
+// (thread_count <= 1).
+std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count);
 
 // Failure slots for the optional stages, shared by the full pipeline and
 // the CMV fast path. Each slot is written by exactly one stage (fixed slot,

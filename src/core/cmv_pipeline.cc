@@ -36,22 +36,24 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated) {
 
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
                                          const MiningOptions& options) {
-  PipelineMetrics decode_metrics;
+  // One pool per mine: the GOP-parallel decode and then every mining stage
+  // run on it.
+  const std::unique_ptr<util::ThreadPool> pool =
+      internal::MakePipelinePool(options.thread_count);
+  util::StatusSink sink;
+  const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
+                                   &sink);
+  MiningResult result;
   util::StatusOr<media::Video> video = [&] {
-    StageTimer timer(&decode_metrics, "decode");
-    auto decoded = codec::DecodeVideo(file, options.cancel);
+    // Decode leads the stage table so the CLI/bench see the whole cost.
+    util::StageTimer timer(&result.metrics, "decode", ctx.thread_count());
+    auto decoded = codec::DecodeVideo(file, ctx);
     timer.set_items(file.frame_count());
     return decoded;
   }();
   if (!video.ok()) return video.status();
-  util::StatusOr<MiningResult> mined =
-      MineVideo(*video, AudioFromFile(file), options);
-  if (!mined.ok()) return mined.status();
-  MiningResult result = std::move(*mined);
-  // Decode time leads the stage table so the CLI/bench see the whole cost.
-  result.metrics.stages.insert(result.metrics.stages.begin(),
-                               decode_metrics.stages.begin(),
-                               decode_metrics.stages.end());
+  CLASSMINER_RETURN_IF_ERROR(
+      MineVideoInto(*video, AudioFromFile(file), options, ctx, &result));
   return result;
 }
 
@@ -65,9 +67,7 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
   const bool degraded_mode =
       options.failure_policy == FailurePolicy::kDegraded;
   const std::unique_ptr<util::ThreadPool> pool =
-      options.thread_count > 1
-          ? std::make_unique<util::ThreadPool>(options.thread_count)
-          : nullptr;
+      internal::MakePipelinePool(options.thread_count);
   util::StatusSink sink;
   // Per-run bump arena, threaded through the context like the pool: stages
   // draw transient scratch from it and everything they keep is copied into

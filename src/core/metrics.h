@@ -6,18 +6,8 @@
 #include "events/event_miner.h"
 #include "structure/types.h"
 #include "synth/ground_truth.h"
-#include "util/pipeline_metrics.h"
 
 namespace classminer::core {
-
-// ---------------------------------------------------------------------------
-// Per-stage pipeline observability. The types live in util so that every
-// layer (audio, index, skim) can append rows without depending on core;
-// these aliases keep the historical core:: spelling working for callers.
-
-using StageMetrics = util::StageMetrics;
-using PipelineMetrics = util::PipelineMetrics;
-using StageTimer = util::StageTimer;
 
 // ---------------------------------------------------------------------------
 // Accuracy scoring against synthetic ground truth (paper Sec. 6).

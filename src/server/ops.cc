@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/cmv_pipeline.h"
-#include "core/metrics.h"
 #include "core/repair.h"
 #include "index/browser.h"
 #include "index/concept.h"
@@ -16,6 +15,7 @@
 #include "index/shard.h"
 #include "skim/playback.h"
 #include "skim/skimmer.h"
+#include "util/pipeline_metrics.h"
 #include "util/salvage.h"
 
 namespace classminer::server {
@@ -175,7 +175,7 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
       index::ConceptHierarchy::MedicalDefault();
   // Shared (per-database) costs — index construction and browse-tree
   // assembly — land in one registry through the context.
-  core::PipelineMetrics shared;
+  util::PipelineMetrics shared;
   const util::ExecutionContext ctx(nullptr, &shared, env.mining.cancel,
                                    nullptr);
   const index::HierarchicalIndex hier(&db, &concepts,

@@ -4,6 +4,8 @@
 #include "core/cmv_pipeline.h"
 #include "core/metrics.h"
 #include "cues/cue_extractor.h"
+#include "index/database.h"
+#include "index/persist.h"
 #include "media/draw.h"
 #include "media/ppm.h"
 #include "shot/rep_frame.h"
@@ -60,6 +62,32 @@ TEST_F(CmvPipelineTest, MineFromCompressedMatchesTruth) {
   EXPECT_GE(table.Average().recall, 0.5);
 }
 
+TEST_F(CmvPipelineTest, PixelPathIsByteIdenticalAcrossThreadCounts) {
+  // The pixel path decodes GOPs in parallel on the mining pool; the stored
+  // entry (structure + events) must not depend on the pool size.
+  std::vector<uint8_t> stored[2];
+  const int thread_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    core::MiningOptions options;
+    options.thread_count = thread_counts[k];
+    util::StatusOr<core::MiningResult> mined =
+        core::MineCmvFile(*file_, options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    // The decode row leads the table and reports the pool it ran on.
+    ASSERT_FALSE(mined->metrics.stages.empty());
+    const util::StageMetrics& decode = mined->metrics.stages.front();
+    EXPECT_EQ(decode.name, "decode");
+    EXPECT_EQ(decode.threads, thread_counts[k]);
+    EXPECT_EQ(decode.items, file_->frame_count());
+    index::VideoDatabase one;
+    one.AddVideo(file_->name, mined->structure, mined->events,
+                 mined->degraded);
+    stored[k] = index::SerializeDatabase(one);
+  }
+  EXPECT_FALSE(stored[0].empty());
+  EXPECT_EQ(stored[0], stored[1]);
+}
+
 TEST_F(CmvPipelineTest, FastPathFindsSameShotCount) {
   util::StatusOr<core::MiningResult> full = core::MineCmvFile(*file_);
   util::StatusOr<core::MiningResult> fast =
@@ -86,7 +114,7 @@ TEST_F(CmvPipelineTest, FastPathDecodesStrictlyFewerFrames) {
   // The synthetic decode row reports frames actually decoded by the
   // selective FrameSource: strictly fewer than a full decode on multi-GOP
   // input, with GOP/cache counters attached.
-  const core::StageMetrics* decode = fast->metrics.Find("decode");
+  const util::StageMetrics* decode = fast->metrics.Find("decode");
   ASSERT_NE(decode, nullptr);
   EXPECT_GT(decode->items, 0);
   EXPECT_LT(decode->items, file_->frame_count());
@@ -174,8 +202,8 @@ TEST_F(CmvPipelineTest, FastPathTinyGopCacheStaysBitIdentical) {
     }
   }
   ASSERT_EQ(a->events.size(), b->events.size());
-  const core::StageMetrics* da = a->metrics.Find("decode");
-  const core::StageMetrics* db = b->metrics.Find("decode");
+  const util::StageMetrics* da = a->metrics.Find("decode");
+  const util::StageMetrics* db = b->metrics.Find("decode");
   ASSERT_NE(da, nullptr);
   ASSERT_NE(db, nullptr);
   EXPECT_GE(db->Counter("gops"), da->Counter("gops"));

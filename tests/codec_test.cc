@@ -1,17 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "codec/bitstream.h"
 #include "codec/container.h"
 #include "codec/decoder.h"
 #include "codec/dct.h"
 #include "codec/encoder.h"
+#include "codec/gop_reader.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/color.h"
 #include "media/draw.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace classminer::codec {
 namespace {
@@ -291,6 +297,128 @@ TEST(CodecTest, DcSequenceDetectsBigChange) {
     }
   }
   EXPECT_GT(at_cut, 3.0 * max_within);
+}
+
+// GOP-parallel full decode. The clip is 44 frames at gop_size 8: five full
+// GOPs and a short final GOP of four frames.
+CmvFile MultiGopFile() {
+  EncoderOptions opts;
+  opts.gop_size = 8;
+  return EncodeVideo(MakeTestVideo(44, 40, 24, 31), opts);
+}
+
+// Reference frames: the per-frame core chained over the whole stream in
+// one thread, with no GOP partition at all.
+std::vector<media::Image> ChainedReferenceFrames(const CmvFile& file) {
+  std::vector<media::Image> frames;
+  std::optional<Picture> prev;
+  for (const FrameRecord& rec : file.frames) {
+    util::StatusOr<Picture> picture = internal::DecodePicture(
+        rec, file.width, file.height, file.quality,
+        prev.has_value() ? &*prev : nullptr);
+    EXPECT_TRUE(picture.ok()) << picture.status().ToString();
+    if (!picture.ok()) return frames;
+    frames.push_back(ToImage(*picture, file.width, file.height));
+    prev.emplace(std::move(*picture));
+  }
+  return frames;
+}
+
+// The serial walk DecodeVideo performs without a pool: GOPs in stream
+// order, stopping at the first one that fails.
+util::Status SerialWalkStatus(const CmvFile& file) {
+  util::StatusOr<GopReader> reader = GopReader::Create(&file);
+  if (!reader.ok()) return reader.status();
+  for (int g = 0; g < reader->gop_count(); ++g) {
+    util::StatusOr<std::vector<media::Image>> frames = reader->DecodeGop(g);
+    if (!frames.ok()) return frames.status();
+  }
+  return util::Status::Ok();
+}
+
+TEST(GopParallelDecodeTest, PoolSizesDecodeByteIdenticalFrames) {
+  const CmvFile file = MultiGopFile();
+  ASSERT_EQ(file.gop_count(), 6);
+  ASSERT_EQ(file.gop_index.back().frame_count, 4);
+  util::StatusOr<media::Video> serial = DecodeVideo(file);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->frame_count(), 44);
+  const std::vector<media::Image> reference = ChainedReferenceFrames(file);
+  ASSERT_EQ(reference.size(), 44u);
+  for (int i = 0; i < serial->frame_count(); ++i) {
+    ASSERT_EQ(serial->frame(i), reference[static_cast<size_t>(i)])
+        << "frame " << i;
+  }
+
+  // The partition comes from the frame records: a wrong stored index
+  // changes nothing.
+  CmvFile bad_index = file;
+  bad_index.gop_index[1].start_frame = 3;
+  const CmvFile* inputs[] = {&file, &bad_index};
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    for (const CmvFile* input : inputs) {
+      util::StatusOr<media::Video> parallel = DecodeVideo(*input, &pool);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      EXPECT_EQ(parallel->name(), serial->name());
+      EXPECT_EQ(parallel->fps(), serial->fps());
+      ASSERT_EQ(parallel->frame_count(), serial->frame_count());
+      for (int i = 0; i < serial->frame_count(); ++i) {
+        ASSERT_EQ(parallel->frame(i), serial->frame(i)) << "frame " << i;
+      }
+    }
+  }
+}
+
+TEST(GopParallelDecodeTest, LowestFailingGopWinsAtEveryPoolSize) {
+  CmvFile file = MultiGopFile();
+  // GOP 2: clear every bit of its I-frame's first eight bytes, so the
+  // first exp-Golomb code runs past 31 leading zeros. GOP 4: cut its
+  // I-frame's payload short, so the bitstream runs out.
+  std::vector<uint8_t>& gop2 = file.frames[16].payload;
+  ASSERT_GE(gop2.size(), 8u);
+  for (size_t b = 0; b < 8; ++b) gop2[b] ^= gop2[b];
+  file.frames[32].payload.resize(2);
+  ASSERT_TRUE(file.RebuildGopIndex().ok());
+
+  util::StatusOr<GopReader> reader = GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  const util::Status gop2_status = reader->DecodeGop(2).status();
+  const util::Status gop4_status = reader->DecodeGop(4).status();
+  ASSERT_FALSE(gop2_status.ok());
+  ASSERT_FALSE(gop4_status.ok());
+  ASSERT_NE(gop2_status.message(), gop4_status.message());
+  ASSERT_EQ(SerialWalkStatus(file).message(), gop2_status.message());
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const util::Status status = DecodeVideo(file, &pool).status();
+    EXPECT_EQ(status.code(), gop2_status.code());
+    EXPECT_EQ(status.message(), gop2_status.message());
+  }
+  const util::Status inline_status = DecodeVideo(file).status();
+  EXPECT_EQ(inline_status.code(), gop2_status.code());
+  EXPECT_EQ(inline_status.message(), gop2_status.message());
+}
+
+TEST(GopParallelDecodeTest, CancellationAndLeadingPFrameKeepTheirCodes) {
+  const CmvFile file = MultiGopFile();
+  CmvFile p_first = file;
+  p_first.frames[0].type = FrameType::kPredicted;
+  util::CancellationToken cancel;
+  cancel.Cancel();
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "pool of 4");
+    EXPECT_EQ(DecodeVideo(file, util::ExecutionContext(p, nullptr, &cancel))
+                  .status()
+                  .code(),
+              util::StatusCode::kCancelled);
+    EXPECT_EQ(DecodeVideo(p_first, p).status().code(),
+              util::StatusCode::kDataLoss);
+  }
 }
 
 }  // namespace

@@ -345,7 +345,8 @@ TEST(FrameSourceTest, CancellationStopsDecodeLoops) {
   util::CancellationToken cancel;
   cancel.Cancel();
 
-  EXPECT_EQ(codec::DecodeVideo(file, &cancel).status().code(),
+  const util::ExecutionContext cancelled_ctx(nullptr, nullptr, &cancel);
+  EXPECT_EQ(codec::DecodeVideo(file, cancelled_ctx).status().code(),
             util::StatusCode::kCancelled);
   EXPECT_EQ(codec::DecodeDcImages(file, &cancel).status().code(),
             util::StatusCode::kCancelled);

@@ -185,7 +185,7 @@ TEST(ParallelPipelineTest, MetricsRecordEveryStage) {
 
   for (const char* stage :
        {"shot", "audio", "group", "scene", "cluster", "cues", "events"}) {
-    const core::StageMetrics* m = result.metrics.Find(stage);
+    const util::StageMetrics* m = result.metrics.Find(stage);
     ASSERT_NE(m, nullptr) << "missing stage " << stage;
     EXPECT_GE(m->wall_ms, 0.0);
     EXPECT_EQ(m->threads, 2);

@@ -185,7 +185,7 @@ TEST(BatchSchedulingTest, NoPerVideoThreadClamp) {
   ASSERT_EQ(batch->size(), 2u);
   for (const core::MiningResult& result : *batch) {
     ASSERT_FALSE(result.metrics.stages.empty());
-    for (const core::StageMetrics& stage : result.metrics.stages) {
+    for (const util::StageMetrics& stage : result.metrics.stages) {
       EXPECT_EQ(stage.threads, 8) << stage.name;
     }
   }
