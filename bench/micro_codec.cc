@@ -1,6 +1,6 @@
 // Micro-benchmarks for the CMV codec substrate: DCT, quantised block
 // coding, motion estimation, full encode/decode (GOP-parallel at 1/2/4
-// threads) and DC-image extraction.
+// threads), planned selective decode and DC-image extraction.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,7 @@
 #include "codec/decoder.h"
 #include "codec/dct.h"
 #include "codec/encoder.h"
-#include "codec/frame_source.h"
+#include "codec/gop_reader.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/draw.h"
@@ -112,40 +112,46 @@ BENCHMARK(BM_DecodeVideo)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Rep-frame-style sparse access (one frame per 12-frame "shot") through the
-// selective FrameSource vs paying for a full DecodeVideo pass. arg 0/1
-// selects the mode so both rows share one video. With 8 GOPs and 8 touched
-// frames the selective path decodes the same number of GOPs a full decode
-// would, but skips nothing-requested GOPs as shots get sparser; on this
-// access pattern it measures pure seek+GOP-decode cost vs whole-file cost.
+// Rep-frame-style sparse access (one frame in every 24 of a 96-frame,
+// 8-GOP clip) through the planned DecodeFrames batch vs paying for a full
+// DecodeVideo pass. Args: mode (0 full, 1 selective) and pool threads (1
+// decodes inline with no pool). The four wanted frames sit at position 4 of
+// GOPs 0, 2, 4 and 6, so the selective batch decodes 4 GOP prefixes of 5
+// frames: 20 frames against the full decode's 96.
 void BM_SelectiveVsFullDecode(benchmark::State& state) {
   const media::Video video = BenchVideo(96, 96, 72);
   const codec::CmvFile file =
       codec::EncodeVideo(video, codec::EncoderOptions());  // gop_size 12
   const bool selective = state.range(0) != 0;
+  const int threads = static_cast<int>(state.range(1));
+  const std::unique_ptr<util::ThreadPool> pool =
+      threads > 1 ? std::make_unique<util::ThreadPool>(threads) : nullptr;
   std::vector<int> rep_frames;
   for (int f = 4; f < file.frame_count(); f += 24) rep_frames.push_back(f);
   int64_t frames_decoded = 0;
   for (auto _ : state) {
     if (selective) {
-      auto source = codec::FrameSource::Create(&file);
-      for (const int f : rep_frames) {
-        benchmark::DoNotOptimize((*source)->GetFrame(f));
-      }
-      frames_decoded += (*source)->stats().decoded_frames;
+      auto batch = codec::DecodeFrames(file, rep_frames, pool.get());
+      frames_decoded += batch.ok() ? batch->frames_decoded : 0;
+      benchmark::DoNotOptimize(batch);
     } else {
-      auto full = codec::DecodeVideo(file);
+      auto full = codec::DecodeVideo(file, pool.get());
       benchmark::DoNotOptimize(full);
       frames_decoded += file.frame_count();
     }
   }
   state.SetItemsProcessed(frames_decoded);
+  state.counters["threads"] = threads;
   state.counters["frames_decoded_per_iter"] = static_cast<double>(
       frames_decoded / std::max<int64_t>(1, state.iterations()));
+  state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
 }
 BENCHMARK(BM_SelectiveVsFullDecode)
-    ->Arg(0)
-    ->Arg(1)
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 4})
+    ->Args({1, 4})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_DcImageExtraction(benchmark::State& state) {

@@ -58,13 +58,13 @@ scripts/server_chaos.sh build
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tier-1: ThreadSanitizer (concurrency + parallel pipeline) =="
   cmake -B build-tsan -S . -DCLASSMINER_TSAN=ON >/dev/null
-  cmake --build build-tsan -j --target concurrency_test parallel_pipeline_test pipeline_dag_test frame_source_test failpoint_test codec_test cmv_pipeline_test >/dev/null
+  cmake --build build-tsan -j --target concurrency_test parallel_pipeline_test pipeline_dag_test failpoint_test codec_test cmv_pipeline_test >/dev/null
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/parallel_pipeline_test
   ./build-tsan/tests/pipeline_dag_test
-  ./build-tsan/tests/frame_source_test
   ./build-tsan/tests/failpoint_test
-  # GOP-parallel full decode, alone and under the pixel-path mining pool.
+  # GOP-parallel full and planned selective decode, alone and under the
+  # mining pool (pixel path and --fast path).
   ./build-tsan/tests/codec_test
   ./build-tsan/tests/cmv_pipeline_test
 

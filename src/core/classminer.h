@@ -44,7 +44,9 @@ enum class StageScheduling {
 // (shot -> group -> scene -> cluster, and the CMV fast path's decode /
 // repframe stages) always fails the run — without shots there is nothing to
 // index. Audio, cues and events are enrichments: losing them degrades the
-// entry, it does not void it.
+// entry, it does not void it. A GOP the fast path cannot decode is not a
+// stage failure in a degraded run: only the shots whose representative
+// frame it holds lose their features and cues.
 enum class FailurePolicy {
   // Any stage failure fails the whole run; a partial result is never
   // returned as OK.
@@ -74,15 +76,6 @@ struct MiningOptions {
   // head of parallel loops and inside the codec decode loops; a cancelled
   // run returns kCancelled. Borrowed, may be null, must outlive the call.
   util::CancellationToken* cancel = nullptr;
-  // CMV fast path only: decoded-GOP LRU cache capacity of the selective
-  // FrameSource (bounds resident frames at capacity * gop_size).
-  int gop_cache_capacity = 8;
-  // CMV fast path only: adaptive ceiling for the GOP cache. 0 (default)
-  // pins the capacity at gop_cache_capacity; a larger value lets the
-  // FrameSource grow the cache when it observes re-decode thrash and
-  // shrink it back when the working set contracts. Never changes mined
-  // output — frames are bit-identical at any capacity — only decode cost.
-  int gop_cache_capacity_max = 0;
   // What a failed optional stage does to the run (see FailurePolicy).
   FailurePolicy failure_policy = FailurePolicy::kStrict;
 };

@@ -1,12 +1,13 @@
 #include "core/cmv_pipeline.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 
 #include "codec/decoder.h"
 #include "codec/encoder.h"
-#include "codec/frame_source.h"
+#include "codec/gop_reader.h"
 #include "core/pipeline_dag.h"
 #include "shot/rep_frame.h"
 #include "util/arena.h"
@@ -80,33 +81,22 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
 
   const audio::AudioBuffer track = AudioFromFile(file);
 
-  // Selective-decode frame supplier shared by repframe and cues: decodes
-  // only the GOPs containing frames that are actually requested, behind a
-  // capacity-bounded LRU cache (paper Sec. 3: the point of working on the
-  // compressed domain is not paying full-decompression cost). Degraded runs
-  // put it in salvage mode so a corrupt GOP fails only the frames it holds.
-  codec::FrameSource::Options source_options;
-  source_options.cache_capacity_gops = options.gop_cache_capacity;
-  source_options.cache_capacity_max_gops = options.gop_cache_capacity_max;
-  source_options.cancel = options.cancel;
-  source_options.salvage = degraded_mode;
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> source =
-      codec::FrameSource::Create(&file, source_options);
-  if (!source.ok()) return source.status();
-
   // Fast-path stage graph: shot spans come from the compressed domain (DC
-  // images, no pixel decode); repframe then decodes only the GOPs holding
-  // representative frames through the FrameSource, after which audio /
-  // structure / cues fan out and events joins everything:
+  // images, no pixel decode). Once they exist, the frames the run needs are
+  // known — one representative frame per shot (paper Sec. 3) — so decode
+  // plans one batch: each GOP holding a representative frame decodes once,
+  // only up to its last needed frame. repframe and cues then read the
+  // decoded images directly, and events joins everything:
   //
-  //   shot ──> repframe ─┬─> audio ─────┐
-  //                      ├─> structure ─┼─> events
-  //                      └─> cues ──────┘
+  //   shot ──> decode ──> repframe ─┬─> audio ─────┐
+  //                                 ├─> structure ─┼─> events
+  //                                 └─> cues ──────┘
   //
-  // With ~1 rep frame per shot, decode cost is O(shots * gop_size) frames
-  // instead of O(frames); cues re-reads the same rep frames, so it mostly
-  // hits the cache. Fallible stages record their status into the sink and
-  // dependent stages are skipped.
+  // Resident decoded frames are one image per shot. Fallible stages record
+  // their status into the sink and dependent stages are skipped.
+  codec::FrameBatch rep_batch;
+  // Shot i's representative image in rep_batch, or null when it has none.
+  std::vector<const media::Image*> rep_images;
   internal::OptionalStageStatus optional;
   StageDag dag;
   util::Status build;
@@ -128,23 +118,63 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
     row->items = static_cast<int64_t>(dc->size());
   });
   if (!build.ok()) return build;
-  build = dag.Add("repframe", {"shot"}, [&](util::StageMetrics* row) {
-    // Essential stage, but in a degraded run a shot whose representative
-    // frame sits in a corrupt GOP keeps default features instead of
-    // failing the pipeline.
-    if (degraded_mode) {
-      int failed_shots = 0;
-      ctx.RecordStatus(shot::PopulateRepresentativeFramesSalvage(
-          source->get(), &result.structure.shots, ctx, &failed_shots));
-      if (failed_shots > 0) {
-        result.salvage.AddNote(
-            "repframe: " + std::to_string(failed_shots) +
-            " shot(s) kept default features (corrupt GOP)");
+  build = dag.Add("decode", {"shot"}, [&](util::StageMetrics* row) {
+    std::vector<shot::Shot>& shots = result.structure.shots;
+    shot::AssignRepresentativeFrames(file.frame_count(), &shots);
+    std::vector<int> needed;
+    needed.reserve(shots.size());
+    for (const shot::Shot& s : shots) {
+      if (s.rep_frame >= 0 && s.rep_frame < file.frame_count()) {
+        needed.push_back(s.rep_frame);
       }
-    } else {
-      ctx.RecordStatus(shot::PopulateRepresentativeFrames(
-          source->get(), &result.structure.shots, ctx));
     }
+    std::sort(needed.begin(), needed.end());
+    needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+    util::StatusOr<codec::FrameBatch> batch =
+        codec::DecodeFrames(file, needed, ctx);
+    if (!batch.ok()) {
+      ctx.RecordStatus(batch.status());
+      return;
+    }
+    rep_batch = std::move(batch).value();
+    row->items = rep_batch.frames_decoded;
+    row->counters = {{"gops", rep_batch.gops}};
+    if (rep_batch.failed_gops > 0) {
+      row->counters.emplace_back("failed_gops", rep_batch.failed_gops);
+      // Essential stage, but in a degraded run a GOP that fails to decode
+      // costs only the shots whose representative frame it holds: they
+      // keep default features and cues.
+      if (!degraded_mode) {
+        ctx.RecordStatus(rep_batch.FirstError());
+        return;
+      }
+      result.salvage.gops_skipped += rep_batch.failed_gops;
+    }
+    rep_images.assign(shots.size(), nullptr);
+    int lost_shots = 0;
+    for (size_t i = 0; i < shots.size(); ++i) {
+      const auto it = std::lower_bound(needed.begin(), needed.end(),
+                                       shots[i].rep_frame);
+      if (it == needed.end() || *it != shots[i].rep_frame) continue;
+      const codec::DecodedFrame& frame =
+          rep_batch.frames[static_cast<size_t>(it - needed.begin())];
+      if (frame.status.ok()) {
+        rep_images[i] = &frame.image;
+      } else {
+        ++lost_shots;
+      }
+    }
+    if (rep_batch.failed_gops > 0) {
+      result.salvage.AddNote(
+          "decode: " + std::to_string(rep_batch.failed_gops) +
+          " GOP(s) failed; " + std::to_string(lost_shots) +
+          " shot(s) kept default features and cues");
+    }
+  });
+  if (!build.ok()) return build;
+  build = dag.Add("repframe", {"decode"}, [&](util::StageMetrics* row) {
+    shot::PopulateRepresentativeFrames(rep_images, &result.structure.shots,
+                                       ctx);
     row->items = static_cast<int64_t>(result.structure.shots.size());
   });
   if (!build.ok()) return build;
@@ -189,11 +219,8 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
     internal::RunOptionalStage(
         options, ctx, "core.stage.cues", row, &optional.cues,
         [&](const util::ExecutionContext& sctx) {
-          util::StatusOr<std::vector<cues::FrameCues>> shot_cues =
-              cues::ExtractShotCues(source->get(), result.structure.shots,
-                                    options.cues, sctx);
-          if (!shot_cues.ok()) return shot_cues.status();
-          result.shot_cues = std::move(shot_cues).value();
+          result.shot_cues =
+              cues::ExtractShotCues(rep_images, options.cues, sctx);
           return util::Status::Ok();
         });
   });
@@ -233,27 +260,6 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
   }
   if (!status.ok()) return status;
 
-  // Synthetic "decode" row from the FrameSource, leading the stage table
-  // like the full path's decode stage: items counts frames actually
-  // decoded (strictly fewer than file.frame_count() whenever some GOP
-  // contains no requested frame), with GOP and cache-hit counters.
-  const codec::FrameSource::Stats decode_stats = (*source)->stats();
-  util::StageMetrics decode_row;
-  decode_row.name = "decode";
-  decode_row.wall_ms = decode_stats.decode_ms;
-  decode_row.items = decode_stats.decoded_frames;
-  decode_row.threads = ctx.thread_count();
-  decode_row.counters = {{"gops", decode_stats.decoded_gops},
-                         {"cache_hits", decode_stats.cache_hits}};
-  if (decode_stats.failed_gops > 0) {
-    decode_row.counters.emplace_back("failed_gops", decode_stats.failed_gops);
-    result.salvage.gops_skipped += static_cast<int>(decode_stats.failed_gops);
-    result.salvage.AddNote("decode: " +
-                           std::to_string(decode_stats.failed_gops) +
-                           " GOP(s) failed selective decode");
-  }
-  result.metrics.stages.insert(result.metrics.stages.begin(),
-                               std::move(decode_row));
   internal::CollectOptionalFailures(optional, &result);
   result.metrics.suppressed_errors = sink.suppressed_count();
   return result;

@@ -27,10 +27,12 @@ util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);
 
 // Compressed-domain fast path: shot spans come from DC-image differences
-// without a full decode. A codec::FrameSource then decodes selectively:
-// only the GOPs holding each shot's representative frame, behind a bounded
-// GOP cache that the cue stage re-reads, before structure/cue/event mining.
-// Returns the same MiningResult shape.
+// without a full decode. A `decode` stage then plans one codec::DecodeFrames
+// batch: each GOP holding a shot's representative frame decodes once, only
+// up to its last needed frame, and repframe, cue and event mining read the
+// decoded images directly. In a degraded run a GOP that fails to decode
+// costs only the shots whose representative frame it holds (default
+// features and cues). Returns the same MiningResult shape.
 util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
                                              const MiningOptions& options);
 

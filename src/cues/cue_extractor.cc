@@ -1,5 +1,7 @@
 #include "cues/cue_extractor.h"
 
+#include "shot/rep_frame.h"
+
 namespace classminer::cues {
 
 FrameCues ExtractFrameCues(const media::Image& frame,
@@ -31,54 +33,33 @@ FrameCues ExtractFrameCues(const media::Image& frame) {
   return ExtractFrameCues(frame, CueExtractorOptions());
 }
 
-std::vector<FrameCues> ExtractShotCues(const media::Video& video,
-                                       const std::vector<shot::Shot>& shots,
-                                       const CueExtractorOptions& options,
-                                       const util::ExecutionContext& ctx) {
-  std::vector<FrameCues> out(shots.size());
+std::vector<FrameCues> ExtractShotCues(
+    const std::vector<const media::Image*>& rep_images,
+    const CueExtractorOptions& options, const util::ExecutionContext& ctx) {
+  std::vector<FrameCues> out(rep_images.size());
   util::ParallelFor(
-      ctx, static_cast<int>(shots.size()),
+      ctx, static_cast<int>(rep_images.size()),
       [&](int i) {
-        const shot::Shot& s = shots[static_cast<size_t>(i)];
-        if (s.rep_frame >= 0 && s.rep_frame < video.frame_count()) {
-          out[static_cast<size_t>(i)] =
-              ExtractFrameCues(video.frame(s.rep_frame), options);
+        const media::Image* image = rep_images[static_cast<size_t>(i)];
+        if (image != nullptr) {
+          out[static_cast<size_t>(i)] = ExtractFrameCues(*image, options);
         }
       },
       /*grain=*/2);
   return out;
+}
+
+std::vector<FrameCues> ExtractShotCues(const media::Video& video,
+                                       const std::vector<shot::Shot>& shots,
+                                       const CueExtractorOptions& options,
+                                       const util::ExecutionContext& ctx) {
+  return ExtractShotCues(shot::RepresentativeImages(video, shots), options,
+                         ctx);
 }
 
 std::vector<FrameCues> ExtractShotCues(const media::Video& video,
                                        const std::vector<shot::Shot>& shots) {
   return ExtractShotCues(video, shots, CueExtractorOptions());
-}
-
-util::StatusOr<std::vector<FrameCues>> ExtractShotCues(
-    codec::FrameSource* source, const std::vector<shot::Shot>& shots,
-    const CueExtractorOptions& options, const util::ExecutionContext& ctx) {
-  std::vector<FrameCues> out(shots.size());
-  std::vector<util::Status> statuses(shots.size());
-  util::ParallelFor(
-      ctx, static_cast<int>(shots.size()),
-      [&](int i) {
-        const shot::Shot& s = shots[static_cast<size_t>(i)];
-        if (s.rep_frame >= 0 && s.rep_frame < source->frame_count()) {
-          util::StatusOr<codec::FrameHandle> frame =
-              source->GetFrame(s.rep_frame);
-          if (!frame.ok()) {
-            statuses[static_cast<size_t>(i)] = frame.status();
-            return;
-          }
-          out[static_cast<size_t>(i)] =
-              ExtractFrameCues(frame->image(), options);
-        }
-      },
-      /*grain=*/2);
-  for (const util::Status& status : statuses) {
-    CLASSMINER_RETURN_IF_ERROR(status);
-  }
-  return out;
 }
 
 }  // namespace classminer::cues

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "codec/frame_source.h"
 #include "cues/blood.h"
 #include "cues/face.h"
 #include "cues/skin.h"
@@ -45,23 +44,21 @@ FrameCues ExtractFrameCues(const media::Image& frame,
                            const CueExtractorOptions& options);
 FrameCues ExtractFrameCues(const media::Image& frame);
 
-// Extracts cues for each shot's representative frame. The context's pool
+// Extracts cues from each shot's representative image: rep_images[i] for
+// shot i, or null to leave that shot's default cues. The context's pool
 // runs shots in parallel (independent output slots; bit-identical).
+std::vector<FrameCues> ExtractShotCues(
+    const std::vector<const media::Image*>& rep_images,
+    const CueExtractorOptions& options, const util::ExecutionContext& ctx = {});
+
+// Full-decode form: the representative images are the video's frames at
+// each shot's rep_frame.
 std::vector<FrameCues> ExtractShotCues(const media::Video& video,
                                        const std::vector<shot::Shot>& shots,
                                        const CueExtractorOptions& options,
                                        const util::ExecutionContext& ctx = {});
 std::vector<FrameCues> ExtractShotCues(const media::Video& video,
                                        const std::vector<shot::Shot>& shots);
-
-// Selective-decode variant: pulls each shot's representative frame through
-// `source` (decoding only the touched GOPs) instead of a fully decoded
-// video. Cue output is bit-identical to the full-decode overload. The first
-// per-shot frame failure in shot order is returned.
-util::StatusOr<std::vector<FrameCues>> ExtractShotCues(
-    codec::FrameSource* source, const std::vector<shot::Shot>& shots,
-    const CueExtractorOptions& options,
-    const util::ExecutionContext& ctx = {});
 
 }  // namespace classminer::cues
 

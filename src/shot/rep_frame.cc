@@ -10,85 +10,47 @@ int RepresentativeFrameIndex(int start_frame, int end_frame) {
   return std::max(start_frame, std::min(start_frame + 9, end_frame));
 }
 
+void AssignRepresentativeFrames(int frame_count, std::vector<Shot>* shots) {
+  for (Shot& s : *shots) {
+    s.rep_frame = RepresentativeFrameIndex(s.start_frame, s.end_frame);
+    // Shot spans normally lie inside the video, but compressed-domain
+    // traces can overshoot by a frame; clamp instead of dropping.
+    if (frame_count > 0 && s.rep_frame >= frame_count) {
+      s.rep_frame = frame_count - 1;
+    }
+  }
+}
+
+std::vector<const media::Image*> RepresentativeImages(
+    const media::Video& video, const std::vector<Shot>& shots) {
+  std::vector<const media::Image*> images(shots.size(), nullptr);
+  for (size_t i = 0; i < shots.size(); ++i) {
+    const int f = shots[i].rep_frame;
+    if (f >= 0 && f < video.frame_count()) images[i] = &video.frame(f);
+  }
+  return images;
+}
+
+void PopulateRepresentativeFrames(
+    const std::vector<const media::Image*>& rep_images,
+    std::vector<Shot>* shots, const util::ExecutionContext& ctx) {
+  util::ParallelFor(
+      ctx, static_cast<int>(shots->size()),
+      [&](int i) {
+        const media::Image* image = rep_images[static_cast<size_t>(i)];
+        if (image == nullptr) return;
+        (*shots)[static_cast<size_t>(i)].features =
+            features::ExtractShotFeatures(*image);
+      },
+      /*grain=*/2);
+}
+
 void PopulateRepresentativeFrames(const media::Video& video,
                                   std::vector<Shot>* shots,
                                   util::ThreadPool* pool) {
-  const int frames = video.frame_count();
-  util::ParallelFor(
-      pool, static_cast<int>(shots->size()),
-      [&](int i) {
-        Shot& s = (*shots)[static_cast<size_t>(i)];
-        s.rep_frame = RepresentativeFrameIndex(s.start_frame, s.end_frame);
-        // Shot spans normally lie inside the video, but compressed-domain
-        // traces can overshoot by a frame; clamp instead of dropping.
-        if (frames > 0 && s.rep_frame >= frames) s.rep_frame = frames - 1;
-        if (s.rep_frame >= 0 && s.rep_frame < frames) {
-          s.features = features::ExtractShotFeatures(video.frame(s.rep_frame));
-        }
-      },
-      /*grain=*/2);
-}
-
-util::Status PopulateRepresentativeFrames(codec::FrameSource* source,
-                                          std::vector<Shot>* shots,
-                                          const util::ExecutionContext& ctx) {
-  const int frames = source->frame_count();
-  std::vector<util::Status> statuses(shots->size());
-  util::ParallelFor(
-      ctx, static_cast<int>(shots->size()),
-      [&](int i) {
-        Shot& s = (*shots)[static_cast<size_t>(i)];
-        s.rep_frame = RepresentativeFrameIndex(s.start_frame, s.end_frame);
-        if (frames > 0 && s.rep_frame >= frames) s.rep_frame = frames - 1;
-        if (s.rep_frame >= 0 && s.rep_frame < frames) {
-          util::StatusOr<codec::FrameHandle> frame =
-              source->GetFrame(s.rep_frame);
-          if (!frame.ok()) {
-            statuses[static_cast<size_t>(i)] = frame.status();
-            return;
-          }
-          s.features = features::ExtractShotFeatures(frame->image());
-        }
-      },
-      /*grain=*/2);
-  // First failure in shot order, independent of scheduling.
-  for (const util::Status& status : statuses) {
-    CLASSMINER_RETURN_IF_ERROR(status);
-  }
-  return util::Status::Ok();
-}
-
-util::Status PopulateRepresentativeFramesSalvage(
-    codec::FrameSource* source, std::vector<Shot>* shots,
-    const util::ExecutionContext& ctx, int* failed_shots) {
-  const int frames = source->frame_count();
-  std::vector<util::Status> statuses(shots->size());
-  util::ParallelFor(
-      ctx, static_cast<int>(shots->size()),
-      [&](int i) {
-        Shot& s = (*shots)[static_cast<size_t>(i)];
-        s.rep_frame = RepresentativeFrameIndex(s.start_frame, s.end_frame);
-        if (frames > 0 && s.rep_frame >= frames) s.rep_frame = frames - 1;
-        if (s.rep_frame >= 0 && s.rep_frame < frames) {
-          util::StatusOr<codec::FrameHandle> frame =
-              source->GetFrame(s.rep_frame);
-          if (!frame.ok()) {
-            // The shot keeps default features; structure mining still sees
-            // it, it just carries no visual signature.
-            statuses[static_cast<size_t>(i)] = frame.status();
-            return;
-          }
-          s.features = features::ExtractShotFeatures(frame->image());
-        }
-      },
-      /*grain=*/2);
-  int failed = 0;
-  for (const util::Status& status : statuses) {
-    if (status.code() == util::StatusCode::kCancelled) return status;
-    if (!status.ok()) ++failed;
-  }
-  if (failed_shots != nullptr) *failed_shots = failed;
-  return util::Status::Ok();
+  AssignRepresentativeFrames(video.frame_count(), shots);
+  PopulateRepresentativeFrames(RepresentativeImages(video, *shots), shots,
+                               pool);
 }
 
 }  // namespace classminer::shot

@@ -3,11 +3,10 @@
 
 #include <vector>
 
-#include "codec/frame_source.h"
+#include "media/image.h"
 #include "media/video.h"
 #include "shot/shot.h"
 #include "util/exec_context.h"
-#include "util/status.h"
 #include "util/threadpool.h"
 
 namespace classminer::shot {
@@ -18,37 +17,30 @@ namespace classminer::shot {
 // shot.
 int RepresentativeFrameIndex(int start_frame, int end_frame);
 
-// Fills rep_frame and features for every shot from the decoded video. The
-// representative index is additionally clamped to the video's frame range,
-// so a final shot ending at frame_count() - 1 (or a span produced by a
-// mismatched compressed-domain trace) always yields valid features. With a
+// Sets rep_frame on every shot: RepresentativeFrameIndex, additionally
+// clamped to a video of `frame_count` frames, so a final shot ending at
+// frame_count - 1 (or a span produced by a mismatched compressed-domain
+// trace) always names a real frame.
+void AssignRepresentativeFrames(int frame_count, std::vector<Shot>* shots);
+
+// The frame at each shot's rep_frame, or null where that index lies
+// outside the video. Aligned with `shots`; points into `video`.
+std::vector<const media::Image*> RepresentativeImages(
+    const media::Video& video, const std::vector<Shot>& shots);
+
+// Fills the features of shot i from rep_images[i], one representative
+// image per shot; a null image leaves that shot's default features. With a
 // pool, shots are processed in parallel (independent per-shot slots;
 // bit-identical to serial).
+void PopulateRepresentativeFrames(
+    const std::vector<const media::Image*>& rep_images,
+    std::vector<Shot>* shots, const util::ExecutionContext& ctx = {});
+
+// Full-decode form: assigns rep_frame for every shot and fills its
+// features from the decoded video.
 void PopulateRepresentativeFrames(const media::Video& video,
                                   std::vector<Shot>* shots,
                                   util::ThreadPool* pool = nullptr);
-
-// Selective-decode variant: pulls each shot's representative frame through
-// `source`, decoding only the GOPs that contain one (plus LRU cache hits)
-// instead of requiring a fully materialized video. Features are
-// bit-identical to the full-decode overload because FrameSource frames are
-// bit-identical to DecodeVideo output. Shots are processed in parallel on
-// the context's pool (independent per-shot slots); the first per-shot
-// failure in shot order is returned, and a cancelled context returns
-// without touching the shots.
-util::Status PopulateRepresentativeFrames(codec::FrameSource* source,
-                                          std::vector<Shot>* shots,
-                                          const util::ExecutionContext& ctx =
-                                              {});
-
-// Best-effort variant for damaged containers: a shot whose representative
-// frame cannot be decoded (its GOP is corrupt; pair with a FrameSource in
-// salvage mode) keeps default features instead of failing the pass.
-// `failed_shots` (may be null) receives how many shots were lost that way.
-// Only cancellation fails the call.
-util::Status PopulateRepresentativeFramesSalvage(
-    codec::FrameSource* source, std::vector<Shot>* shots,
-    const util::ExecutionContext& ctx = {}, int* failed_shots = nullptr);
 
 }  // namespace classminer::shot
 

@@ -28,7 +28,7 @@ struct StageMetrics {
   int64_t items = 0;   // stage-specific unit: frames, shots, groups, scenes
   int threads = 1;     // threads available to the stage (1 = serial)
   // Optional stage-specific counters rendered after the fixed columns
-  // (e.g. the selective-decode stage reports gops= and cache_hits=).
+  // (e.g. the fast path's decode stage reports gops= and failed_gops=).
   std::vector<std::pair<std::string, int64_t>> counters;
   // Per-stage outcome under a degraded-mode run: OK for stages that
   // completed, the recorded failure for optional stages that did not

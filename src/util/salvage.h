@@ -8,10 +8,10 @@
 namespace classminer::util {
 
 // What a best-effort parse or decode managed to rescue from damaged input.
-// Filled by CmvFile::ParseBestEffort, the salvage DC decode, the salvaging
-// FrameSource and ParseDatabaseSalvage; merged onto MiningResult so callers
-// (CLI, batch ingest) can report exactly what was lost. Lives in util so
-// codec, index and core can all speak it without layering knots.
+// Filled by CmvFile::ParseBestEffort, the salvage DC decode, the fast
+// path's planned decode and ParseDatabaseSalvage; merged onto MiningResult
+// so callers (CLI, batch ingest) can report exactly what was lost. Lives in
+// util so codec, index and core can all speak it without layering knots.
 struct SalvageReport {
   // True when the producer had to drop, rebuild or substitute anything —
   // the input was not pristine. The owning result should be flagged

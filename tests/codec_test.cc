@@ -371,16 +371,22 @@ TEST(GopParallelDecodeTest, PoolSizesDecodeByteIdenticalFrames) {
   }
 }
 
-TEST(GopParallelDecodeTest, LowestFailingGopWinsAtEveryPoolSize) {
+// MultiGopFile with GOPs 2 and 4 damaged. GOP 2: clear every bit of its
+// I-frame's first eight bytes, so the first exp-Golomb code runs past 31
+// leading zeros. GOP 4: cut its I-frame's payload short, so the bitstream
+// runs out. The stored index is rebuilt to match the new payload sizes.
+CmvFile TwoDamagedGopsFile() {
   CmvFile file = MultiGopFile();
-  // GOP 2: clear every bit of its I-frame's first eight bytes, so the
-  // first exp-Golomb code runs past 31 leading zeros. GOP 4: cut its
-  // I-frame's payload short, so the bitstream runs out.
   std::vector<uint8_t>& gop2 = file.frames[16].payload;
-  ASSERT_GE(gop2.size(), 8u);
-  for (size_t b = 0; b < 8; ++b) gop2[b] ^= gop2[b];
+  EXPECT_GE(gop2.size(), 8u);
+  for (size_t b = 0; b < 8 && b < gop2.size(); ++b) gop2[b] ^= gop2[b];
   file.frames[32].payload.resize(2);
-  ASSERT_TRUE(file.RebuildGopIndex().ok());
+  EXPECT_TRUE(file.RebuildGopIndex().ok());
+  return file;
+}
+
+TEST(GopParallelDecodeTest, LowestFailingGopWinsAtEveryPoolSize) {
+  const CmvFile file = TwoDamagedGopsFile();
 
   util::StatusOr<GopReader> reader = GopReader::Create(&file);
   ASSERT_TRUE(reader.ok());
@@ -419,6 +425,317 @@ TEST(GopParallelDecodeTest, CancellationAndLeadingPFrameKeepTheirCodes) {
     EXPECT_EQ(DecodeVideo(p_first, p).status().code(),
               util::StatusCode::kDataLoss);
   }
+}
+
+// ---------------------------------------------------------------- GOP index
+
+// A small moving-gradient clip with enough texture that every frame encodes
+// to a distinct payload (so index byte offsets are meaningful).
+media::Video TestVideo(int frames, int w = 48, int h = 36) {
+  util::Rng rng(77);
+  media::Video video("gop-test", 10.0);
+  media::Image base(w, h);
+  media::FillGradient(&base, media::Rgb{60, 90, 140}, media::Rgb{20, 30, 50});
+  media::FillEllipse(&base, w / 2, h / 2, w / 4, h / 4,
+                     media::Rgb{205, 150, 120});
+  for (int i = 0; i < frames; ++i) {
+    media::Image f = media::Translated(base, i, i / 2);
+    media::AddNoise(&f, 3, &rng);
+    video.AppendFrame(std::move(f));
+  }
+  return video;
+}
+
+codec::CmvFile EncodeTestFile(int frames, int gop_size) {
+  codec::EncoderOptions opts;
+  opts.gop_size = gop_size;
+  return codec::EncodeVideo(TestVideo(frames), opts);
+}
+
+TEST(GopIndexTest, EncoderEmitsConsistentIndex) {
+  // 30 frames at GOP size 8: GOPs of 8, 8, 8 and a final partial 6.
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  ASSERT_EQ(file.gop_count(), 4);
+
+  int next_frame = 0;
+  uint64_t next_offset = 0;
+  uint64_t total_bytes = 0;
+  for (const codec::GopIndexEntry& g : file.gop_index) {
+    EXPECT_EQ(g.start_frame, next_frame);
+    EXPECT_EQ(g.byte_offset, next_offset);
+    EXPECT_GT(g.frame_count, 0);
+    EXPECT_GT(g.byte_size, 0u);
+    EXPECT_EQ(file.frames[static_cast<size_t>(g.start_frame)].type,
+              codec::FrameType::kIntra);
+    next_frame += g.frame_count;
+    next_offset += g.byte_size;
+    total_bytes += g.byte_size;
+  }
+  EXPECT_EQ(next_frame, file.frame_count());
+  EXPECT_EQ(total_bytes, file.VideoPayloadBytes());
+  EXPECT_EQ(file.gop_index.back().frame_count, 6);
+}
+
+TEST(GopIndexTest, GopOfFrameCoversBoundaries) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  EXPECT_EQ(file.GopOfFrame(0), 0);
+  EXPECT_EQ(file.GopOfFrame(7), 0);
+  EXPECT_EQ(file.GopOfFrame(8), 1);
+  EXPECT_EQ(file.GopOfFrame(23), 2);
+  EXPECT_EQ(file.GopOfFrame(24), 3);
+  EXPECT_EQ(file.GopOfFrame(29), 3);
+  EXPECT_EQ(file.GopOfFrame(-1), -1);
+  EXPECT_EQ(file.GopOfFrame(30), -1);
+}
+
+TEST(GopIndexTest, SerializeParseRoundTripPreservesIndex) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(file.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->gop_index, file.gop_index);
+}
+
+TEST(GopIndexTest, ParseRebuildsIndexForLegacyContainer) {
+  // A container serialized without the trailing index section (what files
+  // written before the index existed look like) parses fine and gets its
+  // index rebuilt from the frame records.
+  codec::CmvFile file = EncodeTestFile(30, 8);
+  const std::vector<codec::GopIndexEntry> expected = file.gop_index;
+  file.gop_index.clear();
+  const std::vector<uint8_t> legacy_bytes = file.Serialize();
+
+  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(legacy_bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->gop_index, expected);
+}
+
+TEST(GopIndexTest, TruncatedIndexFailsCleanly) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  const std::vector<uint8_t> bytes = file.Serialize();
+
+  // Dropping one whole 24-byte entry trips the explicit count-vs-remaining
+  // guard; dropping a few bytes mid-entry fails on the short read. Either
+  // way: a clean Status, never a crash or a silently short index.
+  for (const size_t cut : {size_t{24}, size_t{5}, size_t{1}}) {
+    ASSERT_GT(bytes.size(), cut);
+    const std::vector<uint8_t> truncated(bytes.begin(),
+                                         bytes.end() - static_cast<long>(cut));
+    util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(truncated);
+    EXPECT_FALSE(back.ok()) << "cut " << cut << " bytes";
+  }
+}
+
+TEST(GopIndexTest, TamperedIndexFailsValidation) {
+  codec::CmvFile file = EncodeTestFile(30, 8);
+  file.gop_index[1].frame_count += 1;
+  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(file.Serialize());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), util::StatusCode::kDataLoss);
+}
+
+TEST(GopIndexTest, StreamStartingWithPFrameCannotIndex) {
+  codec::CmvFile file = EncodeTestFile(30, 8);
+  file.frames.erase(file.frames.begin());  // now opens with a P-frame
+  EXPECT_EQ(file.RebuildGopIndex().code(), util::StatusCode::kDataLoss);
+  file.gop_index.clear();
+  EXPECT_FALSE(codec::GopReader::Create(&file).ok());
+}
+
+// ---------------------------------------------------------------- GopReader
+
+TEST(GopReaderTest, EveryGopMatchesFullDecodeSlice) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  util::StatusOr<media::Video> full = codec::DecodeVideo(file);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader->gop_count(), 4);
+
+  for (int g = 0; g < reader->gop_count(); ++g) {
+    util::StatusOr<std::vector<media::Image>> gop = reader->DecodeGop(g);
+    ASSERT_TRUE(gop.ok()) << gop.status().ToString();
+    const codec::GopIndexEntry& entry = reader->gop(g);
+    ASSERT_EQ(static_cast<int>(gop->size()), entry.frame_count);
+    for (int i = 0; i < entry.frame_count; ++i) {
+      EXPECT_EQ((*gop)[static_cast<size_t>(i)],
+                full->frame(entry.start_frame + i))
+          << "gop " << g << " frame " << i;
+    }
+  }
+}
+
+TEST(GopReaderTest, SingleGopVideoDecodesWhole) {
+  // GOP size larger than the clip: the whole video is one GOP.
+  const codec::CmvFile file = EncodeTestFile(10, 100);
+  util::StatusOr<media::Video> full = codec::DecodeVideo(file);
+  ASSERT_TRUE(full.ok());
+
+  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader->gop_count(), 1);
+  EXPECT_EQ(reader->GopOfFrame(0), 0);
+  EXPECT_EQ(reader->GopOfFrame(9), 0);
+
+  util::StatusOr<std::vector<media::Image>> gop = reader->DecodeGop(0);
+  ASSERT_TRUE(gop.ok());
+  ASSERT_EQ(gop->size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ((*gop)[static_cast<size_t>(i)], full->frame(i));
+  }
+}
+
+TEST(GopReaderTest, RejectsBadGopIndexAndBadFile) {
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->DecodeGop(-1).status().code(),
+            util::StatusCode::kOutOfRange);
+  EXPECT_EQ(reader->DecodeGop(reader->gop_count()).status().code(),
+            util::StatusCode::kOutOfRange);
+  // A prefix longer than the GOP (8 frames) is out of range too.
+  EXPECT_EQ(reader->DecodeGop(0, nullptr, 9).status().code(),
+            util::StatusCode::kOutOfRange);
+
+  EXPECT_FALSE(codec::GopReader::Create(nullptr).ok());
+  codec::CmvFile broken = file;
+  broken.width = 0;
+  EXPECT_FALSE(codec::GopReader::Create(&broken).ok());
+  codec::CmvFile stale = file;
+  stale.gop_index[0].byte_size += 1;  // stored index disagrees with frames
+  EXPECT_EQ(codec::GopReader::Create(&stale).status().code(),
+            util::StatusCode::kDataLoss);
+}
+
+// ------------------------------------------------------------- DecodeFrames
+
+// Planned selective decode (DecodeFrames) over MultiGopFile: GOPs start at
+// frames 0, 8, 16, 24, 32 and 40.
+
+TEST(DecodeFramesTest, FramesMatchFullDecodeInlineAndOnAPool) {
+  const CmvFile file = MultiGopFile();
+  util::StatusOr<media::Video> full = DecodeVideo(file);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const std::vector<int> wanted = {0, 3, 9, 10, 15, 31, 41, 43};
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "pool of 4");
+    util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted, p);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_TRUE(batch->FirstError().ok());
+    EXPECT_EQ(batch->failed_gops, 0);
+    ASSERT_EQ(batch->frames.size(), wanted.size());
+    for (size_t i = 0; i < wanted.size(); ++i) {
+      const DecodedFrame& frame = batch->frames[i];
+      EXPECT_TRUE(frame.status.ok());
+      EXPECT_EQ(frame.image, full->frame(wanted[i])) << "frame " << wanted[i];
+    }
+  }
+}
+
+TEST(DecodeFramesTest, DecodesEachNeededGopOnceUpToItsLastFrame) {
+  const CmvFile file = MultiGopFile();
+  // GOP 0 up to position 5, GOP 2 up to position 3, GOP 5 up to position
+  // 0: 6 + 4 + 1 frames. GOPs 1, 3 and 4 are never touched.
+  util::StatusOr<FrameBatch> batch = DecodeFrames(file, {1, 5, 18, 19, 40});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->gops, 3);
+  EXPECT_EQ(batch->frames_decoded, 6 + 4 + 1);
+
+  util::StatusOr<FrameBatch> none = DecodeFrames(file, {});
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->frames.empty());
+  EXPECT_EQ(none->gops, 0);
+  EXPECT_EQ(none->frames_decoded, 0);
+}
+
+TEST(DecodeFramesTest, LowestFailingGopWinsAtEveryPoolSize) {
+  const CmvFile file = TwoDamagedGopsFile();
+  util::StatusOr<GopReader> reader = GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  const util::Status gop2_status = reader->DecodeGop(2).status();
+  ASSERT_FALSE(gop2_status.ok());
+  ASSERT_NE(gop2_status.message(), reader->DecodeGop(4).status().message());
+
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    util::StatusOr<FrameBatch> batch =
+        DecodeFrames(file, {9, 17, 20, 33, 41}, &pool);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->gops, 4);
+    EXPECT_EQ(batch->failed_gops, 2);
+    const util::Status first = batch->FirstError();
+    EXPECT_EQ(first.code(), gop2_status.code());
+    EXPECT_EQ(first.message(), gop2_status.message());
+  }
+}
+
+TEST(DecodeFramesTest, SalvagingCallerKeepsEveryFrameOutsideTheFailedGops) {
+  const CmvFile pristine = MultiGopFile();
+  util::StatusOr<media::Video> full = DecodeVideo(pristine);
+  ASSERT_TRUE(full.ok());
+  const CmvFile file = TwoDamagedGopsFile();
+  std::vector<int> wanted(static_cast<size_t>(file.frame_count()));
+  for (int f = 0; f < file.frame_count(); ++f) {
+    wanted[static_cast<size_t>(f)] = f;
+  }
+  util::ThreadPool pool(4);
+  util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted, &pool);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->failed_gops, 2);
+  // Only GOPs 0, 1, 3 and 5 decode: 8 + 8 + 8 + 4 frames.
+  EXPECT_EQ(batch->frames_decoded, 28);
+  ASSERT_EQ(batch->frames.size(), wanted.size());
+  for (int f = 0; f < file.frame_count(); ++f) {
+    SCOPED_TRACE("frame " + std::to_string(f));
+    const DecodedFrame& frame = batch->frames[static_cast<size_t>(f)];
+    const int gop = file.GopOfFrame(f);
+    if (gop == 2 || gop == 4) {
+      EXPECT_FALSE(frame.status.ok());
+      EXPECT_EQ(frame.image.width(), 0);
+    } else {
+      ASSERT_TRUE(frame.status.ok());
+      EXPECT_EQ(frame.image, full->frame(f));
+    }
+  }
+}
+
+TEST(DecodeFramesTest, CancellationStopsEveryDecodeLoop) {
+  const CmvFile file = MultiGopFile();
+  util::CancellationToken cancel;
+  cancel.Cancel();
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(p == nullptr ? "inline" : "pool of 4");
+    EXPECT_EQ(DecodeFrames(file, {2, 12, 40},
+                           util::ExecutionContext(p, nullptr, &cancel))
+                  .status()
+                  .code(),
+              util::StatusCode::kCancelled);
+  }
+  EXPECT_EQ(DecodeDcImages(file, &cancel).status().code(),
+            util::StatusCode::kCancelled);
+  util::StatusOr<GopReader> reader = GopReader::Create(&file);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->DecodeGop(0, &cancel).status().code(),
+            util::StatusCode::kCancelled);
+}
+
+TEST(DecodeFramesTest, RejectsOutOfRangeAndUnsortedIndices) {
+  const CmvFile file = MultiGopFile();
+  const std::vector<std::vector<int>> bad = {
+      {-1}, {44}, {3, 100}, {9, 3}, {5, 5}};
+  for (const std::vector<int>& indices : bad) {
+    EXPECT_EQ(DecodeFrames(file, indices).status().code(),
+              util::StatusCode::kOutOfRange)
+        << "first index " << indices.front();
+  }
+  // The stored index is validated like GopReader::Create validates it.
+  CmvFile stale = file;
+  stale.gop_index[1].byte_size += 1;
+  EXPECT_EQ(DecodeFrames(stale, {0}).status().code(),
+            util::StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fault-injection plumbing: FailPoint trigger specs, bounded retry with
 // deterministic backoff, the retrying file I/O built on both, StatusSink
-// suppressed-error accounting, and the FrameSource sticky-error contract
-// (transient failures must not poison the source).
+// suppressed-error accounting, and how a GOP decode fault reaches a fast-path
+// mine (strict runs fail, degraded runs confine it to its shots).
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,8 @@
 #include <vector>
 
 #include "codec/container.h"
-#include "codec/encoder.h"
-#include "codec/frame_source.h"
-#include "media/draw.h"
+#include "core/cmv_pipeline.h"
+#include "synth/video_generator.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
 #include "util/retry.h"
@@ -409,69 +408,73 @@ TEST(StatusSinkTest, CountsSuppressedErrorsAfterFirstWins) {
 }
 
 // ---------------------------------------------------------------------------
-// FrameSource error stickiness (regression: a transient decode failure used
-// to poison the source forever).
+// GOP decode faults on the fast path's planned decode.
 
-codec::CmvFile SmallFixture() {
-  util::Rng rng(5);
-  media::Video video("fs", 12.0);
-  media::Image base(32, 24);
-  media::FillGradient(&base, media::Rgb{40, 90, 200}, media::Rgb{10, 30, 5});
-  for (int i = 0; i < 9; ++i) {
-    media::Image f = base;
-    media::AddNoise(&f, 3, &rng);
-    video.AppendFrame(std::move(f));
-  }
-  codec::EncoderOptions options;
-  options.gop_size = 3;
-  return codec::EncodeVideo(video, options);
+// Two scenes of four shots on a small frame, so several GOPs hold a
+// representative frame.
+codec::CmvFile MiningFixture() {
+  synth::VideoScript script;
+  script.name = "decode-faults";
+  script.seed = 21;
+  script.width = 64;
+  script.height = 48;
+  script.scenes.push_back(
+      {synth::SceneKind::kPresentation, 4, 0, 0, -1, 1.0});
+  script.scenes.push_back({synth::SceneKind::kDialog, 4, 1, 0, 1, 1.0});
+  return core::PackGeneratedVideo(synth::GenerateVideo(script));
 }
 
-class FrameSourceFaultTest : public FailPointTest {};
+class PlannedDecodeFaultTest : public FailPointTest {};
 
-TEST_F(FrameSourceFaultTest, TransientDecodeFailureIsNotSticky) {
-  const codec::CmvFile file = SmallFixture();
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> source =
-      codec::FrameSource::Create(&file);
-  ASSERT_TRUE(source.ok());
+TEST_F(PlannedDecodeFaultTest, TransientFaultFailsStrictMine) {
+  const codec::CmvFile file = MiningFixture();
+  core::MiningOptions options;
+  options.thread_count = 2;
+  ASSERT_TRUE(core::MineCmvFileFast(file, options).ok());
 
   FailPoint::Arm("codec.gop_reader.decode_gop",
                  FailPoint::Spec::Once(StatusCode::kUnavailable));
-  EXPECT_EQ((*source)->GetFrame(0).status().code(), StatusCode::kUnavailable);
-  // The fault was transient; the very next request decodes cleanly.
-  EXPECT_TRUE((*source)->GetFrame(0).ok());
+  EXPECT_EQ(core::MineCmvFileFast(file, options).status().code(),
+            StatusCode::kUnavailable);
+  // Nothing sticks: the fault fired once, so the next mine succeeds.
+  EXPECT_TRUE(core::MineCmvFileFast(file, options).ok());
 }
 
-TEST_F(FrameSourceFaultTest, NonRetryableFailureIsStickyInStrictMode) {
-  const codec::CmvFile file = SmallFixture();
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> source =
-      codec::FrameSource::Create(&file);
-  ASSERT_TRUE(source.ok());
+TEST_F(PlannedDecodeFaultTest, DataLossInDegradedModeStaysWithItsShots) {
+  const codec::CmvFile file = MiningFixture();
+  core::MiningOptions options;
+  options.thread_count = 1;  // the one-shot fault hits the first needed GOP
+  options.failure_policy = core::FailurePolicy::kDegraded;
+  const util::StatusOr<core::MiningResult> pristine =
+      core::MineCmvFileFast(file, options);
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
 
   FailPoint::Arm("codec.gop_reader.decode_gop",
                  FailPoint::Spec::Once(StatusCode::kDataLoss));
-  EXPECT_EQ((*source)->GetFrame(0).status().code(), StatusCode::kDataLoss);
-  // Sticky: even frames in undamaged GOPs now report the first error.
-  EXPECT_EQ((*source)->GetFrame(8).status().code(), StatusCode::kDataLoss);
-}
+  const util::StatusOr<core::MiningResult> mined =
+      core::MineCmvFileFast(file, options);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  EXPECT_TRUE(mined->degraded);
+  EXPECT_TRUE(mined->stage_failures.empty());
+  EXPECT_EQ(mined->salvage.gops_skipped, 1);
+  const util::StageMetrics* decode = mined->metrics.Find("decode");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->Counter("failed_gops"), 1);
 
-TEST_F(FrameSourceFaultTest, SalvageModeConfinesFailureToItsGop) {
-  const codec::CmvFile file = SmallFixture();
-  codec::FrameSource::Options options;
-  options.salvage = true;
-  util::StatusOr<std::unique_ptr<codec::FrameSource>> source =
-      codec::FrameSource::Create(&file, options);
-  ASSERT_TRUE(source.ok());
-
-  // Fail only the first GOP decode; the rest of the container stays usable.
-  FailPoint::Arm("codec.gop_reader.decode_gop",
-                 FailPoint::Spec::Once(StatusCode::kDataLoss));
-  EXPECT_FALSE((*source)->GetFrame(0).ok());
-  EXPECT_TRUE((*source)->GetFrame(4).ok());
-  EXPECT_TRUE((*source)->GetFrame(8).ok());
-  // The bad GOP keeps failing with the recorded error, without re-decoding.
-  EXPECT_EQ((*source)->GetFrame(1).status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ((*source)->stats().failed_gops, 1);
+  const std::vector<shot::Shot>& shots = mined->structure.shots;
+  ASSERT_EQ(shots.size(), pristine->structure.shots.size());
+  ASSERT_GE(file.GopOfFrame(shots.back().rep_frame),
+            file.GopOfFrame(shots.front().rep_frame) + 1);
+  const int failed_gop = file.GopOfFrame(shots.front().rep_frame);
+  for (size_t i = 0; i < shots.size(); ++i) {
+    SCOPED_TRACE("shot " + std::to_string(i));
+    const features::ShotFeatures& expected =
+        file.GopOfFrame(shots[i].rep_frame) == failed_gop
+            ? features::ShotFeatures{}
+            : pristine->structure.shots[i].features;
+    EXPECT_EQ(shots[i].features.histogram, expected.histogram);
+    EXPECT_EQ(shots[i].features.tamura, expected.tamura);
+  }
 }
 
 }  // namespace

@@ -479,9 +479,30 @@ TEST_F(DegradedMiningTest, TruncatedTailStillMinesAndIndexes) {
   EXPECT_GT(skim.Fcr(skim::kSkimLevels), 0.0);
 }
 
+bool SameFeatures(const features::ShotFeatures& a,
+                  const features::ShotFeatures& b) {
+  return a.histogram == b.histogram && a.tamura == b.tamura;
+}
+
+bool SameCues(const cues::FrameCues& a, const cues::FrameCues& b) {
+  return a.special == b.special && a.has_face == b.has_face &&
+         a.face_closeup == b.face_closeup &&
+         a.max_face_fraction == b.max_face_fraction &&
+         a.has_skin_region == b.has_skin_region &&
+         a.skin_closeup == b.skin_closeup &&
+         a.max_skin_fraction == b.max_skin_fraction &&
+         a.has_blood == b.has_blood &&
+         a.max_blood_fraction == b.max_blood_fraction;
+}
+
 TEST_F(DegradedMiningTest, CorruptMidGopStillMinesDegraded) {
   const synth::GeneratedVideo generated = MiningFixture();
   const codec::CmvFile file = core::PackGeneratedVideo(generated);
+  const util::StatusOr<core::MiningResult> pristine =
+      core::MineCmvFileFast(file, DegradedOptions());
+  ASSERT_TRUE(pristine.ok()) << pristine.status().message();
+  ASSERT_FALSE(pristine->degraded);
+
   // One GOP decode fails with unrecoverable damage mid-container.
   util::FailPoint::Scoped scoped(
       "codec.gop_reader.decode_gop",
@@ -492,6 +513,39 @@ TEST_F(DegradedMiningTest, CorruptMidGopStillMinesDegraded) {
   ExpectIndexable(*mined);
   EXPECT_TRUE(mined->degraded);
   EXPECT_TRUE(mined->salvage.salvaged);
+  EXPECT_EQ(mined->salvage.gops_skipped, 1);
+  for (const core::StageFailure& failure : mined->stage_failures) {
+    EXPECT_NE(failure.stage, "cues");
+  }
+
+  // The damage stays with the shots whose representative frame the failed
+  // GOP holds. Which GOP the one-shot fault hits depends on scheduling, so
+  // find it as the GOP of the shots that lost their features.
+  const std::vector<shot::Shot>& shots = mined->structure.shots;
+  ASSERT_EQ(shots.size(), pristine->structure.shots.size());
+  ASSERT_EQ(mined->shot_cues.size(), shots.size());
+  ASSERT_EQ(pristine->shot_cues.size(), shots.size());
+  std::vector<int> lost_gops;
+  for (size_t i = 0; i < shots.size(); ++i) {
+    if (!SameFeatures(shots[i].features,
+                      pristine->structure.shots[i].features)) {
+      lost_gops.push_back(file.GopOfFrame(shots[i].rep_frame));
+    }
+  }
+  ASSERT_FALSE(lost_gops.empty());
+  const int failed_gop = lost_gops.front();
+  for (size_t i = 0; i < shots.size(); ++i) {
+    SCOPED_TRACE("shot " + std::to_string(i));
+    ASSERT_EQ(shots[i].rep_frame, pristine->structure.shots[i].rep_frame);
+    if (file.GopOfFrame(shots[i].rep_frame) == failed_gop) {
+      EXPECT_TRUE(SameFeatures(shots[i].features, features::ShotFeatures{}));
+      EXPECT_TRUE(SameCues(mined->shot_cues[i], cues::FrameCues{}));
+    } else {
+      EXPECT_TRUE(SameFeatures(shots[i].features,
+                               pristine->structure.shots[i].features));
+      EXPECT_TRUE(SameCues(mined->shot_cues[i], pristine->shot_cues[i]));
+    }
+  }
 }
 
 TEST_F(DegradedMiningTest, CorruptMidGopFailsStrictMode) {
