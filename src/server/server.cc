@@ -92,6 +92,10 @@ struct ClassMinerServer::ConnShared {
   std::mutex mu;
   std::condition_variable cv;
   size_t queued_bytes = 0;  // reactor's write_queue_bytes, mirrored
+  // Chunk frame bytes an op has posted that the reactor has not queued yet.
+  // Counted against the bound too, so an op that outruns the reactor
+  // cannot post past it.
+  size_t transit_bytes = 0;
   bool dead = false;        // connection closed; stop waiting, drop output
   // Last wire activity (NowMs), stamped by the reactor on accept, read and
   // write progress; read by the deadline monitor's idle reaper.
@@ -549,6 +553,10 @@ void ClassMinerServer::HandleAccept() {
     if (!SetNonBlocking(*fd, true).ok()) {
       CloseFd(*fd);
       continue;
+    }
+    if (options_.socket_send_buffer_bytes > 0) {
+      const int size = options_.socket_send_buffer_bytes;
+      (void)setsockopt(*fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
     }
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
@@ -1114,16 +1122,14 @@ void ClassMinerServer::ProcessEvents() {
     Connection* conn = it->second.get();
     switch (event.kind) {
       case WorkerEvent::Kind::kChunk: {
-        Response chunk;
-        chunk.request_id = event.request_id;
-        chunk.final_chunk = false;
-        chunk.body = std::move(event.response.body);
-        util::StatusOr<std::vector<uint8_t>> bytes = chunk.SerializeChunk();
-        if (bytes.ok()) {
-          util::StatusOr<std::vector<uint8_t>> frame = EncodeFrame(
-              kResponseMagicV2, *bytes, options_.max_frame_bytes);
-          if (frame.ok()) EnqueueFrameBytes(conn, std::move(*frame));
+        const size_t frame_bytes = event.frame.size();
+        EnqueueFrameBytes(conn, std::move(event.frame));
+        {
+          // Queued now (counted in queued_bytes), no longer in transit.
+          std::lock_guard<std::mutex> lock(conn->shared->mu);
+          conn->shared->transit_bytes -= frame_bytes;
         }
+        conn->shared->cv.notify_all();
         break;
       }
       case WorkerEvent::Kind::kFinal: {
@@ -1212,11 +1218,26 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         ctx->request.kind == RequestKind::kSkim) {
       env.chunk_bytes = options_.stream_chunk_bytes;
       env.chunk_sink = [this, ctx](const std::string& fragment) {
+        // The worker encodes the chunk frame, so the op knows its exact
+        // wire size and the reactor only queues it.
+        Response chunk;
+        chunk.request_id = ctx->request.request_id;
+        chunk.final_chunk = false;
+        chunk.body = fragment;
+        util::StatusOr<std::vector<uint8_t>> bytes = chunk.SerializeChunk();
+        if (!bytes.ok()) return;
+        util::StatusOr<std::vector<uint8_t>> frame =
+            EncodeFrame(kResponseMagicV2, *bytes, options_.max_frame_bytes);
+        if (!frame.ok()) return;
         WorkerEvent event;
         event.kind = WorkerEvent::Kind::kChunk;
         event.conn_id = ctx->conn_id;
         event.request_id = ctx->request.request_id;
-        event.response.body = fragment;
+        {
+          std::lock_guard<std::mutex> lock(ctx->shared->mu);
+          ctx->shared->transit_bytes += frame->size();
+        }
+        event.frame = std::move(*frame);
         PostEvent(std::move(event));
         // Backpressure: the op pauses until the peer drains its socket
         // below the write-queue bound (or the session dies). A slow reader
@@ -1224,7 +1245,8 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         std::unique_lock<std::mutex> lock(ctx->shared->mu);
         ctx->shared->cv.wait(lock, [&] {
           return ctx->shared->dead ||
-                 ctx->shared->queued_bytes <= options_.max_write_queue_bytes;
+                 ctx->shared->queued_bytes + ctx->shared->transit_bytes <=
+                     options_.max_write_queue_bytes;
         });
       };
     }

@@ -85,6 +85,10 @@ struct ServerOptions {
   // session block (backpressure) and reactor-side body chunking defers
   // until the peer drains the socket.
   size_t max_write_queue_bytes = 256u << 10;
+  // Kernel send buffer (SO_SNDBUF) of each accepted session; 0 keeps the
+  // kernel's autotuned size. A small value leaves the write-queue bound as
+  // nearly all a slow reader can make the server hold for it.
+  int socket_send_buffer_bytes = 0;
 
   // Single-flight mining-result cache (mine/skim). Disabled, every request
   // runs its own pipeline, matching the pre-cache daemon.
@@ -232,7 +236,7 @@ class ClassMinerServer {
   // Worker -> reactor handoff.
   struct WorkerEvent {
     enum class Kind {
-      kChunk,       // a streamed report fragment (non-final)
+      kChunk,       // a streamed report fragment (non-final), encoded
       kFinal,       // the op's response; body is the full report
       kRedispatch,  // single-flight leader failed; run this request anew
       kCloseIdle,   // deadline monitor: conn_id exceeded the idle timeout
@@ -240,7 +244,8 @@ class ClassMinerServer {
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
     uint32_t request_id = 0;
-    Response response;          // kFinal / kChunk (fragment in body)
+    Response response;          // kFinal
+    std::vector<uint8_t> frame;  // kChunk: the fragment's chunk frame
     size_t streamed_bytes = 0;  // kFinal: prefix already sent as chunks
     Request request;            // kRedispatch
     bool owns_id = false;       // kFinal/kRedispatch: mirrors PendingRequest

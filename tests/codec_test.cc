@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -631,6 +633,48 @@ TEST(DecodeFramesTest, FramesMatchFullDecodeInlineAndOnAPool) {
       EXPECT_EQ(frame.image, full->frame(wanted[i])) << "frame " << wanted[i];
     }
   }
+}
+
+TEST(DecodeFramesTest, ConcurrentBatchesOnOnePoolAreBitIdentical) {
+  // Several callers decode different, overlapping batches of one file at
+  // once, all on one shared pool: a decode shares no state between calls,
+  // so every frame still matches the full decode.
+  const CmvFile file = MultiGopFile();
+  util::StatusOr<media::Video> full = DecodeVideo(file);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  util::ThreadPool pool(4);
+
+  constexpr int kCallers = 4;
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      // Strided so every caller touches every GOP, at different frames.
+      std::vector<int> wanted;
+      for (int f = t; f < file.frame_count(); f += kCallers) {
+        wanted.push_back(f);
+      }
+      for (int pass = 0; pass < 3; ++pass) {
+        util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted, &pool);
+        if (!batch.ok() || !batch->FirstError().ok() ||
+            batch->frames.size() != wanted.size()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < wanted.size(); ++i) {
+          if (!(batch->frames[i].image == full->frame(wanted[i]))) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(DecodeFramesTest, DecodesEachNeededGopOnceUpToItsLastFrame) {

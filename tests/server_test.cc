@@ -3,6 +3,9 @@
 // drain, and byte-identity between server responses and the shared
 // operation layer the CLI prints from.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
@@ -69,9 +72,33 @@ util::StatusOr<Response> ReadChunk(int fd) {
   return Response::ParseChunk(*frame);
 }
 
-// Opens a raw session and completes the hello handshake under tag 1.
-util::StatusOr<int> RawSession(int port, const SessionHello& hello) {
-  util::StatusOr<int> fd = ConnectTo("127.0.0.1", port);
+// Connects to the loopback port with the smallest receive buffer the
+// kernel allows, set before connect so the advertised window stays small
+// too: unread response bytes then back up into the server after a few KB.
+util::StatusOr<int> ConnectSmallWindow(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Status::Internal("socket failed");
+  const int one = 1;
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    CloseFd(fd);
+    return Status::Unavailable("connect failed");
+  }
+  return fd;
+}
+
+// Opens a raw session and completes the hello handshake under tag 1,
+// reading its response through the final chunk. A small receive window
+// (ConnectSmallWindow) is opt-in.
+util::StatusOr<int> RawSession(int port, const SessionHello& hello,
+                               bool small_window = false) {
+  util::StatusOr<int> fd = small_window ? ConnectSmallWindow(port)
+                                        : ConnectTo("127.0.0.1", port);
   if (!fd.ok()) return fd.status();
   Request handshake;
   handshake.kind = RequestKind::kHello;
@@ -82,12 +109,14 @@ util::StatusOr<int> RawSession(int port, const SessionHello& hello) {
     CloseFd(*fd);
     return sent;
   }
-  util::StatusOr<Response> response = ReadChunk(*fd);
-  if (!response.ok() || !response->ok()) {
-    CloseFd(*fd);
-    return response.ok() ? response->ToStatus() : response.status();
+  for (;;) {
+    util::StatusOr<Response> response = ReadChunk(*fd);
+    if (!response.ok() || !response->ok()) {
+      CloseFd(*fd);
+      return response.ok() ? response->ToStatus() : response.status();
+    }
+    if (response->final_chunk) return fd;
   }
-  return fd;
 }
 
 // Waits for the server to hang up. False when it sends more bytes or
@@ -791,8 +820,13 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   const std::string cmv = TestContainer("slow.cmv", 29);
 
   ServerOptions options;
-  options.stream_chunk_bytes = 32;
-  options.max_write_queue_bytes = 64;  // tiny: a ~300 B report must stall
+  // One report byte per chunk frame: the ~300 B report goes out as ~9 KB of
+  // ~30 B frames, more than the minimum-size kernel buffers on both ends
+  // (the server's send buffer, the client's receive window) hold between
+  // them (~5 KB on Linux).
+  options.stream_chunk_bytes = 1;
+  options.socket_send_buffer_bytes = 1;  // the kernel raises it to its floor
+  options.max_write_queue_bytes = 64;    // tiny: the stream must stall
   StartServer(std::move(options));
 
   const OpEnv env;
@@ -800,7 +834,8 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   ASSERT_TRUE(want.ok());
   ASSERT_GT(want.report.size(), 128u);  // big enough to trip the bound
 
-  util::StatusOr<int> fd = RawSession(server_->port(), MakeHello("slow", 3));
+  util::StatusOr<int> fd =
+      RawSession(server_->port(), MakeHello("slow", 3), /*small_window=*/true);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
 
   Request skim;
@@ -809,16 +844,25 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   skim.request_id = 2;
   ASSERT_TRUE(SendRequest(*fd, skim).ok());
 
-  // Do not read. The op fills the socket + write queue to the bound, then
-  // its next chunk blocks on backpressure: the response cannot finish.
-  while (server_->StatsSnapshot().write_queue_peak_bytes == 0) {
-    std::this_thread::yield();
+  // Do not read. Once the op streams (its first bytes reach the client),
+  // it fills the socket and the write queue to the bound, then its next
+  // chunk blocks on backpressure: the response cannot finish.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    int unread = 0;
+    ASSERT_EQ(ioctl(*fd, FIONREAD, &unread), 0);
+    if (unread > 0) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+        << "the skim never started streaming";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   ServerStats stalled = server_->StatsSnapshot();
   EXPECT_EQ(stalled.requests_ok, 0u);  // still blocked mid-stream
-  // The queue never ran away: bound + one in-flight chunk frame + the
-  // posts-in-transit slack (each chunk frame is ~70 bytes here).
+  // The queue never ran away: bound + one in-flight chunk frame (an op
+  // counts its posted chunks against the bound before the reactor queues
+  // them), with room to spare.
   EXPECT_LE(stalled.write_queue_peak_bytes,
             options.max_write_queue_bytes + 512);
 
