@@ -92,7 +92,7 @@ struct ClassMinerServer::ConnShared {
   std::mutex mu;
   std::condition_variable cv;
   size_t queued_bytes = 0;  // reactor's write_queue_bytes, mirrored
-  // Chunk frame bytes an op has posted that the reactor has not queued yet.
+  // Chunk frame bytes ops have posted that the reactor has not queued yet.
   // Counted against the bound too, so an op that outruns the reactor
   // cannot post past it.
   size_t transit_bytes = 0;
@@ -554,10 +554,6 @@ void ClassMinerServer::HandleAccept() {
       CloseFd(*fd);
       continue;
     }
-    if (options_.socket_send_buffer_bytes > 0) {
-      const int size = options_.socket_send_buffer_bytes;
-      (void)setsockopt(*fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size));
-    }
     const uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->id = id;
@@ -1008,7 +1004,9 @@ void ClassMinerServer::FillStreaming(Connection* conn) {
 }
 
 void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
-                                         std::vector<uint8_t> frame) {
+                                         std::vector<uint8_t> frame,
+                                         bool in_transit) {
+  const size_t frame_bytes = frame.size();
   // Fault injection: duplicate a final chunk on the wire, modelling a
   // retransmit-after-ack. Only FINAL chunks are duplicated — the client
   // forgets the tag once the final frame lands, so the copy exercises the
@@ -1026,6 +1024,9 @@ void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
   {
     std::lock_guard<std::mutex> lock(conn->shared->mu);
     conn->shared->queued_bytes = conn->write_queue_bytes;
+    // An op's posted chunk moves from transit to the queue; the sum the op
+    // waits on never drops here, so no waiter needs waking.
+    if (in_transit) conn->shared->transit_bytes -= frame_bytes;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1121,17 +1122,9 @@ void ClassMinerServer::ProcessEvents() {
     }
     Connection* conn = it->second.get();
     switch (event.kind) {
-      case WorkerEvent::Kind::kChunk: {
-        const size_t frame_bytes = event.frame.size();
-        EnqueueFrameBytes(conn, std::move(event.frame));
-        {
-          // Queued now (counted in queued_bytes), no longer in transit.
-          std::lock_guard<std::mutex> lock(conn->shared->mu);
-          conn->shared->transit_bytes -= frame_bytes;
-        }
-        conn->shared->cv.notify_all();
+      case WorkerEvent::Kind::kChunk:
+        EnqueueFrameBytes(conn, std::move(event.frame), /*in_transit=*/true);
         break;
-      }
       case WorkerEvent::Kind::kFinal: {
         --conn->executing;
         event.response.request_id = event.request_id;
@@ -1218,8 +1211,8 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         ctx->request.kind == RequestKind::kSkim) {
       env.chunk_bytes = options_.stream_chunk_bytes;
       env.chunk_sink = [this, ctx](const std::string& fragment) {
-        // The worker encodes the chunk frame, so the op knows its exact
-        // wire size and the reactor only queues it.
+        // The worker encodes the chunk frame, so it knows the exact wire
+        // size it puts in transit; the reactor only queues it.
         Response chunk;
         chunk.request_id = ctx->request.request_id;
         chunk.final_chunk = false;

@@ -85,10 +85,6 @@ struct ServerOptions {
   // session block (backpressure) and reactor-side body chunking defers
   // until the peer drains the socket.
   size_t max_write_queue_bytes = 256u << 10;
-  // Kernel send buffer (SO_SNDBUF) of each accepted session; 0 keeps the
-  // kernel's autotuned size. A small value leaves the write-queue bound as
-  // nearly all a slow reader can make the server hold for it.
-  int socket_send_buffer_bytes = 0;
 
   // Single-flight mining-result cache (mine/skim). Disabled, every request
   // runs its own pipeline, matching the pre-cache daemon.
@@ -244,7 +240,7 @@ class ClassMinerServer {
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
     uint32_t request_id = 0;
-    Response response;          // kFinal
+    Response response;           // kFinal
     std::vector<uint8_t> frame;  // kChunk: the fragment's chunk frame
     size_t streamed_bytes = 0;  // kFinal: prefix already sent as chunks
     Request request;            // kRedispatch
@@ -271,7 +267,10 @@ class ClassMinerServer {
   std::string BuildHealthReport() const;
   void EnqueueFinal(Connection* conn, Response response,
                     size_t streamed_bytes, bool release_id);
-  void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame);
+  // `in_transit`: the frame is an op's posted chunk, counted in
+  // ConnShared::transit_bytes until queued here.
+  void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame,
+                         bool in_transit = false);
   void FillStreaming(Connection* conn);
   void FlushConn(Connection* conn);
   void UpdateWriteInterest(Connection* conn);

@@ -92,6 +92,45 @@ util::StatusOr<int> ConnectSmallWindow(int port) {
   return fd;
 }
 
+// The server runs in this process, so a test can reach the server end of
+// a loopback session: the socket whose local and peer addresses mirror the
+// client's. Returns -1 when no such descriptor is open.
+int ServerEndOf(int client_fd) {
+  sockaddr_in client_local{};
+  sockaddr_in client_peer{};
+  socklen_t len = sizeof(client_local);
+  if (getsockname(client_fd, reinterpret_cast<sockaddr*>(&client_local),
+                  &len) != 0) {
+    return -1;
+  }
+  len = sizeof(client_peer);
+  if (getpeername(client_fd, reinterpret_cast<sockaddr*>(&client_peer),
+                  &len) != 0) {
+    return -1;
+  }
+  const auto same = [](const sockaddr_in& a, const sockaddr_in& b) {
+    return a.sin_family == b.sin_family && a.sin_port == b.sin_port &&
+           a.sin_addr.s_addr == b.sin_addr.s_addr;
+  };
+  for (int fd = 0; fd < 4096; ++fd) {
+    if (fd == client_fd) continue;
+    sockaddr_in local{};
+    sockaddr_in peer{};
+    len = sizeof(local);
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        len != sizeof(local)) {
+      continue;
+    }
+    len = sizeof(peer);
+    if (getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0 ||
+        len != sizeof(peer)) {
+      continue;
+    }
+    if (same(local, client_peer) && same(peer, client_local)) return fd;
+  }
+  return -1;
+}
+
 // Opens a raw session and completes the hello handshake under tag 1,
 // reading its response through the final chunk. A small receive window
 // (ConnectSmallWindow) is opt-in.
@@ -825,8 +864,7 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   // (the server's send buffer, the client's receive window) hold between
   // them (~5 KB on Linux).
   options.stream_chunk_bytes = 1;
-  options.socket_send_buffer_bytes = 1;  // the kernel raises it to its floor
-  options.max_write_queue_bytes = 64;    // tiny: the stream must stall
+  options.max_write_queue_bytes = 64;  // tiny: the stream must stall
   StartServer(std::move(options));
 
   const OpEnv env;
@@ -837,6 +875,13 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   util::StatusOr<int> fd =
       RawSession(server_->port(), MakeHello("slow", 3), /*small_window=*/true);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  // Shrink the session's kernel send buffer to its floor; autotuned, it
+  // would absorb the whole stream and the op would never stall.
+  const int server_end = ServerEndOf(*fd);
+  ASSERT_GE(server_end, 0);
+  const int one = 1;
+  ASSERT_EQ(setsockopt(server_end, SOL_SOCKET, SO_SNDBUF, &one, sizeof(one)),
+            0);
 
   Request skim;
   skim.kind = RequestKind::kSkim;
