@@ -293,8 +293,12 @@ int CmdSkim(const std::vector<std::string>& args) {
   server::OpDiagnostics diag;
   codec::CmvFile file;
   core::MiningResult result;
+  // The exports read the mined events, so only they take the mining result
+  // (a full mine); the table alone needs the content structure only.
+  const bool exports = !html_path.empty() || !storyboard_path.empty();
   const server::OpResult op =
-      server::SkimOp(args[0], level, env, &diag, &file, &result);
+      exports ? server::SkimOp(args[0], level, env, &diag, &file, &result)
+              : server::SkimOp(args[0], level, env, &diag);
   std::printf("%s", op.report.c_str());
   if (!op.ok()) {
     PrintDiagnostics(diag);
@@ -302,7 +306,7 @@ int CmdSkim(const std::vector<std::string>& args) {
     return 1;
   }
 
-  if (!html_path.empty() || !storyboard_path.empty()) {
+  if (exports) {
     // Exports rebuild the skim from the op's mining result (no re-mine).
     const skim::ScalableSkim sk(&result.structure);
     if (!html_path.empty()) {

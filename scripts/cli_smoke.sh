@@ -8,7 +8,10 @@
 #   2. a 4-shard library takes an append (one dead record), a compaction, a
 #      torn tail on every data-holding shard log, and a repair that must
 #      leave it verifying clean;
-#   3. malformed or out-of-range numeric flags exit with usage (2) instead
+#   3. `skim` alone (content structure only) prints the same table as a
+#      `skim` that exports HTML and a storyboard (full mine), and the HTML
+#      names the mined events;
+#   4. malformed or out-of-range numeric flags exit with usage (2) instead
 #      of aborting.
 #
 #   scripts/cli_smoke.sh [path/to/classminer]   # default build/examples/classminer
@@ -79,6 +82,19 @@ fi
 "$CLI" verify "$WORK/shards.cmdb" >"$WORK/verify.txt"
 grep -q "shards=4 " "$WORK/verify.txt" ||
   fail "repair did not keep the shard count"
+
+echo "== cli smoke: skim table without and with exports =="
+SKIM_CMV="$WORK/media/skin_examination.cmv"
+"$CLI" skim "$SKIM_CMV" --level 3 >"$WORK/skim.txt" 2>/dev/null
+"$CLI" skim "$SKIM_CMV" --level 3 --html "$WORK/skim.html" \
+  --storyboard "$WORK/skim.ppm" >"$WORK/skim_export.txt" 2>/dev/null
+[ -s "$WORK/skim.txt" ] || fail "skim printed no report"
+head -n "$(wc -l <"$WORK/skim.txt")" "$WORK/skim_export.txt" |
+  cmp -s - "$WORK/skim.txt" ||
+  fail "skim report differs when exports are requested"
+[ -s "$WORK/skim.ppm" ] || fail "skim wrote no storyboard"
+grep -Eq "scene [0-9]+: (presentation|dialog|clinical_operation)" \
+  "$WORK/skim.html" || fail "skim HTML names no mined event"
 
 echo "== cli smoke: malformed numeric flags exit 2 =="
 expect_usage index "$WORK/bad.cmdb" --shards abc "$WORK/shard_smoke.cmv"

@@ -24,6 +24,8 @@ using internal::RunOptionalStage;
 //   shot ──┬─> audio ──────────┐
 //          ├─> group -> scene -> cluster ──> events
 //          └─> cues ───────────┘      (audio, cues, cluster all feed events)
+//
+// A structure-only run declares the middle row alone.
 util::Status BuildMiningDag(const media::Video& video,
                             const audio::AudioBuffer& audio,
                             const MiningOptions& options,
@@ -36,34 +38,37 @@ util::Status BuildMiningDag(const media::Video& video,
             shot::DetectShots(video, options.shot, &result->shot_trace, ctx);
         row->items = video.frame_count();
       }));
-  // Per-shot audio analysis (representative clip + MFCC). Shots are
-  // independent; the loop fans across shots and AnalyzeShot's inner loops
-  // nest on the same pool via the context.
-  CLASSMINER_RETURN_IF_ERROR(dag->Add(
-      "audio", {"shot"},
-      [&audio, &options, &ctx, result, &video,
-       optional](util::StageMetrics* row) {
-        const std::vector<shot::Shot>& shots = result->structure.shots;
-        // Default (silent) entries first, so a degraded failure still
-        // leaves dependents correctly-sized per-shot inputs.
-        result->shot_audio.assign(shots.size(), audio::ShotAudioAnalysis{});
-        row->items = static_cast<int64_t>(shots.size());
-        RunOptionalStage(
-            options, ctx, "core.stage.audio", row, &optional->audio,
-            [&](const util::ExecutionContext& sctx) {
-              const audio::SpeakerSegmenter segmenter(
-                  options.events.segmenter);
-              util::ParallelFor(
-                  sctx, static_cast<int>(shots.size()), [&](int i) {
-                    const shot::Shot& s = shots[static_cast<size_t>(i)];
-                    result->shot_audio[static_cast<size_t>(i)] =
-                        segmenter.AnalyzeShot(
-                            audio, s.StartSeconds(video.fps()),
-                            s.EndSeconds(video.fps()), s.index, sctx);
-                  });
-              return util::Status::Ok();
-            });
-      }));
+  const bool full = !options.structure_only;
+  if (full) {
+    // Per-shot audio analysis (representative clip + MFCC). Shots are
+    // independent; the loop fans across shots and AnalyzeShot's inner loops
+    // nest on the same pool via the context.
+    CLASSMINER_RETURN_IF_ERROR(dag->Add(
+        "audio", {"shot"},
+        [&audio, &options, &ctx, result, &video,
+         optional](util::StageMetrics* row) {
+          const std::vector<shot::Shot>& shots = result->structure.shots;
+          // Default (silent) entries first, so a degraded failure still
+          // leaves dependents correctly-sized per-shot inputs.
+          result->shot_audio.assign(shots.size(), audio::ShotAudioAnalysis{});
+          row->items = static_cast<int64_t>(shots.size());
+          RunOptionalStage(
+              options, ctx, "core.stage.audio", row, &optional->audio,
+              [&](const util::ExecutionContext& sctx) {
+                const audio::SpeakerSegmenter segmenter(
+                    options.events.segmenter);
+                util::ParallelFor(
+                    sctx, static_cast<int>(shots.size()), [&](int i) {
+                      const shot::Shot& s = shots[static_cast<size_t>(i)];
+                      result->shot_audio[static_cast<size_t>(i)] =
+                          segmenter.AnalyzeShot(
+                              audio, s.StartSeconds(video.fps()),
+                              s.EndSeconds(video.fps()), s.index, sctx);
+                    });
+                return util::Status::Ok();
+              });
+        }));
+  }
   CLASSMINER_RETURN_IF_ERROR(dag->Add(
       "group", {"shot"}, [&options, result](util::StageMetrics* row) {
         result->structure.groups = structure::DetectGroups(
@@ -89,45 +94,47 @@ util::Status BuildMiningDag(const media::Video& video,
         row->items =
             static_cast<int64_t>(result->structure.clustered_scenes.size());
       }));
-  // Visual cues on representative frames — needs shots only, so it runs
-  // alongside the whole structure chain under DAG scheduling.
-  CLASSMINER_RETURN_IF_ERROR(dag->Add(
-      "cues", {"shot"},
-      [&video, &options, &ctx, result, optional](util::StageMetrics* row) {
-        const std::vector<shot::Shot>& shots = result->structure.shots;
-        result->shot_cues.assign(shots.size(), cues::FrameCues{});
-        row->items = static_cast<int64_t>(shots.size());
-        RunOptionalStage(
-            options, ctx, "core.stage.cues", row, &optional->cues,
-            [&](const util::ExecutionContext& sctx) {
-              result->shot_cues =
-                  cues::ExtractShotCues(video, shots, options.cues, sctx);
-              return util::Status::Ok();
-            });
-      }));
-  CLASSMINER_RETURN_IF_ERROR(dag->Add(
-      "events", {"cluster", "cues", "audio"},
-      [&options, &ctx, result, optional](util::StageMetrics* row) {
-        RunOptionalStage(
-            options, ctx, "core.stage.events", row, &optional->events,
-            [&](const util::ExecutionContext&) {
-              const size_t shots = result->structure.shots.size();
-              if (result->shot_cues.size() != shots ||
-                  result->shot_audio.size() != shots) {
-                // Upstream defaults guarantee sized inputs; a mismatch
-                // means a dependency was skipped entirely.
-                return util::Status::FailedPrecondition(
-                    "event mining needs per-shot cues and audio");
-              }
-              const events::EventMiner miner(&result->structure,
-                                             &result->shot_cues,
-                                             &result->shot_audio,
-                                             options.events);
-              result->events = miner.MineAllScenes();
-              row->items = static_cast<int64_t>(result->events.size());
-              return util::Status::Ok();
-            });
-      }));
+  if (full) {
+    // Visual cues on representative frames — needs shots only, so it runs
+    // alongside the whole structure chain under DAG scheduling.
+    CLASSMINER_RETURN_IF_ERROR(dag->Add(
+        "cues", {"shot"},
+        [&video, &options, &ctx, result, optional](util::StageMetrics* row) {
+          const std::vector<shot::Shot>& shots = result->structure.shots;
+          result->shot_cues.assign(shots.size(), cues::FrameCues{});
+          row->items = static_cast<int64_t>(shots.size());
+          RunOptionalStage(
+              options, ctx, "core.stage.cues", row, &optional->cues,
+              [&](const util::ExecutionContext& sctx) {
+                result->shot_cues =
+                    cues::ExtractShotCues(video, shots, options.cues, sctx);
+                return util::Status::Ok();
+              });
+        }));
+    CLASSMINER_RETURN_IF_ERROR(dag->Add(
+        "events", {"cluster", "cues", "audio"},
+        [&options, &ctx, result, optional](util::StageMetrics* row) {
+          RunOptionalStage(
+              options, ctx, "core.stage.events", row, &optional->events,
+              [&](const util::ExecutionContext&) {
+                const size_t shots = result->structure.shots.size();
+                if (result->shot_cues.size() != shots ||
+                    result->shot_audio.size() != shots) {
+                  // Upstream defaults guarantee sized inputs; a mismatch
+                  // means a dependency was skipped entirely.
+                  return util::Status::FailedPrecondition(
+                      "event mining needs per-shot cues and audio");
+                }
+                const events::EventMiner miner(&result->structure,
+                                               &result->shot_cues,
+                                               &result->shot_audio,
+                                               options.events);
+                result->events = miner.MineAllScenes();
+                row->items = static_cast<int64_t>(result->events.size());
+                return util::Status::Ok();
+              });
+        }));
+  }
   return util::Status();
 }
 

@@ -78,6 +78,14 @@ struct MiningOptions {
   util::CancellationToken* cancel = nullptr;
   // What a failed optional stage does to the run (see FailurePolicy).
   FailurePolicy failure_policy = FailurePolicy::kStrict;
+  // Mine only the content structure (paper Sec. 4), for callers that read
+  // nothing else — the scalable skim of Sec. 5 is built from it alone. Both
+  // stage graphs then drop the audio, cues and events stages: the pixel
+  // path runs shot -> group -> scene -> cluster, the `--fast` path
+  // shot -> decode -> repframe -> structure, and the container's PCM is
+  // never wrapped in an AudioBuffer. The structure chain is unchanged, so
+  // `structure` and `shot_trace` are bit-identical to a full run.
+  bool structure_only = false;
 };
 
 // One optional stage that failed under FailurePolicy::kDegraded.
@@ -86,7 +94,10 @@ struct StageFailure {
   util::Status status;  // why it failed
 };
 
-// Everything the pipeline mines from one video.
+// Everything the pipeline mines from one video. Under
+// MiningOptions::structure_only the audio, cues and events stages never
+// run: `shot_audio`, `shot_cues` and `events` stay empty, and those stages
+// leave no metrics rows and no stage_failures.
 struct MiningResult {
   structure::ContentStructure structure;
   std::vector<cues::FrameCues> shot_cues;             // per shot

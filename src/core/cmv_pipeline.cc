@@ -16,8 +16,13 @@
 namespace classminer::core {
 namespace {
 
-audio::AudioBuffer AudioFromFile(const codec::CmvFile& file) {
-  if (file.audio_sample_rate <= 0) return audio::AudioBuffer();
+// The container's PCM track; empty when there is none or the run mines no
+// audio (MiningOptions::structure_only).
+audio::AudioBuffer AudioFromFile(const codec::CmvFile& file,
+                                 const MiningOptions& options) {
+  if (options.structure_only || file.audio_sample_rate <= 0) {
+    return audio::AudioBuffer();
+  }
   return audio::AudioBuffer(file.audio_sample_rate, file.audio_pcm);
 }
 
@@ -54,7 +59,8 @@ util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
   }();
   if (!video.ok()) return video.status();
   CLASSMINER_RETURN_IF_ERROR(
-      MineVideoInto(*video, AudioFromFile(file), options, ctx, &result));
+      MineVideoInto(*video, AudioFromFile(file, options), options, ctx,
+                    &result));
   return result;
 }
 
@@ -79,7 +85,7 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
                              &sink)
           .WithArena(&run_arena);
 
-  const audio::AudioBuffer track = AudioFromFile(file);
+  const audio::AudioBuffer track = AudioFromFile(file, options);
 
   // Fast-path stage graph: shot spans come from the compressed domain (DC
   // images, no pixel decode). Once they exist, the frames the run needs are
@@ -91,6 +97,8 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
   //   shot ──> decode ──> repframe ─┬─> audio ─────┐
   //                                 ├─> structure ─┼─> events
   //                                 └─> cues ──────┘
+  //
+  // A structure-only run stops at structure (no audio, cues or events).
   //
   // Resident decoded frames are one image per shot. Fallible stages record
   // their status into the sink and dependent stages are skipped.
@@ -178,24 +186,27 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
     row->items = static_cast<int64_t>(result.structure.shots.size());
   });
   if (!build.ok()) return build;
-  build = dag.Add("audio", {"repframe"}, [&](util::StageMetrics* row) {
-    const std::vector<shot::Shot>& shots = result.structure.shots;
-    result.shot_audio.assign(shots.size(), audio::ShotAudioAnalysis{});
-    row->items = static_cast<int64_t>(shots.size());
-    internal::RunOptionalStage(
-        options, ctx, "core.stage.audio", row, &optional.audio,
-        [&](const util::ExecutionContext& sctx) {
-          const audio::SpeakerSegmenter segmenter(options.events.segmenter);
-          util::ParallelFor(sctx, static_cast<int>(shots.size()), [&](int i) {
-            const shot::Shot& s = shots[static_cast<size_t>(i)];
-            result.shot_audio[static_cast<size_t>(i)] = segmenter.AnalyzeShot(
-                track, s.StartSeconds(file.fps), s.EndSeconds(file.fps),
-                s.index, sctx);
+  const bool full = !options.structure_only;
+  if (full) {
+    build = dag.Add("audio", {"repframe"}, [&](util::StageMetrics* row) {
+      const std::vector<shot::Shot>& shots = result.structure.shots;
+      result.shot_audio.assign(shots.size(), audio::ShotAudioAnalysis{});
+      row->items = static_cast<int64_t>(shots.size());
+      internal::RunOptionalStage(
+          options, ctx, "core.stage.audio", row, &optional.audio,
+          [&](const util::ExecutionContext& sctx) {
+            const audio::SpeakerSegmenter segmenter(options.events.segmenter);
+            util::ParallelFor(sctx, static_cast<int>(shots.size()), [&](int i) {
+              const shot::Shot& s = shots[static_cast<size_t>(i)];
+              result.shot_audio[static_cast<size_t>(i)] = segmenter.AnalyzeShot(
+                  track, s.StartSeconds(file.fps), s.EndSeconds(file.fps),
+                  s.index, sctx);
+            });
+            return util::Status::Ok();
           });
-          return util::Status::Ok();
-        });
-  });
-  if (!build.ok()) return build;
+    });
+    if (!build.ok()) return build;
+  }
   build = dag.Add("structure", {"repframe"}, [&](util::StageMetrics* row) {
     result.structure.groups = structure::DetectGroups(
         result.structure.shots, options.structure.group);
@@ -212,40 +223,42 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
     row->items = static_cast<int64_t>(result.structure.scenes.size());
   });
   if (!build.ok()) return build;
-  build = dag.Add("cues", {"repframe"}, [&](util::StageMetrics* row) {
-    result.shot_cues.assign(result.structure.shots.size(),
-                            cues::FrameCues{});
-    row->items = static_cast<int64_t>(result.shot_cues.size());
-    internal::RunOptionalStage(
-        options, ctx, "core.stage.cues", row, &optional.cues,
-        [&](const util::ExecutionContext& sctx) {
-          result.shot_cues =
-              cues::ExtractShotCues(rep_images, options.cues, sctx);
-          return util::Status::Ok();
+  if (full) {
+    build = dag.Add("cues", {"repframe"}, [&](util::StageMetrics* row) {
+      result.shot_cues.assign(result.structure.shots.size(),
+                              cues::FrameCues{});
+      row->items = static_cast<int64_t>(result.shot_cues.size());
+      internal::RunOptionalStage(
+          options, ctx, "core.stage.cues", row, &optional.cues,
+          [&](const util::ExecutionContext& sctx) {
+            result.shot_cues =
+                cues::ExtractShotCues(rep_images, options.cues, sctx);
+            return util::Status::Ok();
+          });
+    });
+    if (!build.ok()) return build;
+    build = dag.Add(
+        "events", {"structure", "cues", "audio"}, [&](util::StageMetrics* row) {
+          internal::RunOptionalStage(
+              options, ctx, "core.stage.events", row, &optional.events,
+              [&](const util::ExecutionContext&) {
+                const size_t shots = result.structure.shots.size();
+                if (result.shot_cues.size() != shots ||
+                    result.shot_audio.size() != shots) {
+                  return util::Status::FailedPrecondition(
+                      "event mining needs per-shot cues and audio");
+                }
+                const events::EventMiner miner(&result.structure,
+                                               &result.shot_cues,
+                                               &result.shot_audio,
+                                               options.events);
+                result.events = miner.MineAllScenes();
+                row->items = static_cast<int64_t>(result.events.size());
+                return util::Status::Ok();
+              });
         });
-  });
-  if (!build.ok()) return build;
-  build = dag.Add(
-      "events", {"structure", "cues", "audio"}, [&](util::StageMetrics* row) {
-        internal::RunOptionalStage(
-            options, ctx, "core.stage.events", row, &optional.events,
-            [&](const util::ExecutionContext&) {
-              const size_t shots = result.structure.shots.size();
-              if (result.shot_cues.size() != shots ||
-                  result.shot_audio.size() != shots) {
-                return util::Status::FailedPrecondition(
-                    "event mining needs per-shot cues and audio");
-              }
-              const events::EventMiner miner(&result.structure,
-                                             &result.shot_cues,
-                                             &result.shot_audio,
-                                             options.events);
-              result.events = miner.MineAllScenes();
-              row->items = static_cast<int64_t>(result.events.size());
-              return util::Status::Ok();
-            });
-      });
-  if (!build.ok()) return build;
+    if (!build.ok()) return build;
+  }
 
   const int exceptions_before = ctx.pool_exception_count();
   util::Status status = options.scheduling == StageScheduling::kDag

@@ -19,9 +19,10 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated,
 codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated);
 
 // Decodes a CMV file and runs the full mining pipeline on it, using the
-// embedded audio track when present. One pool of options.thread_count
-// serves both: the GOP-parallel decode, then every mining stage. The
-// stage table leads with a `decode` row whose `threads` is the pool size.
+// embedded audio track when present (a structure_only run reads no audio).
+// One pool of options.thread_count serves both: the GOP-parallel decode,
+// then every mining stage. The stage table leads with a `decode` row whose
+// `threads` is the pool size.
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
                                          const MiningOptions& options);
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);

@@ -9,6 +9,7 @@ namespace classminer::core {
 
 index::RemineFn MakeCmvRemineFn(std::string media_dir, MiningOptions options) {
   options.failure_policy = FailurePolicy::kStrict;
+  options.structure_only = false;  // the re-mined entry stores events
   return [media_dir = std::move(media_dir),
           options](const std::string& name)
              -> util::StatusOr<index::ReminedEntry> {

@@ -1,8 +1,8 @@
 #include "server/ops.h"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "core/cmv_pipeline.h"
@@ -21,16 +21,33 @@
 namespace classminer::server {
 namespace {
 
+// The one report formatter: vprintf-append of any length. A line that
+// does not fit the stack buffer is formatted again, straight into `out`,
+// at the length the first vsnprintf returned — never cut short.
+void AppendV(std::string* out, const char* fmt, va_list args) {
+  va_list retry;
+  va_copy(retry, args);
+  char buffer[512];
+  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  if (n > 0 && static_cast<size_t>(n) < sizeof(buffer)) {
+    out->append(buffer, static_cast<size_t>(n));
+  } else if (n > 0) {
+    const size_t old_size = out->size();
+    out->resize(old_size + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out->data() + old_size, static_cast<size_t>(n) + 1, fmt,
+                   retry);
+    out->resize(old_size + static_cast<size_t>(n));  // drop the NUL
+  }
+  va_end(retry);
+}
+
 // printf-append into the report string; every format below matches what the
 // CLI historically printed, so the report stays stable across the refactor.
 void Appendf(std::string* out, const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  char buffer[512];
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  AppendV(out, fmt, args);
   va_end(args);
-  if (n > 0) out->append(buffer, std::min(static_cast<size_t>(n),
-                                          sizeof(buffer) - 1));
 }
 
 }  // namespace
@@ -43,13 +60,8 @@ void ReportStream::Append(const std::string& text) {
 void ReportStream::Appendf(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
-  char buffer[512];
-  const int n = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  AppendV(&report_, fmt, args);
   va_end(args);
-  if (n > 0) {
-    report_.append(buffer, std::min(static_cast<size_t>(n),
-                                    sizeof(buffer) - 1));
-  }
   ForwardCompletedChunks();
 }
 
@@ -88,17 +100,29 @@ void NoteDegradation(OpDiagnostics* diag, const std::string& path,
   if (!salvage.empty()) Note(diag, "  " + salvage);
 }
 
-void NoteMetrics(OpDiagnostics* diag, std::string label, std::string table) {
-  if (diag == nullptr || table.empty()) return;
-  diag->metrics.push_back(std::move(label) + ":\n" + std::move(table));
+// Labels ("<subject><what>:") and renders a cost table only when someone
+// reads the diagnostics; the daemon passes none.
+void NoteMetrics(OpDiagnostics* diag, std::string_view subject,
+                 std::string_view what, const util::PipelineMetrics& metrics) {
+  if (diag == nullptr) return;
+  std::string entry(subject);
+  entry.append(what).append(":\n").append(metrics.ToString());
+  diag->metrics.push_back(std::move(entry));
 }
 
 // Loads and mines one container. The default is the resilient path —
 // salvage parsing plus the degraded failure policy — so damaged archives
 // still yield flagged results; `strict` restores all-or-nothing semantics.
+//
+// `structure_only` comes from the op, never from env.mining: only SkimOp
+// sets it, and only when nobody reads the mining result, because its
+// report is built from the content structure alone. So a mine or browse
+// report always carries its events, whatever ServerOptions::mining holds,
+// and the result cache's CanonicalMiningFingerprint can ignore the field:
+// the reports it keys are the same with or without it.
 util::Status LoadAndMine(const std::string& path, const OpEnv& env,
-                         bool strict, bool fast, codec::CmvFile* file,
-                         core::MiningResult* result) {
+                         bool strict, bool fast, bool structure_only,
+                         codec::CmvFile* file, core::MiningResult* result) {
   util::SalvageReport salvage;
   util::StatusOr<codec::CmvFile> loaded =
       strict ? codec::CmvFile::LoadFromFile(path)
@@ -109,6 +133,7 @@ util::Status LoadAndMine(const std::string& path, const OpEnv& env,
   }
   core::MiningOptions options = env.mining;
   if (!strict) options.failure_policy = core::FailurePolicy::kDegraded;
+  options.structure_only = structure_only;
   util::StatusOr<core::MiningResult> mined =
       fast ? core::MineCmvFileFast(*loaded, options)
            : core::MineCmvFile(*loaded, options);
@@ -130,7 +155,8 @@ OpResult MineOp(const std::string& path, bool fast, bool strict,
   OpResult out;
   codec::CmvFile file;
   core::MiningResult result;
-  out.status = LoadAndMine(path, env, strict, fast, &file, &result);
+  out.status = LoadAndMine(path, env, strict, fast, /*structure_only=*/false,
+                           &file, &result);
   if (!out.ok()) return out;
   NoteDegradation(diag, path, result);
 
@@ -150,8 +176,7 @@ OpResult MineOp(const std::string& path, bool fast, bool strict,
                    cs.ShotCountOfScene(scene), scene.start_group,
                    scene.end_group);
   }
-  NoteMetrics(diag, path + " per-stage metrics",
-              result.metrics.ToString());
+  NoteMetrics(diag, path, " per-stage metrics", result.metrics);
   FinishReport(stream, &out);
   return out;
 }
@@ -164,10 +189,11 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
   for (const std::string& path : paths) {
     codec::CmvFile file;
     core::MiningResult result;
-    out.status = LoadAndMine(path, env, strict, false, &file, &result);
+    out.status = LoadAndMine(path, env, strict, /*fast=*/false,
+                             /*structure_only=*/false, &file, &result);
     if (!out.ok()) return out;
     NoteDegradation(diag, path, result);
-    NoteMetrics(diag, path + " pipeline cost", result.metrics.ToString());
+    NoteMetrics(diag, path, " pipeline cost", result.metrics);
     db.AddVideo(file.name, std::move(result.structure),
                 std::move(result.events), result.degraded);
   }
@@ -189,7 +215,7 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
     stream.Appendf("%d of %d video(s) indexed degraded\n",
                    db.DegradedCount(), db.video_count());
   }
-  NoteMetrics(diag, "shared index/browse cost", shared.ToString());
+  NoteMetrics(diag, "shared index/browse cost", "", shared);
   FinishReport(stream, &out);
   return out;
 }
@@ -204,10 +230,13 @@ OpResult SkimOp(const std::string& path, int level, const OpEnv& env,
         "], got " + std::to_string(level));
     return out;
   }
+  // The skim report reads only the content structure; a caller that takes
+  // the mining result (the CLI's exports read its events) gets a full mine.
   codec::CmvFile file;
   core::MiningResult result;
   out.status = LoadAndMine(path, env, /*strict=*/false, /*fast=*/false,
-                           &file, &result);
+                           /*structure_only=*/result_out == nullptr, &file,
+                           &result);
   if (!out.ok()) return out;
   NoteDegradation(diag, path, result);
   // Build the skim through a metrics-carrying context so the cost table
@@ -228,8 +257,7 @@ OpResult SkimOp(const std::string& path, int level, const OpEnv& env,
   const auto plan = skim::BuildPlaybackPlan(sk, level, file.fps);
   stream.Appendf("level %d plays %.1f s of %.1f s\n", level,
                  skim::PlanDurationSeconds(plan), file.frame_count() / file.fps);
-  NoteMetrics(diag, path + " per-stage metrics",
-              result.metrics.ToString());
+  NoteMetrics(diag, path, " per-stage metrics", result.metrics);
   FinishReport(stream, &out);
   if (file_out != nullptr) *file_out = std::move(file);
   if (result_out != nullptr) *result_out = std::move(result);

@@ -65,7 +65,9 @@ class ReportStream {
 
 // Execution environment for one operation.
 struct OpEnv {
-  core::MiningOptions mining;  // threads, cancellation, failure policy
+  // Threads, cancellation, failure policy. Its structure_only is ignored:
+  // which stages to mine is each op's own choice (see SkimOp).
+  core::MiningOptions mining;
   std::string media_dir;       // where repair finds source containers
   // Optional streaming tap for the report-rendering ops (mine, browse,
   // skim). Null = accumulate only (CLI, verify/repair, cache fills).
@@ -109,7 +111,10 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
 
 // skim <path> [level]: the four-level skim table with `level` marked.
 // `file_out` / `result_out` (may be null) receive the loaded container and
-// mining result so the CLI can build exports without re-mining.
+// mining result so the CLI can build exports without re-mining. The table
+// reads only the content structure, so without `result_out` the op mines
+// structure only (MiningOptions::structure_only: no audio, cues or events);
+// with it, the full pipeline runs. The report is the same either way.
 OpResult SkimOp(const std::string& path, int level, const OpEnv& env,
                 OpDiagnostics* diag, codec::CmvFile* file_out = nullptr,
                 core::MiningResult* result_out = nullptr);

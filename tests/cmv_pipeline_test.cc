@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "codec/decoder.h"
 #include "core/cmv_pipeline.h"
@@ -15,6 +17,7 @@
 #include "skim/playback.h"
 #include "skim/skimmer.h"
 #include "synth/corpus.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
@@ -197,6 +200,108 @@ TEST_F(CmvPipelineTest, FastPathBitIdenticalToFullDecodeReference) {
       EXPECT_EQ(f.has_blood, r.has_blood);
       EXPECT_EQ(f.max_blood_fraction, r.max_blood_fraction);
     }
+  }
+}
+
+// The content structure as stored bytes: every shot span, feature bit,
+// group, scene and cluster.
+std::vector<uint8_t> StructureBytes(const core::MiningResult& mined) {
+  index::VideoDatabase one;
+  one.AddVideo("v", mined.structure, {}, false);
+  return index::SerializeDatabase(one);
+}
+
+std::vector<std::string> StageNames(const core::MiningResult& mined) {
+  std::vector<std::string> names;
+  for (const util::StageMetrics& row : mined.metrics.stages) {
+    names.push_back(row.name);
+  }
+  return names;
+}
+
+// A structure-only run drops exactly the audio, cues and events stages:
+// its structure and shot trace are the full run's, bit for bit.
+void ExpectStructureOnlyMatches(const core::MiningResult& full,
+                                const core::MiningResult& lean) {
+  EXPECT_EQ(StructureBytes(lean), StructureBytes(full));
+  EXPECT_EQ(lean.shot_trace.cuts, full.shot_trace.cuts);
+  EXPECT_EQ(lean.shot_trace.differences, full.shot_trace.differences);
+  EXPECT_EQ(lean.shot_trace.thresholds, full.shot_trace.thresholds);
+  EXPECT_FALSE(full.events.empty());
+  EXPECT_TRUE(lean.shot_audio.empty());
+  EXPECT_TRUE(lean.shot_cues.empty());
+  EXPECT_TRUE(lean.events.empty());
+  EXPECT_FALSE(lean.degraded);
+  EXPECT_TRUE(lean.stage_failures.empty());
+}
+
+TEST_F(CmvPipelineTest, StructureOnlyMatchesTheFullRunOnEveryEntryPoint) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::MiningOptions full_options;
+    full_options.thread_count = threads;
+    core::MiningOptions lean_options = full_options;
+    lean_options.structure_only = true;
+
+    util::StatusOr<core::MiningResult> full =
+        core::MineCmvFile(*file_, full_options);
+    util::StatusOr<core::MiningResult> lean =
+        core::MineCmvFile(*file_, lean_options);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(lean.ok()) << lean.status().ToString();
+    ExpectStructureOnlyMatches(*full, *lean);
+    EXPECT_EQ(StageNames(*lean),
+              (std::vector<std::string>{"decode", "shot", "group", "scene",
+                                        "cluster"}));
+
+    full = core::MineCmvFileFast(*file_, full_options);
+    lean = core::MineCmvFileFast(*file_, lean_options);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(lean.ok()) << lean.status().ToString();
+    ExpectStructureOnlyMatches(*full, *lean);
+    EXPECT_EQ(StageNames(*lean),
+              (std::vector<std::string>{"shot", "decode", "repframe",
+                                        "structure"}));
+
+    const std::vector<core::MiningInput> inputs(
+        2, core::MiningInput{&generated_->video, &generated_->audio});
+    const core::BatchMiningResult full_batch =
+        core::MineVideosParallelWithStatus(inputs, full_options, threads);
+    const core::BatchMiningResult lean_batch =
+        core::MineVideosParallelWithStatus(inputs, lean_options, threads);
+    ASSERT_TRUE(full_batch.FirstError().ok());
+    ASSERT_TRUE(lean_batch.FirstError().ok());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      ExpectStructureOnlyMatches(full_batch.results[i],
+                                 lean_batch.results[i]);
+      EXPECT_EQ(StageNames(lean_batch.results[i]),
+                (std::vector<std::string>{"shot", "group", "scene",
+                                          "cluster"}));
+    }
+  }
+}
+
+TEST_F(CmvPipelineTest, StructureOnlyRunIsNotDegradedByAFailingAudioStage) {
+  const util::FailPoint::Scoped audio_fails(
+      "core.stage.audio", util::FailPoint::Spec::Always());
+  core::MiningOptions options;
+  options.failure_policy = core::FailurePolicy::kDegraded;
+  util::StatusOr<core::MiningResult> full = core::MineCmvFile(*file_, options);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_TRUE(full->degraded);
+  ASSERT_EQ(full->stage_failures.size(), 1u);
+  EXPECT_EQ(full->stage_failures[0].stage, "audio");
+
+  options.structure_only = true;
+  for (const bool fast : {false, true}) {
+    SCOPED_TRACE(fast ? "fast" : "pixel");
+    util::StatusOr<core::MiningResult> lean =
+        fast ? core::MineCmvFileFast(*file_, options)
+             : core::MineCmvFile(*file_, options);
+    ASSERT_TRUE(lean.ok()) << lean.status().ToString();
+    EXPECT_FALSE(lean->degraded);
+    EXPECT_TRUE(lean->stage_failures.empty());
+    EXPECT_EQ(lean->metrics.Find("audio"), nullptr);
   }
 }
 

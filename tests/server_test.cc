@@ -35,6 +35,7 @@
 #include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/retry.h"
+#include "util/serial.h"
 
 namespace classminer::server {
 namespace {
@@ -342,6 +343,155 @@ TEST(WireTest, OversizedFrameRefusedBothSides) {
   close(fds[0]);
   close(fds[1]);
 }
+
+// ---------------------------------------------------------------------------
+// Operation layer
+
+TEST(OpsTest, ReportLinesLongerThanTheFormatBufferAreKeptWhole) {
+  codec::CmvFile file = core::PackGeneratedVideo(
+      synth::GenerateVideo(synth::QuickScript(7)));
+  const std::string short_path = ::testing::TempDir() + "/short_name.cmv";
+  ASSERT_TRUE(file.SaveToFile(short_path).ok());
+  const std::string short_name = file.name;
+  file.name = std::string(600, 'n');
+  const std::string long_path = ::testing::TempDir() + "/long_name.cmv";
+  ASSERT_TRUE(file.SaveToFile(long_path).ok());
+
+  const OpEnv env;
+  const OpResult want = MineOp(short_path, /*fast=*/true, /*strict=*/false,
+                               env, nullptr);
+  const OpResult got = MineOp(long_path, /*fast=*/true, /*strict=*/false,
+                              env, nullptr);
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status.ToString();
+  // The header line carries the whole name, then the shot, group and
+  // scene counts and the CRF, and ends in its own newline.
+  const std::string header = got.report.substr(0, got.report.find('\n') + 1);
+  EXPECT_EQ(header.rfind(file.name + ": ", 0), 0u);
+  EXPECT_NE(header.find(" shots, "), std::string::npos);
+  EXPECT_NE(header.find("(CRF "), std::string::npos);
+  EXPECT_EQ(header.back(), '\n');
+  ASSERT_EQ(want.report.rfind(short_name + ": ", 0), 0u);
+  EXPECT_EQ(got.report, file.name + want.report.substr(short_name.size()));
+
+  // A database path longer than the buffer is reported whole.
+  std::string db_path = ::testing::TempDir();
+  for (const char c : {'a', 'b', 'c'}) db_path += "/" + std::string(200, c);
+  db_path += "/library.cmdb";
+  ASSERT_GT(db_path.size(), 600u);
+  const OpResult verify = VerifyOp(db_path);
+  EXPECT_FALSE(verify.ok());
+  EXPECT_EQ(verify.report.rfind(db_path + ": ", 0), 0u);
+  EXPECT_EQ(verify.report.find('\n'), verify.report.size() - 1);
+}
+
+// Which stages to mine is each op's choice: a structure_only left in the
+// environment (as a server's options could carry) never strips the events
+// from a mine or browse report.
+TEST(OpsTest, MineAndBrowseIgnoreStructureOnlyInTheEnvironment) {
+  const std::string cmv = TestContainer("env_structure_only.cmv", 7);
+  OpEnv lean_env;
+  lean_env.mining.structure_only = true;
+  const OpEnv env;
+  index::UserCredential user;
+  user.name = "reader";
+  user.clearance = 3;
+  for (const bool fast : {false, true}) {
+    const OpResult want = MineOp(cmv, fast, /*strict=*/false, env, nullptr);
+    const OpResult got =
+        MineOp(cmv, fast, /*strict=*/false, lean_env, nullptr);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    EXPECT_NE(want.report.find("  scene  0: "), std::string::npos);
+    EXPECT_EQ(got.report, want.report);
+  }
+  const OpResult want = BrowseOp({cmv}, /*strict=*/false, user, env, nullptr);
+  const OpResult got =
+      BrowseOp({cmv}, /*strict=*/false, user, lean_env, nullptr);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.report, want.report);
+}
+
+// The rows of a labelled cost table ("<label>:", a header, one row per
+// stage, then total), by stage name.
+std::vector<std::string> StageNamesOf(const std::string& table) {
+  std::vector<std::string> names;
+  size_t pos = table.find('\n');  // past the label line
+  bool in_rows = false;
+  while (pos != std::string::npos && pos + 1 < table.size()) {
+    const size_t end = table.find('\n', pos + 1);
+    const std::string line = table.substr(pos + 1, end - pos - 1);
+    const std::string name = line.substr(0, line.find(' '));
+    if (name == "total") break;
+    if (in_rows) names.push_back(name);
+    in_rows = in_rows || name == "stage";
+    pos = end;
+  }
+  return names;
+}
+
+// A skim that takes no mining result (the daemon's form) mines the content
+// structure only; its report must equal the full mine's, byte for byte, at
+// every level, on the five corpus titles (small frames keep the 108 mines
+// quick) and on a torn container.
+class SkimStructureOnlyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SkimStructureOnlyTest, ReportDoesNotDependOnTheSkippedStages) {
+  synth::CorpusOptions corpus;
+  corpus.scale = 0.25;
+  corpus.width = 48;
+  corpus.height = 36;
+  // Per-parameter file names: the instances may run as parallel processes.
+  const std::string prefix =
+      ::testing::TempDir() + "/skim_t" + std::to_string(GetParam()) + "_";
+  std::vector<std::string> paths;
+  for (const synth::VideoScript& script :
+       synth::MedicalCorpusScripts(corpus)) {
+    const std::string path = prefix + script.name + ".cmv";
+    ASSERT_TRUE(core::PackGeneratedVideo(synth::GenerateVideo(script))
+                    .SaveToFile(path)
+                    .ok());
+    paths.push_back(path);
+  }
+  ASSERT_EQ(paths.size(), 5u);
+  // A torn copy of the first title, mined in degraded mode (skims always
+  // salvage).
+  util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(paths[0]);
+  ASSERT_TRUE(bytes.ok());
+  bytes->resize(bytes->size() * 9 / 10);
+  const std::string torn = prefix + "torn.cmv";
+  ASSERT_TRUE(util::WriteFile(torn, *bytes).ok());
+  paths.push_back(torn);
+
+  OpEnv env;
+  env.mining.thread_count = GetParam();
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
+    for (int level = 1; level <= 4; ++level) {
+      SCOPED_TRACE("level " + std::to_string(level));
+      const OpResult lean = SkimOp(path, level, env, nullptr);
+      OpDiagnostics diag;
+      codec::CmvFile file;
+      core::MiningResult result;
+      const OpResult full = SkimOp(path, level, env, &diag, &file, &result);
+      ASSERT_TRUE(lean.ok()) << lean.status.ToString();
+      ASSERT_TRUE(full.ok()) << full.status.ToString();
+      EXPECT_EQ(lean.report, full.report);
+      EXPECT_EQ(result.shot_audio.size(), result.structure.shots.size());
+      EXPECT_EQ(result.degraded, path == torn);
+    }
+    OpDiagnostics diag;
+    ASSERT_TRUE(SkimOp(path, 3, env, &diag).ok());
+    ASSERT_EQ(diag.metrics.size(), 1u);
+    EXPECT_EQ(StageNamesOf(diag.metrics[0]),
+              (std::vector<std::string>{"decode", "shot", "group", "scene",
+                                        "cluster", "skim"}));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, SkimStructureOnlyTest,
+                         ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
 // Server end-to-end
