@@ -1,6 +1,7 @@
 // Micro-benchmarks for the CMV codec substrate: DCT, quantised block
-// coding, motion estimation, full encode/decode (GOP-parallel at 1/2/4
-// threads), planned selective decode and DC-image extraction.
+// coding, entropy decoding, colour conversion, motion estimation, full
+// encode/decode (GOP-parallel at 1/2/4 threads), planned selective decode
+// and DC-image extraction.
 
 #include <benchmark/benchmark.h>
 
@@ -52,7 +53,8 @@ void BM_BlockCodeRoundTrip(benchmark::State& state) {
   util::Rng rng(2);
   codec::Block freq{};
   for (double& v : freq) v = rng.Uniform(-60.0, 60.0);
-  const codec::QuantizedBlock q = codec::Quantize(freq, 8, false);
+  const codec::QuantizedBlock q =
+      codec::Quantize(freq, codec::MakeQuantSteps(8, false));
   for (auto _ : state) {
     codec::BitWriter w;
     codec::EncodeBlock(&w, q, 0);
@@ -63,6 +65,54 @@ void BM_BlockCodeRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockCodeRoundTrip);
+
+// Entropy decoding alone: 256 chained blocks of a natural-image-like
+// spectrum (coefficients falling off with frequency) at quality 8, read
+// back with DecodeBlock. Items are blocks.
+void BM_DecodeBlock(benchmark::State& state) {
+  util::Rng rng(4);
+  const codec::QuantSteps steps = codec::MakeQuantSteps(8, false);
+  constexpr int kBlocks = 256;
+  codec::BitWriter w;
+  int32_t pred = 0;
+  for (int b = 0; b < kBlocks; ++b) {
+    codec::Block freq;
+    for (int i = 0; i < codec::kBlockPixels; ++i) {
+      const int u = i % codec::kBlockSize;
+      const int v = i / codec::kBlockSize;
+      freq[static_cast<size_t>(i)] =
+          rng.Uniform(-400.0, 400.0) / (1.0 + 1.5 * (u + v));
+    }
+    pred = codec::EncodeBlock(&w, codec::Quantize(freq, steps), pred);
+  }
+  const std::vector<uint8_t> bytes = w.Finish();
+  for (auto _ : state) {
+    codec::BitReader r(bytes);
+    codec::QuantizedBlock q;
+    int32_t dc = 0;
+    for (int b = 0; b < kBlocks; ++b) {
+      util::StatusOr<int32_t> next = codec::DecodeBlock(&r, &q, dc);
+      dc = next.ok() ? *next : 0;
+    }
+    benchmark::DoNotOptimize(q);
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks);
+  state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
+}
+BENCHMARK(BM_DecodeBlock);
+
+// YCbCr 4:2:0 -> RGB of one 96x72 frame (the synthetic corpus' size).
+// Items are pixels.
+void BM_ToImage(benchmark::State& state) {
+  const media::Video video = BenchVideo(1, 96, 72);
+  const codec::Picture pic = codec::FromImage(video.frame(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::ToImage(pic, 96, 72));
+  }
+  state.SetItemsProcessed(state.iterations() * 96 * 72);
+  state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
+}
+BENCHMARK(BM_ToImage);
 
 void BM_MotionEstimation(benchmark::State& state) {
   util::Rng rng(3);
@@ -161,6 +211,7 @@ void BM_DcImageExtraction(benchmark::State& state) {
     benchmark::DoNotOptimize(codec::DecodeDcImages(file));
   }
   state.SetItemsProcessed(state.iterations() * 12);
+  state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
 }
 BENCHMARK(BM_DcImageExtraction)->Unit(benchmark::kMillisecond);
 

@@ -28,10 +28,16 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/codec_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
-  cmake --build build -j --target micro_kernels micro_audio >/dev/null
+  cmake --build build -j --target micro_kernels micro_audio micro_codec \
+    >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
     --benchmark_min_time=0.01 >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_audio \
+    --benchmark_min_time=0.01 >/dev/null
+  # The codec benches at both levels: the sparse IDCT, block writer and
+  # colour-conversion kernels dispatch per call.
+  ./build/bench/micro_codec --benchmark_min_time=0.01 >/dev/null
+  CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_codec \
     --benchmark_min_time=0.01 >/dev/null
 fi
 

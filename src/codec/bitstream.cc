@@ -25,9 +25,10 @@ void BitWriter::PutUE(uint32_t v) {
 }
 
 void BitWriter::PutSE(int32_t v) {
-  const uint32_t mapped =
-      v > 0 ? static_cast<uint32_t>(2 * v - 1) : static_cast<uint32_t>(-2 * v);
-  PutUE(mapped);
+  // Unsigned arithmetic: 2 * v overflows int32 for |v| >= 2^30.
+  const uint32_t mag =
+      v > 0 ? static_cast<uint32_t>(v) : 0u - static_cast<uint32_t>(v);
+  PutUE(v > 0 ? 2 * mag - 1 : 2 * mag);
 }
 
 std::vector<uint8_t> BitWriter::Finish() {
@@ -35,46 +36,44 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(bytes_);
 }
 
-util::StatusOr<int> BitReader::GetBit() {
-  if (byte_pos_ >= size_) return util::Status::DataLoss("bitstream exhausted");
-  const int bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
-  if (++bit_pos_ == 8) {
-    bit_pos_ = 0;
-    ++byte_pos_;
+util::Status BitReader::status() const {
+  switch (failure_) {
+    case Failure::kNone:
+      return util::Status::Ok();
+    case Failure::kExhausted:
+      return util::Status::DataLoss("bitstream exhausted");
+    case Failure::kMalformed:
+      return util::Status::DataLoss("malformed exp-Golomb code");
   }
-  return bit;
+  return util::Status::Ok();
 }
 
-util::StatusOr<uint32_t> BitReader::GetBits(int count) {
-  uint32_t v = 0;
-  for (int i = 0; i < count; ++i) {
-    util::StatusOr<int> bit = GetBit();
-    if (!bit.ok()) return bit.status();
-    v = (v << 1) | static_cast<uint32_t>(*bit);
-  }
-  return v;
+bool BitReader::Exhaust() {
+  byte_pos_ = size_;
+  cache_ = 0;
+  cache_bits_ = 0;
+  failure_ = Failure::kExhausted;
+  return false;
 }
 
-util::StatusOr<uint32_t> BitReader::GetUE() {
+// Codes longer than the cached bits, a prefix running off the end of the
+// data and over-long prefixes: one bit at a time, so every failure consumes
+// exactly the bits a bit-serial reader would.
+bool BitReader::ReadUESlow(uint32_t* value) {
   int zeros = 0;
   while (true) {
-    util::StatusOr<int> bit = GetBit();
-    if (!bit.ok()) return bit.status();
-    if (*bit == 1) break;
-    if (++zeros > 31) return util::Status::DataLoss("malformed exp-Golomb code");
+    uint32_t bit = 0;
+    if (!ReadBit(&bit)) return false;
+    if (bit == 1) break;
+    if (++zeros > 31) {
+      failure_ = Failure::kMalformed;
+      return false;
+    }
   }
-  util::StatusOr<uint32_t> rest = GetBits(zeros);
-  if (!rest.ok()) return rest.status();
-  const uint32_t code = (1u << zeros) | *rest;
-  return code - 1;
-}
-
-util::StatusOr<int32_t> BitReader::GetSE() {
-  util::StatusOr<uint32_t> ue = GetUE();
-  if (!ue.ok()) return ue.status();
-  const uint32_t v = *ue;
-  if (v % 2 == 1) return static_cast<int32_t>((v + 1) / 2);
-  return -static_cast<int32_t>(v / 2);
+  uint32_t rest = 0;
+  if (!ReadBits(zeros, &rest)) return false;
+  *value = ((1u << zeros) | rest) - 1;
+  return true;
 }
 
 }  // namespace classminer::codec

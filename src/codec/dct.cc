@@ -61,24 +61,29 @@ Block ForwardDctScalar(const Block& spatial) {
 
 Block InverseDctScalar(const Block& freq) {
   const auto& t = Tables().basis;
+  // Pass 1: tmp[y][u] = sum_v freq[v][u] * basis[v][y], over the nonzero
+  // rows v only (see InverseDct for why skipping is exact). Each (y, u)
+  // accumulator still adds its terms in ascending v.
   Block tmp{};
-  for (int u = 0; u < kBlockSize; ++u) {
+  for (int v = 0; v < kBlockSize; ++v) {
+    const double* row = &freq[static_cast<size_t>(v) * kBlockSize];
+    bool zero = true;
+    for (int u = 0; u < kBlockSize; ++u) zero = zero && row[u] == 0.0;
+    if (zero) continue;
     for (int y = 0; y < kBlockSize; ++y) {
-      double acc = 0.0;
-      for (int v = 0; v < kBlockSize; ++v) {
-        acc += freq[static_cast<size_t>(v) * kBlockSize + u] * t[v][y];
-      }
-      tmp[static_cast<size_t>(y) * kBlockSize + u] = acc;
+      double* acc = &tmp[static_cast<size_t>(y) * kBlockSize];
+      for (int u = 0; u < kBlockSize; ++u) acc[u] += row[u] * t[v][y];
     }
   }
+  // Pass 2: out[y][x] = sum_u tmp[y][u] * basis[u][x], over the nonzero
+  // tmp[y][u] only, ascending u for every x.
   Block out{};
   for (int y = 0; y < kBlockSize; ++y) {
-    for (int x = 0; x < kBlockSize; ++x) {
-      double acc = 0.0;
-      for (int u = 0; u < kBlockSize; ++u) {
-        acc += tmp[static_cast<size_t>(y) * kBlockSize + u] * t[u][x];
-      }
-      out[static_cast<size_t>(y) * kBlockSize + x] = acc;
+    double* acc = &out[static_cast<size_t>(y) * kBlockSize];
+    for (int u = 0; u < kBlockSize; ++u) {
+      const double s = tmp[static_cast<size_t>(y) * kBlockSize + u];
+      if (s == 0.0) continue;
+      for (int x = 0; x < kBlockSize; ++x) acc[x] += s * t[u][x];
     }
   }
   return out;
@@ -125,8 +130,7 @@ Picture FromImage(const media::Image& image) {
       const double yy = 0.299 * p.r + 0.587 * p.g + 0.114 * p.b;
       const double cb = 128.0 - 0.168736 * p.r - 0.331264 * p.g + 0.5 * p.b;
       const double cr = 128.0 + 0.5 * p.r - 0.418688 * p.g - 0.081312 * p.b;
-      pic.y.set(x, y, static_cast<int16_t>(std::lround(
-                          std::clamp(yy, 0.0, 255.0))));
+      pic.y.set(x, y, static_cast<int16_t>(RoundToSample(yy)));
       cb_full[static_cast<size_t>(y) * w + x] = cb;
       cr_full[static_cast<size_t>(y) * w + x] = cr;
     }
@@ -146,32 +150,102 @@ Picture FromImage(const media::Image& image) {
           }
         }
       }
-      pic.cb.set(x, y, static_cast<int16_t>(std::lround(
-                           std::clamp(sum_cb / n, 0.0, 255.0))));
-      pic.cr.set(x, y, static_cast<int16_t>(std::lround(
-                           std::clamp(sum_cr / n, 0.0, 255.0))));
+      pic.cb.set(x, y, static_cast<int16_t>(RoundToSample(sum_cb / n)));
+      pic.cr.set(x, y, static_cast<int16_t>(RoundToSample(sum_cr / n)));
     }
   }
   return pic;
 }
 
+namespace {
+
+// BT.601 YCbCr -> RGB lookup tables. Each entry is the conversion's own
+// expression evaluated once, so a lookup is bit-identical to computing it:
+//   R = round(y + 1.402 * (cr - 128))               -> r[y][cr]
+//   B = round(y + 1.772 * (cb - 128))               -> b[y][cb]
+//   G = round((y - 0.344136 * (cb - 128)) - 0.714136 * (cr - 128))
+//     = round((y - g_cb[cb]) - g_cr[cr])            (same operations, same
+//                                                    order)
+struct YccTables {
+  uint8_t r[256][256];
+  uint8_t b[256][256];
+  double g_cb[256];
+  double g_cr[256];
+};
+
+YccTables* MakeYccTables() {
+  auto* t = new YccTables;
+  for (int c = 0; c < 256; ++c) {
+    t->g_cb[c] = 0.344136 * (c - 128.0);
+    t->g_cr[c] = 0.714136 * (c - 128.0);
+  }
+  for (int y = 0; y < 256; ++y) {
+    const double yy = y;
+    for (int c = 0; c < 256; ++c) {
+      const double dc = c - 128.0;
+      t->r[y][c] = static_cast<uint8_t>(RoundToSample(yy + 1.402 * dc));
+      t->b[y][c] = static_cast<uint8_t>(RoundToSample(yy + 1.772 * dc));
+    }
+  }
+  return t;
+}
+
+// Built on first use and never freed (130 KB: too large to build on the
+// stack and copy into a static).
+const YccTables& Ycc() {
+  static const YccTables* const tables = MakeYccTables();
+  return *tables;
+}
+
+// The conversion itself, for samples outside [0, 255] (no decoded or
+// FromImage picture has any).
+media::Rgb YccToRgb(int y, int cb, int cr) {
+  const double yy = y;
+  const double dcb = cb - 128.0;
+  const double dcr = cr - 128.0;
+  return media::Rgb{
+      static_cast<uint8_t>(RoundToSample(yy + 1.402 * dcr)),
+      static_cast<uint8_t>(RoundToSample(yy - 0.344136 * dcb - 0.714136 * dcr)),
+      static_cast<uint8_t>(RoundToSample(yy + 1.772 * dcb))};
+}
+
+}  // namespace
+
 media::Image ToImage(const Picture& picture, int width, int height) {
   media::Image out(width, height);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const double yy = picture.y.at(std::min(x, picture.y.width - 1),
-                                     std::min(y, picture.y.height - 1));
+  if (out.empty()) return out;
+  const YccTables& t = Ycc();
+  // Pixels [0, vector_end) of every row need no edge repeat; the AVX2 row
+  // kernel converts them eight at a time.
+  const int vector_end =
+      UseDctAccel()
+          ? std::min({width, picture.y.width, 2 * picture.cb.width,
+                      2 * picture.cr.width}) / 8 * 8
+          : 0;
+  media::Rgb* dst = out.pixels().data();
+  for (int y = 0; y < height; ++y, dst += width) {
+    const size_t sy = static_cast<size_t>(std::min(y, picture.y.height - 1));
+    const int16_t* yrow = &picture.y.samples[sy * picture.y.width];
+    const size_t cy =
+        static_cast<size_t>(std::min(y / 2, picture.cb.height - 1));
+    const int16_t* cbrow = &picture.cb.samples[cy * picture.cb.width];
+    const int16_t* crrow = &picture.cr.samples[cy * picture.cr.width];
+    if (vector_end > 0) {
+      internal::YccRowToRgbAccel(yrow, cbrow, crrow, vector_end, dst);
+    }
+    for (int x = vector_end; x < width; ++x) {
+      const int yy = yrow[std::min(x, picture.y.width - 1)];
       const int cx = std::min(x / 2, picture.cb.width - 1);
-      const int cy = std::min(y / 2, picture.cb.height - 1);
-      const double cb = picture.cb.at(cx, cy) - 128.0;
-      const double cr = picture.cr.at(cx, cy) - 128.0;
-      auto to8 = [](double v) {
-        return static_cast<uint8_t>(std::lround(std::clamp(v, 0.0, 255.0)));
-      };
-      out.set(x, y,
-              media::Rgb{to8(yy + 1.402 * cr),
-                         to8(yy - 0.344136 * cb - 0.714136 * cr),
-                         to8(yy + 1.772 * cb)});
+      const int cb = cbrow[cx];
+      const int cr = crrow[cx];
+      if (static_cast<unsigned>(yy | cb | cr) > 255u) {
+        dst[x] = YccToRgb(yy, cb, cr);
+        continue;
+      }
+      dst[x] = media::Rgb{
+          t.r[yy][cr],
+          static_cast<uint8_t>(RoundToSample((yy - t.g_cb[cb]) - t.g_cr[cr])),
+          t.b[yy][cb]};
     }
   }
   return out;
@@ -191,18 +265,64 @@ Block GetBlock(const Plane& plane, int bx, int by, bool center) {
   return block;
 }
 
+namespace {
+
+// Where the 8x8 block at (bx, by) starts in `plane`, when the block lies
+// wholly inside it and the AVX2 block writer may run; null otherwise.
+int16_t* AccelBlockStart(Plane* plane, int bx, int by) {
+  if (!UseDctAccel() || (bx + 1) * kBlockSize > plane->width ||
+      (by + 1) * kBlockSize > plane->height) {
+    return nullptr;
+  }
+  return &plane->samples[static_cast<size_t>(by) * kBlockSize * plane->width +
+                         static_cast<size_t>(bx) * kBlockSize];
+}
+
+}  // namespace
+
 void PutBlock(Plane* plane, int bx, int by, const Block& block, bool center) {
   const double offset = center ? 128.0 : 0.0;
+  if (int16_t* dst = AccelBlockStart(plane, bx, by)) {
+    internal::PutBlockAccel(block, nullptr, 0, offset, dst,
+                            static_cast<size_t>(plane->width));
+    return;
+  }
   for (int y = 0; y < kBlockSize; ++y) {
     const int dy = by * kBlockSize + y;
     if (dy >= plane->height) break;
     for (int x = 0; x < kBlockSize; ++x) {
       const int dx = bx * kBlockSize + x;
       if (dx >= plane->width) break;
-      const double v =
-          block[static_cast<size_t>(y) * kBlockSize + x] + offset;
-      plane->set(dx, dy, static_cast<int16_t>(
-                             std::lround(std::clamp(v, 0.0, 255.0))));
+      plane->set(dx, dy,
+                 static_cast<int16_t>(RoundToSample(
+                     block[static_cast<size_t>(y) * kBlockSize + x] + offset)));
+    }
+  }
+}
+
+void PutResidualBlock(Plane* plane, int bx, int by, const Plane& pred,
+                      const Block& residual) {
+  int16_t* dst = AccelBlockStart(plane, bx, by);
+  if (dst != nullptr && pred.width == plane->width &&
+      pred.height == plane->height) {
+    internal::PutBlockAccel(
+        residual,
+        &pred.samples[static_cast<size_t>(by) * kBlockSize * pred.width +
+                      static_cast<size_t>(bx) * kBlockSize],
+        static_cast<size_t>(pred.width), 0.0, dst,
+        static_cast<size_t>(plane->width));
+    return;
+  }
+  for (int y = 0; y < kBlockSize; ++y) {
+    const int dy = by * kBlockSize + y;
+    if (dy >= plane->height) break;
+    for (int x = 0; x < kBlockSize; ++x) {
+      const int dx = bx * kBlockSize + x;
+      if (dx >= plane->width) break;
+      plane->set(dx, dy,
+                 static_cast<int16_t>(RoundToSample(
+                     pred.at(dx, dy) +
+                     residual[static_cast<size_t>(y) * kBlockSize + x])));
     }
   }
 }

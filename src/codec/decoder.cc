@@ -25,6 +25,7 @@ util::Status DecodeIntraPlane(BitReader* reader, int quality, bool chroma,
                               std::vector<double>* dc_out) {
   const int bw = BlocksAcross(plane->width);
   const int bh = BlocksAcross(plane->height);
+  const QuantSteps steps = MakeQuantSteps(quality, chroma);
   int32_t dc_pred = 0;
   QuantizedBlock q;
   for (int by = 0; by < bh; ++by) {
@@ -34,16 +35,37 @@ util::Status DecodeIntraPlane(BitReader* reader, int quality, bool chroma,
       dc_pred = *dc;
       if (dc_only) {
         if (dc_out != nullptr) {
-          const Block deq = Dequantize(q, quality, chroma);
-          dc_out->push_back(deq[0] / kBlockSize + 128.0);
+          dc_out->push_back(q[0] * steps.step[0] / kBlockSize + 128.0);
         }
         continue;
       }
-      const Block deq = Dequantize(q, quality, chroma);
-      PutBlock(plane, bx, by, InverseDct(deq), /*center=*/true);
+      PutBlock(plane, bx, by, InverseDct(Dequantize(q, steps)),
+               /*center=*/true);
     }
   }
   return util::Status::Ok();
+}
+
+// Adds a P-frame block's residual to the motion-compensated samples already
+// in `plane`, in place. An all-zero block (most of them) would add +0.0 to
+// every sample, which only clamps it to [0, 255], so it skips the
+// transform.
+void AddResidual(Plane* plane, int bx, int by, const QuantizedBlock& q,
+                 const QuantSteps& steps) {
+  int32_t any = 0;
+  for (const int32_t c : q) any |= c;
+  if (any != 0) {
+    PutResidualBlock(plane, bx, by, *plane, InverseDct(Dequantize(q, steps)));
+    return;
+  }
+  const int x_end = std::min(plane->width, (bx + 1) * kBlockSize);
+  const int y_end = std::min(plane->height, (by + 1) * kBlockSize);
+  for (int y = by * kBlockSize; y < y_end; ++y) {
+    int16_t* row = &plane->samples[static_cast<size_t>(y) * plane->width];
+    for (int x = bx * kBlockSize; x < x_end; ++x) {
+      row[x] = std::clamp<int16_t>(row[x], 0, 255);
+    }
+  }
 }
 
 struct PFrameSink {
@@ -55,41 +77,39 @@ struct PFrameSink {
   const media::GrayImage* prev_dc = nullptr;
 };
 
-// Walks a P-frame payload. In full mode reconstructs the picture; in DC
-// mode updates the DC thumbnail with motion-shifted previous DC + residual
-// DC means. Layout must mirror EncodePredicted. `scratch` (null → heap)
-// backs the transient prediction planes in full mode.
+// Walks a P-frame payload. In full mode reconstructs the picture: each
+// macroblock is motion-compensated straight into `recon`, then its blocks
+// add their residuals in place. In DC mode updates the DC thumbnail with
+// motion-shifted previous DC + residual DC means. Layout must mirror
+// EncodePredicted.
 util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
-                                  int quality, PFrameSink* sink,
-                                  std::pmr::memory_resource* scratch =
-                                      nullptr) {
+                                  int quality, PFrameSink* sink) {
   const int mbw = (width + kMacroblockSize - 1) / kMacroblockSize;
   const int mbh = (height + kMacroblockSize - 1) / kMacroblockSize;
   const int cbw = ((width + 1) / 2);
   const int cbh = ((height + 1) / 2);
 
   const bool full = sink->recon != nullptr;
-  Plane pred_y = full ? Plane::Make(width, height, 0, scratch) : Plane();
-  Plane pred_cb = full ? Plane::Make(cbw, cbh, 0, scratch) : Plane();
-  Plane pred_cr = full ? Plane::Make(cbw, cbh, 0, scratch) : Plane();
+  const QuantSteps luma_steps = MakeQuantSteps(quality, /*chroma=*/false);
+  const QuantSteps chroma_steps = MakeQuantSteps(quality, /*chroma=*/true);
 
   QuantizedBlock q;
   for (int my = 0; my < mbh; ++my) {
     for (int mx = 0; mx < mbw; ++mx) {
-      util::StatusOr<int32_t> dx = reader->GetSE();
-      if (!dx.ok()) return dx.status();
-      util::StatusOr<int32_t> dy = reader->GetSE();
-      if (!dy.ok()) return dy.status();
-      const MotionVector mv{*dx, *dy};
+      MotionVector mv;
+      if (!reader->ReadSE(&mv.dx) || !reader->ReadSE(&mv.dy)) {
+        return reader->status();
+      }
 
       const int px = mx * kMacroblockSize;
       const int py = my * kMacroblockSize;
       if (full) {
-        MotionCompensate(sink->ref->y, &pred_y, px, py, mv, kMacroblockSize);
+        MotionCompensate(sink->ref->y, &sink->recon->y, px, py, mv,
+                         kMacroblockSize);
         const MotionVector cmv{mv.dx / 2, mv.dy / 2};
-        MotionCompensate(sink->ref->cb, &pred_cb, px / 2, py / 2, cmv,
+        MotionCompensate(sink->ref->cb, &sink->recon->cb, px / 2, py / 2, cmv,
                          kBlockSize);
-        MotionCompensate(sink->ref->cr, &pred_cr, px / 2, py / 2, cmv,
+        MotionCompensate(sink->ref->cr, &sink->recon->cr, px / 2, py / 2, cmv,
                          kBlockSize);
       }
 
@@ -99,23 +119,8 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
         if (bx * kBlockSize >= width || by * kBlockSize >= height) continue;
         util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
         if (!dc.ok()) return dc.status();
-        const Block deq = Dequantize(q, quality, /*chroma=*/false);
         if (full) {
-          const Block residual = InverseDct(deq);
-          for (int y = 0; y < kBlockSize; ++y) {
-            const int yy = by * kBlockSize + y;
-            if (yy >= height) break;
-            for (int x = 0; x < kBlockSize; ++x) {
-              const int xx = bx * kBlockSize + x;
-              if (xx >= width) break;
-              const double v =
-                  pred_y.at(xx, yy) +
-                  residual[static_cast<size_t>(y) * kBlockSize + x];
-              sink->recon->y.set(
-                  xx, yy,
-                  static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
-            }
-          }
+          AddResidual(&sink->recon->y, bx, by, q, luma_steps);
         } else if (sink->dc_image != nullptr) {
           // DC-resolution motion compensation: sample the previous DC image
           // at the vector-shifted position (rounded to DC grid).
@@ -127,11 +132,10 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
               by + static_cast<int>(std::lround(mv.dy / 8.0)), 0,
               prev.height() - 1);
           const double base = prev.at(sx, sy);
-          const double mean = base + deq[0] / kBlockSize;
+          const double mean = base + q[0] * luma_steps.step[0] / kBlockSize;
           if (bx < sink->dc_image->width() && by < sink->dc_image->height()) {
-            sink->dc_image->set(
-                bx, by,
-                static_cast<uint8_t>(std::lround(std::clamp(mean, 0.0, 255.0))));
+            sink->dc_image->set(bx, by,
+                                static_cast<uint8_t>(RoundToSample(mean)));
           }
         }
       }
@@ -140,24 +144,8 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
           util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
           if (!dc.ok()) return dc.status();
           if (full) {
-            const Block deq = Dequantize(q, quality, /*chroma=*/true);
-            const Block residual = InverseDct(deq);
-            Plane& out = (c == 0) ? sink->recon->cb : sink->recon->cr;
-            const Plane& pred = (c == 0) ? pred_cb : pred_cr;
-            for (int y = 0; y < kBlockSize; ++y) {
-              const int yy = my * kBlockSize + y;
-              if (yy >= out.height) break;
-              for (int x = 0; x < kBlockSize; ++x) {
-                const int xx = mx * kBlockSize + x;
-                if (xx >= out.width) break;
-                const double v =
-                    pred.at(xx, yy) +
-                    residual[static_cast<size_t>(y) * kBlockSize + x];
-                out.set(xx, yy,
-                        static_cast<int16_t>(
-                            std::lround(std::clamp(v, 0.0, 255.0))));
-              }
-            }
+            AddResidual(c == 0 ? &sink->recon->cb : &sink->recon->cr, mx, my,
+                        q, chroma_steps);
           }
         }
       }
@@ -185,9 +173,8 @@ util::Status DecodeDcFrame(const CmvFile& file, size_t i,
         &reader, file.quality, false, &y_dims, /*dc_only=*/true, &dcs));
     for (int by = 0; by < dch; ++by) {
       for (int bx = 0; bx < dcw; ++bx) {
-        const double v = dcs[static_cast<size_t>(by) * dcw + bx];
-        dc->set(bx, by,
-                static_cast<uint8_t>(std::lround(std::clamp(v, 0.0, 255.0))));
+        dc->set(bx, by, static_cast<uint8_t>(RoundToSample(
+                            dcs[static_cast<size_t>(by) * dcw + bx])));
       }
     }
     // Chroma planes still occupy the bitstream; no need to parse them for
@@ -235,7 +222,7 @@ util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
   sink.recon = &out;
   sink.ref = ref;
   CLASSMINER_RETURN_IF_ERROR(
-      DecodePredictedFrame(&reader, width, height, quality, &sink, scratch));
+      DecodePredictedFrame(&reader, width, height, quality, &sink));
   return out;
 }
 

@@ -56,10 +56,11 @@ namespace internal {
 // previous reconstruction at the same dimensions. This is the shared
 // per-frame core of DecodeGopFrames.
 //
-// `scratch` (may be null → heap) backs the returned picture's planes and
-// the transient prediction planes. An arena-backed picture is only valid
-// until the arena resets; DecodeGopFrames double-buffers two arenas so the
-// previous reconstruction stays live while the next frame decodes.
+// `scratch` (may be null → heap) backs the returned picture's planes; a
+// P-frame is motion-compensated straight into them. An arena-backed
+// picture is only valid until the arena resets; DecodeGopFrames
+// double-buffers two arenas so the previous reconstruction stays live
+// while the next frame decodes.
 util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
                                       int height, int quality,
                                       const Picture* ref,

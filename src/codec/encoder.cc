@@ -1,7 +1,6 @@
 #include "codec/encoder.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "codec/bitstream.h"
 #include "codec/motion.h"
@@ -18,15 +17,15 @@ void EncodeIntraPlane(const Plane& plane, int quality, bool chroma,
                       BitWriter* writer, Plane* recon) {
   const int bw = BlocksAcross(plane.width);
   const int bh = BlocksAcross(plane.height);
+  const QuantSteps steps = MakeQuantSteps(quality, chroma);
   int32_t dc_pred = 0;
   for (int by = 0; by < bh; ++by) {
     for (int bx = 0; bx < bw; ++bx) {
       const Block spatial = GetBlock(plane, bx, by, /*center=*/true);
-      const Block freq = ForwardDct(spatial);
-      const QuantizedBlock q = Quantize(freq, quality, chroma);
+      const QuantizedBlock q = Quantize(ForwardDct(spatial), steps);
       dc_pred = EncodeBlock(writer, q, dc_pred);
-      const Block deq = Dequantize(q, quality, chroma);
-      PutBlock(recon, bx, by, InverseDct(deq), /*center=*/true);
+      PutBlock(recon, bx, by, InverseDct(Dequantize(q, steps)),
+               /*center=*/true);
     }
   }
 }
@@ -45,32 +44,13 @@ Block ResidualBlock(const Plane& cur, const Plane& pred, int bx, int by) {
   return block;
 }
 
-// recon = clamp(pred + residual) over the block footprint.
-void ReconstructResidual(const Plane& pred, const Block& residual, int bx,
-                         int by, Plane* recon) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    const int dy = by * kBlockSize + y;
-    if (dy >= recon->height) break;
-    for (int x = 0; x < kBlockSize; ++x) {
-      const int dx = bx * kBlockSize + x;
-      if (dx >= recon->width) break;
-      const double v =
-          pred.at(dx, dy) + residual[static_cast<size_t>(y) * kBlockSize + x];
-      recon->set(dx, dy,
-                 static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
-    }
-  }
-}
-
 void EncodeResidualBlock(const Plane& cur, const Plane& pred, int bx, int by,
-                         int quality, bool chroma, BitWriter* writer,
+                         const QuantSteps& steps, BitWriter* writer,
                          Plane* recon) {
-  const Block residual = ResidualBlock(cur, pred, bx, by);
-  const Block freq = ForwardDct(residual);
-  const QuantizedBlock q = Quantize(freq, quality, chroma);
+  const QuantizedBlock q =
+      Quantize(ForwardDct(ResidualBlock(cur, pred, bx, by)), steps);
   EncodeBlock(writer, q, /*dc_predictor=*/0);
-  ReconstructResidual(pred, InverseDct(Dequantize(q, quality, chroma)), bx,
-                      by, recon);
+  PutResidualBlock(recon, bx, by, pred, InverseDct(Dequantize(q, steps)));
 }
 
 }  // namespace
@@ -99,6 +79,8 @@ std::vector<uint8_t> EncodePredicted(const Picture& pic, const Picture& ref,
   Plane pred_cb = Plane::Make(pic.cb.width, pic.cb.height);
   Plane pred_cr = Plane::Make(pic.cr.width, pic.cr.height);
 
+  const QuantSteps luma_steps = MakeQuantSteps(quality, /*chroma=*/false);
+  const QuantSteps chroma_steps = MakeQuantSteps(quality, /*chroma=*/true);
   BitWriter writer;
   const int mbw = (pic.y.width + kMacroblockSize - 1) / kMacroblockSize;
   const int mbh = (pic.y.height + kMacroblockSize - 1) / kMacroblockSize;
@@ -124,14 +106,14 @@ std::vector<uint8_t> EncodePredicted(const Picture& pic, const Picture& ref,
         if (bx * kBlockSize >= pic.y.width || by * kBlockSize >= pic.y.height) {
           continue;  // partial macroblock at the border
         }
-        EncodeResidualBlock(pic.y, pred_y, bx, by, quality, /*chroma=*/false,
-                            &writer, &recon->y);
+        EncodeResidualBlock(pic.y, pred_y, bx, by, luma_steps, &writer,
+                            &recon->y);
       }
       if (mx * kBlockSize < pic.cb.width && my * kBlockSize < pic.cb.height) {
-        EncodeResidualBlock(pic.cb, pred_cb, mx, my, quality, /*chroma=*/true,
-                            &writer, &recon->cb);
-        EncodeResidualBlock(pic.cr, pred_cr, mx, my, quality, /*chroma=*/true,
-                            &writer, &recon->cr);
+        EncodeResidualBlock(pic.cb, pred_cb, mx, my, chroma_steps, &writer,
+                            &recon->cb);
+        EncodeResidualBlock(pic.cr, pred_cr, mx, my, chroma_steps, &writer,
+                            &recon->cr);
       }
     }
   }

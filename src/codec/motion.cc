@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/cpu.h"
 
@@ -77,13 +78,33 @@ MotionVector EstimateMotion(const Plane& cur, const Plane& ref, int mx,
 
 void MotionCompensate(const Plane& ref, Plane* pred, int mx, int my,
                       MotionVector mv, int block_size) {
+  // 64-bit: a vector read from a damaged stream may be near the int range.
+  const int64_t sx = int64_t{mx} + mv.dx;
+  const int64_t sy = int64_t{my} + mv.dy;
+  if (mx + block_size <= pred->width && my + block_size <= pred->height &&
+      sx >= 0 && sy >= 0 && sx + block_size <= ref.width &&
+      sy + block_size <= ref.height) {
+    // Interior: both footprints in bounds, so each row is one copy.
+    for (int y = 0; y < block_size; ++y) {
+      const size_t dst = static_cast<size_t>(my + y) * pred->width + mx;
+      const size_t src = static_cast<size_t>(sy + y) * ref.width +
+                         static_cast<size_t>(sx);
+      std::memcpy(&pred->samples[dst], &ref.samples[src],
+                  static_cast<size_t>(block_size) * sizeof(int16_t));
+    }
+    return;
+  }
   for (int y = 0; y < block_size; ++y) {
     const int py = my + y;
     if (py >= pred->height) break;
+    const int ry = static_cast<int>(
+        std::clamp<int64_t>(int64_t{py} + mv.dy, 0, ref.height - 1));
     for (int x = 0; x < block_size; ++x) {
       const int px = mx + x;
       if (px >= pred->width) break;
-      pred->set(px, py, SampleClamped(ref, px + mv.dx, py + mv.dy));
+      const int rx = static_cast<int>(
+          std::clamp<int64_t>(int64_t{px} + mv.dx, 0, ref.width - 1));
+      pred->set(px, py, ref.at(rx, ry));
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace classminer::codec {
 namespace {
@@ -16,12 +17,6 @@ constexpr int kBaseMatrix[kBlockPixels] = {
     24, 35, 55, 64, 81,  104, 113, 92,   //
     49, 64, 78, 87, 103, 121, 120, 101,  //
     72, 92, 95, 98, 112, 100, 103, 99};
-
-double StepSize(int index, int quality, bool chroma) {
-  const double scale = std::max(1, quality) / 8.0;
-  const double chroma_boost = chroma ? 1.4 : 1.0;
-  return std::max(1.0, kBaseMatrix[index] * scale * chroma_boost);
-}
 
 std::array<int, kBlockPixels> BuildZigzag() {
   std::array<int, kBlockPixels> order{};
@@ -50,21 +45,28 @@ const std::array<int, kBlockPixels>& ZigzagOrder() {
   return order;
 }
 
-QuantizedBlock Quantize(const Block& freq, int quality, bool chroma) {
-  QuantizedBlock q{};
+QuantSteps MakeQuantSteps(int quality, bool chroma) {
+  const double scale = std::max(1, quality) / 8.0;
+  const double chroma_boost = chroma ? 1.4 : 1.0;
+  QuantSteps steps;
   for (int i = 0; i < kBlockPixels; ++i) {
-    q[static_cast<size_t>(i)] = static_cast<int32_t>(
-        std::lround(freq[static_cast<size_t>(i)] / StepSize(i, quality, chroma)));
+    steps.step[static_cast<size_t>(i)] =
+        std::max(1.0, kBaseMatrix[i] * scale * chroma_boost);
+  }
+  return steps;
+}
+
+QuantizedBlock Quantize(const Block& freq, const QuantSteps& steps) {
+  QuantizedBlock q{};
+  for (size_t i = 0; i < kBlockPixels; ++i) {
+    q[i] = static_cast<int32_t>(std::lround(freq[i] / steps.step[i]));
   }
   return q;
 }
 
-Block Dequantize(const QuantizedBlock& q, int quality, bool chroma) {
-  Block freq{};
-  for (int i = 0; i < kBlockPixels; ++i) {
-    freq[static_cast<size_t>(i)] =
-        q[static_cast<size_t>(i)] * StepSize(i, quality, chroma);
-  }
+Block Dequantize(const QuantizedBlock& q, const QuantSteps& steps) {
+  Block freq;
+  for (size_t i = 0; i < kBlockPixels; ++i) freq[i] = q[i] * steps.step[i];
   return freq;
 }
 
@@ -95,28 +97,34 @@ util::StatusOr<int32_t> DecodeBlock(BitReader* reader, QuantizedBlock* q,
   q->fill(0);
   const auto& zz = ZigzagOrder();
 
-  util::StatusOr<int32_t> dc_delta = reader->GetSE();
-  if (!dc_delta.ok()) return dc_delta.status();
-  const int32_t dc = dc_predictor + *dc_delta;
-  (*q)[0] = dc;
+  int32_t dc_delta = 0;
+  if (!reader->ReadSE(&dc_delta)) return reader->status();
+  const int64_t dc = int64_t{dc_predictor} + dc_delta;
+  if (dc < std::numeric_limits<int32_t>::min() ||
+      dc > std::numeric_limits<int32_t>::max()) {
+    return util::Status::DataLoss("DC value out of range");
+  }
+  (*q)[0] = static_cast<int32_t>(dc);
 
   int pos = 1;
   while (true) {
-    util::StatusOr<int> flag = reader->GetBit();
-    if (!flag.ok()) return flag.status();
-    if (*flag == 0) break;  // EOB
-    util::StatusOr<uint32_t> run = reader->GetUE();
-    if (!run.ok()) return run.status();
-    util::StatusOr<int32_t> level = reader->GetSE();
-    if (!level.ok()) return level.status();
-    pos += static_cast<int>(*run);
-    if (pos >= kBlockPixels) {
+    uint32_t flag = 0;
+    if (!reader->ReadBit(&flag)) return reader->status();
+    if (flag == 0) break;  // EOB
+    uint32_t run = 0;
+    int32_t level = 0;
+    if (!reader->ReadUE(&run) || !reader->ReadSE(&level)) {
+      return reader->status();
+    }
+    // Unsigned: a run of 2^31 or more must not wrap `pos` negative.
+    if (run >= static_cast<uint32_t>(kBlockPixels - pos)) {
       return util::Status::DataLoss("AC run exceeds block size");
     }
-    (*q)[static_cast<size_t>(zz[static_cast<size_t>(pos)])] = *level;
+    pos += static_cast<int>(run);
+    (*q)[static_cast<size_t>(zz[static_cast<size_t>(pos)])] = level;
     ++pos;
   }
-  return dc;
+  return static_cast<int32_t>(dc);
 }
 
 }  // namespace classminer::codec

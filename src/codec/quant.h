@@ -11,11 +11,17 @@ namespace classminer::codec {
 
 using QuantizedBlock = std::array<int32_t, kBlockPixels>;
 
-// JPEG-style luminance base quantisation matrix scaled by `quality`
-// (1 = near-lossless ... 31 = very coarse, MPEG-1 quantiser-scale range).
-// Chroma uses the same matrix with a 1.4x factor.
-QuantizedBlock Quantize(const Block& freq, int quality, bool chroma);
-Block Dequantize(const QuantizedBlock& q, int quality, bool chroma);
+// Per-coefficient quantiser step sizes: the JPEG-style luminance base
+// matrix scaled by `quality` (1 = near-lossless ... 31 = very coarse,
+// MPEG-1 quantiser-scale range); chroma uses the same matrix with a 1.4x
+// factor. Built once per plane or frame, not per block.
+struct QuantSteps {
+  std::array<double, kBlockPixels> step;
+};
+QuantSteps MakeQuantSteps(int quality, bool chroma);
+
+QuantizedBlock Quantize(const Block& freq, const QuantSteps& steps);
+Block Dequantize(const QuantizedBlock& q, const QuantSteps& steps);
 
 // Zig-zag scan order (index in raster order -> scan position).
 const std::array<int, kBlockPixels>& ZigzagOrder();
@@ -27,7 +33,8 @@ int32_t EncodeBlock(BitWriter* writer, const QuantizedBlock& q,
                     int32_t dc_predictor);
 
 // Inverse of EncodeBlock. On success stores the block and returns its DC
-// value (new predictor).
+// value (new predictor). A block whose AC runs pass the end of the block,
+// or whose DC value leaves the int32 range, is DATA_LOSS.
 util::StatusOr<int32_t> DecodeBlock(BitReader* reader, QuantizedBlock* q,
                                     int32_t dc_predictor);
 

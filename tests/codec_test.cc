@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -17,6 +20,8 @@
 #include "codec/quant.h"
 #include "media/color.h"
 #include "media/draw.h"
+#include "util/cpu.h"
+#include "util/crc32.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -30,8 +35,11 @@ TEST(BitstreamTest, BitsRoundTrip) {
   w.PutBits(0x3f, 6);
   const std::vector<uint8_t> bytes = w.Finish();
   BitReader r(bytes);
-  EXPECT_EQ(*r.GetBits(4), 0b1011u);
-  EXPECT_EQ(*r.GetBits(6), 0x3fu);
+  uint32_t v = 0;
+  ASSERT_TRUE(r.ReadBits(4, &v));
+  EXPECT_EQ(v, 0b1011u);
+  ASSERT_TRUE(r.ReadBits(6, &v));
+  EXPECT_EQ(v, 0x3fu);
 }
 
 TEST(BitstreamTest, ExpGolombRoundTrip) {
@@ -40,13 +48,23 @@ TEST(BitstreamTest, ExpGolombRoundTrip) {
   for (int32_t v = -150; v <= 150; ++v) w.PutSE(v);
   const std::vector<uint8_t> bytes = w.Finish();
   BitReader r(bytes);
-  for (uint32_t v = 0; v < 300; ++v) EXPECT_EQ(*r.GetUE(), v);
-  for (int32_t v = -150; v <= 150; ++v) EXPECT_EQ(*r.GetSE(), v);
+  for (uint32_t v = 0; v < 300; ++v) {
+    uint32_t got = 0;
+    ASSERT_TRUE(r.ReadUE(&got));
+    EXPECT_EQ(got, v);
+  }
+  for (int32_t v = -150; v <= 150; ++v) {
+    int32_t got = 0;
+    ASSERT_TRUE(r.ReadSE(&got));
+    EXPECT_EQ(got, v);
+  }
 }
 
 TEST(BitstreamTest, ExhaustionIsError) {
   BitReader r(nullptr, 0);
-  EXPECT_FALSE(r.GetBit().ok());
+  uint32_t bit = 0;
+  EXPECT_FALSE(r.ReadBit(&bit));
+  EXPECT_EQ(r.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST(DctTest, RoundTripRandomBlock) {
@@ -97,8 +115,9 @@ TEST(QuantTest, QuantizeDequantizeBoundsError) {
   Block f{};
   for (double& v : f) v = rng.Uniform(-200.0, 200.0);
   const int quality = 4;
-  const QuantizedBlock q = Quantize(f, quality, false);
-  const Block deq = Dequantize(q, quality, false);
+  const QuantSteps steps = MakeQuantSteps(quality, false);
+  const QuantizedBlock q = Quantize(f, steps);
+  const Block deq = Dequantize(q, steps);
   // Error per coefficient bounded by half a step (step = matrix * scale).
   for (size_t i = 0; i < f.size(); ++i) {
     EXPECT_LE(std::fabs(deq[i] - f[i]), 130.0 * quality / 8.0 * 0.5 + 1e-9);
@@ -780,6 +799,740 @@ TEST(DecodeFramesTest, RejectsOutOfRangeAndUnsortedIndices) {
   stale.gop_index[1].byte_size += 1;
   EXPECT_EQ(DecodeFrames(stale, {0}).status().code(),
             util::StatusCode::kDataLoss);
+}
+
+// ------------------------------------------------------------ decode oracles
+
+// Verbatim copies of the decoder's loops before the table-driven, sparse,
+// status-free rewrite: the bit-at-a-time StatusOr reader, per-coefficient
+// StepSize (de)quantisation, the dense inverse DCT, lround/clamp
+// reconstruction, per-sample motion compensation and per-pixel colour
+// conversion. The production decoder must match them bit for bit. They
+// only ever see well-formed streams here (DecodeBlock below still has the
+// unsigned-run and DC-range holes the production one closes).
+namespace oracle {
+
+class BitReader {
+ public:
+  BitReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  explicit BitReader(const std::vector<uint8_t>& bytes)
+      : BitReader(bytes.data(), bytes.size()) {}
+
+  util::StatusOr<int> GetBit() {
+    if (byte_pos_ >= size_) return util::Status::DataLoss("bitstream exhausted");
+    const int bit = (data_[byte_pos_] >> (7 - bit_pos_)) & 1;
+    if (++bit_pos_ == 8) {
+      bit_pos_ = 0;
+      ++byte_pos_;
+    }
+    return bit;
+  }
+
+  util::StatusOr<uint32_t> GetBits(int count) {
+    uint32_t v = 0;
+    for (int i = 0; i < count; ++i) {
+      util::StatusOr<int> bit = GetBit();
+      if (!bit.ok()) return bit.status();
+      v = (v << 1) | static_cast<uint32_t>(*bit);
+    }
+    return v;
+  }
+
+  util::StatusOr<uint32_t> GetUE() {
+    int zeros = 0;
+    while (true) {
+      util::StatusOr<int> bit = GetBit();
+      if (!bit.ok()) return bit.status();
+      if (*bit == 1) break;
+      if (++zeros > 31) return util::Status::DataLoss("malformed exp-Golomb code");
+    }
+    util::StatusOr<uint32_t> rest = GetBits(zeros);
+    if (!rest.ok()) return rest.status();
+    const uint32_t code = (1u << zeros) | *rest;
+    return code - 1;
+  }
+
+  util::StatusOr<int32_t> GetSE() {
+    util::StatusOr<uint32_t> ue = GetUE();
+    if (!ue.ok()) return ue.status();
+    const uint32_t v = *ue;
+    if (v % 2 == 1) return static_cast<int32_t>((v + 1) / 2);
+    return -static_cast<int32_t>(v / 2);
+  }
+
+  size_t bits_consumed() const { return byte_pos_ * 8 + bit_pos_; }
+
+ private:
+  const uint8_t* data_;
+  size_t size_;
+  size_t byte_pos_ = 0;
+  int bit_pos_ = 0;
+};
+
+constexpr int kBaseMatrix[kBlockPixels] = {
+    16, 11, 10, 16, 24,  40,  51,  61,   //
+    12, 12, 14, 19, 26,  58,  60,  55,   //
+    14, 13, 16, 24, 40,  57,  69,  56,   //
+    14, 17, 22, 29, 51,  87,  80,  62,   //
+    18, 22, 37, 56, 68,  109, 103, 77,   //
+    24, 35, 55, 64, 81,  104, 113, 92,   //
+    49, 64, 78, 87, 103, 121, 120, 101,  //
+    72, 92, 95, 98, 112, 100, 103, 99};
+
+double StepSize(int index, int quality, bool chroma) {
+  const double scale = std::max(1, quality) / 8.0;
+  const double chroma_boost = chroma ? 1.4 : 1.0;
+  return std::max(1.0, kBaseMatrix[index] * scale * chroma_boost);
+}
+
+QuantizedBlock Quantize(const Block& freq, int quality, bool chroma) {
+  QuantizedBlock q{};
+  for (int i = 0; i < kBlockPixels; ++i) {
+    q[static_cast<size_t>(i)] = static_cast<int32_t>(
+        std::lround(freq[static_cast<size_t>(i)] / StepSize(i, quality, chroma)));
+  }
+  return q;
+}
+
+Block Dequantize(const QuantizedBlock& q, int quality, bool chroma) {
+  Block freq{};
+  for (int i = 0; i < kBlockPixels; ++i) {
+    freq[static_cast<size_t>(i)] =
+        q[static_cast<size_t>(i)] * StepSize(i, quality, chroma);
+  }
+  return freq;
+}
+
+util::StatusOr<int32_t> DecodeBlock(BitReader* reader, QuantizedBlock* q,
+                                    int32_t dc_predictor) {
+  q->fill(0);
+  const auto& zz = ZigzagOrder();
+
+  util::StatusOr<int32_t> dc_delta = reader->GetSE();
+  if (!dc_delta.ok()) return dc_delta.status();
+  const int32_t dc = dc_predictor + *dc_delta;
+  (*q)[0] = dc;
+
+  int pos = 1;
+  while (true) {
+    util::StatusOr<int> flag = reader->GetBit();
+    if (!flag.ok()) return flag.status();
+    if (*flag == 0) break;  // EOB
+    util::StatusOr<uint32_t> run = reader->GetUE();
+    if (!run.ok()) return run.status();
+    util::StatusOr<int32_t> level = reader->GetSE();
+    if (!level.ok()) return level.status();
+    pos += static_cast<int>(*run);
+    if (pos >= kBlockPixels) {
+      return util::Status::DataLoss("AC run exceeds block size");
+    }
+    (*q)[static_cast<size_t>(zz[static_cast<size_t>(pos)])] = *level;
+    ++pos;
+  }
+  return dc;
+}
+
+Block InverseDct(const Block& freq) {
+  const auto& t = internal::Tables().basis;
+  Block tmp{};
+  for (int u = 0; u < kBlockSize; ++u) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      double acc = 0.0;
+      for (int v = 0; v < kBlockSize; ++v) {
+        acc += freq[static_cast<size_t>(v) * kBlockSize + u] * t[v][y];
+      }
+      tmp[static_cast<size_t>(y) * kBlockSize + u] = acc;
+    }
+  }
+  Block out{};
+  for (int y = 0; y < kBlockSize; ++y) {
+    for (int x = 0; x < kBlockSize; ++x) {
+      double acc = 0.0;
+      for (int u = 0; u < kBlockSize; ++u) {
+        acc += tmp[static_cast<size_t>(y) * kBlockSize + u] * t[u][x];
+      }
+      out[static_cast<size_t>(y) * kBlockSize + x] = acc;
+    }
+  }
+  return out;
+}
+
+void PutBlock(Plane* plane, int bx, int by, const Block& block, bool center) {
+  const double offset = center ? 128.0 : 0.0;
+  for (int y = 0; y < kBlockSize; ++y) {
+    const int dy = by * kBlockSize + y;
+    if (dy >= plane->height) break;
+    for (int x = 0; x < kBlockSize; ++x) {
+      const int dx = bx * kBlockSize + x;
+      if (dx >= plane->width) break;
+      const double v =
+          block[static_cast<size_t>(y) * kBlockSize + x] + offset;
+      plane->set(dx, dy, static_cast<int16_t>(
+                             std::lround(std::clamp(v, 0.0, 255.0))));
+    }
+  }
+}
+
+int16_t SampleClamped(const Plane& p, int x, int y) {
+  x = std::clamp(x, 0, p.width - 1);
+  y = std::clamp(y, 0, p.height - 1);
+  return p.at(x, y);
+}
+
+void MotionCompensate(const Plane& ref, Plane* pred, int mx, int my,
+                      MotionVector mv, int block_size) {
+  for (int y = 0; y < block_size; ++y) {
+    const int py = my + y;
+    if (py >= pred->height) break;
+    for (int x = 0; x < block_size; ++x) {
+      const int px = mx + x;
+      if (px >= pred->width) break;
+      pred->set(px, py, SampleClamped(ref, px + mv.dx, py + mv.dy));
+    }
+  }
+}
+
+// The P-frame residual add, as DecodePredictedFrame and the encoder's
+// ReconstructResidual wrote it.
+void AddResidual(const Plane& pred, const Block& residual, int bx, int by,
+                 Plane* recon) {
+  for (int y = 0; y < kBlockSize; ++y) {
+    const int yy = by * kBlockSize + y;
+    if (yy >= recon->height) break;
+    for (int x = 0; x < kBlockSize; ++x) {
+      const int xx = bx * kBlockSize + x;
+      if (xx >= recon->width) break;
+      const double v =
+          pred.at(xx, yy) + residual[static_cast<size_t>(y) * kBlockSize + x];
+      recon->set(xx, yy,
+                 static_cast<int16_t>(std::lround(std::clamp(v, 0.0, 255.0))));
+    }
+  }
+}
+
+int BlocksAcross(int extent) { return (extent + kBlockSize - 1) / kBlockSize; }
+
+util::Status DecodeIntraPlane(BitReader* reader, int quality, bool chroma,
+                              Plane* plane) {
+  const int bw = BlocksAcross(plane->width);
+  const int bh = BlocksAcross(plane->height);
+  int32_t dc_pred = 0;
+  QuantizedBlock q;
+  for (int by = 0; by < bh; ++by) {
+    for (int bx = 0; bx < bw; ++bx) {
+      util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, dc_pred);
+      if (!dc.ok()) return dc.status();
+      dc_pred = *dc;
+      const Block deq = Dequantize(q, quality, chroma);
+      oracle::PutBlock(plane, bx, by, oracle::InverseDct(deq), /*center=*/true);
+    }
+  }
+  return util::Status::Ok();
+}
+
+util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
+                                  int quality, const Picture& ref,
+                                  Picture* recon) {
+  const int mbw = (width + kMacroblockSize - 1) / kMacroblockSize;
+  const int mbh = (height + kMacroblockSize - 1) / kMacroblockSize;
+  const int cbw = ((width + 1) / 2);
+  const int cbh = ((height + 1) / 2);
+  Plane pred_y = Plane::Make(width, height);
+  Plane pred_cb = Plane::Make(cbw, cbh);
+  Plane pred_cr = Plane::Make(cbw, cbh);
+
+  QuantizedBlock q;
+  for (int my = 0; my < mbh; ++my) {
+    for (int mx = 0; mx < mbw; ++mx) {
+      util::StatusOr<int32_t> dx = reader->GetSE();
+      if (!dx.ok()) return dx.status();
+      util::StatusOr<int32_t> dy = reader->GetSE();
+      if (!dy.ok()) return dy.status();
+      const MotionVector mv{*dx, *dy};
+      const int px = mx * kMacroblockSize;
+      const int py = my * kMacroblockSize;
+      oracle::MotionCompensate(ref.y, &pred_y, px, py, mv, kMacroblockSize);
+      const MotionVector cmv{mv.dx / 2, mv.dy / 2};
+      oracle::MotionCompensate(ref.cb, &pred_cb, px / 2, py / 2, cmv,
+                               kBlockSize);
+      oracle::MotionCompensate(ref.cr, &pred_cr, px / 2, py / 2, cmv,
+                               kBlockSize);
+
+      for (int sub = 0; sub < 4; ++sub) {
+        const int bx = 2 * mx + (sub % 2);
+        const int by = 2 * my + (sub / 2);
+        if (bx * kBlockSize >= width || by * kBlockSize >= height) continue;
+        util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
+        if (!dc.ok()) return dc.status();
+        const Block deq = Dequantize(q, quality, /*chroma=*/false);
+        AddResidual(pred_y, oracle::InverseDct(deq), bx, by, &recon->y);
+      }
+      if (mx * kBlockSize < cbw && my * kBlockSize < cbh) {
+        for (int c = 0; c < 2; ++c) {
+          util::StatusOr<int32_t> dc = DecodeBlock(reader, &q, 0);
+          if (!dc.ok()) return dc.status();
+          const Block deq = Dequantize(q, quality, /*chroma=*/true);
+          AddResidual(c == 0 ? pred_cb : pred_cr, oracle::InverseDct(deq), mx,
+                      my, c == 0 ? &recon->cb : &recon->cr);
+        }
+      }
+    }
+  }
+  return util::Status::Ok();
+}
+
+media::Image ToImage(const Picture& picture, int width, int height) {
+  media::Image out(width, height);
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      const double yy = picture.y.at(std::min(x, picture.y.width - 1),
+                                     std::min(y, picture.y.height - 1));
+      const int cx = std::min(x / 2, picture.cb.width - 1);
+      const int cy = std::min(y / 2, picture.cb.height - 1);
+      const double cb = picture.cb.at(cx, cy) - 128.0;
+      const double cr = picture.cr.at(cx, cy) - 128.0;
+      auto to8 = [](double v) {
+        return static_cast<uint8_t>(std::lround(std::clamp(v, 0.0, 255.0)));
+      };
+      out.set(x, y,
+              media::Rgb{to8(yy + 1.402 * cr),
+                         to8(yy - 0.344136 * cb - 0.714136 * cr),
+                         to8(yy + 1.772 * cb)});
+    }
+  }
+  return out;
+}
+
+// Every frame of `file`, decoded serially by the loops above.
+std::vector<media::Image> DecodeVideo(const CmvFile& file) {
+  std::vector<media::Image> frames;
+  Picture prev;
+  const int cw = (file.width + 1) / 2;
+  const int ch = (file.height + 1) / 2;
+  for (const FrameRecord& rec : file.frames) {
+    BitReader reader(rec.payload);
+    Picture pic{Plane::Make(file.width, file.height), Plane::Make(cw, ch),
+                Plane::Make(cw, ch)};
+    util::Status status;
+    if (rec.type == FrameType::kIntra) {
+      status = DecodeIntraPlane(&reader, file.quality, false, &pic.y);
+      if (status.ok()) {
+        status = DecodeIntraPlane(&reader, file.quality, true, &pic.cb);
+      }
+      if (status.ok()) {
+        status = DecodeIntraPlane(&reader, file.quality, true, &pic.cr);
+      }
+    } else {
+      status = DecodePredictedFrame(&reader, file.width, file.height,
+                                    file.quality, prev, &pic);
+    }
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    if (!status.ok()) return frames;
+    frames.push_back(oracle::ToImage(pic, file.width, file.height));
+    prev = std::move(pic);
+  }
+  return frames;
+}
+
+}  // namespace oracle
+
+class ScopedDispatchLevel {
+ public:
+  explicit ScopedDispatchLevel(util::DispatchLevel level) {
+    util::SetDispatchLevelForTest(level);
+  }
+  ~ScopedDispatchLevel() { util::ClearDispatchLevelForTest(); }
+};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Clips for the oracle and golden tests: textured, noisy, moving several
+// pixels a frame, at an odd size (partial blocks and macroblocks, odd
+// chroma) and at a macroblock-aligned one.
+media::Video GoldenClip(int frames, int w, int h, int step, uint64_t seed) {
+  util::Rng rng(seed);
+  media::Video video("golden", 12.0);
+  media::Image base(w, h);
+  media::FillGradient(&base, media::Rgb{30, 120, 200}, media::Rgb{220, 40, 10});
+  media::FillEllipse(&base, w / 3, h / 2, w / 4, h / 3,
+                     media::Rgb{250, 240, 20});
+  for (int i = 0; i < frames; ++i) {
+    media::Image f = media::Translated(base, step * i, -step * i / 2);
+    media::AddNoise(&f, 12, &rng);
+    video.AppendFrame(std::move(f));
+  }
+  return video;
+}
+
+CmvFile GoldenFile(int which) {
+  EncoderOptions opts;
+  if (which == 0) {
+    opts.quality = 3;
+    opts.gop_size = 7;
+    return EncodeVideo(GoldenClip(14, 45, 37, 3, 101), opts);
+  }
+  opts.quality = 12;
+  opts.gop_size = 12;
+  return EncodeVideo(GoldenClip(24, 96, 72, 2, 202), opts);
+}
+
+uint32_t FramesCrc(const std::vector<media::Image>& frames) {
+  uint32_t crc = 0;
+  for (const media::Image& frame : frames) {
+    crc = util::Crc32(reinterpret_cast<const uint8_t*>(frame.pixels().data()),
+                      frame.pixels().size() * sizeof(media::Rgb), crc);
+  }
+  return crc;
+}
+
+TEST(DecodeOracleTest, FramesMatchTheReferenceLoopsAtEveryDispatchLevel) {
+  const CmvFile files[] = {GoldenFile(0), GoldenFile(1), MultiGopFile()};
+  for (const CmvFile& file : files) {
+    const std::vector<media::Image> want = oracle::DecodeVideo(file);
+    ASSERT_EQ(want.size(), file.frames.size());
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      SCOPED_TRACE(util::DispatchLevelName(level));
+      ScopedDispatchLevel pin(level);
+      util::StatusOr<media::Video> got = DecodeVideo(file);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(static_cast<size_t>(got->frame_count()), want.size());
+      for (int i = 0; i < got->frame_count(); ++i) {
+        ASSERT_EQ(got->frame(i), want[static_cast<size_t>(i)]) << "frame " << i;
+      }
+    }
+  }
+}
+
+// CRC-32s of the two golden clips' EncodeVideo bytes, decoded RGB frames
+// and DC images, recorded before the decoder rewrite. Any drift of encoder
+// or decoder output fails here.
+TEST(DecodeOracleTest, GoldenClipsKeepTheirRecordedCrcs) {
+  struct Golden {
+    uint32_t encoded, decoded, dc;
+  };
+  const Golden golden[] = {{0xa671497du, 0x70939deau, 0x5234bd2bu},
+                           {0x7b82889eu, 0x98d6df5fu, 0xd1894abfu}};
+  for (int which = 0; which < 2; ++which) {
+    SCOPED_TRACE("clip " + std::to_string(which));
+    const CmvFile file = GoldenFile(which);
+    EXPECT_EQ(util::Crc32(file.Serialize()), golden[which].encoded);
+    util::StatusOr<media::Video> video = DecodeVideo(file);
+    ASSERT_TRUE(video.ok());
+    std::vector<media::Image> frames;
+    for (int i = 0; i < video->frame_count(); ++i) {
+      frames.push_back(video->frame(i));
+    }
+    EXPECT_EQ(FramesCrc(frames), golden[which].decoded);
+    util::StatusOr<std::vector<media::GrayImage>> dc = DecodeDcImages(file);
+    ASSERT_TRUE(dc.ok());
+    uint32_t dc_crc = 0;
+    for (const media::GrayImage& image : *dc) {
+      dc_crc =
+          util::Crc32(image.pixels().data(), image.pixels().size(), dc_crc);
+    }
+    EXPECT_EQ(dc_crc, golden[which].dc);
+  }
+}
+
+// All 2^24 (Y, Cb, Cr) triples: a 512x512 picture pairs every (Cb, Cr) in
+// its 256x256 chroma planes with four luma values; 64 pictures cover them
+// all.
+TEST(DecodeOracleTest, ToImageMatchesTheReferenceOnEveryTriple) {
+  Picture pic{Plane::Make(512, 512), Plane::Make(256, 256),
+              Plane::Make(256, 256)};
+  for (int c = 0; c < 256; ++c) {
+    for (int x = 0; x < 256; ++x) {
+      pic.cb.set(x, c, static_cast<int16_t>(x));
+      pic.cr.set(x, c, static_cast<int16_t>(c));
+    }
+  }
+  for (int k = 0; k < 64; ++k) {
+    for (int y = 0; y < 512; ++y) {
+      for (int x = 0; x < 512; ++x) {
+        pic.y.set(x, y, static_cast<int16_t>(4 * k + 2 * (y % 2) + x % 2));
+      }
+    }
+    const media::Image want = oracle::ToImage(pic, 512, 512);
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      ScopedDispatchLevel pin(level);
+      ASSERT_TRUE(ToImage(pic, 512, 512) == want)
+          << "luma " << 4 * k << ".." << 4 * k + 3 << " at "
+          << util::DispatchLevelName(level);
+    }
+  }
+}
+
+TEST(DecodeOracleTest, ToImageOutOfRangeAndCroppedPicturesMatchTheReference) {
+  util::Rng rng(0x70);
+  for (int iter = 0; iter < 40; ++iter) {
+    const int w = rng.UniformInt(1, 37);
+    const int h = rng.UniformInt(1, 17);
+    Picture pic{Plane::Make(w, h), Plane::Make((w + 1) / 2, (h + 1) / 2),
+                Plane::Make((w + 1) / 2, (h + 1) / 2)};
+    for (Plane* p : {&pic.y, &pic.cb, &pic.cr}) {
+      for (int16_t& s : p->samples) {
+        s = static_cast<int16_t>(rng.UniformInt(-300, 600));
+      }
+    }
+    // Asking for more than the picture holds repeats its edge.
+    const int ow = w + rng.UniformInt(0, 5);
+    const int oh = h + rng.UniformInt(0, 5);
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      ScopedDispatchLevel pin(level);
+      EXPECT_TRUE(ToImage(pic, ow, oh) == oracle::ToImage(pic, ow, oh))
+          << util::DispatchLevelName(level);
+    }
+  }
+}
+
+TEST(DecodeOracleTest, StepTablesQuantiseAndDequantiseLikeStepSize) {
+  util::Rng rng(0x71);
+  for (int quality : {-4, 0, 1, 2, 5, 8, 13, 31, 64, 1000}) {
+    for (bool chroma : {false, true}) {
+      const QuantSteps steps = MakeQuantSteps(quality, chroma);
+      for (int iter = 0; iter < 20; ++iter) {
+        QuantizedBlock q;
+        Block f;
+        for (size_t i = 0; i < kBlockPixels; ++i) {
+          q[i] = rng.UniformInt(-2000, 2000);
+          f[i] = rng.Uniform(-2000.0, 2000.0);
+        }
+        const Block got = Dequantize(q, steps);
+        const Block want = oracle::Dequantize(q, quality, chroma);
+        for (size_t i = 0; i < kBlockPixels; ++i) {
+          ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "quality " << quality;
+        }
+        EXPECT_EQ(Quantize(f, steps), oracle::Quantize(f, quality, chroma));
+      }
+    }
+  }
+}
+
+TEST(DecodeOracleTest, ExactRoundingMatchesLroundOfClamp) {
+  // Every quarter-step from below 0 to above 255, the neighbours of each
+  // half, and a random sweep.
+  std::vector<double> values;
+  for (int i = -40; i <= 1100; ++i) {
+    const double v = i / 4.0;
+    values.push_back(v);
+    values.push_back(std::nextafter(v, -1e9));
+    values.push_back(std::nextafter(v, 1e9));
+  }
+  values.push_back(-0.0);
+  values.push_back(1e300);
+  values.push_back(-1e300);
+  util::Rng rng(0x72);
+  for (int i = 0; i < 100000; ++i) values.push_back(rng.Uniform(-20.0, 275.0));
+  for (double v : values) {
+    ASSERT_EQ(RoundToSample(v), std::lround(std::clamp(v, 0.0, 255.0))) << v;
+  }
+}
+
+TEST(DecodeOracleTest, BlockWritesMatchTheReferenceLoops) {
+  util::Rng rng(0x73);
+  for (int iter = 0; iter < 200; ++iter) {
+    // Blocks land on the plane's border half the time (partial blocks).
+    const int w = rng.UniformInt(1, 32);
+    const int h = rng.UniformInt(1, 32);
+    const int bx = rng.UniformInt(0, oracle::BlocksAcross(w) - 1);
+    const int by = rng.UniformInt(0, oracle::BlocksAcross(h) - 1);
+    Block block;
+    for (double& v : block) {
+      // Whole and half values too, where rounding direction matters.
+      v = iter % 2 == 0 ? rng.Uniform(-200.0, 400.0)
+                        : rng.UniformInt(-300, 600) / 2.0;
+    }
+    Plane pred = Plane::Make(w, h);
+    for (int16_t& s : pred.samples) {
+      s = static_cast<int16_t>(rng.UniformInt(0, 255));
+    }
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      SCOPED_TRACE(util::DispatchLevelName(level));
+      ScopedDispatchLevel pin(level);
+      for (bool center : {false, true}) {
+        Plane got = Plane::Make(w, h, 7);
+        Plane want = Plane::Make(w, h, 7);
+        PutBlock(&got, bx, by, block, center);
+        oracle::PutBlock(&want, bx, by, block, center);
+        ASSERT_EQ(got.samples, want.samples);
+      }
+      Plane got = Plane::Make(w, h, 7);
+      Plane want = Plane::Make(w, h, 7);
+      PutResidualBlock(&got, bx, by, pred, block);
+      oracle::AddResidual(pred, block, bx, by, &want);
+      ASSERT_EQ(got.samples, want.samples);
+      // In place, as the decoder adds residuals.
+      Plane in_place = pred;
+      PutResidualBlock(&in_place, bx, by, in_place, block);
+      Plane want_in_place = pred;
+      oracle::AddResidual(pred, block, bx, by, &want_in_place);
+      ASSERT_EQ(in_place.samples, want_in_place.samples);
+    }
+  }
+}
+
+TEST(DecodeOracleTest, MotionCompensationMatchesPerSampleClamping) {
+  util::Rng rng(0x74);
+  Plane ref = Plane::Make(40, 28);
+  for (int16_t& s : ref.samples) {
+    s = static_cast<int16_t>(rng.UniformInt(0, 255));
+  }
+  for (int iter = 0; iter < 500; ++iter) {
+    const int block = iter % 2 == 0 ? kMacroblockSize : kBlockSize;
+    const int mx = rng.UniformInt(0, 39);
+    const int my = rng.UniformInt(0, 27);
+    const MotionVector mv{rng.UniformInt(-50, 50), rng.UniformInt(-50, 50)};
+    Plane got = Plane::Make(40, 28, 3);
+    Plane want = Plane::Make(40, 28, 3);
+    MotionCompensate(ref, &got, mx, my, mv, block);
+    oracle::MotionCompensate(ref, &want, mx, my, mv, block);
+    ASSERT_EQ(got.samples, want.samples)
+        << mx << "," << my << " mv " << mv.dx << "," << mv.dy;
+  }
+}
+
+// Runs the same random sequence of reads on both readers: values, failures,
+// their messages and the bit positions must agree, up to and including the
+// first failure.
+void ExpectReadersAgree(const std::vector<uint8_t>& bytes, uint64_t seed) {
+  BitReader fast(bytes);
+  oracle::BitReader ref(bytes);
+  util::Rng rng(seed);
+  for (int op = 0; op < 4000; ++op) {
+    const int kind = rng.UniformInt(0, 3);
+    util::Status want_status;
+    int64_t want = 0;
+    int64_t got = 0;
+    bool ok = false;
+    if (kind == 0) {
+      util::StatusOr<int> v = ref.GetBit();
+      want_status = v.status();
+      if (v.ok()) want = *v;
+      uint32_t g = 0;
+      ok = fast.ReadBit(&g);
+      got = g;
+    } else if (kind == 1) {
+      const int count = rng.UniformInt(0, 32);
+      util::StatusOr<uint32_t> v = ref.GetBits(count);
+      want_status = v.status();
+      if (v.ok()) want = *v;
+      uint32_t g = 0;
+      ok = fast.ReadBits(count, &g);
+      got = g;
+    } else if (kind == 2) {
+      util::StatusOr<uint32_t> v = ref.GetUE();
+      want_status = v.status();
+      if (v.ok()) want = *v;
+      uint32_t g = 0;
+      ok = fast.ReadUE(&g);
+      got = g;
+    } else {
+      util::StatusOr<int32_t> v = ref.GetSE();
+      want_status = v.status();
+      if (v.ok()) want = *v;
+      int32_t g = 0;
+      ok = fast.ReadSE(&g);
+      got = g;
+    }
+    ASSERT_EQ(ok, want_status.ok()) << "op " << op << " kind " << kind;
+    ASSERT_EQ(fast.bits_consumed(), ref.bits_consumed()) << "op " << op;
+    if (!ok) {
+      EXPECT_EQ(fast.status(), want_status);
+      return;
+    }
+    ASSERT_EQ(got, want) << "op " << op << " kind " << kind;
+  }
+}
+
+TEST(BitReaderOracleTest, RandomAndTruncatedStreamsReadIdentically) {
+  util::Rng rng(0x75);
+  for (int iter = 0; iter < 300; ++iter) {
+    // Dense streams, sparse ones (long exp-Golomb prefixes, over-long ones
+    // included) and real exp-Golomb streams.
+    std::vector<uint8_t> bytes(static_cast<size_t>(rng.UniformInt(0, 96)));
+    const int mode = iter % 3;
+    if (mode == 2) {
+      BitWriter w;
+      for (int i = 0; i < 200; ++i) {
+        w.PutSE(rng.UniformInt(-70000, 70000));
+        w.PutUE(static_cast<uint32_t>(rng.UniformInt(0, 1 << 20)));
+        w.PutBits(static_cast<uint32_t>(rng.UniformInt(0, 255)), 8);
+      }
+      bytes = w.Finish();
+    }
+    for (uint8_t& b : bytes) {
+      if (mode == 0) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+      if (mode == 1) {
+        b = rng.UniformInt(0, 15) == 0
+                ? static_cast<uint8_t>(1 << rng.UniformInt(0, 7))
+                : 0;
+      }
+    }
+    ExpectReadersAgree(bytes, 1000 + static_cast<uint64_t>(iter));
+    // Every truncation of a short prefix of the stream.
+    for (size_t cut = 0; cut < std::min<size_t>(bytes.size(), 12); ++cut) {
+      ExpectReadersAgree(
+          std::vector<uint8_t>(bytes.begin(),
+                               bytes.begin() + static_cast<ptrdiff_t>(cut)),
+          2000 + cut);
+    }
+  }
+  // The longest codes: 31 leading zeros (value 2^32 - 2) and 32 (malformed).
+  BitWriter w;
+  w.PutUE(0xFFFFFFFEu);
+  w.PutBits(0, 32);
+  ExpectReadersAgree(w.Finish(), 7);
+}
+
+// A crafted AC run of 2^31 once wrapped the scan position negative and
+// indexed outside the zig-zag table.
+TEST(QuantTest, HugeAcRunIsDataLoss) {
+  for (uint32_t run : {0x80000000u, 0xFFFFFFFEu, 0x7FFFFFFFu, 63u}) {
+    BitWriter w;
+    w.PutSE(0);    // DC delta
+    w.PutBit(1);   // coefficient flag
+    w.PutUE(run);  // run past the end of the block
+    w.PutSE(5);    // level
+    w.PutBit(0);   // EOB
+    const std::vector<uint8_t> bytes = w.Finish();
+    BitReader r(bytes);
+    QuantizedBlock q;
+    const util::StatusOr<int32_t> dc = DecodeBlock(&r, &q, 0);
+    ASSERT_FALSE(dc.ok()) << "run " << run;
+    EXPECT_EQ(dc.status().code(), util::StatusCode::kDataLoss);
+  }
+}
+
+TEST(QuantTest, DcOutsideInt32IsDataLoss) {
+  const struct {
+    int32_t predictor;
+    int32_t delta;
+  } cases[] = {{std::numeric_limits<int32_t>::max(), 1},
+               {std::numeric_limits<int32_t>::min(), -1},
+               {std::numeric_limits<int32_t>::max(),
+                std::numeric_limits<int32_t>::max()}};
+  for (const auto& c : cases) {
+    BitWriter w;
+    w.PutSE(c.delta);
+    w.PutBit(0);  // EOB
+    const std::vector<uint8_t> bytes = w.Finish();
+    BitReader r(bytes);
+    QuantizedBlock q;
+    const util::StatusOr<int32_t> dc = DecodeBlock(&r, &q, c.predictor);
+    ASSERT_FALSE(dc.ok()) << c.predictor << " + " << c.delta;
+    EXPECT_EQ(dc.status().code(), util::StatusCode::kDataLoss);
+  }
+  // The int32 extremes themselves still decode.
+  BitWriter w;
+  w.PutSE(-1);
+  w.PutBit(0);
+  const std::vector<uint8_t> bytes = w.Finish();
+  BitReader r(bytes);
+  QuantizedBlock q;
+  const util::StatusOr<int32_t> dc =
+      DecodeBlock(&r, &q, std::numeric_limits<int32_t>::min() + 1);
+  ASSERT_TRUE(dc.ok());
+  EXPECT_EQ(*dc, std::numeric_limits<int32_t>::min());
 }
 
 }  // namespace

@@ -241,6 +241,111 @@ TEST(DctKernelTest, PublicEntryPointsAgreeAcrossLevels) {
   }
 }
 
+// The dense inverse DCT the sparse kernels replaced, verbatim: every term
+// of every sum, zero or not.
+codec::Block InverseDctDense(const codec::Block& freq) {
+  const auto& t = codec::internal::Tables().basis;
+  codec::Block tmp{};
+  for (int u = 0; u < codec::kBlockSize; ++u) {
+    for (int y = 0; y < codec::kBlockSize; ++y) {
+      double acc = 0.0;
+      for (int v = 0; v < codec::kBlockSize; ++v) {
+        acc += freq[static_cast<size_t>(v) * codec::kBlockSize + u] * t[v][y];
+      }
+      tmp[static_cast<size_t>(y) * codec::kBlockSize + u] = acc;
+    }
+  }
+  codec::Block out{};
+  for (int y = 0; y < codec::kBlockSize; ++y) {
+    for (int x = 0; x < codec::kBlockSize; ++x) {
+      double acc = 0.0;
+      for (int u = 0; u < codec::kBlockSize; ++u) {
+        acc += tmp[static_cast<size_t>(y) * codec::kBlockSize + u] * t[u][x];
+      }
+      out[static_cast<size_t>(y) * codec::kBlockSize + x] = acc;
+    }
+  }
+  return out;
+}
+
+// Sparse blocks, where the kernels skip work: DC-only, one nonzero row,
+// one nonzero column, a few scattered coefficients, and -0.0 wherever a
+// zero may sit. Scalar, AVX2 and the dense loops must agree bit for bit.
+TEST(DctKernelTest, SparseInverseMatchesScalarAndDenseLoops) {
+  util::Rng rng(0xD2);
+  std::vector<codec::Block> blocks;
+  for (int iter = 0; iter < 50; ++iter) {
+    const double zero = iter % 2 == 0 ? 0.0 : -0.0;
+    codec::Block dc_only;
+    dc_only.fill(zero);
+    dc_only[0] = rng.UniformInt(-2000, 2000) * 1.25;
+    blocks.push_back(dc_only);
+
+    const int line = rng.UniformInt(0, codec::kBlockSize - 1);
+    codec::Block row;
+    codec::Block column;
+    row.fill(zero);
+    column.fill(zero);
+    for (int i = 0; i < codec::kBlockSize; ++i) {
+      row[static_cast<size_t>(line * codec::kBlockSize + i)] =
+          rng.Uniform(-300.0, 300.0);
+      column[static_cast<size_t>(i * codec::kBlockSize + line)] =
+          rng.Uniform(-300.0, 300.0);
+    }
+    blocks.push_back(row);
+    blocks.push_back(column);
+
+    codec::Block scattered;
+    for (double& v : scattered) v = rng.UniformInt(0, 1) == 0 ? 0.0 : -0.0;
+    for (int k = rng.UniformInt(1, 6); k > 0; --k) {
+      scattered[static_cast<size_t>(rng.UniformInt(0, 63))] =
+          rng.UniformInt(-60, 60) * 11.5;
+    }
+    blocks.push_back(scattered);
+  }
+  codec::Block all_negative_zero;
+  all_negative_zero.fill(-0.0);
+  blocks.push_back(all_negative_zero);
+  // basis[4][0] == basis[0][0] bit for bit, so equal and opposite
+  // coefficients in rows 0 and 4 cancel exactly to +0 in pass 1 (tmp row
+  // 0), and pass 2 then adds -0 products to that +0.
+  ASSERT_EQ(Bits(codec::internal::Tables().basis[4][0]),
+            Bits(codec::internal::Tables().basis[0][0]));
+  codec::Block cancel;
+  cancel.fill(-0.0);
+  cancel[0] = 100.0;
+  cancel[4 * codec::kBlockSize] = -100.0;
+  cancel[1] = 50.0;
+  cancel[4 * codec::kBlockSize + 1] = -50.0;
+  cancel[2] = 7.0;
+  blocks.push_back(cancel);
+
+  for (const codec::Block& freq : blocks) {
+    const codec::Block want = InverseDctDense(freq);
+    const codec::Block scalar = codec::internal::InverseDctScalar(freq);
+    for (size_t i = 0; i < freq.size(); ++i) {
+      ASSERT_EQ(Bits(scalar[i]), Bits(want[i])) << "scalar coeff " << i;
+    }
+    if (!codec::internal::DctAccelAvailable()) continue;
+    const codec::Block accel = codec::internal::InverseDctAccel(freq);
+    for (size_t i = 0; i < freq.size(); ++i) {
+      ASSERT_EQ(Bits(accel[i]), Bits(want[i])) << "accel coeff " << i;
+    }
+  }
+}
+
+TEST(DctKernelTest, DenseInverseMatchesTheDenseLoops) {
+  util::Rng rng(0xD3);
+  for (int iter = 0; iter < 200; ++iter) {
+    const codec::Block freq = RandomBlock(&rng, -500.0, 500.0);
+    const codec::Block want = InverseDctDense(freq);
+    const codec::Block scalar = codec::internal::InverseDctScalar(freq);
+    for (size_t i = 0; i < freq.size(); ++i) {
+      ASSERT_EQ(Bits(scalar[i]), Bits(want[i])) << "coeff " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Histogram.
 
