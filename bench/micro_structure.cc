@@ -134,33 +134,6 @@ BENCHMARK(BM_MineVideoThreads)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 
-// DAG vs sequential stage scheduling at a fixed thread count. Sequential
-// runs one stage at a time (intra-stage loops still fan out); the DAG also
-// overlaps independent stages (audio / structure chain / cues), so its
-// wall-clock should be at or below the sequential baseline.
-void BM_StageScheduling(benchmark::State& state) {
-  const synth::GeneratedVideo video =
-      synth::GenerateVideo(synth::QuickScript(17));
-  core::MiningOptions options;
-  options.thread_count = 4;
-  options.scheduling = state.range(0) == 0
-                           ? core::StageScheduling::kSequential
-                           : core::StageScheduling::kDag;
-  for (auto _ : state) {
-    util::StatusOr<core::MiningResult> mined =
-        core::MineVideo(video.video, video.audio, options);
-    if (!mined.ok()) std::abort();
-    benchmark::DoNotOptimize(*mined);
-  }
-  state.SetLabel(state.range(0) == 0 ? "sequential" : "dag");
-  state.SetItemsProcessed(state.iterations() * video.video.frame_count());
-}
-BENCHMARK(BM_StageScheduling)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(2.0);
-
 }  // namespace
 }  // namespace classminer
 

@@ -95,6 +95,14 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/codec_test
   ./build-asan/tests/persist_test
 
+  echo "== tier-1: mining paths (ASan) =="
+  # Both mining heads hand the shared stage tail borrowed representative-
+  # image pointers (into a decoded Video or a FrameBatch); a lifetime slip
+  # there is a use-after-free here.
+  cmake --build build-asan -j --target cmv_pipeline_test parallel_pipeline_test >/dev/null
+  ./build-asan/tests/cmv_pipeline_test
+  ./build-asan/tests/parallel_pipeline_test
+
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in
   # the decoder's double-buffered planes or the kernel scratch shows up as

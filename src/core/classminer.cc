@@ -1,11 +1,14 @@
 #include "core/classminer.h"
 
 #include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/pipeline_dag.h"
+#include "shot/rep_frame.h"
 #include "util/arena.h"
 #include "util/failpoint.h"
 #include "util/threadpool.h"
@@ -13,39 +16,88 @@
 namespace classminer::core {
 namespace {
 
-using internal::OptionalStageStatus;
-using internal::RunOptionalStage;
+// Failure slots for the optional stages. Each slot is written by exactly
+// one stage (fixed slot, no mutex) and read only after the DAG drains, so
+// the collected failure list is deterministic regardless of completion
+// order on the pool.
+struct OptionalStageStatus {
+  util::Status audio;
+  util::Status cues;
+  util::Status events;
+};
 
-// Declares the mining pipeline as a stage graph over `result`. Dependencies
-// mirror the data flow exactly — each stage reads only fields written by
-// its declared deps — which is what makes DAG execution bit-identical to
-// declaration order:
-//
-//   shot ──┬─> audio ──────────┐
-//          ├─> group -> scene -> cluster ──> events
-//          └─> cues ───────────┘      (audio, cues, cluster all feed events)
-//
-// A structure-only run declares the middle row alone.
-util::Status BuildMiningDag(const media::Video& video,
-                            const audio::AudioBuffer& audio,
-                            const MiningOptions& options,
-                            const util::ExecutionContext& ctx,
-                            MiningResult* result,
-                            OptionalStageStatus* optional, StageDag* dag) {
-  CLASSMINER_RETURN_IF_ERROR(dag->Add(
-      "shot", {}, [&video, &options, &ctx, result](util::StageMetrics* row) {
-        result->structure.shots =
-            shot::DetectShots(video, options.shot, &result->shot_trace, ctx);
-        row->items = video.frame_count();
-      }));
+// Runs one optional stage body under the failure policy. Strict runs keep
+// the historical contract: a fail-point hit (site "core.stage.<name>") or
+// body failure lands in the run's sink and fails the whole pipeline.
+// Degraded runs hand the body a stage-local sink so its errors — returned,
+// recorded by nested loops, or thrown — stay confined to the stage; the
+// outcome lands in *slot and on the stage's metrics row, and the run
+// continues on the stage's default outputs.
+void RunOptionalStage(
+    const MiningOptions& options, const util::ExecutionContext& ctx,
+    const char* site, util::StageMetrics* row, util::Status* slot,
+    const std::function<util::Status(const util::ExecutionContext&)>& body) {
+  if (options.failure_policy == FailurePolicy::kStrict) {
+    util::Status status = util::FailPoint::Check(site);
+    // Body exceptions propagate to ExecuteStage's catch, as before.
+    if (status.ok()) status = body(ctx);
+    if (!status.ok()) ctx.RecordStatus(status);
+    return;
+  }
+  util::StatusSink stage_sink;
+  const util::ExecutionContext stage_ctx = ctx.WithSink(&stage_sink);
+  util::Status status = util::FailPoint::Check(site);
+  if (status.ok()) {
+    try {
+      status = body(stage_ctx);
+    } catch (const std::exception& e) {
+      status = util::Status::Internal(
+          std::string("optional stage threw: ") + e.what());
+    } catch (...) {
+      status = util::Status::Internal("optional stage threw a non-std value");
+    }
+    if (status.ok()) status = stage_sink.Get();
+  }
+  *slot = status;
+  row->status = status;
+}
+
+// Folds the optional-stage outcomes into the result: failures append to
+// stage_failures in declaration order and flag the result degraded (as does
+// a non-empty salvage report).
+void CollectOptionalFailures(const OptionalStageStatus& optional,
+                             MiningResult* result) {
+  const auto collect = [result](const char* stage, const util::Status& s) {
+    if (s.ok()) return;
+    result->degraded = true;
+    result->stage_failures.push_back(StageFailure{stage, s});
+  };
+  collect("audio", optional.audio);
+  collect("cues", optional.cues);
+  collect("events", optional.events);
+  if (result->salvage.salvaged) result->degraded = true;
+}
+
+// Declares the tail every mining path shares (see internal::MineWithHead)
+// after the head's last stage `head_last`. Dependencies mirror the data
+// flow exactly — each stage reads only fields written by its declared
+// deps — which is what makes DAG execution bit-identical to declaration
+// order.
+util::Status DeclareTail(const std::string& head_last,
+                         const std::vector<const media::Image*>& rep_images,
+                         const audio::AudioBuffer& audio, double fps,
+                         const MiningOptions& options,
+                         const util::ExecutionContext& ctx,
+                         MiningResult* result, OptionalStageStatus* optional,
+                         StageDag* dag) {
   const bool full = !options.structure_only;
   if (full) {
     // Per-shot audio analysis (representative clip + MFCC). Shots are
     // independent; the loop fans across shots and AnalyzeShot's inner loops
     // nest on the same pool via the context.
     CLASSMINER_RETURN_IF_ERROR(dag->Add(
-        "audio", {"shot"},
-        [&audio, &options, &ctx, result, &video,
+        "audio", {head_last},
+        [&audio, fps, &options, &ctx, result,
          optional](util::StageMetrics* row) {
           const std::vector<shot::Shot>& shots = result->structure.shots;
           // Default (silent) entries first, so a degraded failure still
@@ -61,16 +113,16 @@ util::Status BuildMiningDag(const media::Video& video,
                     sctx, static_cast<int>(shots.size()), [&](int i) {
                       const shot::Shot& s = shots[static_cast<size_t>(i)];
                       result->shot_audio[static_cast<size_t>(i)] =
-                          segmenter.AnalyzeShot(
-                              audio, s.StartSeconds(video.fps()),
-                              s.EndSeconds(video.fps()), s.index, sctx);
+                          segmenter.AnalyzeShot(audio, s.StartSeconds(fps),
+                                                s.EndSeconds(fps), s.index,
+                                                sctx);
                     });
                 return util::Status::Ok();
               });
         }));
   }
   CLASSMINER_RETURN_IF_ERROR(dag->Add(
-      "group", {"shot"}, [&options, result](util::StageMetrics* row) {
+      "group", {head_last}, [&options, result](util::StageMetrics* row) {
         result->structure.groups = structure::DetectGroups(
             result->structure.shots, options.structure.group);
         structure::ClassifyGroups(result->structure.shots,
@@ -96,18 +148,19 @@ util::Status BuildMiningDag(const media::Video& video,
       }));
   if (full) {
     // Visual cues on representative frames — needs shots only, so it runs
-    // alongside the whole structure chain under DAG scheduling.
+    // alongside the whole structure chain.
     CLASSMINER_RETURN_IF_ERROR(dag->Add(
-        "cues", {"shot"},
-        [&video, &options, &ctx, result, optional](util::StageMetrics* row) {
-          const std::vector<shot::Shot>& shots = result->structure.shots;
-          result->shot_cues.assign(shots.size(), cues::FrameCues{});
-          row->items = static_cast<int64_t>(shots.size());
+        "cues", {head_last},
+        [&rep_images, &options, &ctx, result,
+         optional](util::StageMetrics* row) {
+          result->shot_cues.assign(result->structure.shots.size(),
+                                   cues::FrameCues{});
+          row->items = static_cast<int64_t>(result->shot_cues.size());
           RunOptionalStage(
               options, ctx, "core.stage.cues", row, &optional->cues,
               [&](const util::ExecutionContext& sctx) {
                 result->shot_cues =
-                    cues::ExtractShotCues(video, shots, options.cues, sctx);
+                    cues::ExtractShotCues(rep_images, options.cues, sctx);
                 return util::Status::Ok();
               });
         }));
@@ -147,46 +200,50 @@ std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count) {
   return std::make_unique<util::ThreadPool>(thread_count);
 }
 
-void RunOptionalStage(
-    const MiningOptions& options, const util::ExecutionContext& ctx,
-    const char* site, util::StageMetrics* row, util::Status* slot,
-    const std::function<util::Status(const util::ExecutionContext&)>& body) {
-  if (options.failure_policy == FailurePolicy::kStrict) {
-    util::Status status = util::FailPoint::Check(site);
-    // Body exceptions propagate to ExecuteStage's catch, as before.
-    if (status.ok()) status = body(ctx);
-    if (!status.ok()) ctx.RecordStatus(status);
-    return;
-  }
-  util::StatusSink stage_sink;
-  const util::ExecutionContext stage_ctx = ctx.WithSink(&stage_sink);
-  util::Status status = util::FailPoint::Check(site);
-  if (status.ok()) {
-    try {
-      status = body(stage_ctx);
-    } catch (const std::exception& e) {
-      status = util::Status::Internal(
-          std::string("optional stage threw: ") + e.what());
-    } catch (...) {
-      status = util::Status::Internal("optional stage threw a non-std value");
-    }
-    if (status.ok()) status = stage_sink.Get();
-  }
-  *slot = status;
-  row->status = status;
-}
+util::Status MineWithHead(const std::string& head_last,
+                          const DeclareHead& head,
+                          const audio::AudioBuffer& audio, double fps,
+                          const MiningOptions& options,
+                          const util::ExecutionContext& ctx,
+                          MiningResult* result) {
+  util::StatusSink local_sink;
+  const util::ExecutionContext base =
+      ctx.status_sink() != nullptr ? ctx : ctx.WithSink(&local_sink);
+  // Per-run bump arena for transient scratch (frame planes, feature
+  // tables). Stage results always escape by copy into the MiningResult, so
+  // nothing arena-backed survives this function.
+  util::Arena run_arena;
+  const util::ExecutionContext run_ctx =
+      base.WithMetrics(&result->metrics).WithArena(&run_arena);
 
-void CollectOptionalFailures(const OptionalStageStatus& optional,
-                             MiningResult* result) {
-  const auto collect = [result](const char* stage, const util::Status& s) {
-    if (s.ok()) return;
-    result->degraded = true;
-    result->stage_failures.push_back(StageFailure{stage, s});
-  };
-  collect("audio", optional.audio);
-  collect("cues", optional.cues);
-  collect("events", optional.events);
-  if (result->salvage.salvaged) result->degraded = true;
+  // Shot i's representative image, filled by the head.
+  std::vector<const media::Image*> rep_images;
+  OptionalStageStatus optional;
+  StageDag dag;
+  CLASSMINER_RETURN_IF_ERROR(head(run_ctx, &rep_images, &dag));
+  CLASSMINER_RETURN_IF_ERROR(DeclareTail(head_last, rep_images, audio, fps,
+                                         options, run_ctx, result, &optional,
+                                         &dag));
+
+  // Snapshot the shared pool's exception counter around the run. Context-
+  // routed loops capture exceptions into the sink before they reach the
+  // pool, so a positive delta means some raw loop body escaped — its
+  // remaining indices were silently skipped, and the result cannot be
+  // trusted. With a shared batch pool the delta is conservative: an escape
+  // in any concurrent video fails every run that overlapped it.
+  const int exceptions_before = run_ctx.pool_exception_count();
+  util::Status status = dag.Run(run_ctx);
+  const int escaped = run_ctx.pool_exception_count() - exceptions_before;
+  result->metrics.pool_exceptions = escaped;
+  if (status.ok() && escaped > 0) {
+    status = util::Status::Internal(
+        std::to_string(escaped) +
+        " pool task(s) escaped with an exception during mining");
+  }
+
+  CollectOptionalFailures(optional, result);
+  result->metrics.suppressed_errors = base.status_sink()->suppressed_count();
+  return status;
 }
 
 }  // namespace internal
@@ -196,42 +253,25 @@ util::Status MineVideoInto(const media::Video& video,
                            const MiningOptions& options,
                            const ExecutionContext& ctx,
                            MiningResult* result) {
-  util::StatusSink local_sink;
-  const util::ExecutionContext base =
-      ctx.status_sink() != nullptr ? ctx : ctx.WithSink(&local_sink);
-  // Per-run bump arena for transient feature scratch (frame histogram
-  // tables and the like). Stage results always escape by copy into the
-  // MiningResult, so nothing arena-backed survives this function.
-  util::Arena run_arena;
-  const util::ExecutionContext run_ctx =
-      base.WithMetrics(&result->metrics).WithArena(&run_arena);
-
-  OptionalStageStatus optional;
-  StageDag dag;
-  CLASSMINER_RETURN_IF_ERROR(
-      BuildMiningDag(video, audio, options, run_ctx, result, &optional, &dag));
-
-  // Snapshot the shared pool's exception counter around the run. Context-
-  // routed loops capture exceptions into the sink before they reach the
-  // pool, so a positive delta means some raw loop body escaped — its
-  // remaining indices were silently skipped, and the result cannot be
-  // trusted. With a shared batch pool the delta is conservative: an escape
-  // in any concurrent video fails every run that overlapped it.
-  const int exceptions_before = run_ctx.pool_exception_count();
-  util::Status status = options.scheduling == StageScheduling::kDag
-                            ? dag.Run(run_ctx)
-                            : dag.RunSequential(run_ctx);
-  const int escaped = run_ctx.pool_exception_count() - exceptions_before;
-  result->metrics.pool_exceptions = escaped;
-  if (status.ok() && escaped > 0) {
-    status = util::Status::Internal(
-        std::to_string(escaped) +
-        " pool task(s) escaped with an exception during mining");
-  }
-
-  internal::CollectOptionalFailures(optional, result);
-  result->metrics.suppressed_errors = base.status_sink()->suppressed_count();
-  return status;
+  // The pixel head: shots from decoded-frame differences, each shot's
+  // representative image its frame in `video`.
+  const internal::DeclareHead head =
+      [&video, &options, result](const util::ExecutionContext& run_ctx,
+                                 std::vector<const media::Image*>* rep_images,
+                                 StageDag* dag) {
+        return dag->Add(
+            "shot", {},
+            [&video, &options, &run_ctx, result,
+             rep_images](util::StageMetrics* row) {
+              result->structure.shots = shot::DetectShots(
+                  video, options.shot, &result->shot_trace, run_ctx);
+              *rep_images =
+                  shot::RepresentativeImages(video, result->structure.shots);
+              row->items = video.frame_count();
+            });
+      };
+  return internal::MineWithHead("shot", head, audio, video.fps(), options,
+                                ctx, result);
 }
 
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,

@@ -22,23 +22,12 @@
 
 namespace classminer::core {
 
+class StageDag;  // core/pipeline_dag.h
+
 // The execution environment threaded through every pipeline stage; defined
 // in util (so lower layers can take it without depending on core), aliased
 // here because the pipeline is where callers meet it.
 using ExecutionContext = util::ExecutionContext;
-
-// How MineVideo orders its stages. Both modes are bit-identical to a serial
-// run at any thread count; they differ only in wall-clock shape.
-enum class StageScheduling {
-  // Stages one at a time in declaration order; each stage's inner loops run
-  // on the shared pool. The whole pipeline is as slow as the sum of stages.
-  kSequential,
-  // Stages run as a dependency DAG (shot -> {audio, group, cues};
-  // group -> scene -> cluster; {cluster, cues, audio} -> events):
-  // independent stages execute concurrently the moment their inputs are
-  // ready, sharing the same pool as the inner loops.
-  kDag,
-};
 
 // How the pipeline responds to a stage failure. The essential chain
 // (shot -> group -> scene -> cluster, and the CMV fast path's decode /
@@ -71,7 +60,6 @@ struct MiningOptions {
   // partitioning and serial reductions, and stage dependencies mirror the
   // true data flow. <= 1 runs serially.
   int thread_count = util::ThreadPool::DefaultThreads();
-  StageScheduling scheduling = StageScheduling::kDag;
   // Optional cooperative cancellation, checked at stage boundaries, at the
   // head of parallel loops and inside the codec decode loops; a cancelled
   // run returns kCancelled. Borrowed, may be null, must outlive the call.
@@ -79,12 +67,13 @@ struct MiningOptions {
   // What a failed optional stage does to the run (see FailurePolicy).
   FailurePolicy failure_policy = FailurePolicy::kStrict;
   // Mine only the content structure (paper Sec. 4), for callers that read
-  // nothing else — the scalable skim of Sec. 5 is built from it alone. Both
-  // stage graphs then drop the audio, cues and events stages: the pixel
+  // nothing else — the scalable skim of Sec. 5 is built from it alone. The
+  // stage graph then drops the audio, cues and events stages: the pixel
   // path runs shot -> group -> scene -> cluster, the `--fast` path
-  // shot -> decode -> repframe -> structure, and the container's PCM is
-  // never wrapped in an AudioBuffer. The structure chain is unchanged, so
-  // `structure` and `shot_trace` are bit-identical to a full run.
+  // shot -> decode -> repframe -> group -> scene -> cluster, and the
+  // container's PCM is never wrapped in an AudioBuffer. The structure chain
+  // is unchanged, so `structure` and `shot_trace` are bit-identical to a
+  // full run.
   bool structure_only = false;
 };
 
@@ -190,33 +179,33 @@ namespace internal {
 // (thread_count <= 1).
 std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count);
 
-// Failure slots for the optional stages, shared by the full pipeline and
-// the CMV fast path. Each slot is written by exactly one stage (fixed slot,
-// no mutex) and read only after the DAG drains, so the collected failure
-// list is deterministic regardless of completion order on the pool.
-struct OptionalStageStatus {
-  util::Status audio;
-  util::Status cues;
-  util::Status events;
-};
+// A mining path's front end ("head"): declares on `dag` the stages that
+// find the shots, with bodies that run on `ctx`, the run's context. When
+// the head's last stage completes, result->structure.shots holds every
+// shot with its features, and *rep_images holds one representative image
+// per shot (null = default cues). The images are borrowed and must outlive
+// the run.
+using DeclareHead = std::function<util::Status(
+    const util::ExecutionContext& ctx,
+    std::vector<const media::Image*>* rep_images, StageDag* dag)>;
 
-// Runs one optional stage body under the failure policy. Strict runs keep
-// the historical contract: a fail-point hit (site "core.stage.<name>") or
-// body failure lands in the run's sink and fails the whole pipeline.
-// Degraded runs hand the body a stage-local sink so its errors — returned,
-// recorded by nested loops, or thrown — stay confined to the stage; the
-// outcome lands in *slot and on the stage's metrics row, and the run
-// continues on the stage's default outputs.
-void RunOptionalStage(
-    const MiningOptions& options, const util::ExecutionContext& ctx,
-    const char* site, util::StageMetrics* row, util::Status* slot,
-    const std::function<util::Status(const util::ExecutionContext&)>& body);
-
-// Folds the optional-stage outcomes into the result: failures append to
-// stage_failures in declaration order and flag the result degraded (as does
-// a non-empty salvage report).
-void CollectOptionalFailures(const OptionalStageStatus& optional,
-                             MiningResult* result);
+// Mines one video into *result on `ctx`: `head` declares the path's front
+// end, ending with the stage `head_last`, and the tail every path shares
+// (paper Fig. 3) follows it:
+//
+//   <head_last> ──┬─> audio ───────────────────┐
+//                 ├─> group -> scene -> cluster ──> events
+//                 └─> cues ────────────────────┘
+//
+// A structure-only run declares the middle row alone. Audio analysis reads
+// `audio` at `fps`. Returns the run's status (see MineVideo); optional-stage
+// failures and salvage land on *result as for MineVideoInto.
+util::Status MineWithHead(const std::string& head_last,
+                          const DeclareHead& head,
+                          const audio::AudioBuffer& audio, double fps,
+                          const MiningOptions& options,
+                          const util::ExecutionContext& ctx,
+                          MiningResult* result);
 
 }  // namespace internal
 }  // namespace classminer::core

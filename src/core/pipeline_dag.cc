@@ -101,29 +101,27 @@ util::Status StageDag::RunStatus(const util::ExecutionContext& ctx) {
   return util::Status();
 }
 
-util::Status StageDag::RunSequential(const util::ExecutionContext& ctx) {
+util::Status StageDag::Run(const util::ExecutionContext& ctx) {
   util::StatusSink local_sink;
   const util::ExecutionContext run_ctx =
       ctx.status_sink() != nullptr ? ctx : ctx.WithSink(&local_sink);
   std::vector<RowSlot> slots(stages_.size());
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    ExecuteStage(stages_[i], run_ctx, &slots[i]);
+  if (run_ctx.pool() == nullptr || run_ctx.pool()->thread_count() <= 1) {
+    // No concurrency available: declaration order is a valid topological
+    // order, so the stages simply run one after another.
+    for (size_t i = 0; i < stages_.size(); ++i) {
+      ExecuteStage(stages_[i], run_ctx, &slots[i]);
+    }
+  } else {
+    RunOnPool(run_ctx, &slots);
   }
   AppendRows(run_ctx.metrics(), &slots);
   return RunStatus(run_ctx);
 }
 
-util::Status StageDag::Run(const util::ExecutionContext& ctx) {
-  if (ctx.pool() == nullptr || ctx.pool()->thread_count() <= 1) {
-    // No concurrency available: DAG order and declaration order coincide.
-    return RunSequential(ctx);
-  }
-  util::StatusSink local_sink;
-  const util::ExecutionContext run_ctx =
-      ctx.status_sink() != nullptr ? ctx : ctx.WithSink(&local_sink);
-
+void StageDag::RunOnPool(const util::ExecutionContext& run_ctx,
+                         std::vector<RowSlot>* slots) const {
   const int n = static_cast<int>(stages_.size());
-  std::vector<RowSlot> slots(stages_.size());
 
   // Per-run scheduling state. `remaining[i]` counts unresolved deps of
   // stage i; a stage is enqueued on the pool the moment it hits zero.
@@ -145,7 +143,7 @@ util::Status StageDag::Run(const util::ExecutionContext& ctx) {
   // and dependents are drained rather than stranded.
   std::function<void(int)> run_stage = [&](int i) {
     ExecuteStage(stages_[static_cast<size_t>(i)], run_ctx,
-                 &slots[static_cast<size_t>(i)]);
+                 &(*slots)[static_cast<size_t>(i)]);
     std::vector<int> ready;
     {
       std::lock_guard<std::mutex> lock(state.mutex);
@@ -183,9 +181,6 @@ util::Status StageDag::Run(const util::ExecutionContext& ctx) {
       if (!ran && state.completed < n) state.cv.wait(lock);
     }
   }
-
-  AppendRows(run_ctx.metrics(), &slots);
-  return RunStatus(run_ctx);
 }
 
 }  // namespace classminer::core

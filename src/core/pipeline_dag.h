@@ -15,20 +15,17 @@ namespace classminer::core {
 // ---------------------------------------------------------------------------
 // Declarative stage graph for the mining pipeline.
 //
-// A pipeline is a list of named stages with explicit dependencies; MineVideo
-// declares shot -> {audio, group, cues}; group -> scene -> cluster;
-// {cluster, cues, audio} -> events, and the CMV fast path adds decode /
-// repframe stages. The same graph can execute three ways, all producing
-// bit-identical results:
+// A pipeline is a list of named stages with explicit dependencies. Every
+// mining path declares its own front end (the pixel path a `shot` stage,
+// the CMV fast path shot -> decode -> repframe) and then one shared tail:
+// {audio, group -> scene -> cluster, cues} -> events. The graph executes
+// two ways, both producing bit-identical results:
 //
-//   * serial            — thread_count 1; stages in declaration order, loops
-//                         inline (Run degrades to this without a pool);
-//   * sequential-stage  — RunSequential(): stages one at a time in
-//                         declaration order, each stage's inner loops
-//                         parallel on the shared pool;
-//   * DAG               — Run(): independent stages execute concurrently as
-//                         pool tasks the moment their dependencies resolve,
-//                         inner loops still parallel on the same pool.
+//   * serial — no pool or a 1-thread pool: stages in declaration order,
+//              loops inline;
+//   * DAG    — independent stages execute concurrently as pool tasks the
+//              moment their dependencies resolve, inner loops parallel on
+//              the same pool.
 //
 // Determinism holds because dependencies mirror the true data flow (a stage
 // reads only outputs of its declared deps), every parallel inner loop writes
@@ -59,12 +56,9 @@ class StageDag {
   // Executes the graph with DAG scheduling on ctx.pool(). The calling
   // thread helps drain the pool queue while waiting, so Run may itself be
   // invoked from inside a pool task (the batch miner runs one whole-video
-  // DAG per pool task). Falls back to sequential execution without a pool.
+  // DAG per pool task). Without a multi-thread pool the stages run serially
+  // in declaration order.
   util::Status Run(const util::ExecutionContext& ctx);
-
-  // Executes stages one at a time in declaration order on the calling
-  // thread (stage-level serial, inner loops still use ctx.pool()).
-  util::Status RunSequential(const util::ExecutionContext& ctx);
 
  private:
   struct Stage {
@@ -86,6 +80,9 @@ class StageDag {
   // executed=false) when the context is already cancelled or failed.
   void ExecuteStage(const Stage& stage, const util::ExecutionContext& ctx,
                     RowSlot* slot) const;
+  // DAG scheduling of every stage on ctx.pool() (more than one thread).
+  void RunOnPool(const util::ExecutionContext& ctx,
+                 std::vector<RowSlot>* slots) const;
   static void AppendRows(util::PipelineMetrics* metrics,
                          std::vector<RowSlot>* slots);
   // Final status of a run: first sink error, else kCancelled if the token

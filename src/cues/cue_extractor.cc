@@ -57,9 +57,4 @@ std::vector<FrameCues> ExtractShotCues(const media::Video& video,
                          ctx);
 }
 
-std::vector<FrameCues> ExtractShotCues(const media::Video& video,
-                                       const std::vector<shot::Shot>& shots) {
-  return ExtractShotCues(video, shots, CueExtractorOptions());
-}
-
 }  // namespace classminer::cues

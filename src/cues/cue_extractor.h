@@ -57,8 +57,6 @@ std::vector<FrameCues> ExtractShotCues(const media::Video& video,
                                        const std::vector<shot::Shot>& shots,
                                        const CueExtractorOptions& options,
                                        const util::ExecutionContext& ctx = {});
-std::vector<FrameCues> ExtractShotCues(const media::Video& video,
-                                       const std::vector<shot::Shot>& shots);
 
 }  // namespace classminer::cues
 

@@ -80,7 +80,7 @@ std::vector<Shot> DetectShots(const media::Video& video,
     trace->cuts = cuts;
   }
   std::vector<Shot> shots = ShotsFromCuts(cuts, video.frame_count());
-  PopulateRepresentativeFrames(video, &shots, ctx.pool());
+  PopulateRepresentativeFrames(video, &shots, ctx);
   return shots;
 }
 

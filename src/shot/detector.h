@@ -33,10 +33,11 @@ std::vector<int> DetectCuts(std::span<const double> diffs,
                             std::vector<double>* thresholds_out = nullptr);
 
 // Pixel-domain detection over a decoded video. Populates shot spans and
-// representative-frame features (via shot/rep_frame). The context's pool
-// parallelises the per-frame histogram and per-shot feature extraction;
-// detection is bit-identical with or without one (a default context — or a
-// bare ThreadPool*, which converts — runs inline).
+// representative-frame features (via shot/rep_frame). Both the per-frame
+// histogram loop and the per-shot feature loop run on the context (its
+// pool, cancellation token and status sink); detection is bit-identical
+// with or without a pool (a default context — or a bare ThreadPool*, which
+// converts — runs inline).
 std::vector<Shot> DetectShots(const media::Video& video,
                               const ShotDetectorOptions& options = {},
                               ShotDetectionTrace* trace = nullptr,

@@ -47,10 +47,10 @@ void PopulateRepresentativeFrames(
 
 void PopulateRepresentativeFrames(const media::Video& video,
                                   std::vector<Shot>* shots,
-                                  util::ThreadPool* pool) {
+                                  const util::ExecutionContext& ctx) {
   AssignRepresentativeFrames(video.frame_count(), shots);
   PopulateRepresentativeFrames(RepresentativeImages(video, *shots), shots,
-                               pool);
+                               ctx);
 }
 
 }  // namespace classminer::shot

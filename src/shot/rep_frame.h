@@ -7,7 +7,6 @@
 #include "media/video.h"
 #include "shot/shot.h"
 #include "util/exec_context.h"
-#include "util/threadpool.h"
 
 namespace classminer::shot {
 
@@ -37,10 +36,10 @@ void PopulateRepresentativeFrames(
     std::vector<Shot>* shots, const util::ExecutionContext& ctx = {});
 
 // Full-decode form: assigns rep_frame for every shot and fills its
-// features from the decoded video.
+// features from the decoded video, on `ctx` like the form above.
 void PopulateRepresentativeFrames(const media::Video& video,
                                   std::vector<Shot>* shots,
-                                  util::ThreadPool* pool = nullptr);
+                                  const util::ExecutionContext& ctx = {});
 
 }  // namespace classminer::shot
 

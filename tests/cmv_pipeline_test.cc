@@ -17,6 +17,7 @@
 #include "skim/playback.h"
 #include "skim/skimmer.h"
 #include "synth/corpus.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -261,7 +262,7 @@ TEST_F(CmvPipelineTest, StructureOnlyMatchesTheFullRunOnEveryEntryPoint) {
     ExpectStructureOnlyMatches(*full, *lean);
     EXPECT_EQ(StageNames(*lean),
               (std::vector<std::string>{"shot", "decode", "repframe",
-                                        "structure"}));
+                                        "group", "scene", "cluster"}));
 
     const std::vector<core::MiningInput> inputs(
         2, core::MiningInput{&generated_->video, &generated_->audio});
@@ -277,6 +278,86 @@ TEST_F(CmvPipelineTest, StructureOnlyMatchesTheFullRunOnEveryEntryPoint) {
       EXPECT_EQ(StageNames(lean_batch.results[i]),
                 (std::vector<std::string>{"shot", "group", "scene",
                                           "cluster"}));
+    }
+  }
+}
+
+// Chains the bytes of one scalar field into a CRC. Structs are hashed
+// field by field so their padding never reaches the checksum.
+template <typename T>
+uint32_t CrcField(const T& value, uint32_t crc) {
+  return util::Crc32(reinterpret_cast<const uint8_t*>(&value), sizeof(T),
+                     crc);
+}
+
+// CRC-32 of everything a mine produces for the index and the event rules:
+// the stored entry (structure + events), then every shot's cues, then every
+// shot's audio analysis including its MFCC matrix.
+uint32_t MinedOutputCrc(const core::MiningResult& mined) {
+  index::VideoDatabase one;
+  one.AddVideo("v", mined.structure, mined.events, mined.degraded);
+  uint32_t crc = util::Crc32(index::SerializeDatabase(one));
+  for (const cues::FrameCues& c : mined.shot_cues) {
+    crc = CrcField(c.special, crc);
+    crc = CrcField(c.has_face, crc);
+    crc = CrcField(c.face_closeup, crc);
+    crc = CrcField(c.max_face_fraction, crc);
+    crc = CrcField(c.has_skin_region, crc);
+    crc = CrcField(c.skin_closeup, crc);
+    crc = CrcField(c.max_skin_fraction, crc);
+    crc = CrcField(c.has_blood, crc);
+    crc = CrcField(c.max_blood_fraction, crc);
+  }
+  for (const audio::ShotAudioAnalysis& a : mined.shot_audio) {
+    crc = CrcField(a.shot_index, crc);
+    crc = CrcField(a.analyzable, crc);
+    crc = CrcField(a.has_speech, crc);
+    crc = CrcField(a.speech_margin, crc);
+    crc = CrcField(a.rep_features, crc);
+    crc = CrcField(a.mfcc.rows(), crc);
+    crc = CrcField(a.mfcc.cols(), crc);
+    const std::vector<double>& data = a.mfcc.data();
+    crc = util::Crc32(reinterpret_cast<const uint8_t*>(data.data()),
+                      data.size() * sizeof(double), crc);
+  }
+  return crc;
+}
+
+// Golden checksums of the fixture clip's mined output on both CMV entry
+// points, full and structure-only. They pin mining results across
+// refactors of the stage graph, thread counts and SIMD dispatch levels.
+TEST_F(CmvPipelineTest, GoldenMiningOutputIsStableAcrossPathsAndThreads) {
+  struct Golden {
+    bool fast;
+    bool structure_only;
+    uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {false, false, 0xf322b48du},
+      {false, true, 0xe24698aau},
+      {true, false, 0x8ce032a0u},
+      {true, true, 0xc87e79ddu},
+  };
+  for (const Golden& golden : goldens) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(golden.fast ? "fast" : "pixel") +
+                   (golden.structure_only ? " structure-only" : " full") +
+                   " threads " + std::to_string(threads));
+      core::MiningOptions options;
+      options.thread_count = threads;
+      options.structure_only = golden.structure_only;
+      util::StatusOr<core::MiningResult> mined =
+          golden.fast ? core::MineCmvFileFast(*file_, options)
+                      : core::MineCmvFile(*file_, options);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      const uint32_t crc = MinedOutputCrc(*mined);
+      EXPECT_EQ(crc, golden.crc) << std::hex << "0x" << crc;
+      if (golden.fast && !golden.structure_only) {
+        EXPECT_EQ(StageNames(*mined),
+                  (std::vector<std::string>{"shot", "decode", "repframe",
+                                            "audio", "group", "scene",
+                                            "cluster", "cues", "events"}));
+      }
     }
   }
 }

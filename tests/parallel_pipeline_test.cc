@@ -1,6 +1,6 @@
 // Determinism guarantee of the pipeline runtime: mining the same video at
 // thread_count = 1 and thread_count = N must produce bit-identical
-// MiningResults, under both sequential-stage and DAG scheduling. Every
+// MiningResults, whether the stage graph runs serially or as a DAG. Every
 // parallel loop uses fixed per-index partitioning and serial reductions,
 // and stage dependencies mirror the true data flow, so this holds exactly
 // (double == double), not just approximately.
@@ -126,23 +126,16 @@ TEST(ParallelPipelineTest, MineVideoDeterministicAcrossSchedulesAndThreads) {
         core::MineVideo(g.video, g.audio, serial_opts);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-    for (const core::StageScheduling scheduling :
-         {core::StageScheduling::kSequential, core::StageScheduling::kDag}) {
-      for (const int threads : {2, 8}) {
-        core::MiningOptions parallel_opts;
-        parallel_opts.thread_count = threads;
-        parallel_opts.scheduling = scheduling;
-        const util::StatusOr<core::MiningResult> parallel =
-            core::MineVideo(g.video, g.audio, parallel_opts);
-        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    for (const int threads : {2, 8}) {
+      core::MiningOptions parallel_opts;
+      parallel_opts.thread_count = threads;
+      const util::StatusOr<core::MiningResult> parallel =
+          core::MineVideo(g.video, g.audio, parallel_opts);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
-        SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
-                     std::to_string(threads) +
-                     (scheduling == core::StageScheduling::kDag
-                          ? " dag"
-                          : " sequential"));
-        ExpectResultsIdentical(*serial, *parallel);
-      }
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      ExpectResultsIdentical(*serial, *parallel);
     }
   }
 }
@@ -158,19 +151,12 @@ TEST(ParallelPipelineTest, MineCmvFileFastDeterministicAcrossThreadCounts) {
       core::MineCmvFileFast(file, serial_opts);
   ASSERT_TRUE(serial.ok());
 
-  for (const core::StageScheduling scheduling :
-       {core::StageScheduling::kSequential, core::StageScheduling::kDag}) {
-    core::MiningOptions parallel_opts;
-    parallel_opts.thread_count = 4;
-    parallel_opts.scheduling = scheduling;
-    util::StatusOr<core::MiningResult> parallel =
-        core::MineCmvFileFast(file, parallel_opts);
-    ASSERT_TRUE(parallel.ok());
-
-    SCOPED_TRACE(scheduling == core::StageScheduling::kDag ? "dag"
-                                                           : "sequential");
-    ExpectResultsIdentical(*serial, *parallel);
-  }
+  core::MiningOptions parallel_opts;
+  parallel_opts.thread_count = 4;
+  util::StatusOr<core::MiningResult> parallel =
+      core::MineCmvFileFast(file, parallel_opts);
+  ASSERT_TRUE(parallel.ok());
+  ExpectResultsIdentical(*serial, *parallel);
 }
 
 TEST(ParallelPipelineTest, MetricsRecordEveryStage) {
