@@ -111,6 +111,14 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/arena_test
   ./build-asan/tests/kernels_test
 
+  echo "== tier-1: scheduler (ASan, late helpers) =="
+  # Loop and stage-run state outlives the call through the helper tasks'
+  # shared_ptr; a late helper reading a freed loop body, row slot or stage
+  # graph would be a use-after-scope here.
+  cmake --build build-asan -j --target concurrency_test pipeline_dag_test >/dev/null
+  ./build-asan/tests/concurrency_test
+  ./build-asan/tests/pipeline_dag_test
+
   echo "== tier-1: crash-recovery matrix (ASan) =="
   # Crashes injected at every site of a 1-shard full save, with and
   # without a prior generation, must reopen the whole old or new library;

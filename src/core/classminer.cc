@@ -225,22 +225,7 @@ util::Status MineWithHead(const std::string& head_last,
                                          options, run_ctx, result, &optional,
                                          &dag));
 
-  // Snapshot the shared pool's exception counter around the run. Context-
-  // routed loops capture exceptions into the sink before they reach the
-  // pool, so a positive delta means some raw loop body escaped — its
-  // remaining indices were silently skipped, and the result cannot be
-  // trusted. With a shared batch pool the delta is conservative: an escape
-  // in any concurrent video fails every run that overlapped it.
-  const int exceptions_before = run_ctx.pool_exception_count();
-  util::Status status = dag.Run(run_ctx);
-  const int escaped = run_ctx.pool_exception_count() - exceptions_before;
-  result->metrics.pool_exceptions = escaped;
-  if (status.ok() && escaped > 0) {
-    status = util::Status::Internal(
-        std::to_string(escaped) +
-        " pool task(s) escaped with an exception during mining");
-  }
-
+  const util::Status status = dag.Run(run_ctx);
   CollectOptionalFailures(optional, result);
   result->metrics.suppressed_errors = base.status_sink()->suppressed_count();
   return status;
@@ -332,13 +317,14 @@ BatchMiningResult MineVideosParallelWithStatus(
   batch.statuses.resize(inputs.size());
   util::ThreadPool pool(threads > 0 ? threads
                                     : util::ThreadPool::DefaultThreads());
-  // Video x stage scheduling: each video's whole DAG runs as one pool task
-  // whose stages fan back onto the same pool (the DAG runner helps drain
-  // the queue while waiting, so this nesting cannot deadlock). Early videos
-  // saturate the pool with their stages; as they drain, later videos' tasks
-  // interleave — no thread is pinned to one video and no video is clamped
-  // to one thread. Results stay deterministic because each video's DAG and
-  // loops are deterministic in isolation and videos share no mutable state.
+  // Video x stage scheduling: the caller and pool helpers claim videos, and
+  // each video's DAG fans its stages and loops back onto the same pool. A
+  // video's thread claims only that video's stages and chunks, so this
+  // nesting cannot deadlock and never runs another video's work while it
+  // waits; idle workers pick up helper tasks of whichever video queued
+  // them. No video is clamped to one thread. Results stay deterministic
+  // because each video's DAG and loops are deterministic in isolation and
+  // videos share no mutable state.
   util::ParallelFor(&pool, static_cast<int>(inputs.size()), [&](int i) {
     const MiningInput& input = inputs[static_cast<size_t>(i)];
     if (input.video == nullptr || input.audio == nullptr) {

@@ -109,9 +109,9 @@ struct MiningResult {
 // Runs shot detection, content-structure mining, visual/audio cue
 // extraction and event mining end to end. `audio` may be empty (event rules
 // then see every shot as speech-free). Fails with kCancelled when
-// options.cancel fires, or kInternal when a stage throws or a pool task
-// escapes with an exception (see util::PipelineMetrics::pool_exceptions) — a
-// partial result is never returned as OK.
+// options.cancel fires, or kInternal when a stage throws (including an
+// exception a stage's parallel loop rethrows on it) — a partial result is
+// never returned as OK.
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio,
                                        const MiningOptions& options);

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -121,66 +123,73 @@ util::Status StageDag::Run(const util::ExecutionContext& ctx) {
 
 void StageDag::RunOnPool(const util::ExecutionContext& run_ctx,
                          std::vector<RowSlot>* slots) const {
-  const int n = static_cast<int>(stages_.size());
-
-  // Per-run scheduling state. `remaining[i]` counts unresolved deps of
-  // stage i; a stage is enqueued on the pool the moment it hits zero.
-  // Everything is guarded by one mutex — stage bodies dominate the cost,
-  // the bookkeeping is a handful of integer ops per stage.
+  // Per-run scheduling state, shared with this run's helper tasks. Only a
+  // thread holding a claimed stage touches the graph, the slots or the
+  // context, and the caller does not return while a claim is running, so a
+  // helper that starts after the run returned finds the queue empty and
+  // leaves. One mutex guards it all: stage bodies dominate the cost, the
+  // bookkeeping is a handful of integer ops per stage.
   struct RunState {
+    const StageDag* dag;
+    const util::ExecutionContext* ctx;
+    std::vector<RowSlot>* slots;
     std::mutex mutex;
     std::condition_variable cv;
-    std::vector<int> remaining;
-    int completed = 0;
-  } state;
-  state.remaining.resize(stages_.size());
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    state.remaining[i] = static_cast<int>(stages_[i].deps.size());
-  }
+    std::deque<int> ready;       // released, unclaimed stages (FIFO)
+    std::vector<int> remaining;  // unresolved deps per stage
+    int running = 0;             // claimed stages still executing
 
-  // Runs stage i then releases its dependents. Skipped stages (cancelled /
-  // failed run) still flow through here so the completion count reaches n
-  // and dependents are drained rather than stranded.
-  std::function<void(int)> run_stage = [&](int i) {
-    ExecuteStage(stages_[static_cast<size_t>(i)], run_ctx,
-                 &(*slots)[static_cast<size_t>(i)]);
-    std::vector<int> ready;
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      for (int d : stages_[static_cast<size_t>(i)].dependents) {
-        if (--state.remaining[static_cast<size_t>(d)] == 0) ready.push_back(d);
+    // Claims and runs this run's ready stages until none is ready; the
+    // caller (`wait`) then also blocks until no claimed stage is running.
+    // Skipped stages (cancelled or failed run) flow through here too, so
+    // dependents are still released.
+    static void Claim(const std::shared_ptr<RunState>& state, bool wait) {
+      std::unique_lock<std::mutex> lock(state->mutex);
+      while (true) {
+        if (state->ready.empty()) {
+          if (!wait || state->running == 0) return;
+          state->cv.wait(lock);
+          continue;
+        }
+        const auto i = static_cast<size_t>(state->ready.front());
+        state->ready.pop_front();
+        ++state->running;
+        lock.unlock();
+        const Stage& stage = state->dag->stages_[i];
+        state->dag->ExecuteStage(stage, *state->ctx, &(*state->slots)[i]);
+        lock.lock();
+        int released = 0;
+        for (int d : stage.dependents) {
+          if (--state->remaining[static_cast<size_t>(d)] == 0) {
+            state->ready.push_back(d);
+            ++released;
+          }
+        }
+        // This thread keeps one released stage; each other gets a helper.
+        for (int h = 1; h < released; ++h) {
+          state->ctx->pool()->Schedule([state] { Claim(state, false); });
+        }
+        --state->running;
+        if (released > 1 || state->running == 0) state->cv.notify_all();
       }
-    }
-    for (int d : ready) {
-      run_ctx.pool()->Schedule([&run_stage, d] { run_stage(d); });
-    }
-    // Count completion after the newly-ready stages are queued, so a waiter
-    // woken by this notification always finds them in the pool queue.
-    {
-      std::lock_guard<std::mutex> lock(state.mutex);
-      ++state.completed;
-      state.cv.notify_all();
     }
   };
 
-  for (int i = 0; i < n; ++i) {
-    if (stages_[static_cast<size_t>(i)].deps.empty()) {
-      run_ctx.pool()->Schedule([&run_stage, i] { run_stage(i); });
-    }
+  const auto state = std::make_shared<RunState>();
+  state->dag = this;
+  state->ctx = &run_ctx;
+  state->slots = slots;
+  state->remaining.resize(stages_.size());
+  for (size_t i = 0; i < stages_.size(); ++i) {
+    state->remaining[i] = static_cast<int>(stages_[i].deps.size());
+    if (stages_[i].deps.empty()) state->ready.push_back(static_cast<int>(i));
   }
-
-  // Help while waiting (same discipline as util::ParallelFor): execute
-  // queued tasks — our stages, their nested parallel-loop chunks, or other
-  // videos' work — so calling Run from inside a pool task cannot deadlock.
-  {
-    std::unique_lock<std::mutex> lock(state.mutex);
-    while (state.completed < n) {
-      lock.unlock();
-      const bool ran = run_ctx.pool()->TryRunOneTask();
-      lock.lock();
-      if (!ran && state.completed < n) state.cv.wait(lock);
-    }
+  // Read before the first helper starts; the queue is shared from then on.
+  const size_t roots = state->ready.size();
+  for (size_t h = 1; h < roots; ++h) {
+    run_ctx.pool()->Schedule([state] { RunState::Claim(state, false); });
   }
+  RunState::Claim(state, true);
 }
 
 }  // namespace classminer::core

@@ -23,9 +23,9 @@ namespace classminer::core {
 //
 //   * serial — no pool or a 1-thread pool: stages in declaration order,
 //              loops inline;
-//   * DAG    — independent stages execute concurrently as pool tasks the
-//              moment their dependencies resolve, inner loops parallel on
-//              the same pool.
+//   * DAG    — independent stages execute concurrently (on the caller and
+//              pool helper tasks) the moment their dependencies resolve,
+//              inner loops parallel on the same pool.
 //
 // Determinism holds because dependencies mirror the true data flow (a stage
 // reads only outputs of its declared deps), every parallel inner loop writes
@@ -54,10 +54,12 @@ class StageDag {
   std::vector<std::string> DependenciesOf(std::string_view name) const;
 
   // Executes the graph with DAG scheduling on ctx.pool(). The calling
-  // thread helps drain the pool queue while waiting, so Run may itself be
-  // invoked from inside a pool task (the batch miner runs one whole-video
-  // DAG per pool task). Without a multi-thread pool the stages run serially
-  // in declaration order.
+  // thread and helper tasks claim ready stages from this run's own queue;
+  // the caller runs only this graph's stages and blocks only while none is
+  // ready and a claimed one is still running. So Run may itself be invoked
+  // from inside a pool task (the batch miner runs one whole-video DAG per
+  // pool task) and never runs other runs' work while it waits. Without a
+  // multi-thread pool the stages run serially in declaration order.
   util::Status Run(const util::ExecutionContext& ctx);
 
  private:
@@ -80,7 +82,8 @@ class StageDag {
   // executed=false) when the context is already cancelled or failed.
   void ExecuteStage(const Stage& stage, const util::ExecutionContext& ctx,
                     RowSlot* slot) const;
-  // DAG scheduling of every stage on ctx.pool() (more than one thread).
+  // Claim-based DAG scheduling of every stage on ctx.pool() (more than one
+  // thread).
   void RunOnPool(const util::ExecutionContext& ctx,
                  std::vector<RowSlot>* slots) const;
   static void AppendRows(util::PipelineMetrics* metrics,

@@ -102,13 +102,6 @@ class ExecutionContext {
   }
   Status status() const { return sink_ != nullptr ? sink_->Get() : Status(); }
 
-  // Tasks that escaped the shared pool with an exception so far (0 without
-  // a pool). Pipeline entry points snapshot this around a run and turn a
-  // positive delta into a non-OK status.
-  int pool_exception_count() const {
-    return pool_ != nullptr ? pool_->exception_count() : 0;
-  }
-
   // Derived contexts: same pool/cancellation, different observers.
   ExecutionContext WithMetrics(PipelineMetrics* metrics) const {
     ExecutionContext ctx(pool_, metrics, cancel_, sink_);
@@ -134,11 +127,12 @@ class ExecutionContext {
   Arena* arena_ = nullptr;
 };
 
-// Context-routed ParallelFor: same fixed partitioning as the ThreadPool
-// overload (bit-identical results), plus pipeline semantics — the whole
-// loop is skipped when the context is already cancelled or failed, and an
-// exception escaping `fn` is captured into the context's status sink
-// (attributed to this run) instead of escaping to the worker boundary.
+// Context-routed ParallelFor: same fixed partitioning and claiming as the
+// ThreadPool overload (bit-identical results), plus pipeline semantics —
+// the whole loop is skipped when the context is already cancelled or
+// failed, and an exception escaping `fn` is captured into the context's
+// status sink (attributed to this run) instead of being rethrown on the
+// caller. Without a sink it is rethrown, as the ThreadPool overload does.
 void ParallelFor(const ExecutionContext& ctx, int count,
                  const std::function<void(int)>& fn, int grain = 1);
 

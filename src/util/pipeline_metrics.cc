@@ -50,11 +50,6 @@ std::string PipelineMetrics::ToString() const {
   }
   std::snprintf(line, sizeof(line), "%-12s %10.2f\n", "total", TotalMs());
   out += line;
-  if (pool_exceptions > 0) {
-    std::snprintf(line, sizeof(line), "%-12s %10d\n", "exceptions",
-                  pool_exceptions);
-    out += line;
-  }
   if (suppressed_errors > 0) {
     std::snprintf(line, sizeof(line), "%-12s %10d\n", "suppressed",
                   suppressed_errors);

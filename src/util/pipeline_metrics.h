@@ -42,11 +42,6 @@ struct StageMetrics {
 struct PipelineMetrics {
   std::vector<StageMetrics> stages;  // in pipeline declaration order
 
-  // Tasks that escaped a pool worker with an exception while this registry's
-  // pipeline ran (surfaced from ThreadPool::exception_count() through the
-  // ExecutionContext). Non-zero turns the owning run's status non-OK.
-  int pool_exceptions = 0;
-
   // Distinct errors the run's StatusSink dropped after the first error won
   // (first-error-wins keeps one status; this records how many more there
   // were). Diagnostic only — does not affect the run's status.
@@ -56,7 +51,7 @@ struct PipelineMetrics {
   // First stage with this name, or nullptr.
   const StageMetrics* Find(std::string_view name) const;
   // Aligned human-readable table, one line per stage plus a total row (and
-  // an exception row when pool_exceptions is non-zero).
+  // a suppressed row when suppressed_errors is non-zero).
   std::string ToString() const;
 };
 

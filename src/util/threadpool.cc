@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 
 #include "util/logging.h"
 
@@ -32,44 +33,6 @@ void ThreadPool::Schedule(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-// Shared execution guard for workers and helping callers. The in_flight_
-// decrement must run even when the task throws, otherwise Wait() deadlocks
-// forever on a poisoned counter.
-void ThreadPool::RunTask(std::function<void()>* task) {
-  try {
-    (*task)();
-  } catch (const std::exception& e) {
-    exception_count_.fetch_add(1, std::memory_order_relaxed);
-    CM_LOG(Error) << "ThreadPool task threw: " << e.what();
-  } catch (...) {
-    exception_count_.fetch_add(1, std::memory_order_relaxed);
-    CM_LOG(Error) << "ThreadPool task threw a non-std exception";
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    --in_flight_;
-    if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-  }
-}
-
-bool ThreadPool::TryRunOneTask() {
-  std::function<void()> task;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-    ++in_flight_;
-  }
-  RunTask(&task);
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
@@ -79,9 +42,16 @@ void ThreadPool::WorkerLoop() {
       if (shutdown_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
-    RunTask(&task);
+    try {
+      task();
+    } catch (const std::exception& e) {
+      exception_count_.fetch_add(1, std::memory_order_relaxed);
+      CM_LOG(Error) << "ThreadPool task threw: " << e.what();
+    } catch (...) {
+      exception_count_.fetch_add(1, std::memory_order_relaxed);
+      CM_LOG(Error) << "ThreadPool task threw a non-std exception";
+    }
   }
 }
 
@@ -89,6 +59,51 @@ int ThreadPool::DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
+
+namespace {
+
+// Shared state of one pooled ParallelFor call. Helper tasks hold it by
+// shared_ptr, so a helper that starts after the call returned finds every
+// chunk claimed and leaves without touching `fn`, which the caller owns.
+struct LoopState {
+  LoopState(const std::function<void(int)>& f, int n, int s)
+      : fn(&f), count(n), step(s), chunks((n + s - 1) / s) {}
+
+  // Claims and runs chunks until none is left. A throwing chunk stops at
+  // the throwing index; its exception is kept if it is the lowest so far.
+  void RunChunks() {
+    for (int c = next.fetch_add(1, std::memory_order_relaxed); c < chunks;
+         c = next.fetch_add(1, std::memory_order_relaxed)) {
+      std::exception_ptr thrown;
+      try {
+        const int begin = c * step;
+        const int end = begin + std::min(step, count - begin);
+        for (int i = begin; i < end; ++i) (*fn)(i);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (thrown != nullptr && (error == nullptr || c < error_chunk)) {
+        error = std::move(thrown);
+        error_chunk = c;
+      }
+      if (++done == chunks) cv.notify_all();
+    }
+  }
+
+  const std::function<void(int)>* fn;
+  const int count;
+  const int step;
+  const int chunks;
+  std::atomic<int> next{0};
+  std::mutex mutex;
+  std::condition_variable cv;
+  int done = 0;
+  std::exception_ptr error;
+  int error_chunk = 0;
+};
+
+}  // namespace
 
 void ParallelFor(ThreadPool* pool, int count,
                  const std::function<void(int)>& fn, int grain) {
@@ -99,47 +114,19 @@ void ParallelFor(ThreadPool* pool, int count,
     return;
   }
 
-  // Per-call completion latch: the caller waits for its own chunks only,
-  // not pool-wide idleness, so concurrent calls (several pipeline stages,
-  // several videos) share the pool without serialising on each other.
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    int remaining = 0;
-  } latch;
-  latch.remaining = (count + step - 1) / step;
-
-  for (int begin = 0; begin < count; begin += step) {
-    const int end = std::min(count, begin + step);
-    pool->Schedule([&fn, &latch, begin, end] {
-      // Decrement via RAII so a throwing body still releases the caller
-      // (the exception then escapes to the pool's guard, which counts it).
-      struct Done {
-        Latch* latch;
-        ~Done() {
-          std::lock_guard<std::mutex> lock(latch->mutex);
-          if (--latch->remaining == 0) latch->cv.notify_all();
-        }
-      } done{&latch};
-      for (int i = begin; i < end; ++i) fn(i);
-    });
+  const auto state = std::make_shared<LoopState>(fn, count, step);
+  const int helpers = std::min(pool->thread_count(), state->chunks - 1);
+  for (int h = 0; h < helpers; ++h) {
+    pool->Schedule([state] { state->RunChunks(); });
   }
-
-  // Help while waiting: run queued tasks (this call's chunks or anyone
-  // else's work) inline. This is what makes nested ParallelFor from inside
-  // a pool task deadlock-free — a blocked-and-helping caller always leaves
-  // a runnable task runnable. When the queue is momentarily empty, every
-  // outstanding chunk of this call is in flight on some thread and its
-  // completion will signal the latch.
-  std::unique_lock<std::mutex> lock(latch.mutex);
-  while (latch.remaining > 0) {
-    lock.unlock();
-    const bool ran = pool->TryRunOneTask();
-    lock.lock();
-    if (!ran && latch.remaining > 0) {
-      latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-    }
+  state->RunChunks();
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->cv.wait(lock, [&state] { return state->done == state->chunks; });
+    error = state->error;
   }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace classminer::util

@@ -18,21 +18,22 @@ namespace classminer::util {
 // pre-sized per-index slots and reduces serially, so results are
 // bit-identical to a serial run.
 //
-// Nesting: callers that must wait for their own sub-tasks (ParallelFor, the
-// stage-DAG runner) do NOT block on Wait(); they help — repeatedly popping
-// queued tasks via TryRunOneTask() until their own completion latch drops.
-// A pool task may therefore itself fan out onto the same pool: its wait
-// loop executes other queued work (possibly a whole other pipeline stage)
-// inline, so one pool serves videos × stages × inner loops without
-// self-deadlock and without idle workers.
+// Nesting: callers that wait for their own work (ParallelFor, the stage-DAG
+// runner) claim it. The caller and a few helper tasks take chunks (or
+// stages) from that call's own shared counter or queue; the caller runs only
+// what it claims, then blocks until the claims other threads hold are done.
+// A waited-on item is therefore always running on some thread, so a pool
+// task may fan out onto the same pool without self-deadlock, and a waiting
+// caller never runs another loop's, stage's or video's work.
 //
-// Exception policy: a task that throws does NOT kill the worker or deadlock
-// Wait(). The exception is caught at the execution boundary, logged at
-// Error severity, and counted (see exception_count()). Pipeline code routes
-// loops through ExecutionContext, which captures exceptions into the run's
-// status sink before they ever reach the pool; an exception escaping a raw
-// Schedule() task is a survivable but loud programming error, and pipeline
-// entry points turn a non-zero count into a failed util::Status.
+// Exception policy: a task that throws does NOT kill the worker. The
+// exception is caught at the worker boundary, logged at Error severity, and
+// counted (see exception_count()). ParallelFor and the stage-DAG runner
+// never let a body's exception reach the pool: loops rethrow it on their
+// caller, stages record it in the run's status sink. An exception escaping
+// a raw Schedule() task is a survivable but loud programming error.
+//
+// The destructor runs every task still queued, then joins the workers.
 class ThreadPool {
  public:
   explicit ThreadPool(int threads);
@@ -43,18 +44,6 @@ class ThreadPool {
 
   // Enqueues a task; runs as soon as a worker is free.
   void Schedule(std::function<void()> task);
-
-  // Blocks until every scheduled task has finished. Must not be called
-  // from inside a pool task (the waiting worker would count itself as
-  // in-flight and never wake up) — in-task code waits by helping via
-  // TryRunOneTask() instead.
-  void Wait();
-
-  // Pops one queued task, if any, and runs it on the calling thread (with
-  // the same exception guard as a worker). Returns false when the queue
-  // was empty. This is the helping primitive behind nested ParallelFor and
-  // the stage-DAG runner's wait loops.
-  bool TryRunOneTask();
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
@@ -68,13 +57,10 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  void RunTask(std::function<void()>* task);
 
   std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
-  int in_flight_ = 0;
   bool shutdown_ = false;
   std::atomic<int> exception_count_{0};
   std::vector<std::thread> workers_;
@@ -83,12 +69,18 @@ class ThreadPool {
 // Runs fn(i) for i in [0, count) and waits. A null `pool` (or a
 // single-thread pool) runs the loop inline, so callers can thread an
 // optional pool through without branching. `grain` batches consecutive
-// indices into one task to amortise scheduling overhead on cheap bodies;
+// indices into one chunk to amortise claiming overhead on cheap bodies;
 // partitioning is fixed by (count, grain) alone, never by thread timing.
-// The wait is a per-call completion latch, not pool-wide idleness, and the
-// caller helps drain the queue while waiting — so concurrent ParallelFor
-// calls share the pool without over-waiting on each other, and calling
-// from inside a task of the same pool is safe.
+// The caller and at most min(thread_count, chunks - 1) helper tasks claim
+// chunks from one atomic counter; the caller runs only this loop's chunks,
+// then blocks until the chunks other threads claimed are done. So concurrent
+// ParallelFor calls share the pool without waiting on each other, and
+// calling from inside a task of the same pool is safe.
+//
+// Every chunk runs even when a body throws (a throwing chunk stops at the
+// throwing index). The exception of the lowest throwing chunk is rethrown
+// on the caller after the last chunk finishes; the inline path throws from
+// the first throwing index, as a plain loop does.
 void ParallelFor(ThreadPool* pool, int count,
                  const std::function<void(int)>& fn, int grain = 1);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,42 @@ TEST(StageDagTest, ThrowingStageFailsRunAndSkipsDependents) {
     EXPECT_NE(status.message().find("boom"), std::string::npos);
     EXPECT_NE(status.message().find("kaput"), std::string::npos);
     EXPECT_FALSE(b_ran.load());
+  }
+}
+
+// A stage whose raw pool loop throws fails like a throwing stage body: the
+// loop rethrows on the stage's thread after every chunk ran, so Run reports
+// kInternal naming the stage and skips its dependents, with or without a
+// pool, and nothing escapes to the pool's worker boundary.
+TEST(StageDagTest, ThrowingRawLoopFailsItsOwnStage) {
+  for (const bool use_pool : {false, true}) {
+    util::ThreadPool pool(3);
+    util::PipelineMetrics metrics;
+    util::StatusSink sink;
+    const util::ExecutionContext ctx(use_pool ? &pool : nullptr, &metrics,
+                                     nullptr, &sink);
+    core::StageDag dag;
+    std::atomic<bool> after_ran{false};
+    ASSERT_TRUE(dag.Add("loop", {},
+                        [&ctx](util::StageMetrics*) {
+                          util::ParallelFor(ctx.pool(), 16, [](int i) {
+                            if (i == 3) throw std::runtime_error("index 3");
+                          });
+                        })
+                    .ok());
+    ASSERT_TRUE(dag.Add("after", {"loop"},
+                        [&after_ran](util::StageMetrics*) {
+                          after_ran.store(true);
+                        })
+                    .ok());
+    const util::Status status = dag.Run(ctx);
+    EXPECT_EQ(status.code(), util::StatusCode::kInternal) << use_pool;
+    EXPECT_NE(status.message().find("'loop'"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("index 3"), std::string::npos)
+        << status.message();
+    EXPECT_FALSE(after_ran.load()) << use_pool;
+    EXPECT_EQ(pool.exception_count(), 0) << use_pool;
   }
 }
 
