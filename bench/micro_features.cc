@@ -1,13 +1,17 @@
 // Micro-benchmarks for the visual feature substrate: histogram, Tamura
-// coarseness, StSim and frame differencing.
+// coarseness, StSim, frame differencing, mask morphology and the per-frame
+// cue extractor. Run once as-is and once with CLASSMINER_DISABLE_SIMD=1 to
+// cover both dispatch levels.
 
 #include <benchmark/benchmark.h>
 
+#include "cues/cue_extractor.h"
 #include "features/frame_diff.h"
 #include "features/histogram.h"
 #include "features/similarity.h"
 #include "features/tamura.h"
 #include "media/draw.h"
+#include "media/morphology.h"
 #include "util/rng.h"
 
 namespace classminer {
@@ -44,6 +48,28 @@ void BM_TamuraCoarseness(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TamuraCoarseness)->Arg(96)->Arg(192)->Arg(384);
+
+// The mask clean-up each skin/blood pass runs: Open then Close, radius 1,
+// on a 96x72 noisy mask (~40 % foreground).
+void BM_Morphology(benchmark::State& state) {
+  util::Rng rng(7);
+  media::GrayImage mask(96, 72);
+  for (uint8_t& v : mask.pixels()) v = rng.Next() % 5 < 2 ? 255 : 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(media::Close(media::Open(mask, 1), 1));
+  }
+}
+BENCHMARK(BM_Morphology);
+
+// Every cue of one natural 96x72 representative frame (special-frame
+// statistics, faces, skin and blood regions).
+void BM_ExtractFrameCues(benchmark::State& state) {
+  const media::Image img = BenchFrame(96, 72, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cues::ExtractFrameCues(img));
+  }
+}
+BENCHMARK(BM_ExtractFrameCues);
 
 void BM_StSim(benchmark::State& state) {
   const features::ShotFeatures a =

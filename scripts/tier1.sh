@@ -29,7 +29,7 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
   cmake --build build -j --target micro_kernels micro_audio micro_codec \
-    >/dev/null
+    micro_features >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
     --benchmark_min_time=0.01 >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_audio \
@@ -38,6 +38,11 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   # colour-conversion kernels dispatch per call.
   ./build/bench/micro_codec --benchmark_min_time=0.01 >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_codec \
+    --benchmark_min_time=0.01 >/dev/null
+  # The feature benches at both levels: the colour histogram dispatches,
+  # and the cue and Tamura rows run every per-frame image kernel.
+  ./build/bench/micro_features --benchmark_min_time=0.01 >/dev/null
+  CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_features \
     --benchmark_min_time=0.01 >/dev/null
 fi
 
@@ -102,6 +107,14 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   cmake --build build-asan -j --target cmv_pipeline_test parallel_pipeline_test >/dev/null
   ./build-asan/tests/cmv_pipeline_test
   ./build-asan/tests/parallel_pipeline_test
+
+  echo "== tier-1: per-frame image kernels (ASan+UBSan) =="
+  # The separable morphology reads padded rows and whole-row words, the
+  # Tamura loop reads tabulated window bounds and the labelling a flat
+  # stack; an off-by-one in any of them is an out-of-bounds read here.
+  cmake --build build-asan -j --target cues_test features_test >/dev/null
+  ./build-asan/tests/cues_test
+  ./build-asan/tests/features_test
 
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in

@@ -1,5 +1,7 @@
 #include "cues/blood.h"
 
+#include "media/color.h"
+
 namespace classminer::cues {
 
 ChromaGaussian DefaultBloodModel() {
@@ -22,11 +24,16 @@ SkinDetection DetectBlood(const media::Image& image,
   return DetectSkin(image, model, options);
 }
 
-SkinDetection DetectBlood(const media::Image& image) {
+SkinDetection DetectBlood(const media::Image& image,
+                          const media::GrayImage& gray) {
   SkinDetectorOptions options;
   options.texture_gradient_limit = 90;  // wet tissue is specular/noisy
   options.min_region_side_frac = 0.05;
-  return DetectSkin(image, DefaultBloodModel(), options);
+  return DetectSkin(image, gray, DefaultBloodModel(), options);
+}
+
+SkinDetection DetectBlood(const media::Image& image) {
+  return DetectBlood(image, media::ToGray(image));
 }
 
 }  // namespace classminer::cues

@@ -10,10 +10,13 @@ namespace classminer::cues {
 ChromaGaussian DefaultBloodModel();
 
 // Blood segmentation reuses the skin pipeline with the blood model and a
-// looser texture filter (wet tissue is specular and noisy).
+// looser texture filter (wet tissue is specular and noisy). `gray` is
+// media::ToGray(image), as for DetectSkin.
 SkinDetection DetectBlood(const media::Image& image,
                           const ChromaGaussian& model,
                           const SkinDetectorOptions& options);
+SkinDetection DetectBlood(const media::Image& image,
+                          const media::GrayImage& gray);
 SkinDetection DetectBlood(const media::Image& image);
 
 }  // namespace classminer::cues

@@ -1,29 +1,34 @@
 #include "cues/cue_extractor.h"
 
-#include "shot/rep_frame.h"
+#include "media/color.h"
 
 namespace classminer::cues {
 
 FrameCues ExtractFrameCues(const media::Image& frame,
                            const CueExtractorOptions& options) {
   FrameCues cues;
-  cues.special = ClassifySpecialFrame(frame, options.special);
+  // One grey conversion serves the frame statistics and both chroma
+  // detectors; one skin segmentation serves the face verifier and the
+  // skin cues.
+  const media::GrayImage gray = media::ToGray(frame);
+  cues.special = ClassifySpecialFrame(frame, gray, options.special);
 
   // Man-made frames carry no people/tissue; skip the region detectors.
   if (cues.special != SpecialFrameType::kNone) return cues;
 
-  const FaceDetection faces = DetectFaces(frame, options.face);
+  const SkinDetection skin =
+      DetectSkin(frame, gray, DefaultSkinModel(), SkinDetectorOptions());
+  const FaceDetection faces = DetectFaces(frame, skin, options.face);
   cues.has_face = faces.has_face;
   cues.face_closeup = faces.has_closeup;
   cues.max_face_fraction = faces.max_face_fraction;
 
-  const SkinDetection skin = DetectSkin(frame);
   cues.has_skin_region = !skin.regions.empty();
   cues.max_skin_fraction = skin.max_region_fraction;
   cues.skin_closeup =
       skin.max_region_fraction >= options.skin_closeup_fraction;
 
-  const SkinDetection blood = DetectBlood(frame);
+  const SkinDetection blood = DetectBlood(frame, gray);
   cues.has_blood = !blood.regions.empty();
   cues.max_blood_fraction = blood.max_region_fraction;
   return cues;
@@ -47,14 +52,6 @@ std::vector<FrameCues> ExtractShotCues(
       },
       /*grain=*/2);
   return out;
-}
-
-std::vector<FrameCues> ExtractShotCues(const media::Video& video,
-                                       const std::vector<shot::Shot>& shots,
-                                       const CueExtractorOptions& options,
-                                       const util::ExecutionContext& ctx) {
-  return ExtractShotCues(shot::RepresentativeImages(video, shots), options,
-                         ctx);
 }
 
 }  // namespace classminer::cues

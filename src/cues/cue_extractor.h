@@ -7,8 +7,7 @@
 #include "cues/face.h"
 #include "cues/skin.h"
 #include "cues/special_frames.h"
-#include "media/video.h"
-#include "shot/shot.h"
+#include "media/image.h"
 #include "util/exec_context.h"
 
 namespace classminer::cues {
@@ -50,13 +49,6 @@ FrameCues ExtractFrameCues(const media::Image& frame);
 std::vector<FrameCues> ExtractShotCues(
     const std::vector<const media::Image*>& rep_images,
     const CueExtractorOptions& options, const util::ExecutionContext& ctx = {});
-
-// Full-decode form: the representative images are the video's frames at
-// each shot's rep_frame.
-std::vector<FrameCues> ExtractShotCues(const media::Video& video,
-                                       const std::vector<shot::Shot>& shots,
-                                       const CueExtractorOptions& options,
-                                       const util::ExecutionContext& ctx = {});
 
 }  // namespace classminer::cues
 

@@ -53,9 +53,9 @@ double FaceProfileScore(const media::Image& image,
 }
 
 FaceDetection DetectFaces(const media::Image& image,
+                          const SkinDetection& skin,
                           const FaceDetectorOptions& options) {
   FaceDetection out;
-  const SkinDetection skin = DetectSkin(image);
   for (const media::Region& region : skin.regions) {
     const double aspect = region.AspectRatio();
     const double solidity = region.Solidity();
@@ -77,6 +77,11 @@ FaceDetection DetectFaces(const media::Image& image,
   out.has_face = !out.faces.empty();
   out.has_closeup = out.max_face_fraction >= options.closeup_fraction;
   return out;
+}
+
+FaceDetection DetectFaces(const media::Image& image,
+                          const FaceDetectorOptions& options) {
+  return DetectFaces(image, DetectSkin(image), options);
 }
 
 FaceDetection DetectFaces(const media::Image& image) {

@@ -1,12 +1,44 @@
 #include "cues/skin.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "media/color.h"
 #include "media/morphology.h"
 
 namespace classminer::cues {
+namespace {
+
+// ChromaGaussian::Accepts evaluated once per distinct colour of a frame (a
+// decoded 96x72 frame holds about a third as many colours as pixels). The
+// table is direct-mapped: a colour that lands on an occupied slot evicts
+// it and is evaluated afresh, so every answer is the model's own.
+class AcceptsMemo {
+ public:
+  explicit AcceptsMemo(const ChromaGaussian& model) : model_(model) {}
+
+  // `luma` is media::Luma(pixel), a function of the colour like the rest.
+  bool Accepts(media::Rgb pixel, uint8_t luma) {
+    const uint32_t key = static_cast<uint32_t>(pixel.r) << 16 |
+                         static_cast<uint32_t>(pixel.g) << 8 | pixel.b;
+    uint32_t& slot = slots_[(key * 0x9E3779B1u) >> (32 - kBits)];
+    if ((slot & ~kAccepted) == (key | kFilled)) return slot & kAccepted;
+    const bool accepted = model_.Accepts(pixel, luma);
+    slot = key | kFilled | (accepted ? kAccepted : 0);
+    return accepted;
+  }
+
+ private:
+  static constexpr int kBits = 12;
+  static constexpr uint32_t kFilled = 1u << 24;
+  static constexpr uint32_t kAccepted = 1u << 25;
+
+  const ChromaGaussian& model_;
+  std::array<uint32_t, 1u << kBits> slots_{};
+};
+
+}  // namespace
 
 double ChromaGaussian::MahalanobisSquared(double r, double g) const {
   const double dr = r - mean_r;
@@ -20,9 +52,12 @@ double ChromaGaussian::MahalanobisSquared(double r, double g) const {
 }
 
 bool ChromaGaussian::Accepts(media::Rgb pixel) const {
+  return Accepts(pixel, media::Luma(pixel));
+}
+
+bool ChromaGaussian::Accepts(media::Rgb pixel, uint8_t luma) const {
   const double total = static_cast<double>(pixel.r) + pixel.g + pixel.b;
   if (total < 1.0) return false;
-  const double luma = media::Luma(pixel);
   if (luma < min_luma || luma > max_luma) return false;
   const double r = pixel.r / total;
   const double g = pixel.g / total;
@@ -46,6 +81,7 @@ ChromaGaussian DefaultSkinModel() {
 }
 
 SkinDetection DetectSkin(const media::Image& image,
+                         const media::GrayImage& gray,
                          const ChromaGaussian& model,
                          const SkinDetectorOptions& options) {
   SkinDetection out;
@@ -54,19 +90,23 @@ SkinDetection DetectSkin(const media::Image& image,
   out.mask = media::GrayImage(w, h);
   if (image.empty()) return out;
 
-  const media::GrayImage gray = media::ToGray(image);
+  // A pixel is on when the model accepts it and, away from the border, it
+  // passes the texture filter (skin is locally smooth). Neither test has a
+  // side effect, so the cheap integer filter can run first.
+  const uint8_t* g = gray.pixels().data();
+  const media::Rgb* px = image.pixels().data();
+  uint8_t* m = out.mask.pixels().data();
+  AcceptsMemo memo(model);
   for (int y = 0; y < h; ++y) {
+    const bool inner_row = y > 0 && y < h - 1;
     for (int x = 0; x < w; ++x) {
-      if (!model.Accepts(image.at(x, y))) continue;
-      // Texture filter: skin is locally smooth.
-      if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
-        const int gx = std::abs(static_cast<int>(gray.at(x + 1, y)) -
-                                gray.at(x - 1, y));
-        const int gy = std::abs(static_cast<int>(gray.at(x, y + 1)) -
-                                gray.at(x, y - 1));
+      const int i = y * w + x;
+      if (inner_row && x > 0 && x < w - 1) {
+        const int gx = std::abs(static_cast<int>(g[i + 1]) - g[i - 1]);
+        const int gy = std::abs(static_cast<int>(g[i + w]) - g[i - w]);
         if (gx + gy > options.texture_gradient_limit) continue;
       }
-      out.mask.set(x, y, 255);
+      if (memo.Accepts(px[i], g[i])) m[i] = 255;
     }
   }
 
@@ -83,6 +123,12 @@ SkinDetection DetectSkin(const media::Image& image,
         std::max(out.max_region_fraction, r.AreaFraction(w, h));
   }
   return out;
+}
+
+SkinDetection DetectSkin(const media::Image& image,
+                         const ChromaGaussian& model,
+                         const SkinDetectorOptions& options) {
+  return DetectSkin(image, media::ToGray(image), model, options);
 }
 
 SkinDetection DetectSkin(const media::Image& image) {

@@ -24,6 +24,8 @@ struct ChromaGaussian {
 
   double MahalanobisSquared(double r, double g) const;
   bool Accepts(media::Rgb pixel) const;
+  // Same test with the pixel's media::Luma already known (a ToGray value).
+  bool Accepts(media::Rgb pixel, uint8_t luma) const;
 };
 
 // Default skin-tone model (broad; covers the synthetic corpus's tones and
@@ -47,7 +49,13 @@ struct SkinDetectorOptions {
 };
 
 // Segments skin-like regions with model -> texture filter -> morphological
-// open/close -> connected components -> shape filtering.
+// open/close -> connected components -> shape filtering. `gray` must be
+// media::ToGray(image); callers that run several detectors on one frame
+// convert it once. The forms without it convert the image themselves.
+SkinDetection DetectSkin(const media::Image& image,
+                         const media::GrayImage& gray,
+                         const ChromaGaussian& model,
+                         const SkinDetectorOptions& options);
 SkinDetection DetectSkin(const media::Image& image,
                          const ChromaGaussian& model,
                          const SkinDetectorOptions& options);

@@ -25,14 +25,13 @@ const char* SpecialFrameTypeName(SpecialFrameType type) {
   return "unknown";
 }
 
-FrameStats ComputeFrameStats(const media::Image& image) {
+FrameStats ComputeFrameStats(const media::Image& image,
+                             const media::GrayImage& gray) {
   FrameStats stats;
   if (image.empty()) return stats;
   const int w = image.width();
   const int h = image.height();
   const double total = static_cast<double>(image.pixel_count());
-
-  const media::GrayImage gray = media::ToGray(image);
 
   // Luma moments and 16-bin luma entropy.
   double sum = 0.0, sum_sq = 0.0;
@@ -65,38 +64,45 @@ FrameStats ComputeFrameStats(const media::Image& image) {
   stats.dominant_color = dominant;
   stats.distinct_colors = distinct;
 
-  // Saturation.
+  // Saturation: media::RgbToHsv's s and v without the hue. v is the
+  // largest of c / 255.0 over the channels, which is the largest channel
+  // / 255.0 because correctly rounded division by a positive constant is
+  // monotone; likewise the smallest. So v and s are the same doubles.
+  double unit[256];
+  for (int i = 0; i < 256; ++i) unit[i] = i / 255.0;
   double sat = 0.0;
   int saturated = 0;
   for (const media::Rgb& p : image.pixels()) {
-    const media::Hsv hsv = media::RgbToHsv(p);
-    sat += hsv.s;
-    if (hsv.s > 0.3 && hsv.v > 0.2) ++saturated;
+    const double mx = unit[std::max({p.r, p.g, p.b})];
+    const double mn = unit[std::min({p.r, p.g, p.b})];
+    const double s = mx > 0.0 ? (mx - mn) / mx : 0.0;
+    sat += s;
+    if (s > 0.3 && mx > 0.2) ++saturated;
   }
   stats.mean_saturation = sat / total;
   stats.saturated_fraction = static_cast<double>(saturated) / total;
 
-  // Edge density and local noise.
+  // Edge density and local noise, row by row: the 3x3 sum is the sum of
+  // three vertical 3-sums, all integers, so it is the same value.
   int strong_edges = 0;
   double noise_acc = 0.0;
   int flat_pixels = 0;
   int noise_count = 0;
+  std::vector<int> col(static_cast<size_t>(w));
   for (int y = 1; y < h - 1; ++y) {
+    const uint8_t* a = gray.pixels().data() + static_cast<size_t>(y - 1) * w;
+    const uint8_t* b = a + w;
+    const uint8_t* c = b + w;
+    for (int x = 0; x < w; ++x) col[x] = a[x] + b[x] + c[x];
     for (int x = 1; x < w - 1; ++x) {
-      const int gx = std::abs(static_cast<int>(gray.at(x + 1, y)) -
-                              gray.at(x - 1, y));
-      const int gy = std::abs(static_cast<int>(gray.at(x, y + 1)) -
-                              gray.at(x, y - 1));
-      if (gx + gy > 60) ++strong_edges;
+      const int gx = std::abs(static_cast<int>(b[x + 1]) - b[x - 1]);
+      const int gy = std::abs(static_cast<int>(c[x]) - a[x]);
+      strong_edges += gx + gy > 60;
       // Local mean over the 3x3 neighbourhood.
-      int acc = 0;
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) acc += gray.at(x + dx, y + dy);
-      }
-      const double dev =
-          std::fabs(static_cast<double>(gray.at(x, y)) - acc / 9.0);
+      const int acc = col[x - 1] + col[x] + col[x + 1];
+      const double dev = std::fabs(static_cast<double>(b[x]) - acc / 9.0);
       noise_acc += dev;
-      if (dev < 1.0) ++flat_pixels;
+      flat_pixels += dev < 1.0;
       ++noise_count;
     }
   }
@@ -123,9 +129,14 @@ FrameStats ComputeFrameStats(const media::Image& image) {
   return stats;
 }
 
+FrameStats ComputeFrameStats(const media::Image& image) {
+  return ComputeFrameStats(image, media::ToGray(image));
+}
+
 SpecialFrameType ClassifySpecialFrame(const media::Image& image,
+                                      const media::GrayImage& gray,
                                       const SpecialFrameOptions& options) {
-  const FrameStats s = ComputeFrameStats(image);
+  const FrameStats s = ComputeFrameStats(image, gray);
 
   if (s.mean_luma < options.black_max_luma &&
       s.luma_stddev < options.black_max_stddev) {
@@ -162,6 +173,11 @@ SpecialFrameType ClassifySpecialFrame(const media::Image& image,
     return SpecialFrameType::kSlide;
   }
   return SpecialFrameType::kClipArt;
+}
+
+SpecialFrameType ClassifySpecialFrame(const media::Image& image,
+                                      const SpecialFrameOptions& options) {
+  return ClassifySpecialFrame(image, media::ToGray(image), options);
 }
 
 SpecialFrameType ClassifySpecialFrame(const media::Image& image) {

@@ -34,6 +34,9 @@ struct FrameStats {
   double text_row_score = 0.0;  // fraction of rows with text-like runs
 };
 
+// `gray` is media::ToGray(image); the one-argument form converts it.
+FrameStats ComputeFrameStats(const media::Image& image,
+                             const media::GrayImage& gray);
 FrameStats ComputeFrameStats(const media::Image& image);
 
 struct SpecialFrameOptions {
@@ -51,6 +54,9 @@ struct SpecialFrameOptions {
   double sketch_max_saturation = 0.15;
 };
 
+SpecialFrameType ClassifySpecialFrame(const media::Image& image,
+                                      const media::GrayImage& gray,
+                                      const SpecialFrameOptions& options);
 SpecialFrameType ClassifySpecialFrame(const media::Image& image,
                                       const SpecialFrameOptions& options);
 SpecialFrameType ClassifySpecialFrame(const media::Image& image);

@@ -27,20 +27,84 @@ std::vector<double> IntegralImage(const media::GrayImage& gray) {
   return integral;
 }
 
-// Mean over the window [x0, x1) x [y0, y1), clamped to the image.
-double WindowMean(const std::vector<double>& integral, int w, int h, int x0,
-                  int y0, int x1, int y1) {
-  x0 = std::clamp(x0, 0, w);
-  y0 = std::clamp(y0, 0, h);
-  x1 = std::clamp(x1, 0, w);
-  y1 = std::clamp(y1, 0, h);
-  const int area = (x1 - x0) * (y1 - y0);
+// Clamped window bounds along one axis at one scale, for every centre c in
+// [0, n): the windows [c - 2h, c) and [c, c + 2h) of the difference along
+// this axis, and [c - h, c + h) of the difference along the other one, each
+// clamped to [0, n].
+struct AxisBounds {
+  std::vector<int> lo2, hi2, lo1, hi1;
+};
+
+AxisBounds TabulateBounds(int n, int half) {
+  AxisBounds b;
+  b.lo2.resize(static_cast<size_t>(n));
+  b.hi2.resize(static_cast<size_t>(n));
+  b.lo1.resize(static_cast<size_t>(n));
+  b.hi1.resize(static_cast<size_t>(n));
+  for (int c = 0; c < n; ++c) {
+    const size_t i = static_cast<size_t>(c);
+    b.lo2[i] = std::clamp(c - 2 * half, 0, n);
+    b.hi2[i] = std::clamp(c + 2 * half, 0, n);
+    b.lo1[i] = std::clamp(c - half, 0, n);
+    b.hi1[i] = std::clamp(c + half, 0, n);
+  }
+  return b;
+}
+
+// The integral rows one scale's windows read around sample row y: rows
+// y - 2h, y - h, y, y + h and y + 2h, each clamped to [0, height].
+struct ScaleRows {
+  const double* lo2;
+  const double* lo1;
+  const double* mid;
+  const double* hi1;
+  const double* hi2;
+  int dy1;      // hi1 - lo1: height of the left and right windows
+  int dy_up;    // y - lo2
+  int dy_down;  // hi2 - y
+};
+
+// Mean over the clamped window [x0, x1) x [y0, y0 + dy); `row0` and `row1`
+// are the integral rows y0 and y0 + dy.
+inline double WindowMean(const double* row0, const double* row1, int x0,
+                         int x1, int dy) {
+  const int area = (x1 - x0) * dy;
   if (area <= 0) return 0.0;
-  auto at = [&](int x, int y) {
-    return integral[static_cast<size_t>(y) * (w + 1) + x];
-  };
-  const double sum = at(x1, y1) - at(x0, y1) - at(x1, y0) + at(x0, y0);
+  const double sum = row1[x1] - row1[x0] - row0[x1] + row0[x0];
   return sum / area;
+}
+
+// The scale's contrast at sample x: the larger of the horizontal and the
+// vertical difference of neighbouring window means, every window clamped
+// to the image.
+inline double ClampedContrast(const ScaleRows& r, const AxisBounds& bx,
+                              size_t x) {
+  const int xc = static_cast<int>(x);
+  const double left = WindowMean(r.lo1, r.hi1, bx.lo2[x], xc, r.dy1);
+  const double right = WindowMean(r.lo1, r.hi1, xc, bx.hi2[x], r.dy1);
+  const double up = WindowMean(r.lo2, r.mid, bx.lo1[x], bx.hi1[x], r.dy_up);
+  const double down =
+      WindowMean(r.mid, r.hi2, bx.lo1[x], bx.hi1[x], r.dy_down);
+  return std::max(std::fabs(left - right), std::fabs(up - down));
+}
+
+// The same contrast where no window needs a clamp. Each window is then
+// 2h x 2h, an area of 4^(k+1), and its sum is an integer-valued double, so
+// dividing by the area only shifts the exponent: multiplying by the exact
+// reciprocal `inv_area` gives the same double as the division.
+inline double InnerContrast(const ScaleRows& r, int half, double inv_area,
+                            size_t x) {
+  const size_t h1 = static_cast<size_t>(half);
+  const size_t h2 = 2 * h1;
+  const double left =
+      (r.hi1[x] - r.hi1[x - h2] - r.lo1[x] + r.lo1[x - h2]) * inv_area;
+  const double right =
+      (r.hi1[x + h2] - r.hi1[x] - r.lo1[x + h2] + r.lo1[x]) * inv_area;
+  const double up = (r.mid[x + h1] - r.mid[x - h1] - r.lo2[x + h1] +
+                     r.lo2[x - h1]) * inv_area;
+  const double down = (r.hi2[x + h1] - r.hi2[x - h1] - r.mid[x + h1] +
+                       r.mid[x - h1]) * inv_area;
+  return std::max(std::fabs(left - right), std::fabs(up - down));
 }
 
 }  // namespace
@@ -53,7 +117,9 @@ TamuraVector ComputeTamuraCoarseness(const media::GrayImage& input) {
   TamuraVector out{};
   if (input.empty()) return out;
 
-  // Keep cost bounded: evaluate on a grid of at most ~64x64 sample points.
+  // Sample points every max(1, n / 64) pixels per axis: every pixel below
+  // 128 pixels a side, 64-127 strided points per axis above. The windows
+  // always read the full-resolution image.
   const media::GrayImage& gray = input;
   const int w = gray.width();
   const int h = gray.height();
@@ -61,37 +127,67 @@ TamuraVector ComputeTamuraCoarseness(const media::GrayImage& input) {
   const int step_y = std::max(1, h / 64);
 
   const std::vector<double> integral = IntegralImage(gray);
+  const size_t stride = static_cast<size_t>(w) + 1;
+  auto row = [&](int y) { return integral.data() + y * stride; };
+
+  // Every window's column clamps, per scale, computed once.
+  std::array<AxisBounds, kCoarsenessScales> xb;
+  for (int k = 0; k < kCoarsenessScales; ++k) {
+    xb[static_cast<size_t>(k)] = TabulateBounds(w, 1 << k);
+  }
 
   std::array<double, kCoarsenessScales> scale_hist{};
   double sum_best = 0.0;
   double sum_best_sq = 0.0;
   int samples = 0;
 
+  // One sample row at a time, scale by scale: each sample point still sees
+  // its scales in ascending order with the same strict `e > best_e` update,
+  // so it picks the same best scale as a per-point loop over k.
+  const size_t row_samples = static_cast<size_t>((w + step_x - 1) / step_x);
+  std::vector<double> best_e(row_samples);
+  std::vector<int> best_k(row_samples);
   for (int y = 0; y < h; y += step_y) {
-    for (int x = 0; x < w; x += step_x) {
-      int best_k = 0;
-      double best_e = -1.0;
-      for (int k = 0; k < kCoarsenessScales; ++k) {
-        const int half = 1 << k;  // window side 2^(k+1), half-extent 2^k
-        // Horizontal difference of neighbouring windows centred at (x, y).
-        const double left = WindowMean(integral, w, h, x - 2 * half, y - half,
-                                       x, y + half);
-        const double right = WindowMean(integral, w, h, x, y - half,
-                                        x + 2 * half, y + half);
-        const double up = WindowMean(integral, w, h, x - half, y - 2 * half,
-                                     x + half, y);
-        const double down = WindowMean(integral, w, h, x - half, y,
-                                       x + half, y + 2 * half);
-        const double e =
-            std::max(std::fabs(left - right), std::fabs(up - down));
-        if (e > best_e) {
-          best_e = e;
-          best_k = k;
+    std::fill(best_e.begin(), best_e.end(), -1.0);
+    std::fill(best_k.begin(), best_k.end(), 0);
+    for (int k = 0; k < kCoarsenessScales; ++k) {
+      const int half = 1 << k;  // window side 2^(k+1), half-extent 2^k
+      const AxisBounds& bx = xb[static_cast<size_t>(k)];
+      const int lo2 = std::max(y - 2 * half, 0);
+      const int lo1 = std::max(y - half, 0);
+      const int hi1 = std::min(y + half, h);
+      const int hi2 = std::min(y + 2 * half, h);
+      const ScaleRows r{row(lo2), row(lo1), row(y), row(hi1), row(hi2),
+                        hi1 - lo1, y - lo2, hi2 - y};
+      auto update = [&](size_t i, double e) {
+        if (e > best_e[i]) {
+          best_e[i] = e;
+          best_k[i] = k;
         }
+      };
+      // Samples [i0, i1) have unclamped windows: 2h <= x <= w - 2h on a
+      // row with 2h <= y <= h - 2h.
+      size_t i0 = row_samples, i1 = row_samples;
+      if (y >= 2 * half && y + 2 * half <= h && w >= 4 * half) {
+        i0 = static_cast<size_t>((2 * half + step_x - 1) / step_x);
+        i1 = std::max(i0, static_cast<size_t>((w - 2 * half) / step_x + 1));
       }
-      scale_hist[static_cast<size_t>(best_k)] += 1.0;
-      sum_best += best_k;
-      sum_best_sq += static_cast<double>(best_k) * best_k;
+      const size_t sx = static_cast<size_t>(step_x);
+      for (size_t i = 0; i < i0; ++i) {
+        update(i, ClampedContrast(r, bx, i * sx));
+      }
+      const double inv_area = 1.0 / (4 << (2 * k));
+      for (size_t i = i0; i < i1; ++i) {
+        update(i, InnerContrast(r, half, inv_area, i * sx));
+      }
+      for (size_t i = i1; i < row_samples; ++i) {
+        update(i, ClampedContrast(r, bx, i * sx));
+      }
+    }
+    for (const int k : best_k) {
+      scale_hist[static_cast<size_t>(k)] += 1.0;
+      sum_best += k;
+      sum_best_sq += static_cast<double>(k) * k;
       ++samples;
     }
   }

@@ -21,8 +21,12 @@ inline constexpr int kTamuraDims = 10;
 
 using TamuraVector = std::array<double, kTamuraDims>;
 
-// Computes the descriptor on the grey version of `image`. Downsamples very
-// large frames internally for speed. Empty image -> all zeros.
+// Computes the descriptor on the grey version of `image`. The windows read
+// the frame at full resolution. The per-pixel best scales are taken at
+// sample points spaced max(1, n / 64) pixels apart along an axis of n
+// pixels: every pixel of a frame under 128 pixels a side (all 6912 at
+// 96x72), and a stride that leaves 64-127 points per axis on larger
+// frames. Empty image -> all zeros.
 TamuraVector ComputeTamuraCoarseness(const media::Image& image);
 TamuraVector ComputeTamuraCoarseness(const media::GrayImage& gray);
 

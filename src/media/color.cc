@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace classminer::media {
 
@@ -57,17 +58,21 @@ Rgb HsvToRgb(const Hsv& c) {
 }
 
 uint8_t Luma(Rgb c) {
-  const double y = 0.299 * c.r + 0.587 * c.g + 0.114 * c.b;
-  return static_cast<uint8_t>(std::lround(std::clamp(y, 0.0, 255.0)));
+  double y = 0.299 * c.r + 0.587 * c.g + 0.114 * c.b;
+  // std::lround(std::clamp(y, 0.0, 255.0)) without the libm call, as
+  // codec::RoundToSample: after the clamp t = (int)y is floor(y), y - t is
+  // exact, and comparing it with 0.5 rounds half away from zero.
+  y = y < 0.0 ? 0.0 : y;
+  y = y > 255.0 ? 255.0 : y;
+  const int t = static_cast<int>(y);
+  return static_cast<uint8_t>(t + static_cast<int>(y - t >= 0.5));
 }
 
 GrayImage ToGray(const Image& image) {
   GrayImage out(image.width(), image.height());
-  for (int y = 0; y < image.height(); ++y) {
-    for (int x = 0; x < image.width(); ++x) {
-      out.set(x, y, Luma(image.at(x, y)));
-    }
-  }
+  const std::vector<Rgb>& in = image.pixels();
+  std::vector<uint8_t>& gray = out.pixels();
+  for (size_t i = 0; i < in.size(); ++i) gray[i] = Luma(in[i]);
   return out;
 }
 

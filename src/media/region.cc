@@ -1,7 +1,6 @@
 #include "media/region.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace classminer::media {
 
@@ -10,27 +9,31 @@ std::vector<Region> ConnectedComponents(const GrayImage& mask, int min_area) {
   if (mask.empty()) return regions;
   const int w = mask.width();
   const int h = mask.height();
-  std::vector<uint8_t> visited(static_cast<size_t>(w) * h, 0);
-
-  auto idx = [w](int x, int y) {
-    return static_cast<size_t>(y) * static_cast<size_t>(w) +
-           static_cast<size_t>(x);
+  const uint8_t* px = mask.pixels().data();
+  std::vector<uint8_t> visited(mask.pixel_count(), 0);
+  // One flat stack serves every component. The visiting order differs
+  // from a breadth-first queue, but nothing recorded depends on it: area
+  // and bounding box are order-free, and the centroid sums add integer
+  // coordinates, which a double sums exactly far below 2^53.
+  struct Pixel {
+    int x, y;
   };
+  std::vector<Pixel> stack;
 
   for (int sy = 0; sy < h; ++sy) {
     for (int sx = 0; sx < w; ++sx) {
-      if (mask.at(sx, sy) == 0 || visited[idx(sx, sy)]) continue;
+      const size_t seed = static_cast<size_t>(sy) * w + sx;
+      if (px[seed] == 0 || visited[seed]) continue;
       Region region;
       region.min_x = region.max_x = sx;
       region.min_y = region.max_y = sy;
       double sum_x = 0.0, sum_y = 0.0;
 
-      std::queue<std::pair<int, int>> frontier;
-      frontier.push({sx, sy});
-      visited[idx(sx, sy)] = 1;
-      while (!frontier.empty()) {
-        const auto [x, y] = frontier.front();
-        frontier.pop();
+      visited[seed] = 1;
+      stack.push_back({sx, sy});
+      while (!stack.empty()) {
+        const auto [x, y] = stack.back();
+        stack.pop_back();
         ++region.area;
         sum_x += x;
         sum_y += y;
@@ -39,16 +42,16 @@ std::vector<Region> ConnectedComponents(const GrayImage& mask, int min_area) {
         region.min_y = std::min(region.min_y, y);
         region.max_y = std::max(region.max_y, y);
 
-        constexpr int kDx[] = {1, -1, 0, 0};
-        constexpr int kDy[] = {0, 0, 1, -1};
-        for (int d = 0; d < 4; ++d) {
-          const int nx = x + kDx[d];
-          const int ny = y + kDy[d];
-          if (nx < 0 || ny < 0 || nx >= w || ny >= h) continue;
-          if (mask.at(nx, ny) == 0 || visited[idx(nx, ny)]) continue;
-          visited[idx(nx, ny)] = 1;
-          frontier.push({nx, ny});
-        }
+        const size_t i = static_cast<size_t>(y) * w + x;
+        auto visit = [&](size_t j, int nx, int ny) {
+          if (px[j] == 0 || visited[j]) return;
+          visited[j] = 1;
+          stack.push_back({nx, ny});
+        };
+        if (x + 1 < w) visit(i + 1, x + 1, y);
+        if (x > 0) visit(i - 1, x - 1, y);
+        if (y + 1 < h) visit(i + w, x, y + 1);
+        if (y > 0) visit(i - w, x, y - 1);
       }
       if (region.area >= min_area) {
         region.centroid_x = sum_x / region.area;
@@ -57,6 +60,7 @@ std::vector<Region> ConnectedComponents(const GrayImage& mask, int min_area) {
       }
     }
   }
+  // Seeds are raster-ordered, so ties in area sort as they always have.
   std::sort(regions.begin(), regions.end(),
             [](const Region& a, const Region& b) { return a.area > b.area; });
   return regions;

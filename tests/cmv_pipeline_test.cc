@@ -162,7 +162,8 @@ TEST_F(CmvPipelineTest, FastPathBitIdenticalToFullDecodeReference) {
       shot::DetectShotsFromDc(*dc, ref_options.shot);
   shot::PopulateRepresentativeFrames(*video, &ref_shots);
   const std::vector<cues::FrameCues> ref_cues =
-      cues::ExtractShotCues(*video, ref_shots, ref_options.cues);
+      cues::ExtractShotCues(shot::RepresentativeImages(*video, ref_shots),
+                            ref_options.cues);
 
   for (const int threads : {1, 4}) {
     core::MiningOptions options;

@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "codec/decoder.h"
+#include "codec/encoder.h"
 #include "cues/blood.h"
 #include "cues/cue_extractor.h"
 #include "cues/face.h"
 #include "cues/skin.h"
 #include "cues/special_frames.h"
 #include "media/color.h"
+#include "image_oracle.h"
 #include "media/draw.h"
+#include "shot/detector.h"
+#include "shot/rep_frame.h"
+#include "synth/corpus.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace classminer::cues {
@@ -187,6 +197,118 @@ TEST(CueExtractorTest, SkinCloseupFlag) {
   const FrameCues cues = ExtractFrameCues(img);
   EXPECT_TRUE(cues.skin_closeup);
   EXPECT_GE(cues.max_skin_fraction, 0.20);
+}
+
+// ---------------------------------------------------------------------------
+// The one-grey, one-skin-pass cue extractor against the two-skin-pass one
+// it replaced, with every kernel underneath it (morphology, labelling,
+// luma, frame statistics) also the old loop (tests/image_oracle.h).
+
+struct OracleFrame {
+  std::string name;
+  media::Image image;
+};
+
+// Every representative frame of the five-title corpus at scale 0.25, as
+// rendered and after a CMV encode/decode round trip of the sequence of
+// representative frames (compression artefacts like the CMV mining paths
+// see), plus this file's synthetic frames.
+std::vector<OracleFrame> OracleFrames() {
+  std::vector<OracleFrame> out;
+  synth::CorpusOptions copts;
+  copts.scale = 0.25;
+  media::Video reps("reps", copts.fps);
+  int title = 0;
+  for (const synth::GeneratedVideo& g : synth::GenerateMedicalCorpus(copts)) {
+    for (const shot::Shot& s : shot::DetectShots(g.video)) {
+      out.push_back({"title " + std::to_string(title) + " frame " +
+                         std::to_string(s.rep_frame),
+                     g.video.frame(s.rep_frame)});
+      reps.AppendFrame(g.video.frame(s.rep_frame));
+    }
+    ++title;
+  }
+  util::StatusOr<media::Video> decoded =
+      codec::DecodeVideo(codec::EncodeVideo(reps, {}));
+  if (decoded.ok()) {
+    for (int i = 0; i < decoded->frame_count(); ++i) {
+      out.push_back({out[static_cast<size_t>(i)].name + " (decoded)",
+                     decoded->frame(i)});
+    }
+  }
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    out.push_back({"natural", NaturalFrame(seed)});
+    out.push_back({"slide", SlideFrame(seed)});
+    out.push_back({"face", FaceFrame(seed)});
+    out.push_back({"face closeup", FaceFrame(seed, 1.4)});
+    // Skin and blood tones under heavy noise, at odd sizes: the texture
+    // filter decides pixel by pixel, up to the frame border.
+    util::Rng rng(seed);
+    for (const media::Rgb tone : {media::Rgb{205, 150, 120},
+                                  media::Rgb{150, 40, 35}}) {
+      media::Image textured(37 + 2 * static_cast<int>(seed), 23, tone);
+      media::AddNoise(&textured, 12 * static_cast<int>(seed), &rng);
+      out.push_back({"textured", textured});
+    }
+  }
+  // Smooth colour sweeps across the skin and the blood gate: blue runs
+  // over all 256 values along each row, so many colours share their red
+  // and green and differ only in blue, and every row crosses the gate.
+  for (const int blood : {0, 1}) {
+    media::Image sweep(256, 96);
+    for (int y = 0; y < sweep.height(); ++y) {
+      const int r = 120 + y;
+      const int g = blood ? r / 4 + y % 10 : r * 7 / 10 - 10 + y % 20;
+      for (int x = 0; x < sweep.width(); ++x) {
+        sweep.set(x, y, media::Rgb{static_cast<uint8_t>(r),
+                                   static_cast<uint8_t>(g),
+                                   static_cast<uint8_t>(x)});
+      }
+    }
+    out.push_back({blood ? "blood sweep" : "skin sweep", sweep});
+  }
+  return out;
+}
+
+TEST(CueOracleTest, CorpusFramesMatchTwoSkinPassReference) {
+  const std::vector<OracleFrame> frames = OracleFrames();
+  ASSERT_GT(frames.size(), 150u);  // 2 x 82 corpus frames + 20 synthetic
+  // The references are computed once: the only dispatched kernel they
+  // reach, the colour histogram, is exact at every level (kernels_test).
+  struct Reference {
+    FrameCues cues;
+    FrameStats stats;
+    SkinDetection skin, blood;
+    FaceDetection faces;
+  };
+  std::vector<Reference> refs;
+  int with_skin = 0;
+  for (const OracleFrame& f : frames) {
+    refs.push_back({oracle::ExtractFrameCues(f.image, {}),
+                    oracle::ComputeFrameStats(f.image),
+                    oracle::DetectSkin(f.image), oracle::DetectBlood(f.image),
+                    oracle::DetectFaces(f.image, {})});
+    with_skin += refs.back().cues.has_skin_region;
+  }
+  // The corpus must exercise the region paths, not only the special-frame
+  // short cut.
+  EXPECT_GT(with_skin, 0);
+
+  for (const util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ASSERT_TRUE(util::SetDispatchLevelForTest(level));
+    for (size_t i = 0; i < frames.size(); ++i) {
+      const media::Image& image = frames[i].image;
+      const Reference& ref = refs[i];
+      SCOPED_TRACE(std::string(util::DispatchLevelName(level)) + " " +
+                   frames[i].name);
+      EXPECT_TRUE(oracle::SameCues(ExtractFrameCues(image), ref.cues));
+      EXPECT_TRUE(oracle::SameStats(ComputeFrameStats(image), ref.stats));
+      EXPECT_TRUE(oracle::SameDetection(DetectSkin(image), ref.skin));
+      EXPECT_TRUE(oracle::SameDetection(DetectBlood(image), ref.blood));
+      EXPECT_TRUE(oracle::SameFaces(DetectFaces(image), ref.faces));
+    }
+  }
+  util::ClearDispatchLevelForTest();
 }
 
 }  // namespace

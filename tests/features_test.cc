@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
+#include "image_oracle.h"
 #include "features/frame_diff.h"
 #include "features/histogram.h"
 #include "features/similarity.h"
 #include "features/tamura.h"
 #include "media/draw.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace classminer::features {
@@ -88,6 +92,46 @@ TEST(TamuraTest, CoarserPatternHasLargerMeanScale) {
   const TamuraVector fine = ComputeTamuraCoarseness(Checker(128, 128, 2));
   const TamuraVector coarse = ComputeTamuraCoarseness(Checker(128, 128, 16));
   EXPECT_GT(coarse[6], fine[6]);  // normalised mean best-scale
+}
+
+// The tabulated-bounds Tamura loop against the per-window clamped loop it
+// replaced (tests/image_oracle.h), bit for bit, at every dispatch level.
+// Sizes cover 1-pixel frames, odd sides, scales wider than the frame, the
+// 96x72 mining size and strided sampling (sides of 128 and more).
+TEST(TamuraOracleTest, MatchesClampedReferenceAtEveryLevel) {
+  const std::pair<int, int> sizes[] = {
+      {1, 1},   {2, 2},   {3, 5},    {7, 3},    {17, 9},   {31, 33},
+      {63, 65}, {96, 72}, {127, 129}, {128, 96}, {130, 200}, {257, 190}};
+  for (const util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ASSERT_TRUE(util::SetDispatchLevelForTest(level));
+    uint64_t seed = 1;
+    for (const auto& [w, h] : sizes) {
+      util::Rng rng(seed++);
+      media::GrayImage noise(w, h);
+      for (uint8_t& v : noise.pixels()) v = static_cast<uint8_t>(rng.Next());
+      // A gradient with light noise: wide windows see small differences.
+      media::GrayImage smooth(w, h);
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          const int v = (x * 7 + y * 3) / 4 % 250 + rng.UniformInt(0, 5);
+          smooth.set(x, y, static_cast<uint8_t>(v));
+        }
+      }
+      for (const media::GrayImage* gray : {&noise, &smooth}) {
+        SCOPED_TRACE(std::string(util::DispatchLevelName(level)) + " " +
+                     std::to_string(w) + "x" + std::to_string(h));
+        EXPECT_TRUE(oracle::SameTamura(
+            ComputeTamuraCoarseness(*gray),
+            oracle::ComputeTamuraCoarseness(*gray)));
+      }
+    }
+    for (const int cell : {1, 3, 8}) {
+      const media::Image img = Checker(96, 72, cell);
+      EXPECT_TRUE(oracle::SameTamura(ComputeTamuraCoarseness(img),
+                                     oracle::ComputeTamuraCoarseness(img)));
+    }
+  }
+  util::ClearDispatchLevelForTest();
 }
 
 TEST(SimilarityTest, IdenticalFramesScoreOne) {

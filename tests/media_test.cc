@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "image_oracle.h"
 #include "media/color.h"
 #include "media/draw.h"
 #include "media/image.h"
@@ -171,6 +176,119 @@ TEST(MorphologyTest, ErodeDilateAreInverseOrder) {
   EXPECT_EQ(eroded.at(3, 3), 0);  // boundary eroded
   const GrayImage dilated = Dilate(mask, 1);
   EXPECT_GT(dilated.at(2, 2), 0);  // boundary grown
+}
+
+// ---------------------------------------------------------------------------
+// The separable morphology, the flat-stack labelling and the libm-free luma
+// against verbatim copies of the loops they replaced (tests/image_oracle.h).
+
+// Noise masks at a given foreground density, with arbitrary nonzero values
+// (any nonzero byte is foreground), plus a few filled rectangles so large
+// components and holes occur too.
+GrayImage OracleMask(int w, int h, int on_percent, uint64_t seed) {
+  util::Rng rng(seed);
+  GrayImage mask(w, h);
+  for (uint8_t& v : mask.pixels()) {
+    v = rng.UniformInt(0, 99) < on_percent
+            ? static_cast<uint8_t>(rng.UniformInt(1, 255))
+            : 0;
+  }
+  if (on_percent > 0 && on_percent < 100) {
+    for (int i = 0; i < 3; ++i) {
+      const int x0 = rng.UniformInt(0, w - 1);
+      const int y0 = rng.UniformInt(0, h - 1);
+      const int x1 = std::min(w, x0 + rng.UniformInt(1, w));
+      const int y1 = std::min(h, y0 + rng.UniformInt(1, h));
+      const uint8_t v = i == 2 ? 0 : 255;
+      for (int y = y0; y < y1; ++y) {
+        for (int x = x0; x < x1; ++x) mask.set(x, y, v);
+      }
+    }
+  }
+  return mask;
+}
+
+const std::vector<std::pair<int, int>>& OracleSizes() {
+  static const std::vector<std::pair<int, int>> sizes = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 3}, {3, 2},   {5, 5},
+      {8, 8}, {9, 17}, {17, 9}, {33, 31}, {96, 72}, {97, 73}};
+  return sizes;
+}
+
+TEST(MorphologyOracleTest, MatchesReferenceOnRandomMasks) {
+  uint64_t seed = 1;
+  for (const auto& [w, h] : OracleSizes()) {
+    for (const int on : {0, 10, 50, 90, 100}) {
+      const GrayImage mask = OracleMask(w, h, on, seed++);
+      for (int radius = -1; radius <= 3; ++radius) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " on " +
+                     std::to_string(on) + "% r" + std::to_string(radius));
+        EXPECT_EQ(Erode(mask, radius), oracle::Erode(mask, radius));
+        EXPECT_EQ(Dilate(mask, radius), oracle::Dilate(mask, radius));
+        EXPECT_EQ(Open(mask, radius), oracle::Open(mask, radius));
+        EXPECT_EQ(Close(mask, radius), oracle::Close(mask, radius));
+      }
+    }
+  }
+}
+
+TEST(MorphologyOracleTest, AllOnAndAllOffImages) {
+  for (const auto& [w, h] : OracleSizes()) {
+    for (const uint8_t fill : {0, 1, 255}) {
+      const GrayImage mask(w, h, fill);
+      for (int radius = 0; radius <= 3; ++radius) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " fill " +
+                     std::to_string(fill) + " r" + std::to_string(radius));
+        EXPECT_EQ(Erode(mask, radius), oracle::Erode(mask, radius));
+        EXPECT_EQ(Dilate(mask, radius), oracle::Dilate(mask, radius));
+        EXPECT_EQ(Close(Open(mask, radius), radius),
+                  oracle::Close(oracle::Open(mask, radius), radius));
+      }
+    }
+  }
+  EXPECT_TRUE(Erode(GrayImage(), 1).empty());
+  EXPECT_TRUE(Dilate(GrayImage(0, 5), 1).empty());
+}
+
+TEST(RegionOracleTest, MatchesReferenceOnRandomMasks) {
+  uint64_t seed = 100;
+  for (const auto& [w, h] : OracleSizes()) {
+    for (const int on : {0, 10, 50, 70, 100}) {
+      const GrayImage mask = OracleMask(w, h, on, seed++);
+      for (const int min_area : {1, 5, 24}) {
+        SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h) + " on " +
+                     std::to_string(on) + "% min " + std::to_string(min_area));
+        EXPECT_TRUE(oracle::SameRegions(
+            ConnectedComponents(mask, min_area),
+            oracle::ConnectedComponents(mask, min_area)));
+      }
+    }
+  }
+}
+
+TEST(LumaOracleTest, EveryColourMatchesReference) {
+  int mismatches = 0;
+  for (int r = 0; r < 256; ++r) {
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const Rgb c{static_cast<uint8_t>(r), static_cast<uint8_t>(g),
+                    static_cast<uint8_t>(b)};
+        mismatches += Luma(c) != oracle::Luma(c);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(LumaOracleTest, ToGrayMatchesReference) {
+  util::Rng rng(5);
+  Image img(37, 23);
+  for (Rgb& p : img.pixels()) {
+    p = Rgb{static_cast<uint8_t>(rng.Next()), static_cast<uint8_t>(rng.Next()),
+            static_cast<uint8_t>(rng.Next())};
+  }
+  EXPECT_EQ(ToGray(img), oracle::ToGray(img));
+  EXPECT_TRUE(ToGray(Image()).empty());
 }
 
 }  // namespace
