@@ -19,12 +19,6 @@ ChromaGaussian DefaultBloodModel() {
 }
 
 SkinDetection DetectBlood(const media::Image& image,
-                          const ChromaGaussian& model,
-                          const SkinDetectorOptions& options) {
-  return DetectSkin(image, model, options);
-}
-
-SkinDetection DetectBlood(const media::Image& image,
                           const media::GrayImage& gray) {
   SkinDetectorOptions options;
   options.texture_gradient_limit = 90;  // wet tissue is specular/noisy

@@ -11,10 +11,8 @@ ChromaGaussian DefaultBloodModel();
 
 // Blood segmentation reuses the skin pipeline with the blood model and a
 // looser texture filter (wet tissue is specular and noisy). `gray` is
-// media::ToGray(image), as for DetectSkin.
-SkinDetection DetectBlood(const media::Image& image,
-                          const ChromaGaussian& model,
-                          const SkinDetectorOptions& options);
+// media::ToGray(image), as for DetectSkin; the one-argument form converts
+// the image itself.
 SkinDetection DetectBlood(const media::Image& image,
                           const media::GrayImage& gray);
 SkinDetection DetectBlood(const media::Image& image);

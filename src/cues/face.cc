@@ -79,13 +79,8 @@ FaceDetection DetectFaces(const media::Image& image,
   return out;
 }
 
-FaceDetection DetectFaces(const media::Image& image,
-                          const FaceDetectorOptions& options) {
-  return DetectFaces(image, DetectSkin(image), options);
-}
-
 FaceDetection DetectFaces(const media::Image& image) {
-  return DetectFaces(image, FaceDetectorOptions());
+  return DetectFaces(image, DetectSkin(image), FaceDetectorOptions());
 }
 
 }  // namespace classminer::cues

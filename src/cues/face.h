@@ -45,12 +45,10 @@ double FaceProfileScore(const media::Image& image,
 // Detects faces: skin segmentation -> shape analysis -> template-curve
 // verification of each candidate region. `skin` is DetectSkin(image) with
 // the default model and options; callers that also report skin regions
-// segment once and pass it in. The other forms segment the image
-// themselves.
+// segment once and pass it in. The one-argument form segments the image
+// itself and uses the default options.
 FaceDetection DetectFaces(const media::Image& image,
                           const SkinDetection& skin,
-                          const FaceDetectorOptions& options);
-FaceDetection DetectFaces(const media::Image& image,
                           const FaceDetectorOptions& options);
 FaceDetection DetectFaces(const media::Image& image);
 

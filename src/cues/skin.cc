@@ -1,44 +1,13 @@
 #include "cues/skin.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "media/color.h"
 #include "media/morphology.h"
+#include "util/logging.h"
 
 namespace classminer::cues {
-namespace {
-
-// ChromaGaussian::Accepts evaluated once per distinct colour of a frame (a
-// decoded 96x72 frame holds about a third as many colours as pixels). The
-// table is direct-mapped: a colour that lands on an occupied slot evicts
-// it and is evaluated afresh, so every answer is the model's own.
-class AcceptsMemo {
- public:
-  explicit AcceptsMemo(const ChromaGaussian& model) : model_(model) {}
-
-  // `luma` is media::Luma(pixel), a function of the colour like the rest.
-  bool Accepts(media::Rgb pixel, uint8_t luma) {
-    const uint32_t key = static_cast<uint32_t>(pixel.r) << 16 |
-                         static_cast<uint32_t>(pixel.g) << 8 | pixel.b;
-    uint32_t& slot = slots_[(key * 0x9E3779B1u) >> (32 - kBits)];
-    if ((slot & ~kAccepted) == (key | kFilled)) return slot & kAccepted;
-    const bool accepted = model_.Accepts(pixel, luma);
-    slot = key | kFilled | (accepted ? kAccepted : 0);
-    return accepted;
-  }
-
- private:
-  static constexpr int kBits = 12;
-  static constexpr uint32_t kFilled = 1u << 24;
-  static constexpr uint32_t kAccepted = 1u << 25;
-
-  const ChromaGaussian& model_;
-  std::array<uint32_t, 1u << kBits> slots_{};
-};
-
-}  // namespace
 
 double ChromaGaussian::MahalanobisSquared(double r, double g) const {
   const double dr = r - mean_r;
@@ -87,6 +56,8 @@ SkinDetection DetectSkin(const media::Image& image,
   SkinDetection out;
   const int w = image.width();
   const int h = image.height();
+  CM_CHECK(gray.width() == w && gray.height() == h)
+      << "DetectSkin: grey image size differs from the frame";
   out.mask = media::GrayImage(w, h);
   if (image.empty()) return out;
 
@@ -96,7 +67,6 @@ SkinDetection DetectSkin(const media::Image& image,
   const uint8_t* g = gray.pixels().data();
   const media::Rgb* px = image.pixels().data();
   uint8_t* m = out.mask.pixels().data();
-  AcceptsMemo memo(model);
   for (int y = 0; y < h; ++y) {
     const bool inner_row = y > 0 && y < h - 1;
     for (int x = 0; x < w; ++x) {
@@ -106,7 +76,7 @@ SkinDetection DetectSkin(const media::Image& image,
         const int gy = std::abs(static_cast<int>(g[i + w]) - g[i - w]);
         if (gx + gy > options.texture_gradient_limit) continue;
       }
-      if (memo.Accepts(px[i], g[i])) m[i] = 255;
+      if (model.Accepts(px[i], g[i])) m[i] = 255;
     }
   }
 
@@ -125,14 +95,9 @@ SkinDetection DetectSkin(const media::Image& image,
   return out;
 }
 
-SkinDetection DetectSkin(const media::Image& image,
-                         const ChromaGaussian& model,
-                         const SkinDetectorOptions& options) {
-  return DetectSkin(image, media::ToGray(image), model, options);
-}
-
 SkinDetection DetectSkin(const media::Image& image) {
-  return DetectSkin(image, DefaultSkinModel(), SkinDetectorOptions());
+  return DetectSkin(image, media::ToGray(image), DefaultSkinModel(),
+                    SkinDetectorOptions());
 }
 
 }  // namespace classminer::cues

@@ -50,13 +50,11 @@ struct SkinDetectorOptions {
 
 // Segments skin-like regions with model -> texture filter -> morphological
 // open/close -> connected components -> shape filtering. `gray` must be
-// media::ToGray(image); callers that run several detectors on one frame
-// convert it once. The forms without it convert the image themselves.
+// media::ToGray(image) (a size mismatch aborts); callers that run several
+// detectors on one frame convert it once. The one-argument form converts
+// the image itself and uses the default model and options.
 SkinDetection DetectSkin(const media::Image& image,
                          const media::GrayImage& gray,
-                         const ChromaGaussian& model,
-                         const SkinDetectorOptions& options);
-SkinDetection DetectSkin(const media::Image& image,
                          const ChromaGaussian& model,
                          const SkinDetectorOptions& options);
 SkinDetection DetectSkin(const media::Image& image);

@@ -6,6 +6,7 @@
 
 #include "features/histogram.h"
 #include "media/color.h"
+#include "util/logging.h"
 
 namespace classminer::cues {
 
@@ -27,6 +28,8 @@ const char* SpecialFrameTypeName(SpecialFrameType type) {
 
 FrameStats ComputeFrameStats(const media::Image& image,
                              const media::GrayImage& gray) {
+  CM_CHECK(gray.width() == image.width() && gray.height() == image.height())
+      << "ComputeFrameStats: grey image size differs from the frame";
   FrameStats stats;
   if (image.empty()) return stats;
   const int w = image.width();
@@ -175,13 +178,9 @@ SpecialFrameType ClassifySpecialFrame(const media::Image& image,
   return SpecialFrameType::kClipArt;
 }
 
-SpecialFrameType ClassifySpecialFrame(const media::Image& image,
-                                      const SpecialFrameOptions& options) {
-  return ClassifySpecialFrame(image, media::ToGray(image), options);
-}
-
 SpecialFrameType ClassifySpecialFrame(const media::Image& image) {
-  return ClassifySpecialFrame(image, SpecialFrameOptions());
+  return ClassifySpecialFrame(image, media::ToGray(image),
+                              SpecialFrameOptions());
 }
 
 }  // namespace classminer::cues

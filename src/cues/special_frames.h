@@ -34,7 +34,8 @@ struct FrameStats {
   double text_row_score = 0.0;  // fraction of rows with text-like runs
 };
 
-// `gray` is media::ToGray(image); the one-argument form converts it.
+// `gray` is media::ToGray(image) (a size mismatch aborts); the
+// one-argument form converts it.
 FrameStats ComputeFrameStats(const media::Image& image,
                              const media::GrayImage& gray);
 FrameStats ComputeFrameStats(const media::Image& image);
@@ -54,10 +55,10 @@ struct SpecialFrameOptions {
   double sketch_max_saturation = 0.15;
 };
 
+// `gray` as for ComputeFrameStats; the one-argument form converts the
+// image itself and uses the default options.
 SpecialFrameType ClassifySpecialFrame(const media::Image& image,
                                       const media::GrayImage& gray,
-                                      const SpecialFrameOptions& options);
-SpecialFrameType ClassifySpecialFrame(const media::Image& image,
                                       const SpecialFrameOptions& options);
 SpecialFrameType ClassifySpecialFrame(const media::Image& image);
 

@@ -77,7 +77,7 @@ inline double WindowMean(const double* row0, const double* row1, int x0,
 // The scale's contrast at sample x: the larger of the horizontal and the
 // vertical difference of neighbouring window means, every window clamped
 // to the image.
-inline double ClampedContrast(const ScaleRows& r, const AxisBounds& bx,
+inline double Contrast(const ScaleRows& r, const AxisBounds& bx,
                               size_t x) {
   const int xc = static_cast<int>(x);
   const double left = WindowMean(r.lo1, r.hi1, bx.lo2[x], xc, r.dy1);
@@ -85,25 +85,6 @@ inline double ClampedContrast(const ScaleRows& r, const AxisBounds& bx,
   const double up = WindowMean(r.lo2, r.mid, bx.lo1[x], bx.hi1[x], r.dy_up);
   const double down =
       WindowMean(r.mid, r.hi2, bx.lo1[x], bx.hi1[x], r.dy_down);
-  return std::max(std::fabs(left - right), std::fabs(up - down));
-}
-
-// The same contrast where no window needs a clamp. Each window is then
-// 2h x 2h, an area of 4^(k+1), and its sum is an integer-valued double, so
-// dividing by the area only shifts the exponent: multiplying by the exact
-// reciprocal `inv_area` gives the same double as the division.
-inline double InnerContrast(const ScaleRows& r, int half, double inv_area,
-                            size_t x) {
-  const size_t h1 = static_cast<size_t>(half);
-  const size_t h2 = 2 * h1;
-  const double left =
-      (r.hi1[x] - r.hi1[x - h2] - r.lo1[x] + r.lo1[x - h2]) * inv_area;
-  const double right =
-      (r.hi1[x + h2] - r.hi1[x] - r.lo1[x + h2] + r.lo1[x]) * inv_area;
-  const double up = (r.mid[x + h1] - r.mid[x - h1] - r.lo2[x + h1] +
-                     r.lo2[x - h1]) * inv_area;
-  const double down = (r.hi2[x + h1] - r.hi2[x - h1] - r.mid[x + h1] +
-                       r.mid[x - h1]) * inv_area;
   return std::max(std::fabs(left - right), std::fabs(up - down));
 }
 
@@ -159,29 +140,13 @@ TamuraVector ComputeTamuraCoarseness(const media::GrayImage& input) {
       const int hi2 = std::min(y + 2 * half, h);
       const ScaleRows r{row(lo2), row(lo1), row(y), row(hi1), row(hi2),
                         hi1 - lo1, y - lo2, hi2 - y};
-      auto update = [&](size_t i, double e) {
+      for (size_t i = 0; i < row_samples; ++i) {
+        const double e =
+            Contrast(r, bx, i * static_cast<size_t>(step_x));
         if (e > best_e[i]) {
           best_e[i] = e;
           best_k[i] = k;
         }
-      };
-      // Samples [i0, i1) have unclamped windows: 2h <= x <= w - 2h on a
-      // row with 2h <= y <= h - 2h.
-      size_t i0 = row_samples, i1 = row_samples;
-      if (y >= 2 * half && y + 2 * half <= h && w >= 4 * half) {
-        i0 = static_cast<size_t>((2 * half + step_x - 1) / step_x);
-        i1 = std::max(i0, static_cast<size_t>((w - 2 * half) / step_x + 1));
-      }
-      const size_t sx = static_cast<size_t>(step_x);
-      for (size_t i = 0; i < i0; ++i) {
-        update(i, ClampedContrast(r, bx, i * sx));
-      }
-      const double inv_area = 1.0 / (4 << (2 * k));
-      for (size_t i = i0; i < i1; ++i) {
-        update(i, InnerContrast(r, half, inv_area, i * sx));
-      }
-      for (size_t i = i1; i < row_samples; ++i) {
-        update(i, ClampedContrast(r, bx, i * sx));
       }
     }
     for (const int k : best_k) {

@@ -124,6 +124,17 @@ TEST(SkinTest, RejectsNonSkinColours) {
   EXPECT_TRUE(DetectSkin(img).regions.empty());
 }
 
+TEST(SkinDeathTest, GreyOfAnotherSizeAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const media::Image img = FaceFrame(13);
+  const media::GrayImage small(img.width() - 1, img.height());
+  const media::GrayImage short_gray(img.width(), img.height() - 1);
+  EXPECT_DEATH(DetectSkin(img, small, DefaultSkinModel(), {}), "size");
+  EXPECT_DEATH(DetectBlood(img, short_gray), "size");
+  EXPECT_DEATH(ComputeFrameStats(img, small), "size");
+  EXPECT_DEATH(ClassifySpecialFrame(img, short_gray, {}), "size");
+}
+
 TEST(SkinTest, ModelAcceptsSkinRejectsBlood) {
   const ChromaGaussian skin = DefaultSkinModel();
   EXPECT_TRUE(skin.Accepts(media::Rgb{205, 150, 120}));
