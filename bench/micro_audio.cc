@@ -25,22 +25,35 @@ audio::AudioBuffer SpeechClip(int speaker, double seconds) {
   return buf;
 }
 
+// Pins the dispatch level given as the benchmark's argument; false (and
+// the row is skipped) when the host cannot run it.
+bool PinLevel(benchmark::State& state) {
+  const auto level = static_cast<util::DispatchLevel>(state.range(0));
+  if (util::SetDispatchLevelForTest(level)) return true;
+  state.SkipWithError("dispatch level not supported on this host");
+  return false;
+}
+
+// The 14 clip features of one 2 s clip at the dispatch level given as the
+// argument.
 void BM_ClipFeatures(benchmark::State& state) {
+  if (!PinLevel(state)) return;
   const audio::AudioBuffer clip = SpeechClip(1, 2.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(audio::ComputeClipFeatures(clip));
   }
+  util::ClearDispatchLevelForTest();
 }
-BENCHMARK(BM_ClipFeatures)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClipFeatures)
+    ->ArgName("level")
+    ->Arg(static_cast<int>(util::DispatchLevel::kScalar))
+    ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
+    ->Unit(benchmark::kMillisecond);
 
 // The pitch autocorrelation over every 30 ms / 10 ms frame of one 2 s clip,
 // pinned to the dispatch level given as the argument.
 void BM_FramePitch(benchmark::State& state) {
-  const auto level = static_cast<util::DispatchLevel>(state.range(0));
-  if (!util::SetDispatchLevelForTest(level)) {
-    state.SkipWithError("dispatch level not supported on this host");
-    return;
-  }
+  if (!PinLevel(state)) return;
   const audio::AudioBuffer clip = SpeechClip(1, 2.0);
   const int sr = clip.sample_rate();
   const size_t frame_len = static_cast<size_t>(0.030 * sr);
@@ -67,13 +80,21 @@ BENCHMARK(BM_FramePitch)
     ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
     ->Unit(benchmark::kMillisecond);
 
+// The MFCC matrix of one 2 s clip at the dispatch level given as the
+// argument.
 void BM_Mfcc(benchmark::State& state) {
+  if (!PinLevel(state)) return;
   const audio::AudioBuffer clip = SpeechClip(2, 2.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(audio::ComputeMfcc(clip));
   }
+  util::ClearDispatchLevelForTest();
 }
-BENCHMARK(BM_Mfcc)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Mfcc)
+    ->ArgName("level")
+    ->Arg(static_cast<int>(util::DispatchLevel::kScalar))
+    ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GmmTrain(benchmark::State& state) {
   util::Rng rng(7);

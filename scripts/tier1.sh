@@ -116,6 +116,13 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ./build-asan/tests/cues_test
   ./build-asan/tests/features_test
 
+  echo "== tier-1: audio frame blocks (ASan+UBSan) =="
+  # Audio frames go four to a block; a ragged last block pads its spare
+  # lanes, and a pad that read past the clip would pass the bit-exact
+  # oracles (spare-lane results are dropped) but fail here.
+  cmake --build build-asan -j --target audio_test >/dev/null
+  ./build-asan/tests/audio_test
+
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in
   # the decoder's double-buffered planes or the kernel scratch shows up as

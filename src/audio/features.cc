@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 
 #include "util/cpu.h"
 #include "util/fft.h"
+#include "util/hypot.h"
+#include "util/lanes.h"
 #include "util/logging.h"
 #include "util/mathutil.h"
 
@@ -79,8 +80,25 @@ void Autocorrelation(std::span<const double> x, size_t n, int min_lag,
 
 namespace {
 
+using util::kLanes;
+using util::LoadLanes;
+using util::StoreLanes;
+
+// What the clip features need from one analysis frame.
+struct FrameResult {
+  double energy = 0.0;     // sum of squares
+  double pitch = 0.0;      // Hz; 0 when unvoiced
+  double centroid = 0.0;   // normalised to [0, 1] of Nyquist
+  double bandwidth = 0.0;  // normalised
+  std::array<double, 4> subband{};  // energy ratios
+};
+
 // Per-clip scratch and tables, sized from the frame once so the per-frame
-// analysis allocates nothing.
+// analysis allocates nothing. Frames are analysed kLanes at a time, one
+// frame per lane (util/lanes.h): each lane runs exactly the operations a
+// frame analysed alone runs, in the same order, so every result is
+// bit-identical to the frame-at-a-time loop. The energy and spectral sums
+// become four independent chains instead of one latency-bound chain.
 class FrameAnalyzer {
  public:
   FrameAnalyzer(size_t frame_len, int sample_rate)
@@ -93,21 +111,24 @@ class FrameAnalyzer {
         plan_(util::NextPowerOfTwo(std::max<size_t>(frame_len, 2))),
         n_bins_(plan_.size() / 2 + 1),
         nyquist_(sample_rate / 2.0),
-        bin_hz_(nyquist_ / (static_cast<double>(n_bins_) - 1.0)) {
+        bin_hz_(nyquist_ / (static_cast<double>(n_bins_) - 1.0)),
+        re_(kLanes * plan_.size()) {
     if (pitch_ok_) {
       x_.assign(frame_len + internal::kAutocorrPadding, 0.0);
       r_.resize(internal::AutocorrOutputSize(min_lag_, max_lag_));
     }
     if (spectral_ok_) {
-      re_.resize(plan_.size());
-      im_.resize(plan_.size());
-      power_.resize(n_bins_);
-      // Each bin's subband, decided by the same comparisons the per-frame
-      // loop used to make; -1 when no band takes it.
+      im_.resize(kLanes * plan_.size());
+      power_.resize(kLanes * n_bins_);
+      // Each bin's frequency and subband, decided by the same expressions
+      // and comparisons the per-frame loop used to make; -1 when no band
+      // takes the bin.
       constexpr double kEdges[5] = {0.0, 630.0, 1720.0, 4400.0, 1e9};
+      hz_.resize(n_bins_);
       band_.assign(n_bins_, -1);
       for (size_t i = 0; i < n_bins_; ++i) {
         const double hz = static_cast<double>(i) * bin_hz_;
+        hz_[i] = hz;
         for (int b = 0; b < 4; ++b) {
           if (hz >= kEdges[b] && hz < std::min(kEdges[b + 1], nyquist_ + 1.0)) {
             band_[i] = b;
@@ -118,13 +139,38 @@ class FrameAnalyzer {
     }
   }
 
-  // Sum of squares, shared by the RMS volume and the pitch voicing gate.
-  static double Energy(std::span<const float> frame) {
-    double acc = 0.0;
-    for (float s : frame) acc += static_cast<double>(s) * s;
-    return acc;
+  // Analyses the `count` (1..kLanes) frames starting at `first`,
+  // `first + hop`, ... into out[0, count). Spare lanes repeat the last
+  // frame and their results are dropped.
+  void AnalyzeBlock(const float* first, size_t hop, size_t count,
+                    std::array<FrameResult, kLanes>* out) {
+    const float* frames[kLanes] = {};
+    for (size_t l = 0; l < kLanes; ++l) {
+      frames[l] = first + std::min(l, count - 1) * hop;
+    }
+    double energy[kLanes] = {};
+    util::RunLanes([&]<typename V>() __attribute__((always_inline)) {
+      // The frames widened to double and laid out [sample][lane], which
+      // is also the FFT input; the sum of squares feeds both the RMS
+      // volume and the voicing gate.
+      V acc = {};
+      for (size_t i = 0; i < frame_len_; ++i) {
+        const V x = {frames[0][i], frames[1][i], frames[2][i], frames[3][i]};
+        StoreLanes(&re_[kLanes * i], x);
+        acc += x * x;
+      }
+      StoreLanes(energy, acc);
+    });
+    for (size_t l = 0; l < count; ++l) {
+      FrameResult& r = (*out)[l];
+      r = FrameResult{};
+      r.energy = energy[l];
+      r.pitch = Pitch({frames[l], frame_len_}, r.energy);
+    }
+    if (spectral_ok_) Spectral(count, out);
   }
 
+ private:
   // Autocorrelation pitch in [60, 500] Hz; 0 when unvoiced.
   double Pitch(std::span<const float> frame, double energy) {
     if (!pitch_ok_) return 0.0;
@@ -147,46 +193,50 @@ class FrameAnalyzer {
     return static_cast<double>(sample_rate_) / best_lag;
   }
 
-  struct SpectralStats {
-    double centroid = 0.0;   // normalised to [0, 1] of Nyquist
-    double bandwidth = 0.0;  // normalised
-    std::array<double, 4> subband{};  // energy ratios
-  };
-
-  SpectralStats Spectral(std::span<const float> frame) {
-    SpectralStats stats;
-    if (!spectral_ok_) return stats;
-    std::copy(frame.begin(), frame.end(), re_.begin());
-    std::fill(re_.begin() + static_cast<std::ptrdiff_t>(frame.size()),
+  // Spectral centroid, bandwidth and subband ratios of the block's frames,
+  // whose samples AnalyzeBlock left in re_.
+  void Spectral(size_t count, std::array<FrameResult, kLanes>* out) {
+    std::fill(re_.begin() + static_cast<std::ptrdiff_t>(kLanes * frame_len_),
               re_.end(), 0.0);
     std::fill(im_.begin(), im_.end(), 0.0);
     plan_.Transform(re_, im_);
+    const size_t n = kLanes * n_bins_;
+    util::Hypot(std::span(re_).first(n), std::span(im_).first(n), power_);
 
-    double total = 0.0, weighted = 0.0;
-    std::array<double, 4> subband{};
-    for (size_t i = 0; i < n_bins_; ++i) {
-      const double mag = std::abs(std::complex<double>(re_[i], im_[i]));
-      const double e = mag * mag;
-      power_[i] = e;
-      total += e;
-      weighted += e * (static_cast<double>(i) * bin_hz_);
-      if (band_[i] >= 0) subband[static_cast<size_t>(band_[i])] += e;
-    }
-    if (total < 1e-12) return stats;
-    const double centroid_hz = weighted / total;
-    stats.centroid = centroid_hz / nyquist_;
-
-    double spread = 0.0;
-    for (size_t i = 0; i < n_bins_; ++i) {
-      const double d = static_cast<double>(i) * bin_hz_ - centroid_hz;
-      spread += power_[i] * d * d;
-    }
-    stats.bandwidth = std::sqrt(spread / total) / nyquist_;
-    for (size_t b = 0; b < 4; ++b) stats.subband[b] = subband[b] / total;
-    return stats;
+    util::RunLanes([&]<typename V>() __attribute__((always_inline)) {
+      V total = {}, weighted = {};
+      V subband[4] = {};
+      for (size_t i = 0; i < n_bins_; ++i) {
+        V mag = {};
+        LoadLanes(mag, &power_[kLanes * i]);
+        const V e = mag * mag;
+        StoreLanes(&power_[kLanes * i], e);
+        total += e;
+        weighted += e * hz_[i];
+        if (band_[i] >= 0) subband[band_[i]] += e;
+      }
+      // A silent lane keeps a zero centroid here and all-zero stats below.
+      V centroid_hz = {};
+      for (size_t l = 0; l < kLanes; ++l) {
+        if (!(total[l] < 1e-12)) centroid_hz[l] = weighted[l] / total[l];
+      }
+      V spread = {};
+      for (size_t i = 0; i < n_bins_; ++i) {
+        V e = {};
+        LoadLanes(e, &power_[kLanes * i]);
+        const V d = hz_[i] - centroid_hz;
+        spread += e * d * d;
+      }
+      for (size_t l = 0; l < count; ++l) {
+        if (total[l] < 1e-12) continue;
+        FrameResult& r = (*out)[l];
+        r.centroid = centroid_hz[l] / nyquist_;
+        r.bandwidth = std::sqrt(spread[l] / total[l]) / nyquist_;
+        for (size_t b = 0; b < 4; ++b) r.subband[b] = subband[b][l] / total[l];
+      }
+    });
   }
 
- private:
   const size_t frame_len_;
   const int sample_rate_;
   const int min_lag_;
@@ -197,11 +247,12 @@ class FrameAnalyzer {
   const size_t n_bins_;
   const double nyquist_;
   const double bin_hz_;
-  std::vector<double> x_;      // frame widened to double + zero padding
+  std::vector<double> x_;      // one frame widened to double + zero padding
   std::vector<double> r_;      // autocorrelation per lag
-  std::vector<double> re_;     // FFT buffers
+  std::vector<double> re_;     // FFT buffers, [sample][lane]
   std::vector<double> im_;
-  std::vector<double> power_;  // |X[i]|^2 per bin
+  std::vector<double> power_;  // |X[i]|, then |X[i]|^2, per bin and lane
+  std::vector<double> hz_;     // frequency of each bin
   std::vector<int> band_;      // subband per bin, -1 for none
 };
 
@@ -209,7 +260,7 @@ double FrameZcr(std::span<const float> frame) {
   if (frame.size() < 2) return 0.0;
   int crossings = 0;
   for (size_t i = 1; i < frame.size(); ++i) {
-    if ((frame[i - 1] >= 0.0f) != (frame[i] >= 0.0f)) ++crossings;
+    crossings += (frame[i - 1] >= 0.0f) != (frame[i] >= 0.0f);
   }
   return static_cast<double>(crossings) /
          static_cast<double>(frame.size() - 1);
@@ -229,23 +280,24 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
   FrameAnalyzer analyzer(frame_len, sr);
   std::vector<double> volumes, zcrs, pitches, centroids, bandwidths;
   std::array<double, 4> subband_acc{};
-  size_t spectral_frames = 0;
 
+  // Blocks of kLanes frames; results are taken in frame order.
   const std::vector<float>& s = clip.samples();
-  for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
-    std::span<const float> frame(s.data() + start, frame_len);
-    const double energy = FrameAnalyzer::Energy(frame);
-    volumes.push_back(std::sqrt(energy / static_cast<double>(frame_len)));
-    zcrs.push_back(FrameZcr(frame));
-    const double pitch = analyzer.Pitch(frame, energy);
-    if (pitch > 0.0) pitches.push_back(pitch);
-    const FrameAnalyzer::SpectralStats st = analyzer.Spectral(frame);
-    centroids.push_back(st.centroid);
-    bandwidths.push_back(st.bandwidth);
-    for (size_t b = 0; b < 4; ++b) subband_acc[b] += st.subband[b];
-    ++spectral_frames;
+  const size_t n_frames = (s.size() - frame_len) / hop + 1;
+  std::array<FrameResult, kLanes> block;
+  for (size_t first = 0; first < n_frames; first += kLanes) {
+    const size_t count = std::min(kLanes, n_frames - first);
+    analyzer.AnalyzeBlock(s.data() + first * hop, hop, count, &block);
+    for (size_t l = 0; l < count; ++l) {
+      const FrameResult& r = block[l];
+      volumes.push_back(std::sqrt(r.energy / static_cast<double>(frame_len)));
+      zcrs.push_back(FrameZcr({s.data() + (first + l) * hop, frame_len}));
+      if (r.pitch > 0.0) pitches.push_back(r.pitch);
+      centroids.push_back(r.centroid);
+      bandwidths.push_back(r.bandwidth);
+      for (size_t b = 0; b < 4; ++b) subband_acc[b] += r.subband[b];
+    }
   }
-  if (volumes.empty()) return f;
 
   const double vol_mean = util::Mean(volumes);
   double vol_max = 0.0, vol_min = 1e9;
@@ -269,9 +321,7 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
   f[8] = util::Mean(centroids);
   f[9] = util::Mean(bandwidths);
   for (size_t b = 0; b < 4; ++b) {
-    f[10 + b] = spectral_frames > 0
-                    ? subband_acc[b] / static_cast<double>(spectral_frames)
-                    : 0.0;
+    f[10 + b] = subband_acc[b] / static_cast<double>(volumes.size());
   }
   return f;
 }

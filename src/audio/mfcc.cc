@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <numbers>
 
 #include "util/fft.h"
+#include "util/hypot.h"
+#include "util/lanes.h"
 
 namespace classminer::audio {
 namespace {
+
+using util::kLanes;
+using util::LoadLanes;
 
 double HzToMel(double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); }
 double MelToHz(double mel) {
@@ -106,41 +110,57 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   const size_t n_windows = (s.size() - win) / hop + 1;
   util::Matrix mfcc(n_windows, kMfccDims);
 
-  std::vector<double> re(fft_size), im(fft_size);
-  std::vector<double> mag(static_cast<size_t>(n_bins));
-  std::vector<double> mel_log(n_mel);
-  for (size_t w = 0; w < n_windows; ++w) {
-    const size_t start = w * hop;
-    // Pre-emphasis + window.
-    for (size_t i = 0; i < win; ++i) {
-      const double cur = s[start + i];
-      const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
-      re[i] = (cur - options.pre_emphasis * prev) * hamming[i];
+  // Windows are analysed kLanes at a time, one per lane (util/lanes.h),
+  // each lane with the operations of a window analysed alone.
+  std::vector<double> re(kLanes * fft_size), im(kLanes * fft_size);
+  std::vector<double> mag(kLanes * static_cast<size_t>(n_bins));
+  std::vector<double> mel_log(kLanes * n_mel);
+  for (size_t w = 0; w < n_windows; w += kLanes) {
+    const size_t count = std::min(kLanes, n_windows - w);
+    // Pre-emphasis + window, laid out [sample][lane]. Spare lanes repeat
+    // the last window and their results are dropped.
+    for (size_t l = 0; l < kLanes; ++l) {
+      const size_t start = (w + std::min(l, count - 1)) * hop;
+      for (size_t i = 0; i < win; ++i) {
+        const double cur = s[start + i];
+        const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
+        re[kLanes * i + l] = (cur - options.pre_emphasis * prev) * hamming[i];
+      }
     }
-    std::fill(re.begin() + static_cast<std::ptrdiff_t>(win), re.end(), 0.0);
+    std::fill(re.begin() + static_cast<std::ptrdiff_t>(kLanes * win),
+              re.end(), 0.0);
     std::fill(im.begin(), im.end(), 0.0);
     plan.Transform(re, im);
+    util::Hypot(std::span(re).first(mag.size()),
+                std::span(im).first(mag.size()), mag);
 
-    for (size_t b = 0; b < mag.size(); ++b) {
-      mag[b] = std::abs(std::complex<double>(re[b], im[b]));
-    }
-    for (size_t m = 0; m < n_mel; ++m) {
-      const MelFilter& filter = bank[m];
-      const double* mb = mag.data() + filter.first;
-      double acc = 0.0;
-      for (size_t j = 0; j < filter.weights.size(); ++j) {
-        acc += filter.weights[j] * mb[j] * mb[j];
+    util::RunLanes([&]<typename V>() __attribute__((always_inline)) {
+      for (size_t m = 0; m < n_mel; ++m) {
+        const MelFilter& filter = bank[m];
+        const double* mb = mag.data() + kLanes * filter.first;
+        V acc = {};
+        for (size_t j = 0; j < filter.weights.size(); ++j) {
+          V x = {};
+          LoadLanes(x, mb + kLanes * j);
+          acc += filter.weights[j] * x * x;
+        }
+        for (size_t l = 0; l < kLanes; ++l) {
+          mel_log[kLanes * m + l] = std::log(std::max(acc[l], 1e-12));
+        }
       }
-      mel_log[m] = std::log(std::max(acc, 1e-12));
-    }
 
-    // DCT-II of the log mel energies -> cepstral coefficients 0..13.
-    for (size_t k = 0; k < kMfccDims; ++k) {
-      const double* c = cosine.data() + k * n_mel;
-      double acc = 0.0;
-      for (size_t m = 0; m < n_mel; ++m) acc += mel_log[m] * c[m];
-      mfcc.at(w, k) = acc;
-    }
+      // DCT-II of the log mel energies -> cepstral coefficients 0..13.
+      for (size_t k = 0; k < kMfccDims; ++k) {
+        const double* c = cosine.data() + k * n_mel;
+        V acc = {};
+        for (size_t m = 0; m < n_mel; ++m) {
+          V x = {};
+          LoadLanes(x, &mel_log[kLanes * m]);
+          acc += x * c[m];
+        }
+        for (size_t l = 0; l < count; ++l) mfcc.at(w + l, k) = acc[l];
+      }
+    });
   }
   return mfcc;
 }

@@ -1,31 +1,34 @@
 #ifndef CLASSMINER_UTIL_FFT_H_
 #define CLASSMINER_UTIL_FFT_H_
 
-#include <complex>
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "util/lanes.h"
+
 namespace classminer::util {
 
-// A radix-2 Cooley-Tukey FFT of one power-of-two size and direction, with
-// everything that depends only on the size computed once: the bit-reversal
-// swap list and every stage's twiddle factors (the precomputed-table idiom
-// of a wavetable oscillator). The twiddles come from the same
-// `w *= wlen` recurrence the per-call transform always used, and the
-// butterfly performs the same IEEE operations on split re/im arrays, so a
-// planned transform is bit-identical to the unplanned one. Immutable after
+// A forward radix-2 Cooley-Tukey FFT of one power-of-two size that
+// transforms four signals at once, one per lane, with everything that
+// depends only on the size computed once: the bit-reversal swap list and
+// every stage's twiddle factors (the precomputed-table idiom of a
+// wavetable oscillator). The twiddles come from the same `w *= wlen`
+// recurrence a per-call complex transform uses, and every lane performs
+// that transform's butterflies with the same IEEE operations, so each
+// lane is bit-identical to transforming its signal alone. Immutable after
 // construction; one plan may serve many threads.
 class FftPlan {
  public:
-  // `n` must be a power of two (checked). `inverse` plans the conjugate
-  // transform; neither direction scales.
-  explicit FftPlan(size_t n, bool inverse = false);
+  // `n` must be a power of two (checked). The transform does not scale.
+  explicit FftPlan(size_t n);
 
   size_t size() const { return n_; }
 
-  // Transforms `re` + i*`im` in place; both spans hold size() values.
+  // Transforms four signals re + i*im in place. Both spans hold
+  // kLanes * size() values laid out [n][kLanes]: sample k of signal l is
+  // at index k * kLanes + l, and bin k comes back at the same place.
   void Transform(std::span<double> re, std::span<double> im) const;
 
  private:
@@ -36,25 +39,8 @@ class FftPlan {
   std::vector<double> twiddle_im_;
 };
 
-// In-place FFT over interleaved complex data: a thin wrapper that builds an
-// FftPlan for `data.size()` (a power of two, checked). `inverse` applies
-// the conjugate transform and 1/N scaling.
-void Fft(std::vector<std::complex<double>>* data, bool inverse = false);
-
 // Returns the smallest power of two >= n (n >= 1).
 size_t NextPowerOfTwo(size_t n);
-
-namespace internal {
-
-// One radix-2 stage over n points whose butterflies span `half` (a
-// multiple of 4), twiddles `wr`/`wi`: the AVX2 kernel FftPlan dispatches
-// to, four butterflies per ymm lane set with the scalar stage's exact
-// operations. Callable only when FftAccelAvailable().
-bool FftAccelAvailable();
-void FftStageAccel(double* re, double* im, size_t n, size_t half,
-                   const double* wr, const double* wi);
-
-}  // namespace internal
 
 }  // namespace classminer::util
 

@@ -769,6 +769,39 @@ TEST(AudioOracleTest, LongRaggedFramesAreBitIdenticalToReference) {
   }
 }
 
+// Frames go four to a block, one per lane. Clips of exactly 1 to 5
+// frames leave 1, 2, 3, 4 and again 1 frame in the last block; each count
+// comes as short as possible and one sample short of the next frame, plus
+// one clip a sample short of a frame (no frames at all).
+TEST(AudioOracleTest, RaggedFrameBlocksAreBitIdenticalToReference) {
+  for (int sr : {8000, 16000, 22050, 44100}) {
+    const ClipFeatureOptions clip_options;
+    const MfccOptions mfcc_options;
+    const size_t frame_len =
+        static_cast<size_t>(std::max(1.0, clip_options.frame_seconds * sr));
+    const size_t hop =
+        static_cast<size_t>(std::max(1.0, clip_options.hop_seconds * sr));
+    ASSERT_EQ(frame_len, static_cast<size_t>(mfcc_options.window_seconds * sr));
+    ASSERT_EQ(hop, static_cast<size_t>(mfcc_options.hop_seconds * sr));
+    std::vector<size_t> lengths = {frame_len - 1};
+    for (size_t frames = 1; frames <= 5; ++frames) {
+      lengths.push_back(frame_len + (frames - 1) * hop);
+      lengths.push_back(frame_len + frames * hop - 1);
+    }
+    for (const OracleSignal& sig : OracleSignals(sr, 0.2)) {
+      for (const size_t len : lengths) {
+        ASSERT_LE(len, sig.clip.sample_count());
+        AudioBuffer clip(sr);
+        clip.Append(std::span(sig.clip.samples()).first(len));
+        const std::string what = sig.name + " @" + std::to_string(sr) +
+                                 " length " + std::to_string(len);
+        ExpectClipFeaturesMatchOracle(clip, clip_options, what);
+        ExpectMfccMatchesOracle(clip, mfcc_options, what);
+      }
+    }
+  }
+}
+
 TEST(AudioOracleTest, AutocorrelationKernelsMatchNaiveSums) {
   util::Rng rng(91);
   for (size_t n : {2u, 9u, 33u, 480u, 1323u, 2205u}) {
@@ -804,25 +837,36 @@ TEST(AudioOracleTest, AutocorrelationKernelsMatchNaiveSums) {
   }
 }
 
+// Four different signals per transform, one per lane; each lane must
+// equal the reference transform of its signal alone.
 TEST(AudioOracleTest, PlannedFftIsBitIdenticalToReference) {
+  constexpr size_t kLanes = util::kLanes;
   util::Rng rng(5);
   for (size_t n = 1; n <= 4096; n <<= 1) {
-    std::vector<std::complex<double>> data(n);
-    for (auto& v : data) v = {rng.Gaussian(), rng.Gaussian()};
+    std::vector<std::vector<std::complex<double>>> want(kLanes);
+    std::vector<double> re(kLanes * n), im(kLanes * n);
+    for (size_t l = 0; l < kLanes; ++l) {
+      want[l].resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        want[l][i] = {rng.Gaussian(), rng.Gaussian()};
+        re[kLanes * i + l] = want[l][i].real();
+        im[kLanes * i + l] = want[l][i].imag();
+      }
+      oracle::Fft(&want[l], false);
+    }
+    const util::FftPlan plan(n);
     for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
       ScopedDispatchLevel pin(level);
-      for (bool inverse : {false, true}) {
-        std::vector<std::complex<double>> want = data;
-        std::vector<std::complex<double>> got = data;
-        oracle::Fft(&want, inverse);
-        util::Fft(&got, inverse);
+      std::vector<double> got_re = re, got_im = im;
+      plan.Transform(got_re, got_im);
+      for (size_t l = 0; l < kLanes; ++l) {
         for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(Bits(got[i].real()), Bits(want[i].real()))
-              << "n " << n << " inverse " << inverse << " bin " << i
-              << " level " << util::DispatchLevelName(level);
-          ASSERT_EQ(Bits(got[i].imag()), Bits(want[i].imag()))
-              << "n " << n << " inverse " << inverse << " bin " << i
-              << " level " << util::DispatchLevelName(level);
+          ASSERT_EQ(Bits(got_re[kLanes * i + l]), Bits(want[l][i].real()))
+              << "n " << n << " lane " << l << " bin " << i << " level "
+              << util::DispatchLevelName(level);
+          ASSERT_EQ(Bits(got_im[kLanes * i + l]), Bits(want[l][i].imag()))
+              << "n " << n << " lane " << l << " bin " << i << " level "
+              << util::DispatchLevelName(level);
         }
       }
     }

@@ -17,6 +17,7 @@
 #include "shot/rep_frame.h"
 #include "synth/corpus.h"
 #include "util/cpu.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace classminer::cues {
@@ -76,14 +77,19 @@ TEST(SpecialFrameTest, NaturalFrameIsNone) {
   EXPECT_EQ(ClassifySpecialFrame(FaceFrame(4)), SpecialFrameType::kNone);
 }
 
-TEST(SpecialFrameTest, SketchDetected) {
+// A line drawing on a bright background: an outline and two strokes.
+media::Image SketchFrame() {
   media::Image img(96, 72, media::Rgb{248, 248, 246});
   const media::Rgb line{50, 50, 54};
   media::FillEllipse(&img, 48, 36, 28, 20, line);
   media::FillEllipse(&img, 48, 36, 26, 18, media::Rgb{248, 248, 246});
   media::DrawHLine(&img, 70, 92, 20, line);
   media::DrawHLine(&img, 70, 92, 32, line);
-  EXPECT_EQ(ClassifySpecialFrame(img), SpecialFrameType::kSketch);
+  return img;
+}
+
+TEST(SpecialFrameTest, SketchDetected) {
+  EXPECT_EQ(ClassifySpecialFrame(SketchFrame()), SpecialFrameType::kSketch);
 }
 
 TEST(SpecialFrameTest, ClipArtDetected) {
@@ -321,6 +327,57 @@ TEST(CueOracleTest, CorpusFramesMatchTwoSkinPassReference) {
   }
   util::ClearDispatchLevelForTest();
 }
+
+// A golden CRC-32 over every field of ComputeFrameStats for the oracle
+// frame set plus a sketch. The mining goldens (cmv_pipeline_test) cannot
+// see edge_density, noise_level or flat_fraction: no frame of their clip
+// reaches the pristine-render or sketch routes that read them. The
+// corpus's rendered slides and clip art take the pristine route; no corpus
+// frame classifies as a sketch, so the line drawing above is added. The
+// test checks that both routes are still reached.
+uint32_t CrcBytes(const void* data, size_t size, uint32_t crc) {
+  return util::Crc32(static_cast<const uint8_t*>(data), size, crc);
+}
+
+uint32_t StatsCrc(const FrameStats& s, uint32_t crc) {
+  for (const double v : {s.mean_luma, s.luma_stddev, s.dominant_color,
+                         s.mean_saturation, s.saturated_fraction,
+                         s.edge_density, s.noise_level, s.flat_fraction,
+                         s.luma_entropy, s.text_row_score}) {
+    crc = CrcBytes(&v, sizeof v, crc);
+  }
+  return CrcBytes(&s.distinct_colors, sizeof s.distinct_colors, crc);
+}
+
+TEST(FrameStatsGoldenTest, OracleFramesStatsAreStable) {
+  constexpr uint32_t kGolden = 0xa4f413d0;
+  std::vector<OracleFrame> frames = OracleFrames();
+  frames.push_back({"sketch", SketchFrame()});
+  const SpecialFrameOptions options;
+  int pristine = 0, sketch = 0;
+  for (const OracleFrame& f : frames) {
+    const FrameStats s = ComputeFrameStats(f.image);
+    pristine += s.flat_fraction > options.manmade_min_flat &&
+                s.luma_entropy < options.manmade_max_luma_entropy &&
+                s.distinct_colors <= options.manmade_max_colors &&
+                s.dominant_color > 0.30;
+    sketch += ClassifySpecialFrame(f.image) == SpecialFrameType::kSketch;
+  }
+  EXPECT_GT(pristine, 0);
+  EXPECT_GT(sketch, 0);
+
+  for (const util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ASSERT_TRUE(util::SetDispatchLevelForTest(level));
+    uint32_t crc = 0;
+    for (const OracleFrame& f : frames) {
+      crc = StatsCrc(ComputeFrameStats(f.image), crc);
+    }
+    EXPECT_EQ(crc, kGolden) << util::DispatchLevelName(level) << " 0x"
+                            << std::hex << crc;
+  }
+  util::ClearDispatchLevelForTest();
+}
+
 
 }  // namespace
 }  // namespace classminer::cues

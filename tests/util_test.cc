@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <complex>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "util/cpu.h"
 #include "util/fft.h"
+#include "util/hypot.h"
 #include "util/mathutil.h"
 #include "util/matrix.h"
 #include "util/rng.h"
@@ -153,38 +159,155 @@ TEST(MatrixTest, LogDetRegularisesSingular) {
   EXPECT_LT(ld, 0.0);  // tiny determinant
 }
 
+// Four signals in the plan's [n][lane] layout. The inverse transform is
+// the forward one applied to the conjugate: conj(FFT(conj(X))) / n.
 TEST(FftTest, InverseRecoversSignal) {
+  constexpr size_t n = 64;
   Rng rng(7);
-  std::vector<std::complex<double>> data(64);
-  std::vector<std::complex<double>> orig(64);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = {rng.Gaussian(), rng.Gaussian()};
-    orig[i] = data[i];
+  std::vector<double> re(kLanes * n), im(kLanes * n);
+  for (size_t i = 0; i < re.size(); ++i) {
+    re[i] = rng.Gaussian();
+    im[i] = rng.Gaussian();
   }
-  Fft(&data);
-  Fft(&data, /*inverse=*/true);
-  for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i].real(), orig[i].real(), 1e-9);
-    EXPECT_NEAR(data[i].imag(), orig[i].imag(), 1e-9);
+  const std::vector<double> orig_re = re, orig_im = im;
+  const FftPlan plan(n);
+  plan.Transform(re, im);
+  for (double& v : im) v = -v;
+  plan.Transform(re, im);
+  for (size_t i = 0; i < re.size(); ++i) {
+    EXPECT_NEAR(re[i] / n, orig_re[i], 1e-9) << i;
+    EXPECT_NEAR(-im[i] / n, orig_im[i], 1e-9) << i;
   }
 }
 
 TEST(FftTest, PureToneConcentratesEnergy) {
-  const size_t n = 256;
-  std::vector<double> signal(n);
+  constexpr size_t n = 256;
+  constexpr size_t tone[kLanes] = {16, 3, 40, 100};
+  std::vector<double> re(kLanes * n), im(kLanes * n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    signal[i] = std::sin(2.0 * M_PI * 16.0 * i / n);
-  }
-  std::vector<double> im(n, 0.0);
-  FftPlan(n).Transform(signal, im);
-  size_t peak = 0;
-  for (size_t i = 1; i <= n / 2; ++i) {
-    if (std::abs(std::complex<double>(signal[i], im[i])) >
-        std::abs(std::complex<double>(signal[peak], im[peak]))) {
-      peak = i;
+    for (size_t l = 0; l < kLanes; ++l) {
+      re[kLanes * i + l] =
+          std::sin(2.0 * M_PI * static_cast<double>(tone[l] * i) / n);
     }
   }
-  EXPECT_EQ(peak, 16u);
+  FftPlan(n).Transform(re, im);
+  for (size_t l = 0; l < kLanes; ++l) {
+    size_t peak = 0;
+    double peak_mag = 0.0;
+    for (size_t i = 0; i <= n / 2; ++i) {
+      const double mag = std::hypot(re[kLanes * i + l], im[kLanes * i + l]);
+      if (mag > peak_mag) {
+        peak = i;
+        peak_mag = mag;
+      }
+    }
+    EXPECT_EQ(peak, tone[l]) << "lane " << l;
+  }
+}
+
+// util::Hypot must equal std::hypot bit for bit at every dispatch level.
+// Its AVX2 lanes copy glibc's (>= 2.35) hypot on x86-64, so this sweep
+// pins that copy to the C library it runs against: a glibc whose hypot
+// rounds differently fails here, not in a mined output.
+TEST(HypotTest, MatchesStdHypotBitForBitAtEveryLevel) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMinSub = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr size_t kChunk = size_t{1} << 20;
+  Rng rng(2035);
+  const auto sign = [&rng] { return rng.Bernoulli(0.5) ? -1.0 : 1.0; };
+  const auto mantissa = [&rng] { return rng.Uniform(1.0, 2.0); };
+
+  // Ten chunks of 2^20 random pairs, two of each kind, and one chunk of
+  // every pair of special values.
+  std::vector<std::vector<double>> xs, ys;
+  std::vector<std::string> kinds;
+  for (int round = 0; round < 2; ++round) {
+    for (const int range : {1100, 30}) {
+      std::vector<double> x(kChunk), y(kChunk);
+      for (size_t i = 0; i < kChunk; ++i) {
+        x[i] = sign() * std::ldexp(mantissa(), rng.UniformInt(-range, range));
+        y[i] = sign() * std::ldexp(mantissa(), rng.UniformInt(-range, range));
+      }
+      xs.push_back(std::move(x));
+      ys.push_back(std::move(y));
+      kinds.push_back("exponents in +-" + std::to_string(range));
+    }
+    std::vector<double> x(kChunk), y(kChunk);
+    for (size_t i = 0; i < kChunk; ++i) {  // b = a * u
+      x[i] = sign() * std::ldexp(mantissa(), rng.UniformInt(-1100, 1100));
+      y[i] = x[i] * rng.Uniform(-1.0, 1.0);
+    }
+    xs.push_back(std::move(x));
+    ys.push_back(std::move(y));
+    kinds.push_back("b = a * u");
+    x.assign(kChunk, 0.0);
+    y.assign(kChunk, 0.0);
+    for (size_t i = 0; i < kChunk; ++i) {  // ay near ax * 2^-54
+      x[i] = sign() * std::ldexp(mantissa(), rng.UniformInt(-400, 400));
+      y[i] = sign() * x[i] * std::ldexp(mantissa(), rng.UniformInt(-56, -52));
+    }
+    xs.push_back(std::move(x));
+    ys.push_back(std::move(y));
+    kinds.push_back("ay near ax * 2^-54");
+    x.assign(kChunk, 0.0);
+    y.assign(kChunk, 0.0);
+    for (size_t i = 0; i < kChunk; ++i) {  // both near 2^+-500 .. 2^+-511
+      const int e = (rng.Bernoulli(0.5) ? 1 : -1) * rng.UniformInt(495, 515);
+      x[i] = sign() * std::ldexp(mantissa(), e);
+      y[i] = sign() * std::ldexp(mantissa(), e + rng.UniformInt(-2, 2));
+    }
+    xs.push_back(std::move(x));
+    ys.push_back(std::move(y));
+    kinds.push_back("exponents near the scaling bounds");
+  }
+  std::vector<double> specials = {
+      0.0, kMinSub, 3 * kMinSub, kMinNormal / 3, kMinNormal,
+      0x1p-511, 0x1.0000000000001p-511, 0x1p-500, 0x1.fffffffffffffp-501,
+      0x1p-54, 1.0, 0x1p500, 0x1.0000000000001p500, 0x1p511, 0x1p512,
+      kMax, kInf, kNan, -0x1.4eab341e636dp-511, -0x1.67a49c7c7615fp-511};
+  for (size_t i = 0, n = specials.size(); i < n; ++i) {
+    specials.push_back(-specials[i]);
+  }
+  std::vector<double> x, y;
+  for (const double a : specials) {
+    for (const double b : specials) {
+      x.push_back(a);
+      y.push_back(b);
+    }
+  }
+  x.push_back(3.0);  // an odd length runs the kernel's tail
+  y.push_back(4.0);
+  xs.push_back(std::move(x));
+  ys.push_back(std::move(y));
+  kinds.push_back("special values");
+
+  size_t total = 0;
+  for (const std::vector<double>& v : xs) total += v.size();
+  ASSERT_GE(total, size_t{10'000'000});
+  for (const DispatchLevel level : SupportedDispatchLevels()) {
+    ASSERT_TRUE(SetDispatchLevelForTest(level));
+    for (size_t c = 0; c < xs.size(); ++c) {
+      std::vector<double> out(xs[c].size());
+      Hypot(xs[c], ys[c], out);
+      size_t mismatches = 0;
+      for (size_t i = 0; i < out.size(); ++i) {
+        const double want = std::hypot(xs[c][i], ys[c][i]);
+        if (std::bit_cast<uint64_t>(out[i]) == std::bit_cast<uint64_t>(want)) {
+          continue;
+        }
+        if (++mismatches <= 3) {
+          ADD_FAILURE() << DispatchLevelName(level) << " " << kinds[c]
+                        << ": hypot(" << std::hexfloat << xs[c][i] << ", "
+                        << ys[c][i] << ") = " << out[i] << ", want " << want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << DispatchLevelName(level) << " " << kinds[c];
+    }
+  }
+  ClearDispatchLevelForTest();
 }
 
 TEST(FftTest, NextPowerOfTwo) {
