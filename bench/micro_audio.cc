@@ -1,10 +1,10 @@
 // Micro-benchmarks for the audio substrate: clip features, the pitch
-// autocorrelation kernel, MFCC, GMM scoring and the BIC speaker-change test.
+// search, MFCC, GMM scoring and the BIC speaker-change test.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "audio/bic.h"
@@ -50,26 +50,29 @@ BENCHMARK(BM_ClipFeatures)
     ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
     ->Unit(benchmark::kMillisecond);
 
-// The pitch autocorrelation over every 30 ms / 10 ms frame of one 2 s clip,
-// pinned to the dispatch level given as the argument.
+// The whole pitch decision (search and voicing gate) of every 30 ms /
+// 10 ms frame of one 2 s clip, pinned to the dispatch level given as the
+// argument. The frame energies, which the clip features compute alongside
+// the spectrum, are taken before timing.
 void BM_FramePitch(benchmark::State& state) {
   if (!PinLevel(state)) return;
   const audio::AudioBuffer clip = SpeechClip(1, 2.0);
   const int sr = clip.sample_rate();
   const size_t frame_len = static_cast<size_t>(0.030 * sr);
   const size_t hop = static_cast<size_t>(0.010 * sr);
-  const int min_lag = sr / 500;
-  const int max_lag = sr / 60;
-  std::vector<double> x(frame_len + audio::internal::kAutocorrPadding, 0.0);
-  std::vector<double> r(audio::internal::AutocorrOutputSize(min_lag, max_lag));
   const std::vector<float>& s = clip.samples();
+  std::vector<std::span<const float>> frames;
+  std::vector<double> energies;
+  for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
+    frames.emplace_back(s.data() + start, frame_len);
+    double energy = 0.0;
+    for (const float v : frames.back()) energy += static_cast<double>(v) * v;
+    energies.push_back(energy);
+  }
+  audio::internal::PitchSearch search(frame_len, sr);
   for (auto _ : state) {
-    for (size_t start = 0; start + frame_len <= s.size(); start += hop) {
-      std::copy(s.begin() + static_cast<std::ptrdiff_t>(start),
-                s.begin() + static_cast<std::ptrdiff_t>(start + frame_len),
-                x.begin());
-      audio::internal::Autocorrelation(x, frame_len, min_lag, max_lag, r);
-      benchmark::DoNotOptimize(r.data());
+    for (size_t f = 0; f < frames.size(); ++f) {
+      benchmark::DoNotOptimize(search.Pitch(frames[f], energies[f]));
     }
   }
   util::ClearDispatchLevelForTest();

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: standard build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j "$(nproc)" >/dev/null
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
@@ -28,7 +28,7 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/codec_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
-  cmake --build build -j --target micro_kernels micro_audio micro_codec \
+  cmake --build build -j "$(nproc)" --target micro_kernels micro_audio micro_codec \
     micro_features >/dev/null
   CLASSMINER_DISABLE_SIMD=1 ./build/bench/micro_kernels \
     --benchmark_min_time=0.01 >/dev/null
@@ -69,7 +69,7 @@ scripts/server_chaos.sh build
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tier-1: ThreadSanitizer (concurrency + parallel pipeline) =="
   cmake -B build-tsan -S . -DCLASSMINER_TSAN=ON >/dev/null
-  cmake --build build-tsan -j --target concurrency_test parallel_pipeline_test pipeline_dag_test failpoint_test codec_test cmv_pipeline_test >/dev/null
+  cmake --build build-tsan -j "$(nproc)" --target concurrency_test parallel_pipeline_test pipeline_dag_test failpoint_test codec_test cmv_pipeline_test >/dev/null
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/parallel_pipeline_test
   ./build-tsan/tests/pipeline_dag_test
@@ -82,7 +82,7 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tier-1: server smoke (TSAN) =="
   # The daemon's accept/worker/deadline threads and the client fan-out all
   # run under ThreadSanitizer; the smoke fails on any reported race.
-  cmake --build build-tsan -j --target classminerd classminer_client classminer_cli >/dev/null
+  cmake --build build-tsan -j "$(nproc)" --target classminerd classminer_client classminer_cli >/dev/null
   scripts/server_smoke.sh build-tsan
 
   echo "== tier-1: server chaos (TSAN) =="
@@ -94,7 +94,7 @@ fi
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== tier-1: ASan+UBSan (corruption corpus + fault injection) =="
   cmake -B build-asan -S . -DCLASSMINER_ASAN=ON >/dev/null
-  cmake --build build-asan -j --target robustness_test failpoint_test codec_test persist_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target robustness_test failpoint_test codec_test persist_test >/dev/null
   ./build-asan/tests/robustness_test
   ./build-asan/tests/failpoint_test
   ./build-asan/tests/codec_test
@@ -104,7 +104,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Both mining heads hand the shared stage tail borrowed representative-
   # image pointers (into a decoded Video or a FrameBatch); a lifetime slip
   # there is a use-after-free here.
-  cmake --build build-asan -j --target cmv_pipeline_test parallel_pipeline_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target cmv_pipeline_test parallel_pipeline_test >/dev/null
   ./build-asan/tests/cmv_pipeline_test
   ./build-asan/tests/parallel_pipeline_test
 
@@ -112,22 +112,25 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # The separable morphology reads padded rows and whole-row words, the
   # Tamura loop reads tabulated window bounds and the labelling a flat
   # stack; an off-by-one in any of them is an out-of-bounds read here.
-  cmake --build build-asan -j --target cues_test features_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target cues_test features_test >/dev/null
   ./build-asan/tests/cues_test
   ./build-asan/tests/features_test
 
-  echo "== tier-1: audio frame blocks (ASan+UBSan) =="
+  echo "== tier-1: audio frame blocks + util oracles (ASan+UBSan) =="
   # Audio frames go four to a block; a ragged last block pads its spare
   # lanes, and a pad that read past the clip would pass the bit-exact
-  # oracles (spare-lane results are dropped) but fail here.
-  cmake --build build-asan -j --target audio_test >/dev/null
+  # oracles (spare-lane results are dropped) but fail here. The integer
+  # pitch kernel reads zero padding past each frame. util_test holds the
+  # Hypot and entropy-threshold oracles.
+  cmake --build build-asan -j "$(nproc)" --target audio_test util_test >/dev/null
   ./build-asan/tests/audio_test
+  ./build-asan/tests/util_test
 
   echo "== tier-1: arena + kernels (ASan, poisoned-on-reset chunks) =="
   # The arena poisons recycled chunks on Reset, so any use-after-reset in
   # the decoder's double-buffered planes or the kernel scratch shows up as
   # a use-after-poison here rather than silent cross-run reads.
-  cmake --build build-asan -j --target arena_test kernels_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target arena_test kernels_test >/dev/null
   ./build-asan/tests/arena_test
   ./build-asan/tests/kernels_test
 
@@ -135,7 +138,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # Loop and stage-run state outlives the call through the helper tasks'
   # shared_ptr; a late helper reading a freed loop body, row slot or stage
   # graph would be a use-after-scope here.
-  cmake --build build-asan -j --target concurrency_test pipeline_dag_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target concurrency_test pipeline_dag_test >/dev/null
   ./build-asan/tests/concurrency_test
   ./build-asan/tests/pipeline_dag_test
 
@@ -146,7 +149,7 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # bring verify back to clean. The multi-shard matrix adds the
   # index.shard.append.* / index.shard.open sites: any injected crash must
   # reopen to a consistent pre- or post-operation library, never a torn one.
-  cmake --build build-asan -j --target recovery_test shard_test >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target recovery_test shard_test >/dev/null
   ./build-asan/tests/recovery_test
   ./build-asan/tests/shard_test
 fi

@@ -1,6 +1,7 @@
 #include "audio/features.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/cpu.h"
@@ -13,67 +14,215 @@
 namespace classminer::audio {
 namespace internal {
 
-size_t AutocorrOutputSize(int min_lag, int max_lag) {
+int PitchQmax(size_t n) {
+  // The square root is rounded; the integer checks settle the floor.
+  constexpr int64_t kMax = 2147483647;
+  const int64_t terms = static_cast<int64_t>(std::min<size_t>(n, kMax)) + 1;
+  int64_t q = std::min<int64_t>(
+      32767, static_cast<int64_t>(std::sqrt(static_cast<double>(kMax / terms))));
+  while (q > 0 && q * q * terms > kMax) --q;
+  while (q < 32767 && (q + 1) * (q + 1) * terms <= kMax) ++q;
+  return static_cast<int>(q);
+}
+
+size_t IntAutocorrOutputSize(int min_lag, int max_lag) {
   const size_t lags = static_cast<size_t>(max_lag - min_lag + 1);
-  const size_t block = static_cast<size_t>(kAutocorrLagBlock);
+  const size_t block = static_cast<size_t>(kIntAutocorrLagBlock);
   return (lags + block - 1) / block * block;
 }
 
-void AutocorrelationScalar(std::span<const double> x, size_t n, int min_lag,
-                           int max_lag, std::span<double> r) {
-  // Eight lanes in named locals so they stay in registers; each lane's sum
-  // is still one sequential chain in ascending i.
-  static_assert(kAutocorrLagBlock % 8 == 0);
-  for (int lag = min_lag; lag <= max_lag; lag += 8) {
-    const double* y = x.data() + lag;
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    double a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
-    for (size_t i = 0; i + static_cast<size_t>(lag) < n; ++i) {
-      const double xi = x[i];
-      const double* p = y + i;
-      a0 += xi * p[0];
-      a1 += xi * p[1];
-      a2 += xi * p[2];
-      a3 += xi * p[3];
-      a4 += xi * p[4];
-      a5 += xi * p[5];
-      a6 += xi * p[6];
-      a7 += xi * p[7];
+void IntAutocorrelationScalar(std::span<const int16_t> q, size_t n,
+                              int min_lag, int max_lag,
+                              std::span<int32_t> r) {
+  // Eight lags at a time: the compiler keeps the accumulators in vector
+  // registers at the baseline ISA. Lags past their last term read the
+  // zero padding.
+  constexpr int kBlock = 8;
+  static_assert(kIntAutocorrLagBlock % kBlock == 0);
+  for (int lag = min_lag; lag <= max_lag; lag += kBlock) {
+    const int16_t* y = q.data() + lag;
+    int32_t acc[kBlock] = {};
+    const size_t end = n - static_cast<size_t>(lag);
+    for (size_t i = 0; i < end; ++i) {
+      const int16_t xi = q[i];
+      for (int k = 0; k < kBlock; ++k) acc[k] += xi * y[i + k];
     }
-    double* out = r.data() + (lag - min_lag);
-    out[0] = a0;
-    out[1] = a1;
-    out[2] = a2;
-    out[3] = a3;
-    out[4] = a4;
-    out[5] = a5;
-    out[6] = a6;
-    out[7] = a7;
+    std::copy_n(acc, kBlock, r.data() + (lag - min_lag));
   }
 }
 
 namespace {
 
-inline bool UseAutocorrelationAccel() {
+inline bool UseIntAutocorrelationAccel() {
   return util::ActiveDispatchLevel() >= util::DispatchLevel::kAvx2 &&
-         AutocorrelationAccelAvailable();
+         IntAutocorrelationAccelAvailable();
 }
 
 }  // namespace
 
-void Autocorrelation(std::span<const double> x, size_t n, int min_lag,
-                     int max_lag, std::span<double> r) {
+void IntAutocorrelation(std::span<const int16_t> q, size_t n, int min_lag,
+                        int max_lag, std::span<int32_t> r) {
   CM_CHECK(min_lag >= 1 && min_lag <= max_lag &&
            static_cast<size_t>(max_lag) < n)
       << "autocorrelation lags out of range";
-  CM_CHECK(x.size() >= n + kAutocorrPadding &&
-           r.size() >= AutocorrOutputSize(min_lag, max_lag))
+  CM_CHECK(q.size() >= n + kIntAutocorrPadding &&
+           r.size() >= IntAutocorrOutputSize(min_lag, max_lag))
       << "autocorrelation scratch too small";
-  if (UseAutocorrelationAccel()) {
-    AutocorrelationAccel(x, n, min_lag, max_lag, r);
+  if (UseIntAutocorrelationAccel()) {
+    IntAutocorrelationAccel(q, n, min_lag, max_lag, r);
   } else {
-    AutocorrelationScalar(x, n, min_lag, max_lag, r);
+    IntAutocorrelationScalar(q, n, min_lag, max_lag, r);
   }
+}
+
+namespace {
+
+// 2^e for e in the normal range of double.
+double PowerOfTwo(int e) {
+  return std::bit_cast<double>(static_cast<uint64_t>(1023 + e) << 52);
+}
+
+}  // namespace
+
+PitchSearch::PitchSearch(size_t frame_len, int sample_rate)
+    : n_(frame_len),
+      sample_rate_(sample_rate),
+      min_lag_(sample_rate / 500),
+      max_lag_(sample_rate / 60),
+      ok_(frame_len > static_cast<size_t>(max_lag_) && min_lag_ >= 1),
+      qmax_(PitchQmax(frame_len)) {
+  if (!ok_) return;
+  q_.assign(n_ + kIntAutocorrPadding, 0);
+  r_.resize(IntAutocorrOutputSize(min_lag_, max_lag_));
+  lags_.reserve(static_cast<size_t>(max_lag_ - min_lag_ + 1));
+}
+
+// Why the integer search picks the reference's lag.
+//
+// Quantise with a power-of-two scale s, q[i] = round(s * x[i]), so that
+// s * x[i] = q[i] + e[i] with |e[i]| <= 1/2, and let I(lag) be the exact
+// integer sum of q[i] * q[i + lag]. Write R(lag) for the real-valued
+// autocorrelation and r(lag) for the double chain the reference computes.
+//
+// 1. Quantisation: s^2 x[i] x[j] = q[i] q[j] + q[i] e[j] + e[i] q[j] +
+//    e[i] e[j], so |s^2 R(lag) - I(lag)| <= sum|q| / 2 + sum|q| / 2 +
+//    n / 4 = sum|q| + n / 4.
+// 2. Rounding: each product x[i] * x[i + lag] of two floats is exact in
+//    double, so r(lag) is a recursive sum of at most n exact terms and
+//    |r(lag) - R(lag)| <= gamma_n * sum|x[i] x[i + lag]| <= gamma_n * E,
+//    E the exact energy (Cauchy-Schwarz), gamma_n = n u / (1 - n u),
+//    u = 2^-53. The energy passed in was summed in double the same way, so
+//    E <= energy / (1 - gamma_n), and both together stay below
+//    (n + 1) 2^-52 * energy: twice what is needed.
+// 3. So s^2 r(lag) lies within B of I(lag), where B (`bound`) adds the two
+//    terms plus 1 for the few roundings in computing B and comparing
+//    against it (each below 2^-20: every value stays under 2^32). s is a
+//    power of two, so s^2 r(lag) and s^2 * energy / 4 (`gate`) are exact.
+//
+// A lag with I(lag) + 2B < max I cannot hold the maximum of r: its r is
+// below the r of the lag with the largest I. Every lag tied at the
+// maximum survives, so the first strict maximum over the survivors in
+// ascending order is the reference's. When max I + B < gate no r reaches
+// a quarter of the energy and the reference reports 0; when a single lag
+// survives and max I - B >= gate > 0, its r is positive and clears the
+// gate, so the reference reports that lag. Nothing here rounds
+// differently under another rounding mode except the quantiser, which
+// rounds half away from zero by hand.
+double PitchSearch::Pitch(std::span<const float> frame, double energy) {
+  if (!ok_) return 0.0;
+  if (energy < 1e-9) return 0.0;
+  if (!std::isfinite(energy) || qmax_ < 1) {
+    // A non-finite energy means a NaN or infinite sample: no bound holds,
+    // so every lag takes the exact chain.
+    lags_.clear();
+    for (int lag = min_lag_; lag <= max_lag_; ++lag) lags_.push_back(lag);
+    return ExactPitch(frame, energy, lags_);
+  }
+
+  // Scale the peak into (qmax / 2, qmax] by a power of two. The samples
+  // are finite, so their magnitudes order like their bit patterns. Both
+  // loops below go in blocks of eight, which the compiler vectorises.
+  const float* x = frame.data();
+  auto magnitude = [&](size_t i) __attribute__((always_inline)) {
+    return std::bit_cast<int32_t>(x[i]) & 0x7fffffff;
+  };
+  int32_t peaks[8] = {};
+  size_t i = 0;
+  for (; i + 8 <= n_; i += 8) {
+    for (size_t k = 0; k < 8; ++k) {
+      peaks[k] = std::max(peaks[k], magnitude(i + k));
+    }
+  }
+  int32_t peak_bits = *std::max_element(peaks, peaks + 8);
+  for (; i < n_; ++i) peak_bits = std::max(peak_bits, magnitude(i));
+  // energy >= 1e-9 makes the peak a normal float, in [2^(e-1), 2^e).
+  const int exponent = (peak_bits >> 23) - 126;
+  int shift = std::bit_width(static_cast<unsigned>(qmax_)) - 1 - exponent;
+  const double peak = std::bit_cast<float>(peak_bits);
+  if (peak * PowerOfTwo(shift + 1) <= qmax_) ++shift;
+  const double scale = PowerOfTwo(shift);
+
+  // s * x is exact (a float times a power of two, within double range),
+  // and so is s * x +- 1/2 for |s * x| >= 2^-29; below that the sum rounds
+  // to within 2^-29 of 1/2 and truncates to 0. So q is s * x rounded half
+  // away from zero, whatever the rounding mode.
+  int16_t* q = q_.data();
+  auto quantise = [&](size_t i) __attribute__((always_inline)) {
+    const double v = static_cast<double>(x[i]) * scale;
+    const int32_t qi = static_cast<int32_t>(v + std::copysign(0.5, v));
+    q[i] = static_cast<int16_t>(qi);
+    return qi < 0 ? -qi : qi;
+  };
+  int64_t sum_abs = 0;
+  for (i = 0; i + 8 <= n_; i += 8) {
+    int32_t block = 0;
+    for (size_t k = 0; k < 8; ++k) block += quantise(i + k);
+    sum_abs += block;
+  }
+  for (; i < n_; ++i) sum_abs += quantise(i);
+  IntAutocorrelation(q_, n_, min_lag_, max_lag_, r_);
+
+  const size_t lags = static_cast<size_t>(max_lag_ - min_lag_ + 1);
+  const int32_t top = *std::max_element(r_.begin(), r_.begin() + lags);
+  const double s2 = PowerOfTwo(2 * shift);
+  const double gate = 0.25 * energy * s2;
+  const double n = static_cast<double>(n_);
+  const double bound = static_cast<double>(sum_abs) + 0.25 * n +
+                       energy * s2 * (n + 1.0) * 0x1p-52 + 1.0;
+  if (static_cast<double>(top) + bound < gate) return 0.0;
+
+  const int64_t reach = static_cast<int64_t>(2.0 * bound) + 1;
+  lags_.clear();
+  for (size_t k = 0; k < lags; ++k) {
+    if (r_[k] + reach >= top) lags_.push_back(min_lag_ + static_cast<int>(k));
+  }
+  if (lags_.size() == 1 && static_cast<double>(top) - bound >= gate) {
+    return static_cast<double>(sample_rate_) / lags_[0];
+  }
+  return ExactPitch(frame, energy, lags_);
+}
+
+// The reference decision over `lags` (ascending): each lag's exact double
+// chain in ascending i, the first strict maximum, then the voicing gate.
+double PitchSearch::ExactPitch(std::span<const float> frame, double energy,
+                               std::span<const int> lags) const {
+  double best = 0.0;
+  int best_lag = 0;
+  for (const int lag : lags) {
+    double acc = 0.0;
+    const size_t end = n_ - static_cast<size_t>(lag);
+    for (size_t i = 0; i < end; ++i) {
+      acc += static_cast<double>(frame[i]) * frame[i + static_cast<size_t>(lag)];
+    }
+    if (acc > best) {
+      best = acc;
+      best_lag = lag;
+    }
+  }
+  // Voicing gate: the autocorrelation peak must carry a meaningful share
+  // of the energy.
+  if (best_lag == 0 || best < 0.25 * energy) return 0.0;
+  return static_cast<double>(sample_rate_) / best_lag;
 }
 
 }  // namespace internal
@@ -103,20 +252,13 @@ class FrameAnalyzer {
  public:
   FrameAnalyzer(size_t frame_len, int sample_rate)
       : frame_len_(frame_len),
-        sample_rate_(sample_rate),
-        min_lag_(sample_rate / 500),
-        max_lag_(sample_rate / 60),
-        pitch_ok_(frame_len > static_cast<size_t>(max_lag_) && min_lag_ >= 1),
+        pitch_(frame_len, sample_rate),
         spectral_ok_(frame_len >= 8),
         plan_(util::NextPowerOfTwo(std::max<size_t>(frame_len, 2))),
         n_bins_(plan_.size() / 2 + 1),
         nyquist_(sample_rate / 2.0),
         bin_hz_(nyquist_ / (static_cast<double>(n_bins_) - 1.0)),
         re_(kLanes * plan_.size()) {
-    if (pitch_ok_) {
-      x_.assign(frame_len + internal::kAutocorrPadding, 0.0);
-      r_.resize(internal::AutocorrOutputSize(min_lag_, max_lag_));
-    }
     if (spectral_ok_) {
       im_.resize(kLanes * plan_.size());
       power_.resize(kLanes * n_bins_);
@@ -165,34 +307,12 @@ class FrameAnalyzer {
       FrameResult& r = (*out)[l];
       r = FrameResult{};
       r.energy = energy[l];
-      r.pitch = Pitch({frames[l], frame_len_}, r.energy);
+      r.pitch = pitch_.Pitch({frames[l], frame_len_}, r.energy);
     }
     if (spectral_ok_) Spectral(count, out);
   }
 
  private:
-  // Autocorrelation pitch in [60, 500] Hz; 0 when unvoiced.
-  double Pitch(std::span<const float> frame, double energy) {
-    if (!pitch_ok_) return 0.0;
-    if (energy < 1e-9) return 0.0;
-    std::copy(frame.begin(), frame.end(), x_.begin());
-    internal::Autocorrelation(x_, frame_len_, min_lag_, max_lag_, r_);
-
-    double best = 0.0;
-    int best_lag = 0;
-    for (int lag = min_lag_; lag <= max_lag_; ++lag) {
-      const double acc = r_[static_cast<size_t>(lag - min_lag_)];
-      if (acc > best) {
-        best = acc;
-        best_lag = lag;
-      }
-    }
-    // Voicing gate: the autocorrelation peak must carry a meaningful share
-    // of the energy.
-    if (best_lag == 0 || best < 0.25 * energy) return 0.0;
-    return static_cast<double>(sample_rate_) / best_lag;
-  }
-
   // Spectral centroid, bandwidth and subband ratios of the block's frames,
   // whose samples AnalyzeBlock left in re_.
   void Spectral(size_t count, std::array<FrameResult, kLanes>* out) {
@@ -238,17 +358,12 @@ class FrameAnalyzer {
   }
 
   const size_t frame_len_;
-  const int sample_rate_;
-  const int min_lag_;
-  const int max_lag_;
-  const bool pitch_ok_;
+  internal::PitchSearch pitch_;
   const bool spectral_ok_;
   const util::FftPlan plan_;
   const size_t n_bins_;
   const double nyquist_;
   const double bin_hz_;
-  std::vector<double> x_;      // one frame widened to double + zero padding
-  std::vector<double> r_;      // autocorrelation per lag
   std::vector<double> re_;     // FFT buffers, [sample][lane]
   std::vector<double> im_;
   std::vector<double> power_;  // |X[i]|, then |X[i]|^2, per bin and lane

@@ -2,6 +2,7 @@
 #define CLASSMINER_AUDIO_FEATURES_H_
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,36 +39,71 @@ std::vector<AudioBuffer> SplitIntoClips(const AudioBuffer& audio,
 
 namespace internal {
 
-// The pitch autocorrelation kernel: for every lag in [min_lag, max_lag],
-//   r[lag - min_lag] = sum over i < n - lag of x[i] * x[i + lag],
-// each lag summed in ascending i. `x` holds the frame's n samples widened
-// from float followed by at least kAutocorrPadding zeros; `r` holds
-// AutocorrOutputSize(min_lag, max_lag) slots (the slots past the last lag
-// are scratch). Requires 1 <= min_lag <= max_lag < n.
+// The pitch of one analysis frame, as ComputeClipFeatures decides it: the
+// lag in [sample_rate / 500, sample_rate / 60] whose autocorrelation
+//   r(lag) = sum over i < n - lag of x[i] * x[i + lag]
+// (summed in double, in ascending i) is the first strict maximum, reported
+// as sample_rate / lag Hz, or 0 when that maximum is not positive or is
+// below a quarter of the frame's energy (unvoiced).
 //
-// The kernels accumulate a block of adjacent lags at once (lanes = lags),
-// so each lag is still its own scalar chain in the reference order. Two
-// facts make every block exact: a float x float product is exact in
-// double, and lanes that run past their lag's last term multiply the zero
-// padding, adding a signed zero to a sum that started at +0.0, which
-// leaves its bits unchanged.
-inline constexpr int kAutocorrLagBlock = 32;
-inline constexpr size_t kAutocorrPadding = kAutocorrLagBlock;
-size_t AutocorrOutputSize(int min_lag, int max_lag);
+// Pitch() returns exactly that, bit for bit, without summing every lag in
+// double. It quantises the frame to small integers, takes every lag's
+// integer autocorrelation, bounds how far each exact double sum can lie
+// from its integer estimate, and runs the exact sums only for lags that
+// can still be the maximum (features.cc proves the bound).
+class PitchSearch {
+ public:
+  PitchSearch(size_t frame_len, int sample_rate);
 
-// Dispatches on util::ActiveDispatchLevel(); every path is bit-identical.
-void Autocorrelation(std::span<const double> x, size_t n, int min_lag,
-                     int max_lag, std::span<double> r);
+  // `frame` holds frame_len samples; `energy` is their sum of squares in
+  // double, summed in any order.
+  double Pitch(std::span<const float> frame, double energy);
+
+ private:
+  double ExactPitch(std::span<const float> frame, double energy,
+                    std::span<const int> lags) const;
+
+  const size_t n_;
+  const int sample_rate_;
+  const int min_lag_;
+  const int max_lag_;
+  const bool ok_;
+  const int qmax_;
+  std::vector<int16_t> q_;   // the quantised frame + kIntAutocorrPadding zeros
+  std::vector<int32_t> r_;   // integer autocorrelation per lag
+  std::vector<int> lags_;    // lags left for the exact sums
+};
+
+// Largest |q| IntAutocorrelation accepts for n-sample frames,
+// floor(sqrt((2^31 - 1) / (n + 1))) capped to int16: no int32 partial sum
+// of n + 1 products of such values can overflow.
+int PitchQmax(size_t n);
+
+// The integer pitch autocorrelation kernel: for every lag in
+// [min_lag, max_lag],
+//   r[lag - min_lag] = sum over i < n - lag of q[i] * q[i + lag],
+// exactly, in int32. `q` holds n values in [-PitchQmax(n), PitchQmax(n)]
+// followed by at least kIntAutocorrPadding zeros; `r` holds
+// IntAutocorrOutputSize(min_lag, max_lag) slots (the slots past the last
+// lag are scratch). Requires 1 <= min_lag <= max_lag < n.
+inline constexpr int kIntAutocorrLagBlock = 32;
+inline constexpr size_t kIntAutocorrPadding = kIntAutocorrLagBlock;
+size_t IntAutocorrOutputSize(int min_lag, int max_lag);
+
+// Dispatches on util::ActiveDispatchLevel(); every path returns the same
+// integers.
+void IntAutocorrelation(std::span<const int16_t> q, size_t n, int min_lag,
+                        int max_lag, std::span<int32_t> r);
 
 // Reference kernel (portable C++).
-void AutocorrelationScalar(std::span<const double> x, size_t n, int min_lag,
-                           int max_lag, std::span<double> r);
+void IntAutocorrelationScalar(std::span<const int16_t> q, size_t n,
+                              int min_lag, int max_lag, std::span<int32_t> r);
 
 // AVX2 kernel (x86-64 only). Callable only when
-// AutocorrelationAccelAvailable().
-bool AutocorrelationAccelAvailable();
-void AutocorrelationAccel(std::span<const double> x, size_t n, int min_lag,
-                          int max_lag, std::span<double> r);
+// IntAutocorrelationAccelAvailable().
+bool IntAutocorrelationAccelAvailable();
+void IntAutocorrelationAccel(std::span<const int16_t> q, size_t n,
+                             int min_lag, int max_lag, std::span<int32_t> r);
 
 }  // namespace internal
 

@@ -1,6 +1,7 @@
 #include "codec/container.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/crc32.h"
@@ -27,6 +28,19 @@ uint32_t ReadU32LE(const uint8_t* p) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
   return v;
+}
+
+// Decodes `count` little-endian IEEE-754 samples at p. On little-endian
+// hosts the stored words are the host's floats, so this is one copy.
+void DecodePcm(const uint8_t* p, size_t count, float* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (count > 0) std::memcpy(out, p, sizeof(float) * count);
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t bits = ReadU32LE(p + 4 * i);
+      std::memcpy(out + i, &bits, sizeof(float));
+    }
+  }
 }
 
 // Reads the fixed header (magic .. gop_size) into *file. Shared by the
@@ -142,10 +156,7 @@ bool TryTrailerAt(const std::vector<uint8_t>& bytes, size_t pos,
   file->audio_sample_rate =
       static_cast<int32_t>(ReadU32LE(bytes.data() + pos));
   file->audio_pcm.resize(sample_count);
-  for (uint32_t i = 0; i < sample_count; ++i) {
-    const uint32_t bits = ReadU32LE(bytes.data() + pos + 8 + 4 * i);
-    std::memcpy(&file->audio_pcm[i], &bits, sizeof(float));
-  }
+  DecodePcm(bytes.data() + pos + 8, sample_count, file->audio_pcm.data());
   return true;
 }
 
@@ -160,13 +171,10 @@ util::Status ParseAudio(util::ByteReader* r, CmvFile* file) {
   if (*sample_count > r->remaining() / 4) {
     return r->Corrupt("audio sample count exceeds container");
   }
+  const uint8_t* pcm = r->data() + r->position();
+  CLASSMINER_RETURN_IF_ERROR(r->Skip(4 * static_cast<size_t>(*sample_count)));
   file->audio_pcm.resize(*sample_count);
-  for (uint32_t i = 0; i < *sample_count; ++i) {
-    util::StatusOr<uint32_t> bits = r->GetU32();
-    if (!bits.ok()) return bits.status();
-    uint32_t b = *bits;
-    std::memcpy(&file->audio_pcm[i], &b, sizeof(float));
-  }
+  DecodePcm(pcm, *sample_count, file->audio_pcm.data());
   return util::Status::Ok();
 }
 

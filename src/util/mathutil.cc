@@ -72,30 +72,54 @@ double FastEntropyThreshold(std::span<const double> values, int bins) {
 
   // For each split point s (class A = buckets [0,s], class B = (s, bins)),
   // compute H(A) + H(B) over the within-class normalised distributions and
-  // keep the maximising split.
+  // keep the first maximising split. Only non-empty buckets add terms, so
+  // a split at an empty bucket partitions them as the split before it
+  // does: it scores the same and never replaces the best, so only splits
+  // at non-empty buckets are scored.
   const double total = static_cast<double>(values.size());
+  std::vector<int> occupied;
+  double max_count = 0.0;
+  for (int b = 0; b < bins; ++b) {
+    const double c = hist[static_cast<size_t>(b)];
+    if (c > 0.0) {
+      occupied.push_back(b);
+      max_count = std::max(max_count, c);
+    }
+  }
+  // p * log(p) with p = count / mass, evaluated once per (count, mass)
+  // pair by the expression each term used; counts and masses are whole
+  // numbers up to values.size(), and NaN marks an entry not yet filled.
+  // Very large inputs skip the table and evaluate every term.
+  constexpr size_t kMaxTable = size_t{1} << 16;
+  const size_t stride = values.size() + 1;
+  const size_t table_size = (static_cast<size_t>(max_count) + 1) * stride;
+  std::vector<double> table(table_size <= kMaxTable ? table_size : 0,
+                            std::numeric_limits<double>::quiet_NaN());
+  auto plogp = [&](double c, double mass) {
+    const size_t key =
+        static_cast<size_t>(c) * stride + static_cast<size_t>(mass);
+    if (key < table.size() && !std::isnan(table[key])) return table[key];
+    const double p = c / mass;
+    const double t = p * std::log(p);
+    if (key < table.size()) table[key] = t;
+    return t;
+  };
+
   double best_score = -1.0;
   int best_split = bins / 2;
-  // Prefix sums of mass and of p*log(p)-style accumulators.
-  for (int s = 0; s < bins - 1; ++s) {
-    double mass_a = 0.0, mass_b = 0.0;
-    for (int i = 0; i <= s; ++i) mass_a += hist[static_cast<size_t>(i)];
-    mass_b = total - mass_a;
-    if (mass_a <= 0.0 || mass_b <= 0.0) continue;
+  double mass_a = 0.0;  // whole numbers, so every sum is exact
+  for (size_t k = 0; k < occupied.size(); ++k) {
+    const int s = occupied[k];
+    if (s >= bins - 1) break;
+    mass_a += hist[static_cast<size_t>(s)];
+    const double mass_b = total - mass_a;
+    if (mass_b <= 0.0) continue;
     double ha = 0.0, hb = 0.0;
-    for (int i = 0; i <= s; ++i) {
-      const double c = hist[static_cast<size_t>(i)];
-      if (c > 0.0) {
-        const double p = c / mass_a;
-        ha -= p * std::log(p);
-      }
+    for (size_t j = 0; j <= k; ++j) {
+      ha -= plogp(hist[static_cast<size_t>(occupied[j])], mass_a);
     }
-    for (int i = s + 1; i < bins; ++i) {
-      const double c = hist[static_cast<size_t>(i)];
-      if (c > 0.0) {
-        const double p = c / mass_b;
-        hb -= p * std::log(p);
-      }
+    for (size_t j = k + 1; j < occupied.size(); ++j) {
+      hb -= plogp(hist[static_cast<size_t>(occupied[j])], mass_b);
     }
     const double score = ha + hb;
     if (score > best_score) {

@@ -5,9 +5,11 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audio/audio_buffer.h"
@@ -802,37 +804,270 @@ TEST(AudioOracleTest, RaggedFrameBlocksAreBitIdenticalToReference) {
   }
 }
 
-TEST(AudioOracleTest, AutocorrelationKernelsMatchNaiveSums) {
+TEST(AudioOracleTest, PitchQmaxKeepsInt32SumsInRange) {
+  EXPECT_EQ(internal::PitchQmax(480), 2112);
+  EXPECT_EQ(internal::PitchQmax(2205), 986);
+  for (size_t n : {2u, 9u, 240u, 480u, 661u, 1323u, 2205u, 100000u}) {
+    const int64_t q = internal::PitchQmax(n);
+    EXPECT_LE(q, 32767);
+    EXPECT_LE(q * q * static_cast<int64_t>(n + 1), int64_t{2147483647}) << n;
+    EXPECT_GT((q + 1) * (q + 1) * static_cast<int64_t>(n + 1),
+              int64_t{2147483647})
+        << n;
+  }
+}
+
+// The integer kernel against naive int64 sums, on random values and on
+// the extremes +-Qmax (all one sign, alternating, and runs), at every
+// dispatch level, lag-block boundaries included.
+TEST(AudioOracleTest, IntAutocorrelationMatchesNaiveSums) {
   util::Rng rng(91);
-  for (size_t n : {2u, 9u, 33u, 480u, 1323u, 2205u}) {
-    std::vector<double> x(n + internal::kAutocorrPadding, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(rng.Gaussian());
-    }
-    for (int min_lag : {1, 5, 32}) {
-      for (int max_lag : {min_lag, min_lag + 31, min_lag + 32,
-                          static_cast<int>(n) - 1}) {
-        if (max_lag < min_lag || static_cast<size_t>(max_lag) >= n) continue;
-        std::vector<double> want(static_cast<size_t>(max_lag - min_lag + 1));
-        for (int lag = min_lag; lag <= max_lag; ++lag) {
-          double acc = 0.0;
-          for (size_t i = 0; i + static_cast<size_t>(lag) < n; ++i) {
-            acc += x[i] * x[i + static_cast<size_t>(lag)];
+  for (size_t n : {2u, 9u, 33u, 240u, 480u, 661u, 1323u, 2205u}) {
+    const int qmax = internal::PitchQmax(n);
+    std::vector<std::vector<int16_t>> inputs;
+    auto add = [&](auto value_at) {
+      std::vector<int16_t> q(n + internal::kIntAutocorrPadding, 0);
+      for (size_t i = 0; i < n; ++i) q[i] = static_cast<int16_t>(value_at(i));
+      inputs.push_back(std::move(q));
+    };
+    add([&](size_t) {
+      return rng.UniformInt(-qmax, qmax);
+    });
+    add([&](size_t) { return qmax; });
+    add([&](size_t) { return -qmax; });
+    add([&](size_t i) { return i % 2 == 0 ? qmax : -qmax; });
+    add([&](size_t i) { return (i / 7) % 2 == 0 ? qmax : -qmax; });
+    for (const std::vector<int16_t>& q : inputs) {
+      for (int min_lag : {1, 5, 32}) {
+        for (int max_lag : {min_lag, min_lag + 31, min_lag + 32,
+                            static_cast<int>(n) - 1}) {
+          if (max_lag < min_lag || static_cast<size_t>(max_lag) >= n) continue;
+          std::vector<int64_t> want(static_cast<size_t>(max_lag - min_lag + 1));
+          for (int lag = min_lag; lag <= max_lag; ++lag) {
+            int64_t acc = 0;
+            for (size_t i = 0; i + static_cast<size_t>(lag) < n; ++i) {
+              acc += int64_t{q[i]} * q[i + static_cast<size_t>(lag)];
+            }
+            want[static_cast<size_t>(lag - min_lag)] = acc;
           }
-          want[static_cast<size_t>(lag - min_lag)] = acc;
-        }
-        for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
-          ScopedDispatchLevel pin(level);
-          std::vector<double> r(internal::AutocorrOutputSize(min_lag, max_lag));
-          internal::Autocorrelation(x, n, min_lag, max_lag, r);
-          for (size_t k = 0; k < want.size(); ++k) {
-            ASSERT_EQ(Bits(r[k]), Bits(want[k]))
-                << "n " << n << " lags [" << min_lag << ", " << max_lag
-                << "] lag " << min_lag + static_cast<int>(k) << " level "
-                << util::DispatchLevelName(level);
+          for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+            ScopedDispatchLevel pin(level);
+            std::vector<int32_t> r(
+                internal::IntAutocorrOutputSize(min_lag, max_lag));
+            internal::IntAutocorrelation(q, n, min_lag, max_lag, r);
+            for (size_t k = 0; k < want.size(); ++k) {
+              ASSERT_EQ(r[k], want[k])
+                  << "n " << n << " lags [" << min_lag << ", " << max_lag
+                  << "] lag " << min_lag + static_cast<int>(k) << " level "
+                  << util::DispatchLevelName(level);
+            }
           }
         }
       }
+    }
+  }
+}
+
+// The frame lengths the pitch search meets: 30 ms at every rate, plus the
+// 50 ms frames of the long-frame oracle at 44.1 kHz.
+std::vector<std::pair<int, size_t>> PitchFrameShapes() {
+  std::vector<std::pair<int, size_t>> shapes;
+  for (int sr : {8000, 16000, 22050, 44100}) {
+    shapes.push_back({sr, static_cast<size_t>(0.030 * sr)});
+  }
+  shapes.push_back({44100, static_cast<size_t>(0.05 * 44100)});
+  return shapes;
+}
+
+double FrameEnergy(std::span<const float> frame) {
+  double energy = 0.0;
+  for (const float v : frame) energy += static_cast<double>(v) * v;
+  return energy;
+}
+
+// Returns the oracle's pitch after checking every dispatch level against it.
+double ExpectPitchMatchesOracle(std::span<const float> frame, int sr,
+                                const std::string& what) {
+  const double want = oracle::FramePitch(frame, sr);
+  const double energy = FrameEnergy(frame);
+  for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+    ScopedDispatchLevel pin(level);
+    internal::PitchSearch search(frame.size(), sr);
+    const double got = search.Pitch(frame, energy);
+    EXPECT_EQ(Bits(got), Bits(want))
+        << what << " @" << sr << " n " << frame.size() << " level "
+        << util::DispatchLevelName(level) << ": " << got << " vs " << want;
+  }
+  return want;
+}
+
+TEST(AudioOracleTest, PitchOfRandomFramesIsBitIdenticalToReference) {
+  util::Rng rng(17);
+  for (const auto& [sr, n] : PitchFrameShapes()) {
+    size_t voiced = 0;
+    for (int t = 0; t < 150; ++t) {
+      // A few harmonics of a random fundamental in noise, at a random
+      // level between 1e-4 and 1e3.
+      const double f0 = rng.Uniform(40.0, 700.0);
+      const double noise = std::pow(10.0, rng.Uniform(-3.0, 0.5));
+      const double level = std::pow(10.0, rng.Uniform(-4.0, 3.0));
+      const double phase = rng.Uniform(0.0, 6.3);
+      std::vector<float> frame(n);
+      for (size_t i = 0; i < n; ++i) {
+        const double w = 2.0 * M_PI * f0 * static_cast<double>(i) / sr + phase;
+        const double x = std::sin(w) + 0.5 * std::sin(2.0 * w) +
+                         0.25 * std::sin(3.0 * w) + noise * rng.Gaussian();
+        frame[i] = static_cast<float>(level * x);
+      }
+      voiced += ExpectPitchMatchesOracle(frame, sr, "harmonics") > 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        frame[i] = static_cast<float>(level * rng.Gaussian());
+      }
+      ExpectPitchMatchesOracle(frame, sr, "noise");
+    }
+    EXPECT_GT(voiced, 30u) << sr;
+    // Frames of the oracle signals, speech included.
+    for (const OracleSignal& sig : OracleSignals(sr, 0.3)) {
+      const std::vector<float>& s = sig.clip.samples();
+      for (size_t start = 0; start + n <= s.size(); start += n / 3) {
+        ExpectPitchMatchesOracle({s.data() + start, n}, sr, sig.name);
+      }
+    }
+  }
+}
+
+// Equal impulses at p, p + a and p + a + b give three lags (a, b, a + b)
+// the same autocorrelation to the bit; the first of them must win.
+TEST(AudioOracleTest, PitchBreaksExactLagTiesLikeReference) {
+  util::Rng rng(23);
+  for (const auto& [sr, n] : PitchFrameShapes()) {
+    const int min_lag = sr / 500;
+    const int max_lag = sr / 60;
+    for (int t = 0; t < 40; ++t) {
+      const int a = rng.UniformInt(min_lag, max_lag);
+      const int b =
+          rng.UniformInt(min_lag, std::min(max_lag, static_cast<int>(n) - 1 - a));
+      const size_t p = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(n) - 1 - (a + b)));
+      const float amp = t % 2 == 0 ? 0.5f : -3.0f;
+      std::vector<float> frame(n, 0.0f);
+      frame[p] = amp;
+      frame[p + static_cast<size_t>(a)] = amp;
+      frame[p + static_cast<size_t>(a + b)] = amp;
+      const double want = ExpectPitchMatchesOracle(frame, sr, "three impulses");
+      EXPECT_EQ(want, static_cast<double>(sr) / std::min(a, b));
+      // A periodic train: lag P ties nothing but sits just above 2P.
+      const size_t period = static_cast<size_t>(a);
+      std::fill(frame.begin(), frame.end(), 0.0f);
+      for (size_t i = p % period; i < n; i += period) frame[i] = amp;
+      ExpectPitchMatchesOracle(frame, sr, "impulse train");
+    }
+  }
+}
+
+// Frames on both sides of the voicing gate, within a few ulps of it: two
+// impulses 1 and b at distance lag give r = b against 0.25 (1 + b^2),
+// which crosses at b = 2 - sqrt(3); with low noise added the crossing
+// moves, so it is found by bisection over the float b.
+TEST(AudioOracleTest, PitchAtTheVoicingGateIsBitIdenticalToReference) {
+  util::Rng rng(29);
+  for (const auto& [sr, n] : PitchFrameShapes()) {
+    const int lag = (sr / 500 + sr / 60) / 2;
+    for (const double noise : {0.0, 1e-6, 1e-3}) {
+      std::vector<float> base(n, 0.0f);
+      for (size_t i = 0; i < n; ++i) {
+        base[i] = static_cast<float>(noise * rng.Gaussian());
+      }
+      base[0] = 1.0f;
+      auto frame_with = [&](float b) {
+        std::vector<float> f = base;
+        f[static_cast<size_t>(lag)] = b;
+        return f;
+      };
+      auto voiced = [&](float b) {
+        return oracle::FramePitch(frame_with(b), sr) > 0.0;
+      };
+      float lo = 0.2f, hi = 0.35f;
+      ASSERT_FALSE(voiced(lo));
+      ASSERT_TRUE(voiced(hi));
+      while (std::nextafter(lo, hi) != hi) {
+        const float mid = std::bit_cast<float>(
+            (std::bit_cast<uint32_t>(lo) + std::bit_cast<uint32_t>(hi)) / 2);
+        (voiced(mid) ? hi : lo) = mid;
+      }
+      size_t on = 0;
+      float b = lo;
+      for (int k = 0; k < 8; ++k) b = std::nextafter(b, 0.0f);
+      for (int k = 0; k < 17; ++k, b = std::nextafter(b, 1.0f)) {
+        const std::vector<float> frame = frame_with(b);
+        on += ExpectPitchMatchesOracle(frame, sr, "gate") > 0.0;
+      }
+      EXPECT_GT(on, 0u);
+      EXPECT_LT(on, 17u);
+    }
+  }
+}
+
+// Quantisation extremes: one full-scale spike over noise that rounds to
+// zero, DC offsets whose lags all score close together, silence,
+// subnormal samples, and NaN and infinite samples (exact chains only).
+TEST(AudioOracleTest, PitchOfEdgeCaseFramesIsBitIdenticalToReference) {
+  util::Rng rng(31);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kSub = std::numeric_limits<float>::denorm_min();
+  for (const auto& [sr, n] : PitchFrameShapes()) {
+    auto noise = [&](double sigma) {
+      std::vector<float> f(n);
+      for (float& v : f) v = static_cast<float>(sigma * rng.Gaussian());
+      return f;
+    };
+    for (const double sigma : {1e-5, 1e-3, 0.05}) {
+      std::vector<float> f = noise(sigma);
+      const int last = static_cast<int>(n) - 1;
+      f[static_cast<size_t>(rng.UniformInt(0, last))] =
+          rng.Bernoulli(0.5) ? 1.0f : -1.0f;
+      ExpectPitchMatchesOracle(f, sr, "spike over noise");
+      f = noise(sigma);
+      for (size_t i = 0; i < n; ++i) {
+        f[i] += static_cast<float>(0.3 * std::sin(2.0 * M_PI * 150.0 * i / sr));
+      }
+      f[static_cast<size_t>(rng.UniformInt(0, last))] = 3.0e38f;
+      ExpectPitchMatchesOracle(f, sr, "huge spike over tone");
+    }
+    for (const float dc : {1e-3f, 0.5f, -0.75f, 1e30f}) {
+      for (const double sigma : {0.0, 1e-4, 1e-2}) {
+        std::vector<float> f = noise(sigma * std::fabs(dc));
+        for (float& v : f) v += dc;
+        ExpectPitchMatchesOracle(f, sr, "dc offset");
+        for (size_t i = 0; i < n; ++i) {
+          f[i] += static_cast<float>(
+              0.1 * dc * std::sin(2.0 * M_PI * 75.0 * i / sr));
+        }
+        ExpectPitchMatchesOracle(f, sr, "dc offset + tone");
+      }
+    }
+    ExpectPitchMatchesOracle(std::vector<float>(n, 0.0f), sr, "zeros");
+    ExpectPitchMatchesOracle(noise(1e-7), sr, "below the energy floor");
+    ExpectPitchMatchesOracle(noise(2e-6), sr, "just above the energy floor");
+    ExpectPitchMatchesOracle(std::vector<float>(n, kSub), sr, "subnormals");
+    {
+      std::vector<float> f = noise(0.2);
+      for (size_t i = 0; i < n; i += 3) f[i] = i % 2 == 0 ? kSub : -kSub;
+      ExpectPitchMatchesOracle(f, sr, "subnormals in noise");
+    }
+    for (const float bad : {kNan, kInf, -kInf}) {
+      for (const size_t at : {size_t{0}, n / 2, n - 1}) {
+        std::vector<float> f = noise(0.2);
+        f[at] = bad;
+        ExpectPitchMatchesOracle(f, sr, "non-finite sample");
+      }
+    }
+    {
+      std::vector<float> f = noise(0.2);
+      f[1] = kInf;
+      f[n / 2] = -kInf;
+      ExpectPitchMatchesOracle(f, sr, "+inf and -inf");
     }
   }
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -243,6 +245,87 @@ TEST(SalvageParseTest, MidStreamCorruptionResynchronisesOntoTrailer) {
   EXPECT_FALSE(report.audio_dropped);
   EXPECT_EQ(parsed->audio_pcm.size(), pristine.audio_pcm.size());
   EXPECT_NE(report.ToString(), "");
+}
+
+// Samples whose bits a float round trip through arithmetic could change:
+// NaNs with payloads (quiet, signalling, negative), -0, subnormals, +-inf,
+// the extremes, and random bit patterns.
+std::vector<float> AwkwardPcm() {
+  std::vector<uint32_t> bits = {
+      0x7fc00000u, 0x7fc00001u, 0x7fbfffffu, 0x7f800001u, 0xffc12345u,
+      0xff800001u, 0x80000000u, 0x00000000u, 0x00000001u, 0x807fffffu,
+      0x00400000u, 0x7f800000u, 0xff800000u, 0x7f7fffffu, 0x00800000u};
+  util::Rng rng(5);
+  for (int i = 0; i < 301; ++i) bits.push_back(static_cast<uint32_t>(rng.Next()));
+  std::vector<float> pcm;
+  for (const uint32_t b : bits) pcm.push_back(std::bit_cast<float>(b));
+  return pcm;
+}
+
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got[i]), std::bit_cast<uint32_t>(want[i]))
+        << what << " sample " << i;
+  }
+}
+
+TEST(AudioSectionTest, PcmRoundTripsEveryBitPattern) {
+  const codec::CmvFile pristine = *codec::CmvFile::Parse(EncodedFixture());
+  codec::CmvFile file = pristine;
+  file.audio_pcm = AwkwardPcm();
+  const std::vector<uint8_t> bytes = file.Serialize();
+  const util::StatusOr<codec::CmvFile> strict = codec::CmvFile::Parse(bytes);
+  ASSERT_TRUE(strict.ok()) << strict.status().message();
+  ExpectSameBits(strict->audio_pcm, file.audio_pcm, "strict parse");
+  util::SalvageReport report;
+  const util::StatusOr<codec::CmvFile> salvaged =
+      codec::CmvFile::ParseBestEffort(bytes, &report);
+  ASSERT_TRUE(salvaged.ok());
+  ExpectSameBits(salvaged->audio_pcm, file.audio_pcm, "best-effort parse");
+  // A tear in record 3 makes the salvage scan resynchronise onto the
+  // trailer, which decodes the samples on its own path.
+  std::vector<uint8_t> torn = bytes;
+  torn[FrameRecordOffset(file, 3)] = 0xFF;
+  const util::StatusOr<codec::CmvFile> resynced =
+      codec::CmvFile::ParseBestEffort(torn, &report);
+  ASSERT_TRUE(resynced.ok());
+  EXPECT_EQ(report.resync_points, 1);
+  ExpectSameBits(resynced->audio_pcm, file.audio_pcm, "trailer resync");
+}
+
+// A PCM run cut short, and a sample count larger than the bytes left, fail
+// the strict parse naming the audio section; the best-effort parse drops
+// the track with the same message.
+TEST(AudioSectionTest, ShortOrOversizedPcmIsCorruption) {
+  const codec::CmvFile file = *codec::CmvFile::Parse(EncodedFixture());
+  const std::vector<uint8_t> bytes = file.Serialize();
+  const size_t audio = FrameRecordOffset(file, file.frames.size());
+  std::vector<uint8_t> cut(bytes.begin(),
+                           bytes.begin() + static_cast<ptrdiff_t>(audio + 8 + 401));
+  std::vector<uint8_t> oversized = bytes;
+  const uint32_t count = static_cast<uint32_t>(file.audio_pcm.size()) + 1000;
+  for (int i = 0; i < 4; ++i) {
+    oversized[audio + 4 + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(count >> (8 * i));
+  }
+  for (const std::vector<uint8_t>* damaged : {&cut, &oversized}) {
+    const util::StatusOr<codec::CmvFile> strict =
+        codec::CmvFile::Parse(*damaged);
+    ASSERT_FALSE(strict.ok());
+    EXPECT_NE(strict.status().message().find(
+                  "audio sample count exceeds container (section 'audio'"),
+              std::string::npos)
+        << strict.status().message();
+    util::SalvageReport report;
+    const util::StatusOr<codec::CmvFile> salvaged =
+        codec::CmvFile::ParseBestEffort(*damaged, &report);
+    ASSERT_TRUE(salvaged.ok());
+    EXPECT_TRUE(report.audio_dropped);
+    EXPECT_TRUE(salvaged->audio_pcm.empty());
+    EXPECT_EQ(salvaged->frame_count(), file.frame_count());
+  }
 }
 
 TEST(SalvageParseTest, MidStreamTearResynchronisesOntoNextIFrame) {

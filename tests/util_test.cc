@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,6 +84,83 @@ TEST(MathTest, FastEntropyThresholdSeparatesBimodal) {
 TEST(MathTest, FastEntropyThresholdConstantInput) {
   const std::vector<double> v{0.5, 0.5, 0.5};
   EXPECT_DOUBLE_EQ(FastEntropyThreshold(v), 0.5);
+}
+
+// The entropy threshold as it was before the per-call p*log(p) table:
+// every split scored, one std::log per non-empty bucket per split.
+double ReferenceEntropyThreshold(std::span<const double> values, int bins) {
+  if (values.empty()) return 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (double v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  if (hi <= lo) return lo;
+  if (bins < 2) bins = 2;
+
+  std::vector<double> hist(static_cast<size_t>(bins), 0.0);
+  const double width = (hi - lo) / bins;
+  for (double v : values) {
+    int b = static_cast<int>((v - lo) / width);
+    b = std::min(b, bins - 1);
+    hist[static_cast<size_t>(b)] += 1.0;
+  }
+
+  const double total = static_cast<double>(values.size());
+  double best_score = -1.0;
+  int best_split = bins / 2;
+  for (int s = 0; s < bins - 1; ++s) {
+    double mass_a = 0.0, mass_b = 0.0;
+    for (int i = 0; i <= s; ++i) mass_a += hist[static_cast<size_t>(i)];
+    mass_b = total - mass_a;
+    if (mass_a <= 0.0 || mass_b <= 0.0) continue;
+    double ha = 0.0, hb = 0.0;
+    for (int i = 0; i <= s; ++i) {
+      const double c = hist[static_cast<size_t>(i)];
+      if (c > 0.0) {
+        const double p = c / mass_a;
+        ha -= p * std::log(p);
+      }
+    }
+    for (int i = s + 1; i < bins; ++i) {
+      const double c = hist[static_cast<size_t>(i)];
+      if (c > 0.0) {
+        const double p = c / mass_b;
+        hb -= p * std::log(p);
+      }
+    }
+    const double score = ha + hb;
+    if (score > best_score) {
+      best_score = score;
+      best_split = s;
+    }
+  }
+  return lo + width * (best_split + 1);
+}
+
+// Random windows of 1-64 values drawn from a few distinct levels (many
+// duplicates, so buckets hold large counts and many buckets stay empty),
+// plus windows of continuous values; bit-identical at 2, 16 and 64 bins.
+TEST(MathTest, FastEntropyThresholdMatchesReferenceBitForBit) {
+  Rng rng(41);
+  for (int t = 0; t < 3000; ++t) {
+    const int n = rng.UniformInt(1, 64);
+    const int levels = rng.UniformInt(1, 12);
+    const double scale = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+    std::vector<double> window(static_cast<size_t>(n));
+    for (double& v : window) {
+      v = t % 4 == 3 ? scale * rng.Uniform()
+                     : scale * rng.UniformInt(0, levels - 1) / levels;
+    }
+    for (const int bins : {2, 16, 64}) {
+      const double want = ReferenceEntropyThreshold(window, bins);
+      const double got = FastEntropyThreshold(window, bins);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "window " << t << " of " << n << " values, " << bins
+          << " bins: " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(MathTest, PercentileNearestRank) {
