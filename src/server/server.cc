@@ -4,7 +4,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_set>
@@ -12,6 +14,7 @@
 
 #include "index/access_control.h"
 #include "server/wire.h"
+#include "util/exec_context.h"
 #include "util/failpoint.h"
 
 namespace classminer::server {
@@ -30,8 +33,8 @@ util::StatusOr<int> ParseIntArg(const std::string& text,
   return static_cast<int>(value);
 }
 
-// Steady-clock milliseconds for idle-timeout bookkeeping: monotonic, cheap
-// to stamp from the reactor and cheap to compare from the monitor thread.
+// Steady-clock milliseconds for idle-timeout bookkeeping: monotonic and
+// cheap to stamp on every read and write.
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -97,9 +100,6 @@ struct ClassMinerServer::ConnShared {
   // cannot post past it.
   size_t transit_bytes = 0;
   bool dead = false;        // connection closed; stop waiting, drop output
-  // Last wire activity (NowMs), stamped by the reactor on accept, read and
-  // write progress; read by the deadline monitor's idle reaper.
-  std::atomic<int64_t> last_activity_ms{0};
 };
 
 // Reactor-owned per-session state machine.
@@ -143,6 +143,8 @@ struct ClassMinerServer::Connection {
   std::unordered_set<uint32_t> live_ids;
   // Inline protocol-error answers charged against max_session_errors.
   int inline_errors = 0;
+  // Last wire activity (NowMs): accept, read and write progress.
+  int64_t last_activity_ms = 0;
 
   explicit Connection(size_t max_frame)
       : assembler(kRequestMagicV2, max_frame) {}
@@ -156,6 +158,7 @@ struct ClassMinerServer::TaskCtx {
   index::UserCredential user;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline;
+  util::CancellationToken cancel;  // the reactor fires it at the deadline
   std::string lead_key;  // non-empty: this run leads a single-flight entry
   std::string idem_key;  // non-empty: this run leads an idempotency record
   bool owns_id = false;  // final response releases the session's live id
@@ -317,7 +320,6 @@ util::Status ClassMinerServer::Start() {
     scrubber_ = std::make_unique<IntegrityScrubber>(std::move(scrub));
     scrubber_->Start();
   }
-  deadline_thread_ = std::thread([this] { DeadlineLoop(); });
   reactor_thread_ = std::thread([this] { ReactorLoop(); });
   return util::Status::Ok();
 }
@@ -337,11 +339,6 @@ void ClassMinerServer::Stop() {
     CloseFd(listen_fd_);
     listen_fd_ = -1;
   }
-  {
-    std::lock_guard<std::mutex> lock(deadline_mutex_);
-    deadline_cv_.notify_all();
-  }
-  if (deadline_thread_.joinable()) deadline_thread_.join();
   // Workers may still be finishing ops for sessions that died; they post
   // events nobody reads and Wake() a pipe that is still open. Only after
   // the pool drains is it safe to tear the pipe down.
@@ -454,11 +451,27 @@ void ClassMinerServer::ReactorLoop() {
   std::vector<Poller::Ready> ready;
   for (;;) {
     if (stopping_.load(std::memory_order_acquire) && !draining_) BeginDrain();
-    if (draining_ && conns_.empty()) break;
+    // An unfired deadline keeps the loop alive through a drain, so a run
+    // whose session has gone is still cancelled on time.
+    if (draining_ && conns_.empty() && deadlines_.empty()) break;
     // Finite heartbeat: a dropped wake-pipe byte (chaos, or a full pipe
-    // racing teardown) delays event pickup by at most one beat.
-    if (!poller_->Wait(&ready, 100).ok()) {
+    // racing teardown) delays event pickup by at most one beat, and idle
+    // sessions are reaped on the same beat. The earliest deadline cuts the
+    // wait short, rounded up so that it has fallen due when the wait ends.
+    int timeout_ms = 100;
+    if (!deadlines_.empty()) {
+      const auto until = std::chrono::ceil<std::chrono::milliseconds>(
+          deadlines_.begin()->first - std::chrono::steady_clock::now());
+      timeout_ms = static_cast<int>(
+          std::clamp<int64_t>(until.count(), 0, timeout_ms));
+    }
+    if (!poller_->Wait(&ready, timeout_ms).ok()) {
       break;  // unrecoverable multiplexer loss
+    }
+    const auto now = std::chrono::steady_clock::now();
+    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+      deadlines_.begin()->second->cancel.Cancel();  // -> kDeadlineExceeded
+      deadlines_.erase(deadlines_.begin());
     }
     for (const Poller::Ready& r : ready) {
       if (r.tag == 1 && r.readable) {
@@ -493,10 +506,27 @@ void ClassMinerServer::ReactorLoop() {
       if (r.writable) FlushConn(conn);
     }
     ProcessEvents();
-    // Close sessions that have said everything they are going to say.
+    // Close sessions that have said everything they are going to say, and,
+    // unless draining, sessions with nothing owed and no wire activity for
+    // the idle timeout (a slow-loris peer parked on half a frame header
+    // would otherwise hold its connection forever).
+    const bool reap = options_.idle_timeout_ms > 0 && !draining_;
+    const int64_t now_ms = NowMs();
     std::vector<uint64_t> done;
+    uint64_t idle = 0;
     for (const auto& [id, conn] : conns_) {
-      if (conn->read_closed && ConnDrained(*conn)) done.push_back(id);
+      if (!ConnDrained(*conn)) continue;
+      if (conn->read_closed) {
+        done.push_back(id);
+      } else if (reap && now_ms - conn->last_activity_ms >=
+                             options_.idle_timeout_ms) {
+        done.push_back(id);
+        ++idle;
+      }
+    }
+    if (idle > 0) {
+      std::lock_guard<std::mutex> lock(stats_mutex_);
+      stats_.idle_closed += idle;
     }
     for (uint64_t id : done) CloseConnection(id);
   }
@@ -559,14 +589,10 @@ void ClassMinerServer::HandleAccept() {
     conn->id = id;
     conn->fd = *fd;
     conn->shared = std::make_shared<ConnShared>();
-    conn->shared->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
+    conn->last_activity_ms = NowMs();
     if (!poller_->Add(*fd, id, /*read=*/true, /*write=*/false).ok()) {
       CloseFd(*fd);
       continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(idle_mutex_);
-      idle_watch_.emplace(id, conn->shared);
     }
     conns_.emplace(id, std::move(conn));
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -600,7 +626,7 @@ void ClassMinerServer::HandleReadable(Connection* conn) {
       break;
     }
     if (*n == 0) break;  // would block; the poller re-arms us
-    conn->shared->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
+    conn->last_activity_ms = NowMs();
     const util::Status fed = conn->assembler.Feed(buf, *n);
     std::vector<uint8_t> frame;
     while (conn->assembler.PopFrame(&frame)) {
@@ -938,6 +964,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   ctx->owns_id = owns_id;
   ctx->shared = conn->shared;
   ctx->request = std::move(request);
+  if (ctx->has_deadline) deadlines_.emplace(ctx->deadline, ctx);
 
   ++conn->executing;
   pool_->Schedule([this, ctx] { WorkerRun(ctx); });
@@ -1053,7 +1080,7 @@ void ClassMinerServer::FlushConn(Connection* conn) {
       return;
     }
     if (*n == 0) break;  // socket buffer full; EPOLLOUT re-arms us
-    conn->shared->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
+    conn->last_activity_ms = NowMs();
     conn->write_offset += *n;
     conn->write_queue_bytes -= *n;
     if (conn->write_offset == front.size()) {
@@ -1093,10 +1120,6 @@ void ClassMinerServer::CloseConnection(uint64_t id) {
     conn->shared->dead = true;
   }
   conn->shared->cv.notify_all();  // release any op blocked on backpressure
-  {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    idle_watch_.erase(id);
-  }
   conns_.erase(it);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   --stats_.connections_active;
@@ -1109,6 +1132,15 @@ void ClassMinerServer::ProcessEvents() {
     batch.swap(events_);
   }
   for (WorkerEvent& event : batch) {
+    if (event.task != nullptr && event.task->has_deadline) {
+      // The run is over, whether or not its session survived: its deadline
+      // entry goes unless it already fired.
+      const auto range = deadlines_.equal_range(event.task->deadline);
+      const auto entry =
+          std::find_if(range.first, range.second,
+                       [&](const auto& e) { return e.second == event.task; });
+      if (entry != range.second) deadlines_.erase(entry);
+    }
     auto it = conns_.find(event.conn_id);
     if (it == conns_.end()) {
       // Session died; drop the output. A redispatch this request was
@@ -1155,25 +1187,6 @@ void ClassMinerServer::ProcessEvents() {
         TryDispatch(conn);
         break;
       }
-      case WorkerEvent::Kind::kCloseIdle: {
-        // Advisory from the deadline monitor; the reactor re-checks the
-        // authoritative per-connection state before acting, since work may
-        // have arrived between the scan and this event draining.
-        if (options_.idle_timeout_ms <= 0) break;
-        if (conn->executing > 0 || !conn->pending.empty() ||
-            !conn->write_queue.empty() || !conn->streaming.empty()) {
-          break;
-        }
-        const int64_t last =
-            conn->shared->last_activity_ms.load(std::memory_order_relaxed);
-        if (NowMs() - last < options_.idle_timeout_ms) break;
-        {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.idle_closed;
-        }
-        CloseConnection(event.conn_id);
-        break;
-      }
     }
   }
 }
@@ -1198,13 +1211,9 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         "deadline expired before execution"));
     CountOutcome(response);
   } else {
-    util::CancellationToken cancel;
-    std::shared_ptr<DeadlineEntry> watch;
-    if (ctx->has_deadline) watch = WatchDeadline(ctx->deadline, &cancel);
-
     OpEnv env;
     env.mining = options_.mining;
-    env.mining.cancel = &cancel;
+    env.mining.cancel = &ctx->cancel;
     env.media_dir = options_.media_dir;
     if (ctx->request.kind == RequestKind::kMine ||
         ctx->request.kind == RequestKind::kBrowse ||
@@ -1244,7 +1253,6 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
       };
     }
     response = ExecuteRequest(ctx->user, ctx->request, env, &streamed);
-    if (watch != nullptr) ReleaseDeadline(watch);
     if (response.code == util::StatusCode::kCancelled && ctx->has_deadline &&
         std::chrono::steady_clock::now() >= ctx->deadline) {
       // The cancellation was the deadline firing, not a client abort.
@@ -1292,6 +1300,7 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
   event.request_id = ctx->request.request_id;
   event.response = std::move(response);
   event.streamed_bytes = streamed;
+  event.task = ctx;
   PostEvent(std::move(event));
 }
 
@@ -1379,89 +1388,6 @@ Response ClassMinerServer::ExecuteRequest(const index::UserCredential& user,
   // Verify/repair carry their report even on a dirty outcome: the body is
   // the finding, the status says whether it was clean.
   return MakeResponse(result.status, std::move(result.report));
-}
-
-// ---------------------------------------------------------------------------
-// Deadline monitor (unchanged from the thread-per-connection daemon).
-
-std::shared_ptr<ClassMinerServer::DeadlineEntry>
-ClassMinerServer::WatchDeadline(std::chrono::steady_clock::time_point deadline,
-                                util::CancellationToken* cancel) {
-  auto entry = std::make_shared<DeadlineEntry>();
-  entry->deadline = deadline;
-  entry->cancel = cancel;
-  std::lock_guard<std::mutex> lock(deadline_mutex_);
-  deadlines_.push_back(entry);
-  deadline_cv_.notify_all();
-  return entry;
-}
-
-void ClassMinerServer::ReleaseDeadline(
-    const std::shared_ptr<DeadlineEntry>& entry) {
-  std::lock_guard<std::mutex> lock(deadline_mutex_);
-  entry->done = true;
-  for (auto it = deadlines_.begin(); it != deadlines_.end(); ++it) {
-    if (*it == entry) {
-      deadlines_.erase(it);
-      break;
-    }
-  }
-  deadline_cv_.notify_all();
-}
-
-void ClassMinerServer::DeadlineLoop() {
-  const bool idle_enabled = options_.idle_timeout_ms > 0;
-  std::unique_lock<std::mutex> lock(deadline_mutex_);
-  while (!stopping_.load(std::memory_order_acquire) || !deadlines_.empty()) {
-    auto next = std::chrono::steady_clock::time_point::max();
-    const auto now = std::chrono::steady_clock::now();
-    for (const std::shared_ptr<DeadlineEntry>& entry : deadlines_) {
-      if (entry->done) continue;
-      if (entry->deadline <= now) {
-        entry->cancel->Cancel();  // the run answers kDeadlineExceeded
-      } else if (entry->deadline < next) {
-        next = entry->deadline;
-      }
-    }
-    if (idle_enabled && !stopping_.load(std::memory_order_acquire)) {
-      // Idle reaper: flag sessions whose last byte (either direction) is
-      // older than the timeout. Only advisory — the reactor owns the
-      // connection and re-checks before closing, so a request that lands
-      // between scan and close survives. This also covers the slow-loris
-      // shape: a half-sent header keeps a connection forever otherwise.
-      std::vector<uint64_t> expired;
-      {
-        std::lock_guard<std::mutex> guard(idle_mutex_);
-        const int64_t now_ms = NowMs();
-        for (const auto& [id, shared] : idle_watch_) {
-          const int64_t last =
-              shared->last_activity_ms.load(std::memory_order_relaxed);
-          if (now_ms - last >= options_.idle_timeout_ms) {
-            expired.push_back(id);
-          }
-        }
-      }
-      for (uint64_t id : expired) {
-        WorkerEvent event;
-        event.kind = WorkerEvent::Kind::kCloseIdle;
-        event.conn_id = id;
-        PostEvent(std::move(event));
-      }
-    }
-    if (stopping_.load(std::memory_order_acquire) && deadlines_.empty()) {
-      break;
-    }
-    const auto heartbeat = now + std::chrono::milliseconds(100);
-    if (next == std::chrono::steady_clock::time_point::max()) {
-      deadline_cv_.wait_for(lock, std::chrono::milliseconds(100));
-    } else if (idle_enabled && heartbeat < next) {
-      // With the reaper on, cap the nap so idle scans keep their cadence
-      // even while a long deadline is pending.
-      deadline_cv_.wait_until(lock, heartbeat);
-    } else {
-      deadline_cv_.wait_until(lock, next);
-    }
-  }
 }
 
 }  // namespace classminer::server

@@ -4,10 +4,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,7 +21,6 @@
 #include "server/protocol.h"
 #include "server/result_cache.h"
 #include "server/scrubber.h"
-#include "util/exec_context.h"
 #include "util/status.h"
 #include "util/threadpool.h"
 
@@ -36,8 +35,9 @@ namespace classminer::server {
 // util::ThreadPool; workers never touch a socket — they hand responses (and
 // streamed report chunks) back to the reactor through an event queue. The
 // thread footprint is fixed regardless of connection count: reactor +
-// worker pool + deadline monitor, zero per-connection threads — thousands
-// of idle sessions cost file descriptors, not stacks.
+// worker pool, zero per-connection threads — thousands of idle sessions
+// cost file descriptors, not stacks. The reactor also owns time: it fires
+// request deadlines and reaps idle sessions between readiness waits.
 //
 // Every request carries a request_id tag (server/protocol.h); requests
 // pipeline up to max_pipeline deep per session, complete out of order, and
@@ -94,7 +94,7 @@ struct ServerOptions {
 
   // Per-connection idle timeout: a session with nothing in flight and no
   // wire activity (including a slow-loris peer parked on half a frame
-  // header) for this long is closed by the deadline-monitor thread.
+  // header) for this long is closed by the reactor.
   // 0 disables the reaper — idle sessions then cost a file descriptor
   // forever, exactly the pre-timeout daemon.
   int idle_timeout_ms = 0;
@@ -235,7 +235,6 @@ class ClassMinerServer {
       kChunk,       // a streamed report fragment (non-final), encoded
       kFinal,       // the op's response; body is the full report
       kRedispatch,  // single-flight leader failed; run this request anew
-      kCloseIdle,   // deadline monitor: conn_id exceeded the idle timeout
     };
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
@@ -246,13 +245,9 @@ class ClassMinerServer {
     Request request;            // kRedispatch
     bool owns_id = false;       // kFinal/kRedispatch: mirrors PendingRequest
     std::string idem_lead;      // kRedispatch: idempotency lead carried over
-  };
-
-  // One requests-with-deadline record the monitor thread watches.
-  struct DeadlineEntry {
-    std::chrono::steady_clock::time_point deadline;
-    util::CancellationToken* cancel = nullptr;
-    bool done = false;
+    // kFinal posted by WorkerRun: the run it ends, whose deadline entry
+    // the reactor drops. Null for cache and idempotency joiners.
+    std::shared_ptr<TaskCtx> task;
   };
 
   // Reactor side (all run on the reactor thread).
@@ -288,12 +283,6 @@ class ClassMinerServer {
   void Wake();
   void CountOutcome(const Response& response);
 
-  std::shared_ptr<DeadlineEntry> WatchDeadline(
-      std::chrono::steady_clock::time_point deadline,
-      util::CancellationToken* cancel);
-  void ReleaseDeadline(const std::shared_ptr<DeadlineEntry>& entry);
-  void DeadlineLoop();
-
   ServerOptions options_;
   index::ConceptHierarchy concepts_;
   ResultCache cache_;
@@ -310,25 +299,19 @@ class ClassMinerServer {
   std::atomic<int> queued_{0};  // admitted but not yet executing
   std::atomic<int> busy_workers_{0};  // requests currently executing
 
-  // Deadline-thread view of per-connection activity for the idle reaper:
-  // conn id -> shared slice holding the last-activity stamp. Reactor
-  // inserts on accept, erases on close; the monitor only reads stamps and
-  // posts kCloseIdle events — the reactor re-checks before closing.
-  std::mutex idle_mutex_;
-  std::unordered_map<uint64_t, std::shared_ptr<ConnShared>> idle_watch_;
-
   // Reactor-thread-only session table (tag 0 = listener, 1 = wake pipe).
   uint64_t next_conn_id_ = 2;
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
   bool draining_ = false;  // Stop() observed; no more reads/accepts
+  // Reactor-thread-only: dispatched runs whose deadline has not fired,
+  // earliest first. An entry leaves when its token fires or its run's
+  // kFinal arrives, whichever comes first.
+  std::multimap<std::chrono::steady_clock::time_point,
+                std::shared_ptr<TaskCtx>>
+      deadlines_;
 
   std::mutex event_mutex_;
   std::deque<WorkerEvent> events_;
-
-  std::mutex deadline_mutex_;
-  std::condition_variable deadline_cv_;
-  std::vector<std::shared_ptr<DeadlineEntry>> deadlines_;
-  std::thread deadline_thread_;
 
   mutable std::mutex stats_mutex_;
   ServerStats stats_;

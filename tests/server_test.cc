@@ -750,6 +750,32 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
   EXPECT_GE(server_->StatsSnapshot().deadline_exceeded, 1u);
 }
 
+TEST_F(ServerTest, DeadlineFiringDuringExecutionCancelsTheRun) {
+  const std::string cmv = TestContainer("deadline_running.cmv", 19);
+
+  // A serial pixel-path mine of this container takes about 70 ms; an idle
+  // worker starts it at once, so the 20 ms deadline falls due mid-run and
+  // the pipeline stops at its next stage boundary.
+  ServerOptions options;
+  options.mining.thread_count = 1;
+  StartServer(std::move(options));
+
+  ClientOr client = Connect(MakeHello("hurried", 3));
+  ASSERT_TRUE(client.ok());
+  const uint64_t exceeded_before = server_->StatsSnapshot().deadline_exceeded;
+  util::StatusOr<std::string> report =
+      (*client)->CallForReport(RequestKind::kMine, {cmv}, /*deadline_ms=*/20);
+  EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(report.status().message(), "deadline of 20 ms exceeded");
+  EXPECT_GT(server_->StatsSnapshot().deadline_exceeded, exceeded_before);
+
+  // The cancelled run leaves the session usable.
+  util::StatusOr<std::string> skim =
+      (*client)->CallForReport(RequestKind::kSkim, {cmv});
+  ASSERT_TRUE(skim.ok()) << skim.status().ToString();
+  EXPECT_FALSE(skim->empty());
+}
+
 TEST_F(ServerTest, GracefulStopDrainsInFlightRequests) {
   const std::string cmv = TestContainer("drain.cmv", 13);
 
@@ -1079,10 +1105,6 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
 }
 
 TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
-  ServerOptions options;
-  options.max_connections = 1100;
-  StartServer(std::move(options));
-
   const auto thread_count = [] {
     std::ifstream status("/proc/self/status");
     std::string line;
@@ -1093,7 +1115,17 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
     }
     return -1;
   };
+
+  // With the scrubber off, the daemon's threads are its worker pool and
+  // the reactor, nothing else.
+  ServerOptions options;
+  options.max_connections = 1100;
+  const int workers = options.worker_threads;
+  const int threads_unstarted = thread_count();
+  StartServer(std::move(options));
   const int threads_before = thread_count();
+  ASSERT_GT(threads_unstarted, 0);
+  EXPECT_EQ(threads_before - threads_unstarted, workers + 1);
 
   constexpr int kIdle = 1024;
   std::vector<int> idle;
@@ -1322,7 +1354,7 @@ TEST_F(ServerTest, IdleTimeoutReapsSlowLorisButNotBusySessions) {
   started_promise.get_future().wait();
 
   // The slow loris: three bytes of a frame header, then silence. The
-  // deadline monitor must flag it and the reactor must close it.
+  // reactor must reap it once the idle timeout passes.
   util::StatusOr<int> loris = ConnectTo("127.0.0.1", server_->port());
   ASSERT_TRUE(loris.ok());
   const uint8_t partial[3] = {0x43, 0x4d, 0x51};
