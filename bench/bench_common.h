@@ -6,11 +6,14 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/classminer.h"
 #include "core/metrics.h"
 #include "synth/corpus.h"
+#include "util/threadpool.h"
 
 namespace classminer::bench {
 
@@ -28,25 +31,22 @@ inline std::vector<MinedVideo> MineCorpus(double scale = 1.0,
   opts.degraded = degraded;
   std::vector<synth::GeneratedVideo> generated =
       synth::GenerateMedicalCorpus(opts);
-  std::vector<core::MiningInput> inputs;
-  inputs.reserve(generated.size());
-  for (const synth::GeneratedVideo& g : generated) {
-    inputs.push_back({&g.video, &g.audio});
-  }
-  util::StatusOr<std::vector<core::MiningResult>> batch =
-      core::MineVideosParallel(inputs, core::MiningOptions());
-  if (!batch.ok()) {
-    std::fprintf(stderr, "corpus mining failed: %s\n",
-                 batch.status().ToString().c_str());
-    std::abort();
-  }
-  std::vector<core::MiningResult>& results = *batch;
-
+  // One pool for the whole corpus: each title mines in turn, fanning its
+  // stages and loops out across every thread.
+  util::ThreadPool pool(util::ThreadPool::DefaultThreads());
+  const core::MiningOptions options;
   std::vector<MinedVideo> mined;
-  for (size_t i = 0; i < generated.size(); ++i) {
+  for (synth::GeneratedVideo& g : generated) {
+    util::StatusOr<core::MiningResult> result =
+        core::MineVideo(g.video, g.audio, options, &pool);
+    if (!result.ok()) {
+      std::fprintf(stderr, "corpus mining failed: %s\n",
+                   result.status().ToString().c_str());
+      std::abort();
+    }
     MinedVideo mv;
-    mv.result = std::move(results[i]);
-    mv.input = std::move(generated[i]);
+    mv.result = std::move(*result);
+    mv.input = std::move(g);
     std::printf("  mined '%s': %zu shots, %d scenes\n",
                 mv.input.video.name().c_str(),
                 mv.result.structure.shots.size(),

@@ -1,7 +1,10 @@
 // Reproduces Figs. 9-10 (qualitative): visual cue extraction over the
-// corpus representative frames. Prints per-cue detection counts against
-// the scripted truth — special frames (black/slide/clip-art/sketch,
-// Fig. 9) and face / blood-red / skin regions (Fig. 10).
+// corpus representative frames. Prints detection counts against the
+// scripted truth for four rows: slide / clip-art frames (Fig. 9), and face,
+// skin close-up and blood-red regions (Fig. 10). The corpus renders no
+// sketch frame, so no sketch row is printed; sketch classification is
+// pinned by GeneratorTest.DiagramShotsRenderAsSketches (synth_test) and
+// by the special-frame tests in cues_test.
 
 #include <cstdio>
 

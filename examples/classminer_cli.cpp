@@ -16,7 +16,8 @@
 //
 // `generate` synthesises one of the five corpus titles (or the quickstart
 // clip when no title is given) and encodes it; every other command decodes
-// and mines a container on the fly.
+// and mines a container on the fly, on one pool per process of --threads
+// threads (hardware concurrency by default or where there is no flag).
 //
 // By default containers load through salvage parsing and mine under the
 // degraded failure policy, so a truncated or bit-flipped archive still
@@ -50,6 +51,7 @@
 #include "skim/summary.h"
 #include "synth/corpus.h"
 #include "util/failpoint.h"
+#include "util/threadpool.h"
 
 namespace {
 
@@ -86,14 +88,13 @@ bool ParseNumber(const std::string& text, T* out) {
   return ec == std::errc() && ptr == end;
 }
 
-// Loads and mines one container. The default is the resilient path —
-// salvage parsing plus the degraded failure policy — so damaged archives
-// still yield flagged results; `strict` restores all-or-nothing semantics.
-// `fast` mines through the compressed-domain pipeline.
-bool LoadAndMine(const std::string& path, codec::CmvFile* file,
-                 core::MiningResult* result,
-                 core::MiningOptions options = {}, bool strict = false,
-                 bool fast = false) {
+// Loads and mines one container on `ctx`. The default is the resilient
+// path — salvage parsing plus the degraded failure policy — so damaged
+// archives still yield flagged results; `strict` restores all-or-nothing
+// semantics.
+bool LoadAndMine(const std::string& path, const util::ExecutionContext& ctx,
+                 bool strict, codec::CmvFile* file,
+                 core::MiningResult* result) {
   util::SalvageReport salvage;
   util::StatusOr<codec::CmvFile> loaded =
       strict ? codec::CmvFile::LoadFromFile(path)
@@ -103,10 +104,10 @@ bool LoadAndMine(const std::string& path, codec::CmvFile* file,
                  loaded.status().ToString().c_str());
     return false;
   }
+  core::MiningOptions options;
   if (!strict) options.failure_policy = core::FailurePolicy::kDegraded;
   util::StatusOr<core::MiningResult> mined =
-      fast ? core::MineCmvFileFast(*loaded, options)
-           : core::MineCmvFile(*loaded, options);
+      core::MineCmvFile(*loaded, options, ctx);
   if (!mined.ok()) {
     std::fprintf(stderr, "%s: mining failed: %s\n", path.c_str(),
                  mined.status().ToString().c_str());
@@ -215,12 +216,12 @@ int CmdGenerate(const std::vector<std::string>& args) {
 
 int CmdMine(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
-  core::MiningOptions options;
+  int threads = util::ThreadPool::DefaultThreads();
   bool strict = false;
   bool fast = false;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
+      if (!ParseNumber(args[++i], &threads)) return Usage();
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--fast") {
@@ -229,8 +230,9 @@ int CmdMine(const std::vector<std::string>& args) {
       return Usage();
     }
   }
+  util::ThreadPool pool(threads);
   server::OpEnv env;
-  env.mining = options;
+  env.ctx = &pool;
   server::OpDiagnostics diag;
   return FinishOp(server::MineOp(args[0], fast, strict, env, &diag), diag);
 }
@@ -248,9 +250,10 @@ int CmdSearch(const std::vector<std::string>& args) {
     return Usage();
   }
 
+  util::ThreadPool pool(util::ThreadPool::DefaultThreads());
   codec::CmvFile file;
   core::MiningResult result;
-  if (!LoadAndMine(args[0], &file, &result)) return 1;
+  if (!LoadAndMine(args[0], &pool, /*strict=*/false, &file, &result)) return 1;
 
   int hits = 0;
   for (const events::EventRecord& rec : result.events) {
@@ -289,7 +292,9 @@ int CmdSkim(const std::vector<std::string>& args) {
   }
   if (level < 1 || level > skim::kSkimLevels) return Usage();
 
+  util::ThreadPool pool(util::ThreadPool::DefaultThreads());
   server::OpEnv env;
+  env.ctx = &pool;
   server::OpDiagnostics diag;
   codec::CmvFile file;
   core::MiningResult result;
@@ -352,7 +357,9 @@ int CmdBrowse(const std::vector<std::string>& args) {
   index::UserCredential user;
   user.name = "cli";
   user.clearance = clearance;
+  util::ThreadPool pool(util::ThreadPool::DefaultThreads());
   server::OpEnv env;
+  env.ctx = &pool;
   server::OpDiagnostics diag;
   return FinishOp(server::BrowseOp(paths, strict, user, env, &diag), diag);
 }
@@ -360,14 +367,14 @@ int CmdBrowse(const std::vector<std::string>& args) {
 int CmdIndex(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
   const std::string db_path = args[0];
-  core::MiningOptions options;
+  int threads = util::ThreadPool::DefaultThreads();
   bool strict = false;
   bool append = false;
   std::optional<int> shards;
   std::vector<std::string> paths;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
+      if (!ParseNumber(args[++i], &threads)) return Usage();
     } else if (args[i] == "--strict") {
       strict = true;
     } else if (args[i] == "--shards" && i + 1 < args.size()) {
@@ -382,11 +389,12 @@ int CmdIndex(const std::vector<std::string>& args) {
   }
   if (paths.empty()) return Usage();
 
+  util::ThreadPool pool(threads);
   index::VideoDatabase db;
   for (const std::string& path : paths) {
     codec::CmvFile file;
     core::MiningResult result;
-    if (!LoadAndMine(path, &file, &result, options, strict)) return 1;
+    if (!LoadAndMine(path, &pool, strict, &file, &result)) return 1;
     ReportDegradation(path, result);
     db.AddVideo(file.name, std::move(result.structure),
                 std::move(result.events), result.degraded);
@@ -446,20 +454,21 @@ int CmdVerify(const std::vector<std::string>& args) {
 int CmdRepair(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
   const std::string db_path = args[0];
-  core::MiningOptions options;
+  int threads = util::ThreadPool::DefaultThreads();
   std::string media_dir;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--media" && i + 1 < args.size()) {
       media_dir = args[++i];
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!ParseNumber(args[++i], &options.thread_count)) return Usage();
+      if (!ParseNumber(args[++i], &threads)) return Usage();
     } else {
       return Usage();
     }
   }
 
+  util::ThreadPool pool(threads);
   server::OpEnv env;
-  env.mining = options;
+  env.ctx = &pool;
   env.media_dir = media_dir;
   server::OpDiagnostics diag;
   const server::OpResult op = server::RepairOp(db_path, env, &diag);

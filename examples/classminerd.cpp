@@ -16,6 +16,10 @@
 // gracefully: the listener closes, in-flight requests drain and flush
 // their responses, and the final stats line goes to stderr.
 //
+// --threads sizes the worker pool (default 4), which is also the mining
+// pool: each request's mine fans its stages and loops out onto it, so the
+// daemon runs the reactor plus that many threads whatever the load.
+//
 // --scrub-db / --scrub-interval run the background integrity scrubber: a
 // low-priority thread that periodically verifies the named database and
 // schedules a repair when the audit finds rot (see DESIGN.md).

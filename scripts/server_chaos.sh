@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Server chaos smoke: classminerd with fault-injection sites armed on live
 # traffic — probabilistic torn/short/delayed/duplicated response frames plus
-# a deterministic accept-time connection reset every 7th session — driven by
+# a deterministic accept-time connection reset every 7th session, plus lost
+# wake-ups (worker events then wait for the reactor's heartbeat) — driven by
 # 8 concurrent reconnecting clients. The clients' final reports must be
 # byte-identical to a fault-free CLI run: every torn send forces a redial
 # and an idempotent resume, and the replayed outcome must carry the same
@@ -84,13 +85,15 @@ cat "$WORK/expected.txt" "$WORK/expected.txt" "$WORK/expected.txt" \
 echo "== server chaos: daemon with fault injection armed =="
 # Every 10th response-path send tears the frame and hangs up; sends can
 # also shorten, stall, or duplicate probabilistically, and every 7th
-# accepted connection is reset before the hello. The torn/reset faults
+# accepted connection is reset before the hello. A fifth of the wake-pipe
+# bytes are dropped, so those responses ride the reactor's 100 ms
+# heartbeat instead of a prompt wake-up. The torn/reset faults
 # kill real sessions mid-call, so the clients below must redial and resume
 # through their idempotency keys — the deterministic every:N specs
 # guarantee the faults actually fire.
 start_daemon --port 0 --threads 4 --queue 16 \
   --idle-timeout 5000 --max-errors 8 \
-  --chaos "server.wire.send.torn=every:10,server.wire.send.short=p:0.05:11,server.wire.send.delay=p:0.05:13,server.wire.frame.dup=p:0.08:5,server.accept.reset=every:7"
+  --chaos "server.wire.send.torn=every:10,server.wire.send.short=p:0.05:11,server.wire.send.delay=p:0.05:13,server.wire.frame.dup=p:0.08:5,server.accept.reset=every:7,server.wake.drop=p:0.2:17"
 
 echo "== server chaos: $CLIENTS reconnecting clients, byte-identity =="
 PIDS=()

@@ -4,7 +4,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/pipeline_dag.h"
@@ -231,123 +230,48 @@ util::Status MineWithHead(const std::string& head_last,
   return status;
 }
 
+DeclareHead PixelHead(const media::Video& video, const MiningOptions& options,
+                      MiningResult* result) {
+  return [&video, &options, result](
+             const util::ExecutionContext& run_ctx,
+             std::vector<const media::Image*>* rep_images, StageDag* dag) {
+    return dag->Add(
+        "shot", {},
+        [&video, &options, &run_ctx, result,
+         rep_images](util::StageMetrics* row) {
+          result->structure.shots = shot::DetectShots(
+              video, options.shot, &result->shot_trace, run_ctx);
+          *rep_images =
+              shot::RepresentativeImages(video, result->structure.shots);
+          row->items = video.frame_count();
+        });
+  };
+}
+
 }  // namespace internal
 
-util::Status MineVideoInto(const media::Video& video,
-                           const audio::AudioBuffer& audio,
-                           const MiningOptions& options,
-                           const ExecutionContext& ctx,
-                           MiningResult* result) {
-  // The pixel head: shots from decoded-frame differences, each shot's
-  // representative image its frame in `video`.
-  const internal::DeclareHead head =
-      [&video, &options, result](const util::ExecutionContext& run_ctx,
-                                 std::vector<const media::Image*>* rep_images,
-                                 StageDag* dag) {
-        return dag->Add(
-            "shot", {},
-            [&video, &options, &run_ctx, result,
-             rep_images](util::StageMetrics* row) {
-              result->structure.shots = shot::DetectShots(
-                  video, options.shot, &result->shot_trace, run_ctx);
-              *rep_images =
-                  shot::RepresentativeImages(video, result->structure.shots);
-              row->items = video.frame_count();
-            });
-      };
-  return internal::MineWithHead("shot", head, audio, video.fps(), options,
-                                ctx, result);
+util::StatusOr<MiningResult> MineVideo(const media::Video& video,
+                                       const audio::AudioBuffer& audio,
+                                       const MiningOptions& options,
+                                       const ExecutionContext& ctx) {
+  MiningResult result;
+  CLASSMINER_RETURN_IF_ERROR(internal::MineWithHead(
+      "shot", internal::PixelHead(video, options, &result), audio,
+      video.fps(), options, ctx, &result));
+  return result;
 }
 
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio,
                                        const MiningOptions& options) {
-  MiningResult result;
   const std::unique_ptr<util::ThreadPool> pool =
       internal::MakePipelinePool(options.thread_count);
-  util::StatusSink sink;
-  const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
-                                   &sink);
-  CLASSMINER_RETURN_IF_ERROR(
-      MineVideoInto(video, audio, options, ctx, &result));
-  return result;
+  return MineVideo(video, audio, options, ExecutionContext(pool.get()));
 }
 
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio) {
   return MineVideo(video, audio, MiningOptions());
-}
-
-util::Status BatchMiningResult::FirstError() const {
-  for (const util::Status& status : statuses) {
-    CLASSMINER_RETURN_IF_ERROR(status);
-  }
-  return util::Status::Ok();
-}
-
-int BatchMiningResult::FailedCount() const {
-  int failed = 0;
-  for (const util::Status& status : statuses) {
-    if (!status.ok()) ++failed;
-  }
-  return failed;
-}
-
-int BatchMiningResult::DegradedCount() const {
-  int degraded = 0;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (statuses[i].ok() && results[i].degraded) ++degraded;
-  }
-  return degraded;
-}
-
-util::SalvageReport BatchMiningResult::SalvageTotals() const {
-  util::SalvageReport total;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (statuses[i].ok()) total.Merge(results[i].salvage);
-  }
-  return total;
-}
-
-BatchMiningResult MineVideosParallelWithStatus(
-    const std::vector<MiningInput>& inputs, const MiningOptions& options,
-    int threads) {
-  BatchMiningResult batch;
-  batch.results.resize(inputs.size());
-  batch.statuses.resize(inputs.size());
-  util::ThreadPool pool(threads > 0 ? threads
-                                    : util::ThreadPool::DefaultThreads());
-  // Video x stage scheduling: the caller and pool helpers claim videos, and
-  // each video's DAG fans its stages and loops back onto the same pool. A
-  // video's thread claims only that video's stages and chunks, so this
-  // nesting cannot deadlock and never runs another video's work while it
-  // waits; idle workers pick up helper tasks of whichever video queued
-  // them. No video is clamped to one thread. Results stay deterministic
-  // because each video's DAG and loops are deterministic in isolation and
-  // videos share no mutable state.
-  util::ParallelFor(&pool, static_cast<int>(inputs.size()), [&](int i) {
-    const MiningInput& input = inputs[static_cast<size_t>(i)];
-    if (input.video == nullptr || input.audio == nullptr) {
-      batch.statuses[static_cast<size_t>(i)] = util::Status::InvalidArgument(
-          "batch input " + std::to_string(i) + " has a null video or audio");
-      return;
-    }
-    util::StatusSink sink;
-    const util::ExecutionContext ctx(&pool, nullptr, options.cancel, &sink);
-    batch.statuses[static_cast<size_t>(i)] =
-        MineVideoInto(*input.video, *input.audio, options, ctx,
-                      &batch.results[static_cast<size_t>(i)]);
-  });
-  return batch;
-}
-
-util::StatusOr<std::vector<MiningResult>> MineVideosParallel(
-    const std::vector<MiningInput>& inputs, const MiningOptions& options,
-    int threads) {
-  BatchMiningResult batch =
-      MineVideosParallelWithStatus(inputs, options, threads);
-  CLASSMINER_RETURN_IF_ERROR(batch.FirstError());
-  return std::move(batch.results);
 }
 
 }  // namespace classminer::core

@@ -53,17 +53,14 @@ struct MiningOptions {
   structure::StructureOptions structure{};
   cues::CueExtractorOptions cues{};
   events::EventMinerOptions events{};
-  // Threads for the shared pipeline pool (stage DAG + intra-stage hot
-  // paths: feature extraction, the scene similarity matrix / PCS
-  // clustering, per-shot audio and cue analysis). Parallel runs are
-  // bit-identical to thread_count = 1: all loops use fixed per-index
+  // Size of the pool the `(..., options)` entry points build for one mine
+  // (stage DAG + intra-stage hot paths: feature extraction, the scene
+  // similarity matrix / PCS clustering, per-shot audio and cue analysis).
+  // The context forms ignore it and run on the caller's pool. Parallel
+  // runs are bit-identical to a serial one: all loops use fixed per-index
   // partitioning and serial reductions, and stage dependencies mirror the
   // true data flow. <= 1 runs serially.
   int thread_count = util::ThreadPool::DefaultThreads();
-  // Optional cooperative cancellation, checked at stage boundaries, at the
-  // head of parallel loops and inside the codec decode loops; a cancelled
-  // run returns kCancelled. Borrowed, may be null, must outlive the call.
-  util::CancellationToken* cancel = nullptr;
   // What a failed optional stage does to the run (see FailurePolicy).
   FailurePolicy failure_policy = FailurePolicy::kStrict;
   // Mine only the content structure (paper Sec. 4), for callers that read
@@ -107,76 +104,31 @@ struct MiningResult {
 };
 
 // Runs shot detection, content-structure mining, visual/audio cue
-// extraction and event mining end to end. `audio` may be empty (event rules
-// then see every shot as speech-free). Fails with kCancelled when
-// options.cancel fires, or kInternal when a stage throws (including an
-// exception a stage's parallel loop rethrows on it) — a partial result is
-// never returned as OK.
+// extraction and event mining end to end on `ctx`: every stage and loop
+// runs on its pool (null = serial), which other mines may share; its
+// cancellation token is checked at stage boundaries, at the head of
+// parallel loops and inside the codec decode loops; failures land in its
+// status sink when it has one. Metrics land in the result, not in the
+// context's registry. `audio` may be empty (event rules then see every
+// shot as speech-free). Fails with kCancelled when the token fires, or
+// kInternal when a stage throws (including an exception a stage's parallel
+// loop rethrows on it) — a partial result is never returned as OK.
+util::StatusOr<MiningResult> MineVideo(const media::Video& video,
+                                       const audio::AudioBuffer& audio,
+                                       const MiningOptions& options,
+                                       const ExecutionContext& ctx);
+// The same mine on a pool of options.thread_count built for this call.
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio,
                                        const MiningOptions& options);
 util::StatusOr<MiningResult> MineVideo(const media::Video& video,
                                        const audio::AudioBuffer& audio);
 
-// Core entry point: mines one video into *result on an externally-owned
-// context. The context's pool (possibly shared with other videos), its
-// cancellation token and its status sink are honoured;
-// options.thread_count is ignored in favour of the context's pool. Metrics
-// land in result->metrics. This is what the batch scheduler calls once per
-// video from inside a pool task.
-util::Status MineVideoInto(const media::Video& video,
-                           const audio::AudioBuffer& audio,
-                           const MiningOptions& options,
-                           const ExecutionContext& ctx, MiningResult* result);
-
-// A (video, audio) pair for batch ingest.
-struct MiningInput {
-  const media::Video* video = nullptr;
-  const audio::AudioBuffer* audio = nullptr;
-};
-
-// Batch mining outcome with per-video resolution: `results` and `statuses`
-// are both aligned with the inputs, so partial-batch consumers can keep the
-// videos that mined cleanly and see exactly which ones failed (and why)
-// instead of only the first error. A result slot whose status is non-OK is
-// default-constructed and must not be trusted.
-struct BatchMiningResult {
-  std::vector<MiningResult> results;
-  std::vector<util::Status> statuses;
-
-  // First non-OK status in input order (OK when every video succeeded).
-  util::Status FirstError() const;
-  // Videos that failed outright (non-OK status).
-  int FailedCount() const;
-  // Videos that mined OK but degraded (optional stage lost or salvage).
-  int DegradedCount() const;
-  // Salvage reports of all OK results merged into one aggregate.
-  util::SalvageReport SalvageTotals() const;
-};
-
-// Mines several videos concurrently on one shared pool. Work is scheduled
-// at video x stage granularity: every video's stage DAG is spawned onto the
-// same pool, so a straggler video fans out across all threads instead of
-// pinning one (no interior serial clamp). Results are bit-identical to
-// serial mining and aligned with `inputs`. A null video/audio pointer fails
-// that slot with kInvalidArgument instead of crashing the batch.
-// `threads <= 0` uses the hardware concurrency.
-BatchMiningResult MineVideosParallelWithStatus(
-    const std::vector<MiningInput>& inputs, const MiningOptions& options,
-    int threads = 0);
-
-// First-error-wins wrapper over MineVideosParallelWithStatus: returns every
-// result only when every video mined cleanly, else the first per-video
-// failure in input order.
-util::StatusOr<std::vector<MiningResult>> MineVideosParallel(
-    const std::vector<MiningInput>& inputs, const MiningOptions& options,
-    int threads = 0);
-
 namespace internal {
 
-// The one pool a mining call shares across its stage DAG, every intra-stage
-// loop and (on the CMV paths) its decode; null for serial runs
-// (thread_count <= 1).
+// The pool an `(..., options)` entry point builds for its one mine, shared
+// across the stage DAG, every intra-stage loop and (on the CMV paths) the
+// decode; null for serial runs (thread_count <= 1).
 std::unique_ptr<util::ThreadPool> MakePipelinePool(int thread_count);
 
 // A mining path's front end ("head"): declares on `dag` the stages that
@@ -189,6 +141,12 @@ using DeclareHead = std::function<util::Status(
     const util::ExecutionContext& ctx,
     std::vector<const media::Image*>* rep_images, StageDag* dag)>;
 
+// The pixel path's head: one `shot` stage that finds the shots from
+// decoded-frame differences in `video`, each shot's representative image
+// its frame there. Writes the shots and the trace into *result.
+DeclareHead PixelHead(const media::Video& video, const MiningOptions& options,
+                      MiningResult* result);
+
 // Mines one video into *result on `ctx`: `head` declares the path's front
 // end, ending with the stage `head_last`, and the tail every path shares
 // (paper Fig. 3) follows it:
@@ -199,7 +157,7 @@ using DeclareHead = std::function<util::Status(
 //
 // A structure-only run declares the middle row alone. Audio analysis reads
 // `audio` at `fps`. Returns the run's status (see MineVideo); optional-stage
-// failures and salvage land on *result as for MineVideoInto.
+// failures and salvage land on *result.
 util::Status MineWithHead(const std::string& head_last,
                           const DeclareHead& head,
                           const audio::AudioBuffer& audio, double fps,

@@ -40,43 +40,45 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated) {
 }
 
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
-                                         const MiningOptions& options) {
-  // One pool per mine: the GOP-parallel decode and then every mining stage
-  // run on it.
-  const std::unique_ptr<util::ThreadPool> pool =
-      internal::MakePipelinePool(options.thread_count);
-  util::StatusSink sink;
-  const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
-                                   &sink);
+                                         const MiningOptions& options,
+                                         const util::ExecutionContext& ctx) {
+  // The GOP-parallel decode and then every mining stage run on ctx's pool,
+  // and report into one sink.
+  util::StatusSink local_sink;
+  const util::ExecutionContext run_ctx =
+      ctx.status_sink() != nullptr ? ctx : ctx.WithSink(&local_sink);
   MiningResult result;
   util::StatusOr<media::Video> video = [&] {
     // Decode leads the stage table so the CLI/bench see the whole cost.
-    util::StageTimer timer(&result.metrics, "decode", ctx.thread_count());
-    auto decoded = codec::DecodeVideo(file, ctx);
+    util::StageTimer timer(&result.metrics, "decode", run_ctx.thread_count());
+    auto decoded = codec::DecodeVideo(file, run_ctx);
     timer.set_items(file.frame_count());
     return decoded;
   }();
   if (!video.ok()) return video.status();
-  CLASSMINER_RETURN_IF_ERROR(
-      MineVideoInto(*video, AudioFromFile(file, options), options, ctx,
-                    &result));
+  CLASSMINER_RETURN_IF_ERROR(internal::MineWithHead(
+      "shot", internal::PixelHead(*video, options, &result),
+      AudioFromFile(file, options), video->fps(), options, run_ctx, &result));
   return result;
+}
+
+util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
+                                         const MiningOptions& options) {
+  const std::unique_ptr<util::ThreadPool> pool =
+      internal::MakePipelinePool(options.thread_count);
+  return MineCmvFile(file, options, util::ExecutionContext(pool.get()));
 }
 
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file) {
   return MineCmvFile(file, MiningOptions());
 }
 
-util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
-                                             const MiningOptions& options) {
+util::StatusOr<MiningResult> MineCmvFileFast(
+    const codec::CmvFile& file, const MiningOptions& options,
+    const util::ExecutionContext& ctx) {
   MiningResult result;
   const bool degraded_mode =
       options.failure_policy == FailurePolicy::kDegraded;
-  const std::unique_ptr<util::ThreadPool> pool =
-      internal::MakePipelinePool(options.thread_count);
-  util::StatusSink sink;
-  const util::ExecutionContext ctx(pool.get(), nullptr, options.cancel,
-                                   &sink);
 
   // The compressed-domain head: shot spans come from DC images (no pixel
   // decode). Once they exist, the frames the run needs are known — one
@@ -183,6 +185,13 @@ util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
   CLASSMINER_RETURN_IF_ERROR(internal::MineWithHead(
       "repframe", head, track, file.fps, options, ctx, &result));
   return result;
+}
+
+util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
+                                             const MiningOptions& options) {
+  const std::unique_ptr<util::ThreadPool> pool =
+      internal::MakePipelinePool(options.thread_count);
+  return MineCmvFileFast(file, options, util::ExecutionContext(pool.get()));
 }
 
 }  // namespace classminer::core

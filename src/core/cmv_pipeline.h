@@ -20,9 +20,13 @@ codec::CmvFile PackGeneratedVideo(const synth::GeneratedVideo& generated);
 
 // Decodes a CMV file and runs the full mining pipeline on it, using the
 // embedded audio track when present (a structure_only run reads no audio).
-// One pool of options.thread_count serves both: the GOP-parallel decode,
-// then every mining stage. The stage table leads with a `decode` row whose
-// `threads` is the pool size.
+// ctx's pool serves both: the GOP-parallel decode, then every mining stage
+// (see MineVideo for what the context carries). The stage table leads with
+// a `decode` row whose `threads` is the pool size.
+util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
+                                         const MiningOptions& options,
+                                         const util::ExecutionContext& ctx);
+// The same mine on a pool of options.thread_count built for this call.
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file,
                                          const MiningOptions& options);
 util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);
@@ -33,7 +37,12 @@ util::StatusOr<MiningResult> MineCmvFile(const codec::CmvFile& file);
 // up to its last needed frame, and repframe, cue and event mining read the
 // decoded images directly. In a degraded run a GOP that fails to decode
 // costs only the shots whose representative frame it holds (default
-// features and cues). Returns the same MiningResult shape.
+// features and cues). Returns the same MiningResult shape; runs on ctx as
+// MineCmvFile does.
+util::StatusOr<MiningResult> MineCmvFileFast(
+    const codec::CmvFile& file, const MiningOptions& options,
+    const util::ExecutionContext& ctx);
+// The same mine on a pool of options.thread_count built for this call.
 util::StatusOr<MiningResult> MineCmvFileFast(const codec::CmvFile& file,
                                              const MiningOptions& options);
 

@@ -13,11 +13,14 @@ namespace classminer::core {
 // `name` maps to the container `<media_dir>/<name>.cmv` (bare `<name>.cmv`
 // when media_dir is empty), which is loaded strictly — a damaged source
 // cannot seed a pristine entry — and re-mined through the compressed-domain
-// fast path. The failure policy is forced to kStrict and structure_only
-// off regardless of `options`, so a repaired entry is never itself
-// degraded and always carries its events.
+// fast path on `ctx` (its pool and cancellation token; borrowed, so its
+// owners must outlive the callback; the default mines serially). The
+// failure policy is forced to kStrict and structure_only off regardless of
+// `options`, so a repaired entry is never itself degraded and always
+// carries its events.
 index::RemineFn MakeCmvRemineFn(std::string media_dir,
-                                MiningOptions options = {});
+                                MiningOptions options = {},
+                                util::ExecutionContext ctx = {});
 
 }  // namespace classminer::core
 

@@ -135,8 +135,8 @@ util::Status LoadAndMine(const std::string& path, const OpEnv& env,
   if (!strict) options.failure_policy = core::FailurePolicy::kDegraded;
   options.structure_only = structure_only;
   util::StatusOr<core::MiningResult> mined =
-      fast ? core::MineCmvFileFast(*loaded, options)
-           : core::MineCmvFile(*loaded, options);
+      fast ? core::MineCmvFileFast(*loaded, options, env.ctx)
+           : core::MineCmvFile(*loaded, options, env.ctx);
   if (!mined.ok()) {
     return {mined.status().code(),
             path + ": mining failed: " + mined.status().message()};
@@ -202,8 +202,8 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
   // Shared (per-database) costs — index construction and browse-tree
   // assembly — land in one registry through the context.
   util::PipelineMetrics shared;
-  const util::ExecutionContext ctx(nullptr, &shared, env.mining.cancel,
-                                   nullptr);
+  const util::ExecutionContext ctx(nullptr, &shared,
+                                   env.ctx.cancellation());
   const index::HierarchicalIndex hier(&db, &concepts,
                                       index::HierarchicalIndex::Options(),
                                       ctx);
@@ -280,7 +280,8 @@ OpResult RepairOp(const std::string& db_path, const OpEnv& env,
   OpResult out;
   util::SalvageReport salvage;
   util::StatusOr<index::RepairReport> report = index::RepairDatabaseFile(
-      db_path, core::MakeCmvRemineFn(env.media_dir, env.mining), &salvage);
+      db_path, core::MakeCmvRemineFn(env.media_dir, env.mining, env.ctx),
+      &salvage);
   if (!report.ok()) {
     out.status = {report.status().code(),
                   db_path + ": " + report.status().message()};

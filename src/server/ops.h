@@ -10,6 +10,7 @@
 #include "codec/container.h"
 #include "core/classminer.h"
 #include "index/access_control.h"
+#include "util/exec_context.h"
 #include "util/status.h"
 
 namespace classminer::server {
@@ -65,9 +66,15 @@ class ReportStream {
 
 // Execution environment for one operation.
 struct OpEnv {
-  // Threads, cancellation, failure policy. Its structure_only is ignored:
-  // which stages to mine is each op's own choice (see SkimOp).
+  // Failure policy and the mining parameters. Its thread_count is not read
+  // (mines run on `ctx`), and its structure_only is ignored: which stages
+  // to mine is each op's own choice (see SkimOp).
   core::MiningOptions mining;
+  // Where every mine of the op runs: its pool (shared with whatever else
+  // the owner runs on it) and its cancellation token. The default mines
+  // serially and is never cancelled. The CLI hands every op one pool per
+  // process; the daemon hands each request the worker pool it runs on.
+  util::ExecutionContext ctx;
   std::string media_dir;       // where repair finds source containers
   // Optional streaming tap for the report-rendering ops (mine, browse,
   // skim). Null = accumulate only (CLI, verify/repair, cache fills).

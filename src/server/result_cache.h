@@ -29,10 +29,10 @@ namespace classminer::server {
 // asked for again and ages out of the LRU).
 
 // Canonical fingerprint of the MiningOptions fields that influence mined
-// *output*. Execution-shape knobs — thread_count, scheduling, cancel — are
-// deliberately excluded: mining is bit-identical across them
-// (core/classminer.h), so two requests differing only there must share a
-// cache entry. structure_only is excluded too: the ops set it themselves,
+// *output*. Execution shape — thread_count, and the pool and cancellation
+// token a run takes from its context — is deliberately excluded: mining is
+// bit-identical across it (core/classminer.h), so two requests differing
+// only there must share a cache entry. structure_only is excluded too: the ops set it themselves,
 // never from the server's options, and only where the report (the cached
 // bytes) does not depend on it (see server/ops.cc LoadAndMine).
 std::string CanonicalMiningFingerprint(const core::MiningOptions& options);

@@ -44,7 +44,8 @@ struct ScrubberOptions {
   // daemon-resident janitor that keeps them from accumulating. Shards with
   // nothing dead are skipped.
   bool compact_logs = false;
-  // Environment for the repair re-mine (mining options + media dir).
+  // Environment for the repair re-mine (mining options + media dir). Its
+  // context is where the re-mine runs; the daemon leaves it serial.
   OpEnv env;
 };
 

@@ -315,6 +315,8 @@ util::Status ClassMinerServer::Start() {
       return queued_.load(std::memory_order_acquire) > 0 ||
              busy_workers_.load(std::memory_order_acquire) > 0;
     };
+    // The scrubber re-mines serially on its own thread (the default
+    // context): it yields to traffic, so its work stays off the workers.
     scrub.env.mining = options_.mining;
     scrub.env.media_dir = options_.media_dir;
     scrubber_ = std::make_unique<IntegrityScrubber>(std::move(scrub));
@@ -1211,9 +1213,12 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
         "deadline expired before execution"));
     CountOutcome(response);
   } else {
+    // The worker pool is the mining pool: the op's loops and stages fan
+    // out onto the pool this task runs on. A waiting mine claims only its
+    // own chunks and stages, so it never runs another request's work.
     OpEnv env;
     env.mining = options_.mining;
-    env.mining.cancel = &ctx->cancel;
+    env.ctx = util::ExecutionContext(pool_.get(), nullptr, &ctx->cancel);
     env.media_dir = options_.media_dir;
     if (ctx->request.kind == RequestKind::kMine ||
         ctx->request.kind == RequestKind::kBrowse ||

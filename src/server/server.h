@@ -32,11 +32,13 @@ namespace classminer::server {
 // frames from partial reads on non-blocking fds (level-triggered epoll,
 // so the daemon builds on Linux only), and drains per-connection write
 // queues when sockets become writable. Operations execute on a shared
-// util::ThreadPool; workers never touch a socket — they hand responses (and
-// streamed report chunks) back to the reactor through an event queue. The
-// thread footprint is fixed regardless of connection count: reactor +
-// worker pool, zero per-connection threads — thousands of idle sessions
-// cost file descriptors, not stacks. The reactor also owns time: it fires
+// util::ThreadPool, which is also the mining pool: a mine fans its stages
+// and loops out onto the workers. Workers never touch a socket — they hand
+// responses (and streamed report chunks) back to the reactor through an
+// event queue. The thread footprint is fixed regardless of connection
+// count and of how many mines run at once: reactor + worker pool, zero
+// per-connection or per-request threads — thousands of idle sessions cost
+// file descriptors, not stacks. The reactor also owns time: it fires
 // request deadlines and reaps idle sessions between readiness waits.
 //
 // Every request carries a request_id tag (server/protocol.h); requests
@@ -70,7 +72,7 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 picks an ephemeral port; see ClassMinerServer::port()
   int backlog = 64;
-  int worker_threads = 4;      // execution pool size
+  int worker_threads = 4;      // execution and mining pool size
   int max_queue = 16;          // admission bound: requests queued, not running
   int max_connections = 1024;  // concurrent sessions (idle ones are cheap)
   size_t max_frame_bytes = kMaxFrameBytes;
@@ -123,8 +125,10 @@ struct ServerOptions {
   // (ScrubberOptions::compact_logs).
   bool scrub_compact = false;
 
-  // Base environment for every operation; the per-request cancellation
-  // token overrides `mining.cancel`.
+  // Base mining options for every operation. Its thread_count is not
+  // read: each request mines on the worker pool that runs it, so
+  // worker_threads sizes mining too, and the request's deadline token
+  // reaches the run through the op's context (OpEnv::ctx).
   core::MiningOptions mining;
   std::string media_dir;  // where repair finds source containers
 

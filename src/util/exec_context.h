@@ -58,9 +58,10 @@ class StatusSink {
 // status sink. It is a non-owning view — a bundle of borrowed pointers —
 // cheap to copy and valid only while its owners live:
 //
-//   * the ThreadPool is owned by the pipeline entry point (MineVideo) or by
-//     the batch scheduler (MineVideosParallel) and shared by every stage of
-//     every video scheduled on it;
+//   * the ThreadPool is owned by whoever mines: the process (the CLI's one
+//     pool, the daemon's worker pool, a bench's corpus pool) or, for the
+//     `(..., options)` entry points, the call itself; it is shared by every
+//     stage of every mine scheduled on it;
 //   * the PipelineMetrics registry is owned by the MiningResult (or by the
 //     CLI for database-side stages) it describes;
 //   * the CancellationToken is owned by the caller requesting cancellation;

@@ -11,10 +11,10 @@
 
 namespace classminer::util {
 
-// Minimal fixed-size thread pool. Used to mine independent videos in
-// parallel and, within one video, to run the per-stage hot loops (feature
-// extraction, scene-similarity matrices, per-shot audio analysis) and the
-// stage-DAG scheduler. Every parallel loop in the pipeline writes to
+// Minimal fixed-size thread pool. Runs the daemon's requests and, within
+// one mine, the per-stage hot loops (feature extraction, scene-similarity
+// matrices, per-shot audio analysis) and the stage-DAG scheduler; several
+// mines may share one pool. Every parallel loop in the pipeline writes to
 // pre-sized per-index slots and reduces serially, so results are
 // bit-identical to a serial run.
 //

@@ -13,6 +13,7 @@
 #include "index/persist.h"
 #include "media/draw.h"
 #include "media/ppm.h"
+#include "mined_output_crc.h"
 #include "shot/rep_frame.h"
 #include "skim/playback.h"
 #include "skim/skimmer.h"
@@ -265,63 +266,17 @@ TEST_F(CmvPipelineTest, StructureOnlyMatchesTheFullRunOnEveryEntryPoint) {
               (std::vector<std::string>{"shot", "decode", "repframe",
                                         "group", "scene", "cluster"}));
 
-    const std::vector<core::MiningInput> inputs(
-        2, core::MiningInput{&generated_->video, &generated_->audio});
-    const core::BatchMiningResult full_batch =
-        core::MineVideosParallelWithStatus(inputs, full_options, threads);
-    const core::BatchMiningResult lean_batch =
-        core::MineVideosParallelWithStatus(inputs, lean_options, threads);
-    ASSERT_TRUE(full_batch.FirstError().ok());
-    ASSERT_TRUE(lean_batch.FirstError().ok());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      ExpectStructureOnlyMatches(full_batch.results[i],
-                                 lean_batch.results[i]);
-      EXPECT_EQ(StageNames(lean_batch.results[i]),
-                (std::vector<std::string>{"shot", "group", "scene",
-                                          "cluster"}));
-    }
+    full = core::MineVideo(generated_->video, generated_->audio,
+                           full_options);
+    lean = core::MineVideo(generated_->video, generated_->audio,
+                           lean_options);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(lean.ok()) << lean.status().ToString();
+    ExpectStructureOnlyMatches(*full, *lean);
+    EXPECT_EQ(StageNames(*lean),
+              (std::vector<std::string>{"shot", "group", "scene",
+                                        "cluster"}));
   }
-}
-
-// Chains the bytes of one scalar field into a CRC. Structs are hashed
-// field by field so their padding never reaches the checksum.
-template <typename T>
-uint32_t CrcField(const T& value, uint32_t crc) {
-  return util::Crc32(reinterpret_cast<const uint8_t*>(&value), sizeof(T),
-                     crc);
-}
-
-// CRC-32 of everything a mine produces for the index and the event rules:
-// the stored entry (structure + events), then every shot's cues, then every
-// shot's audio analysis including its MFCC matrix.
-uint32_t MinedOutputCrc(const core::MiningResult& mined) {
-  index::VideoDatabase one;
-  one.AddVideo("v", mined.structure, mined.events, mined.degraded);
-  uint32_t crc = util::Crc32(index::SerializeDatabase(one));
-  for (const cues::FrameCues& c : mined.shot_cues) {
-    crc = CrcField(c.special, crc);
-    crc = CrcField(c.has_face, crc);
-    crc = CrcField(c.face_closeup, crc);
-    crc = CrcField(c.max_face_fraction, crc);
-    crc = CrcField(c.has_skin_region, crc);
-    crc = CrcField(c.skin_closeup, crc);
-    crc = CrcField(c.max_skin_fraction, crc);
-    crc = CrcField(c.has_blood, crc);
-    crc = CrcField(c.max_blood_fraction, crc);
-  }
-  for (const audio::ShotAudioAnalysis& a : mined.shot_audio) {
-    crc = CrcField(a.shot_index, crc);
-    crc = CrcField(a.analyzable, crc);
-    crc = CrcField(a.has_speech, crc);
-    crc = CrcField(a.speech_margin, crc);
-    crc = CrcField(a.rep_features, crc);
-    crc = CrcField(a.mfcc.rows(), crc);
-    crc = CrcField(a.mfcc.cols(), crc);
-    const std::vector<double>& data = a.mfcc.data();
-    crc = util::Crc32(reinterpret_cast<const uint8_t*>(data.data()),
-                      data.size() * sizeof(double), crc);
-  }
-  return crc;
 }
 
 // Golden checksums of the fixture clip's mined output on both CMV entry

@@ -7,10 +7,13 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/classminer.h"
+#include "core/cmv_pipeline.h"
 #include "core/pipeline_dag.h"
+#include "mined_output_crc.h"
 #include "synth/corpus.h"
 #include "util/threadpool.h"
 
@@ -229,74 +232,120 @@ TEST(ThreadPoolTest, WaitingStageDagCallerRunsNoForeignTask) {
   EXPECT_EQ(order[0], "a");
 }
 
-TEST(ParallelMiningTest, MatchesSerialResults) {
-  // Two small videos; parallel ingest must be bit-identical to serial.
-  const synth::GeneratedVideo a =
-      synth::GenerateVideo(synth::QuickScript(81));
-  const synth::GeneratedVideo b =
-      synth::GenerateVideo(synth::QuickScript(82));
-
-  const util::StatusOr<core::MiningResult> sa =
-      core::MineVideo(a.video, a.audio);
-  const util::StatusOr<core::MiningResult> sb =
-      core::MineVideo(b.video, b.audio);
-  ASSERT_TRUE(sa.ok());
-  ASSERT_TRUE(sb.ok());
-
-  const std::vector<core::MiningInput> inputs{{&a.video, &a.audio},
-                                              {&b.video, &b.audio}};
-  const util::StatusOr<std::vector<core::MiningResult>> batch =
-      core::MineVideosParallel(inputs, core::MiningOptions(), 2);
-  ASSERT_TRUE(batch.ok());
-  const std::vector<core::MiningResult>& parallel = *batch;
-  ASSERT_EQ(parallel.size(), 2u);
-
-  auto expect_same = [](const core::MiningResult& serial,
-                        const core::MiningResult& par) {
-    EXPECT_EQ(par.shot_trace.cuts, serial.shot_trace.cuts);
-    ASSERT_EQ(par.structure.shots.size(), serial.structure.shots.size());
-    EXPECT_EQ(par.structure.groups.size(), serial.structure.groups.size());
-    EXPECT_EQ(par.structure.scenes.size(), serial.structure.scenes.size());
-    ASSERT_EQ(par.events.size(), serial.events.size());
-    for (size_t i = 0; i < serial.events.size(); ++i) {
-      EXPECT_EQ(par.events[i].type, serial.events[i].type);
-    }
-  };
-  expect_same(*sa, parallel[0]);
-  expect_same(*sb, parallel[1]);
+// The quickstart clip at half the shots and a quarter of the pixels, so the
+// shared-pool test below stays quick under TSan.
+synth::VideoScript SmallScript(uint64_t seed) {
+  synth::VideoScript script = synth::QuickScript(seed);
+  script.width = 48;
+  script.height = 36;
+  for (synth::SceneScript& scene : script.scenes) {
+    scene.shots = (scene.shots + 1) / 2;
+  }
+  return script;
 }
 
-TEST(ParallelMiningTest, BatchStatusResolvesPerVideo) {
-  // One bad slot (null video) must not take down the batch: its status
-  // fails, the healthy slots still mine, and only the first-error-wins
-  // wrapper reports the aggregate failure.
-  const synth::GeneratedVideo good =
-      synth::GenerateVideo(synth::QuickScript(83));
-  const std::vector<core::MiningInput> inputs{
-      {&good.video, &good.audio},
-      {nullptr, &good.audio},
-      {&good.video, &good.audio}};
+// Four callers mine four different containers at once on one 4-thread pool,
+// on every mining path: each result is bit-identical to a serial mine of the
+// same container, and every stage row reports the shared pool's threads (a
+// mine sharing a pool is not clamped to one thread).
+TEST(SharedPoolMiningTest, ConcurrentCallersMatchSerialMines) {
+  constexpr size_t kCallers = 4;
+  constexpr int kThreads = 4;
+  std::vector<synth::GeneratedVideo> videos;
+  std::vector<codec::CmvFile> files;
+  for (size_t c = 0; c < kCallers; ++c) {
+    videos.push_back(synth::GenerateVideo(SmallScript(90 + c)));
+    files.push_back(core::PackGeneratedVideo(videos.back()));
+  }
+  const core::MiningOptions full;
+  core::MiningOptions lean;
+  lean.structure_only = true;
+  using Mine = std::function<util::StatusOr<core::MiningResult>(
+      size_t, const util::ExecutionContext&)>;
+  const std::vector<std::pair<std::string, Mine>> paths = {
+      {"pixel MineVideo",
+       [&](size_t c, const util::ExecutionContext& ctx) {
+         return core::MineVideo(videos[c].video, videos[c].audio, full, ctx);
+       }},
+      {"MineCmvFile",
+       [&](size_t c, const util::ExecutionContext& ctx) {
+         return core::MineCmvFile(files[c], full, ctx);
+       }},
+      {"MineCmvFileFast",
+       [&](size_t c, const util::ExecutionContext& ctx) {
+         return core::MineCmvFileFast(files[c], full, ctx);
+       }},
+      {"structure-only skim",
+       [&](size_t c, const util::ExecutionContext& ctx) {
+         return core::MineCmvFile(files[c], lean, ctx);
+       }},
+  };
 
-  const core::BatchMiningResult batch =
-      core::MineVideosParallelWithStatus(inputs, core::MiningOptions(), 2);
-  ASSERT_EQ(batch.results.size(), 3u);
-  ASSERT_EQ(batch.statuses.size(), 3u);
-  EXPECT_TRUE(batch.statuses[0].ok());
-  EXPECT_EQ(batch.statuses[1].code(), util::StatusCode::kInvalidArgument);
-  EXPECT_TRUE(batch.statuses[2].ok());
-  EXPECT_EQ(batch.FirstError().code(), util::StatusCode::kInvalidArgument);
+  util::ThreadPool pool(kThreads);
+  for (const auto& [name, mine] : paths) {
+    SCOPED_TRACE(name);
+    std::vector<uint32_t> serial;
+    for (size_t c = 0; c < kCallers; ++c) {
+      const util::StatusOr<core::MiningResult> mined =
+          mine(c, util::ExecutionContext());
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      serial.push_back(MinedOutputCrc(*mined));
+    }
+    // Distinct containers, so a mine that read another's state would show.
+    for (size_t c = 1; c < kCallers; ++c) {
+      EXPECT_NE(serial[c], serial[c - 1]) << "caller " << c;
+    }
 
-  // Healthy slots carry real results, bit-identical to a solo run.
-  const util::StatusOr<core::MiningResult> solo =
-      core::MineVideo(good.video, good.audio);
-  ASSERT_TRUE(solo.ok());
-  EXPECT_EQ(batch.results[0].shot_trace.cuts, solo->shot_trace.cuts);
-  EXPECT_EQ(batch.results[2].shot_trace.cuts, solo->shot_trace.cuts);
-  EXPECT_TRUE(batch.results[1].structure.shots.empty());
+    std::vector<util::StatusOr<core::MiningResult>> shared(
+        kCallers, util::Status::Internal("not mined"));
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] { shared[c] = mine(c, &pool); });
+    }
+    for (std::thread& caller : callers) caller.join();
 
-  // The wrapper refuses the whole batch on any per-video failure.
-  EXPECT_FALSE(
-      core::MineVideosParallel(inputs, core::MiningOptions(), 2).ok());
+    for (size_t c = 0; c < kCallers; ++c) {
+      SCOPED_TRACE("caller " + std::to_string(c));
+      ASSERT_TRUE(shared[c].ok()) << shared[c].status().ToString();
+      EXPECT_EQ(MinedOutputCrc(*shared[c]), serial[c]);
+      ASSERT_FALSE(shared[c]->metrics.stages.empty());
+      for (const util::StageMetrics& stage : shared[c]->metrics.stages) {
+        EXPECT_EQ(stage.threads, kThreads) << stage.name;
+      }
+    }
+  }
+}
+
+// Two full-size clips mined at once by two callers on one 2-thread pool
+// are bit-identical to serial mines of the same clips.
+TEST(ParallelMiningTest, MatchesSerialResults) {
+  const std::vector<synth::GeneratedVideo> videos = {
+      synth::GenerateVideo(synth::QuickScript(81)),
+      synth::GenerateVideo(synth::QuickScript(82))};
+  std::vector<uint32_t> serial;
+  for (const synth::GeneratedVideo& v : videos) {
+    const util::StatusOr<core::MiningResult> mined =
+        core::MineVideo(v.video, v.audio);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    serial.push_back(MinedOutputCrc(*mined));
+  }
+  EXPECT_NE(serial[0], serial[1]);
+
+  util::ThreadPool pool(2);
+  std::vector<util::StatusOr<core::MiningResult>> parallel(
+      videos.size(), util::Status::Internal("not mined"));
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < videos.size(); ++i) {
+    callers.emplace_back([&, i] {
+      parallel[i] = core::MineVideo(videos[i].video, videos[i].audio,
+                                    core::MiningOptions(), &pool);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t i = 0; i < videos.size(); ++i) {
+    ASSERT_TRUE(parallel[i].ok()) << parallel[i].status().ToString();
+    EXPECT_EQ(MinedOutputCrc(*parallel[i]), serial[i]) << "video " << i;
+  }
 }
 
 }  // namespace

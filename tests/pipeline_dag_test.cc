@@ -1,6 +1,6 @@
 // StageDag runtime contract: declaration-time validation, dependency
 // ordering under concurrent execution, cancellation and error propagation,
-// the batch scheduler's no-clamp guarantee, and bit-identical parallel
+// a shared pool's no-clamp guarantee, and bit-identical parallel
 // index construction.
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/classminer.h"
@@ -198,31 +199,34 @@ TEST(StageDagTest, PreCancelledMineVideoReturnsCancelled) {
   const synth::GeneratedVideo g = synth::GenerateVideo(synth::QuickScript(7));
   util::CancellationToken cancel;
   cancel.Cancel();
-  core::MiningOptions options;
-  options.cancel = &cancel;
   const util::StatusOr<core::MiningResult> mined =
-      core::MineVideo(g.video, g.audio, options);
+      core::MineVideo(g.video, g.audio, core::MiningOptions(),
+                      util::ExecutionContext(nullptr, nullptr, &cancel));
   ASSERT_FALSE(mined.ok());
   EXPECT_EQ(mined.status().code(), util::StatusCode::kCancelled);
 }
 
-// The batch scheduler must not clamp per-video parallelism: on a 2-video /
-// 8-thread batch every stage of every video reports the full shared pool,
-// not one thread per video.
+// Mines sharing one pool are not clamped to a thread each: two videos mined
+// at once on one 8-thread pool report the full pool in every stage row.
 TEST(BatchSchedulingTest, NoPerVideoThreadClamp) {
-  const synth::GeneratedVideo a =
-      synth::GenerateVideo(synth::QuickScript(41));
-  const synth::GeneratedVideo b =
-      synth::GenerateVideo(synth::QuickScript(42));
-  const std::vector<core::MiningInput> inputs{{&a.video, &a.audio},
-                                              {&b.video, &b.audio}};
-  const util::StatusOr<std::vector<core::MiningResult>> batch =
-      core::MineVideosParallel(inputs, core::MiningOptions(), 8);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), 2u);
-  for (const core::MiningResult& result : *batch) {
-    ASSERT_FALSE(result.metrics.stages.empty());
-    for (const util::StageMetrics& stage : result.metrics.stages) {
+  const std::vector<synth::GeneratedVideo> videos = {
+      synth::GenerateVideo(synth::QuickScript(41)),
+      synth::GenerateVideo(synth::QuickScript(42))};
+  util::ThreadPool pool(8);
+  std::vector<util::StatusOr<core::MiningResult>> mined(
+      videos.size(), util::Status::Internal("not mined"));
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < videos.size(); ++i) {
+    callers.emplace_back([&, i] {
+      mined[i] = core::MineVideo(videos[i].video, videos[i].audio,
+                                 core::MiningOptions(), &pool);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const util::StatusOr<core::MiningResult>& result : mined) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->metrics.stages.empty());
+    for (const util::StageMetrics& stage : result->metrics.stages) {
       EXPECT_EQ(stage.threads, 8) << stage.name;
     }
   }

@@ -689,23 +689,6 @@ TEST_F(DegradedMiningTest, MultipleOptionalFailuresCollectInOrder) {
   EXPECT_EQ(mined->stage_failures[1].stage, "cues");
 }
 
-TEST_F(DegradedMiningTest, BatchAggregatesDegradationAndSalvage) {
-  const synth::GeneratedVideo generated = MiningFixture();
-  util::FailPoint::Scoped scoped(
-      "core.stage.audio",
-      util::FailPoint::Spec::Always(util::StatusCode::kInternal));
-  const std::vector<core::MiningInput> inputs = {
-      {&generated.video, &generated.audio},
-      {&generated.video, &generated.audio},
-      {nullptr, nullptr},  // fails outright with kInvalidArgument
-  };
-  const core::BatchMiningResult batch =
-      core::MineVideosParallelWithStatus(inputs, DegradedOptions(), 2);
-  EXPECT_EQ(batch.FailedCount(), 1);
-  EXPECT_EQ(batch.DegradedCount(), 2);
-  EXPECT_FALSE(batch.FirstError().ok());
-}
-
 // ---------------------------------------------------------------------------
 // Database persistence under damage and across format versions.
 

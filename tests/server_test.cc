@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -464,8 +465,10 @@ TEST_P(SkimStructureOnlyTest, ReportDoesNotDependOnTheSkippedStages) {
   ASSERT_TRUE(util::WriteFile(torn, *bytes).ok());
   paths.push_back(torn);
 
+  // The ops mine on the context's pool.
+  util::ThreadPool pool(GetParam());
   OpEnv env;
-  env.mining.thread_count = GetParam();
+  env.ctx = &pool;
   for (const std::string& path : paths) {
     SCOPED_TRACE(path);
     for (int level = 1; level <= 4; ++level) {
@@ -753,11 +756,12 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
 TEST_F(ServerTest, DeadlineFiringDuringExecutionCancelsTheRun) {
   const std::string cmv = TestContainer("deadline_running.cmv", 19);
 
-  // A serial pixel-path mine of this container takes about 70 ms; an idle
-  // worker starts it at once, so the 20 ms deadline falls due mid-run and
-  // the pipeline stops at its next stage boundary.
+  // A serial pixel-path mine of this container takes about 70 ms (one
+  // worker, so the request mines on a one-thread pool); the idle worker
+  // starts it at once, so the 20 ms deadline falls due mid-run and the
+  // pipeline stops at its next stage boundary.
   ServerOptions options;
-  options.mining.thread_count = 1;
+  options.worker_threads = 1;
   StartServer(std::move(options));
 
   ClientOr client = Connect(MakeHello("hurried", 3));
@@ -1104,26 +1108,25 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   CloseFd(*fd);
 }
 
-TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
-  const auto thread_count = [] {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-      if (line.rfind("Threads:", 0) == 0) {
-        return std::stoi(line.substr(8));
-      }
-    }
-    return -1;
-  };
+// Threads: line of /proc/self/status; -1 when unreadable.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
 
+TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
   // With the scrubber off, the daemon's threads are its worker pool and
   // the reactor, nothing else.
   ServerOptions options;
   options.max_connections = 1100;
   const int workers = options.worker_threads;
-  const int threads_unstarted = thread_count();
+  const int threads_unstarted = ProcessThreadCount();
   StartServer(std::move(options));
-  const int threads_before = thread_count();
+  const int threads_before = ProcessThreadCount();
   ASSERT_GT(threads_unstarted, 0);
   EXPECT_EQ(threads_before - threads_unstarted, workers + 1);
 
@@ -1158,7 +1161,7 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
   util::StatusOr<Response> response = ReadChunk(*active);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
 
-  const int threads_after = thread_count();
+  const int threads_after = ProcessThreadCount();
   ASSERT_GT(threads_before, 0);
   EXPECT_EQ(threads_after, threads_before);
   const ServerStats stats = server_->StatsSnapshot();
@@ -1167,6 +1170,117 @@ TEST_F(ServerTest, HoldsAThousandIdleConnectionsWithoutReaderThreads) {
 
   for (int fd : idle) CloseFd(fd);
   CloseFd(*active);
+}
+
+TEST_F(ServerTest, ConcurrentMinesAddNoThreads) {
+  const std::string cmv = TestContainer("footprint.cmv", 29);
+  const OpResult want = MineOp(cmv, false, false, OpEnv(), nullptr);
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+
+  // Every worker holds its mine at a barrier until all of them have
+  // started, so the mines then run at once. The cache is off so that the
+  // identical requests each execute instead of joining one run.
+  ServerOptions options;
+  options.enable_result_cache = false;
+  const int workers = options.worker_threads;
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  options.request_started_hook = [&](RequestKind) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++started == workers) cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(30),
+                [&] { return started >= workers; });
+  };
+  const int threads_unstarted = ProcessThreadCount();
+  ASSERT_GT(threads_unstarted, 0);
+  StartServer(std::move(options));
+
+  // Raw sessions: no client reader threads join the count.
+  std::vector<int> sessions;
+  for (int i = 0; i < workers; ++i) {
+    util::StatusOr<int> fd =
+        RawSession(server_->port(), MakeHello("miner", 3));
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    sessions.push_back(*fd);
+    Request request;
+    request.kind = RequestKind::kMine;
+    request.args = {cmv};
+    request.request_id = 2;
+    ASSERT_TRUE(SendRequest(*fd, request).ok());
+  }
+  // Sample while the mines run, until every one has answered.
+  int peak = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (std::chrono::steady_clock::now() < give_up) {
+    peak = std::max(peak, ProcessThreadCount());
+    const ServerStats stats = server_->StatsSnapshot();
+    if (stats.requests_ok + stats.requests_failed >=
+        static_cast<uint64_t>(workers)) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(started, workers);
+  }
+  EXPECT_EQ(peak, threads_unstarted + workers + 1);
+
+  for (int fd : sessions) {
+    util::StatusOr<Response> response = ReadChunk(fd);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_TRUE(response->final_chunk);
+    EXPECT_EQ(response->code, StatusCode::kOk) << response->message;
+    EXPECT_EQ(response->body, want.report);
+    CloseFd(fd);
+  }
+}
+
+TEST_F(ServerTest, LostWakeUpsStillDeliverResponsesAndReapIdleSessions) {
+  const std::string cmv = TestContainer("wake_drop.cmv", 31);
+  const OpResult want = MineOp(cmv, false, false, OpEnv(), nullptr);
+  ASSERT_TRUE(want.ok()) << want.status.ToString();
+
+  // Every wake-pipe byte is lost, so worker events reach the reactor only
+  // on its 100 ms heartbeat.
+  util::FailPoint::Scoped drop("server.wake.drop",
+                               util::FailPoint::Spec::Always());
+  ServerOptions options;
+  options.idle_timeout_ms = 150;
+  StartServer(std::move(options));
+
+  util::StatusOr<int> fd = RawSession(server_->port(), MakeHello("late", 3));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  // A reactor that never picked the response up fails the read, not the
+  // run's time budget.
+  const timeval timeout{30, 0};
+  ASSERT_EQ(setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                       sizeof(timeout)),
+            0);
+  Request request;
+  request.kind = RequestKind::kMine;
+  request.args = {cmv};
+  request.request_id = 2;
+  ASSERT_TRUE(SendRequest(*fd, request).ok());
+  std::string body;
+  for (;;) {
+    util::StatusOr<Response> chunk = ReadChunk(*fd);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+    ASSERT_EQ(chunk->request_id, 2u);
+    body.append(chunk->body);
+    if (chunk->final_chunk) {
+      EXPECT_EQ(chunk->code, StatusCode::kOk) << chunk->message;
+      break;
+    }
+  }
+  EXPECT_EQ(body, want.report);
+
+  // The session is quiet now, and the reaper still closes it.
+  EXPECT_TRUE(ServerHangsUp(*fd));
+  CloseFd(*fd);
+  EXPECT_GE(server_->StatsSnapshot().idle_closed, 1u);
 }
 
 TEST_F(ServerTest, MalformedRequestFrameGetsAnErrorResponse) {
