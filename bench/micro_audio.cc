@@ -1,5 +1,6 @@
 // Micro-benchmarks for the audio substrate: clip features, the pitch
-// search, MFCC, GMM scoring and the BIC speaker-change test.
+// search, MFCC, one shot's audio analysis, GMM scoring and the BIC
+// speaker-change test.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "audio/features.h"
 #include "audio/gmm.h"
 #include "audio/mfcc.h"
+#include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
 #include "util/cpu.h"
 #include "util/rng.h"
@@ -97,6 +99,38 @@ BENCHMARK(BM_Mfcc)
     ->ArgName("level")
     ->Arg(static_cast<int>(util::DispatchLevel::kScalar))
     ->Arg(static_cast<int>(util::DispatchLevel::kAvx2))
+    ->Unit(benchmark::kMillisecond);
+
+// One 6 s shot's audio analysis (three 2 s clips, the representative-clip
+// search and its MFCC), serial, at the dispatch level given as the first
+// argument. The second picks the shot: 0 opens on speech, so the
+// heuristic search stops after the first clip; 1 opens on 2 s of
+// procedure noise, so every clip is featured. The counter
+// first_at_ceiling reports whether the first clip reached the heuristic's
+// ceiling.
+void BM_AnalyzeShot(benchmark::State& state) {
+  if (!PinLevel(state)) return;
+  audio::AudioBuffer shot(16000);
+  util::Rng rng(77);
+  if (state.range(1) == 1) synth::AppendProcedureNoise(&shot, 2.0, &rng);
+  synth::AppendSpeech(&shot, synth::MakeSpeakerVoice(4),
+                      6.0 - shot.DurationSeconds(), &rng);
+  const audio::SpeakerSegmenter segmenter;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(segmenter.AnalyzeShot(shot, 0.0, 6.0, 0));
+  }
+  state.counters["first_at_ceiling"] =
+      audio::SpeakerSegmenter::HeuristicMargin(audio::ComputeClipFeatures(
+          shot.Slice(0.0, 2.0))) ==
+      audio::SpeakerSegmenter::kHeuristicMarginCeiling;
+  util::ClearDispatchLevelForTest();
+}
+BENCHMARK(BM_AnalyzeShot)
+    ->ArgNames({"level", "noise_first"})
+    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 0})
+    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 1})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 0})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_GmmTrain(benchmark::State& state) {

@@ -27,6 +27,9 @@ if [[ "${SKIP_SCALAR:-0}" != "1" ]]; then
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/audio_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/codec_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/features_test
+  # The cues read the colour histogram the dispatched kernel stored in
+  # each shot's features.
+  CLASSMINER_DISABLE_SIMD=1 ./build/tests/cues_test
   CLASSMINER_DISABLE_SIMD=1 ./build/tests/cmv_pipeline_test
   cmake --build build -j "$(nproc)" --target micro_kernels micro_audio micro_codec \
     micro_features >/dev/null
@@ -115,8 +118,9 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 
   echo "== tier-1: per-frame image kernels (ASan+UBSan) =="
   # The separable morphology reads padded rows and whole-row words, the
-  # Tamura loop reads tabulated window bounds and the labelling a flat
-  # stack; an off-by-one in any of them is an out-of-bounds read here.
+  # Tamura kernel reads padded integral rows (the last lane block's spare
+  # lanes past the row included) and the labelling a flat stack; an
+  # off-by-one in any of them is an out-of-bounds read here.
   cmake --build build-asan -j "$(nproc)" --target cues_test features_test >/dev/null
   ./build-asan/tests/cues_test
   ./build-asan/tests/features_test

@@ -371,14 +371,19 @@ class FrameAnalyzer {
   std::vector<int> band_;      // subband per bin, -1 for none
 };
 
-double FrameZcr(std::span<const float> frame) {
-  if (frame.size() < 2) return 0.0;
-  int crossings = 0;
-  for (size_t i = 1; i < frame.size(); ++i) {
-    crossings += (frame[i - 1] >= 0.0f) != (frame[i] >= 0.0f);
+// crossings[i] counts the sign changes between neighbouring samples of
+// s[0, i], the sign being `s >= 0.0f` (so -0.0f is non-negative and NaN
+// negative). The frame [p, p + n) then holds crossings[p + n - 1] -
+// crossings[p] of them: each sample is compared with its neighbour once
+// per clip, not once per overlapping frame.
+std::vector<int32_t> ZeroCrossingPrefix(std::span<const float> s) {
+  std::vector<int32_t> crossings(s.size());
+  int32_t run = 0;
+  for (size_t i = 1; i < s.size(); ++i) {
+    run += (s[i - 1] >= 0.0f) != (s[i] >= 0.0f);
+    crossings[i] = run;
   }
-  return static_cast<double>(crossings) /
-         static_cast<double>(frame.size() - 1);
+  return crossings;
 }
 
 }  // namespace
@@ -399,6 +404,7 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
   // Blocks of kLanes frames; results are taken in frame order.
   const std::vector<float>& s = clip.samples();
   const size_t n_frames = (s.size() - frame_len) / hop + 1;
+  const std::vector<int32_t> crossings = ZeroCrossingPrefix(s);
   std::array<FrameResult, kLanes> block;
   for (size_t first = 0; first < n_frames; first += kLanes) {
     const size_t count = std::min(kLanes, n_frames - first);
@@ -406,7 +412,13 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
     for (size_t l = 0; l < count; ++l) {
       const FrameResult& r = block[l];
       volumes.push_back(std::sqrt(r.energy / static_cast<double>(frame_len)));
-      zcrs.push_back(FrameZcr({s.data() + (first + l) * hop, frame_len}));
+      const size_t start = (first + l) * hop;
+      zcrs.push_back(
+          frame_len < 2
+              ? 0.0
+              : static_cast<double>(crossings[start + frame_len - 1] -
+                                    crossings[start]) /
+                    static_cast<double>(frame_len - 1));
       if (r.pitch > 0.0) pitches.push_back(r.pitch);
       centroids.push_back(r.centroid);
       bandwidths.push_back(r.bandwidth);

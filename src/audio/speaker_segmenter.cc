@@ -20,10 +20,6 @@ util::StatusOr<GmmClassifier> TrainSpeechClassifier(
   return GmmClassifier(std::move(*m0), std::move(*m1));
 }
 
-bool SpeakerSegmenter::HeuristicIsSpeech(const ClipFeatures& f) {
-  return HeuristicMargin(f) > 0.0;
-}
-
 double SpeakerSegmenter::HeuristicMargin(const ClipFeatures& f) {
   // Speech: voiced pitch in the 60-400 Hz band, audible volume, energy
   // concentrated below ~1.7 kHz, and some (but not total) silence.
@@ -50,16 +46,28 @@ ShotAudioAnalysis SpeakerSegmenter::AnalyzeShot(
   if (clips.empty()) return out;
   out.analyzable = true;
 
-  // Feature every clip (independent slots), then pick the clip most like
-  // clean speech with a serial scan — first-best wins either way.
+  // The representative clip is the first strict maximum of the margin.
+  // The heuristic's margin never exceeds kHeuristicMarginCeiling, so when
+  // the first clip reaches it no later clip can win and the rest need no
+  // features. Otherwise (and always with a classifier) the remaining clips
+  // are featured in parallel (independent slots), then scanned in order.
   std::vector<ClipFeatures> features(clips.size());
-  util::ParallelFor(ctx, static_cast<int>(clips.size()), [&](int i) {
-    features[static_cast<size_t>(i)] =
-        ComputeClipFeatures(clips[static_cast<size_t>(i)]);
-  });
+  const auto feature = [&](size_t first, size_t count) {
+    util::ParallelFor(ctx, static_cast<int>(count), [&](int i) {
+      const size_t c = first + static_cast<size_t>(i);
+      features[c] = ComputeClipFeatures(clips[c]);
+    });
+  };
+  feature(0, 1);
+  size_t featured = 1;
+  if (classifier_.has_value() ||
+      HeuristicMargin(features[0]) < kHeuristicMarginCeiling) {
+    feature(1, clips.size() - 1);
+    featured = clips.size();
+  }
   double best_margin = -1e18;
   size_t best_clip = 0;
-  for (size_t i = 0; i < clips.size(); ++i) {
+  for (size_t i = 0; i < featured; ++i) {
     double margin;
     if (classifier_.has_value()) {
       util::Matrix row(1, kClipFeatureDims);

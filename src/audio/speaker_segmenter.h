@@ -53,10 +53,14 @@ class SpeakerSegmenter {
       : options_(options), classifier_(std::move(classifier)) {}
 
   // Analyzes the audio of one shot spanning [start_sec, end_sec). The
-  // context's pool parallelises per-clip feature extraction (independent
-  // clip slots, serial best-clip selection; bit-identical to serial).
-  // Nesting is safe: a caller already parallelising across shots may pass
-  // the same context through, and the shared pool interleaves the work.
+  // representative clip is the first clip of the largest speech margin.
+  // Without a classifier, a first clip at kHeuristicMarginCeiling cannot be
+  // beaten, so it is the only clip featured; otherwise the context's pool
+  // features the remaining clips in parallel (independent clip slots,
+  // serial best-clip selection; bit-identical to featuring every clip
+  // serially). Nesting is safe: a caller already parallelising across
+  // shots may pass the same context through, and the shared pool
+  // interleaves the work.
   ShotAudioAnalysis AnalyzeShot(const AudioBuffer& audio, double start_sec,
                                 double end_sec, int shot_index,
                                 const util::ExecutionContext& ctx = {}) const;
@@ -65,6 +69,14 @@ class SpeakerSegmenter {
   // usable speech never assert a change.
   bool SpeakerChange(const ShotAudioAnalysis& a,
                      const ShotAudioAnalysis& b) const;
+
+  // Heuristic speech margin used when no trained classifier is supplied:
+  // voiced pitch in speech range, audible volume, low-band energy and
+  // some (but not total) silence, each rule adding or subtracting a fixed
+  // weight. Positive reads as speech.
+  static double HeuristicMargin(const ClipFeatures& f);
+  // The margin of a clip passing all four rules: no clip scores higher.
+  static constexpr double kHeuristicMarginCeiling = 2.25;
 
   // Detailed test result (for diagnostics / tests).
   BicResult SpeakerChangeDetail(const ShotAudioAnalysis& a,
@@ -80,11 +92,6 @@ class SpeakerSegmenter {
       const std::vector<ShotAudioAnalysis>& analyses) const;
 
  private:
-  // Heuristic speech detector used when no trained classifier is supplied:
-  // voiced pitch in speech range plus moderate pause structure.
-  static bool HeuristicIsSpeech(const ClipFeatures& f);
-  static double HeuristicMargin(const ClipFeatures& f);
-
   Options options_;
   std::optional<GmmClassifier> classifier_;
 };

@@ -158,8 +158,16 @@ util::Status DeclareTail(const std::string& head_last,
           RunOptionalStage(
               options, ctx, "core.stage.cues", row, &optional->cues,
               [&](const util::ExecutionContext& sctx) {
-                result->shot_cues =
-                    cues::ExtractShotCues(rep_images, options.cues, sctx);
+                // The head stored each representative frame's colour
+                // histogram in its shot's features; the special-frame
+                // statistics read it from there.
+                std::vector<const features::ColorHistogram*> histograms;
+                histograms.reserve(result->structure.shots.size());
+                for (const shot::Shot& s : result->structure.shots) {
+                  histograms.push_back(&s.features.histogram);
+                }
+                result->shot_cues = cues::ExtractShotCues(
+                    rep_images, histograms, options.cues, sctx);
                 return util::Status::Ok();
               });
         }));

@@ -7,6 +7,7 @@
 #include "cues/face.h"
 #include "cues/skin.h"
 #include "cues/special_frames.h"
+#include "features/histogram.h"
 #include "media/image.h"
 #include "util/exec_context.h"
 
@@ -38,16 +39,22 @@ struct CueExtractorOptions {
   double skin_closeup_fraction = 0.20;  // paper: skin region > 20 %
 };
 
-// Extracts every cue family from one frame.
+// Extracts every cue family from one frame. `hist` is
+// features::ComputeColorHistogram(frame), as ExtractShotFeatures stores it
+// for a representative frame; the one-argument form computes it and uses
+// the default options.
 FrameCues ExtractFrameCues(const media::Image& frame,
+                           const features::ColorHistogram& hist,
                            const CueExtractorOptions& options);
 FrameCues ExtractFrameCues(const media::Image& frame);
 
 // Extracts cues from each shot's representative image: rep_images[i] for
-// shot i, or null to leave that shot's default cues. The context's pool
-// runs shots in parallel (independent output slots; bit-identical).
+// shot i, with histograms[i] its colour histogram, or null to leave that
+// shot's default cues. The context's pool runs shots in parallel
+// (independent output slots; bit-identical).
 std::vector<FrameCues> ExtractShotCues(
     const std::vector<const media::Image*>& rep_images,
+    const std::vector<const features::ColorHistogram*>& histograms,
     const CueExtractorOptions& options, const util::ExecutionContext& ctx = {});
 
 }  // namespace classminer::cues

@@ -27,7 +27,8 @@ const char* SpecialFrameTypeName(SpecialFrameType type) {
 }
 
 FrameStats ComputeFrameStats(const media::Image& image,
-                             const media::GrayImage& gray) {
+                             const media::GrayImage& gray,
+                             const features::ColorHistogram& hist) {
   CM_CHECK(gray.width() == image.width() && gray.height() == image.height())
       << "ComputeFrameStats: grey image size differs from the frame";
   FrameStats stats;
@@ -56,8 +57,6 @@ FrameStats ComputeFrameStats(const media::Image& image,
   stats.luma_entropy = entropy / std::log(16.0);
 
   // Quantised colour distribution.
-  const features::ColorHistogram hist =
-      features::ComputeColorHistogram(image);
   double dominant = 0.0;
   int distinct = 0;
   for (double b : hist) {
@@ -133,13 +132,15 @@ FrameStats ComputeFrameStats(const media::Image& image,
 }
 
 FrameStats ComputeFrameStats(const media::Image& image) {
-  return ComputeFrameStats(image, media::ToGray(image));
+  return ComputeFrameStats(image, media::ToGray(image),
+                           features::ComputeColorHistogram(image));
 }
 
 SpecialFrameType ClassifySpecialFrame(const media::Image& image,
                                       const media::GrayImage& gray,
+                                      const features::ColorHistogram& hist,
                                       const SpecialFrameOptions& options) {
-  const FrameStats s = ComputeFrameStats(image, gray);
+  const FrameStats s = ComputeFrameStats(image, gray, hist);
 
   if (s.mean_luma < options.black_max_luma &&
       s.luma_stddev < options.black_max_stddev) {
@@ -180,6 +181,7 @@ SpecialFrameType ClassifySpecialFrame(const media::Image& image,
 
 SpecialFrameType ClassifySpecialFrame(const media::Image& image) {
   return ClassifySpecialFrame(image, media::ToGray(image),
+                              features::ComputeColorHistogram(image),
                               SpecialFrameOptions());
 }
 

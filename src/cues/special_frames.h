@@ -1,6 +1,7 @@
 #ifndef CLASSMINER_CUES_SPECIAL_FRAMES_H_
 #define CLASSMINER_CUES_SPECIAL_FRAMES_H_
 
+#include "features/histogram.h"
 #include "media/image.h"
 
 namespace classminer::cues {
@@ -34,10 +35,13 @@ struct FrameStats {
   double text_row_score = 0.0;  // fraction of rows with text-like runs
 };
 
-// `gray` is media::ToGray(image) (a size mismatch aborts); the
-// one-argument form converts it.
+// `gray` is media::ToGray(image) (a size mismatch aborts) and `hist` is
+// features::ComputeColorHistogram(image), which ExtractShotFeatures has
+// already stored for a representative frame; the one-argument form
+// computes both.
 FrameStats ComputeFrameStats(const media::Image& image,
-                             const media::GrayImage& gray);
+                             const media::GrayImage& gray,
+                             const features::ColorHistogram& hist);
 FrameStats ComputeFrameStats(const media::Image& image);
 
 struct SpecialFrameOptions {
@@ -55,10 +59,11 @@ struct SpecialFrameOptions {
   double sketch_max_saturation = 0.15;
 };
 
-// `gray` as for ComputeFrameStats; the one-argument form converts the
-// image itself and uses the default options.
+// `gray` and `hist` as for ComputeFrameStats; the one-argument form
+// computes both and uses the default options.
 SpecialFrameType ClassifySpecialFrame(const media::Image& image,
                                       const media::GrayImage& gray,
+                                      const features::ColorHistogram& hist,
                                       const SpecialFrameOptions& options);
 SpecialFrameType ClassifySpecialFrame(const media::Image& image);
 

@@ -27,6 +27,13 @@ using TamuraVector = std::array<double, kTamuraDims>;
 // pixels: every pixel of a frame under 128 pixels a side (all 6912 at
 // 96x72), and a stride that leaves 64-127 points per axis on larger
 // frames. Empty image -> all zeros.
+//
+// One lane-wise kernel (util/lanes.h) takes four adjacent sample points at
+// a time over a summed-area table whose rows are padded with their clamped
+// end values, so clamped windows read like unclamped ones. It runs as the
+// same code at every dispatch level, and every best scale, hence every
+// output bit, equals that of the per-window clamped loop kept in
+// tests/image_oracle.h (DESIGN.md, "Exact per-frame image kernels").
 TamuraVector ComputeTamuraCoarseness(const media::Image& image);
 TamuraVector ComputeTamuraCoarseness(const media::GrayImage& gray);
 

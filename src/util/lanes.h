@@ -1,7 +1,10 @@
 #ifndef CLASSMINER_UTIL_LANES_H_
 #define CLASSMINER_UTIL_LANES_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "util/cpu.h"
@@ -19,7 +22,7 @@ namespace classminer::util {
 //     StoreLanes(out, acc);
 //   });
 //
-// Both lane types compute `a * b - c * d` lane-wise with IEEE operations,
+// Both lane types compute `a * b - c / d` lane-wise with IEEE operations,
 // rounding in every lane exactly where the same scalar expression rounds;
 // a double operand is broadcast to all lanes. Nothing is reassociated and
 // no FMA can form, because no dispatch level enables it.
@@ -55,6 +58,7 @@ struct ScalarLanes {
 CM_SCALAR_LANES_OP(+)
 CM_SCALAR_LANES_OP(-)
 CM_SCALAR_LANES_OP(*)
+CM_SCALAR_LANES_OP(/)
 #undef CM_SCALAR_LANES_OP
 
 [[gnu::always_inline]] inline ScalarLanes& operator+=(ScalarLanes& a,
@@ -80,6 +84,44 @@ CM_SCALAR_LANES_OP(*)
   p[1] = v.v[1];
   p[2] = v.v[2];
   p[3] = v.v[3];
+}
+
+// Lane-wise operations the operators do not cover. Each writes `out`,
+// which may alias an operand, and decides every lane as the scalar
+// expression beside it does, at both dispatch levels:
+//   MaxLanes(out, a, b)                  out = std::max(a, b)
+//   AbsLanes(out, a)                     out = std::fabs(a)
+//   SelectGreaterLanes(out, a, b, x, y)  out = a > b ? x : y
+[[gnu::always_inline]] inline void MaxLanes(VectorLanes& out,
+                                            const VectorLanes& a,
+                                            const VectorLanes& b) {
+  out = a < b ? b : a;
+}
+[[gnu::always_inline]] inline void AbsLanes(VectorLanes& out,
+                                            const VectorLanes& a) {
+  using Bits = int64_t __attribute__((vector_size(sizeof(VectorLanes))));
+  out = (VectorLanes)((Bits)a & INT64_MAX);
+}
+[[gnu::always_inline]] inline void SelectGreaterLanes(
+    VectorLanes& out, const VectorLanes& a, const VectorLanes& b,
+    const VectorLanes& x, const VectorLanes& y) {
+  out = a > b ? x : y;
+}
+[[gnu::always_inline]] inline void MaxLanes(ScalarLanes& out,
+                                            const ScalarLanes& a,
+                                            const ScalarLanes& b) {
+  for (size_t l = 0; l < kLanes; ++l) out.v[l] = std::max(a.v[l], b.v[l]);
+}
+[[gnu::always_inline]] inline void AbsLanes(ScalarLanes& out,
+                                            const ScalarLanes& a) {
+  for (size_t l = 0; l < kLanes; ++l) out.v[l] = std::fabs(a.v[l]);
+}
+[[gnu::always_inline]] inline void SelectGreaterLanes(
+    ScalarLanes& out, const ScalarLanes& a, const ScalarLanes& b,
+    const ScalarLanes& x, const ScalarLanes& y) {
+  for (size_t l = 0; l < kLanes; ++l) {
+    out.v[l] = a.v[l] > b.v[l] ? x.v[l] : y.v[l];
+  }
 }
 
 #if defined(__x86_64__)

@@ -20,10 +20,12 @@
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
 #include "util/cpu.h"
+#include "util/exec_context.h"
 #include "util/fft.h"
 #include "util/logging.h"
 #include "util/mathutil.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace classminer::audio {
 namespace {
@@ -651,6 +653,53 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   return mfcc;
 }
 
+// SpeakerSegmenter::AnalyzeShot as it stood before the clip search stopped
+// at the heuristic's ceiling: every clip featured, then the first strict
+// maximum of the margin over all of them.
+ShotAudioAnalysis AnalyzeShot(const SpeakerSegmenter::Options& options,
+                              const GmmClassifier* classifier,
+                              const AudioBuffer& audio, double start_sec,
+                              double end_sec, int shot_index) {
+  ShotAudioAnalysis out;
+  out.shot_index = shot_index;
+  const double duration = end_sec - start_sec;
+  if (duration < options.min_shot_seconds) return out;
+
+  const AudioBuffer span = audio.Slice(start_sec, duration);
+  const std::vector<AudioBuffer> clips =
+      SplitIntoClips(span, options.clip_seconds);
+  if (clips.empty()) return out;
+  out.analyzable = true;
+
+  std::vector<ClipFeatures> features(clips.size());
+  for (size_t i = 0; i < clips.size(); ++i) {
+    features[i] = audio::ComputeClipFeatures(clips[i]);
+  }
+  double best_margin = -1e18;
+  size_t best_clip = 0;
+  for (size_t i = 0; i < clips.size(); ++i) {
+    double margin;
+    if (classifier != nullptr) {
+      util::Matrix row(1, kClipFeatureDims);
+      for (int d = 0; d < kClipFeatureDims; ++d) {
+        row.at(0, static_cast<size_t>(d)) = features[i][static_cast<size_t>(d)];
+      }
+      margin = classifier->Margin(row);
+    } else {
+      margin = SpeakerSegmenter::HeuristicMargin(features[i]);
+    }
+    if (margin > best_margin) {
+      best_margin = margin;
+      best_clip = i;
+    }
+  }
+  out.speech_margin = best_margin;
+  out.has_speech = best_margin > 0.0;
+  out.rep_features = features[best_clip];
+  out.mfcc = audio::ComputeMfcc(clips[best_clip]);
+  return out;
+}
+
 }  // namespace oracle
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
@@ -802,6 +851,210 @@ TEST(AudioOracleTest, RaggedFrameBlocksAreBitIdenticalToReference) {
       }
     }
   }
+}
+
+// Zero crossings follow the sign rule `x >= 0.0f`: -0.0f counts as
+// non-negative and NaN as negative. Runs of exact zeros of either sign and
+// of NaN, alone and alternating with each other and with non-zero samples,
+// are set into speech at the start, the middle and the end of the clip.
+TEST(AudioOracleTest, ZeroCrossingSignRuleIsBitIdenticalToReference) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  const std::pair<const char*, std::vector<float>> patterns[] = {
+      {"+0", {0.0f}},           {"-0", {-0.0f}},
+      {"+0 -0", {0.0f, -0.0f}}, {"-0 -x", {-0.0f, -0.25f}},
+      {"+0 -x", {0.0f, -0.25f}}, {"nan", {kNan}},
+      {"nan +x", {kNan, 0.25f}}, {"nan -0", {kNan, -0.0f}},
+      {"nan -x", {kNan, -0.25f}}};
+  for (int sr : {8000, 16000}) {
+    const AudioBuffer speech = OracleSignals(sr, 0.3).front().clip;
+    for (const auto& [name, values] : patterns) {
+      for (const size_t len : {size_t{1}, size_t{7}, size_t{300}}) {
+        std::vector<float> s = speech.samples();
+        for (const size_t at : {size_t{0}, s.size() / 3, s.size() - len}) {
+          for (size_t i = 0; i < len; ++i) {
+            s[at + i] = values[i % values.size()];
+          }
+        }
+        AudioBuffer clip(sr);
+        clip.Append(s);
+        ExpectClipFeaturesMatchOracle(
+            clip, {},
+            std::string(name) + " run of " + std::to_string(len) + " @" +
+                std::to_string(sr));
+      }
+    }
+  }
+}
+
+// HeuristicMargin adds or subtracts a fixed weight per rule. All 16
+// outcomes of its four rules: the margin is the sum of the four weights,
+// and only a clip passing every rule reaches kHeuristicMarginCeiling, the
+// value at which AnalyzeShot stops featuring clips.
+TEST(SpeakerSegmenterTest, HeuristicMarginCeilingIsReachedOnlyByAllRules) {
+  EXPECT_EQ(SpeakerSegmenter::kHeuristicMarginCeiling, 2.25);
+  double top = -1e18;
+  int at_ceiling = 0;
+  for (int outcome = 0; outcome < 16; ++outcome) {
+    const bool pitch = outcome & 1, volume = outcome & 2,
+               low_band = outcome & 4, pauses = outcome & 8;
+    ClipFeatures f{};
+    f[6] = pitch ? 0.2 : 0.0;            // pitch mean, kHz
+    f[0] = volume ? 0.1 : 0.001;         // volume mean
+    f[10] = low_band ? 0.4 : 0.1;        // subband 0-630 Hz
+    f[11] = low_band ? 0.3 : 0.1;        // subband 630-1720 Hz
+    f[3] = pauses ? 0.5 : 0.95;          // silence ratio
+    const double want = (pitch ? 1.0 : -1.0) + (volume ? 0.5 : -1.0) +
+                        (low_band ? 0.5 : -0.5) + (pauses ? 0.25 : -0.5);
+    const double margin = SpeakerSegmenter::HeuristicMargin(f);
+    EXPECT_EQ(margin, want) << "outcome " << outcome;
+    top = std::max(top, margin);
+    at_ceiling += margin == SpeakerSegmenter::kHeuristicMarginCeiling;
+    if (outcome != 15) {
+      EXPECT_LT(margin, SpeakerSegmenter::kHeuristicMarginCeiling);
+    }
+  }
+  EXPECT_EQ(top, SpeakerSegmenter::kHeuristicMarginCeiling);
+  EXPECT_EQ(at_ceiling, 1);
+}
+
+void ExpectSameAnalysis(const ShotAudioAnalysis& got,
+                        const ShotAudioAnalysis& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.shot_index, want.shot_index) << what;
+  EXPECT_EQ(got.analyzable, want.analyzable) << what;
+  EXPECT_EQ(got.has_speech, want.has_speech) << what;
+  EXPECT_EQ(Bits(got.speech_margin), Bits(want.speech_margin)) << what;
+  for (size_t d = 0; d < got.rep_features.size(); ++d) {
+    EXPECT_EQ(Bits(got.rep_features[d]), Bits(want.rep_features[d]))
+        << what << " dim " << d;
+  }
+  ASSERT_EQ(got.mfcc.rows(), want.mfcc.rows()) << what;
+  ASSERT_EQ(got.mfcc.cols(), want.mfcc.cols()) << what;
+  for (size_t r = 0; r < got.mfcc.rows(); ++r) {
+    for (size_t c = 0; c < got.mfcc.cols(); ++c) {
+      ASSERT_EQ(Bits(got.mfcc.at(r, c)), Bits(want.mfcc.at(r, c)))
+          << what << " window " << r << " coeff " << c;
+    }
+  }
+}
+
+// AnalyzeShot against the all-clips loop it replaced, bit for bit: shots
+// that open on clean speech (the heuristic search stops after one clip),
+// on quiet speech (positive, below the ceiling: the search goes on), on
+// noise, silent shots and mixed ones, with the heuristic and with a
+// trained classifier (every clip featured), serially and on pools of 2
+// and 4 threads, at every dispatch level.
+TEST(SpeakerSegmenterTest, AnalyzeShotIsBitIdenticalToAllClipsReference) {
+  util::Rng rng(61);
+  auto voice = [&](AudioBuffer* a, int speaker, double seconds) {
+    synth::AppendSpeech(a, synth::MakeSpeakerVoice(speaker), seconds, &rng);
+  };
+  // How the first clip scores under the heuristic.
+  enum class Opening { kAtCeiling, kSpeechBelowCeiling, kNotSpeech };
+  struct Track {
+    std::string name;
+    AudioBuffer audio{16000};
+    Opening opening;
+  };
+  std::vector<Track> tracks(5);
+  tracks[0].name = "speech first";
+  for (const int speaker : {2, 5, 8, 11, 14}) {
+    voice(&tracks[0].audio, speaker, 2.0);
+  }
+  tracks[0].opening = Opening::kAtCeiling;
+  tracks[1].name = "quiet speech first";
+  voice(&tracks[1].audio, 6, 2.0);
+  for (float& v : tracks[1].audio.samples()) v *= 0.005f;  // volume rule
+  voice(&tracks[1].audio, 6, 4.0);
+  tracks[1].opening = Opening::kSpeechBelowCeiling;
+  tracks[2].name = "noise first";
+  synth::AppendProcedureNoise(&tracks[2].audio, 2.0, &rng);
+  voice(&tracks[2].audio, 3, 4.0);
+  tracks[2].opening = Opening::kNotSpeech;
+  tracks[3].name = "silent";
+  synth::AppendSilence(&tracks[3].audio, 6.0, &rng);
+  tracks[3].opening = Opening::kNotSpeech;
+  tracks[4].name = "mixed";
+  synth::AppendSilence(&tracks[4].audio, 2.0, &rng);
+  voice(&tracks[4].audio, 4, 2.0);
+  synth::AppendProcedureNoise(&tracks[4].audio, 2.0, &rng);
+  voice(&tracks[4].audio, 5, 2.0);
+  tracks[4].opening = Opening::kNotSpeech;
+
+  // A classifier trained on clips of other voices and noise.
+  util::Matrix speech(8, kClipFeatureDims), nonspeech(8, kClipFeatureDims);
+  for (size_t i = 0; i < 8; ++i) {
+    AudioBuffer s(16000), n(16000);
+    voice(&s, 20 + static_cast<int>(i), 2.0);
+    if (i % 2 == 0) {
+      synth::AppendProcedureNoise(&n, 2.0, &rng);
+    } else {
+      synth::AppendSilence(&n, 2.0, &rng);
+    }
+    const ClipFeatures fs = ComputeClipFeatures(s);
+    const ClipFeatures fn = ComputeClipFeatures(n);
+    for (size_t d = 0; d < kClipFeatureDims; ++d) {
+      speech.at(i, d) = fs[d];
+      nonspeech.at(i, d) = fn[d];
+    }
+  }
+  util::StatusOr<GmmClassifier> clf =
+      TrainSpeechClassifier(nonspeech, speech, /*components=*/2);
+  ASSERT_TRUE(clf.ok());
+
+  const SpeakerSegmenter::Options options;
+  util::ThreadPool pool2(2), pool4(4);
+  // Shots whose first clip reaches the heuristic's ceiling yet whose
+  // classifier pick lies later: the classifier must search every clip.
+  int classifier_picks_later = 0;
+  for (const bool trained : {false, true}) {
+    const SpeakerSegmenter seg =
+        trained ? SpeakerSegmenter(options, *clf) : SpeakerSegmenter(options);
+    const GmmClassifier* oracle_clf = trained ? &*clf : nullptr;
+    for (const Track& t : tracks) {
+      const double end = t.audio.DurationSeconds();
+      // The whole track, and a span off the clip grid.
+      const std::pair<double, double> spans[] = {{0.0, end},
+                                                 {0.37, end - 0.41}};
+      for (const auto& [start, stop] : spans) {
+        const ShotAudioAnalysis want =
+            oracle::AnalyzeShot(options, oracle_clf, t.audio, start, stop, 3);
+        ASSERT_TRUE(want.analyzable) << t.name;
+        if (trained && t.opening == Opening::kAtCeiling) {
+          const ClipFeatures first = ComputeClipFeatures(
+              t.audio.Slice(start, options.clip_seconds));
+          classifier_picks_later += want.rep_features != first;
+        }
+        if (!trained && start == 0.0) {
+          // The tracks cover every branch of the search.
+          const double first = SpeakerSegmenter::HeuristicMargin(
+              ComputeClipFeatures(t.audio.Slice(0.0, options.clip_seconds)));
+          const Opening opening =
+              first == SpeakerSegmenter::kHeuristicMarginCeiling
+                  ? Opening::kAtCeiling
+                  : first > 0.0 ? Opening::kSpeechBelowCeiling
+                                : Opening::kNotSpeech;
+          EXPECT_EQ(opening, t.opening) << t.name;
+        }
+        for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+          ScopedDispatchLevel pin(level);
+          for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                      &pool2, &pool4}) {
+            const std::string what =
+                t.name + (trained ? " classifier" : " heuristic") +
+                " from " + std::to_string(start) + " level " +
+                util::DispatchLevelName(level) + " threads " +
+                std::to_string(p != nullptr ? p->thread_count() : 1);
+            ExpectSameAnalysis(
+                seg.AnalyzeShot(t.audio, start, stop, 3,
+                                util::ExecutionContext(p)),
+                want, what);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(classifier_picks_later, 0);
 }
 
 TEST(AudioOracleTest, PitchQmaxKeepsInt32SumsInRange) {

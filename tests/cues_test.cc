@@ -10,6 +10,7 @@
 #include "cues/face.h"
 #include "cues/skin.h"
 #include "cues/special_frames.h"
+#include "features/similarity.h"
 #include "media/color.h"
 #include "image_oracle.h"
 #include "media/draw.h"
@@ -137,8 +138,9 @@ TEST(SkinDeathTest, GreyOfAnotherSizeAborts) {
   const media::GrayImage short_gray(img.width(), img.height() - 1);
   EXPECT_DEATH(DetectSkin(img, small, DefaultSkinModel(), {}), "size");
   EXPECT_DEATH(DetectBlood(img, short_gray), "size");
-  EXPECT_DEATH(ComputeFrameStats(img, small), "size");
-  EXPECT_DEATH(ClassifySpecialFrame(img, short_gray, {}), "size");
+  const features::ColorHistogram hist = features::ComputeColorHistogram(img);
+  EXPECT_DEATH(ComputeFrameStats(img, small, hist), "size");
+  EXPECT_DEATH(ClassifySpecialFrame(img, short_gray, hist, {}), "size");
 }
 
 TEST(SkinTest, ModelAcceptsSkinRejectsBlood) {
@@ -319,6 +321,12 @@ TEST(CueOracleTest, CorpusFramesMatchTwoSkinPassReference) {
       SCOPED_TRACE(std::string(util::DispatchLevelName(level)) + " " +
                    frames[i].name);
       EXPECT_TRUE(oracle::SameCues(ExtractFrameCues(image), ref.cues));
+      // The mining path's form, with the histogram the shot features hold.
+      EXPECT_TRUE(oracle::SameCues(
+          ExtractFrameCues(image,
+                           features::ExtractShotFeatures(image).histogram,
+                           {}),
+          ref.cues));
       EXPECT_TRUE(oracle::SameStats(ComputeFrameStats(image), ref.stats));
       EXPECT_TRUE(oracle::SameDetection(DetectSkin(image), ref.skin));
       EXPECT_TRUE(oracle::SameDetection(DetectBlood(image), ref.blood));

@@ -94,14 +94,20 @@ TEST(TamuraTest, CoarserPatternHasLargerMeanScale) {
   EXPECT_GT(coarse[6], fine[6]);  // normalised mean best-scale
 }
 
-// The tabulated-bounds Tamura loop against the per-window clamped loop it
-// replaced (tests/image_oracle.h), bit for bit, at every dispatch level.
-// Sizes cover 1-pixel frames, odd sides, scales wider than the frame, the
-// 96x72 mining size and strided sampling (sides of 128 and more).
+// The lane-wise Tamura kernel over padded integral rows against the
+// per-window clamped loop (tests/image_oracle.h), bit for bit, at every
+// dispatch level. Sizes cover 1-pixel frames, odd sides, scales wider than
+// the frame, the 96x72 mining size, strided sampling (sides of 128 and
+// more, up to the strides 5 and 6 of 352x240 and 384x288), rows whose
+// sample count leaves 1, 2 or 3 samples in the last lane block, unit and
+// strided, and heights below 64 (the tallest windows always clamped).
 TEST(TamuraOracleTest, MatchesClampedReferenceAtEveryLevel) {
   const std::pair<int, int> sizes[] = {
-      {1, 1},   {2, 2},   {3, 5},    {7, 3},    {17, 9},   {31, 33},
-      {63, 65}, {96, 72}, {127, 129}, {128, 96}, {130, 200}, {257, 190}};
+      {1, 1},    {2, 2},     {3, 5},     {7, 3},     {17, 9},
+      {31, 33},  {63, 65},   {96, 72},   {127, 129}, {128, 96},
+      {130, 200}, {257, 190}, {97, 40},  {98, 17},   {99, 63},
+      {101, 5},  {66, 2},    {200, 50},  {390, 100}, {352, 240},
+      {384, 288}, {396, 30}};
   for (const util::DispatchLevel level : util::SupportedDispatchLevels()) {
     ASSERT_TRUE(util::SetDispatchLevelForTest(level));
     uint64_t seed = 1;
