@@ -15,7 +15,9 @@
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
 #include "util/cpu.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace classminer {
 namespace {
@@ -102,10 +104,11 @@ BENCHMARK(BM_Mfcc)
     ->Unit(benchmark::kMillisecond);
 
 // One 6 s shot's audio analysis (three 2 s clips, the representative-clip
-// search and its MFCC), serial, at the dispatch level given as the first
-// argument. The second picks the shot: 0 opens on speech, so the
-// heuristic search stops after the first clip; 1 opens on 2 s of
-// procedure noise, so every clip is featured. The counter
+// search and its MFCC) at the dispatch level given as the first argument.
+// The second picks the shot: 0 opens on speech, so the heuristic search
+// skips the clips not begun when the first is scored (serially, all of
+// them); 1 opens on 2 s of procedure noise, so every clip is featured.
+// The third is the pool's thread count (1 = serial). The counter
 // first_at_ceiling reports whether the first clip reached the heuristic's
 // ceiling.
 void BM_AnalyzeShot(benchmark::State& state) {
@@ -116,8 +119,10 @@ void BM_AnalyzeShot(benchmark::State& state) {
   synth::AppendSpeech(&shot, synth::MakeSpeakerVoice(4),
                       6.0 - shot.DurationSeconds(), &rng);
   const audio::SpeakerSegmenter segmenter;
+  util::ThreadPool pool(static_cast<int>(state.range(2)));
+  const util::ExecutionContext ctx(&pool);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(segmenter.AnalyzeShot(shot, 0.0, 6.0, 0));
+    benchmark::DoNotOptimize(segmenter.AnalyzeShot(shot, 0.0, 6.0, 0, ctx));
   }
   state.counters["first_at_ceiling"] =
       audio::SpeakerSegmenter::HeuristicMargin(audio::ComputeClipFeatures(
@@ -126,12 +131,15 @@ void BM_AnalyzeShot(benchmark::State& state) {
   util::ClearDispatchLevelForTest();
 }
 BENCHMARK(BM_AnalyzeShot)
-    ->ArgNames({"level", "noise_first"})
-    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 0})
-    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 1})
-    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 0})
-    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 1})
-    ->Unit(benchmark::kMillisecond);
+    ->ArgNames({"level", "noise_first", "threads"})
+    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 0, 1})
+    ->Args({static_cast<int>(util::DispatchLevel::kScalar), 1, 1})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 0, 1})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 1, 1})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 0, 4})
+    ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 1, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_GmmTrain(benchmark::State& state) {
   util::Rng rng(7);

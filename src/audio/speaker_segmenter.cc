@@ -1,6 +1,7 @@
 #include "audio/speaker_segmenter.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <map>
 
@@ -47,24 +48,23 @@ ShotAudioAnalysis SpeakerSegmenter::AnalyzeShot(
   out.analyzable = true;
 
   // The representative clip is the first strict maximum of the margin.
-  // The heuristic's margin never exceeds kHeuristicMarginCeiling, so when
-  // the first clip reaches it no later clip can win and the rest need no
-  // features. Otherwise (and always with a classifier) the remaining clips
-  // are featured in parallel (independent slots), then scanned in order.
+  // The heuristic's margin never exceeds kHeuristicMarginCeiling, so once
+  // the first clip reaches it no later clip can win: a clip not yet begun
+  // is skipped, and only the first is scanned. Clips are claimed in order,
+  // so a serial run features one clip and a pool with idle threads starts
+  // the rest beside the first. Which clips run never changes the result.
   std::vector<ClipFeatures> features(clips.size());
-  const auto feature = [&](size_t first, size_t count) {
-    util::ParallelFor(ctx, static_cast<int>(count), [&](int i) {
-      const size_t c = first + static_cast<size_t>(i);
-      features[c] = ComputeClipFeatures(clips[c]);
-    });
-  };
-  feature(0, 1);
-  size_t featured = 1;
-  if (classifier_.has_value() ||
-      HeuristicMargin(features[0]) < kHeuristicMarginCeiling) {
-    feature(1, clips.size() - 1);
-    featured = clips.size();
-  }
+  std::atomic<bool> settled{false};
+  util::ParallelFor(ctx, static_cast<int>(clips.size()), [&](int i) {
+    if (i > 0 && settled.load(std::memory_order_relaxed)) return;
+    const size_t c = static_cast<size_t>(i);
+    features[c] = ComputeClipFeatures(clips[c]);
+    if (i == 0 && !classifier_.has_value() &&
+        HeuristicMargin(features[0]) >= kHeuristicMarginCeiling) {
+      settled.store(true, std::memory_order_relaxed);
+    }
+  });
+  const size_t featured = settled.load() ? 1 : clips.size();
   double best_margin = -1e18;
   size_t best_clip = 0;
   for (size_t i = 0; i < featured; ++i) {

@@ -54,13 +54,13 @@ class SpeakerSegmenter {
 
   // Analyzes the audio of one shot spanning [start_sec, end_sec). The
   // representative clip is the first clip of the largest speech margin.
-  // Without a classifier, a first clip at kHeuristicMarginCeiling cannot be
-  // beaten, so it is the only clip featured; otherwise the context's pool
-  // features the remaining clips in parallel (independent clip slots,
-  // serial best-clip selection; bit-identical to featuring every clip
-  // serially). Nesting is safe: a caller already parallelising across
-  // shots may pass the same context through, and the shared pool
-  // interleaves the work.
+  // The context's pool features the clips in parallel (independent clip
+  // slots, serial best-clip selection; bit-identical to featuring every
+  // clip serially). Without a classifier, a first clip at
+  // kHeuristicMarginCeiling cannot be beaten, so clips not yet begun when
+  // it is scored are skipped: a serial run features it alone. Nesting is
+  // safe: a caller already parallelising across shots may pass the same
+  // context through, and the shared pool interleaves the work.
   ShotAudioAnalysis AnalyzeShot(const AudioBuffer& audio, double start_sec,
                                 double end_sec, int shot_index,
                                 const util::ExecutionContext& ctx = {}) const;

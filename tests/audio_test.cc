@@ -653,9 +653,9 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   return mfcc;
 }
 
-// SpeakerSegmenter::AnalyzeShot as it stood before the clip search stopped
-// at the heuristic's ceiling: every clip featured, then the first strict
-// maximum of the margin over all of them.
+// SpeakerSegmenter::AnalyzeShot as it stood before the clip search skipped
+// clips after a first clip at the heuristic's ceiling: every clip featured,
+// then the first strict maximum of the margin over all of them.
 ShotAudioAnalysis AnalyzeShot(const SpeakerSegmenter::Options& options,
                               const GmmClassifier* classifier,
                               const AudioBuffer& audio, double start_sec,
@@ -889,7 +889,7 @@ TEST(AudioOracleTest, ZeroCrossingSignRuleIsBitIdenticalToReference) {
 // HeuristicMargin adds or subtracts a fixed weight per rule. All 16
 // outcomes of its four rules: the margin is the sum of the four weights,
 // and only a clip passing every rule reaches kHeuristicMarginCeiling, the
-// value at which AnalyzeShot stops featuring clips.
+// value at which AnalyzeShot skips the clips not yet begun.
 TEST(SpeakerSegmenterTest, HeuristicMarginCeilingIsReachedOnlyByAllRules) {
   EXPECT_EQ(SpeakerSegmenter::kHeuristicMarginCeiling, 2.25);
   double top = -1e18;
@@ -939,7 +939,7 @@ void ExpectSameAnalysis(const ShotAudioAnalysis& got,
 }
 
 // AnalyzeShot against the all-clips loop it replaced, bit for bit: shots
-// that open on clean speech (the heuristic search stops after one clip),
+// that open on clean speech (the heuristic search skips later clips),
 // on quiet speech (positive, below the ceiling: the search goes on), on
 // noise, silent shots and mixed ones, with the heuristic and with a
 // trained classifier (every clip featured), serially and on pools of 2

@@ -162,13 +162,11 @@ TEST_F(CmvPipelineTest, FastPathBitIdenticalToFullDecodeReference) {
   std::vector<shot::Shot> ref_shots =
       shot::DetectShotsFromDc(*dc, ref_options.shot);
   shot::PopulateRepresentativeFrames(*video, &ref_shots);
-  std::vector<const features::ColorHistogram*> ref_histograms;
-  for (const shot::Shot& s : ref_shots) {
-    ref_histograms.push_back(&s.features.histogram);
+  std::vector<cues::FrameCues> ref_cues;
+  for (const media::Image* image :
+       shot::RepresentativeImages(*video, ref_shots)) {
+    ref_cues.push_back(cues::ExtractFrameCues(*image));
   }
-  const std::vector<cues::FrameCues> ref_cues = cues::ExtractShotCues(
-      shot::RepresentativeImages(*video, ref_shots), ref_histograms,
-      ref_options.cues);
 
   for (const int threads : {1, 4}) {
     core::MiningOptions options;

@@ -5,6 +5,7 @@
 
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "core/classminer.h"
 #include "cues/blood.h"
 #include "cues/cue_extractor.h"
 #include "cues/face.h"
@@ -197,6 +198,74 @@ TEST(CueExtractorTest, SlideShortCircuitsRegions) {
   EXPECT_FALSE(cues.has_face);
   EXPECT_FALSE(cues.has_skin_region);
   EXPECT_TRUE(cues.IsSlideOrClipArt());
+}
+
+// A man-made frame the compressed-render route cannot take: saturated
+// shapes (and, with text, light text lines) on a dark background keep its
+// mean luma below that route's 160, so only the palette ("pristine")
+// route, which reads the colour histogram, classifies it.
+media::Image DarkRenderFrame(bool text) {
+  util::Rng rng(5);
+  media::Image img(96, 72, media::Rgb{24, 34, 88});
+  if (text) {
+    for (int i = 0; i < 5; ++i) {
+      media::DrawTextLine(&img, 10, 14 + i * 10, 70, 2,
+                          media::Rgb{230, 230, 236}, &rng);
+    }
+  } else {
+    media::FillRect(&img, 10, 10, 30, 20, media::Rgb{220, 60, 40});
+    media::FillEllipse(&img, 66, 46, 16, 12, media::Rgb{240, 200, 40});
+  }
+  return img;
+}
+
+// Red across, green down: a natural frame whose colours spread over many
+// histogram bins, none of them dominant.
+media::Image ColourSweepFrame() {
+  util::Rng rng(9);
+  media::Image img(96, 72);
+  for (int y = 0; y < img.height(); ++y) {
+    for (int x = 0; x < img.width(); ++x) {
+      img.set(x, y, media::Rgb{static_cast<uint8_t>(x * 255 / 95),
+                               static_cast<uint8_t>(y * 255 / 71), 110});
+    }
+  }
+  media::AddNoise(&img, 5, &rng);
+  return img;
+}
+
+// The mining pipeline hands the cue stage each shot's stored colour
+// histogram; its cues must equal those of the frame alone. The colour
+// sweep comes first, so a stage that gave every shot shot 0's histogram
+// (or an empty one) would move the rendered shots off the palette route.
+TEST(CueExtractorTest, MinedCuesMatchTheFrameAlone) {
+  media::Video video("renders", 10.0);
+  const std::vector<media::Image> shots = {
+      ColourSweepFrame(), DarkRenderFrame(false), SketchFrame(),
+      DarkRenderFrame(true), FaceFrame(6), SlideFrame(4)};
+  for (const media::Image& frame : shots) {
+    for (int i = 0; i < 30; ++i) video.AppendFrame(frame);
+  }
+  for (const int threads : {1, 4}) {
+    core::MiningOptions options;
+    options.thread_count = threads;
+    util::StatusOr<core::MiningResult> mined =
+        core::MineVideo(video, audio::AudioBuffer(), options);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    const std::vector<shot::Shot>& mined_shots = mined->structure.shots;
+    ASSERT_EQ(mined_shots.size(), shots.size());
+    ASSERT_EQ(mined->shot_cues.size(), shots.size());
+    for (size_t i = 0; i < shots.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " shot " +
+                   std::to_string(i));
+      const FrameCues alone =
+          ExtractFrameCues(video.frame(mined_shots[i].rep_frame));
+      EXPECT_TRUE(oracle::SameCues(mined->shot_cues[i], alone));
+    }
+    EXPECT_EQ(mined->shot_cues[1].special, SpecialFrameType::kClipArt);
+    EXPECT_EQ(mined->shot_cues[2].special, SpecialFrameType::kSketch);
+    EXPECT_EQ(mined->shot_cues[3].special, SpecialFrameType::kSlide);
+  }
 }
 
 TEST(CueExtractorTest, FaceFrameCues) {
