@@ -1,7 +1,7 @@
 // Micro-benchmarks for the CMV codec substrate: DCT, quantised block
 // coding, entropy decoding, colour conversion, motion estimation, full
 // encode/decode (GOP-parallel at 1/2/4 threads), planned selective decode
-// and DC-image extraction.
+// and DC-image extraction (GOP-parallel, strict and salvaging).
 
 #include <benchmark/benchmark.h>
 
@@ -13,12 +13,12 @@
 #include "codec/decoder.h"
 #include "codec/dct.h"
 #include "codec/encoder.h"
-#include "codec/gop_reader.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/draw.h"
 #include "util/cpu.h"
 #include "util/rng.h"
+#include "util/salvage.h"
 #include "util/threadpool.h"
 
 namespace classminer {
@@ -204,16 +204,36 @@ BENCHMARK(BM_SelectiveVsFullDecode)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// DC images of BM_DecodeVideo's 96-frame, 8-GOP clip, the GOPs spread over
+// a pool of `threads` (first arg; 1 decodes inline with no pool). The
+// second arg picks the strict decode (0) or the salvaging one (1) that
+// degraded mining runs; on this pristine clip both decode every frame.
 void BM_DcImageExtraction(benchmark::State& state) {
-  const media::Video video = BenchVideo(12, 96, 72);
+  const media::Video video = BenchVideo(96, 96, 72);
   const codec::CmvFile file = codec::EncodeVideo(video, codec::EncoderOptions());
+  const int threads = static_cast<int>(state.range(0));
+  const bool salvage = state.range(1) != 0;
+  const std::unique_ptr<util::ThreadPool> pool =
+      threads > 1 ? std::make_unique<util::ThreadPool>(threads) : nullptr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec::DecodeDcImages(file));
+    util::SalvageReport report;
+    benchmark::DoNotOptimize(codec::DecodeDcImages(
+        file, pool.get(), salvage ? &report : nullptr));
   }
-  state.SetItemsProcessed(state.iterations() * 12);
+  state.SetItemsProcessed(state.iterations() * file.frame_count());
+  state.counters["threads"] = threads;
+  state.counters["gops"] = file.gop_count();
   state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
 }
-BENCHMARK(BM_DcImageExtraction)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DcImageExtraction)
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace classminer

@@ -72,15 +72,18 @@ scripts/server_chaos.sh build
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== tier-1: ThreadSanitizer (concurrency + parallel pipeline) =="
   cmake -B build-tsan -S . -DCLASSMINER_TSAN=ON >/dev/null
-  cmake --build build-tsan -j "$(nproc)" --target concurrency_test parallel_pipeline_test pipeline_dag_test failpoint_test codec_test cmv_pipeline_test server_test >/dev/null
+  cmake --build build-tsan -j "$(nproc)" --target concurrency_test parallel_pipeline_test pipeline_dag_test failpoint_test codec_test cmv_pipeline_test robustness_test server_test >/dev/null
   ./build-tsan/tests/concurrency_test
   ./build-tsan/tests/parallel_pipeline_test
   ./build-tsan/tests/pipeline_dag_test
   ./build-tsan/tests/failpoint_test
-  # GOP-parallel full and planned selective decode, alone and under the
-  # mining pool (pixel path and --fast path).
+  # The GOP-parallel decodes (full, planned selective and DC, strict and
+  # salvaging), alone and under the mining pool (pixel path and --fast
+  # path). Degraded fast mines at 2 threads run the salvaging DC decode on
+  # the mining pool.
   ./build-tsan/tests/codec_test
   ./build-tsan/tests/cmv_pipeline_test
+  ./build-tsan/tests/robustness_test --gtest_filter='DegradedMiningTest.*:SalvageParseTest.BitFlip*'
   # The in-process daemon: the reactor fires deadline tokens that workers
   # poll, and trades frames with them under backpressure. Only the tests
   # that start a daemon: about 3.2 min on a 4-CPU host, against 5.5 min

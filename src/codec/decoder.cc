@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "codec/bitstream.h"
 #include "codec/motion.h"
@@ -154,39 +157,131 @@ util::Status DecodePredictedFrame(BitReader* reader, int width, int height,
   return util::Status::Ok();
 }
 
-// Decodes the DC image of frame `i` into *dc (sized dcw x dch). `prev` is
-// the previous frame's DC image (empty for the first frame).
-util::Status DecodeDcFrame(const CmvFile& file, size_t i,
-                           const media::GrayImage& prev, int dcw, int dch,
-                           media::GrayImage* dc) {
-  const FrameRecord& rec = file.frames[i];
-  BitReader reader(rec.payload);
-  if (rec.type == FrameType::kIntra) {
-    // Dims-only plane: the DC-only intra walk never touches samples, so
-    // skip the width*height allocation entirely.
-    Plane y_dims;
-    y_dims.width = file.width;
-    y_dims.height = file.height;
-    std::vector<double> dcs;
-    dcs.reserve(static_cast<size_t>(dcw) * dch);
-    CLASSMINER_RETURN_IF_ERROR(DecodeIntraPlane(
-        &reader, file.quality, false, &y_dims, /*dc_only=*/true, &dcs));
-    for (int by = 0; by < dch; ++by) {
-      for (int bx = 0; bx < dcw; ++bx) {
-        dc->set(bx, by, static_cast<uint8_t>(RoundToSample(
-                            dcs[static_cast<size_t>(by) * dcw + bx])));
-      }
+// The GOPs of `file`, from its frame records alone (only start_frame and
+// frame_count are set). Each I-frame opens a GOP that runs to the next one;
+// a leading run of P-frames forms a GOP of its own, which fails at its
+// first frame.
+std::vector<GopIndexEntry> DeriveGops(const CmvFile& file) {
+  std::vector<GopIndexEntry> gops;
+  for (size_t i = 0; i < file.frames.size(); ++i) {
+    if (gops.empty() || file.frames[i].type == FrameType::kIntra) {
+      gops.push_back({static_cast<int>(i), 0});
     }
-    // Chroma planes still occupy the bitstream; no need to parse them for
-    // the luma-only DC series (payloads are length-delimited per frame).
-    return util::Status::Ok();
+    ++gops.back().frame_count;
   }
-  if (i == 0) return util::Status::DataLoss("stream starts with P-frame");
-  PFrameSink sink;
-  sink.dc_image = dc;
-  sink.prev_dc = &prev;
-  return DecodePredictedFrame(&reader, file.width, file.height, file.quality,
-                              &sink);
+  return gops;
+}
+
+util::Status StreamStartsWithPFrame() {
+  return util::Status::DataLoss("stream starts with P-frame");
+}
+
+// Decodes the frames of `gop` in stream order, appending them to *frames.
+// Double-buffered bump arenas: frame i decodes into arena i % 2 while the
+// previous reconstruction (the P-frame reference) stays live in the other
+// one. Resetting an arena only discards the frame from two steps back,
+// which nothing references any more. The decoded pixels escape as
+// heap-backed Images, never as arena memory.
+util::Status DecodeGopFrames(const CmvFile& file, const GopIndexEntry& gop,
+                             const util::CancellationToken* cancel,
+                             std::vector<media::Image>* frames) {
+  frames->reserve(static_cast<size_t>(gop.frame_count));
+  util::Arena arenas[2];
+  std::optional<Picture> slots[2];
+  const Picture* recon = nullptr;
+  for (int i = 0; i < gop.frame_count; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status::Cancelled("GOP decode cancelled");
+    }
+    const FrameRecord& rec =
+        file.frames[static_cast<size_t>(gop.start_frame + i)];
+    if (i == 0 && rec.type != FrameType::kIntra) {
+      return StreamStartsWithPFrame();
+    }
+    util::Arena& frame_arena = arenas[i % 2];
+    slots[i % 2].reset();
+    frame_arena.Reset();
+    util::StatusOr<Picture> next =
+        internal::DecodePicture(rec, file.width, file.height, file.quality,
+                                recon, &frame_arena);
+    CLASSMINER_RETURN_IF_ERROR(next.status());
+    recon = &slots[i % 2].emplace(std::move(*next));
+    frames->push_back(ToImage(*recon, file.width, file.height));
+  }
+  return util::Status::Ok();
+}
+
+// Decodes the DC images of `gop` in stream order, appending them to *dcs;
+// each P-frame predicts from the image before it. On failure *dcs keeps the
+// images before the failing frame.
+util::Status DecodeGopDc(const CmvFile& file, const GopIndexEntry& gop,
+                         const util::CancellationToken* cancel,
+                         std::vector<media::GrayImage>* dcs) {
+  const int dcw = BlocksAcross(file.width);
+  const int dch = BlocksAcross(file.height);
+  dcs->reserve(static_cast<size_t>(gop.frame_count));
+  std::vector<double> means;
+  for (int i = 0; i < gop.frame_count; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return util::Status::Cancelled("DC image extraction cancelled");
+    }
+    const FrameRecord& rec =
+        file.frames[static_cast<size_t>(gop.start_frame + i)];
+    BitReader reader(rec.payload);
+    media::GrayImage dc(dcw, dch);
+    if (rec.type == FrameType::kIntra) {
+      // Dims-only plane: the DC-only intra walk never touches samples, so
+      // skip the width*height allocation entirely. Chroma planes still
+      // occupy the bitstream, but the luma-only DC series need not parse
+      // them (payloads are length-delimited per frame).
+      Plane y_dims;
+      y_dims.width = file.width;
+      y_dims.height = file.height;
+      means.clear();
+      CLASSMINER_RETURN_IF_ERROR(DecodeIntraPlane(
+          &reader, file.quality, false, &y_dims, /*dc_only=*/true, &means));
+      for (int by = 0; by < dch; ++by) {
+        for (int bx = 0; bx < dcw; ++bx) {
+          dc.set(bx, by, static_cast<uint8_t>(RoundToSample(
+                             means[static_cast<size_t>(by) * dcw + bx])));
+        }
+      }
+    } else if (i == 0) {
+      return StreamStartsWithPFrame();
+    } else {
+      PFrameSink sink;
+      sink.dc_image = &dc;
+      sink.prev_dc = &dcs->back();
+      CLASSMINER_RETURN_IF_ERROR(DecodePredictedFrame(
+          &reader, file.width, file.height, file.quality, &sink));
+    }
+    dcs->push_back(std::move(dc));
+  }
+  return util::Status::Ok();
+}
+
+// One GOP decode's result. The status starts kInternal ("did not
+// complete"), so a GOP whose task died on a pool worker never passes for a
+// decoded one. A failing GOP keeps the frames it decoded before failing.
+template <typename Frame>
+struct GopSlot {
+  util::Status status = util::Status::Internal("GOP decode did not complete");
+  std::vector<Frame> frames;
+};
+
+// The one GOP loop behind every decode: `decode(g, &frames)` runs once for
+// each of `count` GOPs on the context's pool (a null or 1-thread pool runs
+// them inline, in order), each writing only its own slot.
+template <typename Frame, typename Decode>
+std::vector<GopSlot<Frame>> DecodeGops(size_t count,
+                                       const util::ExecutionContext& ctx,
+                                       const Decode& decode) {
+  std::vector<GopSlot<Frame>> slots(count);
+  util::ParallelFor(ctx.pool(), static_cast<int>(count), [&](int g) {
+    GopSlot<Frame>& slot = slots[static_cast<size_t>(g)];
+    slot.status = decode(static_cast<size_t>(g), &slot.frames);
+  });
+  return slots;
 }
 
 }  // namespace
@@ -226,38 +321,6 @@ util::StatusOr<Picture> DecodePicture(const FrameRecord& rec, int width,
   return out;
 }
 
-util::StatusOr<std::vector<media::Image>> DecodeGopFrames(
-    const CmvFile& file, const GopIndexEntry& gop,
-    const util::CancellationToken* cancel) {
-  std::vector<media::Image> frames;
-  frames.reserve(static_cast<size_t>(gop.frame_count));
-  // Double-buffered bump arenas: frame i decodes into arena i % 2 while the
-  // previous reconstruction (the P-frame reference) stays live in the other
-  // one. Resetting an arena only discards the frame from two steps back,
-  // which nothing references any more. The decoded pixels escape as
-  // heap-backed Images, never as arena memory.
-  util::Arena arenas[2];
-  std::optional<Picture> slots[2];
-  const Picture* recon = nullptr;
-  for (int i = 0; i < gop.frame_count; ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("GOP decode cancelled");
-    }
-    const FrameRecord& rec =
-        file.frames[static_cast<size_t>(gop.start_frame + i)];
-    util::Arena& frame_arena = arenas[i % 2];
-    slots[i % 2].reset();
-    frame_arena.Reset();
-    util::StatusOr<Picture> next = DecodePicture(
-        rec, file.width, file.height, file.quality,
-        i == 0 ? nullptr : recon, &frame_arena);
-    CLASSMINER_RETURN_IF_ERROR(next.status());
-    recon = &slots[i % 2].emplace(std::move(*next));
-    frames.push_back(ToImage(*recon, file.width, file.height));
-  }
-  return frames;
-}
-
 }  // namespace internal
 
 util::StatusOr<media::Video> DecodeVideo(const CmvFile& file,
@@ -266,110 +329,154 @@ util::StatusOr<media::Video> DecodeVideo(const CmvFile& file,
   if (file.width <= 0 || file.height <= 0) {
     return util::Status::InvalidArgument("CMV file has empty dimensions");
   }
-  util::StatusOr<std::vector<GopIndexEntry>> gops =
-      CmvFile::DeriveGopIndex(file.frames);
-  if (!gops.ok()) return gops.status();
-
-  // Each GOP writes only its own slots. A status slot starts non-OK so a
-  // GOP whose task died with an exception on a pool worker can never pass
-  // for an empty, successful one.
-  const size_t count = gops->size();
-  std::vector<std::vector<media::Image>> frames(count);
-  std::vector<util::Status> statuses(
-      count, util::Status::Internal("GOP decode did not complete"));
-  util::ParallelFor(ctx.pool(), static_cast<int>(count), [&](int g) {
-    const size_t slot = static_cast<size_t>(g);
-    util::StatusOr<std::vector<media::Image>> decoded =
-        internal::DecodeGopFrames(file, (*gops)[slot], ctx.cancellation());
-    statuses[slot] = decoded.status();
-    if (decoded.ok()) frames[slot] = std::move(decoded).value();
-  });
-  for (const util::Status& status : statuses) {
-    CLASSMINER_RETURN_IF_ERROR(status);
-  }
-
+  const std::vector<GopIndexEntry> gops = DeriveGops(file);
+  std::vector<GopSlot<media::Image>> slots = DecodeGops<media::Image>(
+      gops.size(), ctx, [&](size_t g, std::vector<media::Image>* frames) {
+        return DecodeGopFrames(file, gops[g], ctx.cancellation(), frames);
+      });
   media::Video video(file.name, file.fps);
   video.Reserve(file.frames.size());
-  for (std::vector<media::Image>& gop : frames) {
-    for (media::Image& frame : gop) video.AppendFrame(std::move(frame));
+  for (GopSlot<media::Image>& slot : slots) {
+    CLASSMINER_RETURN_IF_ERROR(slot.status);
+    for (media::Image& frame : slot.frames) video.AppendFrame(std::move(frame));
   }
   return video;
 }
 
-util::StatusOr<std::vector<media::GrayImage>> DecodeDcImages(
-    const CmvFile& file, const util::CancellationToken* cancel) {
-  if (file.width <= 0 || file.height <= 0) {
-    return util::Status::InvalidArgument("CMV file has empty dimensions");
+util::Status FrameBatch::FirstError() const {
+  for (const DecodedFrame& frame : frames) {
+    CLASSMINER_RETURN_IF_ERROR(frame.status);
   }
-  const int dcw = BlocksAcross(file.width);
-  const int dch = BlocksAcross(file.height);
-
-  std::vector<media::GrayImage> out;
-  out.reserve(file.frames.size());
-  media::GrayImage prev;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("DC image extraction cancelled");
-    }
-    media::GrayImage dc(dcw, dch);
-    CLASSMINER_RETURN_IF_ERROR(DecodeDcFrame(file, i, prev, dcw, dch, &dc));
-    prev = dc;
-    out.push_back(std::move(dc));
-  }
-  return out;
+  return util::Status::Ok();
 }
 
-util::StatusOr<std::vector<media::GrayImage>> DecodeDcImagesSalvage(
-    const CmvFile& file, util::SalvageReport* report,
-    const util::CancellationToken* cancel) {
-  util::SalvageReport local;
-  if (report == nullptr) report = &local;
+util::StatusOr<FrameBatch> DecodeFrames(const CmvFile& file,
+                                        const std::vector<int>& frame_indices,
+                                        const util::ExecutionContext& ctx) {
   if (file.width <= 0 || file.height <= 0) {
     return util::Status::InvalidArgument("CMV file has empty dimensions");
   }
-  const int dcw = BlocksAcross(file.width);
-  const int dch = BlocksAcross(file.height);
+  if (!file.frames.empty() && file.frames[0].type != FrameType::kIntra) {
+    return StreamStartsWithPFrame();
+  }
+  // The plan, in one merge walk of the sorted indices against the GOPs: one
+  // run per needed GOP, decoding its prefix up to the last frame requested
+  // of it, and serving requests [first[r], first[r + 1]).
+  const std::vector<GopIndexEntry> gops = DeriveGops(file);
+  std::vector<GopIndexEntry> runs;
+  std::vector<size_t> first;
+  size_t g = 0;
+  for (size_t i = 0; i < frame_indices.size(); ++i) {
+    const int f = frame_indices[i];
+    if (f < 0 || f >= file.frame_count()) {
+      return util::Status::OutOfRange(
+          "frame " + std::to_string(f) + " outside [0, " +
+          std::to_string(file.frame_count()) + ")");
+    }
+    if (i > 0 && f <= frame_indices[i - 1]) {
+      return util::Status::OutOfRange(
+          "frame indices must be strictly increasing (" +
+          std::to_string(frame_indices[i - 1]) + " then " +
+          std::to_string(f) + ")");
+    }
+    while (g + 1 < gops.size() && gops[g + 1].start_frame <= f) ++g;
+    if (runs.empty() || runs.back().start_frame != gops[g].start_frame) {
+      runs.push_back({gops[g].start_frame, 0});
+      first.push_back(i);
+    }
+    runs.back().frame_count = f - gops[g].start_frame + 1;
+  }
+  first.push_back(frame_indices.size());
 
+  // Each run keeps only the frames asked of it, so no more than one GOP
+  // prefix per worker is resident at a time.
+  std::vector<GopSlot<media::Image>> slots = DecodeGops<media::Image>(
+      runs.size(), ctx, [&](size_t r, std::vector<media::Image>* kept) {
+        CLASSMINER_RETURN_IF_ERROR(
+            util::FailPoint::Check("codec.gop_reader.decode_gop"));
+        std::vector<media::Image> prefix;
+        CLASSMINER_RETURN_IF_ERROR(
+            DecodeGopFrames(file, runs[r], ctx.cancellation(), &prefix));
+        for (size_t i = first[r]; i < first[r + 1]; ++i) {
+          kept->push_back(std::move(prefix[static_cast<size_t>(
+              frame_indices[i] - runs[r].start_frame)]));
+        }
+        return util::Status::Ok();
+      });
+
+  FrameBatch batch;
+  batch.frames.resize(frame_indices.size());
+  batch.gops = static_cast<int>(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    const util::Status& status = slots[r].status;
+    if (status.code() == util::StatusCode::kCancelled) return status;
+    if (status.ok()) {
+      batch.frames_decoded += runs[r].frame_count;
+    } else {
+      ++batch.failed_gops;
+    }
+    for (size_t i = first[r]; i < first[r + 1]; ++i) {
+      batch.frames[i].status = status;
+      if (status.ok()) {
+        batch.frames[i].image = std::move(slots[r].frames[i - first[r]]);
+      }
+    }
+  }
+  return batch;
+}
+
+util::StatusOr<std::vector<media::GrayImage>> DecodeDcImages(
+    const CmvFile& file, const util::ExecutionContext& ctx,
+    util::SalvageReport* salvage) {
+  if (file.width <= 0 || file.height <= 0) {
+    return util::Status::InvalidArgument("CMV file has empty dimensions");
+  }
+  const std::vector<GopIndexEntry> gops = DeriveGops(file);
+  std::vector<GopSlot<media::GrayImage>> slots =
+      DecodeGops<media::GrayImage>(
+          gops.size(), ctx,
+          [&](size_t g, std::vector<media::GrayImage>* dcs) {
+            return DecodeGopDc(file, gops[g], ctx.cancellation(), dcs);
+          });
+  if (salvage != nullptr) {
+    for (const GopSlot<media::GrayImage>& slot : slots) {
+      if (slot.status.code() == util::StatusCode::kCancelled) {
+        return slot.status;
+      }
+    }
+  }
+
+  // One serial pass in stream order. A strict decode stops at the lowest
+  // failing GOP; a salvaging one fills each lost run with the last good
+  // image until the next I-frame resynchronises the stream.
+  const media::GrayImage mid_grey(BlocksAcross(file.width),
+                                  BlocksAcross(file.height), 128);
   std::vector<media::GrayImage> out;
   out.reserve(file.frames.size());
-  media::GrayImage prev(dcw, dch);  // mid-frame fallback when frame 0 fails
-  for (int x = 0; x < dcw; ++x) {
-    for (int y = 0; y < dch; ++y) prev.set(x, y, 128);
-  }
-  int decoded = 0;
-  // Once a frame in a GOP fails, every P-frame until the next I-frame
-  // predicts from garbage; hold the last good DC image until the stream
-  // resynchronises at an I-frame.
-  bool skipping = false;
-  for (size_t i = 0; i < file.frames.size(); ++i) {
-    if (cancel != nullptr && cancel->cancelled()) {
-      return util::Status::Cancelled("DC image extraction cancelled");
+  size_t dropped = 0;
+  for (size_t g = 0; g < slots.size(); ++g) {
+    GopSlot<media::GrayImage>& slot = slots[g];
+    if (!slot.status.ok() && salvage == nullptr) return slot.status;
+    for (media::GrayImage& dc : slot.frames) out.push_back(std::move(dc));
+    if (slot.status.ok()) continue;
+    const size_t lost =
+        static_cast<size_t>(gops[g].frame_count) - slot.frames.size();
+    salvage->gops_skipped += 1;
+    salvage->AddNote("decode: frame " +
+                     std::to_string(gops[g].start_frame + slot.frames.size()) +
+                     ": " + slot.status.message());
+    salvage->items_dropped += static_cast<int>(lost);
+    for (size_t i = 0; i < lost; ++i) {
+      out.push_back(out.empty() ? mid_grey : out.back());
     }
-    const bool intra = file.frames[i].type == FrameType::kIntra;
-    if (skipping && intra) skipping = false;
-    media::GrayImage dc(dcw, dch);
-    util::Status frame = skipping
-                             ? util::Status::DataLoss("GOP lost upstream")
-                             : DecodeDcFrame(file, i, prev, dcw, dch, &dc);
-    if (frame.ok()) {
-      ++decoded;
-      prev = dc;
-      out.push_back(std::move(dc));
-      continue;
-    }
-    if (!skipping) {
-      skipping = true;
-      report->gops_skipped += 1;
-      report->AddNote("decode: frame " + std::to_string(i) + ": " +
-                      frame.message());
-    }
-    report->items_dropped += 1;
-    out.push_back(prev);  // keep frame indices aligned with the container
+    dropped += lost;
   }
-  if (decoded == 0 && !file.frames.empty()) {
-    return util::Status::DataLoss("no frame in the stream decodes");
+  if (salvage != nullptr) {
+    if (dropped > 0 && dropped == out.size()) {
+      return util::Status::DataLoss("no frame in the stream decodes");
+    }
+    salvage->items_recovered += static_cast<int>(out.size() - dropped);
   }
-  report->items_recovered += decoded;
   return out;
 }
 

@@ -7,7 +7,6 @@
 
 #include "codec/decoder.h"
 #include "codec/encoder.h"
-#include "codec/gop_reader.h"
 #include "core/pipeline_dag.h"
 #include "shot/rep_frame.h"
 #include "util/threadpool.h"
@@ -98,15 +97,14 @@ util::StatusOr<MiningResult> MineCmvFileFast(
           std::vector<const media::Image*>* rep_images, StageDag* dag) {
         CLASSMINER_RETURN_IF_ERROR(
             dag->Add("shot", {}, [&](util::StageMetrics* row) {
-              // Essential: no shots, nothing to index. Degraded runs use
-              // the salvage decode, which substitutes the previous DC image
-              // for frames in corrupt GOPs (keeping indices aligned) and
+              // Essential: no shots, nothing to index. Degraded runs
+              // salvage the DC decode, which holds the last good DC image
+              // over frames in corrupt GOPs (keeping indices aligned) and
               // fails only when nothing decodes.
               util::StatusOr<std::vector<media::GrayImage>> dc =
-                  degraded_mode
-                      ? codec::DecodeDcImagesSalvage(file, &result.salvage,
-                                                     run_ctx.cancellation())
-                      : codec::DecodeDcImages(file, run_ctx.cancellation());
+                  codec::DecodeDcImages(
+                      file, run_ctx,
+                      degraded_mode ? &result.salvage : nullptr);
               if (!dc.ok()) {
                 run_ctx.RecordStatus(dc.status());
                 return;

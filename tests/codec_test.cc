@@ -5,9 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "codec/bitstream.h"
@@ -15,7 +18,6 @@
 #include "codec/decoder.h"
 #include "codec/dct.h"
 #include "codec/encoder.h"
-#include "codec/gop_reader.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
 #include "media/color.h"
@@ -345,14 +347,19 @@ std::vector<media::Image> ChainedReferenceFrames(const CmvFile& file) {
   return frames;
 }
 
+// The status of decoding GOP `g` of `file` alone, every frame of it.
+util::Status GopStatus(const CmvFile& file, int g) {
+  const GopIndexEntry& gop = file.gop_index[static_cast<size_t>(g)];
+  util::StatusOr<FrameBatch> batch =
+      DecodeFrames(file, {gop.start_frame + gop.frame_count - 1});
+  return batch.ok() ? batch->FirstError() : batch.status();
+}
+
 // The serial walk DecodeVideo performs without a pool: GOPs in stream
 // order, stopping at the first one that fails.
 util::Status SerialWalkStatus(const CmvFile& file) {
-  util::StatusOr<GopReader> reader = GopReader::Create(&file);
-  if (!reader.ok()) return reader.status();
-  for (int g = 0; g < reader->gop_count(); ++g) {
-    util::StatusOr<std::vector<media::Image>> frames = reader->DecodeGop(g);
-    if (!frames.ok()) return frames.status();
+  for (int g = 0; g < file.gop_count(); ++g) {
+    CLASSMINER_RETURN_IF_ERROR(GopStatus(file, g));
   }
   return util::Status::Ok();
 }
@@ -409,10 +416,8 @@ CmvFile TwoDamagedGopsFile() {
 TEST(GopParallelDecodeTest, LowestFailingGopWinsAtEveryPoolSize) {
   const CmvFile file = TwoDamagedGopsFile();
 
-  util::StatusOr<GopReader> reader = GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok());
-  const util::Status gop2_status = reader->DecodeGop(2).status();
-  const util::Status gop4_status = reader->DecodeGop(4).status();
+  const util::Status gop2_status = GopStatus(file, 2);
+  const util::Status gop4_status = GopStatus(file, 4);
   ASSERT_FALSE(gop2_status.ok());
   ASSERT_FALSE(gop4_status.ok());
   ASSERT_NE(gop2_status.message(), gop4_status.message());
@@ -559,72 +564,7 @@ TEST(GopIndexTest, StreamStartingWithPFrameCannotIndex) {
   file.frames.erase(file.frames.begin());  // now opens with a P-frame
   EXPECT_EQ(file.RebuildGopIndex().code(), util::StatusCode::kDataLoss);
   file.gop_index.clear();
-  EXPECT_FALSE(codec::GopReader::Create(&file).ok());
-}
-
-// ---------------------------------------------------------------- GopReader
-
-TEST(GopReaderTest, EveryGopMatchesFullDecodeSlice) {
-  const codec::CmvFile file = EncodeTestFile(30, 8);
-  util::StatusOr<media::Video> full = codec::DecodeVideo(file);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-
-  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_EQ(reader->gop_count(), 4);
-
-  for (int g = 0; g < reader->gop_count(); ++g) {
-    util::StatusOr<std::vector<media::Image>> gop = reader->DecodeGop(g);
-    ASSERT_TRUE(gop.ok()) << gop.status().ToString();
-    const codec::GopIndexEntry& entry = reader->gop(g);
-    ASSERT_EQ(static_cast<int>(gop->size()), entry.frame_count);
-    for (int i = 0; i < entry.frame_count; ++i) {
-      EXPECT_EQ((*gop)[static_cast<size_t>(i)],
-                full->frame(entry.start_frame + i))
-          << "gop " << g << " frame " << i;
-    }
-  }
-}
-
-TEST(GopReaderTest, SingleGopVideoDecodesWhole) {
-  // GOP size larger than the clip: the whole video is one GOP.
-  const codec::CmvFile file = EncodeTestFile(10, 100);
-  util::StatusOr<media::Video> full = codec::DecodeVideo(file);
-  ASSERT_TRUE(full.ok());
-
-  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok());
-  ASSERT_EQ(reader->gop_count(), 1);
-  EXPECT_EQ(reader->GopOfFrame(0), 0);
-  EXPECT_EQ(reader->GopOfFrame(9), 0);
-
-  util::StatusOr<std::vector<media::Image>> gop = reader->DecodeGop(0);
-  ASSERT_TRUE(gop.ok());
-  ASSERT_EQ(gop->size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ((*gop)[static_cast<size_t>(i)], full->frame(i));
-  }
-}
-
-TEST(GopReaderTest, RejectsBadGopIndexAndBadFile) {
-  const codec::CmvFile file = EncodeTestFile(30, 8);
-  util::StatusOr<codec::GopReader> reader = codec::GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->DecodeGop(-1).status().code(),
-            util::StatusCode::kOutOfRange);
-  EXPECT_EQ(reader->DecodeGop(reader->gop_count()).status().code(),
-            util::StatusCode::kOutOfRange);
-  // A prefix longer than the GOP (8 frames) is out of range too.
-  EXPECT_EQ(reader->DecodeGop(0, nullptr, 9).status().code(),
-            util::StatusCode::kOutOfRange);
-
-  EXPECT_FALSE(codec::GopReader::Create(nullptr).ok());
-  codec::CmvFile broken = file;
-  broken.width = 0;
-  EXPECT_FALSE(codec::GopReader::Create(&broken).ok());
-  codec::CmvFile stale = file;
-  stale.gop_index[0].byte_size += 1;  // stored index disagrees with frames
-  EXPECT_EQ(codec::GopReader::Create(&stale).status().code(),
+  EXPECT_EQ(codec::DecodeFrames(file, {1}).status().code(),
             util::StatusCode::kDataLoss);
 }
 
@@ -696,6 +636,63 @@ TEST(DecodeFramesTest, ConcurrentBatchesOnOnePoolAreBitIdentical) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST(DecodeFramesTest, EveryGopSliceMatchesFullDecode) {
+  const CmvFile file = MultiGopFile();
+  util::StatusOr<media::Video> full = DecodeVideo(file);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(file.gop_count(), 6);
+  for (const GopIndexEntry& gop : file.gop_index) {
+    SCOPED_TRACE("GOP at frame " + std::to_string(gop.start_frame));
+    std::vector<int> wanted;
+    for (int i = 0; i < gop.frame_count; ++i) {
+      wanted.push_back(gop.start_frame + i);
+    }
+    util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->gops, 1);
+    EXPECT_EQ(batch->frames_decoded, gop.frame_count);
+    ASSERT_EQ(batch->frames.size(), wanted.size());
+    for (size_t i = 0; i < wanted.size(); ++i) {
+      EXPECT_EQ(batch->frames[i].image, full->frame(wanted[i]))
+          << "frame " << wanted[i];
+    }
+  }
+}
+
+TEST(DecodeFramesTest, SingleGopVideoDecodesWhole) {
+  // GOP size larger than the clip: the whole video is one GOP.
+  const CmvFile file = EncodeTestFile(10, 100);
+  util::StatusOr<media::Video> full = DecodeVideo(file);
+  ASSERT_TRUE(full.ok());
+  util::StatusOr<FrameBatch> batch =
+      DecodeFrames(file, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->gops, 1);
+  EXPECT_EQ(batch->frames_decoded, 10);
+  ASSERT_EQ(batch->frames.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(batch->frames[static_cast<size_t>(i)].image, full->frame(i));
+  }
+}
+
+TEST(DecodeFramesTest, RejectsEmptyAndDimensionlessFiles) {
+  // A default file has no dimensions and no frames.
+  EXPECT_EQ(DecodeFrames(CmvFile{}, {}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  CmvFile broken = MultiGopFile();
+  broken.width = 0;
+  EXPECT_EQ(DecodeFrames(broken, {0}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  // Dimensions but no frames: nothing to decode, and no frame to ask for.
+  CmvFile empty = MultiGopFile();
+  empty.frames.clear();
+  util::StatusOr<FrameBatch> none = DecodeFrames(empty, {});
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->gops, 0);
+  EXPECT_EQ(DecodeFrames(empty, {0}).status().code(),
+            util::StatusCode::kOutOfRange);
+}
+
 TEST(DecodeFramesTest, DecodesEachNeededGopOnceUpToItsLastFrame) {
   const CmvFile file = MultiGopFile();
   // GOP 0 up to position 5, GOP 2 up to position 3, GOP 5 up to position
@@ -714,11 +711,9 @@ TEST(DecodeFramesTest, DecodesEachNeededGopOnceUpToItsLastFrame) {
 
 TEST(DecodeFramesTest, LowestFailingGopWinsAtEveryPoolSize) {
   const CmvFile file = TwoDamagedGopsFile();
-  util::StatusOr<GopReader> reader = GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok());
-  const util::Status gop2_status = reader->DecodeGop(2).status();
+  const util::Status gop2_status = GopStatus(file, 2);
   ASSERT_FALSE(gop2_status.ok());
-  ASSERT_NE(gop2_status.message(), reader->DecodeGop(4).status().message());
+  ASSERT_NE(gop2_status.message(), GopStatus(file, 4).message());
 
   for (const int threads : {1, 2, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -777,11 +772,10 @@ TEST(DecodeFramesTest, CancellationStopsEveryDecodeLoop) {
                   .code(),
               util::StatusCode::kCancelled);
   }
-  EXPECT_EQ(DecodeDcImages(file, &cancel).status().code(),
-            util::StatusCode::kCancelled);
-  util::StatusOr<GopReader> reader = GopReader::Create(&file);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->DecodeGop(0, &cancel).status().code(),
+  EXPECT_EQ(DecodeDcImages(file, util::ExecutionContext(nullptr, nullptr,
+                                                        &cancel))
+                .status()
+                .code(),
             util::StatusCode::kCancelled);
 }
 
@@ -794,11 +788,48 @@ TEST(DecodeFramesTest, RejectsOutOfRangeAndUnsortedIndices) {
               util::StatusCode::kOutOfRange)
         << "first index " << indices.front();
   }
-  // The stored index is validated like GopReader::Create validates it.
-  CmvFile stale = file;
-  stale.gop_index[1].byte_size += 1;
-  EXPECT_EQ(DecodeFrames(stale, {0}).status().code(),
-            util::StatusCode::kDataLoss);
+}
+
+// Every decode reads only the frame records: a stored index that disagrees
+// with them (Parse would have refused it; a hand-built file can carry one)
+// decodes exactly like the file with its own index.
+TEST(DecodeFramesTest, StaleStoredIndexCannotChangeWhatDecodes) {
+  const CmvFile file = MultiGopFile();
+  std::vector<CmvFile> stale(4, file);
+  stale[0].gop_index[1].byte_size += 1;
+  stale[1].gop_index[1].start_frame = 3;
+  stale[2].gop_index.clear();
+  stale[3].gop_index.push_back(stale[3].gop_index.back());
+  const std::vector<int> wanted = {0, 3, 9, 10, 15, 31, 41, 43};
+  util::StatusOr<media::Video> video = DecodeVideo(file);
+  util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted);
+  util::StatusOr<std::vector<media::GrayImage>> dc = DecodeDcImages(file);
+  ASSERT_TRUE(video.ok() && batch.ok() && dc.ok());
+  util::ThreadPool pool(4);
+  for (size_t k = 0; k < stale.size(); ++k) {
+    SCOPED_TRACE("stale index " + std::to_string(k));
+    util::StatusOr<media::Video> stale_video = DecodeVideo(stale[k], &pool);
+    ASSERT_TRUE(stale_video.ok()) << stale_video.status().ToString();
+    ASSERT_EQ(stale_video->frame_count(), video->frame_count());
+    for (int i = 0; i < video->frame_count(); ++i) {
+      ASSERT_EQ(stale_video->frame(i), video->frame(i)) << "frame " << i;
+    }
+    util::StatusOr<FrameBatch> stale_batch =
+        DecodeFrames(stale[k], wanted, &pool);
+    ASSERT_TRUE(stale_batch.ok()) << stale_batch.status().ToString();
+    EXPECT_EQ(stale_batch->gops, batch->gops);
+    EXPECT_EQ(stale_batch->frames_decoded, batch->frames_decoded);
+    for (size_t i = 0; i < wanted.size(); ++i) {
+      EXPECT_EQ(stale_batch->frames[i].image, batch->frames[i].image);
+    }
+    util::SalvageReport report;
+    util::StatusOr<std::vector<media::GrayImage>> stale_dc =
+        DecodeDcImages(stale[k], &pool, &report);
+    ASSERT_TRUE(stale_dc.ok()) << stale_dc.status().ToString();
+    EXPECT_TRUE(*stale_dc == *dc);
+    EXPECT_EQ(report.gops_skipped, 0);
+    EXPECT_EQ(report.items_recovered, file.frame_count());
+  }
 }
 
 // ------------------------------------------------------------ decode oracles
@@ -1231,6 +1262,169 @@ TEST(DecodeOracleTest, GoldenClipsKeepTheirRecordedCrcs) {
           util::Crc32(image.pixels().data(), image.pixels().size(), dc_crc);
     }
     EXPECT_EQ(dc_crc, golden[which].dc);
+  }
+}
+
+// ---------------------------------------------------------- DC decode pins
+
+// The DC decode under test: strict when `salvage` is null, on `pool` (null
+// decodes inline).
+util::StatusOr<std::vector<media::GrayImage>> DcDecode(
+    const CmvFile& file, util::ThreadPool* pool,
+    util::CancellationToken* cancel, util::SalvageReport* salvage) {
+  return DecodeDcImages(file, util::ExecutionContext(pool, nullptr, cancel),
+                        salvage);
+}
+
+// Every SalvageReport field, comparable and printable in one EXPECT_EQ.
+auto ReportFields(const util::SalvageReport& r) {
+  return std::make_tuple(r.salvaged, r.bytes_dropped, r.items_recovered,
+                         r.items_dropped, r.gops_recovered, r.gops_skipped,
+                         r.resync_points, r.audio_dropped, r.index_rebuilt,
+                         r.notes);
+}
+
+uint32_t DcCrc(const std::vector<media::GrayImage>& images) {
+  uint32_t crc = 0;
+  for (const media::GrayImage& image : images) {
+    crc = util::Crc32(image.pixels().data(), image.pixels().size(), crc);
+  }
+  return crc;
+}
+
+// A damaged MultiGopFile (GOPs at frames 0, 8, 16, 24, 32 and 40) with the
+// runs of frames the salvage decode loses and the note of each run.
+struct DcDamageCase {
+  const char* name;
+  CmvFile file;
+  std::vector<std::pair<int, int>> lost;  // [first, end) frame runs
+  std::vector<std::string> notes;         // one per run, in order
+};
+
+std::vector<DcDamageCase> DcDamageCases() {
+  const CmvFile pristine = MultiGopFile();
+  std::vector<DcDamageCase> cases;
+  cases.push_back({"pristine", pristine, {}, {}});
+  cases.push_back({"two damaged GOPs",
+                   TwoDamagedGopsFile(),
+                   {{16, 24}, {32, 40}},
+                   {"decode: frame 16: malformed exp-Golomb code",
+                    "decode: frame 32: bitstream exhausted"}});
+  CmvFile mid_p = pristine;
+  mid_p.frames[11].payload.resize(2);  // GOP 1's fourth frame
+  cases.push_back({"damaged mid-GOP P-frame", mid_p, {{11, 16}},
+                   {"decode: frame 11: bitstream exhausted"}});
+  CmvFile first_i = pristine;
+  first_i.frames[0].payload.resize(2);
+  cases.push_back({"frame 0's I-frame fails", first_i, {{0, 8}},
+                   {"decode: frame 0: bitstream exhausted"}});
+  // Re-typing the I-frames at 0 and 8 leaves a 16-frame run with no
+  // I-frame to open it: one lost run up to the I-frame at 16.
+  CmvFile p_run = pristine;
+  p_run.frames[0].type = FrameType::kPredicted;
+  p_run.frames[8].type = FrameType::kPredicted;
+  cases.push_back({"leading P-run", p_run, {{0, 16}},
+                   {"decode: frame 0: stream starts with P-frame"}});
+  CmvFile none = pristine;
+  DcDamageCase nothing{"nothing decodes", {}, {}, {}};
+  for (int g = 0; g < 44; g += 8) {
+    none.frames[static_cast<size_t>(g)].payload.resize(2);
+    nothing.lost.push_back({g, std::min(g + 8, 44)});
+    nothing.notes.push_back("decode: frame " + std::to_string(g) + ": bitstream exhausted");
+  }
+  nothing.file = std::move(none);
+  cases.push_back(std::move(nothing));
+  return cases;
+}
+
+// Strict and salvage DC decodes of every damage case, inline and on pools
+// of 1, 2 and 4 threads, at every dispatch level: every image byte and
+// every SalvageReport field. The salvage decode holds the last good image
+// (mid-grey before the first) over each lost run, which ends at the next
+// I-frame; a strict decode fails with the first lost run's status.
+TEST(DcDecodeTest, DamageCasesMatchAtEveryPoolSizeAndDispatchLevel) {
+  util::StatusOr<std::vector<media::GrayImage>> pristine =
+      DcDecode(MultiGopFile(), nullptr, nullptr, nullptr);
+  ASSERT_TRUE(pristine.ok()) << pristine.status().ToString();
+  ASSERT_EQ(pristine->size(), 44u);
+  EXPECT_EQ(DcCrc(*pristine), 0x23e5b92eu);
+  const media::GrayImage grey(5, 3, 128);  // 40x24 in 8x8 blocks
+
+  for (const DcDamageCase& c : DcDamageCases()) {
+    SCOPED_TRACE(c.name);
+    std::vector<media::GrayImage> want = *pristine;
+    util::SalvageReport want_report;
+    for (const auto& [first, end] : c.lost) {
+      for (int f = first; f < end; ++f) {
+        want[static_cast<size_t>(f)] =
+            f == 0 ? grey : want[static_cast<size_t>(f - 1)];
+      }
+      want_report.items_dropped += end - first;
+    }
+    want_report.gops_skipped = static_cast<int>(c.lost.size());
+    for (const std::string& note : c.notes) want_report.AddNote(note);
+    const bool nothing_decodes = want_report.items_dropped == 44;
+    if (!nothing_decodes) {
+      want_report.items_recovered = 44 - want_report.items_dropped;
+    }
+
+    for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+      ScopedDispatchLevel pin(level);
+      for (const int threads : {0, 1, 2, 4}) {
+        SCOPED_TRACE(std::string(util::DispatchLevelName(level)) + ", " +
+                     (threads == 0 ? std::string("inline")
+                                   : "pool of " + std::to_string(threads)));
+        const std::unique_ptr<util::ThreadPool> pool =
+            threads > 0 ? std::make_unique<util::ThreadPool>(threads)
+                        : nullptr;
+        util::SalvageReport report;
+        util::StatusOr<std::vector<media::GrayImage>> salvaged =
+            DcDecode(c.file, pool.get(), nullptr, &report);
+        EXPECT_EQ(ReportFields(report), ReportFields(want_report));
+        if (nothing_decodes) {
+          EXPECT_EQ(salvaged.status().code(), util::StatusCode::kDataLoss);
+          EXPECT_EQ(salvaged.status().message(),
+                    "no frame in the stream decodes");
+        } else {
+          ASSERT_TRUE(salvaged.ok()) << salvaged.status().ToString();
+          ASSERT_EQ(salvaged->size(), want.size());
+          for (size_t f = 0; f < want.size(); ++f) {
+            ASSERT_TRUE((*salvaged)[f] == want[f]) << "frame " << f;
+          }
+        }
+
+        util::StatusOr<std::vector<media::GrayImage>> strict =
+            DcDecode(c.file, pool.get(), nullptr, nullptr);
+        if (c.lost.empty()) {
+          ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+          EXPECT_EQ(DcCrc(*strict), DcCrc(want));
+        } else {
+          EXPECT_EQ(strict.status().code(), util::StatusCode::kDataLoss);
+          EXPECT_EQ("decode: frame " + std::to_string(c.lost[0].first) +
+                        ": " + strict.status().message(),
+                    c.notes[0]);
+        }
+      }
+    }
+  }
+}
+
+TEST(DcDecodeTest, CancelledDecodeIsNeverSalvaged) {
+  util::CancellationToken cancel;
+  cancel.Cancel();
+  const CmvFile files[] = {MultiGopFile(), TwoDamagedGopsFile()};
+  for (const int threads : {0, 1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const std::unique_ptr<util::ThreadPool> pool =
+        threads > 0 ? std::make_unique<util::ThreadPool>(threads) : nullptr;
+    for (const CmvFile& file : files) {
+      util::SalvageReport report;
+      EXPECT_EQ(DcDecode(file, pool.get(), &cancel, &report).status().code(),
+                util::StatusCode::kCancelled);
+      EXPECT_EQ(ReportFields(report), ReportFields(util::SalvageReport{}));
+      EXPECT_EQ(DcDecode(file, pool.get(), &cancel, nullptr).status().code(),
+                util::StatusCode::kCancelled);
+    }
   }
 }
 

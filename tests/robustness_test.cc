@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "codec/container.h"
@@ -30,6 +31,7 @@
 #include "util/rng.h"
 #include "util/salvage.h"
 #include "util/serial.h"
+#include "util/threadpool.h"
 
 namespace classminer {
 namespace {
@@ -451,8 +453,17 @@ TEST(SalvageParseTest, AllFramesLostIsACleanFailure) {
   EXPECT_FALSE(codec::CmvFile::ParseBestEffort(damaged, &report).ok());
 }
 
+// Every SalvageReport field, comparable and printable in one EXPECT_EQ.
+auto ReportFields(const util::SalvageReport& r) {
+  return std::make_tuple(r.salvaged, r.bytes_dropped, r.items_recovered,
+                         r.items_dropped, r.gops_recovered, r.gops_skipped,
+                         r.resync_points, r.audio_dropped, r.index_rebuilt,
+                         r.notes);
+}
+
 TEST(SalvageParseTest, BitFlipCorpusNeverCrashes) {
   const std::vector<uint8_t> original = EncodedFixture();
+  util::ThreadPool pool(4);
   util::Rng rng(23);
   for (int trial = 0; trial < 60; ++trial) {
     std::vector<uint8_t> bytes = original;
@@ -472,12 +483,21 @@ TEST(SalvageParseTest, BitFlipCorpusNeverCrashes) {
       continue;  // flipped dimensions; DecodeVideo guards these itself
     }
     // The salvage decode substitutes held frames for corrupt payloads, so
-    // it must keep the frame count aligned whenever it succeeds at all.
+    // it must keep the frame count aligned whenever it succeeds at all, and
+    // its GOPs decoding on a pool must change nothing.
     util::SalvageReport decode_report;
     const util::StatusOr<std::vector<media::GrayImage>> dc =
-        codec::DecodeDcImagesSalvage(*parsed, &decode_report, nullptr);
+        codec::DecodeDcImages(*parsed, {}, &decode_report);
+    util::SalvageReport pooled_report;
+    const util::StatusOr<std::vector<media::GrayImage>> pooled =
+        codec::DecodeDcImages(*parsed, &pool, &pooled_report);
+    EXPECT_EQ(pooled.status().code(), dc.status().code());
+    EXPECT_EQ(pooled.status().message(), dc.status().message());
+    EXPECT_EQ(ReportFields(pooled_report), ReportFields(decode_report));
     if (dc.ok()) {
       EXPECT_EQ(static_cast<int>(dc->size()), parsed->frame_count());
+      ASSERT_TRUE(pooled.ok());
+      EXPECT_TRUE(*pooled == *dc) << "trial " << trial;
     }
   }
   SUCCEED();
