@@ -152,7 +152,8 @@ void BM_DecodeVideo(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * file.frame_count());
   state.counters["threads"] = threads;
-  state.counters["gops"] = file.gop_count();
+  state.counters["gops"] = static_cast<double>(
+      codec::CmvFile::DeriveGopIndex(file.frames)->size());
   state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
 }
 BENCHMARK(BM_DecodeVideo)
@@ -222,7 +223,8 @@ void BM_DcImageExtraction(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * file.frame_count());
   state.counters["threads"] = threads;
-  state.counters["gops"] = file.gop_count();
+  state.counters["gops"] = static_cast<double>(
+      codec::CmvFile::DeriveGopIndex(file.frames)->size());
   state.SetLabel(util::DispatchLevelName(util::ActiveDispatchLevel()));
 }
 BENCHMARK(BM_DcImageExtraction)

@@ -1,8 +1,6 @@
 // Micro-benchmarks for the checksummed persistence layer: CRC-32
-// throughput, CMV serialisation with and without per-record checksums
-// (CMV1 vs CMV2), CMDB v3 framed serialise/parse, the salvage scanner on
-// pristine input, and the sharded append-log upsert against a full rewrite
-// of a 1-shard library.
+// throughput, CMV container serialise/parse, and the sharded append-log
+// upsert against a full rewrite of a 1-shard library.
 
 #include <benchmark/benchmark.h>
 
@@ -13,23 +11,18 @@
 
 #include "codec/container.h"
 #include "codec/encoder.h"
-#include "features/histogram.h"
 #include "index/database.h"
-#include "index/persist.h"
 #include "index/shard.h"
-#include "media/color.h"
 #include "media/draw.h"
 #include "media/image.h"
 #include "media/video.h"
 #include "util/crc32.h"
 #include "util/rng.h"
-#include "util/salvage.h"
-#include "util/serial.h"
 
 namespace classminer {
 namespace {
 
-codec::CmvFile BenchContainer(bool checksums) {
+codec::CmvFile BenchContainer() {
   util::Rng rng(71);
   media::Video video("bench", 12.0);
   media::Image base(96, 72);
@@ -39,30 +32,7 @@ codec::CmvFile BenchContainer(bool checksums) {
     media::AddNoise(&f, 3, &rng);
     video.AppendFrame(std::move(f));
   }
-  codec::CmvFile file = codec::EncodeVideo(video, codec::EncoderOptions());
-  file.record_checksums = checksums;
-  return file;
-}
-
-index::VideoDatabase BenchDatabase(int videos) {
-  util::Rng rng(72);
-  index::VideoDatabase db;
-  for (int v = 0; v < videos; ++v) {
-    structure::ContentStructure cs;
-    for (int i = 0; i < 8; ++i) {
-      media::Image img(48, 36, media::HsvToRgb({20.0 * v + 10.0 * i, 0.7, 0.8}));
-      media::AddNoise(&img, 4, &rng);
-      shot::Shot s;
-      s.index = i;
-      s.start_frame = i * 30;
-      s.end_frame = i * 30 + 29;
-      s.rep_frame = s.start_frame + 9;
-      s.features = features::ExtractShotFeatures(img);
-      cs.shots.push_back(std::move(s));
-    }
-    db.AddVideo("bench" + std::to_string(v), std::move(cs), {});
-  }
-  return db;
+  return codec::EncodeVideo(video, codec::EncoderOptions());
 }
 
 void BM_Crc32(benchmark::State& state) {
@@ -76,11 +46,9 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
-// CMV container round-trip with the per-record CRC toggled: arg 0 is the
-// legacy CMV1 layout, arg 1 the checksummed CMV2 layout. The delta is the
-// integrity tax on the hot serialise/parse path.
+// CMV container round trip: every frame record carries its CRC-32.
 void BM_CmvSerialize(benchmark::State& state) {
-  const codec::CmvFile file = BenchContainer(state.range(0) != 0);
+  const codec::CmvFile file = BenchContainer();
   size_t bytes = 0;
   for (auto _ : state) {
     const std::vector<uint8_t> out = file.Serialize();
@@ -89,51 +57,17 @@ void BM_CmvSerialize(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
 }
-BENCHMARK(BM_CmvSerialize)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CmvSerialize)->Unit(benchmark::kMicrosecond);
 
 void BM_CmvParse(benchmark::State& state) {
-  const std::vector<uint8_t> bytes =
-      BenchContainer(state.range(0) != 0).Serialize();
+  const std::vector<uint8_t> bytes = BenchContainer().Serialize();
   for (auto _ : state) {
     benchmark::DoNotOptimize(codec::CmvFile::Parse(bytes));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
 }
-BENCHMARK(BM_CmvParse)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-// CMDB v3 framed entries (magic + size + CRC per video) serialise/parse.
-void BM_ChecksumedPersist(benchmark::State& state) {
-  const index::VideoDatabase db =
-      BenchDatabase(static_cast<int>(state.range(0)));
-  size_t bytes = 0;
-  for (auto _ : state) {
-    const std::vector<uint8_t> out = index::SerializeDatabase(db);
-    util::StatusOr<index::VideoDatabase> back = index::ParseDatabase(out);
-    benchmark::DoNotOptimize(back);
-    bytes = out.size();
-  }
-  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ChecksumedPersist)
-    ->Arg(4)
-    ->Arg(16)
-    ->Unit(benchmark::kMicrosecond);
-
-// The salvage scanner on pristine input: what a "paranoid open" costs when
-// nothing is actually torn.
-void BM_SalvageParsePristine(benchmark::State& state) {
-  const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(BenchDatabase(8));
-  for (auto _ : state) {
-    util::SalvageReport report;
-    benchmark::DoNotOptimize(index::ParseDatabaseSalvage(bytes, &report));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_SalvageParsePristine)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CmvParse)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // Sharded append-log tier: the headline scaling claim. Updating an entry by

@@ -7,11 +7,11 @@
 //   classminer skim <in.cmv> [--level N] [--html out.html]
 //                            [--storyboard out.ppm]
 //   classminer browse [--clearance N] [--strict] <in.cmv> [more.cmv ...]
-//   classminer index <db.cmdb> [--strict] [--threads N] [--shards N]
+//   classminer index <library> [--strict] [--threads N] [--shards N]
 //                              [--append] <in.cmv ...>
-//   classminer verify <db.cmdb>
-//   classminer repair <db.cmdb> [--media DIR] [--threads N]
-//   classminer compact <db.cmdb> [--shard K] [--force]
+//   classminer verify <library>
+//   classminer repair <library> [--media DIR] [--threads N]
+//   classminer compact <library> [--shard K] [--force]
 //   classminer failpoints
 //
 // `generate` synthesises one of the five corpus titles (or the quickstart
@@ -24,7 +24,8 @@
 // yields a (flagged) result; --strict restores all-or-nothing semantics.
 //
 // `index` persists the mined results as a CMSL shard library: a CMSM root
-// manifest at <db> plus one append log per shard at <db>.shard<k>. A fresh
+// manifest at <library> plus one append log per shard at
+// <library>.shard<k>. A fresh
 // path gets one shard unless --shards N says otherwise; an existing library
 // keeps its shard count; --append upserts into it entry by entry. `verify`
 // audits a library (strict per-shard parse, per-entry checksums, degraded
@@ -32,8 +33,8 @@
 // `repair` re-mines every degraded entry from its source container
 // <DIR>/<name>.cmv and rewrites the library when it healed anything (or
 // when the open itself needed a backup generation or a salvage parse).
-// A legacy CMDB file is read only by `repair`, which migrates it to a
-// 1-shard library; every other command refuses it with that hint.
+// The library is the only database format read: verify, repair and compact
+// refuse any other file untouched.
 
 #include <charconv>
 #include <cstdio>
@@ -70,11 +71,11 @@ int Usage() {
       "[--storyboard out.ppm]\n"
       "  classminer browse [--clearance N] [--strict] <in.cmv> "
       "[more.cmv ...]\n"
-      "  classminer index <db.cmdb> [--strict] [--threads N] [--shards N] "
+      "  classminer index <library> [--strict] [--threads N] [--shards N] "
       "[--append] <in.cmv ...>\n"
-      "  classminer verify <db.cmdb>\n"
-      "  classminer repair <db.cmdb> [--media DIR] [--threads N]\n"
-      "  classminer compact <db.cmdb> [--shard K] [--force]\n"
+      "  classminer verify <library>\n"
+      "  classminer repair <library> [--media DIR] [--threads N]\n"
+      "  classminer compact <library> [--shard K] [--force]\n"
       "  classminer failpoints\n");
   return 2;
 }

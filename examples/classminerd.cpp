@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
                "classminerd: served %llu request(s) on %llu connection(s) "
                "(%llu ok, %llu failed, %llu rejected, %llu deadline, "
                "%llu denied), %llu pipelined, %llu streamed, cache "
-               "%llu hit / %llu joined / %llu miss, %llu reader thread(s), "
+               "%llu hit / %llu joined / %llu miss, "
                "%llu connection(s) still active\n",
                static_cast<unsigned long long>(stats.requests_received),
                static_cast<unsigned long long>(stats.connections_accepted),
@@ -212,7 +212,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.cache_hits),
                static_cast<unsigned long long>(stats.cache_joined),
                static_cast<unsigned long long>(stats.cache_misses),
-               static_cast<unsigned long long>(stats.reader_threads),
                static_cast<unsigned long long>(stats.connections_active));
   std::fprintf(stderr,
                "classminerd: robustness: %llu idle-closed, %llu protocol "

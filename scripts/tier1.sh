@@ -157,8 +157,8 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== tier-1: crash-recovery matrix (ASan) =="
   # Crashes injected at every site of a 1-shard full save, with and
   # without a prior generation, must reopen the whole old or new library;
-  # torn CMV files and legacy CMDB imports must resynchronise; repair must
-  # bring verify back to clean. The multi-shard matrix adds the
+  # torn shard logs must resynchronise; repair must bring verify back to
+  # clean. The multi-shard matrix adds the
   # index.shard.append.* / index.shard.open sites: any injected crash must
   # reopen to a consistent pre- or post-operation library, never a torn one.
   cmake --build build-asan -j "$(nproc)" --target recovery_test shard_test >/dev/null

@@ -11,7 +11,7 @@
 namespace classminer::codec {
 namespace {
 
-// The checksum a CMV2 frame record carries: CRC-32 over the type byte and
+// The checksum a frame record carries: CRC-32 over the type byte and
 // the payload (the size field is implied by the framing; a corrupted size
 // misaligns the payload read and fails the checksum anyway).
 uint32_t RecordCrc(FrameType type, const std::vector<uint8_t>& payload) {
@@ -19,9 +19,12 @@ uint32_t RecordCrc(FrameType type, const std::vector<uint8_t>& payload) {
   return util::Crc32(payload.data(), payload.size(), util::Crc32(&t, 1));
 }
 
+// A frame record's fixed framing: type u8, size u32, CRC-32 u32.
+constexpr size_t kMinRecordBytes = 9;
+
 // Serialized size of one frame record including framing.
-size_t RecordBytes(const FrameRecord& rec, bool checksums) {
-  return 1 + 4 + rec.payload.size() + (checksums ? 4 : 0);
+size_t RecordBytes(const FrameRecord& rec) {
+  return kMinRecordBytes + rec.payload.size();
 }
 
 uint32_t ReadU32LE(const uint8_t* p) {
@@ -50,13 +53,7 @@ util::Status ParseHeader(util::ByteReader* r, CmvFile* file) {
   r->set_section("header");
   util::StatusOr<uint32_t> magic = r->GetU32();
   if (!magic.ok()) return magic.status();
-  if (*magic == CmvFile::kMagic) {
-    file->record_checksums = false;  // CMV1: no per-record CRC
-  } else if (*magic == CmvFile::kMagicV2) {
-    file->record_checksums = true;
-  } else {
-    return r->Corrupt("bad CMV magic");
-  }
+  if (*magic != CmvFile::kMagicV2) return r->Corrupt("bad CMV magic");
 
   util::StatusOr<std::string> name = r->GetString();
   if (!name.ok()) return name.status();
@@ -82,33 +79,29 @@ util::Status ParseHeader(util::ByteReader* r, CmvFile* file) {
   return util::Status::Ok();
 }
 
-// Reads one frame record; `checksums` selects the CMV2 layout with the
-// trailing CRC-32, verified against the bytes just read.
-util::Status ParseFrameRecord(util::ByteReader* r, bool checksums,
-                              FrameRecord* rec) {
+// Reads one frame record and verifies its trailing CRC-32 against the
+// bytes just read.
+util::Status ParseFrameRecord(util::ByteReader* r, FrameRecord* rec) {
   util::StatusOr<uint8_t> type = r->GetU8();
   if (!type.ok()) return type.status();
   if (*type > 1) return r->Corrupt("unknown frame type");
   rec->type = static_cast<FrameType>(*type);
   util::StatusOr<uint32_t> size = r->GetU32();
   if (!size.ok()) return size.status();
-  const size_t trailer = checksums ? 4 : 0;
-  if (*size + trailer > r->remaining()) {
+  if (*size + size_t{4} > r->remaining()) {
     return r->Corrupt("frame payload exceeds container");
   }
   rec->payload.resize(*size);
   CLASSMINER_RETURN_IF_ERROR(r->GetBytes(rec->payload.data(), *size));
-  if (checksums) {
-    util::StatusOr<uint32_t> stored = r->GetU32();
-    if (!stored.ok()) return stored.status();
-    if (*stored != RecordCrc(rec->type, rec->payload)) {
-      return r->Corrupt("frame record checksum mismatch");
-    }
+  util::StatusOr<uint32_t> stored = r->GetU32();
+  if (!stored.ok()) return stored.status();
+  if (*stored != RecordCrc(rec->type, rec->payload)) {
+    return r->Corrupt("frame record checksum mismatch");
   }
   return util::Status::Ok();
 }
 
-// Attempts to read one checksummed frame record starting at `pos` of the
+// Attempts to read one frame record starting at `pos` of the
 // raw buffer. True only when the framing is plausible AND the stored CRC
 // matches the bytes — a false positive on arbitrary garbage is ~2^-32, so
 // the salvage scanner can treat a hit as a confirmed sync point.
@@ -134,7 +127,7 @@ bool TryRecordAt(const std::vector<uint8_t>& bytes, size_t pos,
 // section, optionally followed by a GOP-index section, consuming the
 // buffer exactly. Validation is structural only (after a resynchronisation
 // the stored seek index cannot match the gap-ridden record list, so the
-// caller rebuilds it); the exact-length requirement makes a false positive
+// caller drops it); the exact-length requirement makes a false positive
 // at a random scan offset ~2^-32. Commits the audio track on success.
 bool TryTrailerAt(const std::vector<uint8_t>& bytes, size_t pos,
                   CmvFile* file) {
@@ -178,9 +171,10 @@ util::Status ParseAudio(util::ByteReader* r, CmvFile* file) {
   return util::Status::Ok();
 }
 
-// Reads the trailing GOP-index section and validates it against the frame
-// records; any short read or inconsistency is corruption.
-util::Status ParseGopIndex(util::ByteReader* r, CmvFile* file) {
+// Reads the trailing GOP-index section and checks it against the index the
+// frame records derive; any short read or disagreement is corruption.
+util::Status ParseGopIndex(util::ByteReader* r,
+                           const std::vector<FrameRecord>& frames) {
   r->set_section("gop_index");
   util::StatusOr<uint32_t> index_magic = r->GetU32();
   if (!index_magic.ok()) return index_magic.status();
@@ -193,7 +187,8 @@ util::Status ParseGopIndex(util::ByteReader* r, CmvFile* file) {
   if (*gop_count > r->remaining() / 24) {
     return r->Corrupt("truncated GOP index");
   }
-  file->gop_index.reserve(*gop_count);
+  std::vector<GopIndexEntry> stored;
+  stored.reserve(*gop_count);
   for (uint32_t i = 0; i < *gop_count; ++i) {
     GopIndexEntry entry;
     util::StatusOr<int32_t> start = r->GetI32();
@@ -208,11 +203,11 @@ util::Status ParseGopIndex(util::ByteReader* r, CmvFile* file) {
     util::StatusOr<uint64_t> size = r->GetU64();
     if (!size.ok()) return size.status();
     entry.byte_size = *size;
-    file->gop_index.push_back(entry);
+    stored.push_back(entry);
   }
   util::StatusOr<std::vector<GopIndexEntry>> derived =
-      CmvFile::DeriveGopIndex(file->frames);
-  if (!derived.ok() || *derived != file->gop_index) {
+      CmvFile::DeriveGopIndex(frames);
+  if (!derived.ok() || *derived != stored) {
     return r->Corrupt("GOP index inconsistent with frame records");
   }
   return util::Status::Ok();
@@ -247,37 +242,6 @@ util::StatusOr<std::vector<GopIndexEntry>> CmvFile::DeriveGopIndex(
   return index;
 }
 
-util::Status CmvFile::RebuildGopIndex() {
-  util::StatusOr<std::vector<GopIndexEntry>> index = DeriveGopIndex(frames);
-  if (!index.ok()) return index.status();
-  gop_index = std::move(index).value();
-  return util::Status::Ok();
-}
-
-int CmvFile::GopOfFrame(int frame_index) const {
-  if (gop_index.empty() || frame_index < 0 ||
-      frame_index >= frame_count()) {
-    return -1;
-  }
-  // Last GOP whose start_frame <= frame_index.
-  int lo = 0;
-  int hi = gop_count() - 1;
-  while (lo < hi) {
-    const int mid = (lo + hi + 1) / 2;
-    if (gop_index[static_cast<size_t>(mid)].start_frame <= frame_index) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  const GopIndexEntry& g = gop_index[static_cast<size_t>(lo)];
-  if (frame_index < g.start_frame ||
-      frame_index >= g.start_frame + g.frame_count) {
-    return -1;
-  }
-  return lo;
-}
-
 util::Status CmvFile::ValidateForSerialize() const {
   CLASSMINER_RETURN_IF_ERROR(util::CheckU32Count(name.size(), "CMV name"));
   CLASSMINER_RETURN_IF_ERROR(
@@ -286,14 +250,12 @@ util::Status CmvFile::ValidateForSerialize() const {
     CLASSMINER_RETURN_IF_ERROR(
         util::CheckU32Count(f.payload.size(), "CMV frame payload"));
   }
-  CLASSMINER_RETURN_IF_ERROR(
-      util::CheckU32Count(audio_pcm.size(), "CMV audio sample"));
-  return util::CheckU32Count(gop_index.size(), "CMV GOP index entry");
+  return util::CheckU32Count(audio_pcm.size(), "CMV audio sample");
 }
 
 std::vector<uint8_t> CmvFile::Serialize() const {
   util::ByteWriter w;
-  w.PutU32(record_checksums ? kMagicV2 : kMagic);
+  w.PutU32(kMagicV2);
   w.PutString(name);
   w.PutI32(width);
   w.PutI32(height);
@@ -306,7 +268,7 @@ std::vector<uint8_t> CmvFile::Serialize() const {
     w.PutU8(static_cast<uint8_t>(f.type));
     w.PutU32(static_cast<uint32_t>(f.payload.size()));
     w.PutBytes(f.payload.data(), f.payload.size());
-    if (record_checksums) w.PutU32(RecordCrc(f.type, f.payload));
+    w.PutU32(RecordCrc(f.type, f.payload));
   }
 
   w.PutI32(audio_sample_rate);
@@ -317,14 +279,15 @@ std::vector<uint8_t> CmvFile::Serialize() const {
     w.PutU32(bits);
   }
 
-  // Trailing GOP-index section. Readers that predate it stop after the
-  // audio track and ignore the extra bytes; Parse validates it against the
-  // frame records. Omitted entirely when the file carries no index (legacy
-  // round trips stay byte-stable).
-  if (!gop_index.empty()) {
+  // Trailing GOP-index section, derived from the frame records; Parse
+  // checks a stored one against the same derivation. Omitted when the
+  // records derive no index.
+  const util::StatusOr<std::vector<GopIndexEntry>> gops =
+      DeriveGopIndex(frames);
+  if (gops.ok() && !gops->empty()) {
     w.PutU32(kGopIndexMagic);
-    w.PutU32(static_cast<uint32_t>(gop_index.size()));
-    for (const GopIndexEntry& g : gop_index) {
+    w.PutU32(static_cast<uint32_t>(gops->size()));
+    for (const GopIndexEntry& g : *gops) {
       w.PutI32(g.start_frame);
       w.PutI32(g.frame_count);
       w.PutU64(g.byte_offset);
@@ -343,32 +306,26 @@ util::StatusOr<CmvFile> CmvFile::Parse(const std::vector<uint8_t>& bytes) {
   r.set_section("frames");
   util::StatusOr<uint32_t> frame_count = r.GetU32();
   if (!frame_count.ok()) return frame_count.status();
-  // Each frame record occupies at least 5 (CMV1) / 9 (CMV2) bytes; a larger
-  // claim cannot be satisfied by the remaining buffer (guards hostile
-  // reserve sizes).
-  const size_t min_record = file.record_checksums ? 9 : 5;
-  if (*frame_count > r.remaining() / min_record) {
+  // Each frame record occupies at least kMinRecordBytes; a larger claim
+  // cannot be satisfied by the remaining buffer (guards hostile reserve
+  // sizes).
+  if (*frame_count > r.remaining() / kMinRecordBytes) {
     return r.Corrupt("frame count exceeds container size");
   }
   file.frames.reserve(*frame_count);
   for (uint32_t i = 0; i < *frame_count; ++i) {
     r.set_section("frames[" + std::to_string(i) + "]");
     FrameRecord rec;
-    CLASSMINER_RETURN_IF_ERROR(
-        ParseFrameRecord(&r, file.record_checksums, &rec));
+    CLASSMINER_RETURN_IF_ERROR(ParseFrameRecord(&r, &rec));
     file.frames.push_back(std::move(rec));
   }
 
   CLASSMINER_RETURN_IF_ERROR(ParseAudio(&r, &file));
-
-  if (r.remaining() == 0) {
-    // Legacy container without an index section: rebuild from the frame
-    // records. A stream opening with a P-frame keeps an empty index (and
-    // fails at decode time, as before).
-    (void)file.RebuildGopIndex();
-    return file;
+  // A container without the index section holds nothing to check; every
+  // decode derives its GOPs from the frame records.
+  if (r.remaining() > 0) {
+    CLASSMINER_RETURN_IF_ERROR(ParseGopIndex(&r, file.frames));
   }
-  CLASSMINER_RETURN_IF_ERROR(ParseGopIndex(&r, &file));
   return file;
 }
 
@@ -385,9 +342,8 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
   util::StatusOr<uint32_t> frame_count = r.GetU32();
   if (!frame_count.ok()) return frame_count.status();
   // The declared count is untrusted; reserve only what could possibly fit.
-  const size_t min_record = file.record_checksums ? 9 : 5;
   const uint32_t plausible = static_cast<uint32_t>(
-      std::min<size_t>(*frame_count, r.remaining() / min_record));
+      std::min<size_t>(*frame_count, r.remaining() / kMinRecordBytes));
   file.frames.reserve(plausible);
   bool truncated = false;       // at least one record span was lost
   bool trailer_parsed = false;  // audio (+ index length) recovered via resync
@@ -396,7 +352,7 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
     r.set_section("frames[" + std::to_string(i) + "]");
     const size_t record_start = r.position();
     FrameRecord rec;
-    const util::Status record = ParseFrameRecord(&r, file.record_checksums, &rec);
+    const util::Status record = ParseFrameRecord(&r, &rec);
     if (record.ok()) {
       file.frames.push_back(std::move(rec));
       ++parsed;
@@ -414,14 +370,7 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
     // sync point is unframed bytes.
     truncated = true;
     report->AddNote("frames: " + record.message());
-    if (!file.record_checksums) {
-      // CMV1 records carry no checksum, so no forward scan can *confirm* a
-      // sync point; keep the intact prefix only (the audio and index
-      // sections are unreachable behind the damage).
-      report->bytes_dropped += bytes.size() - record_start;
-      break;
-    }
-    // CMV2: scan forward for the next checksum-confirmed I-frame record
+    // Scan forward for the next checksum-confirmed I-frame record
     // (a P-frame could not decode without its reference, so keep scanning
     // past those) or for the trailer, and resynchronise there.
     bool resynced = false;
@@ -475,7 +424,7 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
   if (leading_p > 0) {
     uint64_t dropped_bytes = 0;
     for (size_t i = 0; i < leading_p; ++i) {
-      dropped_bytes += RecordBytes(file.frames[i], file.record_checksums);
+      dropped_bytes += RecordBytes(file.frames[i]);
     }
     file.frames.erase(file.frames.begin(),
                       file.frames.begin() + static_cast<ptrdiff_t>(leading_p));
@@ -492,8 +441,7 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
   if (trailer_parsed) {
     // A resynchronisation landed on the trailer: TryTrailerAt committed the
     // audio track. The stored seek index (if the file carried one) cannot
-    // match a gap-ridden record list, so it is rebuilt below regardless.
-    file.gop_index.clear();
+    // match a gap-ridden record list, so it is dropped.
     report->index_rebuilt = true;
   } else if (truncated) {
     file.audio_sample_rate = 0;
@@ -516,9 +464,8 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
       report->AddNote("audio: " + audio.message());
     } else if (r.remaining() > 0) {
       const size_t index_start = r.position();
-      const util::Status index = ParseGopIndex(&r, &file);
+      const util::Status index = ParseGopIndex(&r, file.frames);
       if (!index.ok()) {
-        file.gop_index.clear();
         report->bytes_dropped += bytes.size() - index_start;
         report->index_rebuilt = true;
         report->AddNote("gop_index: " + index.message());
@@ -526,12 +473,14 @@ util::StatusOr<CmvFile> CmvFile::ParseBestEffort(
     }
   }
 
-  // Re-derive the seek index over whatever survived. The recovered prefix
-  // always opens with an I-frame (leading P-run dropped above), so this
-  // cannot fail on a non-empty stream.
-  if (file.gop_index.empty()) (void)file.RebuildGopIndex();
+  // The recovered records open with an I-frame (leading P-run dropped
+  // above), so each I-frame opens one GOP.
   report->items_recovered += file.frame_count();
-  report->gops_recovered += file.gop_count();
+  report->gops_recovered += static_cast<int>(
+      std::count_if(file.frames.begin(), file.frames.end(),
+                    [](const FrameRecord& f) {
+                      return f.type == FrameType::kIntra;
+                    }));
   return file;
 }
 

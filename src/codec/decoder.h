@@ -15,8 +15,8 @@
 namespace classminer::codec {
 
 // Every decode below partitions the stream into GOPs from its frame records
-// alone and never reads the stored `gop_index` (Parse validates a stored
-// index where it enters). Each I-frame opens a GOP that runs to the next
+// alone (DeriveGopIndex; Parse checks a stored index against it where the
+// bytes enter). Each I-frame opens a GOP that runs to the next
 // one; a leading run of P-frames has no I-frame to open it and decodes as
 // one GOP that fails at its first frame. A GOP needs no state from earlier
 // GOPs, so the GOPs decode in parallel on the context's pool (a null or

@@ -148,8 +148,6 @@ CmvFile EncodeVideo(const media::Video& video, const EncoderOptions& options) {
     }
     file.frames.push_back(std::move(rec));
   }
-  // Frame 0 is always an I-frame, so the index derivation cannot fail.
-  (void)file.RebuildGopIndex();
   return file;
 }
 

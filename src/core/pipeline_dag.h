@@ -57,8 +57,9 @@ class StageDag {
   // thread and helper tasks claim ready stages from this run's own queue;
   // the caller runs only this graph's stages and blocks only while none is
   // ready and a claimed one is still running. So Run may itself be invoked
-  // from inside a pool task (the batch miner runs one whole-video DAG per
-  // pool task) and never runs other runs' work while it waits. Without a
+  // from inside a pool task (the daemon runs each request's whole mine on
+  // a worker of the mining pool) and never runs other runs' work while it
+  // waits. Without a
   // multi-thread pool the stages run serially in declaration order.
   util::Status Run(const util::ExecutionContext& ctx);
 

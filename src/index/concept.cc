@@ -152,10 +152,6 @@ std::string ConceptHierarchy::PathOf(int id) const {
   return out;
 }
 
-void ConceptHierarchy::SetSecurityLevel(int id, int level) {
-  nodes_[static_cast<size_t>(id)].security_level = level;
-}
-
 int ConceptHierarchy::SceneNodeForEvent(events::EventType type) const {
   switch (type) {
     case events::EventType::kPresentation:

@@ -60,7 +60,6 @@ class ConceptHierarchy {
 
   bool IsAncestor(int ancestor, int descendant) const;
   std::string PathOf(int id) const;
-  void SetSecurityLevel(int id, int level);
 
   // Scene-level concept node for a mined event type (medical default tree);
   // -1 for undetermined events.

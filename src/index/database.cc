@@ -86,9 +86,4 @@ const features::ShotFeatures& VideoDatabase::Features(
       .features;
 }
 
-const shot::Shot& VideoDatabase::GetShot(const ShotRef& ref) const {
-  return videos_[static_cast<size_t>(ref.video_id)]
-      .structure.shots[static_cast<size_t>(ref.shot_index)];
-}
-
 }  // namespace classminer::index

@@ -27,8 +27,8 @@ struct VideoEntry {
   std::vector<events::EventRecord> events;  // per active scene
   // True when the entry came from a degraded mining run (optional stages
   // lost, or the source container needed salvage). The structure is still
-  // queryable; event/cue-derived answers may be incomplete. Persisted from
-  // CMDB v2 on.
+  // queryable; event/cue-derived answers may be incomplete. Persisted as
+  // the last byte of the entry body.
   bool degraded = false;
 
   // Event type of the (active) scene owning a shot; kUndetermined when the
@@ -67,7 +67,6 @@ class VideoDatabase {
   std::vector<ShotRef> AllShots() const;
 
   const features::ShotFeatures& Features(const ShotRef& ref) const;
-  const shot::Shot& GetShot(const ShotRef& ref) const;
 
  private:
   std::vector<VideoEntry> videos_;

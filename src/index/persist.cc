@@ -9,17 +9,10 @@
 namespace classminer::index {
 namespace {
 
-constexpr uint32_t kMagic = internal::kLegacyDatabaseMagic;
-// v1: no per-video degraded flag. v2: one u8 degraded flag per video.
-// v3: every video entry framed as (kEntryMagic, body size, CRC-32, body).
-constexpr uint32_t kVersion = 3;
-constexpr uint32_t kEntryMagic = internal::kEntryFrameMagic;
-
-uint32_t ReadU32LE(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
+// SerializeDatabase's header: "CMDB", version 3 (the version whose
+// entries are framed).
+constexpr uint32_t kDatabaseMagic = 0x42444d43;
+constexpr uint32_t kDatabaseVersion = 3;
 
 void PutFeatures(util::ByteWriter* w, const features::ShotFeatures& f) {
   for (double v : f.histogram) w->PutF64(v);
@@ -45,8 +38,20 @@ void PutIntVector(util::ByteWriter* w, const std::vector<int>& v) {
   for (int x : v) w->PutI32(x);
 }
 
-util::Status GetIntVector(util::ByteReader* r, std::vector<int>* v) {
+// Reads a u32 item count and rejects one whose items, at least `min_bytes`
+// each, cannot fit in the rest of the buffer (guards hostile resize sizes).
+util::StatusOr<size_t> GetCount(util::ByteReader* r, size_t min_bytes,
+                                const char* what) {
   util::StatusOr<uint32_t> n = r->GetU32();
+  if (!n.ok()) return n.status();
+  if (*n > r->remaining() / min_bytes) {
+    return r->Corrupt(std::string(what) + " count exceeds database size");
+  }
+  return static_cast<size_t>(*n);
+}
+
+util::Status GetIntVector(util::ByteReader* r, std::vector<int>* v) {
+  util::StatusOr<size_t> n = GetCount(r, 4, "index");
   if (!n.ok()) return n.status();
   v->resize(*n);
   for (int& x : *v) {
@@ -114,11 +119,10 @@ void PutVideo(util::ByteWriter* w, const VideoEntry& v) {
     w->PutI32(e.shot_count);
   }
 
-  w->PutU8(v.degraded ? 1 : 0);  // v2
+  w->PutU8(v.degraded ? 1 : 0);
 }
 
-util::Status GetVideo(util::ByteReader* r, uint32_t version,
-                      VideoEntry* out) {
+util::Status GetVideo(util::ByteReader* r, VideoEntry* out) {
   util::StatusOr<std::string> name = r->GetString();
   if (!name.ok()) return name.status();
   out->name = *name;
@@ -137,13 +141,9 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
   };
 
   structure::ContentStructure& cs = out->structure;
-  util::StatusOr<uint32_t> shot_count = r->GetU32();
+  // Every serialised shot carries 4 ints + 266 doubles.
+  util::StatusOr<size_t> shot_count = GetCount(r, 16 + 266 * 8, "shot");
   if (!shot_count.ok()) return shot_count.status();
-  // Every serialised shot carries 4 ints + 266 doubles; reject counts the
-  // remaining buffer cannot hold (guards hostile resize sizes).
-  if (*shot_count > r->remaining() / (16 + 266 * 8)) {
-    return r->Corrupt("shot count exceeds database size");
-  }
   cs.shots.resize(*shot_count);
   for (shot::Shot& s : cs.shots) {
     CLASSMINER_RETURN_IF_ERROR(get_i32(&s.index));
@@ -153,7 +153,8 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(GetFeatures(r, &s.features));
   }
 
-  util::StatusOr<uint32_t> group_count = r->GetU32();
+  // A group: 3 ints, a flag and two counts.
+  util::StatusOr<size_t> group_count = GetCount(r, 21, "group");
   if (!group_count.ok()) return group_count.status();
   cs.groups.resize(*group_count);
   for (structure::Group& g : cs.groups) {
@@ -161,7 +162,7 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(get_i32(&g.start_shot));
     CLASSMINER_RETURN_IF_ERROR(get_i32(&g.end_shot));
     CLASSMINER_RETURN_IF_ERROR(get_u8(&g.temporally_related));
-    util::StatusOr<uint32_t> clusters = r->GetU32();
+    util::StatusOr<size_t> clusters = GetCount(r, 8, "shot cluster");
     if (!clusters.ok()) return clusters.status();
     g.clusters.resize(*clusters);
     for (structure::ShotCluster& c : g.clusters) {
@@ -171,7 +172,7 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(GetIntVector(r, &g.rep_shots));
   }
 
-  util::StatusOr<uint32_t> scene_count = r->GetU32();
+  util::StatusOr<size_t> scene_count = GetCount(r, 17, "scene");
   if (!scene_count.ok()) return scene_count.status();
   cs.scenes.resize(*scene_count);
   for (structure::Scene& s : cs.scenes) {
@@ -182,7 +183,7 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(get_u8(&s.eliminated));
   }
 
-  util::StatusOr<uint32_t> cluster_count = r->GetU32();
+  util::StatusOr<size_t> cluster_count = GetCount(r, 8, "scene cluster");
   if (!cluster_count.ok()) return cluster_count.status();
   cs.clustered_scenes.resize(*cluster_count);
   for (structure::SceneCluster& c : cs.clustered_scenes) {
@@ -190,7 +191,7 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(get_i32(&c.rep_group));
   }
 
-  util::StatusOr<uint32_t> event_count = r->GetU32();
+  util::StatusOr<size_t> event_count = GetCount(r, 23, "event");
   if (!event_count.ok()) return event_count.status();
   out->events.resize(*event_count);
   for (events::EventRecord& e : out->events) {
@@ -212,87 +213,7 @@ util::Status GetVideo(util::ByteReader* r, uint32_t version,
     CLASSMINER_RETURN_IF_ERROR(get_i32(&e.shot_count));
   }
 
-  if (version >= 2) {
-    CLASSMINER_RETURN_IF_ERROR(get_u8(&out->degraded));
-  }
-  return util::Status::Ok();
-}
-
-// Writes one v3 framed entry: entry magic, body size, CRC-32 over the
-// body bytes, then the body itself.
-void PutFramedVideo(util::ByteWriter* w, const VideoEntry& v) {
-  util::ByteWriter body;
-  PutVideo(&body, v);
-  w->PutU32(kEntryMagic);
-  w->PutU32(static_cast<uint32_t>(body.size()));
-  w->PutU32(util::Crc32(body.bytes()));
-  w->PutBytes(body.bytes().data(), body.size());
-}
-
-// Reads one v3 framed entry, verifying the stored CRC-32 against the body
-// bytes before parsing them (so a bit-flip surfaces as a checksum mismatch
-// at this entry, not as a structural error somewhere downstream). The body
-// must consume exactly its declared size.
-util::Status GetFramedVideo(util::ByteReader* r, uint32_t version,
-                            VideoEntry* out) {
-  util::StatusOr<uint32_t> magic = r->GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kEntryMagic) return r->Corrupt("bad video entry magic");
-  util::StatusOr<uint32_t> body_size = r->GetU32();
-  if (!body_size.ok()) return body_size.status();
-  util::StatusOr<uint32_t> stored = r->GetU32();
-  if (!stored.ok()) return stored.status();
-  if (*body_size > r->remaining()) {
-    return r->Corrupt("video entry body exceeds database size");
-  }
-  const size_t body_start = r->position();
-  if (util::Crc32(r->data() + body_start, *body_size) != *stored) {
-    return r->Corrupt("video entry checksum mismatch");
-  }
-  CLASSMINER_RETURN_IF_ERROR(GetVideo(r, version, out));
-  if (r->position() != body_start + *body_size) {
-    return r->Corrupt("video entry body size mismatch");
-  }
-  return util::Status::Ok();
-}
-
-// Dispatches on the format generation: v3 entries are framed + checksummed,
-// v1/v2 bodies sit back to back.
-util::Status GetVideoEntry(util::ByteReader* r, uint32_t version,
-                           VideoEntry* out) {
-  if (version >= 3) return GetFramedVideo(r, version, out);
-  return GetVideo(r, version, out);
-}
-
-// True when a complete, checksum-confirmed v3 entry frame starts at `pos`.
-// The CRC makes a false positive on arbitrary bytes ~2^-32, so the salvage
-// scanner can treat a hit as a confirmed resynchronisation point.
-bool PlausibleEntryAt(const std::vector<uint8_t>& bytes, size_t pos) {
-  if (pos + 12 > bytes.size()) return false;
-  if (ReadU32LE(bytes.data() + pos) != kEntryMagic) return false;
-  const uint32_t body_size = ReadU32LE(bytes.data() + pos + 4);
-  if (body_size > bytes.size() - pos - 12) return false;
-  return util::Crc32(bytes.data() + pos + 12, body_size) ==
-         ReadU32LE(bytes.data() + pos + 8);
-}
-
-// Reads the CMDB header (magic, version, video count).
-util::Status ParseDatabaseHeader(util::ByteReader* r, uint32_t* version,
-                                 uint32_t* video_count) {
-  r->set_section("header");
-  util::StatusOr<uint32_t> magic = r->GetU32();
-  if (!magic.ok()) return magic.status();
-  if (*magic != kMagic) return r->Corrupt("bad CMDB magic");
-  util::StatusOr<uint32_t> v = r->GetU32();
-  if (!v.ok()) return v.status();
-  if (*v < 1 || *v > kVersion) {
-    return r->Corrupt("unsupported CMDB version " + std::to_string(*v));
-  }
-  *version = *v;
-  util::StatusOr<uint32_t> videos = r->GetU32();
-  if (!videos.ok()) return videos.status();
-  *video_count = *videos;
-  return util::Status::Ok();
+  return get_u8(&out->degraded);
 }
 
 // Exact serialized body size of one entry, mirroring PutVideo's layout
@@ -338,12 +259,41 @@ util::Status ValidateForSerialize(const VideoDatabase& db) {
 
 namespace internal {
 
+// Writes one framed entry: entry magic, body size, CRC-32 over the
+// body bytes, then the body itself.
 void PutFramedEntry(util::ByteWriter* w, const VideoEntry& v) {
-  PutFramedVideo(w, v);
+  util::ByteWriter body;
+  PutVideo(&body, v);
+  w->PutU32(kEntryFrameMagic);
+  w->PutU32(static_cast<uint32_t>(body.size()));
+  w->PutU32(util::Crc32(body.bytes()));
+  w->PutBytes(body.bytes().data(), body.size());
 }
 
+// Reads one framed entry, verifying the stored CRC-32 against the body
+// bytes before parsing them (so a bit-flip surfaces as a checksum mismatch
+// at this entry, not as a structural error somewhere downstream). The body
+// must consume exactly its declared size.
 util::Status GetFramedEntry(util::ByteReader* r, VideoEntry* out) {
-  return GetFramedVideo(r, kVersion, out);
+  util::StatusOr<uint32_t> magic = r->GetU32();
+  if (!magic.ok()) return magic.status();
+  if (*magic != kEntryFrameMagic) return r->Corrupt("bad video entry magic");
+  util::StatusOr<uint32_t> body_size = r->GetU32();
+  if (!body_size.ok()) return body_size.status();
+  util::StatusOr<uint32_t> stored = r->GetU32();
+  if (!stored.ok()) return stored.status();
+  if (*body_size > r->remaining()) {
+    return r->Corrupt("video entry body exceeds database size");
+  }
+  const size_t body_start = r->position();
+  if (util::Crc32(r->data() + body_start, *body_size) != *stored) {
+    return r->Corrupt("video entry checksum mismatch");
+  }
+  CLASSMINER_RETURN_IF_ERROR(GetVideo(r, out));
+  if (r->position() != body_start + *body_size) {
+    return r->Corrupt("video entry body size mismatch");
+  }
+  return util::Status::Ok();
 }
 
 util::Status ValidateEntry(const VideoEntry& v, const std::string& at) {
@@ -382,102 +332,13 @@ util::Status ValidateEntry(const VideoEntry& v, const std::string& at) {
 
 std::vector<uint8_t> SerializeDatabase(const VideoDatabase& db) {
   util::ByteWriter w;
-  w.PutU32(kMagic);
-  w.PutU32(kVersion);
+  w.PutU32(kDatabaseMagic);
+  w.PutU32(kDatabaseVersion);
   w.PutU32(static_cast<uint32_t>(db.video_count()));
   for (int v = 0; v < db.video_count(); ++v) {
-    PutFramedVideo(&w, db.video(v));
+    internal::PutFramedEntry(&w, db.video(v));
   }
   return w.Release();
-}
-
-util::StatusOr<VideoDatabase> ParseDatabase(
-    const std::vector<uint8_t>& bytes) {
-  util::ByteReader r(bytes);
-  uint32_t version = 0;
-  uint32_t videos = 0;
-  CLASSMINER_RETURN_IF_ERROR(ParseDatabaseHeader(&r, &version, &videos));
-
-  VideoDatabase db;
-  for (uint32_t i = 0; i < videos; ++i) {
-    r.set_section("videos[" + std::to_string(i) + "]");
-    VideoEntry entry;
-    CLASSMINER_RETURN_IF_ERROR(GetVideoEntry(&r, version, &entry));
-    db.AddVideo(std::move(entry.name), std::move(entry.structure),
-                std::move(entry.events), entry.degraded);
-  }
-  if (r.remaining() > 0) {
-    return r.Corrupt("trailing bytes after last video entry");
-  }
-  return db;
-}
-
-util::StatusOr<VideoDatabase> ParseDatabaseSalvage(
-    const std::vector<uint8_t>& bytes, util::SalvageReport* report) {
-  util::SalvageReport local;
-  if (report == nullptr) report = &local;
-  util::ByteReader r(bytes);
-  uint32_t version = 0;
-  uint32_t videos = 0;
-  // Nothing precedes the header, so a damaged header is unrecoverable.
-  CLASSMINER_RETURN_IF_ERROR(ParseDatabaseHeader(&r, &version, &videos));
-
-  VideoDatabase db;
-  uint32_t parsed = 0;
-  for (uint32_t i = 0; i < videos; ++i) {
-    r.set_section("videos[" + std::to_string(i) + "]");
-    const size_t entry_start = r.position();
-    VideoEntry entry;
-    const util::Status video = GetVideoEntry(&r, version, &entry);
-    if (video.ok()) {
-      db.AddVideo(std::move(entry.name), std::move(entry.structure),
-                  std::move(entry.events), entry.degraded);
-      ++parsed;
-      continue;
-    }
-    report->AddNote("videos: " + video.message());
-    if (version < 3) {
-      // v1/v2 entries are written back to back with no framing: a torn
-      // entry makes everything behind it unframed bytes. Keep the prefix.
-      report->bytes_dropped += bytes.size() - entry_start;
-      break;
-    }
-    // v3: scan forward for the next checksum-confirmed entry frame and
-    // resynchronise there; the suffix behind the tear is recoverable.
-    bool resynced = false;
-    for (size_t scan = entry_start + 1; scan < bytes.size(); ++scan) {
-      if (!PlausibleEntryAt(bytes, scan)) continue;
-      (void)r.SeekTo(scan);
-      VideoEntry recovered;
-      if (!GetFramedVideo(&r, version, &recovered).ok()) {
-        // CRC-confirmed frame whose body still refuses to parse (in
-        // practice only hostile bytes); keep scanning behind it.
-        continue;
-      }
-      report->bytes_dropped += scan - entry_start;
-      report->resync_points += 1;
-      report->AddNote(
-          "videos: resynchronised onto checksum-confirmed entry at byte "
-          "offset " +
-          std::to_string(scan) + " (dropped " +
-          std::to_string(scan - entry_start) + " bytes)");
-      db.AddVideo(std::move(recovered.name), std::move(recovered.structure),
-                  std::move(recovered.events), recovered.degraded);
-      ++parsed;
-      resynced = true;
-      break;
-    }
-    if (!resynced) {
-      // No confirmed entry frame behind the tear; the rest is lost.
-      report->bytes_dropped += bytes.size() - entry_start;
-      break;
-    }
-  }
-  if (parsed < videos) {
-    report->items_dropped += static_cast<int>(videos - parsed);
-  }
-  report->items_recovered += db.video_count();
-  return db;
 }
 
 }  // namespace classminer::index

@@ -1,5 +1,6 @@
 #include "index/repair.h"
 
+#include <memory>
 #include <utility>
 
 #include "index/shard.h"
@@ -47,16 +48,22 @@ util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
                                                 util::SalvageReport* salvage) {
   util::SalvageReport local;
   if (salvage == nullptr) salvage = &local;
-  util::StatusOr<OpenResult> opened = OpenDatabaseAnyGeneration(path, salvage);
+  // A read-write open truncates torn shard tails back to the last
+  // confirmed frame; each shard falls back or salvages on its own.
+  ShardedDatabase::OpenReport shards;
+  util::StatusOr<std::unique_ptr<ShardedDatabase>> opened =
+      ShardedDatabase::Open(path, salvage, &shards);
   if (!opened.ok()) return opened.status();
+  VideoDatabase db = (*opened)->Snapshot();
+  opened->reset();
 
-  RepairReport report = RepairDatabase(&opened->db, remine);
+  RepairReport report = RepairDatabase(&db, remine);
   // Rewrite when an entry was healed, and also when the open itself had to
-  // recover (backup generation, salvage, or a legacy CMDB root): saving
-  // then promotes the recovered state to a pristine library.
-  if (report.repaired > 0 || opened->used_backup || opened->salvaged ||
-      opened->legacy) {
-    CLASSMINER_RETURN_IF_ERROR(SaveDatabase(opened->db, path));
+  // recover (a backup generation, a salvaged or a lost shard): saving then
+  // promotes the recovered state to a pristine library.
+  if (report.repaired > 0 || shards.any_backup() || shards.any_salvaged() ||
+      shards.any_lost()) {
+    CLASSMINER_RETURN_IF_ERROR(SaveDatabase(db, path));
     report.rewritten = true;
   }
   return report;

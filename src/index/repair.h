@@ -43,12 +43,13 @@ struct RepairReport {
 // report's notes; healthy entries are untouched.
 RepairReport RepairDatabase(VideoDatabase* db, const RemineFn& remine);
 
-// File-level repair: opens whatever of `path` loads (see
-// OpenDatabaseAnyGeneration), runs the in-memory pass, and saves a fresh
-// generation when anything changed — an entry repaired, or the open needed
-// a backup, a salvage parse or the legacy CMDB reader (rewriting then
-// restores a pristine library; a CMDB root becomes a 1-shard CMSL library).
-// Fallback and salvage details land in *salvage (nullptr to discard).
+// File-level repair: opens the library at `path` read-write
+// (ShardedDatabase::Open, with its per-shard fallback and salvage), runs
+// the in-memory pass, and saves a fresh generation when anything changed —
+// an entry repaired, or a shard that loaded from its backup, needed a
+// salvage parse or was lost (rewriting then restores a pristine library).
+// A path that holds no library is refused untouched. Fallback and salvage
+// details land in *salvage (nullptr to discard).
 util::StatusOr<RepairReport> RepairDatabaseFile(const std::string& path,
                                                 const RemineFn& remine,
                                                 util::SalvageReport* salvage);

@@ -210,7 +210,8 @@ util::StatusOr<ShardLogContents> ParseShardLog(
 
 // True when a complete, checksum-confirmed record frame (entry or
 // tombstone) starts at `pos` — the salvage scanner's resynchronisation
-// probe, same 2^-32 false-positive bound as the CMDB v3 entry scan.
+// probe: a false positive on arbitrary bytes needs a CRC-32 collision
+// (~2^-32).
 bool ConfirmedFrameAt(const uint8_t* data, size_t size, size_t pos) {
   if (pos + 12 > size) return false;
   const uint32_t magic = ReadU32LE(data + pos);
@@ -504,18 +505,6 @@ util::StatusOr<int> ShardCountOf(const std::string& path) {
   }
   return util::Status::DataLoss("cannot determine shard count of " + path +
                                 " (no loadable manifest or shard log header)");
-}
-
-// A legacy CMDB file at the root is a read-only import, not a library.
-bool IsLegacyRoot(const std::vector<uint8_t>& root) {
-  return root.size() >= 4 &&
-         ReadU32LE(root.data()) == internal::kLegacyDatabaseMagic;
-}
-
-util::Status LegacyRootError(const std::string& path) {
-  return util::Status::FailedPrecondition(
-      path + " is a legacy CMDB file, not a CMSL library; run "
-             "`classminer repair " + path + "` to migrate it");
 }
 
 }  // namespace
@@ -845,7 +834,6 @@ util::StatusOr<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   {
     util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
     if (bytes.ok()) {
-      if (IsLegacyRoot(*bytes)) return LegacyRootError(path);
       util::StatusOr<ShardManifest> m = ParseShardManifest(*bytes);
       if (m.ok()) {
         manifest = *m;
@@ -1135,43 +1123,6 @@ util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path) {
   return db;
 }
 
-util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
-    const std::string& path, util::SalvageReport* report) {
-  util::SalvageReport local;
-  if (report == nullptr) report = &local;
-  util::StatusOr<std::vector<uint8_t>> root = util::ReadFile(path);
-  if (root.ok() && IsLegacyRoot(*root)) {
-    // The one reader of the legacy format. The result is flagged, so the
-    // caller's rewrite (repair) migrates the path; the CMSM root replaces
-    // the CMDB file only after the shard logs are durable.
-    OpenResult out;
-    out.legacy = true;
-    util::StatusOr<VideoDatabase> db = ParseDatabase(*root);
-    if (!db.ok()) {
-      report->AddNote("legacy CMDB: " + db.status().message());
-      db = ParseDatabaseSalvage(*root, report);
-      if (!db.ok()) return db.status();
-      out.salvaged = true;
-    }
-    report->AddNote("open: read legacy CMDB root " + path +
-                    "; a rewrite migrates it to a 1-shard library");
-    out.db = std::move(*db);
-    return out;
-  }
-  // Shards fall back / salvage individually inside Open (read-write, so
-  // torn tails are truncated back to the last confirmed frame); the flags
-  // aggregate "any shard fell back / was salvaged".
-  ShardedDatabase::OpenReport shards;
-  util::StatusOr<std::unique_ptr<ShardedDatabase>> sdb =
-      ShardedDatabase::Open(path, report, &shards, /*read_only=*/false);
-  if (!sdb.ok()) return sdb.status();
-  OpenResult out;
-  out.db = (*sdb)->Snapshot();
-  out.used_backup = shards.any_backup();
-  out.salvaged = shards.any_salvaged() || shards.any_lost();
-  return out;
-}
-
 util::StatusOr<std::vector<ShardedDatabase::CompactionReport>>
 CompactDatabaseFile(const std::string& path, int shard, bool force) {
   util::SalvageReport report;
@@ -1210,10 +1161,6 @@ VerifyReport VerifyDatabaseFile(const std::string& path) {
   util::StatusOr<std::vector<uint8_t>> bytes = util::ReadFile(path);
   if (!bytes.ok()) {
     report.error = bytes.status().message();
-    return report;
-  }
-  if (IsLegacyRoot(*bytes)) {
-    report.error = LegacyRootError(path).message();
     return report;
   }
   util::StatusOr<ShardManifest> manifest = ParseShardManifest(*bytes);

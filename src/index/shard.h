@@ -33,7 +33,7 @@ namespace classminer::index {
 //   <path>.shard<k>     append-only log: header "CMSL" (version u32, shard
 //                       index u32, shard count u32, generation u64)
 //                       followed by self-delimiting CRC'd records — an
-//                       upsert is exactly a v3 "CMVE" entry frame (see
+//                       upsert is exactly a "CMVE" entry frame (see
 //                       index/persist.h); a delete is a "CMVT" tombstone
 //                       frame whose body is the entry name. Later records
 //                       supersede earlier ones.
@@ -64,9 +64,9 @@ namespace classminer::index {
 // strict previous → salvage current → salvage previous → (both dead) an
 // empty shard flagged lost. One corrupt shard never takes down the library.
 //
-// A root that holds a legacy CMDB file is not a library: Open refuses it
-// with kFailedPrecondition, verify reports it unclean, and only
-// OpenDatabaseAnyGeneration reads it — so `repair` migrates it.
+// This is the only library format the code reads: every entry point
+// refuses a root in any other format with a non-OK status and leaves it
+// untouched.
 // ---------------------------------------------------------------------------
 
 // Derived per-shard file names: "<path>.shard<k>" and its ".prev".
@@ -129,8 +129,7 @@ class ShardedDatabase {
       const std::string& path, const Options& options);
 
   // Opens an existing sharded database, parsing shards in parallel with
-  // per-shard fallback (see file comment). A legacy CMDB root fails with
-  // kFailedPrecondition (run `classminer repair` to migrate it). Fallbacks and salvage decisions
+  // per-shard fallback (see file comment). Fallbacks and salvage decisions
   // land in `report`; per-shard outcomes in `open_report` (both optional).
   // Read-write opens (`read_only == false`) truncate torn shard tails back
   // to the last checksum-confirmed frame so subsequent appends extend a
@@ -192,8 +191,8 @@ class ShardedDatabase {
 // Full rewrite of the library at `path` from `db`: every shard advances
 // one generation through the staged compaction path, then the manifest is
 // rewritten last. `shard_count` must be in [1, 4096]; the two-argument form
-// keeps the existing library's shard count (1 for a fresh path or a legacy
-// CMDB root). Used by `classminer index`, repair promotion and Create.
+// keeps the existing library's shard count (1 for a path that holds no
+// library). Used by `classminer index`, repair promotion and Create.
 util::Status SaveDatabase(const VideoDatabase& db, const std::string& path,
                           int shard_count);
 util::Status SaveDatabase(const VideoDatabase& db, const std::string& path);
@@ -201,23 +200,6 @@ util::Status SaveDatabase(const VideoDatabase& db, const std::string& path);
 // Strict load: the manifest and every shard log must parse cleanly
 // (generation staleness stays advisory). Parses shards in parallel.
 util::StatusOr<VideoDatabase> LoadDatabase(const std::string& path);
-
-// How OpenDatabaseAnyGeneration satisfied the open.
-struct OpenResult {
-  VideoDatabase db;
-  bool used_backup = false;  // some shard came from its .prev generation
-  bool salvaged = false;     // some shard (or the CMDB file) needed salvage,
-                             // or a shard was lost
-  bool legacy = false;       // read from a legacy CMDB root
-};
-
-// Opens whatever of `path` loads. A library opens read-write through
-// ShardedDatabase::Open (torn tails truncated, per-shard fallback and
-// salvage). A legacy CMDB root is parsed strictly, then by salvage, and
-// flagged `legacy`. Fallback steps taken are noted in `report` (nullptr to
-// discard).
-util::StatusOr<OpenResult> OpenDatabaseAnyGeneration(
-    const std::string& path, util::SalvageReport* report);
 
 // Open-compact-close convenience for the scrubber, server ops and the CLI:
 // compacts shard `shard` (-1 = every shard with dead records). Returns the
@@ -249,8 +231,7 @@ struct VerifyReport {
 };
 
 // Strict per-shard parse (aggregate live/degraded counts) plus generation
-// staleness. A legacy CMDB root is reported unloadable, with an error that
-// names `repair`. Never modifies any file.
+// staleness. Never modifies any file.
 VerifyReport VerifyDatabaseFile(const std::string& path);
 
 }  // namespace classminer::index

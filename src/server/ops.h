@@ -140,8 +140,8 @@ OpResult RepairOp(const std::string& db_path, const OpEnv& env,
 // compact <db> [--shard K] [--force]: folds the library's append logs into
 // pristine generations, dropping superseded records and tombstones
 // (shard < 0 = every shard; force folds even shards with no dead records).
-// The report lists each shard's verdict. A legacy CMDB file is refused
-// with kFailedPrecondition — `repair` migrates it first.
+// The report lists each shard's verdict. A path that holds no library is
+// refused untouched.
 OpResult CompactOp(const std::string& db_path, int shard, bool force);
 
 }  // namespace classminer::server

@@ -11,8 +11,8 @@
 namespace classminer::server {
 
 // The classminerd wire protocol: length-prefixed binary frames over TCP,
-// built on the same ByteWriter/ByteReader + CRC-32 idioms as the CMV/CMDB
-// on-disk formats (DESIGN.md documents the full layout).
+// built on the same ByteWriter/ByteReader + CRC-32 idioms as the CMV and
+// library on-disk formats (DESIGN.md documents the full layout).
 //
 // Every frame is
 //   u32 magic      "CMQ2" (request) or "CMS2" (response)
@@ -67,8 +67,8 @@ util::StatusOr<RequestKind> ParseRequestKind(const std::string& name);
 //   mine    <path.cmv> [--fast] [--strict]
 //   browse  <path.cmv> [more.cmv ...] [--strict]
 //   skim    <path.cmv> [level]
-//   verify  <db.cmdb>
-//   repair  <db.cmdb>
+//   verify  <library>
+//   repair  <library>
 struct Request {
   RequestKind kind = RequestKind::kHello;
   uint32_t deadline_ms = 0;

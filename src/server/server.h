@@ -160,11 +160,7 @@ struct ServerStats {
   uint64_t rejected_admission = 0;  // answered kUnavailable, never queued
   uint64_t deadline_exceeded = 0;
   uint64_t permission_denied = 0;
-  // Reactor-era counters. reader_threads is the number of dedicated per-
-  // connection reader threads — always 0 by construction; the field exists
-  // so operational checks can assert the thread-per-connection shape never
-  // returns.
-  uint64_t reader_threads = 0;
+  // Reactor counters.
   uint64_t requests_pipelined = 0;  // dispatched while the session had
                                     // other requests in flight
   uint64_t responses_streamed = 0;  // responses delivered as 2+ chunks

@@ -8,8 +8,8 @@
 namespace classminer::util {
 
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-record
-// integrity checksum of the CMV container, the CMDB database and the
-// CMQ2/CMS2 wire frames. Chainable: pass the previous return value as `crc`
+// integrity checksum of the CMV container, the library's manifest and
+// shard-log records, and the CMQ2/CMS2 wire frames. Chainable: pass the previous return value as `crc`
 // to extend a checksum over several spans
 // (Crc32(b, nb, Crc32(a, na)) == Crc32(a+b)).
 //

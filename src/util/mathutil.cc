@@ -40,13 +40,6 @@ double Entropy(std::span<const double> weights) {
   return h;
 }
 
-void NormalizeL1(std::vector<double>* values) {
-  double sum = 0.0;
-  for (double v : *values) sum += v;
-  if (sum == 0.0) return;
-  for (double& v : *values) v /= sum;
-}
-
 double Clamp(double v, double lo, double hi) {
   return std::min(hi, std::max(lo, v));
 }

@@ -19,9 +19,6 @@ double StdDev(std::span<const double> values);
 // weights; weights are normalised internally. Zero weights contribute 0.
 double Entropy(std::span<const double> weights);
 
-// Normalises `values` in place so they sum to 1. No-op when the sum is 0.
-void NormalizeL1(std::vector<double>* values);
-
 // Clamps v into [lo, hi].
 double Clamp(double v, double lo, double hi);
 

@@ -9,7 +9,7 @@ namespace classminer::util {
 
 // What a best-effort parse or decode managed to rescue from damaged input.
 // Filled by CmvFile::ParseBestEffort, the salvage DC decode, the fast
-// path's planned decode and ParseDatabaseSalvage; merged onto MiningResult
+// path's planned decode and the shard-log open; merged onto MiningResult
 // so callers (CLI, batch ingest) can report exactly what was lost. Lives in
 // util so codec, index and core can all speak it without layering knots.
 struct SalvageReport {
@@ -19,7 +19,7 @@ struct SalvageReport {
   bool salvaged = false;
 
   uint64_t bytes_dropped = 0;  // trailing/corrupt bytes discarded
-  int items_recovered = 0;     // container frames / database videos kept
+  int items_recovered = 0;     // container frames / library entries kept
   int items_dropped = 0;       // structurally unrecoverable items
   int gops_recovered = 0;      // complete GOPs usable after salvage
   int gops_skipped = 0;        // GOPs dropped or substituted as corrupt

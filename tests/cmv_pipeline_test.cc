@@ -9,6 +9,7 @@
 #include "core/cmv_pipeline.h"
 #include "core/metrics.h"
 #include "cues/cue_extractor.h"
+#include "gop_of_frame.h"
 #include "index/database.h"
 #include "index/persist.h"
 #include "media/draw.h"
@@ -114,7 +115,8 @@ TEST_F(CmvPipelineTest, CorruptFileSurfacesError) {
 }
 
 TEST_F(CmvPipelineTest, FastPathDecodesStrictlyFewerFrames) {
-  ASSERT_GT(file_->gop_count(), 1) << "corpus must span multiple GOPs";
+  const std::vector<codec::GopIndexEntry> gops = Gops(*file_);
+  ASSERT_GT(gops.size(), 1u) << "corpus must span multiple GOPs";
   util::StatusOr<core::MiningResult> fast =
       core::MineCmvFileFast(*file_, core::MiningOptions());
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
@@ -124,10 +126,10 @@ TEST_F(CmvPipelineTest, FastPathDecodesStrictlyFewerFrames) {
   // sum(last needed position + 1) frames over the distinct needed GOPs.
   std::map<int, int> last_needed;  // GOP -> last needed position in it
   for (const shot::Shot& s : fast->structure.shots) {
-    const int gop = file_->GopOfFrame(s.rep_frame);
+    const int gop = GopOfFrame(*file_, s.rep_frame);
     ASSERT_GE(gop, 0);
     const int position =
-        s.rep_frame - file_->gop_index[static_cast<size_t>(gop)].start_frame;
+        s.rep_frame - gops[static_cast<size_t>(gop)].start_frame;
     int& last = last_needed[gop];
     last = std::max(last, position);
   }

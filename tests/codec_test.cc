@@ -20,12 +20,14 @@
 #include "codec/encoder.h"
 #include "codec/motion.h"
 #include "codec/quant.h"
+#include "gop_of_frame.h"
 #include "media/color.h"
 #include "media/draw.h"
 #include "util/cpu.h"
 #include "util/crc32.h"
 #include "util/exec_context.h"
 #include "util/rng.h"
+#include "util/serial.h"
 #include "util/threadpool.h"
 
 namespace classminer::codec {
@@ -349,7 +351,7 @@ std::vector<media::Image> ChainedReferenceFrames(const CmvFile& file) {
 
 // The status of decoding GOP `g` of `file` alone, every frame of it.
 util::Status GopStatus(const CmvFile& file, int g) {
-  const GopIndexEntry& gop = file.gop_index[static_cast<size_t>(g)];
+  const GopIndexEntry gop = Gops(file)[static_cast<size_t>(g)];
   util::StatusOr<FrameBatch> batch =
       DecodeFrames(file, {gop.start_frame + gop.frame_count - 1});
   return batch.ok() ? batch->FirstError() : batch.status();
@@ -358,7 +360,8 @@ util::Status GopStatus(const CmvFile& file, int g) {
 // The serial walk DecodeVideo performs without a pool: GOPs in stream
 // order, stopping at the first one that fails.
 util::Status SerialWalkStatus(const CmvFile& file) {
-  for (int g = 0; g < file.gop_count(); ++g) {
+  const int gops = static_cast<int>(Gops(file).size());
+  for (int g = 0; g < gops; ++g) {
     CLASSMINER_RETURN_IF_ERROR(GopStatus(file, g));
   }
   return util::Status::Ok();
@@ -366,8 +369,9 @@ util::Status SerialWalkStatus(const CmvFile& file) {
 
 TEST(GopParallelDecodeTest, PoolSizesDecodeByteIdenticalFrames) {
   const CmvFile file = MultiGopFile();
-  ASSERT_EQ(file.gop_count(), 6);
-  ASSERT_EQ(file.gop_index.back().frame_count, 4);
+  const std::vector<GopIndexEntry> gops = Gops(file);
+  ASSERT_EQ(gops.size(), 6u);
+  ASSERT_EQ(gops.back().frame_count, 4);
   util::StatusOr<media::Video> serial = DecodeVideo(file);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_EQ(serial->frame_count(), 44);
@@ -378,23 +382,16 @@ TEST(GopParallelDecodeTest, PoolSizesDecodeByteIdenticalFrames) {
         << "frame " << i;
   }
 
-  // The partition comes from the frame records: a wrong stored index
-  // changes nothing.
-  CmvFile bad_index = file;
-  bad_index.gop_index[1].start_frame = 3;
-  const CmvFile* inputs[] = {&file, &bad_index};
   for (const int threads : {2, 4}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     util::ThreadPool pool(threads);
-    for (const CmvFile* input : inputs) {
-      util::StatusOr<media::Video> parallel = DecodeVideo(*input, &pool);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      EXPECT_EQ(parallel->name(), serial->name());
-      EXPECT_EQ(parallel->fps(), serial->fps());
-      ASSERT_EQ(parallel->frame_count(), serial->frame_count());
-      for (int i = 0; i < serial->frame_count(); ++i) {
-        ASSERT_EQ(parallel->frame(i), serial->frame(i)) << "frame " << i;
-      }
+    util::StatusOr<media::Video> parallel = DecodeVideo(file, &pool);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_EQ(parallel->name(), serial->name());
+    EXPECT_EQ(parallel->fps(), serial->fps());
+    ASSERT_EQ(parallel->frame_count(), serial->frame_count());
+    for (int i = 0; i < serial->frame_count(); ++i) {
+      ASSERT_EQ(parallel->frame(i), serial->frame(i)) << "frame " << i;
     }
   }
 }
@@ -402,14 +399,13 @@ TEST(GopParallelDecodeTest, PoolSizesDecodeByteIdenticalFrames) {
 // MultiGopFile with GOPs 2 and 4 damaged. GOP 2: clear every bit of its
 // I-frame's first eight bytes, so the first exp-Golomb code runs past 31
 // leading zeros. GOP 4: cut its I-frame's payload short, so the bitstream
-// runs out. The stored index is rebuilt to match the new payload sizes.
+// runs out.
 CmvFile TwoDamagedGopsFile() {
   CmvFile file = MultiGopFile();
   std::vector<uint8_t>& gop2 = file.frames[16].payload;
   EXPECT_GE(gop2.size(), 8u);
   for (size_t b = 0; b < 8 && b < gop2.size(); ++b) gop2[b] ^= gop2[b];
   file.frames[32].payload.resize(2);
-  EXPECT_TRUE(file.RebuildGopIndex().ok());
   return file;
 }
 
@@ -478,15 +474,58 @@ codec::CmvFile EncodeTestFile(int frames, int gop_size) {
   return codec::EncodeVideo(TestVideo(frames), opts);
 }
 
+// Size of the trailing GIDX section for an index of `gops` entries.
+size_t GopIndexSectionBytes(size_t gops) { return 8 + 24 * gops; }
+
+// The GIDX section Serialize wrote at the end of `bytes`, `gops` entries.
+std::vector<GopIndexEntry> StoredGopIndex(const std::vector<uint8_t>& bytes,
+                                          size_t gops) {
+  util::ByteReader r(bytes);
+  EXPECT_TRUE(r.SeekTo(bytes.size() - GopIndexSectionBytes(gops)).ok());
+  EXPECT_EQ(*r.GetU32(), CmvFile::kGopIndexMagic);
+  EXPECT_EQ(*r.GetU32(), gops);
+  std::vector<GopIndexEntry> index(gops);
+  for (GopIndexEntry& g : index) {
+    g.start_frame = *r.GetI32();
+    g.frame_count = *r.GetI32();
+    g.byte_offset = *r.GetU64();
+    g.byte_size = *r.GetU64();
+  }
+  return index;
+}
+
+// `file` serialised with `index` as its stored GIDX section in place of the
+// derived one (no section at all when `index` is empty).
+std::vector<uint8_t> WithStoredIndex(const CmvFile& file,
+                                     const std::vector<GopIndexEntry>& index) {
+  std::vector<uint8_t> bytes = file.Serialize();
+  bytes.resize(bytes.size() - GopIndexSectionBytes(Gops(file).size()));
+  if (index.empty()) return bytes;
+  util::ByteWriter w;
+  w.PutU32(CmvFile::kGopIndexMagic);
+  w.PutU32(static_cast<uint32_t>(index.size()));
+  for (const GopIndexEntry& g : index) {
+    w.PutI32(g.start_frame);
+    w.PutI32(g.frame_count);
+    w.PutU64(g.byte_offset);
+    w.PutU64(g.byte_size);
+  }
+  bytes.insert(bytes.end(), w.bytes().begin(), w.bytes().end());
+  return bytes;
+}
+
 TEST(GopIndexTest, EncoderEmitsConsistentIndex) {
   // 30 frames at GOP size 8: GOPs of 8, 8, 8 and a final partial 6.
   const codec::CmvFile file = EncodeTestFile(30, 8);
-  ASSERT_EQ(file.gop_count(), 4);
+  const std::vector<GopIndexEntry> gops = Gops(file);
+  ASSERT_EQ(gops.size(), 4u);
+  // The section Serialize writes is the derived index.
+  EXPECT_EQ(StoredGopIndex(file.Serialize(), gops.size()), gops);
 
   int next_frame = 0;
   uint64_t next_offset = 0;
   uint64_t total_bytes = 0;
-  for (const codec::GopIndexEntry& g : file.gop_index) {
+  for (const codec::GopIndexEntry& g : gops) {
     EXPECT_EQ(g.start_frame, next_frame);
     EXPECT_EQ(g.byte_offset, next_offset);
     EXPECT_GT(g.frame_count, 0);
@@ -499,40 +538,41 @@ TEST(GopIndexTest, EncoderEmitsConsistentIndex) {
   }
   EXPECT_EQ(next_frame, file.frame_count());
   EXPECT_EQ(total_bytes, file.VideoPayloadBytes());
-  EXPECT_EQ(file.gop_index.back().frame_count, 6);
+  EXPECT_EQ(gops.back().frame_count, 6);
 }
 
 TEST(GopIndexTest, GopOfFrameCoversBoundaries) {
   const codec::CmvFile file = EncodeTestFile(30, 8);
-  EXPECT_EQ(file.GopOfFrame(0), 0);
-  EXPECT_EQ(file.GopOfFrame(7), 0);
-  EXPECT_EQ(file.GopOfFrame(8), 1);
-  EXPECT_EQ(file.GopOfFrame(23), 2);
-  EXPECT_EQ(file.GopOfFrame(24), 3);
-  EXPECT_EQ(file.GopOfFrame(29), 3);
-  EXPECT_EQ(file.GopOfFrame(-1), -1);
-  EXPECT_EQ(file.GopOfFrame(30), -1);
+  EXPECT_EQ(GopOfFrame(file, 0), 0);
+  EXPECT_EQ(GopOfFrame(file, 7), 0);
+  EXPECT_EQ(GopOfFrame(file, 8), 1);
+  EXPECT_EQ(GopOfFrame(file, 23), 2);
+  EXPECT_EQ(GopOfFrame(file, 24), 3);
+  EXPECT_EQ(GopOfFrame(file, 29), 3);
+  EXPECT_EQ(GopOfFrame(file, -1), -1);
+  EXPECT_EQ(GopOfFrame(file, 30), -1);
 }
 
 TEST(GopIndexTest, SerializeParseRoundTripPreservesIndex) {
   const codec::CmvFile file = EncodeTestFile(30, 8);
-  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(file.Serialize());
+  const std::vector<uint8_t> bytes = file.Serialize();
+  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->gop_index, file.gop_index);
+  EXPECT_EQ(Gops(*back), Gops(file));
+  EXPECT_EQ(back->Serialize(), bytes);
 }
 
 TEST(GopIndexTest, ParseRebuildsIndexForLegacyContainer) {
-  // A container serialized without the trailing index section (what files
-  // written before the index existed look like) parses fine and gets its
-  // index rebuilt from the frame records.
-  codec::CmvFile file = EncodeTestFile(30, 8);
-  const std::vector<codec::GopIndexEntry> expected = file.gop_index;
-  file.gop_index.clear();
-  const std::vector<uint8_t> legacy_bytes = file.Serialize();
+  // A container without the trailing index section parses fine; its GOPs
+  // come from the frame records, and re-serialising writes the section.
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  const std::vector<uint8_t> no_index = WithStoredIndex(file, {});
+  ASSERT_LT(no_index.size(), file.Serialize().size());
 
-  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(legacy_bytes);
+  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(no_index);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->gop_index, expected);
+  EXPECT_EQ(Gops(*back), Gops(file));
+  EXPECT_EQ(back->Serialize(), file.Serialize());
 }
 
 TEST(GopIndexTest, TruncatedIndexFailsCleanly) {
@@ -552,9 +592,11 @@ TEST(GopIndexTest, TruncatedIndexFailsCleanly) {
 }
 
 TEST(GopIndexTest, TamperedIndexFailsValidation) {
-  codec::CmvFile file = EncodeTestFile(30, 8);
-  file.gop_index[1].frame_count += 1;
-  util::StatusOr<codec::CmvFile> back = codec::CmvFile::Parse(file.Serialize());
+  const codec::CmvFile file = EncodeTestFile(30, 8);
+  std::vector<GopIndexEntry> tampered = Gops(file);
+  tampered[1].frame_count += 1;
+  util::StatusOr<codec::CmvFile> back =
+      codec::CmvFile::Parse(WithStoredIndex(file, tampered));
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), util::StatusCode::kDataLoss);
 }
@@ -562,8 +604,8 @@ TEST(GopIndexTest, TamperedIndexFailsValidation) {
 TEST(GopIndexTest, StreamStartingWithPFrameCannotIndex) {
   codec::CmvFile file = EncodeTestFile(30, 8);
   file.frames.erase(file.frames.begin());  // now opens with a P-frame
-  EXPECT_EQ(file.RebuildGopIndex().code(), util::StatusCode::kDataLoss);
-  file.gop_index.clear();
+  EXPECT_EQ(CmvFile::DeriveGopIndex(file.frames).status().code(),
+            util::StatusCode::kDataLoss);
   EXPECT_EQ(codec::DecodeFrames(file, {1}).status().code(),
             util::StatusCode::kDataLoss);
 }
@@ -640,8 +682,9 @@ TEST(DecodeFramesTest, EveryGopSliceMatchesFullDecode) {
   const CmvFile file = MultiGopFile();
   util::StatusOr<media::Video> full = DecodeVideo(file);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(file.gop_count(), 6);
-  for (const GopIndexEntry& gop : file.gop_index) {
+  const std::vector<GopIndexEntry> gops = Gops(file);
+  ASSERT_EQ(gops.size(), 6u);
+  for (const GopIndexEntry& gop : gops) {
     SCOPED_TRACE("GOP at frame " + std::to_string(gop.start_frame));
     std::vector<int> wanted;
     for (int i = 0; i < gop.frame_count; ++i) {
@@ -748,7 +791,7 @@ TEST(DecodeFramesTest, SalvagingCallerKeepsEveryFrameOutsideTheFailedGops) {
   for (int f = 0; f < file.frame_count(); ++f) {
     SCOPED_TRACE("frame " + std::to_string(f));
     const DecodedFrame& frame = batch->frames[static_cast<size_t>(f)];
-    const int gop = file.GopOfFrame(f);
+    const int gop = GopOfFrame(file, f);
     if (gop == 2 || gop == 4) {
       EXPECT_FALSE(frame.status.ok());
       EXPECT_EQ(frame.image.width(), 0);
@@ -790,32 +833,49 @@ TEST(DecodeFramesTest, RejectsOutOfRangeAndUnsortedIndices) {
   }
 }
 
-// Every decode reads only the frame records: a stored index that disagrees
-// with them (Parse would have refused it; a hand-built file can carry one)
-// decodes exactly like the file with its own index.
+// A stored index that disagrees with the frame records never reaches a
+// decode: the strict parse refuses it, and the salvage parse drops it and
+// decodes exactly like the pristine file. A file with no stored index
+// parses strictly and decodes the same too.
 TEST(DecodeFramesTest, StaleStoredIndexCannotChangeWhatDecodes) {
   const CmvFile file = MultiGopFile();
-  std::vector<CmvFile> stale(4, file);
-  stale[0].gop_index[1].byte_size += 1;
-  stale[1].gop_index[1].start_frame = 3;
-  stale[2].gop_index.clear();
-  stale[3].gop_index.push_back(stale[3].gop_index.back());
+  const std::vector<GopIndexEntry> gops = Gops(file);
+  std::vector<std::vector<GopIndexEntry>> stored(4, gops);
+  stored[0][1].byte_size += 1;
+  stored[1][1].start_frame = 3;
+  stored[2].clear();
+  stored[3].push_back(stored[3].back());
   const std::vector<int> wanted = {0, 3, 9, 10, 15, 31, 41, 43};
   util::StatusOr<media::Video> video = DecodeVideo(file);
   util::StatusOr<FrameBatch> batch = DecodeFrames(file, wanted);
   util::StatusOr<std::vector<media::GrayImage>> dc = DecodeDcImages(file);
   ASSERT_TRUE(video.ok() && batch.ok() && dc.ok());
   util::ThreadPool pool(4);
-  for (size_t k = 0; k < stale.size(); ++k) {
-    SCOPED_TRACE("stale index " + std::to_string(k));
-    util::StatusOr<media::Video> stale_video = DecodeVideo(stale[k], &pool);
+  for (size_t k = 0; k < stored.size(); ++k) {
+    SCOPED_TRACE("stored index " + std::to_string(k));
+    const std::vector<uint8_t> bytes = WithStoredIndex(file, stored[k]);
+    const util::StatusOr<CmvFile> strict = CmvFile::Parse(bytes);
+    if (stored[k].empty()) {
+      ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+    } else {
+      ASSERT_FALSE(strict.ok());
+      EXPECT_EQ(strict.status().code(), util::StatusCode::kDataLoss);
+    }
+    util::SalvageReport parse_report;
+    const util::StatusOr<CmvFile> parsed =
+        CmvFile::ParseBestEffort(bytes, &parse_report);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parse_report.index_rebuilt, !stored[k].empty());
+    EXPECT_EQ(parse_report.gops_recovered, 6);
+    const CmvFile& stale = *parsed;
+    util::StatusOr<media::Video> stale_video = DecodeVideo(stale, &pool);
     ASSERT_TRUE(stale_video.ok()) << stale_video.status().ToString();
     ASSERT_EQ(stale_video->frame_count(), video->frame_count());
     for (int i = 0; i < video->frame_count(); ++i) {
       ASSERT_EQ(stale_video->frame(i), video->frame(i)) << "frame " << i;
     }
     util::StatusOr<FrameBatch> stale_batch =
-        DecodeFrames(stale[k], wanted, &pool);
+        DecodeFrames(stale, wanted, &pool);
     ASSERT_TRUE(stale_batch.ok()) << stale_batch.status().ToString();
     EXPECT_EQ(stale_batch->gops, batch->gops);
     EXPECT_EQ(stale_batch->frames_decoded, batch->frames_decoded);
@@ -824,7 +884,7 @@ TEST(DecodeFramesTest, StaleStoredIndexCannotChangeWhatDecodes) {
     }
     util::SalvageReport report;
     util::StatusOr<std::vector<media::GrayImage>> stale_dc =
-        DecodeDcImages(stale[k], &pool, &report);
+        DecodeDcImages(stale, &pool, &report);
     ASSERT_TRUE(stale_dc.ok()) << stale_dc.status().ToString();
     EXPECT_TRUE(*stale_dc == *dc);
     EXPECT_EQ(report.gops_skipped, 0);

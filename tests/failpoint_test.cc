@@ -12,6 +12,7 @@
 
 #include "codec/container.h"
 #include "core/cmv_pipeline.h"
+#include "gop_of_frame.h"
 #include "synth/video_generator.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
@@ -463,13 +464,13 @@ TEST_F(PlannedDecodeFaultTest, DataLossInDegradedModeStaysWithItsShots) {
 
   const std::vector<shot::Shot>& shots = mined->structure.shots;
   ASSERT_EQ(shots.size(), pristine->structure.shots.size());
-  ASSERT_GE(file.GopOfFrame(shots.back().rep_frame),
-            file.GopOfFrame(shots.front().rep_frame) + 1);
-  const int failed_gop = file.GopOfFrame(shots.front().rep_frame);
+  ASSERT_GE(GopOfFrame(file, shots.back().rep_frame),
+            GopOfFrame(file, shots.front().rep_frame) + 1);
+  const int failed_gop = GopOfFrame(file, shots.front().rep_frame);
   for (size_t i = 0; i < shots.size(); ++i) {
     SCOPED_TRACE("shot " + std::to_string(i));
     const features::ShotFeatures& expected =
-        file.GopOfFrame(shots[i].rep_frame) == failed_gop
+        GopOfFrame(file, shots[i].rep_frame) == failed_gop
             ? features::ShotFeatures{}
             : pristine->structure.shots[i].features;
     EXPECT_EQ(shots[i].features.histogram, expected.histogram);

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "index/classifier.h"
 #include "index/persist.h"
 #include "index/shard.h"
 #include "media/color.h"
 #include "media/draw.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace classminer::index {
 namespace {
@@ -69,11 +74,26 @@ VideoDatabase MakeDatabase() {
   return db;
 }
 
+// A library path cleared of files from earlier runs.
+std::string FreshLibraryPath(const std::string& stem) {
+  const std::string path = ::testing::TempDir() + "/" + stem + ".lib";
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  const std::string log = ShardPath(path, 0);
+  std::remove(log.c_str());
+  std::remove((log + ".tmp").c_str());
+  std::remove(ShardBackupPath(path, 0).c_str());
+  return path;
+}
+
 TEST(PersistTest, RoundTripPreservesEverything) {
   const VideoDatabase db = MakeDatabase();
-  const std::vector<uint8_t> bytes = SerializeDatabase(db);
-  util::StatusOr<VideoDatabase> back = ParseDatabase(bytes);
+  const std::string path = FreshLibraryPath("round_trip");
+  ASSERT_TRUE(SaveDatabase(db, path, 1).ok());
+  util::StatusOr<VideoDatabase> back = LoadDatabase(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // Every field the entry codec carries, byte for byte.
+  EXPECT_EQ(SerializeDatabase(*back), SerializeDatabase(db));
 
   ASSERT_EQ(back->video_count(), 1);
   const VideoEntry& orig = db.video(0);
@@ -111,22 +131,37 @@ TEST(PersistTest, FileRoundTrip) {
 }
 
 TEST(PersistTest, BadMagicRejected) {
-  std::vector<uint8_t> bytes{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  EXPECT_FALSE(ParseDatabase(bytes).ok());
+  const std::vector<uint8_t> junk{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  // Junk at the root: no manifest to read.
+  const std::string root = FreshLibraryPath("bad_root_magic");
+  ASSERT_TRUE(util::WriteFile(root, junk).ok());
+  EXPECT_FALSE(LoadDatabase(root).ok());
+  EXPECT_FALSE(VerifyDatabaseFile(root).loadable);
+  // Junk in place of the shard log under a valid manifest.
+  const std::string path = FreshLibraryPath("bad_log_magic");
+  ASSERT_TRUE(SaveDatabase(MakeDatabase(), path, 1).ok());
+  ASSERT_TRUE(util::WriteFile(ShardPath(path, 0), junk).ok());
+  EXPECT_FALSE(LoadDatabase(path).ok());
+  EXPECT_NE(VerifyDatabaseFile(path).error.find("bad CMSL magic"),
+            std::string::npos);
 }
 
 TEST(PersistTest, TruncationRejected) {
-  const VideoDatabase db = MakeDatabase();
-  std::vector<uint8_t> bytes = SerializeDatabase(db);
-  bytes.resize(bytes.size() / 3);
-  util::StatusOr<VideoDatabase> back = ParseDatabase(bytes);
+  const std::string path = FreshLibraryPath("truncated");
+  ASSERT_TRUE(SaveDatabase(MakeDatabase(), path, 1).ok());
+  util::StatusOr<std::vector<uint8_t>> log = util::ReadFile(ShardPath(path, 0));
+  ASSERT_TRUE(log.ok());
+  log->resize(log->size() / 3);
+  ASSERT_TRUE(util::WriteFile(ShardPath(path, 0), *log).ok());
+  util::StatusOr<VideoDatabase> back = LoadDatabase(path);
   EXPECT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST(PersistTest, EmptyDatabase) {
-  VideoDatabase db;
-  util::StatusOr<VideoDatabase> back = ParseDatabase(SerializeDatabase(db));
+  const std::string path = FreshLibraryPath("empty");
+  ASSERT_TRUE(SaveDatabase(VideoDatabase(), path, 1).ok());
+  util::StatusOr<VideoDatabase> back = LoadDatabase(path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->video_count(), 0);
 }

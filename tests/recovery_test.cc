@@ -1,13 +1,14 @@
 // Crash-consistent persistence and self-healing recovery on a 1-shard
 // library (the default layout of `classminer index`): a crash injected at
 // any step of a full save must leave the whole library old or new, never a
-// torn mixture; OpenDatabaseAnyGeneration must find it; and the repair pass
+// torn mixture; a read-write open must find it; and the repair pass
 // must re-mine degraded entries back to pristine so a subsequent verify
 // reports zero integrity failures.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,23 @@ class RecoveryTest : public ::testing::Test {
 
   std::string dir_;
 };
+
+// What a read-write open of a library yields: its snapshot and how each
+// shard's open was satisfied.
+struct Opened {
+  index::VideoDatabase db;
+  index::ShardedDatabase::OpenReport shards;
+};
+
+util::StatusOr<Opened> OpenLibrary(const std::string& path,
+                                   util::SalvageReport* report = nullptr) {
+  Opened out;
+  util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
+      index::ShardedDatabase::Open(path, report, &out.shards);
+  if (!db.ok()) return db.status();
+  out.db = (*db)->Snapshot();
+  return out;
+}
 
 // A database with `videos` single-shot entries named video0..videoN.
 index::VideoDatabase MakeDatabase(int videos, bool degrade_first = false) {
@@ -107,10 +125,10 @@ TEST_F(RecoveryTest, CrashAtEverySiteWithPriorGenerationKeepsADatabase) {
     // the whole two-video one from then on (only the manifest lags, which
     // is advisory). Never a mixture, never a salvage.
     util::SalvageReport report;
-    const util::StatusOr<index::OpenResult> opened =
-        index::OpenDatabaseAnyGeneration(path, &report);
+    const util::StatusOr<Opened> opened = OpenLibrary(path, &report);
     ASSERT_TRUE(opened.ok()) << site.name;
-    EXPECT_FALSE(opened->salvaged) << site.name;
+    EXPECT_FALSE(opened->shards.any_salvaged() || opened->shards.any_lost())
+        << site.name;
     EXPECT_EQ(opened->db.video_count(), site.log_landed ? 2 : 1) << site.name;
     EXPECT_EQ(opened->db.video(0).name, "video0") << site.name;
   }
@@ -129,8 +147,7 @@ TEST_F(RecoveryTest, CrashAtEverySiteOnFreshPathLeavesNoTornFile) {
     // Before the shard log lands the open fails cleanly instead of loading
     // garbage; after, the shard-0 log header identifies the library and
     // the open reconstructs the complete new generation.
-    const util::StatusOr<index::OpenResult> opened =
-        index::OpenDatabaseAnyGeneration(path, nullptr);
+    const util::StatusOr<Opened> opened = OpenLibrary(path);
     if (site.log_landed) {
       ASSERT_TRUE(opened.ok()) << site.name;
       EXPECT_EQ(opened->db.video_count(), 2) << site.name;
@@ -195,9 +212,8 @@ TEST_F(RecoveryTest, InterruptedManifestWriteIsAdvisoryNotFatal) {
   EXPECT_TRUE(verify.loadable);
   EXPECT_FALSE(verify.manifest_matches);
   EXPECT_FALSE(verify.clean());
-  // Any-generation open treats the stale manifest as advisory.
-  const util::StatusOr<index::OpenResult> opened =
-      index::OpenDatabaseAnyGeneration(path, nullptr);
+  // A read-write open treats the stale manifest as advisory.
+  const util::StatusOr<Opened> opened = OpenLibrary(path);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened->db.video_count(), 2);
 }
@@ -233,7 +249,7 @@ TEST_F(RecoveryTest, StaleManifestDiagnosticsNameTheRecordedGeneration) {
 }
 
 // ---------------------------------------------------------------------------
-// Fallback chain of OpenDatabaseAnyGeneration.
+// Fallback chain of a read-write open.
 
 TEST_F(RecoveryTest, UnsalvageableCurrentFallsBackToPreviousGeneration) {
   const std::string path = FreshDbPath("fallback_prev");
@@ -247,11 +263,10 @@ TEST_F(RecoveryTest, UnsalvageableCurrentFallsBackToPreviousGeneration) {
   ASSERT_TRUE(util::WriteFile(log, bytes).ok());
 
   util::SalvageReport report;
-  const util::StatusOr<index::OpenResult> opened =
-      index::OpenDatabaseAnyGeneration(path, &report);
+  const util::StatusOr<Opened> opened = OpenLibrary(path, &report);
   ASSERT_TRUE(opened.ok());
-  EXPECT_TRUE(opened->used_backup);
-  EXPECT_FALSE(opened->salvaged);
+  EXPECT_TRUE(opened->shards.any_backup());
+  EXPECT_FALSE(opened->shards.any_salvaged() || opened->shards.any_lost());
   EXPECT_EQ(opened->db.video_count(), 1);
   EXPECT_FALSE(report.notes.empty());
 }
@@ -267,11 +282,10 @@ TEST_F(RecoveryTest, BitFlippedCurrentIsSalvagedWithResync) {
   ASSERT_TRUE(util::WriteFile(log, bytes).ok());
 
   util::SalvageReport report;
-  const util::StatusOr<index::OpenResult> opened =
-      index::OpenDatabaseAnyGeneration(path, &report);
+  const util::StatusOr<Opened> opened = OpenLibrary(path, &report);
   ASSERT_TRUE(opened.ok());
-  EXPECT_FALSE(opened->used_backup);  // no .prev generation exists here
-  EXPECT_TRUE(opened->salvaged);
+  EXPECT_FALSE(opened->shards.any_backup());  // no .prev generation here
+  EXPECT_TRUE(opened->shards.any_salvaged());
   EXPECT_EQ(opened->db.video_count(), 2);
   EXPECT_EQ(report.resync_points, 1);
 }
@@ -374,6 +388,32 @@ TEST_F(RecoveryTest, RepairPromotesASalvagedOpenToAPristineGeneration) {
   const index::VerifyReport verify = index::VerifyDatabaseFile(db_path);
   EXPECT_TRUE(verify.clean()) << verify.ToString();
   EXPECT_EQ(verify.videos, 2);
+}
+
+// The other two ways an open recovers: a shard served from its backup
+// generation, and a shard with no loadable generation at all. Either way
+// repair rewrites, and verify comes back clean.
+TEST_F(RecoveryTest, RepairRewritesABackupOrLostShard) {
+  for (const bool lost : {false, true}) {
+    SCOPED_TRACE(lost ? "lost shard" : "backup generation");
+    const std::string db_path =
+        FreshDbPath(lost ? "repair_lost" : "repair_backup");
+    ASSERT_TRUE(index::SaveDatabase(MakeDatabase(1), db_path).ok());
+    ASSERT_TRUE(index::SaveDatabase(MakeDatabase(2), db_path).ok());
+    ASSERT_EQ(std::remove(index::ShardPath(db_path, 0).c_str()), 0);
+    if (lost) {
+      ASSERT_EQ(std::remove(index::ShardBackupPath(db_path, 0).c_str()), 0);
+    }
+
+    const util::StatusOr<index::RepairReport> report =
+        index::RepairDatabaseFile(db_path, index::RemineFn(), nullptr);
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_EQ(report->repaired, 0);
+    EXPECT_TRUE(report->rewritten);
+    const index::VerifyReport verify = index::VerifyDatabaseFile(db_path);
+    EXPECT_TRUE(verify.clean()) << verify.ToString();
+    EXPECT_EQ(verify.videos, lost ? 0 : 1);
+  }
 }
 
 }  // namespace

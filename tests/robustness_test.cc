@@ -8,6 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "codec/encoder.h"
 #include "core/classminer.h"
 #include "core/cmv_pipeline.h"
+#include "gop_of_frame.h"
 #include "index/persist.h"
 #include "index/repair.h"
 #include "index/shard.h"
@@ -27,6 +30,7 @@
 #include "structure/content_structure.h"
 #include "synth/corpus.h"
 #include "synth/video_generator.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/salvage.h"
@@ -50,6 +54,105 @@ std::vector<uint8_t> EncodedFixture() {
   file.audio_sample_rate = 8000;
   file.audio_pcm.assign(800, 0.1f);
   return file.Serialize();
+}
+
+// ---------------------------------------------------------------------------
+// The library's shard log as a target of hostile bytes. A 1-shard library
+// is what `classminer index` writes: a CMSM root manifest plus one CMSL log
+// that holds a 24-byte header and one CMVE entry frame (magic, body size,
+// CRC-32, body) per video, so every byte-level check of the entry codec is
+// reached through it.
+
+constexpr size_t kLogHeaderBytes = 24;
+
+// A library path cleared of files from earlier runs.
+std::string FreshLibraryPath(const std::string& stem) {
+  const std::string path = ::testing::TempDir() + "/" + stem + ".lib";
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
+  const std::string log = index::ShardPath(path, 0);
+  std::remove(log.c_str());
+  std::remove((log + ".tmp").c_str());
+  std::remove(index::ShardBackupPath(path, 0).c_str());
+  return path;
+}
+
+// Saves `db` as a fresh 1-shard library; returns its root path.
+std::string OneShardLibrary(const std::string& stem,
+                            const index::VideoDatabase& db) {
+  const std::string path = FreshLibraryPath(stem);
+  EXPECT_TRUE(index::SaveDatabase(db, path, 1).ok());
+  return path;
+}
+
+std::vector<uint8_t> ShardLog(const std::string& path) {
+  util::StatusOr<std::vector<uint8_t>> bytes =
+      util::ReadFile(index::ShardPath(path, 0));
+  EXPECT_TRUE(bytes.ok()) << bytes.status().message();
+  return bytes.ok() ? *bytes : std::vector<uint8_t>{};
+}
+
+void WriteShardLog(const std::string& path, const std::vector<uint8_t>& log) {
+  EXPECT_TRUE(util::WriteFile(index::ShardPath(path, 0), log).ok());
+}
+
+// A read-only open: its status, snapshot and per-shard outcome.
+struct ReadOnlyOpen {
+  util::Status status = util::Status::Ok();
+  index::VideoDatabase db;
+  index::ShardedDatabase::OpenReport shards;
+  util::SalvageReport report;
+};
+
+// Opens the library read-only and checks that it touched neither file.
+ReadOnlyOpen OpenReadOnly(const std::string& path) {
+  const std::vector<uint8_t> root = *util::ReadFile(path);
+  const std::vector<uint8_t> log = ShardLog(path);
+  ReadOnlyOpen out;
+  {
+    util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
+        index::ShardedDatabase::Open(path, &out.report, &out.shards,
+                                     /*read_only=*/true);
+    out.status = db.status();
+    if (db.ok()) out.db = (*db)->Snapshot();
+  }
+  EXPECT_EQ(*util::ReadFile(path), root);
+  EXPECT_EQ(ShardLog(path), log);
+  return out;
+}
+
+uint32_t U32At(const std::vector<uint8_t>& bytes, size_t pos) {
+  uint32_t v = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(bytes[pos + i]) << (8 * i);
+  }
+  return v;
+}
+
+void PutU32At(std::vector<uint8_t>* bytes, size_t pos, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*bytes)[pos + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Offsets of the record frames of a log whose framing is intact.
+std::vector<size_t> FrameOffsets(const std::vector<uint8_t>& log) {
+  std::vector<size_t> frames;
+  for (size_t pos = kLogHeaderBytes; pos + 12 <= log.size();
+       pos += 12 + U32At(log, pos + 4)) {
+    frames.push_back(pos);
+  }
+  return frames;
+}
+
+// Re-stamps the CRC-32 of the frame at `frame` over its declared body, so a
+// mutation of the body gets past the checksum into the entry parser. A
+// frame whose declared body runs past the log is left alone.
+void Reseal(std::vector<uint8_t>* log, size_t frame) {
+  if (frame + 12 > log->size()) return;
+  const uint32_t body = U32At(*log, frame + 4);
+  if (body > log->size() - frame - 12) return;
+  PutU32At(log, frame + 8, util::Crc32(log->data() + frame + 12, body));
 }
 
 // Truncation at every granularity: parse must fail cleanly or, if the cut
@@ -100,6 +203,9 @@ TEST(CorruptionTest, RandomByteFlipsParseOrFailCleanly) {
   SUCCEED();
 }
 
+// Every 7th cut of a 1-shard library's log: the strict readers refuse each
+// one, and a read-only open salvages what is left (the log's one entry is
+// always torn, so nothing) without touching a file.
 TEST(CorruptionTest, DatabaseTruncationSweep) {
   index::VideoDatabase db;
   structure::ContentStructure cs;
@@ -109,13 +215,25 @@ TEST(CorruptionTest, DatabaseTruncationSweep) {
   s.rep_frame = 9;
   cs.shots.push_back(s);
   db.AddVideo("fuzz", std::move(cs), {});
-  const std::vector<uint8_t> bytes = index::SerializeDatabase(db);
-  for (size_t keep = 0; keep < bytes.size(); keep += 7) {
-    std::vector<uint8_t> cut(bytes.begin(),
-                             bytes.begin() + static_cast<ptrdiff_t>(keep));
-    EXPECT_FALSE(index::ParseDatabase(cut).ok()) << "kept " << keep;
+  const std::string path = OneShardLibrary("truncation_sweep", db);
+  const std::vector<uint8_t> log = ShardLog(path);
+  // No cut lands exactly on the header's end, which is a valid empty log.
+  static_assert(kLogHeaderBytes % 7 != 0);
+  for (size_t keep = 0; keep < log.size(); keep += 7) {
+    SCOPED_TRACE("kept " + std::to_string(keep));
+    WriteShardLog(path, std::vector<uint8_t>(
+                            log.begin(),
+                            log.begin() + static_cast<ptrdiff_t>(keep)));
+    EXPECT_FALSE(index::LoadDatabase(path).ok());
+    EXPECT_FALSE(index::VerifyDatabaseFile(path).loadable);
+    const ReadOnlyOpen opened = OpenReadOnly(path);
+    ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+    EXPECT_EQ(opened.db.video_count(), 0);
+    EXPECT_EQ(opened.shards.any_lost(), keep < kLogHeaderBytes);
+    EXPECT_EQ(opened.shards.any_salvaged(), keep > kLogHeaderBytes);
   }
-  EXPECT_TRUE(index::ParseDatabase(bytes).ok());
+  WriteShardLog(path, log);
+  EXPECT_TRUE(index::LoadDatabase(path).ok());
 }
 
 TEST(CorruptionTest, PpmHeaderVariants) {
@@ -141,7 +259,10 @@ TEST(CorruptionTest, PpmHeaderVariants) {
 
 TEST(CorruptionTest, EmptyInputsEverywhere) {
   EXPECT_FALSE(codec::CmvFile::Parse({}).ok());
-  EXPECT_FALSE(index::ParseDatabase({}).ok());
+  const std::string empty_root = FreshLibraryPath("empty_root");
+  ASSERT_TRUE(util::WriteFile(empty_root, {}).ok());
+  EXPECT_FALSE(index::LoadDatabase(empty_root).ok());
+  EXPECT_FALSE(index::ShardedDatabase::Open(empty_root).ok());
   const media::Video empty_video;
   EXPECT_TRUE(shot::DetectShots(empty_video).empty());
   EXPECT_TRUE(structure::MineVideoStructure({}).shots.empty());
@@ -157,9 +278,8 @@ size_t FrameRecordOffset(const codec::CmvFile& file, size_t index) {
   // quality + gop_size + frame_count.
   size_t offset = 4 + 4 + file.name.size() + 4 + 4 + 8 + 4 + 4 + 4;
   for (size_t i = 0; i < index; ++i) {
-    // type + size + payload (+ CRC-32 on checksummed CMV2 records).
-    offset += 1 + 4 + file.frames[i].payload.size() +
-              (file.record_checksums ? 4 : 0);
+    // type + size + payload + CRC-32.
+    offset += 1 + 4 + file.frames[i].payload.size() + 4;
   }
   return offset;
 }
@@ -348,7 +468,6 @@ TEST(SalvageParseTest, MidStreamTearResynchronisesOntoNextIFrame) {
   file.audio_sample_rate = 8000;
   file.audio_pcm.assign(400, 0.25f);
   const std::vector<uint8_t> bytes = file.Serialize();
-  ASSERT_TRUE(file.record_checksums);
 
   // Corrupt the payload of record 1 (a P-frame): its checksum fails, and
   // the suffix from the next I-frame (record 2) onward is recoverable.
@@ -370,46 +489,12 @@ TEST(SalvageParseTest, MidStreamTearResynchronisesOntoNextIFrame) {
   // the audio track survives; the seek index is re-derived.
   EXPECT_EQ(parsed->audio_pcm.size(), file.audio_pcm.size());
   EXPECT_TRUE(report.index_rebuilt);
-  EXPECT_EQ(parsed->gop_count(), 3);
+  EXPECT_EQ(report.gops_recovered, 3);
+  EXPECT_EQ(Gops(*parsed).size(), 3u);
   // Everything recovered decodes (the suffix re-anchors on its I-frame).
   const util::StatusOr<media::Video> decoded = codec::DecodeVideo(*parsed);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->frame_count(), 5);
-}
-
-TEST(SalvageParseTest, LegacyCmv1FilesRoundTripByteStable) {
-  const std::vector<uint8_t> bytes = EncodedFixture();
-  codec::CmvFile downgraded = *codec::CmvFile::Parse(bytes);
-  downgraded.record_checksums = false;
-  const std::vector<uint8_t> v1 = downgraded.Serialize();
-  const codec::CmvFile reloaded = *codec::CmvFile::Parse(v1);
-  EXPECT_FALSE(reloaded.record_checksums);
-  // A CMV1-era file (GIDX section included) re-serialises bit-identically:
-  // the parser remembers the generation instead of upgrading in place.
-  EXPECT_EQ(reloaded.Serialize(), v1);
-  // And a checksummed container round-trips byte-stable too.
-  EXPECT_EQ(codec::CmvFile::Parse(bytes)->Serialize(), bytes);
-}
-
-TEST(SalvageParseTest, LegacyCmv1TearKeepsPrefixOnly) {
-  // CMV1 records carry no checksum, so no scan can confirm a sync point:
-  // a mid-stream tear still degrades to prefix-only salvage.
-  const std::vector<uint8_t> bytes = EncodedFixture();
-  codec::CmvFile legacy = *codec::CmvFile::Parse(bytes);
-  legacy.record_checksums = false;
-  const std::vector<uint8_t> v1 = legacy.Serialize();
-  const codec::CmvFile pristine = *codec::CmvFile::Parse(v1);
-  ASSERT_FALSE(pristine.record_checksums);
-  std::vector<uint8_t> damaged = v1;
-  damaged[FrameRecordOffset(pristine, 3)] = 0xFF;
-  util::SalvageReport report;
-  const util::StatusOr<codec::CmvFile> parsed =
-      codec::CmvFile::ParseBestEffort(damaged, &report);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->frame_count(), 3);
-  EXPECT_EQ(report.resync_points, 0);
-  EXPECT_TRUE(report.audio_dropped);
-  EXPECT_TRUE(parsed->audio_pcm.empty());
 }
 
 TEST(SalvageParseTest, LeadingPredictedFramesAreDropped) {
@@ -632,7 +717,7 @@ TEST_F(DegradedMiningTest, CorruptMidGopStillMinesDegraded) {
   for (size_t i = 0; i < shots.size(); ++i) {
     if (!SameFeatures(shots[i].features,
                       pristine->structure.shots[i].features)) {
-      lost_gops.push_back(file.GopOfFrame(shots[i].rep_frame));
+      lost_gops.push_back(GopOfFrame(file, shots[i].rep_frame));
     }
   }
   ASSERT_FALSE(lost_gops.empty());
@@ -640,7 +725,7 @@ TEST_F(DegradedMiningTest, CorruptMidGopStillMinesDegraded) {
   for (size_t i = 0; i < shots.size(); ++i) {
     SCOPED_TRACE("shot " + std::to_string(i));
     ASSERT_EQ(shots[i].rep_frame, pristine->structure.shots[i].rep_frame);
-    if (file.GopOfFrame(shots[i].rep_frame) == failed_gop) {
+    if (GopOfFrame(file, shots[i].rep_frame) == failed_gop) {
       EXPECT_TRUE(SameFeatures(shots[i].features, features::ShotFeatures{}));
       EXPECT_TRUE(SameCues(mined->shot_cues[i], cues::FrameCues{}));
     } else {
@@ -710,7 +795,8 @@ TEST_F(DegradedMiningTest, MultipleOptionalFailuresCollectInOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Database persistence under damage and across format versions.
+// Library entries under damage: the entry codec's checks, exercised through
+// a 1-shard library's log.
 
 index::VideoDatabase ThreeVideoDatabase() {
   index::VideoDatabase db;
@@ -726,65 +812,332 @@ index::VideoDatabase ThreeVideoDatabase() {
   return db;
 }
 
+// Three entries with every part an entry body holds: two shots, a group
+// with a shot cluster, a scene, a scene cluster and one event.
+index::VideoDatabase StructuredDatabase() {
+  index::VideoDatabase db;
+  for (int v = 0; v < 3; ++v) {
+    structure::ContentStructure cs;
+    for (int i = 0; i < 2; ++i) {
+      shot::Shot s;
+      s.index = i;
+      s.start_frame = 30 * i;
+      s.end_frame = 30 * i + 29;
+      s.rep_frame = 30 * i + 9;
+      cs.shots.push_back(s);
+    }
+    structure::Group group;
+    group.end_shot = 1;
+    group.temporally_related = true;
+    structure::ShotCluster cluster;
+    cluster.shot_indices = {0, 1};
+    cluster.rep_shot = 1;
+    group.clusters.push_back(cluster);
+    group.rep_shots = {1};
+    cs.groups.push_back(group);
+    structure::Scene scene;
+    scene.rep_group = 0;
+    cs.scenes.push_back(scene);
+    structure::SceneCluster scene_cluster;
+    scene_cluster.scene_indices = {0};
+    scene_cluster.rep_group = 0;
+    cs.clustered_scenes.push_back(scene_cluster);
+    events::EventRecord event;
+    event.type = events::EventType::kDialog;
+    event.shot_count = 2;
+    db.AddVideo("video" + std::to_string(v), std::move(cs), {event}, v == 1);
+  }
+  return db;
+}
+
+// One entry's stored bytes, for comparing entries field for field.
+std::vector<uint8_t> EntryBytes(const index::VideoEntry& entry) {
+  index::VideoDatabase one;
+  one.AddVideo(entry.name, entry.structure, entry.events, entry.degraded);
+  return index::SerializeDatabase(one);
+}
+
 TEST(DatabaseSalvageTest, TornEntryKeepsValidPrefix) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  const std::vector<uint8_t> bytes = index::SerializeDatabase(db);
-  // Tear the file inside the second entry (entries dominate the file, so
-  // cutting at 40% lands past the header and first entry).
-  std::vector<uint8_t> cut(
-      bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(bytes.size() * 2 / 5));
-  ASSERT_FALSE(index::ParseDatabase(cut).ok());
-  util::SalvageReport report;
-  const util::StatusOr<index::VideoDatabase> salvaged =
-      index::ParseDatabaseSalvage(cut, &report);
-  ASSERT_TRUE(salvaged.ok());
-  EXPECT_EQ(salvaged->video_count(), 1);
-  EXPECT_EQ(salvaged->video(0).name, "video0");
-  EXPECT_EQ(report.items_recovered, 1);
-  EXPECT_EQ(report.items_dropped, 2);
-  EXPECT_FALSE(report.notes.empty());
+  const std::string path = OneShardLibrary("torn_prefix", ThreeVideoDatabase());
+  const std::vector<uint8_t> log = ShardLog(path);
+  const std::vector<size_t> frames = FrameOffsets(log);
+  ASSERT_EQ(frames.size(), 3u);
+  // Tear the log inside the second entry (entries dominate the log, so
+  // cutting at 40% lands past the header and the first entry).
+  const size_t cut = log.size() * 2 / 5;
+  ASSERT_GT(cut, frames[1]);
+  ASSERT_LT(cut, frames[2]);
+  WriteShardLog(path, std::vector<uint8_t>(
+                          log.begin(), log.begin() + static_cast<ptrdiff_t>(cut)));
+  EXPECT_FALSE(index::LoadDatabase(path).ok());
+  const ReadOnlyOpen opened = OpenReadOnly(path);
+  ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+  ASSERT_EQ(opened.db.video_count(), 1);
+  EXPECT_EQ(opened.db.video(0).name, "video0");
+  EXPECT_TRUE(opened.shards.any_salvaged());
+  EXPECT_EQ(opened.report.items_recovered, 1);
+  EXPECT_EQ(opened.report.bytes_dropped, cut - frames[1]);
+  EXPECT_FALSE(opened.report.notes.empty());
 }
 
 TEST(DatabaseSalvageTest, DamagedHeaderIsUnrecoverable) {
-  const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
-  std::vector<uint8_t> damaged = bytes;
-  damaged[0] ^= 0xFF;  // magic
-  util::SalvageReport report;
-  EXPECT_FALSE(index::ParseDatabaseSalvage(damaged, &report).ok());
-  EXPECT_FALSE(index::ParseDatabaseSalvage({}, &report).ok());
+  const std::string path =
+      OneShardLibrary("damaged_header", ThreeVideoDatabase());
+  const std::vector<uint8_t> log = ShardLog(path);
+  std::vector<uint8_t> damaged = log;
+  damaged[0] ^= 0xFF;  // CMSL magic
+  // Nothing precedes the header, so neither an empty log nor one with a
+  // damaged header yields an entry: the shard opens empty, flagged lost.
+  for (const std::vector<uint8_t>& bytes : {damaged, std::vector<uint8_t>{}}) {
+    SCOPED_TRACE(bytes.empty() ? "empty log" : "damaged magic");
+    WriteShardLog(path, bytes);
+    EXPECT_FALSE(index::LoadDatabase(path).ok());
+    const ReadOnlyOpen opened = OpenReadOnly(path);
+    ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+    EXPECT_TRUE(opened.shards.any_lost());
+    EXPECT_EQ(opened.db.video_count(), 0);
+  }
 }
 
 TEST(DatabaseSalvageTest, ErrorsCarrySectionAndOffset) {
-  const std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
-  std::vector<uint8_t> cut(
-      bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(bytes.size() * 2 / 5));
-  const util::Status status = index::ParseDatabase(cut).status();
+  const std::string path =
+      OneShardLibrary("error_offset", ThreeVideoDatabase());
+  const std::vector<uint8_t> log = ShardLog(path);
+  WriteShardLog(path, std::vector<uint8_t>(
+                          log.begin(),
+                          log.begin() + static_cast<ptrdiff_t>(log.size() * 2 / 5)));
+  const util::Status status = index::LoadDatabase(path).status();
   ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("section 'videos[1]'"), std::string::npos)
+  EXPECT_NE(status.message().find("section 'records[1]'"), std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("byte offset"), std::string::npos)
       << status.message();
 }
 
-// Reconstructs a legacy CMDB file (version 1 or 2) from freshly
-// serialised v3 bytes: the version field is stamped back, every entry's
-// 12-byte frame (magic + body size + CRC) is stripped, and for v1 the
-// trailing per-body degraded byte goes too.
+TEST(DatabaseSalvageTest, TornEntryResynchronisesOntoNextEntry) {
+  const std::string path = OneShardLibrary("resync", ThreeVideoDatabase());
+  // Flip one byte inside the second entry's body: its checksum fails, and
+  // the scan must recover video2 behind the damage.
+  std::vector<uint8_t> damaged = ShardLog(path);
+  damaged[damaged.size() * 2 / 5] ^= 0xFF;
+  WriteShardLog(path, damaged);
+  EXPECT_FALSE(index::LoadDatabase(path).ok());
+  const ReadOnlyOpen opened = OpenReadOnly(path);
+  ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+  ASSERT_EQ(opened.db.video_count(), 2);
+  EXPECT_EQ(opened.db.video(0).name, "video0");
+  EXPECT_EQ(opened.db.video(1).name, "video2");
+  // The recovered video2 keeps its per-entry state (it was not degraded).
+  EXPECT_FALSE(opened.db.video(1).degraded);
+  EXPECT_TRUE(opened.shards.any_salvaged());
+  EXPECT_EQ(opened.report.resync_points, 1);
+  EXPECT_GT(opened.report.bytes_dropped, 0u);
+}
+
+TEST(DatabaseSalvageTest, ChecksumMismatchNamesTheDamage) {
+  const std::string path =
+      OneShardLibrary("checksum_mismatch", ThreeVideoDatabase());
+  std::vector<uint8_t> damaged = ShardLog(path);
+  damaged[damaged.size() * 2 / 5] ^= 0xFF;
+  WriteShardLog(path, damaged);
+  const util::Status status = index::LoadDatabase(path).status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("video entry checksum mismatch"),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("section 'records[1]'"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("byte offset"), std::string::npos)
+      << status.message();
+  EXPECT_NE(index::VerifyDatabaseFile(path).error.find("checksum mismatch"),
+            std::string::npos);
+}
+
+// Bytes behind a valid checksum are still hostile: each field the entry
+// parser bounds is forged in the first entry and its CRC re-stamped. The
+// strict readers name the field; a read-only open drops that entry alone.
+TEST(DatabaseSalvageTest, ResealedHostileFieldsFailCleanly) {
+  const index::VideoDatabase db = StructuredDatabase();
+  const std::string path = OneShardLibrary("hostile_fields", db);
+  const std::vector<uint8_t> log = ShardLog(path);
+  const std::vector<size_t> frames = FrameOffsets(log);
+  ASSERT_EQ(frames.size(), 3u);
+  const size_t body = frames[0] + 12;
+  const size_t body_size = U32At(log, frames[0] + 4);
+  // Body layout: name (u32 length + "video0"), shot count, two shots of
+  // 4 ints + 266 doubles, group count, ... , one 23-byte event, then the
+  // degraded flag.
+  const size_t shot_count_at = body + 4 + 6;
+  const size_t group_count_at = shot_count_at + 4 + 2 * (16 + 266 * 8);
+  const size_t event_at = body + body_size - 1 - 23;
+  ASSERT_EQ(U32At(log, shot_count_at), 2u);
+  ASSERT_EQ(U32At(log, group_count_at), 1u);
+  ASSERT_EQ(U32At(log, event_at - 4), 1u);
+
+  struct Forgery {
+    const char* field;
+    size_t at;
+    uint32_t value;
+    const char* error;
+  };
+  const Forgery forgeries[] = {
+      {"shot count", shot_count_at, 0xFFFFFFFFu, "shot count exceeds"},
+      {"group count", group_count_at, 0xFFFFFFFFu, "group count exceeds"},
+      {"event count", event_at - 4, 0x7FFFFFFFu, "event count exceeds"},
+      {"event type", event_at + 4, 7, "invalid event type"},
+  };
+  for (const Forgery& f : forgeries) {
+    SCOPED_TRACE(f.field);
+    std::vector<uint8_t> forged = log;
+    PutU32At(&forged, f.at, f.value);
+    Reseal(&forged, frames[0]);
+    WriteShardLog(path, forged);
+    const util::Status status = index::LoadDatabase(path).status();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find(f.error), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("section 'records[0]'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_FALSE(index::VerifyDatabaseFile(path).loadable);
+    const ReadOnlyOpen opened = OpenReadOnly(path);
+    ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+    ASSERT_EQ(opened.db.video_count(), 2);
+    EXPECT_EQ(opened.db.video(0).name, "video1");
+    EXPECT_EQ(opened.db.video(1).name, "video2");
+  }
+
+  // A body longer than the entry it holds: one spare byte inside the frame,
+  // size and CRC stamped to match.
+  std::vector<uint8_t> padded = log;
+  padded.insert(padded.begin() + static_cast<ptrdiff_t>(body + body_size), 0);
+  PutU32At(&padded, frames[0] + 4, static_cast<uint32_t>(body_size + 1));
+  Reseal(&padded, frames[0]);
+  WriteShardLog(path, padded);
+  const util::Status status = index::LoadDatabase(path).status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("video entry body size mismatch"),
+            std::string::npos)
+      << status.message();
+  const ReadOnlyOpen opened = OpenReadOnly(path);
+  ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+  EXPECT_EQ(opened.db.video_count(), 2);
+}
+
+// A seeded byte-flip corpus over a 3-entry log. Odd trials re-stamp every
+// frame's CRC after flipping, so the flips reach the entry body parser;
+// even trials leave the CRCs as they are. Either way the strict readers
+// agree with each other and a read-only open succeeds without touching a
+// file. Without re-stamping, every entry the open recovers is one the
+// library held, field for field.
+TEST(DatabaseSalvageTest, SeededByteFlipsFailCleanly) {
+  const index::VideoDatabase db = StructuredDatabase();
+  const std::string path = OneShardLibrary("flip_corpus", db);
+  const std::vector<uint8_t> original = ShardLog(path);
+  const std::vector<size_t> frames = FrameOffsets(original);
+  ASSERT_EQ(frames.size(), 3u);
+  std::map<std::string, std::vector<uint8_t>> held;
+  for (int i = 0; i < db.video_count(); ++i) {
+    held[db.video(i).name] = EntryBytes(db.video(i));
+  }
+  util::Rng rng(41);
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<uint8_t> log = original;
+    const int flips = rng.UniformInt(1, 4);
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(log.size()) - 1));
+      log[pos] ^= static_cast<uint8_t>(rng.UniformInt(1, 255));
+    }
+    const bool resealed = trial % 2 == 1;
+    if (resealed) {
+      for (size_t frame : frames) Reseal(&log, frame);
+    }
+    WriteShardLog(path, log);
+
+    const util::StatusOr<index::VideoDatabase> loaded =
+        index::LoadDatabase(path);
+    const index::VerifyReport verify = index::VerifyDatabaseFile(path);
+    EXPECT_EQ(verify.loadable, loaded.ok()) << verify.ToString();
+    if (loaded.ok()) {
+      EXPECT_EQ(verify.videos, loaded->video_count());
+    }
+
+    const ReadOnlyOpen opened = OpenReadOnly(path);
+    ASSERT_TRUE(opened.status.ok()) << opened.status.message();
+    EXPECT_LE(opened.db.video_count(), 3);
+    if (resealed) continue;
+    for (int i = 0; i < opened.db.video_count(); ++i) {
+      const index::VideoEntry& entry = opened.db.video(i);
+      ASSERT_EQ(held.count(entry.name), 1u) << entry.name;
+      EXPECT_EQ(EntryBytes(entry), held[entry.name]) << entry.name;
+    }
+  }
+}
+
+TEST(DatabaseVersionTest, DegradedFlagRoundTripsInV2) {
+  // The per-entry degraded flag (first stored by CMDB v2) survives a save
+  // and a strict load of the library.
+  const std::string path =
+      OneShardLibrary("degraded_flag", ThreeVideoDatabase());
+  const util::StatusOr<index::VideoDatabase> loaded = index::LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(loaded->video_count(), 3);
+  EXPECT_FALSE(loaded->video(0).degraded);
+  EXPECT_TRUE(loaded->video(1).degraded);
+  EXPECT_FALSE(loaded->video(2).degraded);
+  EXPECT_EQ(loaded->DegradedCount(), 1);
+}
+
+TEST(DatabaseVersionTest, FutureVersionIsRejectedWithClearMessage) {
+  const std::string path =
+      OneShardLibrary("future_version", ThreeVideoDatabase());
+  std::vector<uint8_t> log = ShardLog(path);
+  log[4] = 9;  // CMSL version
+  WriteShardLog(path, log);
+  const util::Status status = index::LoadDatabase(path).status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("unsupported CMSL version 9"),
+            std::string::npos)
+      << status.message();
+  EXPECT_NE(index::VerifyDatabaseFile(path).error.find(
+                "unsupported CMSL version 9"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Files in the retired formats: the monolithic CMDB database (v1-v3) and
+// the unchecksummed CMV1 container. No reader for either is left, so each
+// is refused like any unknown magic and left as it was.
+
+class LegacyMigrationTest : public ::testing::Test {
+ protected:
+  void SetUp() override { util::FailPoint::DisarmAll(); }
+  void TearDown() override { util::FailPoint::DisarmAll(); }
+
+  // Writes `bytes` as a root at a path cleared of library files from
+  // earlier runs.
+  static std::string WriteLegacy(const std::string& stem,
+                                 const std::vector<uint8_t>& bytes) {
+    const std::string path = FreshLibraryPath(stem);
+    EXPECT_TRUE(util::WriteFile(path, bytes).ok());
+    return path;
+  }
+};
+
+// Reconstructs a CMDB file of version 1 or 2 from SerializeDatabase's v3
+// bytes: the version field is stamped back, every entry's 12-byte frame
+// (magic + body size + CRC) is stripped, and for v1 the trailing per-body
+// degraded byte goes too.
 std::vector<uint8_t> StripToLegacy(const std::vector<uint8_t>& v3,
                                    uint32_t version) {
-  auto read_u32 = [&v3](size_t pos) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(v3[pos + i]) << (8 * i);
-    return v;
-  };
   std::vector<uint8_t> out(v3.begin(), v3.begin() + 12);
   out[4] = static_cast<uint8_t>(version);
-  const uint32_t videos = read_u32(8);
+  const uint32_t videos = U32At(v3, 8);
   size_t pos = 12;
   for (uint32_t i = 0; i < videos; ++i) {
-    const uint32_t body_size = read_u32(pos + 4);
+    const uint32_t body_size = U32At(v3, pos + 4);
     const size_t body = pos + 12;
     const size_t keep = version >= 2 ? body_size : body_size - 1;
     out.insert(out.end(), v3.begin() + static_cast<ptrdiff_t>(body),
@@ -794,211 +1147,21 @@ std::vector<uint8_t> StripToLegacy(const std::vector<uint8_t>& v3,
   return out;
 }
 
-TEST(DatabaseSalvageTest, TornEntryResynchronisesOntoNextEntry) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  std::vector<uint8_t> bytes = index::SerializeDatabase(db);
-  // Flip one byte inside the second entry's body: its checksum fails, and
-  // the scan must recover video2 behind the damage.
-  const size_t file_mid = bytes.size() * 2 / 5;
-  std::vector<uint8_t> damaged = bytes;
-  damaged[file_mid] ^= 0xFF;
-  ASSERT_FALSE(index::ParseDatabase(damaged).ok());
-  util::SalvageReport report;
-  const util::StatusOr<index::VideoDatabase> salvaged =
-      index::ParseDatabaseSalvage(damaged, &report);
-  ASSERT_TRUE(salvaged.ok());
-  ASSERT_EQ(salvaged->video_count(), 2);
-  EXPECT_EQ(salvaged->video(0).name, "video0");
-  EXPECT_EQ(salvaged->video(1).name, "video2");
-  // The recovered video2 keeps its per-entry state (it was not degraded).
-  EXPECT_FALSE(salvaged->video(1).degraded);
-  EXPECT_EQ(report.items_dropped, 1);
-  EXPECT_EQ(report.resync_points, 1);
-  EXPECT_GT(report.bytes_dropped, 0u);
-}
-
-TEST(DatabaseSalvageTest, ChecksumMismatchNamesTheDamage) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  std::vector<uint8_t> damaged = index::SerializeDatabase(db);
-  damaged[damaged.size() * 2 / 5] ^= 0xFF;
-  const util::Status status = index::ParseDatabase(damaged).status();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("checksum mismatch"), std::string::npos)
-      << status.message();
-}
-
-TEST(DatabaseVersionTest, DegradedFlagRoundTripsInV2) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  const util::StatusOr<index::VideoDatabase> loaded =
-      index::ParseDatabase(index::SerializeDatabase(db));
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->video_count(), 3);
-  EXPECT_FALSE(loaded->video(0).degraded);
-  EXPECT_TRUE(loaded->video(1).degraded);
-  EXPECT_FALSE(loaded->video(2).degraded);
-  EXPECT_EQ(loaded->DegradedCount(), 1);
-}
-
-TEST(DatabaseVersionTest, V1FilesWithoutDegradedFlagStillLoad) {
-  index::VideoDatabase db;
-  structure::ContentStructure cs;
-  shot::Shot s;
-  s.index = 0;
-  s.end_frame = 9;
-  cs.shots.push_back(s);
-  db.AddVideo("legacy", std::move(cs), {}, true);
-  const std::vector<uint8_t> v1 =
-      StripToLegacy(index::SerializeDatabase(db), 1);
-  const util::StatusOr<index::VideoDatabase> loaded =
-      index::ParseDatabase(v1);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  ASSERT_EQ(loaded->video_count(), 1);
-  EXPECT_EQ(loaded->video(0).name, "legacy");
-  // v1 carries no flag; entries load as non-degraded.
-  EXPECT_FALSE(loaded->video(0).degraded);
-}
-
-TEST(DatabaseVersionTest, V2FilesWithoutEntryFramesStillLoad) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  const std::vector<uint8_t> v2 =
-      StripToLegacy(index::SerializeDatabase(db), 2);
-  const util::StatusOr<index::VideoDatabase> loaded =
-      index::ParseDatabase(v2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  ASSERT_EQ(loaded->video_count(), 3);
-  // v2 keeps the per-video degraded flag even without entry framing.
-  EXPECT_TRUE(loaded->video(1).degraded);
-  EXPECT_EQ(loaded->DegradedCount(), 1);
-}
-
-TEST(DatabaseVersionTest, V2TornEntryStillSalvagesPrefixOnly) {
-  const index::VideoDatabase db = ThreeVideoDatabase();
-  const std::vector<uint8_t> v2 =
-      StripToLegacy(index::SerializeDatabase(db), 2);
-  std::vector<uint8_t> cut(
-      v2.begin(), v2.begin() + static_cast<ptrdiff_t>(v2.size() * 2 / 5));
-  util::SalvageReport report;
-  const util::StatusOr<index::VideoDatabase> salvaged =
-      index::ParseDatabaseSalvage(cut, &report);
-  ASSERT_TRUE(salvaged.ok());
-  // Unframed legacy entries cannot be resynchronised past a tear.
-  EXPECT_EQ(salvaged->video_count(), 1);
-  EXPECT_EQ(report.resync_points, 0);
-  EXPECT_EQ(report.items_dropped, 2);
-}
-
-TEST(DatabaseVersionTest, FutureVersionIsRejectedWithClearMessage) {
-  std::vector<uint8_t> bytes =
-      index::SerializeDatabase(ThreeVideoDatabase());
-  bytes[4] = 9;
-  const util::Status status = index::ParseDatabase(bytes).status();
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("unsupported CMDB version 9"),
-            std::string::npos)
-      << status.message();
-}
-
-// ---------------------------------------------------------------------------
-// Legacy CMDB migration: OpenDatabaseAnyGeneration is the only reader of a
-// CMDB root, and repair rewrites what it read as a 1-shard CMSL library.
-
-class LegacyMigrationTest : public ::testing::Test {
- protected:
-  void SetUp() override { util::FailPoint::DisarmAll(); }
-  void TearDown() override { util::FailPoint::DisarmAll(); }
-
-  // Writes `bytes` as a legacy root at a path cleared of shard files from
-  // earlier runs.
-  static std::string WriteLegacy(const std::string& stem,
-                                 const std::vector<uint8_t>& bytes) {
-    const std::string path = ::testing::TempDir() + "/" + stem + ".cmdb";
-    std::remove((path + ".tmp").c_str());
-    const std::string log = index::ShardPath(path, 0);
-    std::remove(log.c_str());
-    std::remove((log + ".tmp").c_str());
-    std::remove(index::ShardBackupPath(path, 0).c_str());
-    EXPECT_TRUE(util::WriteFile(path, bytes).ok());
-    return path;
+// A CMV1 container: the CMV2 bytes of `file` with the magic stamped "CMV1"
+// and every frame record's trailing CRC-32 stripped.
+std::vector<uint8_t> StripToCmv1(const codec::CmvFile& file) {
+  const std::vector<uint8_t> v2 = file.Serialize();
+  size_t pos = FrameRecordOffset(file, 0);
+  std::vector<uint8_t> out(v2.begin(), v2.begin() + static_cast<ptrdiff_t>(pos));
+  out[3] = '1';
+  for (const codec::FrameRecord& rec : file.frames) {
+    const size_t record = 1 + 4 + rec.payload.size();
+    out.insert(out.end(), v2.begin() + static_cast<ptrdiff_t>(pos),
+               v2.begin() + static_cast<ptrdiff_t>(pos + record));
+    pos += record + 4;
   }
-};
-
-struct LegacyFixture {
-  std::string name;
-  std::vector<uint8_t> bytes;
-};
-
-// v1, v2 and v3 images of ThreeVideoDatabase, plus a v3 file torn inside
-// its third entry.
-std::vector<LegacyFixture> LegacyFixtures() {
-  const std::vector<uint8_t> v3 =
-      index::SerializeDatabase(ThreeVideoDatabase());
-  const std::vector<uint8_t> torn(
-      v3.begin(), v3.begin() + static_cast<ptrdiff_t>(v3.size() * 3 / 4));
-  return {{"v1", StripToLegacy(v3, 1)},
-          {"v2", StripToLegacy(v3, 2)},
-          {"v3", v3},
-          {"torn_v3", torn}};
-}
-
-// What a legacy file holds: the strict parse, else what salvage recovers.
-index::VideoDatabase ParseLegacy(const std::vector<uint8_t>& bytes) {
-  util::StatusOr<index::VideoDatabase> db = index::ParseDatabase(bytes);
-  if (db.ok()) return *db;
-  util::SalvageReport report;
-  db = index::ParseDatabaseSalvage(bytes, &report);
-  EXPECT_TRUE(db.ok()) << db.status().message();
-  return db.ok() ? *db : index::VideoDatabase();
-}
-
-const char* const kMigrationCrashSites[] = {
-    "index.shard.compact.write",     "index.shard.compact.fsync",
-    "index.shard.compact.rename",    "index.shard.compact.manifest",
-    "serial.atomic_write.tmp_write", "serial.atomic_write.fsync",
-    "serial.atomic_write.rename"};
-
-TEST_F(LegacyMigrationTest, EveryCmdbVersionMigratesToAOneShardLibrary) {
-  for (const LegacyFixture& f : LegacyFixtures()) {
-    const std::string path = WriteLegacy("migrate_" + f.name, f.bytes);
-    const index::VideoDatabase want = ParseLegacy(f.bytes);
-    ASSERT_GT(want.video_count(), 0) << f.name;
-
-    const util::StatusOr<index::RepairReport> report =
-        index::RepairDatabaseFile(path, index::RemineFn(), nullptr);
-    ASSERT_TRUE(report.ok()) << f.name << ": " << report.status().message();
-    EXPECT_TRUE(report->rewritten) << f.name;
-
-    const index::VerifyReport verify = index::VerifyDatabaseFile(path);
-    EXPECT_TRUE(verify.loadable) << f.name << ": " << verify.ToString();
-    EXPECT_TRUE(verify.manifest_matches) << f.name;
-    EXPECT_EQ(verify.shards, 1) << f.name;
-    EXPECT_EQ(verify.videos, want.video_count()) << f.name;
-
-    // Entry for entry — every field the entry codec carries — the library
-    // holds exactly what the legacy reader parsed.
-    const util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
-        index::ShardedDatabase::Open(path);
-    ASSERT_TRUE(db.ok()) << f.name << ": " << db.status().message();
-    const index::VideoDatabase got = (*db)->Snapshot();
-    ASSERT_EQ(got.video_count(), want.video_count()) << f.name;
-    for (int i = 0; i < want.video_count(); ++i) {
-      EXPECT_EQ(got.video(i).name, want.video(i).name) << f.name;
-      EXPECT_EQ(got.video(i).degraded, want.video(i).degraded) << f.name;
-    }
-    EXPECT_EQ(index::SerializeDatabase(got), index::SerializeDatabase(want))
-        << f.name;
-  }
-}
-
-TEST_F(LegacyMigrationTest, VerifyOnALegacyRootIsNotCleanAndNamesRepair) {
-  const std::string path = WriteLegacy(
-      "verify_legacy", index::SerializeDatabase(ThreeVideoDatabase()));
-  const index::VerifyReport verify = index::VerifyDatabaseFile(path);
-  EXPECT_FALSE(verify.clean());
-  EXPECT_FALSE(verify.loadable);
-  EXPECT_NE(verify.error.find("legacy CMDB"), std::string::npos)
-      << verify.ToString();
-  EXPECT_NE(verify.error.find("repair"), std::string::npos)
-      << verify.ToString();
+  out.insert(out.end(), v2.begin() + static_cast<ptrdiff_t>(pos), v2.end());
+  return out;
 }
 
 TEST_F(LegacyMigrationTest, ShardedOpenRefusesALegacyRoot) {
@@ -1008,46 +1171,63 @@ TEST_F(LegacyMigrationTest, ShardedOpenRefusesALegacyRoot) {
   const util::StatusOr<std::unique_ptr<index::ShardedDatabase>> db =
       index::ShardedDatabase::Open(path);
   ASSERT_FALSE(db.ok());
-  EXPECT_EQ(db.status().code(), util::StatusCode::kFailedPrecondition);
-  EXPECT_NE(db.status().message().find("repair"), std::string::npos)
-      << db.status().message();
+  // Refused like any file that is not a library: no manifest parses and no
+  // shard log exists to rebuild one from.
+  EXPECT_EQ(db.status().code(), util::StatusCode::kDataLoss);
   // The refusal touches nothing.
   EXPECT_EQ(*util::ReadFile(path), bytes);
 }
 
-TEST_F(LegacyMigrationTest, CrashAtEverySiteLeavesALegacyOrMigratedRoot) {
-  const std::vector<uint8_t> bytes =
+TEST_F(LegacyMigrationTest, EveryEntryPointRefusesOldFilesUntouched) {
+  const std::vector<uint8_t> v3 =
       index::SerializeDatabase(ThreeVideoDatabase());
-  for (const char* site : kMigrationCrashSites) {
-    const std::string path =
-        WriteLegacy(std::string("migrate_crash_") + site, bytes);
-    util::FailPoint::Arm(
-        site, util::FailPoint::Spec::Once(util::StatusCode::kDataLoss));
-    EXPECT_FALSE(
-        index::RepairDatabaseFile(path, index::RemineFn(), nullptr).ok())
-        << site;
-    util::FailPoint::DisarmAll();
+  const codec::CmvFile cmv = *codec::CmvFile::Parse(EncodedFixture());
+  const struct {
+    std::string name;
+    std::vector<uint8_t> bytes;
+  } fixtures[] = {{"cmdb_v1", StripToLegacy(v3, 1)},
+                  {"cmdb_v2", StripToLegacy(v3, 2)},
+                  {"cmdb_v3", v3},
+                  {"cmv1", StripToCmv1(cmv)}};
+  // The fixtures are what they claim: frames (and v1's flags) stripped.
+  ASSERT_EQ(fixtures[1].bytes.size(), v3.size() - 3 * 12);
+  ASSERT_EQ(fixtures[0].bytes.size(), v3.size() - 3 * 13);
+  ASSERT_EQ(fixtures[3].bytes.size(),
+            cmv.Serialize().size() - 4 * cmv.frames.size());
 
-    // The root opens as one whole database: the untouched legacy file, or
-    // the complete migrated library — never a mixture.
-    const util::StatusOr<index::OpenResult> opened =
-        index::OpenDatabaseAnyGeneration(path, nullptr);
-    ASSERT_TRUE(opened.ok()) << site << ": " << opened.status().message();
-    EXPECT_EQ(index::SerializeDatabase(opened->db), bytes) << site;
-    if (opened->legacy) {
-      EXPECT_EQ(*util::ReadFile(path), bytes) << site;
-    } else {
-      EXPECT_EQ(index::VerifyDatabaseFile(path).shards, 1) << site;
+  for (const auto& f : fixtures) {
+    SCOPED_TRACE(f.name);
+    const std::string path = WriteLegacy("refuse_" + f.name, f.bytes);
+    const auto untouched = [&](const char* entry_point) {
+      EXPECT_EQ(*util::ReadFile(path), f.bytes) << entry_point;
+      EXPECT_FALSE(util::ReadFile(index::ShardPath(path, 0)).ok())
+          << entry_point;
+    };
+    for (const bool read_only : {false, true}) {
+      EXPECT_FALSE(
+          index::ShardedDatabase::Open(path, nullptr, nullptr, read_only)
+              .ok())
+          << "read_only " << read_only;
+      untouched("ShardedDatabase::Open");
     }
-
-    // Once the fault clears, repair finishes the migration.
-    ASSERT_TRUE(
-        index::RepairDatabaseFile(path, index::RemineFn(), nullptr).ok())
-        << site;
+    EXPECT_FALSE(index::LoadDatabase(path).ok());
+    untouched("LoadDatabase");
     const index::VerifyReport verify = index::VerifyDatabaseFile(path);
-    EXPECT_TRUE(verify.loadable) << site << ": " << verify.ToString();
-    EXPECT_EQ(verify.shards, 1) << site;
-    EXPECT_EQ(verify.videos, 3) << site;
+    EXPECT_FALSE(verify.loadable);
+    EXPECT_FALSE(verify.clean());
+    EXPECT_FALSE(verify.error.empty());
+    untouched("VerifyDatabaseFile");
+    EXPECT_FALSE(index::CompactDatabaseFile(path).ok());
+    untouched("CompactDatabaseFile");
+    EXPECT_FALSE(
+        index::RepairDatabaseFile(path, index::RemineFn(), nullptr).ok());
+    untouched("RepairDatabaseFile");
+
+    EXPECT_FALSE(codec::CmvFile::Parse(f.bytes).ok());
+    util::SalvageReport report;
+    EXPECT_FALSE(codec::CmvFile::ParseBestEffort(f.bytes, &report).ok());
+    EXPECT_FALSE(codec::CmvFile::LoadFromFileBestEffort(path, &report).ok());
+    untouched("CmvFile::LoadFromFileBestEffort");
   }
 }
 

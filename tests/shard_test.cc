@@ -255,11 +255,13 @@ TEST_F(ShardTest, CorruptShardFallsBackAloneAndVerifyNamesItsGeneration) {
   // 1 served from .prev (losing only `extra`) and every other shard intact.
   ASSERT_EQ(std::remove(index::ShardPath(path, 1).c_str()), 0);
   util::SalvageReport report;
-  const util::StatusOr<index::OpenResult> opened =
-      index::OpenDatabaseAnyGeneration(path, &report);
+  ShardedDatabase::OpenReport shards;
+  util::StatusOr<std::unique_ptr<ShardedDatabase>> opened =
+      ShardedDatabase::Open(path, &report, &shards);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
-  EXPECT_TRUE(opened->used_backup);
-  EXPECT_EQ(Names(opened->db), all);
+  EXPECT_TRUE(shards.any_backup());
+  EXPECT_EQ(Names((*opened)->Snapshot()), all);
+  opened->reset();
 
   // Verify pinpoints the damaged shard by name; the other shards do not
   // drag the whole file into "unloadable".
@@ -394,11 +396,11 @@ TEST_F(ShardTest, CompactionCrashMatrixReopensToConsistentState) {
     // Whatever the crash point, the reopen yields the same logical library:
     // compaction only rewrites representation, so pre- and post-crash
     // states agree on content — a torn mixture is the only wrong answer.
-    util::SalvageReport report;
-    const util::StatusOr<index::OpenResult> opened =
-        index::OpenDatabaseAnyGeneration(path, &report);
+    util::StatusOr<std::unique_ptr<ShardedDatabase>> opened =
+        ShardedDatabase::Open(path);
     ASSERT_TRUE(opened.ok()) << site << ": " << opened.status().message();
-    EXPECT_EQ(Names(opened->db), expected) << site;
+    EXPECT_EQ(Names((*opened)->Snapshot()), expected) << site;
+    opened->reset();
 
     // After the fault clears, compaction completes and the library is
     // pristine: no dead records, manifest in step with every log.
@@ -626,15 +628,17 @@ TEST_F(ShardTest, CompactDatabaseFileFoldsOnlyDirtyShards) {
   EXPECT_EQ((*reports)[0].dead_dropped, 1u);
   EXPECT_TRUE((*reports)[1].skipped);  // nothing dead in shard 1
 
-  // A legacy CMDB file is refused, not silently rewritten.
+  // A file in the retired CMDB format is refused like any other file that
+  // is not a library, not silently rewritten.
   const std::string legacy = FreshDbPath("compact_legacy");
   index::VideoDatabase legacydb;
   index::VideoEntry entry = MakeEntry("only");
   legacydb.AddVideo(entry.name, std::move(entry.structure), {}, false);
-  ASSERT_TRUE(
-      util::WriteFile(legacy, index::SerializeDatabase(legacydb)).ok());
+  const std::vector<uint8_t> legacy_bytes = index::SerializeDatabase(legacydb);
+  ASSERT_TRUE(util::WriteFile(legacy, legacy_bytes).ok());
   EXPECT_EQ(index::CompactDatabaseFile(legacy).status().code(),
-            StatusCode::kFailedPrecondition);
+            StatusCode::kDataLoss);
+  EXPECT_EQ(*util::ReadFile(legacy), legacy_bytes);
 }
 
 }  // namespace
