@@ -1,6 +1,5 @@
 // Micro-benchmarks for the audio substrate: clip features, the pitch
-// search, MFCC, one shot's audio analysis, GMM scoring and the BIC
-// speaker-change test.
+// search, MFCC, one shot's audio analysis and the BIC speaker-change test.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +9,6 @@
 
 #include "audio/bic.h"
 #include "audio/features.h"
-#include "audio/gmm.h"
 #include "audio/mfcc.h"
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
@@ -140,22 +138,6 @@ BENCHMARK(BM_AnalyzeShot)
     ->Args({static_cast<int>(util::DispatchLevel::kAvx2), 1, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_GmmTrain(benchmark::State& state) {
-  util::Rng rng(7);
-  util::Matrix samples(256, 14);
-  for (size_t r = 0; r < samples.rows(); ++r) {
-    for (size_t c = 0; c < samples.cols(); ++c) {
-      samples.at(r, c) = rng.Gaussian(r % 2 == 0 ? 0.0 : 4.0, 1.0);
-    }
-  }
-  audio::Gmm::TrainOptions opts;
-  opts.components = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(audio::Gmm::Train(samples, opts));
-  }
-}
-BENCHMARK(BM_GmmTrain)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_BicTest(benchmark::State& state) {
   const util::Matrix a = audio::ComputeMfcc(SpeechClip(1, 2.0));

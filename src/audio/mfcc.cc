@@ -14,6 +14,12 @@ namespace {
 using util::kLanes;
 using util::LoadLanes;
 
+constexpr double kWindowSeconds = 0.030;
+constexpr double kHopSeconds = 0.010;  // 20 ms overlap of 30 ms windows
+constexpr int kMelFilters = 26;
+constexpr double kPreEmphasis = 0.97;
+constexpr double kLowHz = 60.0;  // the filterbank spans kLowHz to Nyquist
+
 double HzToMel(double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); }
 double MelToHz(double mel) {
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
@@ -70,12 +76,10 @@ std::vector<MelFilter> BuildFilterbank(int n_filters, int n_bins,
 
 }  // namespace
 
-util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
+util::Matrix ComputeMfcc(const AudioBuffer& clip) {
   const int sr = clip.sample_rate();
-  const size_t win =
-      static_cast<size_t>(std::max(2.0, options.window_seconds * sr));
-  const size_t hop =
-      static_cast<size_t>(std::max(1.0, options.hop_seconds * sr));
+  const size_t win = static_cast<size_t>(std::max(2.0, kWindowSeconds * sr));
+  const size_t hop = static_cast<size_t>(std::max(1.0, kHopSeconds * sr));
   const std::vector<float>& s = clip.samples();
   if (s.size() < win) return util::Matrix(0, kMfccDims);
 
@@ -83,11 +87,8 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   const size_t fft_size = plan.size();
   const int n_bins = static_cast<int>(fft_size / 2 + 1);
   const double bin_hz = static_cast<double>(sr) / static_cast<double>(fft_size);
-  const double high_hz = options.high_hz > 0.0
-                             ? std::min(options.high_hz, sr / 2.0)
-                             : sr / 2.0;
-  const std::vector<MelFilter> bank = BuildFilterbank(
-      options.mel_filters, n_bins, bin_hz, options.low_hz, high_hz);
+  const std::vector<MelFilter> bank =
+      BuildFilterbank(kMelFilters, n_bins, bin_hz, kLowHz, sr / 2.0);
 
   // Hamming window.
   std::vector<double> hamming(win);
@@ -98,12 +99,12 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
 
   // DCT-II basis, cosine[k][m], from the expression the per-frame loop
   // used to evaluate.
-  const size_t n_mel = static_cast<size_t>(options.mel_filters);
+  const size_t n_mel = static_cast<size_t>(kMelFilters);
   std::vector<double> cosine(kMfccDims * n_mel);
   for (int k = 0; k < kMfccDims; ++k) {
-    for (int m = 0; m < options.mel_filters; ++m) {
+    for (int m = 0; m < kMelFilters; ++m) {
       cosine[static_cast<size_t>(k) * n_mel + static_cast<size_t>(m)] =
-          std::cos(std::numbers::pi * k * (m + 0.5) / options.mel_filters);
+          std::cos(std::numbers::pi * k * (m + 0.5) / kMelFilters);
     }
   }
 
@@ -124,7 +125,7 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
       for (size_t i = 0; i < win; ++i) {
         const double cur = s[start + i];
         const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
-        re[kLanes * i + l] = (cur - options.pre_emphasis * prev) * hamming[i];
+        re[kLanes * i + l] = (cur - kPreEmphasis * prev) * hamming[i];
       }
     }
     std::fill(re.begin() + static_cast<std::ptrdiff_t>(kLanes * win),
@@ -163,42 +164,6 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
     });
   }
   return mfcc;
-}
-
-util::Matrix AppendDeltas(const util::Matrix& mfcc, int reach) {
-  const size_t n = mfcc.rows();
-  const size_t d = mfcc.cols();
-  util::Matrix out(n, 2 * d);
-  if (n == 0) return out;
-  double norm = 0.0;
-  for (int t = 1; t <= reach; ++t) norm += 2.0 * t * t;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t c = 0; c < d; ++c) {
-      out.at(i, c) = mfcc.at(i, c);
-      double acc = 0.0;
-      for (int t = 1; t <= reach; ++t) {
-        const size_t fwd =
-            std::min(n - 1, i + static_cast<size_t>(t));
-        const size_t bwd =
-            i >= static_cast<size_t>(t) ? i - static_cast<size_t>(t) : 0;
-        acc += t * (mfcc.at(fwd, c) - mfcc.at(bwd, c));
-      }
-      out.at(i, d + c) = norm > 0.0 ? acc / norm : 0.0;
-    }
-  }
-  return out;
-}
-
-void CepstralMeanNormalize(util::Matrix* mfcc) {
-  const size_t n = mfcc->rows();
-  const size_t d = mfcc->cols();
-  if (n == 0) return;
-  for (size_t c = 0; c < d; ++c) {
-    double mean = 0.0;
-    for (size_t i = 0; i < n; ++i) mean += mfcc->at(i, c);
-    mean /= static_cast<double>(n);
-    for (size_t i = 0; i < n; ++i) mfcc->at(i, c) -= mean;
-  }
 }
 
 }  // namespace classminer::audio

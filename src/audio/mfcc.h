@@ -1,40 +1,19 @@
 #ifndef CLASSMINER_AUDIO_MFCC_H_
 #define CLASSMINER_AUDIO_MFCC_H_
 
-#include <vector>
-
 #include "audio/audio_buffer.h"
 #include "util/matrix.h"
 
 namespace classminer::audio {
 
 // 14-dimensional mel-frequency cepstral coefficients (paper Sec. 4.2):
-// 30 ms sliding windows with 20 ms overlap (10 ms hop), pre-emphasis,
-// Hamming window, mel filterbank, log, DCT.
+// 30 ms sliding windows with 20 ms overlap (10 ms hop), pre-emphasis 0.97,
+// Hamming window, 26 mel filters from 60 Hz to Nyquist, log, DCT.
 inline constexpr int kMfccDims = 14;
-
-struct MfccOptions {
-  double window_seconds = 0.030;
-  double hop_seconds = 0.010;  // 20 ms overlap of 30 ms windows
-  int mel_filters = 26;
-  double pre_emphasis = 0.97;
-  double low_hz = 60.0;
-  double high_hz = 0.0;  // 0 = Nyquist
-};
 
 // Returns an (num_windows x 14) matrix of MFCC vectors; empty (0 x 14) when
 // the clip is shorter than one window.
-util::Matrix ComputeMfcc(const AudioBuffer& clip,
-                         const MfccOptions& options = {});
-
-// Appends first-order delta coefficients (linear regression over +-2
-// neighbouring windows), doubling the feature dimensionality to 28. Speech
-// dynamics sharpen speaker discrimination in the BIC test.
-util::Matrix AppendDeltas(const util::Matrix& mfcc, int reach = 2);
-
-// Cepstral mean normalisation in place: subtracts each coefficient's mean
-// over the clip, removing stationary channel colouring.
-void CepstralMeanNormalize(util::Matrix* mfcc);
+util::Matrix ComputeMfcc(const AudioBuffer& clip);
 
 }  // namespace classminer::audio
 

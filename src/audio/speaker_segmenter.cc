@@ -1,25 +1,9 @@
 #include "audio/speaker_segmenter.h"
 
-#include <algorithm>
 #include <atomic>
-#include <functional>
-#include <map>
+#include <vector>
 
 namespace classminer::audio {
-
-util::StatusOr<GmmClassifier> TrainSpeechClassifier(
-    const util::Matrix& nonspeech, const util::Matrix& speech, int components,
-    uint64_t seed) {
-  Gmm::TrainOptions opts;
-  opts.components = components;
-  opts.seed = seed;
-  util::StatusOr<Gmm> m0 = Gmm::Train(nonspeech, opts);
-  if (!m0.ok()) return m0.status();
-  opts.seed = seed + 1;
-  util::StatusOr<Gmm> m1 = Gmm::Train(speech, opts);
-  if (!m1.ok()) return m1.status();
-  return GmmClassifier(std::move(*m0), std::move(*m1));
-}
 
 double SpeakerSegmenter::HeuristicMargin(const ClipFeatures& f) {
   // Speech: voiced pitch in the 60-400 Hz band, audible volume, energy
@@ -59,8 +43,7 @@ ShotAudioAnalysis SpeakerSegmenter::AnalyzeShot(
     if (i > 0 && settled.load(std::memory_order_relaxed)) return;
     const size_t c = static_cast<size_t>(i);
     features[c] = ComputeClipFeatures(clips[c]);
-    if (i == 0 && !classifier_.has_value() &&
-        HeuristicMargin(features[0]) >= kHeuristicMarginCeiling) {
+    if (i == 0 && HeuristicMargin(features[0]) >= kHeuristicMarginCeiling) {
       settled.store(true, std::memory_order_relaxed);
     }
   });
@@ -68,16 +51,7 @@ ShotAudioAnalysis SpeakerSegmenter::AnalyzeShot(
   double best_margin = -1e18;
   size_t best_clip = 0;
   for (size_t i = 0; i < featured; ++i) {
-    double margin;
-    if (classifier_.has_value()) {
-      util::Matrix row(1, kClipFeatureDims);
-      for (int d = 0; d < kClipFeatureDims; ++d) {
-        row.at(0, static_cast<size_t>(d)) = features[i][static_cast<size_t>(d)];
-      }
-      margin = classifier_->Margin(row);
-    } else {
-      margin = HeuristicMargin(features[i]);
-    }
+    const double margin = HeuristicMargin(features[i]);
     if (margin > best_margin) {
       best_margin = margin;
       best_clip = i;
@@ -100,47 +74,6 @@ bool SpeakerSegmenter::SpeakerChange(const ShotAudioAnalysis& a,
   if (!a.has_speech || !b.has_speech) return false;
   if (a.mfcc.rows() < 8 || b.mfcc.rows() < 8) return false;
   return SpeakerChangeDetail(a, b).speaker_change;
-}
-
-std::vector<int> SpeakerSegmenter::DiarizeShots(
-    const std::vector<ShotAudioAnalysis>& analyses) const {
-  const size_t n = analyses.size();
-  // Union-find over speech shots; a BIC "no change" verdict links a pair.
-  std::vector<size_t> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto usable = [&](size_t i) {
-    return analyses[i].has_speech && analyses[i].mfcc.rows() >= 8;
-  };
-  for (size_t i = 0; i < n; ++i) {
-    if (!usable(i)) continue;
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!usable(j)) continue;
-      if (!SpeakerChangeDetail(analyses[i], analyses[j]).speaker_change) {
-        parent[find(i)] = find(j);
-      }
-    }
-  }
-  std::vector<int> labels(n, -1);
-  std::map<size_t, int> label_of_root;
-  for (size_t i = 0; i < n; ++i) {
-    if (!usable(i)) continue;
-    const size_t root = find(i);
-    auto it = label_of_root.find(root);
-    if (it == label_of_root.end()) {
-      it = label_of_root.emplace(root,
-                                 static_cast<int>(label_of_root.size()))
-               .first;
-    }
-    labels[i] = it->second;
-  }
-  return labels;
 }
 
 }  // namespace classminer::audio

@@ -1,13 +1,9 @@
 #ifndef CLASSMINER_AUDIO_SPEAKER_SEGMENTER_H_
 #define CLASSMINER_AUDIO_SPEAKER_SEGMENTER_H_
 
-#include <optional>
-#include <vector>
-
 #include "audio/audio_buffer.h"
 #include "audio/bic.h"
 #include "audio/features.h"
-#include "audio/gmm.h"
 #include "audio/mfcc.h"
 #include "util/exec_context.h"
 #include "util/matrix.h"
@@ -15,23 +11,18 @@
 namespace classminer::audio {
 
 // Per-shot audio analysis (paper Sec. 4.2): the shot's audio is split into
-// ~2 s clips; each clip is classified clean-speech vs non-speech; the most
+// ~2 s clips; each clip is scored clean-speech vs non-speech by
+// HeuristicMargin (the paper trains a GMM here; DESIGN.md §7); the most
 // speech-like clip becomes the shot's representative clip, from which MFCCs
 // are extracted for the BIC speaker test.
 struct ShotAudioAnalysis {
   int shot_index = -1;
   bool analyzable = false;   // shot was at least one clip long
-  bool has_speech = false;   // representative clip classified as speech
+  bool has_speech = false;   // representative clip scored as speech
   double speech_margin = 0.0;
   ClipFeatures rep_features{};
   util::Matrix mfcc;         // rep clip MFCC sequence (n x 14)
 };
-
-// Trains the clean-speech vs non-speech GMM classifier from labelled clips:
-// rows of `speech` / `nonspeech` are 14-d clip feature vectors.
-util::StatusOr<GmmClassifier> TrainSpeechClassifier(
-    const util::Matrix& nonspeech, const util::Matrix& speech,
-    int components = 3, uint64_t seed = 23);
 
 class SpeakerSegmenter {
  public:
@@ -48,19 +39,17 @@ class SpeakerSegmenter {
   };
 
   SpeakerSegmenter() : SpeakerSegmenter(Options()) {}
-  explicit SpeakerSegmenter(Options options,
-                            std::optional<GmmClassifier> classifier = {})
-      : options_(options), classifier_(std::move(classifier)) {}
+  explicit SpeakerSegmenter(Options options) : options_(options) {}
 
   // Analyzes the audio of one shot spanning [start_sec, end_sec). The
   // representative clip is the first clip of the largest speech margin.
   // The context's pool features the clips in parallel (independent clip
   // slots, serial best-clip selection; bit-identical to featuring every
-  // clip serially). Without a classifier, a first clip at
-  // kHeuristicMarginCeiling cannot be beaten, so clips not yet begun when
-  // it is scored are skipped: a serial run features it alone. Nesting is
-  // safe: a caller already parallelising across shots may pass the same
-  // context through, and the shared pool interleaves the work.
+  // clip serially). A first clip at kHeuristicMarginCeiling cannot be
+  // beaten, so clips not yet begun when it is scored are skipped: a serial
+  // run features it alone. Nesting is safe: a caller already parallelising
+  // across shots may pass the same context through, and the shared pool
+  // interleaves the work.
   ShotAudioAnalysis AnalyzeShot(const AudioBuffer& audio, double start_sec,
                                 double end_sec, int shot_index,
                                 const util::ExecutionContext& ctx = {}) const;
@@ -70,10 +59,9 @@ class SpeakerSegmenter {
   bool SpeakerChange(const ShotAudioAnalysis& a,
                      const ShotAudioAnalysis& b) const;
 
-  // Heuristic speech margin used when no trained classifier is supplied:
-  // voiced pitch in speech range, audible volume, low-band energy and
-  // some (but not total) silence, each rule adding or subtracting a fixed
-  // weight. Positive reads as speech.
+  // Speech margin of one clip: voiced pitch in speech range, audible
+  // volume, low-band energy and some (but not total) silence, each rule
+  // adding or subtracting a fixed weight. Positive reads as speech.
   static double HeuristicMargin(const ClipFeatures& f);
   // The margin of a clip passing all four rules: no clip scores higher.
   static constexpr double kHeuristicMarginCeiling = 2.25;
@@ -82,18 +70,8 @@ class SpeakerSegmenter {
   BicResult SpeakerChangeDetail(const ShotAudioAnalysis& a,
                                 const ShotAudioAnalysis& b) const;
 
-  // Shot-level speaker diarization: groups speech shots into speaker
-  // labels via pairwise BIC no-change links (transitively closed with
-  // union-find). Returns one label per analysis: -1 for shots without
-  // usable speech, otherwise a 0-based speaker id in order of first
-  // appearance. Underpins the dialog rule's "duplicated speaker" check
-  // and answers queries like "how many people speak in this scene?".
-  std::vector<int> DiarizeShots(
-      const std::vector<ShotAudioAnalysis>& analyses) const;
-
  private:
   Options options_;
-  std::optional<GmmClassifier> classifier_;
 };
 
 }  // namespace classminer::audio

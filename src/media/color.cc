@@ -76,10 +76,4 @@ GrayImage ToGray(const Image& image) {
   return out;
 }
 
-bool IsGrayish(Rgb c, int tolerance) {
-  const int mx = std::max({c.r, c.g, c.b});
-  const int mn = std::min({c.r, c.g, c.b});
-  return mx - mn <= tolerance;
-}
-
 }  // namespace classminer::media

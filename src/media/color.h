@@ -24,9 +24,6 @@ uint8_t Luma(Rgb c);
 // Whole-image grey conversion.
 GrayImage ToGray(const Image& image);
 
-// True when the pixel is near-greyscale (max channel spread <= tolerance).
-bool IsGrayish(Rgb c, int tolerance = 24);
-
 }  // namespace classminer::media
 
 #endif  // CLASSMINER_MEDIA_COLOR_H_

@@ -70,7 +70,6 @@ class Arena final : public std::pmr::memory_resource {
   };
 
   void* AllocateLocked(size_t bytes, size_t align);
-  void PoisonFreeSpans();
 
   void* do_allocate(size_t bytes, size_t align) override {
     return Allocate(bytes, align);

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +8,6 @@
 namespace classminer::util {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_log_mutex;
 
 const char* LevelTag(LogLevel level) {
@@ -33,12 +31,9 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message) {
-  if (level < g_level.load()) return;
+  if (level < LogLevel::kInfo) return;
   std::lock_guard<std::mutex> lock(g_log_mutex);
   std::fprintf(stderr, "[%s %s:%d] %s\n", LevelTag(level), Basename(file),
                line, message.c_str());

@@ -8,11 +8,8 @@ namespace classminer::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Global minimum level; messages below it are dropped. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Writes one formatted log line to stderr (thread-safe).
+// Writes one formatted log line to stderr (thread-safe); messages below
+// kInfo are dropped.
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& message);
 

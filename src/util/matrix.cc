@@ -6,36 +6,6 @@
 
 namespace classminer::util {
 
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix t(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t c = 0; c < cols_; ++c) t.at(c, r) = at(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::Multiply(const Matrix& other) const {
-  CM_CHECK(cols_ == other.rows_) << "shape mismatch " << cols_ << " vs "
-                                 << other.rows_;
-  Matrix out(rows_, other.cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const double v = at(r, k);
-      if (v == 0.0) continue;
-      for (size_t c = 0; c < other.cols_; ++c) {
-        out.at(r, c) += v * other.at(k, c);
-      }
-    }
-  }
-  return out;
-}
-
 Matrix Covariance(const Matrix& samples) {
   const size_t n = samples.rows();
   const size_t d = samples.cols();

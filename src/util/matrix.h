@@ -30,11 +30,6 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  static Matrix Identity(size_t n);
-
-  Matrix Transpose() const;
-  Matrix Multiply(const Matrix& other) const;
-
   friend bool operator==(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
   }

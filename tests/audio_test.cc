@@ -15,7 +15,6 @@
 #include "audio/audio_buffer.h"
 #include "audio/bic.h"
 #include "audio/features.h"
-#include "audio/gmm.h"
 #include "audio/mfcc.h"
 #include "audio/speaker_segmenter.h"
 #include "synth/audio_generator.h"
@@ -119,98 +118,10 @@ TEST(MfccTest, DifferentTonesDiffer) {
   EXPECT_GT(dist, 1.0);
 }
 
-TEST(MfccTest, DeltasDoubleDimensionality) {
-  const util::Matrix mfcc = ComputeMfcc(Tone(300.0, 0.5));
-  const util::Matrix with_deltas = AppendDeltas(mfcc);
-  EXPECT_EQ(with_deltas.rows(), mfcc.rows());
-  EXPECT_EQ(with_deltas.cols(), 2 * mfcc.cols());
-  // Static part is preserved verbatim.
-  for (size_t c = 0; c < mfcc.cols(); ++c) {
-    EXPECT_DOUBLE_EQ(with_deltas.at(3, c), mfcc.at(3, c));
-  }
-}
-
-TEST(MfccTest, DeltasOfStationarySignalAreSmall) {
-  const util::Matrix mfcc = ComputeMfcc(Tone(440.0, 0.5));
-  const util::Matrix with_deltas = AppendDeltas(mfcc);
-  double acc = 0.0;
-  for (size_t r = 2; r + 2 < with_deltas.rows(); ++r) {
-    for (size_t c = mfcc.cols(); c < with_deltas.cols(); ++c) {
-      acc += std::fabs(with_deltas.at(r, c));
-    }
-  }
-  double static_acc = 0.0;
-  for (size_t r = 2; r + 2 < mfcc.rows(); ++r) {
-    for (size_t c = 1; c < mfcc.cols(); ++c) {
-      static_acc += std::fabs(mfcc.at(r, c));
-    }
-  }
-  EXPECT_LT(acc, static_acc);  // pure tone: dynamics below statics
-}
-
-TEST(MfccTest, CmnZeroesColumnMeans) {
-  util::Matrix mfcc = ComputeMfcc(Speech(2, 1.0, 60));
-  CepstralMeanNormalize(&mfcc);
-  for (size_t c = 0; c < mfcc.cols(); ++c) {
-    double mean = 0.0;
-    for (size_t r = 0; r < mfcc.rows(); ++r) mean += mfcc.at(r, c);
-    EXPECT_NEAR(mean / static_cast<double>(mfcc.rows()), 0.0, 1e-9);
-  }
-}
-
 TEST(MfccTest, TooShortClipIsEmpty) {
   AudioBuffer buf(16000);
   buf.samples().resize(100);
   EXPECT_EQ(ComputeMfcc(buf).rows(), 0u);
-}
-
-util::Matrix GaussianSamples(double mean, double stddev, size_t n, size_t d,
-                             uint64_t seed) {
-  util::Rng rng(seed);
-  util::Matrix m(n, d);
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = 0; c < d; ++c) m.at(r, c) = rng.Gaussian(mean, stddev);
-  }
-  return m;
-}
-
-TEST(GmmTest, FitsSingleGaussian) {
-  const util::Matrix samples = GaussianSamples(3.0, 0.5, 400, 2, 31);
-  Gmm::TrainOptions opts;
-  opts.components = 1;
-  util::StatusOr<Gmm> gmm = Gmm::Train(samples, opts);
-  ASSERT_TRUE(gmm.ok());
-  EXPECT_NEAR(gmm->components()[0].mean[0], 3.0, 0.1);
-  EXPECT_NEAR(gmm->components()[0].variance[0], 0.25, 0.08);
-}
-
-TEST(GmmTest, RejectsTooFewSamples) {
-  Gmm::TrainOptions opts;
-  opts.components = 8;
-  EXPECT_FALSE(Gmm::Train(util::Matrix(3, 2), opts).ok());
-}
-
-TEST(GmmTest, HigherLikelihoodOnOwnDistribution) {
-  const util::Matrix a = GaussianSamples(0.0, 1.0, 300, 3, 32);
-  const util::Matrix b = GaussianSamples(8.0, 1.0, 300, 3, 33);
-  Gmm::TrainOptions opts;
-  opts.components = 2;
-  util::StatusOr<Gmm> ga = Gmm::Train(a, opts);
-  util::StatusOr<Gmm> gb = Gmm::Train(b, opts);
-  ASSERT_TRUE(ga.ok());
-  ASSERT_TRUE(gb.ok());
-  EXPECT_GT(ga->AverageLogLikelihood(a), gb->AverageLogLikelihood(a));
-  EXPECT_GT(gb->AverageLogLikelihood(b), ga->AverageLogLikelihood(b));
-}
-
-TEST(GmmClassifierTest, SeparatesClasses) {
-  const util::Matrix c0 = GaussianSamples(0.0, 1.0, 200, 2, 34);
-  const util::Matrix c1 = GaussianSamples(5.0, 1.0, 200, 2, 35);
-  Gmm::TrainOptions opts;
-  opts.components = 2;
-  GmmClassifier clf(*Gmm::Train(c0, opts), *Gmm::Train(c1, opts));
-  EXPECT_EQ(clf.Classify(GaussianSamples(0.1, 1.0, 50, 2, 36)), 0);
-  EXPECT_EQ(clf.Classify(GaussianSamples(4.9, 1.0, 50, 2, 37)), 1);
 }
 
 TEST(BicTest, SameSpeakerNoChange) {
@@ -273,85 +184,21 @@ TEST(SpeakerSegmenterTest, SpeakerChangeAcrossShots) {
   synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(7), 3.0, &rng);
   synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(8), 3.0, &rng);
   synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(7), 3.0, &rng);
+  synth::AppendProcedureNoise(&audio, 3.0, &rng);
   const ShotAudioAnalysis s0 = seg.AnalyzeShot(audio, 0.0, 3.0, 0);
   const ShotAudioAnalysis s1 = seg.AnalyzeShot(audio, 3.0, 6.0, 1);
   const ShotAudioAnalysis s2 = seg.AnalyzeShot(audio, 6.0, 9.0, 2);
+  const ShotAudioAnalysis noise = seg.AnalyzeShot(audio, 9.0, 12.0, 3);
   EXPECT_TRUE(seg.SpeakerChange(s0, s1));
   EXPECT_TRUE(seg.SpeakerChange(s1, s2));
   EXPECT_FALSE(seg.SpeakerChange(s0, s2));  // same speaker resumes
-}
-
-TEST(SpeakerSegmenterTest, DiarizationLabelsAlternation) {
-  SpeakerSegmenter seg;
-  AudioBuffer audio(16000);
-  util::Rng rng(57);
-  synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(11), 3.0, &rng);
-  synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(12), 3.0, &rng);
-  synth::AppendSpeech(&audio, synth::MakeSpeakerVoice(11), 3.0, &rng);
-  synth::AppendProcedureNoise(&audio, 3.0, &rng);
-
-  std::vector<ShotAudioAnalysis> shots;
-  for (int i = 0; i < 4; ++i) {
-    shots.push_back(seg.AnalyzeShot(audio, i * 3.0, (i + 1) * 3.0, i));
-  }
-  const std::vector<int> labels = seg.DiarizeShots(shots);
-  ASSERT_EQ(labels.size(), 4u);
-  EXPECT_EQ(labels[0], 0);          // first speaker
-  EXPECT_EQ(labels[2], labels[0]);  // returns in shot 2
-  EXPECT_NE(labels[1], labels[0]);  // second party distinct
-  EXPECT_EQ(labels[3], -1);         // noise shot unlabelled
-}
-
-TEST(SpeakerSegmenterTest, DiarizationEmptyInput) {
-  SpeakerSegmenter seg;
-  EXPECT_TRUE(seg.DiarizeShots({}).empty());
-}
-
-TEST(SpeechClassifierTest, TrainedGmmClassifierSeparatesSpeechFromNoise) {
-  // Build labelled clip-feature matrices from the generators.
-  util::Rng rng(55);
-  const int clips = 24;
-  util::Matrix speech(clips, kClipFeatureDims);
-  util::Matrix nonspeech(clips, kClipFeatureDims);
-  for (int i = 0; i < clips; ++i) {
-    AudioBuffer s(16000);
-    synth::AppendSpeech(&s, synth::MakeSpeakerVoice(i % 5), 2.0, &rng);
-    const ClipFeatures fs = ComputeClipFeatures(s);
-    AudioBuffer nz(16000);
-    if (i % 2 == 0) {
-      synth::AppendProcedureNoise(&nz, 2.0, &rng);
-    } else {
-      synth::AppendSilence(&nz, 2.0, &rng);
-    }
-    const ClipFeatures fn = ComputeClipFeatures(nz);
-    for (int d = 0; d < kClipFeatureDims; ++d) {
-      speech.at(static_cast<size_t>(i), static_cast<size_t>(d)) =
-          fs[static_cast<size_t>(d)];
-      nonspeech.at(static_cast<size_t>(i), static_cast<size_t>(d)) =
-          fn[static_cast<size_t>(d)];
-    }
-  }
-  util::StatusOr<GmmClassifier> clf =
-      TrainSpeechClassifier(nonspeech, speech, /*components=*/2);
-  ASSERT_TRUE(clf.ok());
-
-  // Held-out clips.
-  AudioBuffer s(16000);
-  synth::AppendSpeech(&s, synth::MakeSpeakerVoice(9), 2.0, &rng);
-  util::Matrix row(1, kClipFeatureDims);
-  const ClipFeatures fs = ComputeClipFeatures(s);
-  for (int d = 0; d < kClipFeatureDims; ++d) {
-    row.at(0, static_cast<size_t>(d)) = fs[static_cast<size_t>(d)];
-  }
-  EXPECT_EQ(clf->Classify(row), 1);
-
-  AudioBuffer nz(16000);
-  synth::AppendProcedureNoise(&nz, 2.0, &rng);
-  const ClipFeatures fn = ComputeClipFeatures(nz);
-  for (int d = 0; d < kClipFeatureDims; ++d) {
-    row.at(0, static_cast<size_t>(d)) = fn[static_cast<size_t>(d)];
-  }
-  EXPECT_EQ(clf->Classify(row), 0);
+  // A shot without usable speech never asserts a change, though BIC alone
+  // tells its MFCCs from the speaker's.
+  ASSERT_TRUE(noise.analyzable);
+  EXPECT_FALSE(noise.has_speech);
+  EXPECT_TRUE(seg.SpeakerChangeDetail(s0, noise).speaker_change);
+  EXPECT_FALSE(seg.SpeakerChange(s0, noise));
+  EXPECT_FALSE(seg.SpeakerChange(noise, s0));
 }
 
 
@@ -552,6 +399,13 @@ ClipFeatures ComputeClipFeatures(const AudioBuffer& clip,
   return f;
 }
 
+// The MFCC parameters ComputeMfcc fixes.
+constexpr double kMfccWindowSeconds = 0.030;
+constexpr double kMfccHopSeconds = 0.010;
+constexpr int kMelFilters = 26;
+constexpr double kPreEmphasis = 0.97;
+constexpr double kMelLowHz = 60.0;
+
 double HzToMel(double hz) { return 2595.0 * std::log10(1.0 + hz / 700.0); }
 double MelToHz(double mel) {
   return 700.0 * (std::pow(10.0, mel / 2595.0) - 1.0);
@@ -589,23 +443,19 @@ std::vector<std::vector<double>> BuildFilterbank(int n_filters, int n_bins,
   return bank;
 }
 
-util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
+util::Matrix ComputeMfcc(const AudioBuffer& clip) {
   const int sr = clip.sample_rate();
   const size_t win =
-      static_cast<size_t>(std::max(2.0, options.window_seconds * sr));
-  const size_t hop =
-      static_cast<size_t>(std::max(1.0, options.hop_seconds * sr));
+      static_cast<size_t>(std::max(2.0, kMfccWindowSeconds * sr));
+  const size_t hop = static_cast<size_t>(std::max(1.0, kMfccHopSeconds * sr));
   const std::vector<float>& s = clip.samples();
   if (s.size() < win) return util::Matrix(0, kMfccDims);
 
   const size_t fft_size = util::NextPowerOfTwo(win);
   const int n_bins = static_cast<int>(fft_size / 2 + 1);
   const double bin_hz = static_cast<double>(sr) / static_cast<double>(fft_size);
-  const double high_hz = options.high_hz > 0.0
-                             ? std::min(options.high_hz, sr / 2.0)
-                             : sr / 2.0;
-  const std::vector<std::vector<double>> bank = BuildFilterbank(
-      options.mel_filters, n_bins, bin_hz, options.low_hz, high_hz);
+  const std::vector<std::vector<double>> bank =
+      BuildFilterbank(kMelFilters, n_bins, bin_hz, kMelLowHz, sr / 2.0);
 
   std::vector<double> hamming(win);
   for (size_t i = 0; i < win; ++i) {
@@ -617,21 +467,21 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
   util::Matrix mfcc(n_windows, kMfccDims);
 
   std::vector<std::complex<double>> buf(fft_size);
-  std::vector<double> mel_log(static_cast<size_t>(options.mel_filters));
+  std::vector<double> mel_log(static_cast<size_t>(kMelFilters));
   for (size_t w = 0; w < n_windows; ++w) {
     const size_t start = w * hop;
     for (size_t i = 0; i < fft_size; ++i) {
       if (i < win) {
         const double cur = s[start + i];
         const double prev = (start + i > 0) ? s[start + i - 1] : 0.0;
-        buf[i] = {(cur - options.pre_emphasis * prev) * hamming[i], 0.0};
+        buf[i] = {(cur - kPreEmphasis * prev) * hamming[i], 0.0};
       } else {
         buf[i] = {0.0, 0.0};
       }
     }
     Fft(&buf, false);
 
-    for (int m = 0; m < options.mel_filters; ++m) {
+    for (int m = 0; m < kMelFilters; ++m) {
       double acc = 0.0;
       for (int b = 0; b < n_bins; ++b) {
         const double mag = std::abs(buf[static_cast<size_t>(b)]);
@@ -642,10 +492,9 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
 
     for (int k = 0; k < kMfccDims; ++k) {
       double acc = 0.0;
-      for (int m = 0; m < options.mel_filters; ++m) {
+      for (int m = 0; m < kMelFilters; ++m) {
         acc += mel_log[static_cast<size_t>(m)] *
-               std::cos(std::numbers::pi * k * (m + 0.5) /
-                        options.mel_filters);
+               std::cos(std::numbers::pi * k * (m + 0.5) / kMelFilters);
       }
       mfcc.at(w, static_cast<size_t>(k)) = acc;
     }
@@ -657,7 +506,6 @@ util::Matrix ComputeMfcc(const AudioBuffer& clip, const MfccOptions& options) {
 // clips after a first clip at the heuristic's ceiling: every clip featured,
 // then the first strict maximum of the margin over all of them.
 ShotAudioAnalysis AnalyzeShot(const SpeakerSegmenter::Options& options,
-                              const GmmClassifier* classifier,
                               const AudioBuffer& audio, double start_sec,
                               double end_sec, int shot_index) {
   ShotAudioAnalysis out;
@@ -678,16 +526,7 @@ ShotAudioAnalysis AnalyzeShot(const SpeakerSegmenter::Options& options,
   double best_margin = -1e18;
   size_t best_clip = 0;
   for (size_t i = 0; i < clips.size(); ++i) {
-    double margin;
-    if (classifier != nullptr) {
-      util::Matrix row(1, kClipFeatureDims);
-      for (int d = 0; d < kClipFeatureDims; ++d) {
-        row.at(0, static_cast<size_t>(d)) = features[i][static_cast<size_t>(d)];
-      }
-      margin = classifier->Margin(row);
-    } else {
-      margin = SpeakerSegmenter::HeuristicMargin(features[i]);
-    }
+    const double margin = SpeakerSegmenter::HeuristicMargin(features[i]);
     if (margin > best_margin) {
       best_margin = margin;
       best_clip = i;
@@ -767,12 +606,11 @@ void ExpectClipFeaturesMatchOracle(const AudioBuffer& clip,
 }
 
 void ExpectMfccMatchesOracle(const AudioBuffer& clip,
-                             const MfccOptions& options,
                              const std::string& what) {
-  const util::Matrix want = oracle::ComputeMfcc(clip, options);
+  const util::Matrix want = oracle::ComputeMfcc(clip);
   for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
     ScopedDispatchLevel pin(level);
-    const util::Matrix got = ComputeMfcc(clip, options);
+    const util::Matrix got = ComputeMfcc(clip);
     ASSERT_EQ(got.rows(), want.rows()) << what;
     ASSERT_EQ(got.cols(), want.cols()) << what;
     for (size_t r = 0; r < got.rows(); ++r) {
@@ -797,26 +635,26 @@ TEST(AudioOracleTest, ClipFeaturesAreBitIdenticalToReference) {
 TEST(AudioOracleTest, MfccIsBitIdenticalToReference) {
   for (int sr : {8000, 16000, 22050, 44100}) {
     for (const OracleSignal& sig : OracleSignals(sr, 1.0)) {
-      ExpectMfccMatchesOracle(sig.clip, {},
-                              sig.name + " @" + std::to_string(sr));
+      ExpectMfccMatchesOracle(sig.clip, sig.name + " @" + std::to_string(sr));
     }
   }
 }
 
 // 50 ms frames at 44.1 kHz are 2205 samples: longer than 2048 (a 4096-point
 // FFT) and not a multiple of any lag block, so scratch must be sized from
-// the frame and the last lag block is ragged.
+// the frame and the last lag block is ragged. MFCC windows are fixed at
+// 30 ms, which passes 2048 samples at 96 kHz (2880).
 TEST(AudioOracleTest, LongRaggedFramesAreBitIdenticalToReference) {
   ClipFeatureOptions clip_options;
   clip_options.frame_seconds = 0.05;
   clip_options.hop_seconds = 0.02;
-  MfccOptions mfcc_options;
-  mfcc_options.window_seconds = 0.05;
-  mfcc_options.hop_seconds = 0.02;
   for (const OracleSignal& sig : OracleSignals(44100, 0.6)) {
     ASSERT_GT(static_cast<size_t>(clip_options.frame_seconds * 44100), 2048u);
     ExpectClipFeaturesMatchOracle(sig.clip, clip_options, sig.name);
-    ExpectMfccMatchesOracle(sig.clip, mfcc_options, sig.name);
+  }
+  ASSERT_GT(static_cast<size_t>(oracle::kMfccWindowSeconds * 96000), 2048u);
+  for (const OracleSignal& sig : OracleSignals(96000, 0.6)) {
+    ExpectMfccMatchesOracle(sig.clip, sig.name + " @96000");
   }
 }
 
@@ -827,13 +665,13 @@ TEST(AudioOracleTest, LongRaggedFramesAreBitIdenticalToReference) {
 TEST(AudioOracleTest, RaggedFrameBlocksAreBitIdenticalToReference) {
   for (int sr : {8000, 16000, 22050, 44100}) {
     const ClipFeatureOptions clip_options;
-    const MfccOptions mfcc_options;
     const size_t frame_len =
         static_cast<size_t>(std::max(1.0, clip_options.frame_seconds * sr));
     const size_t hop =
         static_cast<size_t>(std::max(1.0, clip_options.hop_seconds * sr));
-    ASSERT_EQ(frame_len, static_cast<size_t>(mfcc_options.window_seconds * sr));
-    ASSERT_EQ(hop, static_cast<size_t>(mfcc_options.hop_seconds * sr));
+    ASSERT_EQ(frame_len,
+              static_cast<size_t>(oracle::kMfccWindowSeconds * sr));
+    ASSERT_EQ(hop, static_cast<size_t>(oracle::kMfccHopSeconds * sr));
     std::vector<size_t> lengths = {frame_len - 1};
     for (size_t frames = 1; frames <= 5; ++frames) {
       lengths.push_back(frame_len + (frames - 1) * hop);
@@ -847,7 +685,7 @@ TEST(AudioOracleTest, RaggedFrameBlocksAreBitIdenticalToReference) {
         const std::string what = sig.name + " @" + std::to_string(sr) +
                                  " length " + std::to_string(len);
         ExpectClipFeaturesMatchOracle(clip, clip_options, what);
-        ExpectMfccMatchesOracle(clip, mfcc_options, what);
+        ExpectMfccMatchesOracle(clip, what);
       }
     }
   }
@@ -941,9 +779,8 @@ void ExpectSameAnalysis(const ShotAudioAnalysis& got,
 // AnalyzeShot against the all-clips loop it replaced, bit for bit: shots
 // that open on clean speech (the heuristic search skips later clips),
 // on quiet speech (positive, below the ceiling: the search goes on), on
-// noise, silent shots and mixed ones, with the heuristic and with a
-// trained classifier (every clip featured), serially and on pools of 2
-// and 4 threads, at every dispatch level.
+// noise, silent shots and mixed ones, serially and on pools of 2 and 4
+// threads, at every dispatch level.
 TEST(SpeakerSegmenterTest, AnalyzeShotIsBitIdenticalToAllClipsReference) {
   util::Rng rng(61);
   auto voice = [&](AudioBuffer* a, int speaker, double seconds) {
@@ -981,80 +818,43 @@ TEST(SpeakerSegmenterTest, AnalyzeShotIsBitIdenticalToAllClipsReference) {
   voice(&tracks[4].audio, 5, 2.0);
   tracks[4].opening = Opening::kNotSpeech;
 
-  // A classifier trained on clips of other voices and noise.
-  util::Matrix speech(8, kClipFeatureDims), nonspeech(8, kClipFeatureDims);
-  for (size_t i = 0; i < 8; ++i) {
-    AudioBuffer s(16000), n(16000);
-    voice(&s, 20 + static_cast<int>(i), 2.0);
-    if (i % 2 == 0) {
-      synth::AppendProcedureNoise(&n, 2.0, &rng);
-    } else {
-      synth::AppendSilence(&n, 2.0, &rng);
-    }
-    const ClipFeatures fs = ComputeClipFeatures(s);
-    const ClipFeatures fn = ComputeClipFeatures(n);
-    for (size_t d = 0; d < kClipFeatureDims; ++d) {
-      speech.at(i, d) = fs[d];
-      nonspeech.at(i, d) = fn[d];
-    }
-  }
-  util::StatusOr<GmmClassifier> clf =
-      TrainSpeechClassifier(nonspeech, speech, /*components=*/2);
-  ASSERT_TRUE(clf.ok());
-
   const SpeakerSegmenter::Options options;
+  const SpeakerSegmenter seg(options);
   util::ThreadPool pool2(2), pool4(4);
-  // Shots whose first clip reaches the heuristic's ceiling yet whose
-  // classifier pick lies later: the classifier must search every clip.
-  int classifier_picks_later = 0;
-  for (const bool trained : {false, true}) {
-    const SpeakerSegmenter seg =
-        trained ? SpeakerSegmenter(options, *clf) : SpeakerSegmenter(options);
-    const GmmClassifier* oracle_clf = trained ? &*clf : nullptr;
-    for (const Track& t : tracks) {
-      const double end = t.audio.DurationSeconds();
-      // The whole track, and a span off the clip grid.
-      const std::pair<double, double> spans[] = {{0.0, end},
-                                                 {0.37, end - 0.41}};
-      for (const auto& [start, stop] : spans) {
-        const ShotAudioAnalysis want =
-            oracle::AnalyzeShot(options, oracle_clf, t.audio, start, stop, 3);
-        ASSERT_TRUE(want.analyzable) << t.name;
-        if (trained && t.opening == Opening::kAtCeiling) {
-          const ClipFeatures first = ComputeClipFeatures(
-              t.audio.Slice(start, options.clip_seconds));
-          classifier_picks_later += want.rep_features != first;
-        }
-        if (!trained && start == 0.0) {
-          // The tracks cover every branch of the search.
-          const double first = SpeakerSegmenter::HeuristicMargin(
-              ComputeClipFeatures(t.audio.Slice(0.0, options.clip_seconds)));
-          const Opening opening =
-              first == SpeakerSegmenter::kHeuristicMarginCeiling
-                  ? Opening::kAtCeiling
-                  : first > 0.0 ? Opening::kSpeechBelowCeiling
-                                : Opening::kNotSpeech;
-          EXPECT_EQ(opening, t.opening) << t.name;
-        }
-        for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
-          ScopedDispatchLevel pin(level);
-          for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                      &pool2, &pool4}) {
-            const std::string what =
-                t.name + (trained ? " classifier" : " heuristic") +
-                " from " + std::to_string(start) + " level " +
-                util::DispatchLevelName(level) + " threads " +
-                std::to_string(p != nullptr ? p->thread_count() : 1);
-            ExpectSameAnalysis(
-                seg.AnalyzeShot(t.audio, start, stop, 3,
-                                util::ExecutionContext(p)),
-                want, what);
-          }
+  for (const Track& t : tracks) {
+    const double end = t.audio.DurationSeconds();
+    // The whole track, and a span off the clip grid.
+    const std::pair<double, double> spans[] = {{0.0, end}, {0.37, end - 0.41}};
+    for (const auto& [start, stop] : spans) {
+      const ShotAudioAnalysis want =
+          oracle::AnalyzeShot(options, t.audio, start, stop, 3);
+      ASSERT_TRUE(want.analyzable) << t.name;
+      if (start == 0.0) {
+        // The tracks cover every branch of the search.
+        const double first = SpeakerSegmenter::HeuristicMargin(
+            ComputeClipFeatures(t.audio.Slice(0.0, options.clip_seconds)));
+        const Opening opening =
+            first == SpeakerSegmenter::kHeuristicMarginCeiling
+                ? Opening::kAtCeiling
+                : first > 0.0 ? Opening::kSpeechBelowCeiling
+                              : Opening::kNotSpeech;
+        EXPECT_EQ(opening, t.opening) << t.name;
+      }
+      for (util::DispatchLevel level : util::SupportedDispatchLevels()) {
+        ScopedDispatchLevel pin(level);
+        for (util::ThreadPool* p :
+             {static_cast<util::ThreadPool*>(nullptr), &pool2, &pool4}) {
+          const std::string what =
+              t.name + " from " + std::to_string(start) + " level " +
+              util::DispatchLevelName(level) + " threads " +
+              std::to_string(p != nullptr ? p->thread_count() : 1);
+          ExpectSameAnalysis(seg.AnalyzeShot(t.audio, start, stop, 3,
+                                             util::ExecutionContext(p)),
+                             want, what);
         }
       }
     }
   }
-  EXPECT_GT(classifier_picks_later, 0);
 }
 
 TEST(AudioOracleTest, PitchQmaxKeepsInt32SumsInRange) {

@@ -65,11 +65,6 @@ TEST(ColorTest, LumaOrdering) {
   EXPECT_GT(Luma(Rgb{0, 255, 0}), Luma(Rgb{0, 0, 255}));  // green > blue
 }
 
-TEST(ColorTest, GrayishDetection) {
-  EXPECT_TRUE(IsGrayish(Rgb{100, 105, 98}));
-  EXPECT_FALSE(IsGrayish(Rgb{200, 50, 50}));
-}
-
 TEST(DrawTest, FillRectClips) {
   Image img(4, 4);
   FillRect(&img, 2, 2, 10, 10, Rgb{255, 0, 0});
