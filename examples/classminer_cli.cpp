@@ -36,17 +36,16 @@
 // The library is the only database format read: verify, repair and compact
 // refuse any other file untouched.
 
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "codec/decoder.h"
 #include "core/cmv_pipeline.h"
 #include "index/shard.h"
+#include "parse_number.h"
 #include "server/ops.h"
 #include "skim/storyboard.h"
 #include "skim/summary.h"
@@ -78,15 +77,6 @@ int Usage() {
       "  classminer compact <library> [--shard K] [--force]\n"
       "  classminer failpoints\n");
   return 2;
-}
-
-// Parses a whole decimal flag value into `out`; false on junk, trailing
-// characters or a value `T` cannot hold.
-template <typename T>
-bool ParseNumber(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
 }
 
 // Loads and mines one container on `ctx`. The default is the resilient

@@ -17,10 +17,10 @@
 // with its original idempotency key, so the server replays or joins the
 // original execution instead of running it twice — --retries therefore
 // covers dropped connections, not just admission-control kUnavailable.
-// Every other failure is final and printed to stderr.
+// Every other failure is final and printed to stderr. A numeric flag value
+// that is not a whole number the flag can hold is a usage error (exit 2).
 
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <future>
 #include <memory>
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "parse_number.h"
 #include "server/client.h"
 #include "util/retry.h"
 
@@ -69,21 +70,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &port)) return Usage();
     } else if (arg == "--user" && i + 1 < argc) {
       options.hello.user = argv[++i];
     } else if (arg == "--clearance" && i + 1 < argc) {
-      options.hello.clearance = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.hello.clearance)) return Usage();
     } else if (arg == "--deny" && i + 1 < argc) {
-      options.hello.denied_nodes.push_back(std::atoi(argv[++i]));
+      int node = 0;
+      if (!ParseNumber(argv[++i], &node)) return Usage();
+      options.hello.denied_nodes.push_back(node);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline_ms = static_cast<uint32_t>(std::atol(argv[++i]));
+      if (!ParseNumber(argv[++i], &deadline_ms)) return Usage();
     } else if (arg == "--retries" && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &retries)) return Usage();
     } else if (arg == "--pipeline" && i + 1 < argc) {
-      pipeline = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &pipeline)) return Usage();
     } else if (arg == "--repeat" && i + 1 < argc) {
-      repeat = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &repeat)) return Usage();
     } else if (!arg.empty() && arg[0] != '-') {
       command = arg;
     } else {

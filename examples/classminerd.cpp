@@ -4,7 +4,7 @@
 //
 //   classminerd [--host H] [--port N] [--threads N] [--queue N]
 //               [--max-conn N] [--media DIR] [--pipeline N]
-//               [--chunk BYTES] [--write-queue BYTES] [--no-cache]
+//               [--chunk BYTES] [--write-queue BYTES]
 //               [--cache-bytes N] [--cache-entries N]
 //               [--idle-timeout MS] [--max-errors N]
 //               [--scrub-db PATH] [--scrub-interval MS] [--scrub-yield MS]
@@ -15,6 +15,9 @@
 // --port 0, which picks an ephemeral port). SIGTERM/SIGINT stop the daemon
 // gracefully: the listener closes, in-flight requests drain and flush
 // their responses, and the final stats line goes to stderr.
+//
+// Numeric values must be whole decimal numbers the option can hold; junk
+// is a usage error (exit 2).
 //
 // --threads sizes the worker pool (default 4), which is also the mining
 // pool: each request's mine fans its stages and loops out onto it, so the
@@ -30,14 +33,14 @@
 // Only for test rigs — armed sites inject real faults into live traffic.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include <unistd.h>
 
+#include "parse_number.h"
 #include "server/server.h"
 #include "util/failpoint.h"
 
@@ -51,7 +54,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: classminerd [--host H] [--port N] [--threads N] "
                "[--queue N] [--max-conn N] [--media DIR] [--pipeline N] "
-               "[--chunk BYTES] [--write-queue BYTES] [--no-cache] "
+               "[--chunk BYTES] [--write-queue BYTES] "
                "[--cache-bytes N] [--cache-entries N] [--idle-timeout MS] "
                "[--max-errors N] [--scrub-db PATH] [--scrub-interval MS] "
                "[--scrub-yield MS] [--scrub-compact] "
@@ -76,18 +79,21 @@ bool ArmChaosEntry(const std::string& entry) {
     return true;
   }
   if (spec.rfind("every:", 0) == 0) {
-    const int n = std::atoi(spec.c_str() + 6);
-    if (n < 1) return false;
+    int n = 0;
+    if (!classminer::ParseNumber(spec.substr(6), &n) || n < 1) return false;
     classminer::util::FailPoint::Arm(site, Spec::EveryN(n));
     return true;
   }
   if (spec.rfind("p:", 0) == 0) {
     const std::string rest = spec.substr(2);
     const size_t colon = rest.find(':');
-    const double p = std::atof(rest.substr(0, colon).c_str());
+    double p = 0.0;
+    if (!classminer::ParseNumber(rest.substr(0, colon), &p)) return false;
     uint64_t seed = 1;
     if (colon != std::string::npos) {
-      seed = static_cast<uint64_t>(std::atoll(rest.c_str() + colon + 1));
+      if (!classminer::ParseNumber(rest.substr(colon + 1), &seed)) {
+        return false;
+      }
       if (seed == 0) seed = 1;
     }
     if (p <= 0.0 || p > 1.0) return false;
@@ -120,40 +126,37 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.port)) return Usage();
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.worker_threads = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.worker_threads)) return Usage();
     } else if (arg == "--queue" && i + 1 < argc) {
-      options.max_queue = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.max_queue)) return Usage();
     } else if (arg == "--max-conn" && i + 1 < argc) {
-      options.max_connections = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.max_connections)) return Usage();
     } else if (arg == "--media" && i + 1 < argc) {
       options.media_dir = argv[++i];
     } else if (arg == "--pipeline" && i + 1 < argc) {
-      options.max_pipeline = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.max_pipeline)) return Usage();
     } else if (arg == "--chunk" && i + 1 < argc) {
-      options.stream_chunk_bytes =
-          static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseNumber(argv[++i], &options.stream_chunk_bytes)) return Usage();
     } else if (arg == "--write-queue" && i + 1 < argc) {
-      options.max_write_queue_bytes =
-          static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == "--no-cache") {
-      options.enable_result_cache = false;
+      if (!ParseNumber(argv[++i], &options.max_write_queue_bytes)) {
+        return Usage();
+      }
     } else if (arg == "--cache-bytes" && i + 1 < argc) {
-      options.cache_max_bytes = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseNumber(argv[++i], &options.cache_max_bytes)) return Usage();
     } else if (arg == "--cache-entries" && i + 1 < argc) {
-      options.cache_max_entries =
-          static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseNumber(argv[++i], &options.cache_max_entries)) return Usage();
     } else if (arg == "--idle-timeout" && i + 1 < argc) {
-      options.idle_timeout_ms = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.idle_timeout_ms)) return Usage();
     } else if (arg == "--max-errors" && i + 1 < argc) {
-      options.max_session_errors = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.max_session_errors)) return Usage();
     } else if (arg == "--scrub-db" && i + 1 < argc) {
       options.scrub_db_path = argv[++i];
     } else if (arg == "--scrub-interval" && i + 1 < argc) {
-      options.scrub_interval_ms = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.scrub_interval_ms)) return Usage();
     } else if (arg == "--scrub-yield" && i + 1 < argc) {
-      options.scrub_max_yield_ms = std::atoi(argv[++i]);
+      if (!ParseNumber(argv[++i], &options.scrub_max_yield_ms)) return Usage();
     } else if (arg == "--scrub-compact") {
       options.scrub_compact = true;
     } else if (arg == "--failpoints" && i + 1 < argc) {

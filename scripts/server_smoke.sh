@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Server smoke: start classminerd, drive it from concurrent clients with one
-# request in flight each (depth-1 sessions), verify the responses are
+# Server smoke: check that junk numeric flags make classminerd and
+# classminer-client exit 2 (usage), then start classminerd, drive it from
+# concurrent clients with one request in flight each (depth-1 sessions),
+# verify the responses are
 # byte-identical to the CLI, then park 64
 # idle connections on the reactor while 8 pipelined clients stream
 # repeated requests — asserting the daemon's thread count never moves
@@ -31,6 +33,19 @@ trap cleanup EXIT
 echo "== server smoke ($BUILD_DIR): corpus =="
 "$CLI" generate "$WORK/ward_rounds.cmv" --title laparoscopy --seed 11 \
   >/dev/null
+
+echo "== server smoke: junk numeric flags are usage errors (exit 2) =="
+expect_usage() {
+  local status=0
+  "$@" >/dev/null 2>&1 || status=$?
+  if [[ "$status" != 2 ]]; then
+    echo "expected exit 2 (usage) from: $*; got $status" >&2
+    exit 1
+  fi
+}
+expect_usage "$DAEMON" --chunk abc
+expect_usage "$DAEMON" --threads 4x
+expect_usage "$CLIENT" --port "" health
 
 echo "== server smoke: start daemon =="
 "$DAEMON" --port 0 --threads 4 --queue 8 \

@@ -85,9 +85,10 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   ./build-tsan/tests/cmv_pipeline_test
   ./build-tsan/tests/robustness_test --gtest_filter='DegradedMiningTest.*:SalvageParseTest.BitFlip*'
   # The in-process daemon: the reactor fires deadline tokens that workers
-  # poll, and trades frames with them under backpressure. Only the tests
-  # that start a daemon: about 3.2 min on a 4-CPU host, against 5.5 min
-  # with the ops-layer suites, which start no server threads.
+  # poll, and takes their finished responses through the event queue.
+  # Only the tests that start a daemon (the ops-layer suites start no
+  # server threads): about 12 min on a 4-CPU host, ~35 s of it for each
+  # test container the suite generates under TSan.
   ./build-tsan/tests/server_test --gtest_filter='ServerTest.*'
 
   echo "== tier-1: server smoke (TSAN) =="

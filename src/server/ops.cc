@@ -21,10 +21,13 @@
 namespace classminer::server {
 namespace {
 
-// The one report formatter: vprintf-append of any length. A line that
-// does not fit the stack buffer is formatted again, straight into `out`,
-// at the length the first vsnprintf returned — never cut short.
-void AppendV(std::string* out, const char* fmt, va_list args) {
+// The one report formatter: printf-append of any length. A line that does
+// not fit the stack buffer is formatted again, straight into `out`, at the
+// length the first vsnprintf returned — never cut short. Every format below
+// matches what the CLI historically printed, so the report stays stable.
+void Appendf(std::string* out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
   va_list retry;
   va_copy(retry, args);
   char buffer[512];
@@ -39,48 +42,7 @@ void AppendV(std::string* out, const char* fmt, va_list args) {
     out->resize(old_size + static_cast<size_t>(n));  // drop the NUL
   }
   va_end(retry);
-}
-
-// printf-append into the report string; every format below matches what the
-// CLI historically printed, so the report stays stable across the refactor.
-void Appendf(std::string* out, const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  AppendV(out, fmt, args);
   va_end(args);
-}
-
-}  // namespace
-
-void ReportStream::Append(const std::string& text) {
-  report_.append(text);
-  ForwardCompletedChunks();
-}
-
-void ReportStream::Appendf(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
-  AppendV(&report_, fmt, args);
-  va_end(args);
-  ForwardCompletedChunks();
-}
-
-void ReportStream::ForwardCompletedChunks() {
-  if (!sink_) return;
-  while (report_.size() - streamed_ >= chunk_bytes_) {
-    sink_(report_.substr(streamed_, chunk_bytes_));
-    streamed_ += chunk_bytes_;
-  }
-}
-
-namespace {
-
-// Binds an op's OpResult to its report stream: the accumulated text becomes
-// the report, the forwarded prefix is recorded so the caller ships only the
-// tail in its final chunk.
-void FinishReport(const ReportStream& stream, OpResult* out) {
-  out->report = stream.report();
-  out->streamed_bytes = stream.streamed_bytes();
 }
 
 void Note(OpDiagnostics* diag, std::string line) {
@@ -160,10 +122,9 @@ OpResult MineOp(const std::string& path, bool fast, bool strict,
   if (!out.ok()) return out;
   NoteDegradation(diag, path, result);
 
-  ReportStream stream(env.chunk_sink, env.chunk_bytes);
   const structure::ContentStructure& cs = result.structure;
-  stream.Appendf(
-      "%s: %zu shots, %zu groups, %d scenes, %zu clustered scenes "
+  Appendf(
+      &out.report, "%s: %zu shots, %zu groups, %d scenes, %zu clustered scenes "
       "(CRF %.3f)\n",
       file.name.c_str(), cs.shots.size(), cs.groups.size(),
       cs.ActiveSceneCount(), cs.clustered_scenes.size(),
@@ -171,13 +132,11 @@ OpResult MineOp(const std::string& path, bool fast, bool strict,
   for (const events::EventRecord& rec : result.events) {
     const structure::Scene& scene =
         cs.scenes[static_cast<size_t>(rec.scene_index)];
-    stream.Appendf("  scene %2d: %-18s %2d shots (groups %d..%d)\n",
-                   scene.index, events::EventTypeName(rec.type),
-                   cs.ShotCountOfScene(scene), scene.start_group,
-                   scene.end_group);
+    Appendf(&out.report, "  scene %2d: %-18s %2d shots (groups %d..%d)\n",
+            scene.index, events::EventTypeName(rec.type),
+            cs.ShotCountOfScene(scene), scene.start_group, scene.end_group);
   }
   NoteMetrics(diag, path, " per-stage metrics", result.metrics);
-  FinishReport(stream, &out);
   return out;
 }
 
@@ -209,14 +168,12 @@ OpResult BrowseOp(const std::vector<std::string>& paths, bool strict,
                                       ctx);
   const index::AccessController access(&concepts);
   const auto tree = index::BuildBrowseTree(db, concepts, access, user, ctx);
-  ReportStream stream(env.chunk_sink, env.chunk_bytes);
-  stream.Append(index::RenderBrowseTree(tree));
+  out.report = index::RenderBrowseTree(tree);
   if (db.DegradedCount() > 0) {
-    stream.Appendf("%d of %d video(s) indexed degraded\n",
-                   db.DegradedCount(), db.video_count());
+    Appendf(&out.report, "%d of %d video(s) indexed degraded\n",
+            db.DegradedCount(), db.video_count());
   }
   NoteMetrics(diag, "shared index/browse cost", "", shared);
-  FinishReport(stream, &out);
   return out;
 }
 
@@ -245,20 +202,18 @@ OpResult SkimOp(const std::string& path, int level, const OpEnv& env,
                                         nullptr);
   const skim::ScalableSkim sk(&result.structure, skim_ctx);
 
-  ReportStream stream(env.chunk_sink, env.chunk_bytes);
-  stream.Appendf("%-6s %-12s %-10s %s\n", "level", "skim shots", "frames",
-                 "FCR");
+  Appendf(&out.report, "%-6s %-12s %-10s %s\n", "level", "skim shots",
+          "frames", "FCR");
   for (int lvl = skim::kSkimLevels; lvl >= 1; --lvl) {
     const skim::SkimTrack& t = sk.track(lvl);
-    stream.Appendf("%-6d %-12zu %-10ld %.3f%s\n", lvl,
-                   t.shot_indices.size(), t.frame_count, sk.Fcr(lvl),
-                   lvl == level ? "  <-" : "");
+    Appendf(&out.report, "%-6d %-12zu %-10ld %.3f%s\n", lvl,
+            t.shot_indices.size(), t.frame_count, sk.Fcr(lvl),
+            lvl == level ? "  <-" : "");
   }
   const auto plan = skim::BuildPlaybackPlan(sk, level, file.fps);
-  stream.Appendf("level %d plays %.1f s of %.1f s\n", level,
-                 skim::PlanDurationSeconds(plan), file.frame_count() / file.fps);
+  Appendf(&out.report, "level %d plays %.1f s of %.1f s\n", level,
+          skim::PlanDurationSeconds(plan), file.frame_count() / file.fps);
   NoteMetrics(diag, path, " per-stage metrics", result.metrics);
-  FinishReport(stream, &out);
   if (file_out != nullptr) *file_out = std::move(file);
   if (result_out != nullptr) *result_out = std::move(result);
   return out;

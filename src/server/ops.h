@@ -1,10 +1,7 @@
 #ifndef CLASSMINER_SERVER_OPS_H_
 #define CLASSMINER_SERVER_OPS_H_
 
-#include <cstddef>
-#include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "codec/container.h"
@@ -17,52 +14,16 @@ namespace classminer::server {
 
 // The operation layer shared by the classminer CLI and classminerd: one
 // implementation of mine/browse/skim/verify/repair that renders a
-// deterministic report. The CLI prints the report to stdout; the daemon
-// ships it as the response body — so a server response is byte-identical to
-// the equivalent CLI invocation by construction, at any thread count
-// (mining is bit-identical across thread counts; see core/classminer.h).
+// deterministic report. Every op returns its whole report in OpResult. The
+// CLI prints it to stdout; the daemon ships it as the response body, split
+// into chunk frames by its reactor once the op has returned — so a server
+// response is byte-identical to the equivalent CLI invocation by
+// construction, at any thread count (mining is bit-identical across thread
+// counts; see core/classminer.h).
 //
 // Everything non-deterministic — per-stage wall-clock tables, degradation
 // and salvage notes — goes to OpDiagnostics instead; the CLI prints it to
-// stderr, the daemon logs it.
-
-// Report accumulator with an optional streaming tap. Every op writes its
-// report through one of these; the full text is always accumulated (it is
-// what the CLI prints and what the result cache stores), and when a sink is
-// attached, completed fragments of at least `chunk_bytes` are forwarded as
-// they close — the daemon ships them as non-final response chunks while
-// the op is still running. The concatenation of the forwarded fragments
-// plus the unsent tail is the accumulated report, byte for byte, so
-// streaming can never change what a client reassembles.
-class ReportStream {
- public:
-  // Receives one report fragment; fragments arrive in order and never
-  // overlap. May block (the daemon uses that for write-queue backpressure).
-  using ChunkSink = std::function<void(const std::string& fragment)>;
-
-  explicit ReportStream(ChunkSink sink = nullptr,
-                        size_t chunk_bytes = 64u << 10)
-      : sink_(std::move(sink)),
-        chunk_bytes_(chunk_bytes > 0 ? chunk_bytes : 1) {}
-
-  // Appends raw text to the report, forwarding any chunk it completes.
-  void Append(const std::string& text);
-  // printf-append (same formatter the report strings always used).
-  void Appendf(const char* fmt, ...);
-
-  // The full report accumulated so far (streamed prefix included).
-  const std::string& report() const { return report_; }
-  // Bytes already handed to the sink (a prefix of report()).
-  size_t streamed_bytes() const { return streamed_; }
-
- private:
-  void ForwardCompletedChunks();
-
-  ChunkSink sink_;
-  size_t chunk_bytes_;
-  std::string report_;
-  size_t streamed_ = 0;  // prefix of report_ already sent to sink_
-};
+// stderr, the daemon passes none.
 
 // Execution environment for one operation.
 struct OpEnv {
@@ -76,10 +37,6 @@ struct OpEnv {
   // process; the daemon hands each request the worker pool it runs on.
   util::ExecutionContext ctx;
   std::string media_dir;       // where repair finds source containers
-  // Optional streaming tap for the report-rendering ops (mine, browse,
-  // skim). Null = accumulate only (CLI, verify/repair, cache fills).
-  ReportStream::ChunkSink chunk_sink;
-  size_t chunk_bytes = 64u << 10;  // fragment size when chunk_sink is set
 };
 
 // Advisory side channel: never part of the report body.
@@ -96,10 +53,6 @@ struct OpDiagnostics {
 struct OpResult {
   util::Status status;
   std::string report;
-  // Prefix of `report` already delivered through env.chunk_sink (0 when no
-  // sink was attached). The daemon's final response chunk carries only
-  // report.substr(streamed_bytes).
-  size_t streamed_bytes = 0;
 
   bool ok() const { return status.ok(); }
 };

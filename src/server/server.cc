@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <unordered_set>
@@ -33,6 +32,16 @@ util::StatusOr<int> ParseIntArg(const std::string& text,
   return static_cast<int>(value);
 }
 
+constexpr int kListenBacklog = 64;
+
+// Bounds of the idempotent-retry record: keyed request outcomes are
+// remembered so a client that reconnects after a dropped connection and
+// resends the same key observes the original execution instead of running
+// the work again (at-most-once for repair). Bounded LRU; an evicted record
+// simply lets the retry re-execute.
+constexpr size_t kIdemCacheMaxBytes = 16u << 20;
+constexpr size_t kIdemCacheMaxEntries = 1024;
+
 // Steady-clock milliseconds for idle-timeout bookkeeping: monotonic and
 // cheap to stamp on every read and write.
 int64_t NowMs() {
@@ -41,66 +50,125 @@ int64_t NowMs() {
       .count();
 }
 
-// Derives the cache identity of a request, when it has one. Only mine and
-// skim are cacheable: their reports depend solely on (container bytes,
-// options, flags). Browse renders through the session's credential and
-// verify/repair mutate database files, so they always execute. Requests
-// whose arguments would be rejected by the op bypass the cache too — the
-// op's own error message is the answer.
-bool CacheSignature(const Request& request, std::string* path,
-                    std::string* signature) {
+// An op request's arguments, parsed once on the reactor: the same values
+// key the result cache and run the op, so a cache hit always answers the
+// request that was asked.
+struct OpArgs {
+  std::vector<std::string> paths;  // containers, or the database
+  bool fast = false;               // mine
+  bool strict = false;             // mine, browse
+  int level = 3;                   // skim (SkimOp checks its range)
+};
+
+// kInvalidArgument, with the message the client sees, on arguments the op
+// cannot take.
+util::StatusOr<OpArgs> ParseOpArgs(const Request& request) {
+  OpArgs args;
+  const std::vector<std::string>& in = request.args;
   switch (request.kind) {
-    case RequestKind::kMine: {
-      if (request.args.empty()) return false;
-      bool fast = false, strict = false;
-      for (size_t i = 1; i < request.args.size(); ++i) {
-        if (request.args[i] == "--fast") {
-          fast = true;
-        } else if (request.args[i] == "--strict") {
-          strict = true;
+    case RequestKind::kMine:
+      if (in.empty()) {
+        return util::Status::InvalidArgument("mine needs a container path");
+      }
+      for (size_t i = 1; i < in.size(); ++i) {
+        if (in[i] == "--fast") {
+          args.fast = true;
+        } else if (in[i] == "--strict") {
+          args.strict = true;
         } else {
-          return false;
+          return util::Status::InvalidArgument("unknown mine argument '" +
+                                               in[i] + "'");
         }
       }
-      *path = request.args[0];
-      *signature = std::string("mine:fast=") + (fast ? "1" : "0") +
-                   ",strict=" + (strict ? "1" : "0");
-      return true;
-    }
-    case RequestKind::kSkim: {
-      if (request.args.empty() || request.args.size() > 2) return false;
-      int level = 3;
-      if (request.args.size() == 2) {
-        util::StatusOr<int> parsed =
-            ParseIntArg(request.args[1], "skim level");
-        if (!parsed.ok()) return false;
-        level = *parsed;
+      args.paths = {in[0]};
+      return args;
+    case RequestKind::kBrowse:
+      for (const std::string& arg : in) {
+        if (arg == "--strict") {
+          args.strict = true;
+        } else {
+          args.paths.push_back(arg);
+        }
       }
-      *path = request.args[0];
-      *signature = "skim:level=" + std::to_string(level);
-      return true;
-    }
-    default:
-      return false;
+      if (args.paths.empty()) {
+        return util::Status::InvalidArgument(
+            "browse needs at least one container path");
+      }
+      return args;
+    case RequestKind::kSkim:
+      if (in.empty() || in.size() > 2) {
+        return util::Status::InvalidArgument(
+            "skim needs a container path and an optional level");
+      }
+      if (in.size() == 2) {
+        util::StatusOr<int> level = ParseIntArg(in[1], "skim level");
+        if (!level.ok()) return level.status();
+        args.level = *level;
+      }
+      args.paths = {in[0]};
+      return args;
+    case RequestKind::kVerify:
+    case RequestKind::kRepair:
+      if (in.size() != 1) {
+        return util::Status::InvalidArgument(
+            std::string(RequestKindName(request.kind)) +
+            " needs a database path");
+      }
+      args.paths = {in[0]};
+      return args;
+    case RequestKind::kHello:
+    case RequestKind::kHealth:
+      break;
   }
+  return util::Status::Internal(std::string(RequestKindName(request.kind)) +
+                                " handled before dispatch");
+}
+
+// The result-cache signature of a request, empty when it has none. Only
+// mine and skim are cacheable: their reports depend solely on (container
+// bytes, options, flags). Browse renders through the session's credential
+// and verify/repair touch database files, so they always execute.
+std::string CacheSignature(RequestKind kind, const OpArgs& args) {
+  if (kind == RequestKind::kMine) {
+    return std::string("mine:fast=") + (args.fast ? "1" : "0") +
+           ",strict=" + (args.strict ? "1" : "0");
+  }
+  if (kind == RequestKind::kSkim) {
+    return "skim:level=" + std::to_string(args.level);
+  }
+  return {};
+}
+
+// Runs one parsed op. Verify/repair carry their report even on a dirty
+// outcome: the body is the finding, the status says whether it was clean.
+Response ExecuteOp(RequestKind kind, const OpArgs& args,
+                   const index::UserCredential& user, const OpEnv& env) {
+  OpResult result;
+  switch (kind) {
+    case RequestKind::kMine:
+      result = MineOp(args.paths[0], args.fast, args.strict, env, nullptr);
+      break;
+    case RequestKind::kBrowse:
+      result = BrowseOp(args.paths, args.strict, user, env, nullptr);
+      break;
+    case RequestKind::kSkim:
+      result = SkimOp(args.paths[0], args.level, env, nullptr);
+      break;
+    case RequestKind::kVerify:
+      result = VerifyOp(args.paths[0]);
+      break;
+    case RequestKind::kRepair:
+      result = RepairOp(args.paths[0], env, nullptr);
+      break;
+    case RequestKind::kHello:
+    case RequestKind::kHealth:
+      return MakeResponse(util::Status::Internal(
+          std::string(RequestKindName(kind)) + " handled before dispatch"));
+  }
+  return MakeResponse(result.status, std::move(result.report));
 }
 
 }  // namespace
-
-// The slice of per-connection state a worker thread may touch. Everything
-// else about a connection lives on the reactor thread; workers see only
-// this mirror, used to block a streaming op until the peer drains its
-// socket (backpressure) and to unblock it for good when the session dies.
-struct ClassMinerServer::ConnShared {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t queued_bytes = 0;  // reactor's write_queue_bytes, mirrored
-  // Chunk frame bytes ops have posted that the reactor has not queued yet.
-  // Counted against the bound too, so an op that outruns the reactor
-  // cannot post past it.
-  size_t transit_bytes = 0;
-  bool dead = false;        // connection closed; stop waiting, drop output
-};
 
 // Reactor-owned per-session state machine.
 struct ClassMinerServer::Connection {
@@ -129,13 +197,12 @@ struct ClassMinerServer::Connection {
     uint32_t request_id = 0;
     Response response;  // body holds the unsent remainder from `offset`
     size_t offset = 0;
-    bool multi = false;  // delivered as 2+ chunks (live-streamed or split)
+    bool multi = false;  // delivered as 2+ chunks
   };
   std::deque<Streaming> streaming;
 
   bool read_closed = false;  // EOF seen, framing damage, or drain begun
   bool want_write = false;   // current poller write-interest registration
-  std::shared_ptr<ConnShared> shared;
 
   // request_ids currently in flight on this session (registered at parse,
   // released when the final response is enqueued). A second request reusing
@@ -155,6 +222,7 @@ struct ClassMinerServer::Connection {
 struct ClassMinerServer::TaskCtx {
   uint64_t conn_id = 0;
   Request request;
+  OpArgs args;  // request.args, parsed
   index::UserCredential user;
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline;
@@ -162,7 +230,6 @@ struct ClassMinerServer::TaskCtx {
   std::string lead_key;  // non-empty: this run leads a single-flight entry
   std::string idem_key;  // non-empty: this run leads an idempotency record
   bool owns_id = false;  // final response releases the session's live id
-  std::shared_ptr<ConnShared> shared;
 };
 
 // Readiness multiplexer over epoll (level-triggered). Watches are tagged
@@ -254,11 +321,8 @@ ClassMinerServer::ClassMinerServer(ServerOptions options)
       cache_(ResultCache::Options{
           options_.cache_max_bytes > 0 ? options_.cache_max_bytes : 1,
           options_.cache_max_entries > 0 ? options_.cache_max_entries : 1}),
-      idem_cache_(ResultCache::Options{
-          options_.idem_cache_max_bytes > 0 ? options_.idem_cache_max_bytes
-                                            : 1,
-          options_.idem_cache_max_entries > 0 ? options_.idem_cache_max_entries
-                                              : 1}) {
+      idem_cache_(
+          ResultCache::Options{kIdemCacheMaxBytes, kIdemCacheMaxEntries}) {
   if (options_.worker_threads < 1) options_.worker_threads = 1;
   if (options_.max_queue < 0) options_.max_queue = 0;
   if (options_.max_connections < 1) options_.max_connections = 1;
@@ -273,7 +337,7 @@ ClassMinerServer::~ClassMinerServer() { Stop(); }
 
 util::Status ClassMinerServer::Start() {
   util::StatusOr<int> fd =
-      ListenOn(options_.host, options_.port, options_.backlog);
+      ListenOn(options_.host, options_.port, kListenBacklog);
   if (!fd.ok()) return fd.status();
   util::StatusOr<int> port = BoundPort(*fd);
   if (!port.ok()) {
@@ -590,7 +654,6 @@ void ClassMinerServer::HandleAccept() {
     auto conn = std::make_unique<Connection>(options_.max_frame_bytes);
     conn->id = id;
     conn->fd = *fd;
-    conn->shared = std::make_shared<ConnShared>();
     conn->last_activity_ms = NowMs();
     if (!poller_->Add(*fd, id, /*read=*/true, /*write=*/false).ok()) {
       CloseFd(*fd);
@@ -724,7 +787,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   if (pending.inline_error) {
     // Inline errors never registered a live id (a duplicate-id rejection
     // must not free the original's), so nothing is released here.
-    EnqueueFinal(conn, std::move(pending.error), 0, /*release_id=*/false);
+    EnqueueFinal(conn, std::move(pending.error), /*release_id=*/false);
     return;
   }
   const bool owns_id = pending.owns_id;
@@ -736,7 +799,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
     // can still tell a load balancer how it is doing.
     Response response = MakeResponse(util::Status::Ok(), BuildHealthReport());
     response.request_id = request.request_id;
-    EnqueueFinal(conn, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), owns_id);
     return;
   }
 
@@ -759,14 +822,14 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       }
     }
     response.request_id = request.request_id;
-    EnqueueFinal(conn, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), owns_id);
     return;
   }
   if (!conn->authenticated) {
     Response response = MakeResponse(util::Status::FailedPrecondition(
         "session not established; send hello first"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), owns_id);
     return;
   }
 
@@ -787,7 +850,17 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         std::to_string(required) + "; session '" + conn->user.name +
         "' has " + std::to_string(conn->user.clearance)));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), owns_id);
+    return;
+  }
+  util::StatusOr<OpArgs> args = ParseOpArgs(request);
+  if (!args.ok()) {
+    // Arguments the op cannot take are answered here, before admission:
+    // they key no cache entry and take no worker.
+    Response response = MakeResponse(args.status());
+    response.request_id = request.request_id;
+    CountOutcome(response);
+    EnqueueFinal(conn, std::move(response), owns_id);
     return;
   }
 
@@ -836,7 +909,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
       response.body = std::move(recorded.body);
       response.request_id = request.request_id;
       CountOutcome(response);
-      EnqueueFinal(conn, std::move(response), 0, owns_id);
+      EnqueueFinal(conn, std::move(response), owns_id);
       return;
     }
     if (admission == ResultCache::Admission::kJoined) {
@@ -854,65 +927,63 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   // leader; identical later runs answer from the stored entry, byte for
   // byte what a fresh execution would have said.
   std::string lead_key;
-  if (options_.enable_result_cache) {
-    std::string path, signature;
-    if (CacheSignature(request, &path, &signature)) {
-      util::StatusOr<std::string> key =
-          MiningCacheKey(path, signature, options_.mining);
-      if (key.ok()) {
-        CachedResult cached;
-        const uint64_t conn_id = conn->id;
-        const Request request_copy = request;
-        const ResultCache::Admission admission = cache_.JoinOrLead(
-            *key, &cached,
-            [this, conn_id, owns_id, idem_lead,
-             request_copy](const CachedResult* result) {
-              // Runs on the leader's worker thread when it completes.
-              if (result != nullptr && !idem_lead.empty()) {
-                // The joined result is also this request's recorded
-                // outcome: a keyed retry after reconnect must replay it,
-                // not recompute it.
-                idem_cache_.Complete(idem_lead, *result, /*cacheable=*/true);
-              }
-              WorkerEvent event;
-              event.conn_id = conn_id;
-              event.owns_id = owns_id;
-              event.request_id = request_copy.request_id;
-              if (result != nullptr) {
-                event.kind = WorkerEvent::Kind::kFinal;
-                event.response.code = result->code;
-                event.response.message = result->message;
-                event.response.body = result->body;
-                event.response.request_id = request_copy.request_id;
-                CountOutcome(event.response);
-              } else {
-                // The leader finished without a shareable result; run our
-                // own copy of the request from scratch.
-                event.kind = WorkerEvent::Kind::kRedispatch;
-                event.request = request_copy;
-                event.idem_lead = idem_lead;
-              }
-              PostEvent(std::move(event));
-            });
-        if (admission == ResultCache::Admission::kHit) {
-          if (!idem_lead.empty()) {
-            idem_cache_.Complete(idem_lead, cached, /*cacheable=*/true);
-          }
-          Response response;
-          response.code = cached.code;
-          response.message = std::move(cached.message);
-          response.body = std::move(cached.body);
-          response.request_id = request.request_id;
-          CountOutcome(response);
-          EnqueueFinal(conn, std::move(response), 0, owns_id);
-          return;
+  if (const std::string signature = CacheSignature(request.kind, *args);
+      !signature.empty()) {
+    util::StatusOr<std::string> key =
+        MiningCacheKey(args->paths[0], signature, options_.mining);
+    if (key.ok()) {
+      CachedResult cached;
+      const uint64_t conn_id = conn->id;
+      const Request request_copy = request;
+      const ResultCache::Admission admission = cache_.JoinOrLead(
+          *key, &cached,
+          [this, conn_id, owns_id, idem_lead,
+           request_copy](const CachedResult* result) {
+            // Runs on the leader's worker thread when it completes.
+            if (result != nullptr && !idem_lead.empty()) {
+              // The joined result is also this request's recorded
+              // outcome: a keyed retry after reconnect must replay it,
+              // not recompute it.
+              idem_cache_.Complete(idem_lead, *result, /*cacheable=*/true);
+            }
+            WorkerEvent event;
+            event.conn_id = conn_id;
+            event.owns_id = owns_id;
+            event.request_id = request_copy.request_id;
+            if (result != nullptr) {
+              event.kind = WorkerEvent::Kind::kFinal;
+              event.response.code = result->code;
+              event.response.message = result->message;
+              event.response.body = result->body;
+              event.response.request_id = request_copy.request_id;
+              CountOutcome(event.response);
+            } else {
+              // The leader finished without a shareable result; run our
+              // own copy of the request from scratch.
+              event.kind = WorkerEvent::Kind::kRedispatch;
+              event.request = request_copy;
+              event.idem_lead = idem_lead;
+            }
+            PostEvent(std::move(event));
+          });
+      if (admission == ResultCache::Admission::kHit) {
+        if (!idem_lead.empty()) {
+          idem_cache_.Complete(idem_lead, cached, /*cacheable=*/true);
         }
-        if (admission == ResultCache::Admission::kJoined) {
-          ++conn->executing;
-          return;
-        }
-        lead_key = std::move(*key);
+        Response response;
+        response.code = cached.code;
+        response.message = std::move(cached.message);
+        response.body = std::move(cached.body);
+        response.request_id = request.request_id;
+        CountOutcome(response);
+        EnqueueFinal(conn, std::move(response), owns_id);
+        return;
       }
+      if (admission == ResultCache::Admission::kJoined) {
+        ++conn->executing;
+        return;
+      }
+      lead_key = std::move(*key);
     }
   }
 
@@ -946,7 +1017,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
         "server queue full (" + std::to_string(queued) +
         " requests waiting); retry"));
     response.request_id = request.request_id;
-    EnqueueFinal(conn, std::move(response), 0, owns_id);
+    EnqueueFinal(conn, std::move(response), owns_id);
     return;
   }
   {
@@ -964,7 +1035,7 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
   ctx->lead_key = std::move(lead_key);
   ctx->idem_key = std::move(idem_lead);
   ctx->owns_id = owns_id;
-  ctx->shared = conn->shared;
+  ctx->args = std::move(*args);
   ctx->request = std::move(request);
   if (ctx->has_deadline) deadlines_.emplace(ctx->deadline, ctx);
 
@@ -973,22 +1044,16 @@ void ClassMinerServer::DispatchRequest(Connection* conn,
 }
 
 void ClassMinerServer::EnqueueFinal(Connection* conn, Response response,
-                                    size_t streamed_bytes, bool release_id) {
+                                    bool release_id) {
   if (release_id) {
     // The tagged id's lifetime ends with its final answer; the client may
     // legitimately reuse it for a fresh request after this frame.
     conn->live_ids.erase(response.request_id);
   }
-  // The body past what the op already streamed ships as chunk frames,
-  // paced by FillStreaming so a huge report never sits encoded in memory
-  // ahead of a slow reader.
-  if (streamed_bytes > 0 && streamed_bytes <= response.body.size()) {
-    response.body.erase(0, streamed_bytes);
-  }
-  response.final_chunk = true;
+  // The body ships as chunk frames, paced by FillStreaming so a huge report
+  // never sits encoded in memory ahead of a slow reader.
   Connection::Streaming s;
   s.request_id = response.request_id;
-  s.multi = streamed_bytes > 0;
   s.response = std::move(response);
   conn->streaming.push_back(std::move(s));
   FillStreaming(conn);
@@ -1033,9 +1098,7 @@ void ClassMinerServer::FillStreaming(Connection* conn) {
 }
 
 void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
-                                         std::vector<uint8_t> frame,
-                                         bool in_transit) {
-  const size_t frame_bytes = frame.size();
+                                         std::vector<uint8_t> frame) {
   // Fault injection: duplicate a final chunk on the wire, modelling a
   // retransmit-after-ack. Only FINAL chunks are duplicated — the client
   // forgets the tag once the final frame lands, so the copy exercises the
@@ -1049,13 +1112,6 @@ void ClassMinerServer::EnqueueFrameBytes(Connection* conn,
     std::vector<uint8_t> bytes = copies > 1 ? frame : std::move(frame);
     conn->write_queue_bytes += bytes.size();
     conn->write_queue.push_back(std::move(bytes));
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->shared->mu);
-    conn->shared->queued_bytes = conn->write_queue_bytes;
-    // An op's posted chunk moves from transit to the queue; the sum the op
-    // waits on never drops here, so no waiter needs waking.
-    if (in_transit) conn->shared->transit_bytes -= frame_bytes;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -1090,11 +1146,6 @@ void ClassMinerServer::FlushConn(Connection* conn) {
       conn->write_offset = 0;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(conn->shared->mu);
-    conn->shared->queued_bytes = conn->write_queue_bytes;
-  }
-  conn->shared->cv.notify_all();  // unblock ops waiting out backpressure
   UpdateWriteInterest(conn);
 }
 
@@ -1117,11 +1168,6 @@ void ClassMinerServer::CloseConnection(uint64_t id) {
   Connection* conn = it->second.get();
   poller_->Del(conn->fd);
   CloseFd(conn->fd);
-  {
-    std::lock_guard<std::mutex> lock(conn->shared->mu);
-    conn->shared->dead = true;
-  }
-  conn->shared->cv.notify_all();  // release any op blocked on backpressure
   conns_.erase(it);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   --stats_.connections_active;
@@ -1156,14 +1202,10 @@ void ClassMinerServer::ProcessEvents() {
     }
     Connection* conn = it->second.get();
     switch (event.kind) {
-      case WorkerEvent::Kind::kChunk:
-        EnqueueFrameBytes(conn, std::move(event.frame), /*in_transit=*/true);
-        break;
       case WorkerEvent::Kind::kFinal: {
         --conn->executing;
         event.response.request_id = event.request_id;
-        EnqueueFinal(conn, std::move(event.response), event.streamed_bytes,
-                     event.owns_id);
+        EnqueueFinal(conn, std::move(event.response), event.owns_id);
         TryDispatch(conn);
         break;
       }
@@ -1178,7 +1220,7 @@ void ClassMinerServer::ProcessEvents() {
           Response response =
               MakeResponse(util::Status::Unavailable("server stopping"));
           response.request_id = event.request_id;
-          EnqueueFinal(conn, std::move(response), 0, event.owns_id);
+          EnqueueFinal(conn, std::move(response), event.owns_id);
         } else {
           PendingRequest pending;
           pending.owns_id = event.owns_id;
@@ -1203,7 +1245,6 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
     options_.request_started_hook(ctx->request.kind);
   }
   Response response;
-  size_t streamed = 0;
   bool executed = true;
   if (ctx->has_deadline &&
       std::chrono::steady_clock::now() >= ctx->deadline) {
@@ -1220,44 +1261,7 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
     env.mining = options_.mining;
     env.ctx = util::ExecutionContext(pool_.get(), nullptr, &ctx->cancel);
     env.media_dir = options_.media_dir;
-    if (ctx->request.kind == RequestKind::kMine ||
-        ctx->request.kind == RequestKind::kBrowse ||
-        ctx->request.kind == RequestKind::kSkim) {
-      env.chunk_bytes = options_.stream_chunk_bytes;
-      env.chunk_sink = [this, ctx](const std::string& fragment) {
-        // The worker encodes the chunk frame, so it knows the exact wire
-        // size it puts in transit; the reactor only queues it.
-        Response chunk;
-        chunk.request_id = ctx->request.request_id;
-        chunk.final_chunk = false;
-        chunk.body = fragment;
-        util::StatusOr<std::vector<uint8_t>> bytes = chunk.SerializeChunk();
-        if (!bytes.ok()) return;
-        util::StatusOr<std::vector<uint8_t>> frame =
-            EncodeFrame(kResponseMagicV2, *bytes, options_.max_frame_bytes);
-        if (!frame.ok()) return;
-        WorkerEvent event;
-        event.kind = WorkerEvent::Kind::kChunk;
-        event.conn_id = ctx->conn_id;
-        event.request_id = ctx->request.request_id;
-        {
-          std::lock_guard<std::mutex> lock(ctx->shared->mu);
-          ctx->shared->transit_bytes += frame->size();
-        }
-        event.frame = std::move(*frame);
-        PostEvent(std::move(event));
-        // Backpressure: the op pauses until the peer drains its socket
-        // below the write-queue bound (or the session dies). A slow reader
-        // stalls only its own op, never the reactor or other sessions.
-        std::unique_lock<std::mutex> lock(ctx->shared->mu);
-        ctx->shared->cv.wait(lock, [&] {
-          return ctx->shared->dead ||
-                 ctx->shared->queued_bytes + ctx->shared->transit_bytes <=
-                     options_.max_write_queue_bytes;
-        });
-      };
-    }
-    response = ExecuteRequest(ctx->user, ctx->request, env, &streamed);
+    response = ExecuteOp(ctx->request.kind, ctx->args, ctx->user, env);
     if (response.code == util::StatusCode::kCancelled && ctx->has_deadline &&
         std::chrono::steady_clock::now() >= ctx->deadline) {
       // The cancellation was the deadline firing, not a client abort.
@@ -1266,14 +1270,11 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
                          std::to_string(ctx->request.deadline_ms) +
                          " ms exceeded";
       response.body.clear();
-      streamed = 0;
     }
     CountOutcome(response);
   }
   if (!ctx->lead_key.empty()) {
-    // Leader hand-in: store only clean results (and only un-streamed ones —
-    // a partially shipped body is still byte-complete here, so it caches
-    // fine; the *next* asker gets it in one piece).
+    // Leader hand-in: store only clean results.
     CachedResult result;
     result.code = response.code;
     result.message = response.message;
@@ -1304,95 +1305,8 @@ void ClassMinerServer::WorkerRun(const std::shared_ptr<TaskCtx>& ctx) {
   event.owns_id = ctx->owns_id;
   event.request_id = ctx->request.request_id;
   event.response = std::move(response);
-  event.streamed_bytes = streamed;
   event.task = ctx;
   PostEvent(std::move(event));
-}
-
-Response ClassMinerServer::ExecuteRequest(const index::UserCredential& user,
-                                          const Request& request,
-                                          const OpEnv& env,
-                                          size_t* streamed_bytes) {
-  OpResult result;
-  switch (request.kind) {
-    case RequestKind::kHello:
-      return MakeResponse(
-          util::Status::Internal("hello handled before dispatch"));
-    case RequestKind::kMine: {
-      if (request.args.empty()) {
-        return MakeResponse(
-            util::Status::InvalidArgument("mine needs a container path"));
-      }
-      bool fast = false, strict = false;
-      for (size_t i = 1; i < request.args.size(); ++i) {
-        if (request.args[i] == "--fast") {
-          fast = true;
-        } else if (request.args[i] == "--strict") {
-          strict = true;
-        } else {
-          return MakeResponse(util::Status::InvalidArgument(
-              "unknown mine argument '" + request.args[i] + "'"));
-        }
-      }
-      result = MineOp(request.args[0], fast, strict, env, nullptr);
-      break;
-    }
-    case RequestKind::kBrowse: {
-      bool strict = false;
-      std::vector<std::string> paths;
-      for (const std::string& arg : request.args) {
-        if (arg == "--strict") {
-          strict = true;
-        } else {
-          paths.push_back(arg);
-        }
-      }
-      if (paths.empty()) {
-        return MakeResponse(util::Status::InvalidArgument(
-            "browse needs at least one container path"));
-      }
-      result = BrowseOp(paths, strict, user, env, nullptr);
-      break;
-    }
-    case RequestKind::kSkim: {
-      if (request.args.empty() || request.args.size() > 2) {
-        return MakeResponse(util::Status::InvalidArgument(
-            "skim needs a container path and an optional level"));
-      }
-      int level = 3;
-      if (request.args.size() == 2) {
-        util::StatusOr<int> parsed =
-            ParseIntArg(request.args[1], "skim level");
-        if (!parsed.ok()) return MakeResponse(parsed.status());
-        level = *parsed;
-      }
-      result = SkimOp(request.args[0], level, env, nullptr);
-      break;
-    }
-    case RequestKind::kVerify: {
-      if (request.args.size() != 1) {
-        return MakeResponse(
-            util::Status::InvalidArgument("verify needs a database path"));
-      }
-      result = VerifyOp(request.args[0]);
-      break;
-    }
-    case RequestKind::kRepair: {
-      if (request.args.size() != 1) {
-        return MakeResponse(
-            util::Status::InvalidArgument("repair needs a database path"));
-      }
-      result = RepairOp(request.args[0], env, nullptr);
-      break;
-    }
-    case RequestKind::kHealth:
-      return MakeResponse(
-          util::Status::Internal("health handled before dispatch"));
-  }
-  if (streamed_bytes != nullptr) *streamed_bytes = result.streamed_bytes;
-  // Verify/repair carry their report even on a dirty outcome: the body is
-  // the finding, the status says whether it was clean.
-  return MakeResponse(result.status, std::move(result.report));
 }
 
 }  // namespace classminer::server

@@ -33,22 +33,22 @@ namespace classminer::server {
 // so the daemon builds on Linux only), and drains per-connection write
 // queues when sockets become writable. Operations execute on a shared
 // util::ThreadPool, which is also the mining pool: a mine fans its stages
-// and loops out onto the workers. Workers never touch a socket — they hand
-// responses (and streamed report chunks) back to the reactor through an
-// event queue. The thread footprint is fixed regardless of connection
-// count and of how many mines run at once: reactor + worker pool, zero
-// per-connection or per-request threads — thousands of idle sessions cost
-// file descriptors, not stacks. The reactor also owns time: it fires
-// request deadlines and reaps idle sessions between readiness waits.
+// and loops out onto the workers. Workers never touch a socket and share
+// no lock with any session: each run hands its one finished response back
+// to the reactor through an event queue. The thread footprint is fixed
+// regardless of connection count and of how many mines run at once:
+// reactor + worker pool, zero per-connection or per-request threads —
+// thousands of idle sessions cost file descriptors, not stacks. The reactor
+// also owns time: it fires request deadlines and reaps idle sessions
+// between readiness waits.
 //
 // Every request carries a request_id tag (server/protocol.h); requests
-// pipeline up to max_pipeline deep per session, complete out of order, and
-// large reports stream back as tagged chunks while the op is still
-// running. A client with one request in flight at a time sees a strictly
-// serial session. Per-connection write-queue memory is bounded: the
-// worker's next chunk waits until the peer drains the socket (slow readers
-// stall only their own op), and reactor-side chunking of large finished
-// bodies defers until the queue has room.
+// pipeline up to max_pipeline deep per session and complete out of order.
+// A client with one request in flight at a time sees a strictly serial
+// session. The reactor is the only code that turns a response body into
+// tagged chunk frames: it chunks a finished body only while the session's
+// write queue is under its bound, so a slow reader holds only its own
+// queued bytes, never a worker.
 //
 // Mining-backed requests (mine, skim) share a single-flight result cache
 // keyed by (container identity, canonical options): N sessions asking for
@@ -71,7 +71,6 @@ namespace classminer::server {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 picks an ephemeral port; see ClassMinerServer::port()
-  int backlog = 64;
   int worker_threads = 4;      // execution and mining pool size
   int max_queue = 16;          // admission bound: requests queued, not running
   int max_connections = 1024;  // concurrent sessions (idle ones are cheap)
@@ -80,17 +79,13 @@ struct ServerOptions {
   // Pipelining depth per session: requests in flight beyond this stay
   // buffered until one completes.
   int max_pipeline = 32;
-  // Streamed-response fragment size: report bodies ship in chunks of this
-  // many bytes.
+  // Response chunk size: report bodies ship in chunks of this many bytes.
   size_t stream_chunk_bytes = 64u << 10;
-  // Per-connection write-queue bound. Past it, ops streaming to that
-  // session block (backpressure) and reactor-side body chunking defers
-  // until the peer drains the socket.
+  // Per-connection write-queue bound. Past it, the reactor chunks no more
+  // of that session's responses until the peer drains the socket.
   size_t max_write_queue_bytes = 256u << 10;
 
-  // Single-flight mining-result cache (mine/skim). Disabled, every request
-  // runs its own pipeline, matching the pre-cache daemon.
-  bool enable_result_cache = true;
+  // Single-flight mining-result cache (mine/skim).
   size_t cache_max_bytes = 64u << 20;
   size_t cache_max_entries = 256;
 
@@ -106,14 +101,6 @@ struct ServerOptions {
   // session stops being read and closes once its owed responses flush.
   // A peer that keeps sending damage gets a clean goodbye, not a wedge.
   int max_session_errors = 8;
-
-  // Idempotent-retry record: keyed request outcomes are remembered so a
-  // client that reconnects after a dropped connection and resends the same
-  // key observes the original execution instead of running the work again
-  // (at-most-once for repair). Bounded LRU; an evicted record simply lets
-  // the retry re-execute.
-  size_t idem_cache_max_bytes = 16u << 20;
-  size_t idem_cache_max_entries = 1024;
 
   // Background integrity scrubber: periodically verify `scrub_db_path` and
   // re-mine-repair it when dirty, yielding to client traffic (see
@@ -209,7 +196,6 @@ class ClassMinerServer {
 
  private:
   struct Connection;   // reactor-owned per-session state machine
-  struct ConnShared;   // the slice workers may touch (backpressure)
   struct TaskCtx;      // everything a pool task needs, detached from conn
   class Poller;        // epoll readiness multiplexer
 
@@ -229,19 +215,16 @@ class ClassMinerServer {
     std::string idem_lead;
   };
 
-  // Worker -> reactor handoff.
+  // Worker -> reactor handoff: one event per run or joined flight.
   struct WorkerEvent {
     enum class Kind {
-      kChunk,       // a streamed report fragment (non-final), encoded
       kFinal,       // the op's response; body is the full report
       kRedispatch,  // single-flight leader failed; run this request anew
     };
     Kind kind = Kind::kFinal;
     uint64_t conn_id = 0;
     uint32_t request_id = 0;
-    Response response;           // kFinal
-    std::vector<uint8_t> frame;  // kChunk: the fragment's chunk frame
-    size_t streamed_bytes = 0;  // kFinal: prefix already sent as chunks
+    Response response;          // kFinal
     Request request;            // kRedispatch
     bool owns_id = false;       // kFinal/kRedispatch: mirrors PendingRequest
     std::string idem_lead;      // kRedispatch: idempotency lead carried over
@@ -260,12 +243,8 @@ class ClassMinerServer {
   // budget (read side closes once the budget is spent).
   void PushInlineError(Connection* conn, PendingRequest error);
   std::string BuildHealthReport() const;
-  void EnqueueFinal(Connection* conn, Response response,
-                    size_t streamed_bytes, bool release_id);
-  // `in_transit`: the frame is an op's posted chunk, counted in
-  // ConnShared::transit_bytes until queued here.
-  void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame,
-                         bool in_transit = false);
+  void EnqueueFinal(Connection* conn, Response response, bool release_id);
+  void EnqueueFrameBytes(Connection* conn, std::vector<uint8_t> frame);
   void FillStreaming(Connection* conn);
   void FlushConn(Connection* conn);
   void UpdateWriteInterest(Connection* conn);
@@ -276,9 +255,6 @@ class ClassMinerServer {
 
   // Worker side.
   void WorkerRun(const std::shared_ptr<TaskCtx>& ctx);
-  Response ExecuteRequest(const index::UserCredential& user,
-                          const Request& request, const OpEnv& env,
-                          size_t* streamed_bytes);
   void PostEvent(WorkerEvent event);
   void Wake();
   void CountOutcome(const Response& response);

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <mutex>
@@ -51,6 +52,17 @@ std::string TestContainer(const std::string& name, uint64_t seed) {
   const codec::CmvFile file = core::PackGeneratedVideo(g);
   EXPECT_TRUE(file.SaveToFile(path).ok());
   return path;
+}
+
+// A byte copy of `path` under a new name: the same report, its own result
+// cache key (the cache keys containers by path).
+std::string CopyContainer(const std::string& path, const std::string& name) {
+  const std::string copy = ::testing::TempDir() + "/" + name;
+  std::error_code error;
+  std::filesystem::copy_file(
+      path, copy, std::filesystem::copy_options::overwrite_existing, error);
+  EXPECT_FALSE(error) << error.message();
+  return copy;
 }
 
 SessionHello MakeHello(const std::string& user, int clearance) {
@@ -640,7 +652,11 @@ TEST_F(ServerTest, ResponsesByteIdenticalToOpsLayerAcross8Clients) {
 }
 
 TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
-  const std::string cmv = TestContainer("admission.cmv", 9);
+  // Each client skims its own copy of the container, so B and C cannot
+  // join A's single flight and must face admission control.
+  const std::string cmv_a = TestContainer("admission.cmv", 9);
+  const std::string cmv_b = CopyContainer(cmv_a, "admission_b.cmv");
+  const std::string cmv_c = CopyContainer(cmv_a, "admission_c.cmv");
 
   std::promise<void> first_started;
   std::promise<void> release_first;
@@ -650,9 +666,6 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   ServerOptions options;
   options.worker_threads = 1;
   options.max_queue = 1;
-  // All three clients skim the same container; with the cache on, B and C
-  // would join A's single flight and never face admission control.
-  options.enable_result_cache = false;
   options.request_started_hook = [&](RequestKind) {
     if (started.fetch_add(1) == 0) {
       first_started.set_value();
@@ -665,7 +678,7 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   ClientOr a = Connect(MakeHello("a", 3));
   ASSERT_TRUE(a.ok());
   std::thread blocked([&] {
-    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*a)->CallForReport(RequestKind::kSkim, {cmv_a});
   });
   first_started.get_future().wait();
 
@@ -673,7 +686,7 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   ClientOr b = Connect(MakeHello("b", 3));
   ASSERT_TRUE(b.ok());
   std::thread queued([&] {
-    (void)(*b)->CallForReport(RequestKind::kSkim, {cmv});
+    (void)(*b)->CallForReport(RequestKind::kSkim, {cmv_b});
   });
   // B must be admitted (queued) before C can be rejected deterministically.
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -684,7 +697,7 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   ClientOr c = Connect(MakeHello("c", 3));
   ASSERT_TRUE(c.ok());
   util::StatusOr<std::string> rejected =
-      (*c)->CallForReport(RequestKind::kSkim, {cmv});
+      (*c)->CallForReport(RequestKind::kSkim, {cmv_c});
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
 
   // kUnavailable is exactly what util::Retry retries: once the worker is
@@ -696,7 +709,7 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
   retry.max_backoff_ms = 50.0;
   util::StatusOr<std::string> report = util::RetryOr<std::string>(
       retry, [&]() -> util::StatusOr<std::string> {
-        return (*c)->CallForReport(RequestKind::kSkim, {cmv});
+        return (*c)->CallForReport(RequestKind::kSkim, {cmv_c});
       });
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
@@ -706,7 +719,10 @@ TEST_F(ServerTest, AdmissionControlRejectsPastTheQueueBound) {
 }
 
 TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
+  // B skims its own copy of A's container: joining A's flight would bypass
+  // the queue (and its deadline check) entirely.
   const std::string cmv = TestContainer("deadline.cmv", 11);
+  const std::string cmv_b = CopyContainer(cmv, "deadline_b.cmv");
 
   std::promise<void> first_started;
   std::promise<void> release_first;
@@ -716,9 +732,6 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
   ServerOptions options;
   options.worker_threads = 1;
   options.max_queue = 4;
-  // B skims the same container as A; joining A's flight would bypass the
-  // queue (and its deadline check) entirely.
-  options.enable_result_cache = false;
   options.request_started_hook = [&](RequestKind) {
     if (started.fetch_add(1) == 0) {
       first_started.set_value();
@@ -740,7 +753,7 @@ TEST_F(ServerTest, DeadlineExpiredInQueueNeverExecutes) {
   ASSERT_TRUE(b.ok());
   std::thread waiter([&] {
     util::StatusOr<std::string> report =
-        (*b)->CallForReport(RequestKind::kSkim, {cmv}, /*deadline_ms=*/1);
+        (*b)->CallForReport(RequestKind::kSkim, {cmv_b}, /*deadline_ms=*/1);
     EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded);
   });
   while (server_->StatsSnapshot().requests_admitted < 2) {  // A + B
@@ -936,7 +949,7 @@ TEST_F(ServerTest, StreamedPipelinedResponsesReassembleByteIdentical) {
 
   ServerOptions options;
   options.worker_threads = 2;
-  options.stream_chunk_bytes = 32;  // force many interleaved chunks
+  options.stream_chunk_bytes = 32;  // force many chunks per response
   StartServer(std::move(options));
 
   const OpEnv env;
@@ -962,8 +975,10 @@ TEST_F(ServerTest, StreamedPipelinedResponsesReassembleByteIdentical) {
   ASSERT_TRUE(rb.ok()) << rb.status().ToString();
   ASSERT_TRUE(ra->ok()) << ra->message;
   ASSERT_TRUE(rb->ok()) << rb->message;
-  // Chunked delivery, interleaved across two in-flight requests on one
-  // session, reassembles to exactly the ops-layer bytes.
+  // Chunked delivery of two in-flight requests on one session reassembles
+  // to exactly the ops-layer bytes. The reactor sends all of one
+  // response's chunks before it starts the next, so chunks of the two do
+  // not interleave; the client still routes each chunk by its tag.
   EXPECT_EQ(ra->body, want_a.report);
   EXPECT_EQ(rb->body, want_b.report);
   const ServerStats stats = server_->StatsSnapshot();
@@ -1035,10 +1050,57 @@ TEST_F(ServerTest, SingleFlightCacheRunsTheMiningPipelineOnce) {
   EXPECT_EQ(stats.requests_ok, static_cast<uint64_t>(kSessions + 1));
 }
 
+TEST_F(ServerTest, BadOpArgumentsAreRefusedTheSameWayEveryTime) {
+  // Every refusal comes before the container is loaded, so any file will
+  // do; it must exist so that the out-of-range skim gets a result-cache key
+  // (the key stats the path) and leads a flight whose failure is not kept.
+  const std::string cmv = ::testing::TempDir() + "/bad_args.cmv";
+  std::ofstream(cmv) << "not a container";
+  StartServer();
+  ClientOr client = Connect(MakeHello("careless", 3));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const struct {
+    RequestKind kind;
+    std::vector<std::string> args;
+    std::string message;
+  } kCases[] = {
+      {RequestKind::kMine,
+       {cmv, "--bogus"},
+       "unknown mine argument '--bogus'"},
+      {RequestKind::kSkim, {cmv, "abc"}, "bad skim level 'abc'"},
+      {RequestKind::kSkim, {cmv, "9"}, "skim level must be in [1, 4], got 9"},
+  };
+  // Each bad request twice: the repeat must get the same refusal, never a
+  // stored answer.
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& c : kCases) {
+      Request request;
+      request.kind = c.kind;
+      request.args = c.args;
+      util::StatusOr<Response> response = (*client)->Call(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->code, StatusCode::kInvalidArgument)
+          << c.message << " (round " << round << ")";
+      EXPECT_EQ(response->message, c.message) << "round " << round;
+      EXPECT_TRUE(response->body.empty()) << c.message;
+    }
+  }
+  const ServerStats stats = server_->StatsSnapshot();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);  // the out-of-range skim, both times
+  EXPECT_EQ(stats.requests_failed, 6u);
+  EXPECT_EQ(stats.requests_ok, 0u);
+}
+
 TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   const std::string cmv = TestContainer("slow.cmv", 29);
+  const std::string other_cmv = CopyContainer(cmv, "slow_other.cmv");
 
   ServerOptions options;
+  // One worker: a stalled reader must not hold it, or the second session
+  // below could never be served.
+  options.worker_threads = 1;
   // One report byte per chunk frame: the ~300 B report goes out as ~9 KB of
   // ~30 B frames, more than the minimum-size kernel buffers on both ends
   // (the server's send buffer, the client's receive window) hold between
@@ -1056,7 +1118,7 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
       RawSession(server_->port(), MakeHello("slow", 3), /*small_window=*/true);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   // Shrink the session's kernel send buffer to its floor; autotuned, it
-  // would absorb the whole stream and the op would never stall.
+  // would absorb the whole response and the write queue would never fill.
   const int server_end = ServerEndOf(*fd);
   ASSERT_GE(server_end, 0);
   const int one = 1;
@@ -1069,9 +1131,10 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
   skim.request_id = 2;
   ASSERT_TRUE(SendRequest(*fd, skim).ok());
 
-  // Do not read. Once the op streams (its first bytes reach the client),
-  // it fills the socket and the write queue to the bound, then its next
-  // chunk blocks on backpressure: the response cannot finish.
+  // Do not read. Once the response's first chunks reach the client, they
+  // fill the socket and the write queue to the bound; the reactor chunks
+  // no more of the body until the peer drains, so the response cannot
+  // finish.
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   for (;;) {
@@ -1083,12 +1146,23 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  ServerStats stalled = server_->StatsSnapshot();
-  EXPECT_EQ(stalled.requests_ok, 0u);  // still blocked mid-stream
-  // The queue never ran away: bound + one in-flight chunk frame (an op
-  // counts its posted chunks against the bound before the reactor queues
-  // them), with room to spare.
-  EXPECT_LE(stalled.write_queue_peak_bytes,
+
+  // The stalled reader holds only its own queued bytes, not the worker: a
+  // second session's skim of another container runs on the one worker and
+  // completes while the first response is still stuck. (The wait is
+  // bounded and the check is an EXPECT: were the worker held, the drain
+  // below would free it, and the future could still be joined.)
+  ClientOr other = Connect(MakeHello("other", 3));
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  std::future<util::StatusOr<std::string>> other_report =
+      std::async(std::launch::async, [&] {
+        return (*other)->CallForReport(RequestKind::kSkim, {other_cmv});
+      });
+  EXPECT_EQ(other_report.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a stalled reader holds the only worker";
+  // The queue never ran away: bound + one chunk frame, with room to spare.
+  EXPECT_LE(server_->StatsSnapshot().write_queue_peak_bytes,
             options.max_write_queue_bytes + 512);
 
   // Now drain like a healthy reader: the stream completes byte-identical.
@@ -1104,7 +1178,10 @@ TEST_F(ServerTest, SlowReaderBackpressureBoundsTheWriteQueue) {
     }
   }
   EXPECT_EQ(body, want.report);
-  EXPECT_EQ(server_->StatsSnapshot().requests_ok, 1u);
+  util::StatusOr<std::string> other_body = other_report.get();
+  ASSERT_TRUE(other_body.ok()) << other_body.status().ToString();
+  EXPECT_EQ(*other_body, want.report);
+  EXPECT_EQ(server_->StatsSnapshot().requests_ok, 2u);
   CloseFd(*fd);
 }
 
@@ -1177,10 +1254,10 @@ TEST_F(ServerTest, ConcurrentMinesAddNoThreads) {
   ASSERT_TRUE(want.ok()) << want.status.ToString();
 
   // Every worker holds its mine at a barrier until all of them have
-  // started, so the mines then run at once. The cache is off so that the
-  // identical requests each execute instead of joining one run.
+  // started, so the mines then run at once. Each session mines its own
+  // copy of the container, so each request executes instead of joining
+  // one run.
   ServerOptions options;
-  options.enable_result_cache = false;
   const int workers = options.worker_threads;
   std::mutex mu;
   std::condition_variable cv;
@@ -1204,7 +1281,8 @@ TEST_F(ServerTest, ConcurrentMinesAddNoThreads) {
     sessions.push_back(*fd);
     Request request;
     request.kind = RequestKind::kMine;
-    request.args = {cmv};
+    request.args = {
+        CopyContainer(cmv, "footprint_" + std::to_string(i) + ".cmv")};
     request.request_id = 2;
     ASSERT_TRUE(SendRequest(*fd, request).ok());
   }
